@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--exact", action="store_true",
                        help="store exact rational witness strategies")
     solve.add_argument("--trace", default=None,
-                       help="write per-iteration trace records to this file")
+                       help="write per landed pump step trace records to this file")
     solve.add_argument("--out", default=None,
                        help="certificate path (or directory for multiple games)")
     solve.add_argument("--jobs", type=int, default=1,

@@ -8,6 +8,7 @@ may be strict when optimal play needs mixing.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,18 +34,17 @@ def simulate_mean_payoff(game: GameSpec, profile: StationaryProfile, start: int,
     if steps < 1:
         raise ValueError("steps must be at least 1")
     rng = np.random.default_rng(seed)
-    step_reward = profile_step_reward(game, profile)
+    step_reward = profile_step_reward(game, profile).tolist()
     cumulative = []
     for v in range(game.n):
         row = np.einsum("k,klu,l->u", profile.alpha[v], game.prob_array(v),
                         profile.beta[v])
-        cumulative.append(np.cumsum(row / row.sum()))
-    draws = rng.random(steps)
+        cumulative.append(np.cumsum(row / row.sum()).tolist())
     total = 0.0
     v = int(start)
-    for j in range(steps):
+    for draw in rng.random(steps).tolist():
         total += step_reward[v]
-        v = int(np.searchsorted(cumulative[v], draws[j]))
+        v = bisect.bisect_left(cumulative[v], draw)
     return total / steps
 
 

@@ -1,14 +1,30 @@
 """Potential pumping: the inner loop that drives local values together.
 
-Each iteration splits the working states into bands by local value against a
+Each pump step splits the working states into bands by local value against a
 fixed value band [m_minus, m_plus], stops when the top or bottom band
 empties, otherwise tries to extract a pair of closed witness sets from an
 auxiliary potential-gap graph, and failing that lowers the potentials of the
-upper half by a fixed step delta = (m_plus - m_minus) / 4.
+upper half (the pumped set) by a fixed step delta = (m_plus - m_minus) / 4.
 
-Band monotonicity and the per-step value-drift bound are asserted on every
-iteration; a violation raises PumpInvariantError since it would invalidate
-any certificate built downstream.
+The potential is held as x = x_entry - delta * counts with integer per-state
+pump counts, so a jump of k steps that pump one set gives bitwise the same
+potential as k single steps. The loop is event-driven: from each landed step
+it finds the first later step at which the band partition changes, the
+witness check succeeds, or the step cap is reached, by probing 1, 2, 4, ...
+steps ahead and then bisecting, and lands there directly. Skipping the steps
+in between is safe by the pump lemma: while the pumped set S stays fixed,
+the local value of a state in S is non-increasing in the number of steps and
+that of a state outside S non-decreasing, so a band change, once it has
+happened, persists. Potential gaps across S only grow and the payoff bounds
+that size the gap thresholds only shrink, so arcs of the gap graph only
+disappear and a successful witness check stays successful. Both events are
+thus monotone in the number of steps, which is what the bisection needs.
+
+Band monotonicity, the drift bound (at most k*delta over a jump of k steps,
+in the direction the pumped set dictates), the payoff bound and the boundary
+gaps of witness sets are asserted at every landed step; a violation raises
+PumpInvariantError since it would invalidate any certificate built
+downstream.
 """
 
 from __future__ import annotations
@@ -188,14 +204,15 @@ def _potential_hash(x: np.ndarray) -> str:
     return hashlib.sha256(x.tobytes()).hexdigest()[:16]
 
 
-def _check_step_invariants(tau, prev_m, m, prev_part, states, delta):
-    """Band monotonicity and bounded per-step value drift."""
+def _check_step_invariants(tau, prev_m, m, prev_part, states, delta, steps):
+    """Value drift over a jump of `steps` steps: bounded, and signed by the pumped set."""
+    bound = steps * delta
     for v in states:
         drift = m[v] - prev_m[v]
-        if abs(drift) > delta + 1e-9:
+        if abs(drift) > bound + 1e-9:
             raise PumpInvariantError(
                 f"iteration {tau}: local value at state {v} moved by {drift}, "
-                f"more than the pump step {delta}"
+                f"more than {steps} pump steps of {delta}"
             )
         if v in prev_part.pumped:
             if drift > 1e-9:
@@ -213,6 +230,17 @@ def _check_band_monotonicity(tau, prev_part, part):
         raise PumpInvariantError(f"iteration {tau}: top band gained states")
     if not part.bottom <= prev_part.bottom:
         raise PumpInvariantError(f"iteration {tau}: bottom band gained states")
+
+
+@dataclass
+class _Step:
+    """One evaluated pump step; the witness check runs at most once, on demand."""
+
+    x: np.ndarray
+    m: np.ndarray
+    part: BandPartition
+    rb: RBounds | None = None
+    closed: tuple | None = None
 
 
 def modified_pump(
@@ -234,7 +262,15 @@ def modified_pump(
     appear, or the iteration cap is hit.
 
     The band [m_minus, m_plus] and the step delta are fixed at entry;
-    potentials outside `states` are never modified.
+    potentials outside `states` are never modified. The loop lands only on
+    steps where something can change (see the module docstring): while the
+    pumped set is fixed, local values move monotonically and gap-graph arcs
+    only disappear, so the first step at which the bands change or the
+    witness check succeeds is found by doubling and bisection over the step
+    count. Every landed step, and stats.iterations, are exactly those that
+    single steps would reach; stats.pump_counts holds the per-state step
+    counts that define the potential, and the trace has one record per
+    landed step.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -242,7 +278,7 @@ def modified_pump(
         raise ValueError("cap must be at least 1")
     if params is None:
         params = game_params(game)
-    x = as_potential(x0, game.n).copy()
+    x_entry = as_potential(x0, game.n).copy()
     state_list = sorted(int(v) for v in states)
     delta = (m_plus - m_minus) / 4.0
 
@@ -252,16 +288,32 @@ def modified_pump(
         pump_counts=np.zeros(game.n, dtype=np.int64),
         trace=[] if collect_trace else None,
     )
+    counts = stats.pump_counts
 
-    prev_m = None
-    prev_part = None
+    def evaluate(step_counts) -> _Step:
+        x = x_entry - delta * step_counts
+        m = local_values(game, x, state_list, tol=tol)
+        return _Step(x=x, m=m, part=partition(m, m_minus, m_plus, states=state_list))
+
+    def witness(step: _Step):
+        if step.rb is None:
+            step.rb = r_bounds(game, step.x, step.part.pumped, m_plus)
+            arcs = auxiliary_graph(game, step.x, step.part.pumped, step.rb, eps,
+                                   granularity=params.granularity)
+            stats.witness_checks += 1
+            step.closed = find_closed_sets(arcs, step.part.top, step.part.pumped,
+                                           step.part.bottom)
+        return step.closed
+
+    here = evaluate(counts)
+    prev = None
+    jump = 0
     tau = 0
     while True:
-        m = local_values(game, x, state_list, tol=tol)
-        part = partition(m, m_minus, m_plus, states=state_list)
-        if check_invariants and prev_m is not None:
-            _check_step_invariants(tau, prev_m, m, prev_part, state_list, delta)
-            _check_band_monotonicity(tau, prev_part, part)
+        x, m, part = here.x, here.m, here.part
+        if check_invariants and prev is not None:
+            _check_step_invariants(tau, prev.m, m, prev.part, state_list, delta, jump)
+            _check_band_monotonicity(tau, prev.part, part)
         if stats.trace is not None:
             finite = m[state_list]
             stats.trace.append({
@@ -282,22 +334,18 @@ def modified_pump(
                 closed_high=None, closed_low=None, m_values=m, bands=part, stats=stats,
             )
         if witness_checks:
-            rb = r_bounds(game, x, part.pumped, m_plus)
+            closed = witness(here)
             if check_invariants and m_plus - m_minus > eps:
                 for v in part.pumped:
-                    if rb.values[v] < m[v] - 1e-9:
+                    if here.rb.values[v] < m[v] - 1e-9:
                         raise PumpInvariantError(
-                            f"iteration {tau}: payoff bound {rb.values[v]} at pumped "
+                            f"iteration {tau}: payoff bound {here.rb.values[v]} at pumped "
                             f"state {v} fell below its local value {m[v]}"
                         )
-            arcs = auxiliary_graph(game, x, part.pumped, rb, eps,
-                                   granularity=params.granularity)
-            stats.witness_checks += 1
-            closed = find_closed_sets(arcs, part.top, part.pumped, part.bottom)
             if closed is not None:
                 high, low = closed
                 if check_invariants:
-                    _check_boundary_gaps(game, x, high, low, part.pumped, rb, eps,
+                    _check_boundary_gaps(game, x, high, low, part.pumped, here.rb, eps,
                                          params.granularity)
                 stats.iterations = tau
                 return PumpOutcome(
@@ -311,12 +359,33 @@ def modified_pump(
                 kind="cap-exceeded", x=x, collapsed=None,
                 closed_high=None, closed_low=None, m_values=m, bands=part, stats=stats,
             )
-        pumped_idx = sorted(part.pumped)
-        x[pumped_idx] -= delta
-        stats.pump_counts[pumped_idx] += 1
-        tau += 1
-        prev_m = m
-        prev_part = part
+
+        # Find the first k >= 1 steps ahead, pumping this partition's upper
+        # half, at which the partition differs, the witness check succeeds or
+        # the cap is reached. No event at k = lo; an event at k = hi.
+        pumped = np.zeros(game.n, dtype=np.int64)
+        pumped[sorted(part.pumped)] = 1
+        limit = cap - tau
+        probes = {}
+
+        def event(k):
+            step = probes[k] = evaluate(counts + k * pumped)
+            return (k == limit or step.part != part
+                    or (witness_checks and witness(step) is not None))
+
+        lo, hi = 0, 1
+        while not event(hi):
+            lo, hi = hi, min(2 * hi, limit)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if event(mid):
+                hi = mid
+            else:
+                lo = mid
+        counts += hi * pumped
+        tau += hi
+        jump = hi
+        prev, here = here, probes[hi]
 
 
 def _check_boundary_gaps(game, x, high, low, pumped, rb, eps, granularity):

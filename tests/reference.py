@@ -2,13 +2,21 @@
 
 Nothing here may import from ergopump.matrix_game's solver internals: the
 2x2 closed form is hand-derived, the general LP goes through scipy, and the
-support enumeration solves equalization systems directly.
+support enumeration solves equalization systems directly. The single-step
+pump reuses the package's per-step building blocks (local values, bands,
+payoff bounds, gap graph, closures) but none of the pump loop, so it checks
+the event-driven loop's step selection, counts and outcome rules.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import linprog
+
+from ergopump.game import game_params
+from ergopump.matrix_game import local_values
+from ergopump.pump import auxiliary_graph, find_closed_sets, partition, r_bounds
 
 
 def value_2x2(matrix):
@@ -110,3 +118,43 @@ def _try_support(A, rows, cols, tol):
     if (A @ beta).max() > va + 1e-8 or (alpha @ A).min() < va - 1e-8:
         return None
     return va
+
+
+def single_step_pump(game, x0, states, m_minus, m_plus, eps, cap, *,
+                     witness_checks=True, tol=1e-9):
+    """The pump taken one step at a time, with one full evaluation per step.
+
+    The potential is x0 - delta * counts with integer per-state pump counts.
+    Each step bands the local values, stops on an empty top or bottom band,
+    then on closed witness sets, then on reaching the cap, and otherwise
+    pumps the upper half once more.
+    """
+    x_entry = np.asarray(x0, dtype=np.float64).copy()
+    states = sorted(int(v) for v in states)
+    delta = (m_plus - m_minus) / 4.0
+    granularity = game_params(game).granularity
+    counts = np.zeros(game.n, dtype=np.int64)
+    tau = 0
+    while True:
+        x = x_entry - delta * counts
+        m = local_values(game, x, states, tol=tol)
+        part = partition(m, m_minus, m_plus, states=states)
+        closed = None
+        if not part.top or not part.bottom:
+            kind = "band-collapsed"
+        else:
+            if witness_checks:
+                rb = r_bounds(game, x, part.pumped, m_plus)
+                arcs = auxiliary_graph(game, x, part.pumped, rb, eps,
+                                       granularity=granularity)
+                closed = find_closed_sets(arcs, part.top, part.pumped, part.bottom)
+            if closed is not None:
+                kind = "witness-sets"
+            elif tau >= cap:
+                kind = "cap-exceeded"
+            else:
+                counts[sorted(part.pumped)] += 1
+                tau += 1
+                continue
+        return SimpleNamespace(kind=kind, iterations=tau, pump_counts=counts,
+                               closed=closed, x=x, m_values=m)

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+import reference
 from builders import disconnected, one_state, random_dense_game, two_cycle
+from ergopump import driver, pump
+from ergopump.driver import decide_ergodicity
 from ergopump.game import game_params
+from ergopump.generators import random_game
 from ergopump.matrix_game import local_values
 from ergopump.pump import (
     auxiliary_graph,
@@ -228,3 +232,79 @@ class TestRefinedDriftBounds:
             else:
                 assert after[v] >= before[v] - 1e-9
                 assert after[v] <= before[v] + delta * mass_in + 1e-9
+
+
+def _corpus_game(seed):
+    """The acceptance corpus's random instance for `seed`."""
+    return random_game(n=2 + seed % 4, max_actions=1 + seed % 3,
+                       granularity=1 + seed % 8, reward_bound=8.0, seed=seed)
+
+
+def _pump_and_reference(game, x0, states, m_minus, m_plus, eps, cap, **kwargs):
+    """modified_pump and the single-step reference on the same call; both must
+    agree bitwise on every result."""
+    out = modified_pump(game, x0, states, m_minus, m_plus, eps, cap, **kwargs)
+    ref = reference.single_step_pump(
+        game, x0, states, m_minus, m_plus, eps, cap,
+        witness_checks=kwargs.get("witness_checks", True), tol=kwargs.get("tol", 1e-9))
+    assert out.kind == ref.kind
+    assert out.stats.iterations == ref.iterations
+    assert np.array_equal(out.stats.pump_counts, ref.pump_counts)
+    assert (out.closed_high, out.closed_low) == (ref.closed or (None, None))
+    assert out.x.tobytes() == ref.x.tobytes()
+    assert out.m_values.tobytes() == ref.m_values.tobytes()
+    return out
+
+
+class TestSingleStepEquivalence:
+    """The event-driven loop lands exactly where single steps land."""
+
+    @pytest.mark.parametrize("seed,eps", [(32, 0.05), (51, 0.05), (160, 0.05),
+                                          (169, 0.05), (184, 0.05), (184, 0.0025)])
+    def test_every_pump_of_a_corpus_solve(self, monkeypatch, seed, eps):
+        outcomes = []
+
+        def compared(*args, **kwargs):
+            outcomes.append(_pump_and_reference(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(driver, "modified_pump", compared)
+        verdict, _ = decide_ergodicity(_corpus_game(seed), eps)
+        assert verdict.kind != "inconclusive"
+        assert sum(out.stats.iterations for out in outcomes) > 100
+
+    @pytest.mark.parametrize("cap,witness_checks", [(1000, True), (137, True),
+                                                    (137, False)])
+    def test_disconnected(self, cap, witness_checks):
+        out = _pump_and_reference(disconnected(0.0, 10.0), np.zeros(2), [0, 1], 0.0, 10.0,
+                                  0.1, cap, witness_checks=witness_checks)
+        assert out.stats.iterations == min(cap, 400 if witness_checks else cap)
+
+    @pytest.mark.parametrize("witness_checks", [True, False])
+    def test_random_dense_games(self, witness_checks):
+        rng = np.random.default_rng(77)
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            g = random_dense_game(rng, n=n, max_actions=3)
+            m = local_values(g, np.zeros(n))
+            _pump_and_reference(g, np.zeros(n), range(n), float(np.min(m)),
+                                float(np.max(m)), 0.05, 500, witness_checks=witness_checks)
+
+
+def test_local_value_evaluations_grow_slower_than_steps(monkeypatch):
+    evaluations = []
+    original = pump.local_values
+
+    def counted(*args, **kwargs):
+        evaluations[-1] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pump, "local_values", counted)
+    steps = []
+    for eps in (0.05, 0.0025):
+        evaluations.append(0)
+        _, stats = decide_ergodicity(_corpus_game(184), eps)
+        steps.append(sum(record[phase]["iterations"] for record in stats.phases
+                         for phase in ("phase1", "phase2") if phase in record))
+    assert steps[1] >= 15 * steps[0]
+    assert evaluations[1] < 2 * evaluations[0]
