@@ -21,7 +21,7 @@ from .markov import StationaryProfile, make_profile
 from .witness import WitnessCertificate, verify_witness
 
 GAME_FORMAT = "ergopump-game/1"
-CERTIFICATE_FORMAT = "ergopump-certificate/1"
+CERTIFICATE_FORMAT = "ergopump-certificate/2"
 PROFILE_FORMAT = "ergopump-profile/1"
 MAX_REPORTED_ERRORS = 20
 
@@ -183,7 +183,6 @@ class CertificateBundle:
     potential: np.ndarray | None
     witness: WitnessCertificate | None
     reason: str | None
-    recheck_hash: str | None
     metadata: dict
 
 
@@ -198,17 +197,11 @@ def serialize_certificate(game: GameSpec, verdict, stats) -> str:
         "band": None if verdict.m_minus is None else [verdict.m_minus, verdict.m_plus],
         "potential": None if verdict.potential is None else [float(t) for t in verdict.potential],
         "reason": verdict.reason,
-        "recheck_hash": verdict.recheck_hash,
         "non_ergodic": None,
         "metadata": {
             "outer_iterations": stats.outer_iterations,
             "phases": _strip_traces(stats.phases),
             "cap_saturated": stats.cap_saturated,
-            "reduce_fallbacks": stats.reduce_fallbacks,
-            "potential_reduction": {
-                "method": "fixed-strategy feasibility LP with mean-centering fallback",
-                "deviation": "heuristic norm control only; certified verdicts unaffected",
-            },
         },
     }
     w = verdict.witness
@@ -224,7 +217,6 @@ def serialize_certificate(game: GameSpec, verdict, stats) -> str:
                       for v, vec in sorted(w.high_strategies.items())},
             "beta": {game.states[v]: [_sig12(t) for t in vec]
                      for v, vec in sorted(w.low_strategies.items())},
-            "margins": {game.states[v]: w.margins[v] for v in sorted(w.margins)},
         }
         if w.high_exact:
             payload["alpha_exact"] = {
@@ -279,7 +271,6 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
         name_to_idx = {s: i for i, s in enumerate(game.states)}
         high = frozenset(name_to_idx[s] for s in payload["high_states"])
         low = frozenset(name_to_idx[s] for s in payload["low_states"])
-        eps = float(doc["epsilon"])
         witness = WitnessCertificate(
             high_states=high,
             low_states=low,
@@ -296,8 +287,7 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
             ceiling=float(payload["a"]),
             floor_raw=float(payload["b_prime"]),
             ceiling_raw=float(payload["a_prime"]),
-            eps=eps,
-            margins={name_to_idx[s]: float(v) for s, v in payload.get("margins", {}).items()},
+            eps=float(doc["epsilon"]),
         )
     band = doc.get("band")
     return CertificateBundle(
@@ -308,7 +298,6 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
         potential=potential,
         witness=witness,
         reason=doc.get("reason"),
-        recheck_hash=doc.get("recheck_hash"),
         metadata=doc.get("metadata", {}),
     )
 

@@ -3,7 +3,7 @@
 Each outer iteration measures the local-value band at the current potential
 and stops once its width is at most 24*eps (the potential then certifies
 that all game values sit in that band). Otherwise one pump pass runs over
-all states; if it collapses the band, potentials are re-compacted and the
+all states; if it collapses the band, the potential is mean-centred and the
 loop continues with a band at most 3/4 as wide. If it instead finds closed
 candidate sets, a second pass pumps only the high set against the upper
 half-band; either that collapses too (band at most 7/8 as wide) or the run
@@ -13,13 +13,13 @@ exits with a non-ergodicity witness whose certified thresholds are
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+# unused here, but bench/tracing.py looks up and times driver.linprog by name
+from scipy.optimize import linprog  # noqa: F401
 
 from .game import (
     GameParams,
@@ -31,7 +31,7 @@ from .game import (
     validate,
 )
 from .markov import MarkovError, PolicyIterationError
-from .matrix_game import MatrixGameError, local_value, local_values
+from .matrix_game import MatrixGameError, local_values
 from .pump import PumpInvariantError, modified_pump
 from .witness import WitnessBuildError, WitnessCertificate, build_witness
 
@@ -42,13 +42,11 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class DriverConfig:
-    band_tol: float | None = None  # recheck tolerance; default min(eps/100, 1e-7)
     pump_cap: int | None = None  # overrides the computed per-phase cap
     hard_cap: int = 2_000_000  # ceiling the computed cap saturates at
     outer_cap: int | None = None
     matrix_tol: float = 1e-9
     exact: bool = False  # exact-rational strategies in certificates
-    check_invariants: bool = True
     collect_trace: bool = False
 
 
@@ -68,7 +66,6 @@ class Verdict:
     ceiling_raw: float | None = None
     witness: WitnessCertificate | None = None
     reason: str | None = None
-    recheck_hash: str | None = None
 
 
 @dataclass
@@ -76,7 +73,6 @@ class DriverStats:
     outer_iterations: int = 0
     phases: list = field(default_factory=list)
     cap_saturated: bool = False
-    reduce_fallbacks: int = 0
     wall_time: float = 0.0
 
 
@@ -106,94 +102,18 @@ def default_outer_cap(reward_bound: float, eps: float) -> int:
     return math.ceil(math.log(reward_bound / (24 * eps)) / math.log(8.0 / 7.0)) + 1
 
 
-def reduce_potential(game: GameSpec, x: Potential, m_minus: float, m_plus: float,
-                     band_tol: float, matrix_tol: float = 1e-9) -> tuple[Potential, dict]:
-    """Re-compact the potential while keeping every local value in the band.
+def reduce_potential(game: GameSpec, x: Potential) -> tuple[Potential, dict]:
+    """Re-compact the potential by subtracting its mean.
 
-    Heuristic: freeze the optimal strategies of each local game at x, solve
-    the resulting linear feasibility system minimizing the max-norm of the
-    new potential, and iterate once more with refreshed strategies. Falls
-    back to mean-centering x (which preserves all local values exactly)
-    whenever the heuristic fails or barely improves.
+    A constant shift of the potential leaves every local game, and so every
+    local value, unchanged up to rounding, and the mean does not depend on
+    how the states are numbered. Returns the centred potential and
+    {"method": "mean-centered", "norm": its max-norm}.
     """
     x = as_potential(x, game.n)
     centered = x - float(np.mean(x))
-    centered_norm = float(np.max(np.abs(centered))) if game.n else 0.0
-    info = {"method": "mean-centered", "norm": centered_norm}
-
-    best = centered
-    best_norm = centered_norm
-    current = x
-    try:
-        for _ in range(2):
-            candidate = _feasibility_lp(game, current, m_minus, m_plus, matrix_tol)
-            if candidate is None:
-                break
-            m = local_values(game, candidate, tol=matrix_tol)
-            if np.nanmin(m) < m_minus - band_tol or np.nanmax(m) > m_plus + band_tol:
-                break
-            norm = float(np.max(np.abs(candidate)))
-            if norm < best_norm:
-                best = candidate
-                best_norm = norm
-            current = candidate
-    except (MatrixGameError, ValueError):
-        pass
-
-    # accept the LP result only when it is a real improvement
-    if best is not centered and best_norm < 0.9 * centered_norm:
-        info = {"method": "feasibility-lp", "norm": best_norm}
-        return best, info
-    return centered, info
-
-
-def _feasibility_lp(game: GameSpec, x: Potential, m_minus: float, m_plus: float,
-                    matrix_tol: float):
-    """One round of the fixed-strategy norm-minimizing LP; None on failure."""
-    n = game.n
-    rows_ub = []
-    rhs_ub = []
-    for v in range(n):
-        sol = local_value(game, v, x, tol=matrix_tol)
-        p = game.prob_array(v)
-        e = game.expected_reward(v)
-        alpha, beta = sol.row_strategy, sol.col_strategy
-        # row player's frozen strategy must keep every column >= m_minus
-        base = alpha @ e  # per column
-        succ = np.einsum("k,klu->lu", alpha, p)  # per column, successor mass
-        for l in range(game.num_col_actions(v)):
-            coeff = np.zeros(n + 1)
-            coeff[v] -= 1.0
-            coeff[:n] += succ[l]
-            rows_ub.append(coeff)
-            rhs_ub.append(base[l] - m_minus)
-        # column player's frozen strategy must keep every row <= m_plus
-        base_r = e @ beta
-        succ_r = np.einsum("klu,l->ku", p, beta)
-        for k in range(game.num_row_actions(v)):
-            coeff = np.zeros(n + 1)
-            coeff[v] += 1.0
-            coeff[:n] -= succ_r[k]
-            rows_ub.append(coeff)
-            rhs_ub.append(m_plus - base_r[k])
-        # |x'_v| <= t
-        low = np.zeros(n + 1)
-        low[v], low[n] = 1.0, -1.0
-        rows_ub.append(low)
-        rhs_ub.append(0.0)
-        high = np.zeros(n + 1)
-        high[v], high[n] = -1.0, -1.0
-        rows_ub.append(high)
-        rhs_ub.append(0.0)
-
-    cost = np.zeros(n + 1)
-    cost[n] = 1.0
-    bounds = [(None, None)] * n + [(0, None)]
-    result = linprog(cost, A_ub=np.array(rows_ub), b_ub=np.array(rhs_ub),
-                     bounds=bounds, method="highs")
-    if not result.success:
-        return None
-    return np.asarray(result.x[:n], dtype=np.float64)
+    norm = float(np.max(np.abs(centered))) if game.n else 0.0
+    return centered, {"method": "mean-centered", "norm": norm}
 
 
 def decide_ergodicity(game: GameSpec, eps: float,
@@ -211,15 +131,13 @@ def decide_ergodicity(game: GameSpec, eps: float,
         raise ValueError("invalid game: " + "; ".join(report.problems[:3]))
     normalized, offset = normalize_rewards(game)
     params = game_params(normalized)
-    band_tol = config.band_tol if config.band_tol is not None else min(eps / 100.0, 1e-7)
     outer_cap = config.outer_cap if config.outer_cap is not None else default_outer_cap(
         params.reward_bound, eps)
 
     stats = DriverStats()
     start = time.perf_counter()
     try:
-        verdict = _drive(normalized, eps, config, params, band_tol, outer_cap,
-                         offset, stats)
+        verdict = _drive(normalized, eps, config, params, outer_cap, offset, stats)
     except (MatrixGameError, MarkovError, PolicyIterationError,
             PumpInvariantError, WitnessBuildError) as exc:
         verdict = Verdict(kind=INCONCLUSIVE, eps=eps, potential=None,
@@ -229,14 +147,7 @@ def decide_ergodicity(game: GameSpec, eps: float,
     return verdict, stats
 
 
-def _recheck_hash(x: np.ndarray, m: np.ndarray) -> str:
-    digest = hashlib.sha256()
-    digest.update(x.tobytes())
-    digest.update(np.asarray(m, dtype=np.float64).tobytes())
-    return digest.hexdigest()
-
-
-def _drive(game, eps, config, params, band_tol, outer_cap, offset, stats):
+def _drive(game, eps, config, params, outer_cap, offset, stats):
     n = game.n
     x = np.zeros(n)
     h = 0
@@ -248,7 +159,7 @@ def _drive(game, eps, config, params, band_tol, outer_cap, offset, stats):
             stats.outer_iterations = h
             return Verdict(
                 kind=ERGODIC, eps=eps, potential=x, m_minus=m_minus, m_plus=m_plus,
-                value_offset=offset, recheck_hash=_recheck_hash(x, m),
+                value_offset=offset,
             )
         if h >= outer_cap:
             stats.outer_iterations = h
@@ -268,7 +179,6 @@ def _drive(game, eps, config, params, band_tol, outer_cap, offset, stats):
         first = modified_pump(
             game, x, range(n), m_minus, m_plus, eps, cap1,
             tol=config.matrix_tol, params=params,
-            check_invariants=config.check_invariants,
             collect_trace=config.collect_trace,
         )
         phase_record["phase1"] = {"kind": first.kind, "iterations": first.stats.iterations,
@@ -285,7 +195,7 @@ def _drive(game, eps, config, params, band_tol, outer_cap, offset, stats):
                 reason=f"pump step cap {cap1} exhausted in the full-state phase",
             )
         if first.kind == "band-collapsed":
-            x = _reduce_here(game, first.x, band_tol, config, stats)
+            x, _ = reduce_potential(game, first.x)
             h += 1
             continue
 
@@ -299,7 +209,6 @@ def _drive(game, eps, config, params, band_tol, outer_cap, offset, stats):
         second = modified_pump(
             game, first.x, sorted(high), mid, m_plus, eps, cap2,
             tol=config.matrix_tol, params=params,
-            check_invariants=config.check_invariants,
             collect_trace=config.collect_trace,
         )
         phase_record["phase2"] = {"kind": second.kind,
@@ -316,7 +225,7 @@ def _drive(game, eps, config, params, band_tol, outer_cap, offset, stats):
                 reason=f"pump step cap {cap2} exhausted in the high-set phase",
             )
         if second.kind == "band-collapsed" and second.collapsed in ("top", "both"):
-            x = _reduce_here(game, second.x, band_tol, config, stats)
+            x, _ = reduce_potential(game, second.x)
             h += 1
             continue
 
@@ -332,26 +241,11 @@ def _drive(game, eps, config, params, band_tol, outer_cap, offset, stats):
             tol=config.matrix_tol, exact=config.exact,
         )
         stats.outer_iterations = h
-        final_m = local_values(game, x_final, tol=config.matrix_tol)
         return Verdict(
             kind=NON_ERGODIC, eps=eps, potential=x_final,
             m_minus=m_minus, m_plus=m_plus, value_offset=offset,
             high_states=frozenset(final_high), low_states=frozenset(low),
             floor=witness.floor, ceiling=witness.ceiling,
             floor_raw=floor_raw, ceiling_raw=ceiling_raw,
-            witness=witness, recheck_hash=_recheck_hash(x_final, final_m),
+            witness=witness,
         )
-
-
-def _reduce_here(game, x, band_tol, config, stats):
-    """Re-measure the band at x and compact the potential inside it."""
-    m = local_values(game, x, tol=config.matrix_tol)
-    reduced, info = reduce_potential(
-        game, x, float(np.min(m)), float(np.max(m)), band_tol,
-        matrix_tol=config.matrix_tol,
-    )
-    if info["method"] == "mean-centered":
-        stats.reduce_fallbacks += 1
-    if stats.phases:
-        stats.phases[-1]["reduce"] = info
-    return reduced

@@ -119,15 +119,6 @@ class GameParams:
     max_actions: int
     granularity: int  # every nonzero probability is >= 1/granularity
     reward_bound: float  # all rewards lie in [0, reward_bound]
-    bit_length: int
-
-    @property
-    def W(self) -> int:
-        return self.granularity
-
-    @property
-    def R(self) -> float:
-        return self.reward_bound
 
 
 @dataclass(frozen=True)
@@ -294,7 +285,7 @@ def normalize_rewards(game: GameSpec) -> tuple[GameSpec, float]:
 
 
 def game_params(game: GameSpec) -> GameParams:
-    """Derive (n, N, W, R, bit length) from a normalized game."""
+    """Derive (n, N, W, R) from a normalized game."""
     n = game.n
     max_actions = max(
         max(game.num_row_actions(v), game.num_col_actions(v)) for v in range(n)
@@ -307,17 +298,11 @@ def game_params(game: GameSpec) -> GameParams:
         if r < 0:
             raise ValueError("game_params requires normalized (non-negative) rewards")
         reward_bound = max(reward_bound, r)
-    bit_length = max(
-        0,
-        math.ceil(max(math.log2(reward_bound) if reward_bound > 1 else 0.0,
-                      math.log2(granularity) if granularity > 1 else 0.0)),
-    )
     return GameParams(
         n_states=n,
         max_actions=max_actions,
         granularity=granularity,
         reward_bound=reward_bound,
-        bit_length=bit_length,
     )
 
 

@@ -255,7 +255,6 @@ def modified_pump(
     tol: float = 1e-9,
     params: GameParams | None = None,
     witness_checks: bool = True,
-    check_invariants: bool = True,
     collect_trace: bool = False,
 ) -> PumpOutcome:
     """Pump the upper half of `states` until a band empties, witness sets
@@ -311,7 +310,7 @@ def modified_pump(
     tau = 0
     while True:
         x, m, part = here.x, here.m, here.part
-        if check_invariants and prev is not None:
+        if prev is not None:
             _check_step_invariants(tau, prev.m, m, prev.part, state_list, delta, jump)
             _check_band_monotonicity(tau, prev.part, part)
         if stats.trace is not None:
@@ -335,7 +334,7 @@ def modified_pump(
             )
         if witness_checks:
             closed = witness(here)
-            if check_invariants and m_plus - m_minus > eps:
+            if m_plus - m_minus > eps:
                 for v in part.pumped:
                     if here.rb.values[v] < m[v] - 1e-9:
                         raise PumpInvariantError(
@@ -344,9 +343,10 @@ def modified_pump(
                         )
             if closed is not None:
                 high, low = closed
-                if check_invariants:
-                    _check_boundary_gaps(game, x, high, low, part.pumped, here.rb, eps,
-                                         params.granularity)
+                leaks = boundary_gap_violations(game, x, high, low, part.pumped, here.rb,
+                                                eps, params.granularity)
+                if leaks:
+                    raise PumpInvariantError(f"iteration {tau}: " + "; ".join(leaks))
                 stats.iterations = tau
                 return PumpOutcome(
                     kind="witness-sets", x=x, collapsed=None,
@@ -388,20 +388,27 @@ def modified_pump(
         prev, here = here, probes[hi]
 
 
-def _check_boundary_gaps(game, x, high, low, pumped, rb, eps, granularity):
-    """Closed sets must have all boundary gaps at or past their thresholds."""
+def boundary_gap_violations(game, x, high, low, pumped, rb, eps, granularity) -> tuple:
+    """Boundary gaps of the closed sets that fall short of their thresholds.
+
+    Every potential gap from a high state to a state outside the high set,
+    and from a low state to a state outside the low set, must reach that
+    state's gap threshold; returns one message per gap that does not.
+    """
     thresholds = gap_thresholds(game, pumped, rb, eps, granularity)
-    for v in high:
+    problems = []
+    for v in sorted(high):
         for u in range(game.n):
             if u not in high and x[u] - x[v] < thresholds[v] - 1e-9:
-                raise PumpInvariantError(
+                problems.append(
                     f"witness high set leaks: gap {x[u] - x[v]} from {v} to {u} "
                     f"is below threshold {thresholds[v]}"
                 )
-    for v in low:
+    for v in sorted(low):
         for u in range(game.n):
             if u not in low and x[v] - x[u] < thresholds[v] - 1e-9:
-                raise PumpInvariantError(
+                problems.append(
                     f"witness low set leaks: gap {x[v] - x[u]} from {v} to {u} "
                     f"is below threshold {thresholds[v]}"
                 )
+    return tuple(problems)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .game import GameSpec, Potential, as_potential, game_params, local_reward_matrix
+from .game import GameSpec, Potential, as_potential, local_reward_matrix
 from .markov import best_response_value
 from .matrix_game import local_values, solve_matrix_game
 
@@ -48,7 +48,6 @@ class WitnessCertificate:
     floor_raw: float
     ceiling_raw: float
     eps: float
-    margins: dict  # state -> one-shot slack against the worst pure response
     high_exact: dict | None = None  # Fractions, present in exact mode
     low_exact: dict | None = None
 
@@ -156,7 +155,7 @@ def build_witness(
         m = local_values(game, x, tol=tol)
         reflect_value = float(np.nanmax(m))
 
-    high_strategies, low_strategies, margins = {}, {}, {}
+    high_strategies, low_strategies = {}, {}
     high_exact = {} if exact else None
     low_exact = {} if exact else None
     floor = floor_raw - eps
@@ -171,9 +170,7 @@ def build_witness(
                 f"witness preconditions violated at state {v}: no row action "
                 "keeps the play inside the high set"
             )
-        strategy = _truncate(sol.row_strategy, keep, v)
-        high_strategies[v] = strategy
-        margins[v] = float(np.min(strategy @ matrix) - floor)
+        high_strategies[v] = _truncate(sol.row_strategy, keep, v)
         if exact:
             trunc = _truncate_exact(sol.row_exact, keep)
             if trunc is not None:
@@ -190,9 +187,7 @@ def build_witness(
                 f"witness preconditions violated at state {u}: no column action "
                 "keeps the play inside the low set"
             )
-        strategy = _truncate(sol.row_strategy, keep, u)
-        low_strategies[u] = strategy
-        margins[u] = float(ceiling - np.max(matrix @ strategy))
+        low_strategies[u] = _truncate(sol.row_strategy, keep, u)
         if exact:
             trunc = _truncate_exact(sol.row_exact, keep)
             if trunc is not None:
@@ -209,7 +204,6 @@ def build_witness(
         floor_raw=floor_raw,
         ceiling_raw=ceiling_raw,
         eps=eps,
-        margins=margins,
         high_exact=high_exact,
         low_exact=low_exact,
     )
@@ -325,39 +319,3 @@ def verify_witness(game: GameSpec, cert: WitnessCertificate, tol: float | None =
         guaranteed_ceiling=guaranteed_ceiling,
         certified_gap=guaranteed_floor - guaranteed_ceiling,
     )
-
-
-def check_gap_conditions(game: GameSpec, x: Potential, high_states, low_states,
-                         eps: float, tol: float = 1e-9) -> tuple:
-    """Independent recheck of the closed-set conditions at x.
-
-    Recomputes local values and payoff bounds from scratch (sides picked by
-    the value midpoint, not by pump bookkeeping) and tests every boundary
-    potential gap against its threshold. Returns a tuple of violations.
-    """
-    from .pump import r_bounds
-
-    x = as_potential(x, game.n)
-    params = game_params(game)
-    m = local_values(game, x)
-    mid = (np.nanmax(m) + np.nanmin(m)) / 2.0
-    upper_states = {v for v in range(game.n) if m[v] >= mid}
-    rb = r_bounds(game, x, upper_states, float(np.nanmax(m)))
-    problems = []
-    for v in sorted(high_states):
-        thresh = game.num_col_actions(v) * params.granularity * rb.values[v] ** 2 / eps
-        for u in range(game.n):
-            if u not in high_states and x[u] - x[v] < thresh - tol:
-                problems.append(
-                    f"gap from high state {v} to {u} is {x[u] - x[v]}, "
-                    f"below threshold {thresh}"
-                )
-    for u in sorted(low_states):
-        thresh = game.num_row_actions(u) * params.granularity * rb.values[u] ** 2 / eps
-        for w in range(game.n):
-            if w not in low_states and x[u] - x[w] < thresh - tol:
-                problems.append(
-                    f"gap from low state {u} to {w} is {x[u] - x[w]}, "
-                    f"below threshold {thresh}"
-                )
-    return tuple(problems)

@@ -146,6 +146,14 @@ class TestCertificates:
         ok, problems = recheck_certificate(game, bundle)
         assert not ok
 
+    def test_format_one_rejected(self):
+        game, verdict, stats = self._solve()
+        doc = json.loads(serialize_certificate(game, verdict, stats))
+        assert doc["format"] == "ergopump-certificate/2"
+        doc["format"] = "ergopump-certificate/1"
+        with pytest.raises(DocumentError, match="not a ergopump-certificate/2"):
+            parse_certificate(json.dumps(doc), game)
+
     def test_wrong_game_rejected(self):
         game, verdict, stats = self._solve()
         text = serialize_certificate(game, verdict, stats)
@@ -153,12 +161,6 @@ class TestCertificates:
         bundle = parse_certificate(text, other)
         ok, problems = recheck_certificate(other, bundle)
         assert not ok
-
-    def test_metadata_flags_reduction_deviation(self):
-        game, verdict, stats = self._solve()
-        doc = json.loads(serialize_certificate(game, verdict, stats))
-        assert "potential_reduction" in doc["metadata"]
-        assert "heuristic" in doc["metadata"]["potential_reduction"]["deviation"]
 
 
 class TestGenerators:

@@ -175,8 +175,7 @@ class TestModifiedPump:
             g = random_dense_game(rng, n=3, max_actions=2)
             m = local_values(g, np.zeros(3))
             out = modified_pump(g, np.zeros(3), range(3), float(np.min(m)),
-                                float(np.max(m)), eps=0.05, cap=500,
-                                check_invariants=True)
+                                float(np.max(m)), eps=0.05, cap=500)
             assert out.kind in ("band-collapsed", "witness-sets", "cap-exceeded")
 
     def test_plain_repeated_pumping_harness(self):

@@ -7,16 +7,10 @@ import pytest
 
 from builders import big_match, disconnected, matrix_as_game
 from ergopump.driver import decide_ergodicity
-from ergopump.game import make_game
+from ergopump.game import game_params, make_game
 from ergopump.matrix_game import local_value, local_values
-from ergopump.pump import r_bounds
-from ergopump.witness import (
-    WitnessBuildError,
-    bar_actions,
-    build_witness,
-    check_gap_conditions,
-    verify_witness,
-)
+from ergopump.pump import boundary_gap_violations, modified_pump, r_bounds
+from ergopump.witness import WitnessBuildError, bar_actions, build_witness, verify_witness
 
 
 def leaky_row_game():
@@ -104,13 +98,6 @@ class TestBuildWitness:
         direct = local_value(g, 1, x).col_strategy
         assert np.allclose(cert.low_strategies[1], direct, atol=1e-9)
 
-    def test_margins_recorded(self):
-        g = disconnected(0.0, 10.0)
-        cert = build_witness(g, np.array([0.0, -1000.0]), {1}, {0},
-                             ceiling_raw=5.0, floor_raw=6.25, eps=0.1)
-        assert cert.margins[1] == pytest.approx(10.0 - cert.floor)
-        assert cert.margins[0] == pytest.approx(cert.ceiling - 0.0)
-
 
 def _solved_witness(game, eps):
     verdict, _ = decide_ergodicity(game, eps)
@@ -191,12 +178,17 @@ class TestCertificateChains:
             assert np.all(m[v] <= payoffs + verdict.eps + 1e-9)
 
     def test_gap_conditions_recheck(self):
+        # the pump's boundary-gap check passes on the sets the pump returns
+        # and flags them once every potential gap is halved
         g = disconnected(0.0, 10.0)
-        verdict = _solved_witness(g, 0.1)
-        assert check_gap_conditions(g, verdict.witness.potential,
-                                    verdict.high_states, verdict.low_states,
-                                    verdict.eps) == ()
-        squeezed = verdict.witness.potential * 0.5  # halve every gap
-        problems = check_gap_conditions(g, squeezed, verdict.high_states,
-                                        verdict.low_states, verdict.eps)
-        assert problems
+        out = modified_pump(g, np.zeros(2), range(2), 0.0, 10.0, eps=0.1, cap=10_000)
+        assert out.kind == "witness-sets"
+        pumped = out.bands.pumped
+
+        def violations(x):
+            rb = r_bounds(g, x, pumped, 10.0)
+            return boundary_gap_violations(g, x, out.closed_high, out.closed_low, pumped,
+                                           rb, 0.1, game_params(g).granularity)
+
+        assert violations(out.x) == ()
+        assert violations(out.x * 0.5)
