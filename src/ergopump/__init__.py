@@ -28,7 +28,6 @@ from .driver import (
 from .game import (
     GameParams,
     GameSpec,
-    LocalRewardMatrix,
     ValidationReport,
     apply_potential,
     game_params,

@@ -10,6 +10,7 @@ inputs produce byte-identical documents.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,22 +40,18 @@ def _fraction_str(f: Fraction) -> str:
 
 
 def serialize_game(game: GameSpec) -> str:
-    records = []
-    for v in range(game.n):
-        for k in range(game.num_row_actions(v)):
-            for l in range(game.num_col_actions(v)):
-                for u in range(game.n):
-                    p = game.prob[v][k][l][u]
-                    if p == 0:
-                        continue
-                    records.append({
-                        "from": game.states[v],
-                        "row": game.row_actions[v][k],
-                        "col": game.col_actions[v][l],
-                        "to": game.states[u],
-                        "p": _fraction_str(p),
-                        "r": game.reward[v][k][l][u],
-                    })
+    records = [
+        {
+            "from": game.states[v],
+            "row": game.row_actions[v][k],
+            "col": game.col_actions[v][l],
+            "to": game.states[u],
+            "p": _fraction_str(p),
+            "r": r,
+        }
+        for v in range(game.n)
+        for k, l, u, p, r in game.transitions[v]
+    ]
     doc = {
         "format": GAME_FORMAT,
         "states": list(game.states),
@@ -87,6 +84,8 @@ def parse_game(text: str) -> GameSpec:
     if len(set(states)) != len(states):
         raise DocumentError(["duplicate state names"])
     actions = doc.get("actions", {})
+    if not isinstance(actions, dict):
+        raise DocumentError(["'actions' must map each state to its action lists"])
     row_actions, col_actions = [], []
     for s in states:
         entry = actions.get(s)
@@ -95,8 +94,12 @@ def parse_game(text: str) -> GameSpec:
             row_actions.append(("a0",))
             col_actions.append(("b0",))
             continue
-        row_actions.append(tuple(entry["row"]))
-        col_actions.append(tuple(entry["col"]))
+        for player, out in (("row", row_actions), ("col", col_actions)):
+            names = entry[player]
+            if not isinstance(names, list) or not all(isinstance(a, str) for a in names):
+                problems.append(f"state {s!r}: {player!r} actions must be a list of names")
+                names = []
+            out.append(tuple(names))
 
     records = doc.get("transitions")
     if not isinstance(records, list):
@@ -251,6 +254,8 @@ def _strip_traces(phases):
 
 
 def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
+    """Parse a certificate for `game`; raises DocumentError when a field the
+    recheck reads is missing, malformed or does not fit the game."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -260,41 +265,77 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
         raise DocumentError([f"not a {CERTIFICATE_FORMAT} document"])
     if doc.get("states") != list(game.states):
         raise DocumentError(["certificate states do not match the game"])
+    problems = []
+
+    def number(value, what):
+        # NaN would make every tolerance comparison of the recheck pass
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value)):
+            return float(value)
+        problems.append(f"{what} must be a finite number, got {value!r}")
+        return 0.0
+
+    def vector(values, size, what):
+        if not isinstance(values, list) or len(values) != size:
+            problems.append(f"{what}: expected a list of {size} numbers")
+            return np.zeros(size)
+        return np.array([number(t, f"{what} entry") for t in values])
+
+    verdict_kind = doc.get("verdict")
+    if not isinstance(verdict_kind, str):
+        problems.append("'verdict' must be a string")
+    eps = number(doc.get("epsilon"), "'epsilon'")
+    value_offset = number(doc.get("value_offset", 0.0), "'value_offset'")
     potential = doc.get("potential")
     if potential is not None:
-        potential = np.array([float(t) for t in potential])
+        potential = vector(potential, game.n, "'potential'")
+    band = doc.get("band")
+    if band is not None:
+        band = tuple(vector(band, 2, "'band'").tolist())
     witness = None
     payload = doc.get("non_ergodic")
     if payload is not None:
         if potential is None:
             raise DocumentError(["non-ergodic certificate lacks a potential vector"])
+        if not isinstance(payload, dict):
+            raise DocumentError(["'non_ergodic' must be an object"])
         name_to_idx = {s: i for i, s in enumerate(game.states)}
-        high = frozenset(name_to_idx[s] for s in payload["high_states"])
-        low = frozenset(name_to_idx[s] for s in payload["low_states"])
+
+        def states(key):
+            names = payload.get(key)
+            known = [name_to_idx.get(s) if isinstance(s, str) else None
+                     for s in (names if isinstance(names, list) else [None])]
+            if None in known:
+                problems.append(f"non_ergodic.{key} must list states of the game")
+            return frozenset(v for v in known if v is not None)
+
+        def strategies(key, members, size):
+            table = payload.get(key)
+            table = table if isinstance(table, dict) else {}
+            return {v: vector(table.get(game.states[v]), size(v),
+                              f"non_ergodic.{key}[{game.states[v]!r}]")
+                    for v in sorted(members)}
+
+        high, low = states("high_states"), states("low_states")
         witness = WitnessCertificate(
             high_states=high,
             low_states=low,
-            high_strategies={
-                name_to_idx[s]: np.array([float(t) for t in vec])
-                for s, vec in payload["alpha"].items()
-            },
-            low_strategies={
-                name_to_idx[s]: np.array([float(t) for t in vec])
-                for s, vec in payload["beta"].items()
-            },
+            high_strategies=strategies("alpha", high, game.num_row_actions),
+            low_strategies=strategies("beta", low, game.num_col_actions),
             potential=potential,
-            floor=float(payload["b"]),
-            ceiling=float(payload["a"]),
-            floor_raw=float(payload["b_prime"]),
-            ceiling_raw=float(payload["a_prime"]),
-            eps=float(doc["epsilon"]),
+            floor=number(payload.get("b"), "non_ergodic.b"),
+            ceiling=number(payload.get("a"), "non_ergodic.a"),
+            floor_raw=number(payload.get("b_prime"), "non_ergodic.b_prime"),
+            ceiling_raw=number(payload.get("a_prime"), "non_ergodic.a_prime"),
+            eps=eps,
         )
-    band = doc.get("band")
+    if problems:
+        raise DocumentError(problems[:MAX_REPORTED_ERRORS])
     return CertificateBundle(
-        verdict_kind=doc["verdict"],
-        eps=float(doc["epsilon"]),
-        value_offset=float(doc.get("value_offset", 0.0)),
-        band=None if band is None else (float(band[0]), float(band[1])),
+        verdict_kind=verdict_kind,
+        eps=eps,
+        value_offset=value_offset,
+        band=band,
         potential=potential,
         witness=witness,
         reason=doc.get("reason"),

@@ -38,14 +38,13 @@ from .witness import WitnessBuildError, WitnessCertificate, build_witness
 ERGODIC = "ergodic-24eps"
 NON_ERGODIC = "non-ergodic"
 INCONCLUSIVE = "inconclusive"
+HARD_CAP = 2_000_000  # ceiling the computed pump-step cap saturates at
 
 
 @dataclass(frozen=True)
 class DriverConfig:
     pump_cap: int | None = None  # overrides the computed per-phase cap
-    hard_cap: int = 2_000_000  # ceiling the computed cap saturates at
     outer_cap: int | None = None
-    matrix_tol: float = 1e-9
     exact: bool = False  # exact-rational strategies in certificates
     collect_trace: bool = False
 
@@ -77,7 +76,7 @@ class DriverStats:
 
 
 def compute_iteration_cap(params: GameParams, delta: float, eps: float,
-                          hard_cap: int = 2_000_000) -> int:
+                          hard_cap: int = HARD_CAP) -> int:
     """Pump-step budget 2*n*kappa + 1, saturating at hard_cap on overflow."""
     if delta <= 0 or eps <= 0:
         raise ValueError("delta and eps must be positive")
@@ -152,7 +151,7 @@ def _drive(game, eps, config, params, outer_cap, offset, stats):
     x = np.zeros(n)
     h = 0
     while True:
-        m = local_values(game, x, tol=config.matrix_tol)
+        m = local_values(game, x)
         m_minus = float(np.min(m))
         m_plus = float(np.max(m))
         if m_plus - m_minus <= 24 * eps:
@@ -172,13 +171,11 @@ def _drive(game, eps, config, params, outer_cap, offset, stats):
 
         phase_record = {"h": h, "band": (m_minus, m_plus)}
         delta1 = (m_plus - m_minus) / 4.0
-        cap1 = config.pump_cap or compute_iteration_cap(params, delta1, eps,
-                                                        config.hard_cap)
-        if cap1 == config.hard_cap:
+        cap1 = config.pump_cap or compute_iteration_cap(params, delta1, eps)
+        if cap1 == HARD_CAP:
             stats.cap_saturated = True
         first = modified_pump(
-            game, x, range(n), m_minus, m_plus, eps, cap1,
-            tol=config.matrix_tol, params=params,
+            game, x, range(n), m_minus, m_plus, eps, cap1, params=params,
             collect_trace=config.collect_trace,
         )
         phase_record["phase1"] = {"kind": first.kind, "iterations": first.stats.iterations,
@@ -202,13 +199,11 @@ def _drive(game, eps, config, params, outer_cap, offset, stats):
         high, low = first.closed_high, first.closed_low
         mid = (m_minus + m_plus) / 2.0
         delta2 = (m_plus - mid) / 4.0
-        cap2 = config.pump_cap or compute_iteration_cap(params, delta2, eps,
-                                                        config.hard_cap)
-        if cap2 == config.hard_cap:
+        cap2 = config.pump_cap or compute_iteration_cap(params, delta2, eps)
+        if cap2 == HARD_CAP:
             stats.cap_saturated = True
         second = modified_pump(
-            game, first.x, sorted(high), mid, m_plus, eps, cap2,
-            tol=config.matrix_tol, params=params,
+            game, first.x, sorted(high), mid, m_plus, eps, cap2, params=params,
             collect_trace=config.collect_trace,
         )
         phase_record["phase2"] = {"kind": second.kind,
@@ -237,8 +232,7 @@ def _drive(game, eps, config, params, outer_cap, offset, stats):
         floor_raw = (5.0 * m_plus + 3.0 * m_minus) / 8.0
         witness = build_witness(
             game, x_final, final_high, low, ceiling_raw=ceiling_raw,
-            floor_raw=floor_raw, eps=eps, reflect_value=m_plus,
-            tol=config.matrix_tol, exact=config.exact,
+            floor_raw=floor_raw, eps=eps, reflect_value=m_plus, exact=config.exact,
         )
         stats.outer_iterations = h
         return Verdict(

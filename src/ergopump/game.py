@@ -3,15 +3,15 @@
 A game is a finite set of positions; at each position the two players pick
 actions (row player maximizes, column player minimizes), a transition reward
 is paid, and the play moves to the next position according to the transition
-probabilities. Probabilities are kept as exact rationals so that the
-granularity parameter is well defined; all iterative numerics run on cached
-float views.
+probabilities. Each transition is stored once, as a sparse record with an
+exact rational probability, so the granularity parameter is well defined;
+all iterative numerics run on dense float views built from the records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -49,38 +49,38 @@ def to_fraction(value) -> Fraction:
 class GameSpec:
     """Immutable stochastic game.
 
-    prob[v][k][l][u] is the exact transition probability from position v to u
-    when the players pick actions (k, l); reward[v][k][l][u] is the transition
-    reward. Entries with zero probability carry reward 0 by convention.
+    transitions[v] holds one (k, l, u, p, r) record per transition out of
+    position v, sorted by (k, l, u): under actions (k, l) the play moves to u
+    with exact nonzero probability p and pays the float reward r. A missing
+    triple has probability 0.
     """
 
     states: tuple[str, ...]
     row_actions: tuple[tuple[str, ...], ...]
     col_actions: tuple[tuple[str, ...], ...]
-    prob: tuple  # nested tuples of Fraction, indexed [v][k][l][u]
-    reward: tuple  # nested tuples of float, same indexing
+    transitions: tuple  # per state, a tuple of (k, l, u, p, r) records
 
     _p: tuple = field(init=False, compare=False, repr=False, default=())
-    _r: tuple = field(init=False, compare=False, repr=False, default=())
     _expected: tuple = field(init=False, compare=False, repr=False, default=())
 
     def __post_init__(self):
-        p_arrays, r_arrays, expected = [], [], []
-        for v in range(len(self.states)):
-            p = np.array(
-                [[[float(q) for q in row_u] for row_u in row_l] for row_l in self.prob[v]],
-                dtype=np.float64,
-            )
-            r = np.array(self.reward[v], dtype=np.float64)
+        n = len(self.states)
+        p_arrays, expected = [], []
+        for v in range(n):
+            shape = (len(self.row_actions[v]), len(self.col_actions[v]), n)
+            p = np.zeros(shape)
+            r = np.zeros(shape)
+            records = self.transitions[v]
+            if records:
+                k, l, u, q, rewards = zip(*records)
+                p[k, l, u] = [float(t) for t in q]
+                r[k, l, u] = rewards
             p.setflags(write=False)
-            r.setflags(write=False)
             e = np.einsum("klu,klu->kl", p, r)
             e.setflags(write=False)
             p_arrays.append(p)
-            r_arrays.append(r)
             expected.append(e)
         object.__setattr__(self, "_p", tuple(p_arrays))
-        object.__setattr__(self, "_r", tuple(r_arrays))
         object.__setattr__(self, "_expected", tuple(expected))
 
     @property
@@ -97,18 +97,9 @@ class GameSpec:
         """Float view of the transition tensor at v, shape (|K|, |L|, n)."""
         return self._p[v]
 
-    def reward_array(self, v: int) -> np.ndarray:
-        return self._r[v]
-
     def expected_reward(self, v: int) -> np.ndarray:
         """One-step expected reward matrix at v: sum_u p*r, shape (|K|, |L|)."""
         return self._expected[v]
-
-    def state_index(self, name: str) -> int:
-        try:
-            return self.states.index(name)
-        except ValueError:
-            raise KeyError(f"unknown state {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -119,14 +110,6 @@ class GameParams:
     max_actions: int
     granularity: int  # every nonzero probability is >= 1/granularity
     reward_bound: float  # all rewards lie in [0, reward_bound]
-
-
-@dataclass(frozen=True)
-class LocalRewardMatrix:
-    """Potential-adjusted one-shot reward matrix at a single position."""
-
-    state: int
-    entries: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -173,15 +156,7 @@ def make_game(
         except ValueError:
             raise KeyError(f"unknown {what} {token!r}") from None
 
-    n = len(states)
-    prob = [
-        [[[Fraction(0)] * n for _ in col_actions[v]] for _ in row_actions[v]]
-        for v in range(n)
-    ]
-    reward = [
-        [[[0.0] * n for _ in col_actions[v]] for _ in row_actions[v]]
-        for v in range(n)
-    ]
+    records = [[] for _ in states]
     seen = set()
     for record in transitions:
         v_tok, k_tok, l_tok, u_tok, p_val, r_val = record
@@ -193,20 +168,14 @@ def make_game(
         if (v, k, l, u) in seen:
             raise ValueError(f"duplicate transition record for {(v, k, l, u)}")
         seen.add((v, k, l, u))
-        if p == 0:
-            continue
-        prob[v][k][l][u] = p
-        reward[v][k][l][u] = float(r_val)
-
-    def _freeze(per_v):
-        return tuple(tuple(tuple(row_u) for row_u in row_l) for row_l in per_v)
+        if p != 0:
+            records[v].append((k, l, u, p, float(r_val)))
 
     return GameSpec(
         states=states,
         row_actions=row_actions,
         col_actions=col_actions,
-        prob=tuple(_freeze(prob[v]) for v in range(n)),
-        reward=tuple(_freeze(reward[v]) for v in range(n)),
+        transitions=tuple(tuple(sorted(recs, key=lambda rec: rec[:3])) for recs in records),
     )
 
 
@@ -218,17 +187,22 @@ def validate(game: GameSpec) -> ValidationReport:
             problems.append(f"state {name!r}: row player has no actions")
         if game.num_col_actions(v) == 0:
             problems.append(f"state {name!r}: column player has no actions")
+        totals = {}
+        for k, l, u, p, r in game.transitions[v]:
+            if p < 0 or p > 1:
+                problems.append(
+                    f"probability out of range at ({name!r}, k={k}, l={l}, "
+                    f"u={game.states[u]!r}): {p}"
+                )
+            if not math.isfinite(r):
+                problems.append(
+                    f"reward is not finite at ({name!r}, k={k}, l={l}, "
+                    f"u={game.states[u]!r}): {r}"
+                )
+            totals[k, l] = totals.get((k, l), 0) + p
         for k in range(game.num_row_actions(v)):
             for l in range(game.num_col_actions(v)):
-                total = Fraction(0)
-                for u in range(game.n):
-                    p = game.prob[v][k][l][u]
-                    if p < 0 or p > 1:
-                        problems.append(
-                            f"probability out of range at ({name!r}, k={k}, l={l}, "
-                            f"u={game.states[u]!r}): {p}"
-                        )
-                    total += p
+                total = totals.get((k, l), 0)
                 if total != 1:
                     problems.append(
                         f"non-stopping condition fails at ({name!r}, k={k}, l={l}): "
@@ -237,15 +211,12 @@ def validate(game: GameSpec) -> ValidationReport:
     return ValidationReport(problems=tuple(problems))
 
 
-def _masked_rewards(game: GameSpec):
-    """Yield (v, k, l, u, p, r) over entries with positive probability."""
-    for v in range(game.n):
-        for k in range(game.num_row_actions(v)):
-            for l in range(game.num_col_actions(v)):
-                for u in range(game.n):
-                    p = game.prob[v][k][l][u]
-                    if p > 0:
-                        yield v, k, l, u, p, game.reward[v][k][l][u]
+def _map_rewards(game: GameSpec, new_reward) -> GameSpec:
+    """The same game with each record's reward r replaced by new_reward(v, u, r)."""
+    return replace(game, transitions=tuple(
+        tuple((k, l, u, p, new_reward(v, u, r)) for k, l, u, p, r in records)
+        for v, records in enumerate(game.transitions)
+    ))
 
 
 def normalize_rewards(game: GameSpec) -> tuple[GameSpec, float]:
@@ -255,33 +226,13 @@ def normalize_rewards(game: GameSpec) -> tuple[GameSpec, float]:
     original by exactly the offset. Games already in [0, R] are returned
     unchanged with offset 0.
     """
-    rewards = [r for *_ignored, r in _masked_rewards(game)]
+    rewards = [rec[4] for records in game.transitions for rec in records]
     if not rewards:
         return game, 0.0
     offset = max(0.0, -min(rewards))
     if offset == 0.0:
         return game, 0.0
-    new_reward = tuple(
-        tuple(
-            tuple(
-                tuple(
-                    game.reward[v][k][l][u] + offset if game.prob[v][k][l][u] > 0 else 0.0
-                    for u in range(game.n)
-                )
-                for l in range(game.num_col_actions(v))
-            )
-            for k in range(game.num_row_actions(v))
-        )
-        for v in range(game.n)
-    )
-    shifted = GameSpec(
-        states=game.states,
-        row_actions=game.row_actions,
-        col_actions=game.col_actions,
-        prob=game.prob,
-        reward=new_reward,
-    )
-    return shifted, offset
+    return _map_rewards(game, lambda v, u, r: r + offset), offset
 
 
 def game_params(game: GameSpec) -> GameParams:
@@ -292,12 +243,13 @@ def game_params(game: GameSpec) -> GameParams:
     )
     granularity = 1
     reward_bound = 0.0
-    for _v, _k, _l, _u, p, r in _masked_rewards(game):
-        # ceil(1/p) on exact rationals
-        granularity = max(granularity, -((-p.denominator) // p.numerator))
-        if r < 0:
-            raise ValueError("game_params requires normalized (non-negative) rewards")
-        reward_bound = max(reward_bound, r)
+    for records in game.transitions:
+        for _k, _l, _u, p, r in records:
+            # ceil(1/p) on exact rationals
+            granularity = max(granularity, -((-p.denominator) // p.numerator))
+            if r < 0:
+                raise ValueError("game_params requires normalized (non-negative) rewards")
+            reward_bound = max(reward_bound, r)
     return GameParams(
         n_states=n,
         max_actions=max_actions,
@@ -316,11 +268,10 @@ def as_potential(x, n: int) -> Potential:
     return arr
 
 
-def local_reward_matrix(game: GameSpec, v: int, x: Potential) -> LocalRewardMatrix:
-    """Potential-adjusted reward matrix: entries sum_u p*(r + x[v] - x[u])."""
+def local_reward_matrix(game: GameSpec, v: int, x: Potential) -> np.ndarray:
+    """Potential-adjusted reward matrix at v: entries sum_u p*(r + x[v] - x[u])."""
     x = as_potential(x, game.n)
-    entries = game.expected_reward(v) + x[v] - game.prob_array(v) @ x
-    return LocalRewardMatrix(state=v, entries=entries)
+    return game.expected_reward(v) + x[v] - game.prob_array(v) @ x
 
 
 def apply_potential(game: GameSpec, x: Potential) -> GameSpec:
@@ -329,25 +280,4 @@ def apply_potential(game: GameSpec, x: Potential) -> GameSpec:
     Mean payoffs of every stationary profile are unchanged by this transform.
     """
     x = as_potential(x, game.n)
-    new_reward = tuple(
-        tuple(
-            tuple(
-                tuple(
-                    game.reward[v][k][l][u] + x[v] - x[u]
-                    if game.prob[v][k][l][u] > 0
-                    else 0.0
-                    for u in range(game.n)
-                )
-                for l in range(game.num_col_actions(v))
-            )
-            for k in range(game.num_row_actions(v))
-        )
-        for v in range(game.n)
-    )
-    return GameSpec(
-        states=game.states,
-        row_actions=game.row_actions,
-        col_actions=game.col_actions,
-        prob=game.prob,
-        reward=new_reward,
-    )
+    return _map_rewards(game, lambda v, u, r: r + x[v] - x[u])

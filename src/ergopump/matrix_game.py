@@ -248,7 +248,7 @@ def local_value(game, v: int, x, tol: float = 1e-9, exact: bool = False) -> Matr
     """Value and optimal strategies of the potential-adjusted game at v."""
     from .game import local_reward_matrix
 
-    return solve_matrix_game(local_reward_matrix(game, v, x).entries, tol=tol, exact=exact)
+    return solve_matrix_game(local_reward_matrix(game, v, x), tol=tol, exact=exact)
 
 
 def local_values(game, x, states=None, tol: float = 1e-9) -> np.ndarray:

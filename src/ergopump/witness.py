@@ -71,34 +71,17 @@ def bar_actions(game: GameSpec, v: int, inside, player: str) -> frozenset:
     """Actions at v that keep all transition mass inside `inside`.
 
     For the row player an action k qualifies when no column can move any
-    probability out of the set; symmetric for the column player. Zero tests
-    run on the exact rational transition data.
+    probability out of the set; symmetric for the column player. Only
+    transitions with nonzero exact probability are recorded, so a record
+    leaving the set is a leak.
     """
-    inside = set(inside)
-    keep = []
-    if player == "row":
-        for k in range(game.num_row_actions(v)):
-            leaks = any(
-                game.prob[v][k][l][u] != 0
-                for l in range(game.num_col_actions(v))
-                for u in range(game.n)
-                if u not in inside
-            )
-            if not leaks:
-                keep.append(k)
-    elif player == "col":
-        for l in range(game.num_col_actions(v)):
-            leaks = any(
-                game.prob[v][k][l][u] != 0
-                for k in range(game.num_row_actions(v))
-                for u in range(game.n)
-                if u not in inside
-            )
-            if not leaks:
-                keep.append(l)
-    else:
+    if player not in ("row", "col"):
         raise ValueError("player must be 'row' or 'col'")
-    return frozenset(keep)
+    inside = set(inside)
+    leaking = {k if player == "row" else l
+               for k, l, u, _p, _r in game.transitions[v] if u not in inside}
+    size = game.num_row_actions(v) if player == "row" else game.num_col_actions(v)
+    return frozenset(range(size)) - leaking
 
 
 def _truncate(strategy: np.ndarray, keep: frozenset, v: int):
@@ -162,7 +145,7 @@ def build_witness(
     ceiling = ceiling_raw + eps
 
     for v in sorted(high_states):
-        matrix = local_reward_matrix(game, v, x).entries
+        matrix = local_reward_matrix(game, v, x)
         sol = solve_matrix_game(matrix, tol=tol, exact=exact)
         keep = bar_actions(game, v, high_states, "row")
         if not keep:
@@ -177,7 +160,7 @@ def build_witness(
                 high_exact[v] = trunc
 
     for u in sorted(low_states):
-        matrix = local_reward_matrix(game, u, x).entries
+        matrix = local_reward_matrix(game, u, x)
         # reflect so the column player's problem becomes a row problem
         reflected = reflect_value * np.ones_like(matrix.T) - matrix.T
         sol = solve_matrix_game(reflected, tol=tol, exact=exact)
@@ -238,38 +221,26 @@ def verify_witness(game: GameSpec, cert: WitnessCertificate, tol: float | None =
     structural_ok = True
     for v in sorted(cert.high_states):
         strategy = cert.high_strategies[v]
-        for k in range(game.num_row_actions(v)):
-            if strategy[k] <= 0.0:
-                continue
-            for u in range(game.n):
-                if u in cert.high_states:
-                    continue
-                for l in range(game.num_col_actions(v)):
-                    if game.prob[v][k][l][u] != 0:
-                        structural_ok = False
-                        failures.append(
-                            f"structural: high state {v} action {k} leaks to {u} "
-                            f"under column {l} with probability {game.prob[v][k][l][u]}"
-                        )
+        for k, l, u, p, _r in game.transitions[v]:
+            if strategy[k] > 0.0 and u not in cert.high_states:
+                structural_ok = False
+                failures.append(
+                    f"structural: high state {v} action {k} leaks to {u} "
+                    f"under column {l} with probability {p}"
+                )
     for u in sorted(cert.low_states):
         strategy = cert.low_strategies[u]
-        for l in range(game.num_col_actions(u)):
-            if strategy[l] <= 0.0:
-                continue
-            for w in range(game.n):
-                if w in cert.low_states:
-                    continue
-                for k in range(game.num_row_actions(u)):
-                    if game.prob[u][k][l][w] != 0:
-                        structural_ok = False
-                        failures.append(
-                            f"structural: low state {u} action {l} leaks to {w} "
-                            f"under row {k} with probability {game.prob[u][k][l][w]}"
-                        )
+        for k, l, w, p, _r in game.transitions[u]:
+            if strategy[l] > 0.0 and w not in cert.low_states:
+                structural_ok = False
+                failures.append(
+                    f"structural: low state {u} action {l} leaks to {w} "
+                    f"under row {k} with probability {p}"
+                )
 
     local_ok = True
     for v in sorted(cert.high_states):
-        payoff = cert.high_strategies[v] @ local_reward_matrix(game, v, x).entries
+        payoff = cert.high_strategies[v] @ local_reward_matrix(game, v, x)
         worst = float(np.min(payoff))
         if worst < cert.floor - tol:
             local_ok = False
@@ -278,7 +249,7 @@ def verify_witness(game: GameSpec, cert: WitnessCertificate, tol: float | None =
                 f"floor {cert.floor}"
             )
     for u in sorted(cert.low_states):
-        payoff = local_reward_matrix(game, u, x).entries @ cert.low_strategies[u]
+        payoff = local_reward_matrix(game, u, x) @ cert.low_strategies[u]
         best = float(np.max(payoff))
         if best > cert.ceiling - tol:
             local_ok = False

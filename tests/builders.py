@@ -79,3 +79,15 @@ def random_dense_game(rng, n=3, max_actions=2, denominator=4, reward_lo=0.0, rew
                         round(float(rng.uniform(reward_lo, reward_hi)), 6),
                     ))
     return make_game(states, row_actions, col_actions, records)
+
+
+# ways to break the certificate of disconnected(0, 10) solved at eps = 0.1,
+# each of which parse_certificate must reject
+MALFORMED_CERTIFICATES = {
+    "unknown high state": lambda doc: doc["non_ergodic"].update(high_states=["ghost"]),
+    "missing epsilon": lambda doc: doc.pop("epsilon"),
+    "NaN epsilon": lambda doc: doc.update(epsilon=float("nan")),  # would disable every tolerance
+    "short potential": lambda doc: doc.update(potential=doc["potential"][:1]),
+    "alpha misses a high state": lambda doc: doc["non_ergodic"].update(alpha={}),
+    "beta of the wrong length": lambda doc: doc["non_ergodic"]["beta"].update(low=[0.5, 0.5]),
+}

@@ -128,8 +128,7 @@ def test_criterion_3_ergodic_validity(corpus):
     # known constant values: deterministic cycles and matrix-game extensions
     for seed in range(5):
         game = cycle(n=3 + seed % 3, seed=seed)
-        mean = float(np.mean([game.reward[v][0][0][(v + 1) % game.n]
-                              for v in range(game.n)]))
+        mean = float(np.mean([game.transitions[v][0][4] for v in range(game.n)]))
         verdict, _ = decide_ergodicity(game, EPS)
         assert verdict.kind == "ergodic-24eps"
         assert verdict.m_minus - 1e-6 <= mean <= verdict.m_plus + 1e-6, (

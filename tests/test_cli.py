@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from builders import MALFORMED_CERTIFICATES
 from ergopump.cli import main
 from ergopump.documents import parse_game, serialize_profile
 from ergopump.markov import uniform_profile
@@ -48,6 +49,16 @@ class TestSolveExitCodes:
         doc["non_ergodic"]["b"] = doc["non_ergodic"]["a"] - 1.0
         cert.write_text(json.dumps(doc))
         assert run(["verify", str(disconnected_path), str(cert)]) == 1
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
+    def test_malformed_certificate_exit_one(self, case, disconnected_path, tmp_path, capsys):
+        cert = tmp_path / "c.json"
+        run(["solve", str(disconnected_path), "--epsilon", "0.1", "--out", str(cert)])
+        doc = json.loads(cert.read_text())
+        MALFORMED_CERTIFICATES[case](doc)
+        cert.write_text(json.dumps(doc))
+        assert run(["verify", str(disconnected_path), str(cert)]) == 1
+        assert "invalid certificate document" in capsys.readouterr().err
 
     def test_trace_written(self, disconnected_path, tmp_path):
         trace = tmp_path / "trace.jsonl"

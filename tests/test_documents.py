@@ -1,11 +1,12 @@
 """Document formats: round-trips, error reporting, certificate rechecks."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from builders import disconnected
+from builders import MALFORMED_CERTIFICATES, disconnected
 from ergopump.documents import (
     DocumentError,
     parse_certificate,
@@ -36,7 +37,7 @@ class TestGameDocuments:
     def test_minimal_document_parses(self):
         game = parse_game(MINIMAL)
         assert game.states == ("s",)
-        assert game.reward[0][0][0][0] == 5.0
+        assert game.transitions == (((0, 0, 0, Fraction(1), 5.0),),)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_round_trip_all_generators(self, kind):
@@ -57,6 +58,34 @@ class TestGameDocuments:
         with pytest.raises(DocumentError) as err:
             parse_game(json.dumps(doc))
         assert any("ghost" in p and "record 0" in p for p in err.value.problems)
+
+    @pytest.mark.parametrize("reward", [float("nan"), float("inf"), float("-inf"),
+                                        "nan", "inf"])
+    def test_non_finite_reward_rejected(self, reward):
+        doc = json.loads(MINIMAL)
+        doc["transitions"][0]["r"] = reward  # floats are written as NaN/Infinity literals
+        with pytest.raises(DocumentError, match="reward is not finite"):
+            parse_game(json.dumps(doc))
+
+    def test_actions_must_be_a_mapping(self):
+        doc = json.loads(MINIMAL)
+        doc["actions"] = []
+        with pytest.raises(DocumentError, match="'actions' must map"):
+            parse_game(json.dumps(doc))
+
+    def test_action_names_must_be_a_list(self):
+        doc = json.loads(MINIMAL)
+        doc["actions"]["s"]["row"] = "ab"
+        with pytest.raises(DocumentError, match="must be a list of names"):
+            parse_game(json.dumps(doc))
+
+    def test_state_without_actions_named(self):
+        doc = json.loads(MINIMAL)
+        doc["states"].append("low")
+        doc["actions"]["low"] = {"row": [], "col": ["x"]}
+        with pytest.raises(DocumentError) as err:
+            parse_game(json.dumps(doc))
+        assert err.value.problems == ("state 'low': row player has no actions",)
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(DocumentError) as err:
@@ -79,7 +108,9 @@ class TestGameDocuments:
         from ergopump.game import game_params
         assert game_params(game).granularity <= 7
         again = parse_game(serialize_game(game))
-        assert again.prob == game.prob
+        probs = [rec[3] for records in game.transitions for rec in records]
+        assert all(isinstance(p, Fraction) for p in probs)
+        assert [rec[3] for records in again.transitions for rec in records] == probs
 
 
 class TestProfileDocuments:
@@ -127,6 +158,14 @@ class TestCertificates:
         ok, problems = recheck_certificate(game, bundle)
         assert not ok
         assert any("floor" in p for p in problems)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
+    def test_malformed_certificate_rejected(self, case):
+        game, verdict, stats = self._solve()
+        doc = json.loads(serialize_certificate(game, verdict, stats))
+        MALFORMED_CERTIFICATES[case](doc)
+        with pytest.raises(DocumentError):
+            parse_certificate(json.dumps(doc), game)
 
     def test_ergodic_certificate_recheck(self):
         game = disconnected(4.0, 4.5)

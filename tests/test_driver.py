@@ -172,6 +172,10 @@ class TestDecideErgodicity:
         with pytest.raises(ValueError, match="invalid game"):
             decide_ergodicity(g, eps=0.1)
 
+    def test_rejects_non_finite_reward(self):
+        with pytest.raises(ValueError, match="reward is not finite"):
+            decide_ergodicity(one_state(float("nan")), eps=0.1)
+
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             decide_ergodicity(one_state(), eps=0.0)
@@ -183,16 +187,8 @@ class TestDecideErgodicity:
         verdict, _ = decide_ergodicity(g, eps=0.05)
         perm = [2, 0, 3, 1]
         renamed = [g.states[i] for i in perm]
-        records = []
-        for v in range(g.n):
-            for k in range(g.num_row_actions(v)):
-                for l in range(g.num_col_actions(v)):
-                    for u in range(g.n):
-                        p = g.prob[v][k][l][u]
-                        if p > 0:
-                            records.append((g.states[v], g.row_actions[v][k],
-                                            g.col_actions[v][l], g.states[u], p,
-                                            g.reward[v][k][l][u]))
+        records = [(g.states[v], g.row_actions[v][k], g.col_actions[v][l], g.states[u], p, r)
+                   for v in range(g.n) for k, l, u, p, r in g.transitions[v]]
         shuffled = make_game(renamed, [g.row_actions[i] for i in perm],
                              [g.col_actions[i] for i in perm], records)
         verdict2, _ = decide_ergodicity(shuffled, eps=0.05)

@@ -67,8 +67,7 @@ class TestNormalizeRewards:
                       [("s", "a", "x", "s", 1, -3.0), ("s", "b", "x", "s", 1, 5.0)])
         shifted, offset = normalize_rewards(g)
         assert offset == 3.0
-        assert shifted.reward[0][0][0][0] == 0.0
-        assert shifted.reward[0][1][0][0] == 8.0
+        assert [rec[4] for rec in shifted.transitions[0]] == [0.0, 8.0]
         assert game_params(shifted).reward_bound == 8.0
 
     def test_already_normalized_unchanged(self):
@@ -120,20 +119,20 @@ class TestLocalRewardMatrix:
     def test_self_loop_potential_cancels(self):
         g = one_state(3.0)
         for c in (0.0, 5.0, -17.5):
-            entries = local_reward_matrix(g, 0, np.array([c])).entries
+            entries = local_reward_matrix(g, 0, np.array([c]))
             assert entries[0, 0] == pytest.approx(3.0)
 
     def test_single_term(self):
         g = make_game(["v", "u"], [["a"], ["a"]], [["x"], ["x"]],
                       [("v", "a", "x", "u", 1, 5.0), ("u", "a", "x", "u", 1, 0.0)])
-        entries = local_reward_matrix(g, 0, np.array([2.0, 0.0])).entries
+        entries = local_reward_matrix(g, 0, np.array([2.0, 0.0]))
         assert entries[0, 0] == pytest.approx(7.0)
 
     def test_symmetric_cancellation(self):
         g = make_game(["v", "u", "w"], [["a"]] * 3, [["x"]] * 3,
                       [("v", "a", "x", "u", "1/2", 0.0), ("v", "a", "x", "w", "1/2", 0.0),
                        ("u", "a", "x", "u", 1, 0.0), ("w", "a", "x", "w", 1, 0.0)])
-        entries = local_reward_matrix(g, 0, np.array([0.0, 2.0, -2.0])).entries
+        entries = local_reward_matrix(g, 0, np.array([0.0, 2.0, -2.0]))
         assert entries[0, 0] == pytest.approx(0.0)
 
     def test_uniform_shift_invariance(self):
@@ -141,8 +140,8 @@ class TestLocalRewardMatrix:
         g = random_dense_game(rng, n=4)
         x = rng.normal(size=4) * 10
         for v in range(4):
-            base = local_reward_matrix(g, v, x).entries
-            shifted = local_reward_matrix(g, v, x + 123.456).entries
+            base = local_reward_matrix(g, v, x)
+            shifted = local_reward_matrix(g, v, x + 123.456)
             assert np.allclose(base, shifted, atol=1e-9)
 
 
@@ -158,8 +157,8 @@ class TestApplyPotential:
     def test_two_cycle_telescopes(self):
         g = two_cycle(0.0, 0.0)
         transformed = apply_potential(g, np.array([1.0, 0.0]))
-        assert transformed.reward[0][0][0][1] == pytest.approx(1.0)
-        assert transformed.reward[1][0][0][0] == pytest.approx(-1.0)
+        assert transformed.transitions[0][0][4] == pytest.approx(1.0)
+        assert transformed.transitions[1][0][4] == pytest.approx(-1.0)
         gain = evaluate_stationary_pair(transformed, uniform_profile(transformed)).gain
         assert np.allclose(gain, 0.0, atol=1e-12)
 

@@ -137,21 +137,10 @@ class TestEvaluate:
 def matrix_shift(game, c):
     """Rebuild the game with every (present) reward shifted by c."""
     from ergopump.game import GameSpec
-    new_reward = tuple(
-        tuple(
-            tuple(
-                tuple(
-                    game.reward[v][k][l][u] + c if game.prob[v][k][l][u] > 0 else 0.0
-                    for u in range(game.n)
-                )
-                for l in range(game.num_col_actions(v))
-            )
-            for k in range(game.num_row_actions(v))
-        )
-        for v in range(game.n)
-    )
+    transitions = tuple(tuple((k, l, u, p, r + c) for k, l, u, p, r in records)
+                        for records in game.transitions)
     return GameSpec(states=game.states, row_actions=game.row_actions,
-                    col_actions=game.col_actions, prob=game.prob, reward=new_reward)
+                    col_actions=game.col_actions, transitions=transitions)
 
 
 class TestBestResponse:

@@ -174,7 +174,7 @@ class TestCertificateChains:
         m = local_values(g, w.potential)
         for v in w.high_states:
             assert w.floor_raw <= m[v] + 1e-9
-            payoffs = w.high_strategies[v] @ local_reward_matrix(g, v, w.potential).entries
+            payoffs = w.high_strategies[v] @ local_reward_matrix(g, v, w.potential)
             assert np.all(m[v] <= payoffs + verdict.eps + 1e-9)
 
     def test_gap_conditions_recheck(self):
