@@ -40,7 +40,6 @@ from .markov import (
     MarkovEvaluation,
     StationaryProfile,
     best_response_value,
-    brute_force_game_bounds,
     evaluate_stationary_pair,
     induced_chain,
     limiting_matrix,

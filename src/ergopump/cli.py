@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import documents, generators
 from .driver import ERGODIC, INCONCLUSIVE, NON_ERGODIC, DriverConfig, decide_ergodicity
-from .markov import OracleBudgetError, evaluate_stationary_pair
-from .oracle import enumerate_pure_bounds
+from .markov import evaluate_stationary_pair
+from .oracle import DEFAULT_BUDGET, OracleBudgetError, enumerate_pure_bounds
 
 EX_USAGE = 64
 EX_IOERR = 66
@@ -66,13 +66,8 @@ def _solve_one(game_path: str, eps: float, cap: int | None, exact: bool,
     verdict, stats = decide_ergodicity(game, eps, config)
     _write(out_path, documents.serialize_certificate(game, verdict, stats))
     if trace_path is not None:
-        lines = []
-        for record in stats.phases:
-            for phase in ("phase1", "phase2"):
-                for entry in record.get(phase, {}).get("trace") or []:
-                    lines.append(json.dumps({"h": record["h"], "phase": phase, **entry},
-                                            sort_keys=True))
-        _write(trace_path, "\n".join(lines) + ("\n" if lines else ""))
+        _write(trace_path, "".join(json.dumps(entry, sort_keys=True) + "\n"
+                                   for entry in stats.trace))
     return verdict, stats
 
 
@@ -239,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="pure-strategy value intervals (small games)")
     oracle.add_argument("game")
-    oracle.add_argument("--budget", type=int, default=10_000)
+    oracle.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     oracle.set_defaults(func=_cmd_oracle)
 
     gen = sub.add_parser("gen", help="generate a game document")

@@ -16,7 +16,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .game import GameSpec, make_game, normalize_rewards, to_fraction, validate
+from .game import (
+    MAX_REPORTED_ERRORS,
+    DocumentError,
+    GameSpec,
+    make_game,
+    normalize_rewards,
+    to_fraction,
+)
 from .matrix_game import local_values
 from .markov import StationaryProfile, make_profile
 from .witness import WitnessCertificate, verify_witness
@@ -24,15 +31,7 @@ from .witness import WitnessCertificate, verify_witness
 GAME_FORMAT = "ergopump-game/1"
 CERTIFICATE_FORMAT = "ergopump-certificate/2"
 PROFILE_FORMAT = "ergopump-profile/1"
-MAX_REPORTED_ERRORS = 20
-
-
-class DocumentError(ValueError):
-    """Parse or validation failure; problems lists up to 20 findings."""
-
-    def __init__(self, problems):
-        self.problems = tuple(problems)
-        super().__init__("; ".join(self.problems))
+_BAND_TOL = 1e-7  # slack of the ergodic recheck's band comparisons
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -68,8 +67,9 @@ def serialize_game(game: GameSpec) -> str:
 
 
 def parse_game(text: str) -> GameSpec:
-    """Parse and validate a game document; raises DocumentError with the
-    first 20 problems (JSON position for syntax, record index for content)."""
+    """Parse a game document into a (validated) GameSpec; raises DocumentError
+    with the first 20 problems (JSON position for syntax, record index for
+    content)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -112,29 +112,13 @@ def parse_game(text: str) -> GameSpec:
             p = to_fraction(rec["p"])
             triples.append((rec["from"], rec["row"], rec["col"], rec["to"], p,
                             float(rec["r"])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            problems.append(f"transition record {idx}: missing field {exc.args[0]!r}")
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             problems.append(f"transition record {idx}: {exc}")
     if problems:
-        raise DocumentError(problems[:MAX_REPORTED_ERRORS])
-    try:
-        game = make_game(states, row_actions, col_actions, triples)
-    except (KeyError, ValueError) as exc:
-        # re-scan to attach record indices to the offending tokens
-        problems = []
-        for idx, rec in enumerate(records):
-            try:
-                make_game(states, row_actions, col_actions,
-                          [(rec["from"], rec["row"], rec["col"], rec["to"],
-                            to_fraction(rec["p"]), float(rec["r"]))])
-            except (KeyError, ValueError) as inner:
-                problems.append(f"transition record {idx}: {inner}")
-            if len(problems) >= MAX_REPORTED_ERRORS:
-                break
-        raise DocumentError(problems or [str(exc)]) from None
-    report = validate(game)
-    if not report.ok:
-        raise DocumentError(report.problems[:MAX_REPORTED_ERRORS])
-    return game
+        raise DocumentError(problems)
+    return make_game(states, row_actions, col_actions, triples)
 
 
 def serialize_profile(game: GameSpec, profile: StationaryProfile) -> str:
@@ -157,11 +141,21 @@ def parse_profile(text: str, game: GameSpec) -> StationaryProfile:
 
     def _vectors(key, counts):
         table = doc.get(key, {})
+        if not isinstance(table, dict):
+            raise DocumentError([f"{key}: expected an object mapping states to vectors"])
         out = []
         for v, name in enumerate(game.states):
             if name not in table:
                 raise DocumentError([f"{key}: missing state {name!r}"])
-            vec = [float(to_fraction(val)) for val in table[name]]
+            entries = table[name]
+            try:
+                vec = ([float(to_fraction(val)) for val in entries]
+                       if isinstance(entries, list) else None)
+            except (TypeError, ValueError, ZeroDivisionError):
+                vec = None
+            if vec is None:
+                raise DocumentError([f"{key}[{name!r}]: expected a list of "
+                                     f"probabilities, got {entries!r}"])
             if len(vec) != counts(v):
                 raise DocumentError([f"{key}[{name!r}]: expected {counts(v)} entries"])
             out.append(np.array(vec))
@@ -203,7 +197,7 @@ def serialize_certificate(game: GameSpec, verdict, stats) -> str:
         "non_ergodic": None,
         "metadata": {
             "outer_iterations": stats.outer_iterations,
-            "phases": _strip_traces(stats.phases),
+            "phases": stats.phases,
             "cap_saturated": stats.cap_saturated,
         },
     }
@@ -238,19 +232,6 @@ def serialize_certificate(game: GameSpec, verdict, stats) -> str:
 def _sig12(value: float) -> float:
     """Round to 12 significant digits (strategy entries in certificates)."""
     return float(f"{float(value):.12g}")
-
-
-def _strip_traces(phases):
-    out = []
-    for record in phases:
-        cleaned = {}
-        for key, val in record.items():
-            if isinstance(val, dict):
-                cleaned[key] = {k: v for k, v in val.items() if k != "trace"}
-            else:
-                cleaned[key] = val
-        out.append(cleaned)
-    return out
 
 
 def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
@@ -330,7 +311,7 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
             eps=eps,
         )
     if problems:
-        raise DocumentError(problems[:MAX_REPORTED_ERRORS])
+        raise DocumentError(problems)
     return CertificateBundle(
         verdict_kind=verdict_kind,
         eps=eps,
@@ -343,8 +324,7 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
     )
 
 
-def recheck_certificate(game: GameSpec, bundle: CertificateBundle,
-                        band_tol: float = 1e-7) -> tuple[bool, tuple]:
+def recheck_certificate(game: GameSpec, bundle: CertificateBundle) -> tuple[bool, tuple]:
     """Re-establish a certificate from the game and document alone.
 
     Ergodic: recompute all local values at the stored potential and check the
@@ -363,13 +343,13 @@ def recheck_certificate(game: GameSpec, bundle: CertificateBundle,
             return False, ("ergodic certificate lacks potential or band",)
         m = local_values(normalized, bundle.potential)
         width = float(np.nanmax(m) - np.nanmin(m))
-        if width > 24 * bundle.eps + band_tol:
+        if width > 24 * bundle.eps + _BAND_TOL:
             problems.append(
                 f"recomputed local-value band width {width} exceeds "
                 f"24*eps = {24 * bundle.eps}"
             )
         lo, hi = bundle.band
-        if np.nanmin(m) < lo - band_tol or np.nanmax(m) > hi + band_tol:
+        if np.nanmin(m) < lo - _BAND_TOL or np.nanmax(m) > hi + _BAND_TOL:
             problems.append("recomputed local values leave the stored band")
     elif bundle.verdict_kind == "non-ergodic":
         if bundle.witness is None:

@@ -28,7 +28,6 @@ from .game import (
     as_potential,
     game_params,
     normalize_rewards,
-    validate,
 )
 from .markov import MarkovError, PolicyIterationError
 from .matrix_game import MatrixGameError, local_values
@@ -44,7 +43,6 @@ HARD_CAP = 2_000_000  # ceiling the computed pump-step cap saturates at
 @dataclass(frozen=True)
 class DriverConfig:
     pump_cap: int | None = None  # overrides the computed per-phase cap
-    outer_cap: int | None = None
     exact: bool = False  # exact-rational strategies in certificates
     collect_trace: bool = False
 
@@ -69,15 +67,23 @@ class Verdict:
 
 @dataclass
 class DriverStats:
+    """Counters of one solve.
+
+    phases holds one record per outer iteration: its index h, the entry band
+    and, per pump phase run ("phase1", "phase2"), the outcome kind, pump steps
+    and step cap. With DriverConfig.collect_trace, trace holds every landed
+    pump step's record tagged with its h and phase, in run order.
+    """
+
     outer_iterations: int = 0
     phases: list = field(default_factory=list)
+    trace: list = field(default_factory=list)
     cap_saturated: bool = False
     wall_time: float = 0.0
 
 
-def compute_iteration_cap(params: GameParams, delta: float, eps: float,
-                          hard_cap: int = HARD_CAP) -> int:
-    """Pump-step budget 2*n*kappa + 1, saturating at hard_cap on overflow."""
+def compute_iteration_cap(params: GameParams, delta: float, eps: float) -> int:
+    """Pump-step budget 2*n*kappa + 1, saturating at HARD_CAP on overflow."""
     if delta <= 0 or eps <= 0:
         raise ValueError("delta and eps must be positive")
     n = params.n_states
@@ -87,11 +93,11 @@ def compute_iteration_cap(params: GameParams, delta: float, eps: float,
     try:
         kappa = base ** (2 ** n - 1) * (n * n * params.reward_bound / delta)
         steps = 2 * n * kappa
-        if not math.isfinite(steps) or steps >= hard_cap:
-            return hard_cap
+        if not math.isfinite(steps) or steps >= HARD_CAP:
+            return HARD_CAP
         return int(math.floor(steps)) + 1
     except OverflowError:
-        return hard_cap
+        return HARD_CAP
 
 
 def default_outer_cap(reward_bound: float, eps: float) -> int:
@@ -120,23 +126,19 @@ def decide_ergodicity(game: GameSpec, eps: float,
     """Certify the game 24*eps-ergodic or produce a non-ergodicity witness.
 
     Rewards are normalized to [0, R] internally; reported band and witness
-    thresholds are in normalized units, with the shift in value_offset.
+    thresholds are in normalized units, with the shift in value_offset. The
+    game needs no validation here: a GameSpec is valid by construction.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     config = config or DriverConfig()
-    report = validate(game)
-    if not report.ok:
-        raise ValueError("invalid game: " + "; ".join(report.problems[:3]))
     normalized, offset = normalize_rewards(game)
     params = game_params(normalized)
-    outer_cap = config.outer_cap if config.outer_cap is not None else default_outer_cap(
-        params.reward_bound, eps)
 
     stats = DriverStats()
     start = time.perf_counter()
     try:
-        verdict = _drive(normalized, eps, config, params, outer_cap, offset, stats)
+        verdict = _drive(normalized, eps, config, params, offset, stats)
     except (MatrixGameError, MarkovError, PolicyIterationError,
             PumpInvariantError, WitnessBuildError) as exc:
         verdict = Verdict(kind=INCONCLUSIVE, eps=eps, potential=None,
@@ -146,100 +148,83 @@ def decide_ergodicity(game: GameSpec, eps: float,
     return verdict, stats
 
 
-def _drive(game, eps, config, params, outer_cap, offset, stats):
-    n = game.n
-    x = np.zeros(n)
+_PHASE_SCOPES = {"phase1": "full-state", "phase2": "high-set"}
+
+
+def _pump_phase(phase, game, x, states, m_minus, m_plus, eps, record, params, config,
+                stats):
+    """Run one pump phase and record it as record[phase].
+
+    The step cap comes from the phase's own band unless config.pump_cap
+    overrides it; the trace records of the phase go to stats.trace.
+    """
+    cap = config.pump_cap or compute_iteration_cap(params, (m_plus - m_minus) / 4.0, eps)
+    if cap == HARD_CAP:
+        stats.cap_saturated = True
+    out = modified_pump(game, x, states, m_minus, m_plus, eps, cap, params=params,
+                        collect_trace=config.collect_trace)
+    record[phase] = {"kind": out.kind, "iterations": out.stats.iterations, "cap": cap}
+    if phase == "phase2":
+        record[phase]["collapsed"] = out.collapsed
+    if config.collect_trace:
+        stats.trace += [{"h": record["h"], "phase": phase, **entry}
+                        for entry in out.stats.trace]
+    return out
+
+
+def _drive(game, eps, config, params, offset, stats):
+    outer_cap = default_outer_cap(params.reward_bound, eps)
+
+    def stop(kind, potential, **fields):
+        stats.outer_iterations = h
+        return Verdict(kind=kind, eps=eps, potential=potential, m_minus=m_minus,
+                       m_plus=m_plus, value_offset=offset, **fields)
+
+    x = np.zeros(game.n)
     h = 0
     while True:
         m = local_values(game, x)
         m_minus = float(np.min(m))
         m_plus = float(np.max(m))
         if m_plus - m_minus <= 24 * eps:
-            stats.outer_iterations = h
-            return Verdict(
-                kind=ERGODIC, eps=eps, potential=x, m_minus=m_minus, m_plus=m_plus,
-                value_offset=offset,
-            )
+            return stop(ERGODIC, x)
         if h >= outer_cap:
-            stats.outer_iterations = h
-            return Verdict(
-                kind=INCONCLUSIVE, eps=eps, potential=x, m_minus=m_minus,
-                m_plus=m_plus, value_offset=offset,
-                reason=f"outer iteration cap {outer_cap} reached with band width "
-                       f"{m_plus - m_minus}",
-            )
+            return stop(INCONCLUSIVE, x,
+                        reason=f"outer iteration cap {outer_cap} reached with band width "
+                               f"{m_plus - m_minus}")
 
-        phase_record = {"h": h, "band": (m_minus, m_plus)}
-        delta1 = (m_plus - m_minus) / 4.0
-        cap1 = config.pump_cap or compute_iteration_cap(params, delta1, eps)
-        if cap1 == HARD_CAP:
-            stats.cap_saturated = True
-        first = modified_pump(
-            game, x, range(n), m_minus, m_plus, eps, cap1, params=params,
-            collect_trace=config.collect_trace,
-        )
-        phase_record["phase1"] = {"kind": first.kind, "iterations": first.stats.iterations,
-                                  "cap": cap1}
-        if config.collect_trace:
-            phase_record["phase1"]["trace"] = first.stats.trace
-        stats.phases.append(phase_record)
-
-        if first.kind == "cap-exceeded":
-            stats.outer_iterations = h
-            return Verdict(
-                kind=INCONCLUSIVE, eps=eps, potential=first.x, m_minus=m_minus,
-                m_plus=m_plus, value_offset=offset,
-                reason=f"pump step cap {cap1} exhausted in the full-state phase",
-            )
-        if first.kind == "band-collapsed":
-            x, _ = reduce_potential(game, first.x)
-            h += 1
-            continue
-
-        high, low = first.closed_high, first.closed_low
+        record = {"h": h, "band": (m_minus, m_plus)}
+        stats.phases.append(record)
         mid = (m_minus + m_plus) / 2.0
-        delta2 = (m_plus - mid) / 4.0
-        cap2 = config.pump_cap or compute_iteration_cap(params, delta2, eps)
-        if cap2 == HARD_CAP:
-            stats.cap_saturated = True
-        second = modified_pump(
-            game, first.x, sorted(high), mid, m_plus, eps, cap2, params=params,
-            collect_trace=config.collect_trace,
-        )
-        phase_record["phase2"] = {"kind": second.kind,
-                                  "iterations": second.stats.iterations,
-                                  "cap": cap2, "collapsed": second.collapsed}
-        if config.collect_trace:
-            phase_record["phase2"]["trace"] = second.stats.trace
-
-        if second.kind == "cap-exceeded":
-            stats.outer_iterations = h
-            return Verdict(
-                kind=INCONCLUSIVE, eps=eps, potential=second.x, m_minus=m_minus,
-                m_plus=m_plus, value_offset=offset,
-                reason=f"pump step cap {cap2} exhausted in the high-set phase",
-            )
-        if second.kind == "band-collapsed" and second.collapsed in ("top", "both"):
-            x, _ = reduce_potential(game, second.x)
+        phase = "phase1"
+        outcome = first = _pump_phase(phase, game, x, range(game.n), m_minus, m_plus, eps,
+                                      record, params, config, stats)
+        if first.kind == "witness-sets":
+            phase = "phase2"
+            outcome = _pump_phase(phase, game, first.x, sorted(first.closed_high), mid,
+                                  m_plus, eps, record, params, config, stats)
+        if outcome.kind == "cap-exceeded":
+            return stop(INCONCLUSIVE, outcome.x,
+                        reason=f"pump step cap {record[phase]['cap']} exhausted in the "
+                               f"{_PHASE_SCOPES[phase]} phase")
+        if outcome.kind == "band-collapsed" and (phase == "phase1"
+                                                 or outcome.collapsed != "bottom"):
+            x, _ = reduce_potential(game, outcome.x)
             h += 1
             continue
 
-        # witness exit: bottom collapse keeps the first-phase high set,
-        # a second-phase witness refines it; the low set stays fixed
-        final_high = high if second.kind == "band-collapsed" else second.closed_high
-        x_final = second.x
+        # witness exit: a bottom collapse of the high-set phase keeps the
+        # first-phase high set, a second-phase witness refines it; the low
+        # set stays fixed
+        high = first.closed_high if outcome.kind == "band-collapsed" else outcome.closed_high
+        low = first.closed_low
         ceiling_raw = mid
         floor_raw = (5.0 * m_plus + 3.0 * m_minus) / 8.0
         witness = build_witness(
-            game, x_final, final_high, low, ceiling_raw=ceiling_raw,
+            game, outcome.x, high, low, ceiling_raw=ceiling_raw,
             floor_raw=floor_raw, eps=eps, reflect_value=m_plus, exact=config.exact,
         )
-        stats.outer_iterations = h
-        return Verdict(
-            kind=NON_ERGODIC, eps=eps, potential=x_final,
-            m_minus=m_minus, m_plus=m_plus, value_offset=offset,
-            high_states=frozenset(final_high), low_states=frozenset(low),
-            floor=witness.floor, ceiling=witness.ceiling,
-            floor_raw=floor_raw, ceiling_raw=ceiling_raw,
-            witness=witness,
-        )
+        return stop(NON_ERGODIC, outcome.x,
+                    high_states=frozenset(high), low_states=frozenset(low),
+                    floor=witness.floor, ceiling=witness.ceiling,
+                    floor_raw=floor_raw, ceiling_raw=ceiling_raw, witness=witness)

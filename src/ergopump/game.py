@@ -19,6 +19,16 @@ import numpy as np
 
 Potential = np.ndarray
 
+MAX_REPORTED_ERRORS = 20
+
+
+class DocumentError(ValueError):
+    """An invalid game or document; problems lists up to 20 findings."""
+
+    def __init__(self, problems):
+        self.problems = tuple(problems)[:MAX_REPORTED_ERRORS]
+        super().__init__("; ".join(self.problems))
+
 
 def to_fraction(value) -> Fraction:
     """Coerce a probability-like value to an exact Fraction.
@@ -47,12 +57,13 @@ def to_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Immutable stochastic game.
+    """Immutable stochastic game, valid by construction.
 
     transitions[v] holds one (k, l, u, p, r) record per transition out of
     position v, sorted by (k, l, u): under actions (k, l) the play moves to u
     with exact nonzero probability p and pays the float reward r. A missing
-    triple has probability 0.
+    triple has probability 0. Construction runs validate and raises
+    DocumentError listing every problem it finds.
     """
 
     states: tuple[str, ...]
@@ -64,6 +75,9 @@ class GameSpec:
     _expected: tuple = field(init=False, compare=False, repr=False, default=())
 
     def __post_init__(self):
+        report = validate(self)
+        if not report.ok:
+            raise DocumentError(report.problems)
         n = len(self.states)
         p_arrays, expected = [], []
         for v in range(n):
@@ -131,7 +145,9 @@ def make_game(
 
     Each record is (v, k, l, u, p, r) with states/actions given by name or
     index. Missing entries default to probability 0; records with p == 0 are
-    dropped. Duplicate records for one (v, k, l, u) are rejected.
+    dropped. Every record is resolved before anything is built: each unknown
+    name or index and each duplicate (v, k, l, u) is reported with its record
+    index in one DocumentError.
     """
     states = tuple(str(s) for s in states)
     row_actions = tuple(tuple(str(a) for a in acts) for acts in row_actions)
@@ -140,36 +156,44 @@ def make_game(
         raise ValueError("need one action set per state for each player")
 
     state_idx = {name: i for i, name in enumerate(states)}
+    problems = []
 
-    def _resolve(token, pool, what):
+    def resolve(token, pool, what, where):
         if isinstance(token, int) and not isinstance(token, bool):
             if 0 <= token < len(pool):
                 return token
-            raise KeyError(f"{what} index {token} out of range")
+            problems.append(f"{where}: {what} index {token} out of range")
+            return None
         token = str(token)
         if what == "state":
-            if token in state_idx:
-                return state_idx[token]
-            raise KeyError(f"unknown state {token!r}")
-        try:
-            return pool.index(token)
-        except ValueError:
-            raise KeyError(f"unknown {what} {token!r}") from None
+            found = state_idx.get(token)
+        else:
+            found = pool.index(token) if token in pool else None
+        if found is None:
+            problems.append(f"{where}: unknown {what} {token!r}")
+        return found
 
     records = [[] for _ in states]
     seen = set()
-    for record in transitions:
-        v_tok, k_tok, l_tok, u_tok, p_val, r_val = record
-        v = _resolve(v_tok, states, "state")
-        u = _resolve(u_tok, states, "state")
-        k = _resolve(k_tok, row_actions[v], "row action")
-        l = _resolve(l_tok, col_actions[v], "column action")
-        p = to_fraction(p_val)
+    for idx, (v_tok, k_tok, l_tok, u_tok, p_val, r_val) in enumerate(transitions):
+        where = f"transition record {idx}"
+        v = resolve(v_tok, states, "state", where)
+        u = resolve(u_tok, states, "state", where)
+        if v is None:
+            continue
+        k = resolve(k_tok, row_actions[v], "row action", where)
+        l = resolve(l_tok, col_actions[v], "column action", where)
+        if None in (u, k, l):
+            continue
         if (v, k, l, u) in seen:
-            raise ValueError(f"duplicate transition record for {(v, k, l, u)}")
+            problems.append(f"{where}: duplicate transition record for {(v, k, l, u)}")
+            continue
         seen.add((v, k, l, u))
+        p = to_fraction(p_val)
         if p != 0:
             records[v].append((k, l, u, p, float(r_val)))
+    if problems:
+        raise DocumentError(problems)
 
     return GameSpec(
         states=states,

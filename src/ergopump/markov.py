@@ -13,7 +13,6 @@ lexicographic improvement rule.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +36,6 @@ class PolicyIterationError(RuntimeError):
         super().__init__(message)
         self.policies = policies
         self.gains = gains
-
-
-class OracleBudgetError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -260,49 +255,3 @@ def best_response_value(game, fixed_strategy, fixed_player: str):
         policies=(tuple(prev) if prev is not None else None, tuple(policy)),
         gains=(None, None),
     )
-
-
-def _one_hot_strategy(game, choices, player: str):
-    out = []
-    for v in range(game.n):
-        size = game.num_row_actions(v) if player == "row" else game.num_col_actions(v)
-        vec = np.zeros(size)
-        vec[choices[v]] = 1.0
-        out.append(vec)
-    return tuple(out)
-
-
-def brute_force_game_bounds(game, budget: int = 10_000):
-    """Per-state value interval from pure stationary strategy enumeration.
-
-    lo[v]: the best mean payoff the row player can guarantee from v with a
-    pure stationary strategy; hi[v]: the symmetric column-player bound.
-    Always lo <= hi; the game value from v lies in [lo[v], hi[v]].
-    """
-    row_counts = [game.num_row_actions(v) for v in range(game.n)]
-    col_counts = [game.num_col_actions(v) for v in range(game.n)]
-    total = int(np.prod(row_counts)) + int(np.prod(col_counts))
-    if total > budget:
-        raise OracleBudgetError(
-            f"instance too large for oracle: {total} pure profiles exceeds budget {budget}"
-        )
-
-    lo = np.full(game.n, -np.inf)
-    lo_arg = [None] * game.n
-    for choice in itertools.product(*[range(c) for c in row_counts]):
-        fixed = _one_hot_strategy(game, choice, "row")
-        gain, _ = best_response_value(game, fixed, "row")
-        for v in range(game.n):
-            if gain[v] > lo[v]:
-                lo[v] = gain[v]
-                lo_arg[v] = choice
-    hi = np.full(game.n, np.inf)
-    hi_arg = [None] * game.n
-    for choice in itertools.product(*[range(c) for c in col_counts]):
-        fixed = _one_hot_strategy(game, choice, "col")
-        gain, _ = best_response_value(game, fixed, "col")
-        for v in range(game.n):
-            if gain[v] < hi[v]:
-                hi[v] = gain[v]
-                hi_arg[v] = choice
-    return lo, hi, tuple(lo_arg), tuple(hi_arg)

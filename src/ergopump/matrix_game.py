@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 _PIVOT_EPS = 1e-11
+_SADDLE_TOL = 1e-9  # largest duality gap a float solve may return
 _BLAND_AFTER = 200
 _MAX_PIVOTS = 10_000
 
@@ -121,7 +122,7 @@ def _saddle_gap(rows, row_strategy, col_strategy):
     return best_row - worst_col
 
 
-def solve_value(rows: list, tol: float = 1e-9) -> float:
+def solve_value(rows: list) -> float:
     """Value-only solve on a row-list matrix; still saddle-checks the result.
 
     This is the pump loop's hot path: same LP as solve_matrix_game, minus
@@ -129,7 +130,7 @@ def solve_value(rows: list, tol: float = 1e-9) -> float:
     """
     value, row_strategy, col_strategy = _solve_core(rows, exact=False)
     gap = _saddle_gap(rows, row_strategy, col_strategy)
-    if gap > tol:
+    if gap > _SADDLE_TOL:
         raise MatrixGameError(
             "LP did not converge", value - gap, value + gap
         )
@@ -183,20 +184,19 @@ def _solve_core(matrix, *, exact: bool):
     return value, row_strategy, col
 
 
-def solve_matrix_game(matrix, tol: float = 1e-9, exact: bool = False) -> MatrixGameSolution:
+def solve_matrix_game(matrix, exact: bool = False) -> MatrixGameSolution:
     """Solve max_row min_col of a finite real matrix.
 
     Returns value and one optimal mixed strategy per player with duality gap
-    at most tol. Output is deterministic for identical input. In exact mode
-    the same pivoting runs over Fractions and the exact solution is attached.
+    at most _SADDLE_TOL. Output is deterministic for identical input. In
+    exact mode the same pivoting runs over Fractions and the exact solution
+    is attached.
     """
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError("matrix must be 2-dimensional and non-empty")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
     exact_fields = {}
     try:
@@ -232,7 +232,7 @@ def solve_matrix_game(matrix, tol: float = 1e-9, exact: bool = False) -> MatrixG
     col_payoffs = arr @ col  # row player's payoffs against col strategy
     row_payoffs = row @ arr
     gap = float(np.max(col_payoffs) - np.min(row_payoffs))
-    if not exact and gap > tol:
+    if not exact and gap > _SADDLE_TOL:
         raise MatrixGameError("LP did not converge", float(np.min(row_payoffs)),
                               float(np.max(col_payoffs)))
     return MatrixGameSolution(
@@ -244,14 +244,14 @@ def solve_matrix_game(matrix, tol: float = 1e-9, exact: bool = False) -> MatrixG
     )
 
 
-def local_value(game, v: int, x, tol: float = 1e-9, exact: bool = False) -> MatrixGameSolution:
+def local_value(game, v: int, x, exact: bool = False) -> MatrixGameSolution:
     """Value and optimal strategies of the potential-adjusted game at v."""
     from .game import local_reward_matrix
 
-    return solve_matrix_game(local_reward_matrix(game, v, x), tol=tol, exact=exact)
+    return solve_matrix_game(local_reward_matrix(game, v, x), exact=exact)
 
 
-def local_values(game, x, states=None, tol: float = 1e-9) -> np.ndarray:
+def local_values(game, x, states=None) -> np.ndarray:
     """Vector of local values; entries outside `states` are NaN."""
     n = game.n
     x = np.asarray(x, dtype=np.float64)
@@ -259,5 +259,5 @@ def local_values(game, x, states=None, tol: float = 1e-9) -> np.ndarray:
     indices = range(n) if states is None else states
     for v in indices:
         entries = game.expected_reward(v) + x[v] - game.prob_array(v) @ x
-        out[v] = solve_value(entries.tolist(), tol=tol)
+        out[v] = solve_value(entries.tolist())
     return out

@@ -9,14 +9,19 @@ may be strict when optimal play needs mixing.
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .game import GameSpec
-from .markov import StationaryProfile, brute_force_game_bounds, profile_step_reward
+from .markov import StationaryProfile, best_response_value, profile_step_reward
 
 DEFAULT_BUDGET = 10_000
+
+
+class OracleBudgetError(RuntimeError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -49,11 +54,39 @@ def simulate_mean_payoff(game: GameSpec, profile: StationaryProfile, start: int,
 
 
 def enumerate_pure_bounds(game: GameSpec, budget: int = DEFAULT_BUDGET) -> OracleReport:
-    """Per-state value intervals from exhaustive pure stationary enumeration."""
-    row_total = int(np.prod([game.num_row_actions(v) for v in range(game.n)]))
-    col_total = int(np.prod([game.num_col_actions(v) for v in range(game.n)]))
-    lo, hi, lo_arg, hi_arg = brute_force_game_bounds(game, budget=budget)
-    return OracleReport(
-        lo=lo, hi=hi, lo_profiles=lo_arg, hi_profiles=hi_arg,
-        enumerated=row_total + col_total,
-    )
+    """Per-state value intervals from exhaustive pure stationary enumeration.
+
+    lo[v]: the best mean payoff the row player can guarantee from v with a
+    pure stationary strategy; hi[v]: the symmetric column-player bound.
+    Always lo <= hi; the game value from v lies in [lo[v], hi[v]]. Raises
+    OracleBudgetError when the two players have more than `budget` pure
+    stationary strategies between them.
+    """
+    row_counts = [game.num_row_actions(v) for v in range(game.n)]
+    col_counts = [game.num_col_actions(v) for v in range(game.n)]
+    total = int(np.prod(row_counts)) + int(np.prod(col_counts))
+    if total > budget:
+        raise OracleBudgetError(
+            f"instance too large for oracle: {total} pure profiles exceeds budget {budget}"
+        )
+
+    lo = np.full(game.n, -np.inf)
+    lo_arg = [None] * game.n
+    for choice in itertools.product(*[range(c) for c in row_counts]):
+        fixed = tuple(np.eye(c)[k] for c, k in zip(row_counts, choice))
+        gain, _ = best_response_value(game, fixed, "row")
+        for v in range(game.n):
+            if gain[v] > lo[v]:
+                lo[v] = gain[v]
+                lo_arg[v] = choice
+    hi = np.full(game.n, np.inf)
+    hi_arg = [None] * game.n
+    for choice in itertools.product(*[range(c) for c in col_counts]):
+        fixed = tuple(np.eye(c)[k] for c, k in zip(col_counts, choice))
+        gain, _ = best_response_value(game, fixed, "col")
+        for v in range(game.n):
+            if gain[v] < hi[v]:
+                hi[v] = gain[v]
+                hi_arg[v] = choice
+    return OracleReport(lo=lo, hi=hi, lo_profiles=tuple(lo_arg), hi_profiles=tuple(hi_arg),
+                        enumerated=total)

@@ -74,8 +74,6 @@ class RBounds:
 @dataclass
 class PumpStats:
     iterations: int = 0
-    cap: int = 0
-    delta: float = 0.0
     pump_counts: np.ndarray | None = None
     witness_checks: int = 0
     trace: list | None = None
@@ -252,9 +250,7 @@ def modified_pump(
     eps: float,
     cap: int,
     *,
-    tol: float = 1e-9,
     params: GameParams | None = None,
-    witness_checks: bool = True,
     collect_trace: bool = False,
 ) -> PumpOutcome:
     """Pump the upper half of `states` until a band empties, witness sets
@@ -282,8 +278,6 @@ def modified_pump(
     delta = (m_plus - m_minus) / 4.0
 
     stats = PumpStats(
-        cap=cap,
-        delta=delta,
         pump_counts=np.zeros(game.n, dtype=np.int64),
         trace=[] if collect_trace else None,
     )
@@ -291,7 +285,7 @@ def modified_pump(
 
     def evaluate(step_counts) -> _Step:
         x = x_entry - delta * step_counts
-        m = local_values(game, x, state_list, tol=tol)
+        m = local_values(game, x, state_list)
         return _Step(x=x, m=m, part=partition(m, m_minus, m_plus, states=state_list))
 
     def witness(step: _Step):
@@ -332,27 +326,26 @@ def modified_pump(
                 kind="band-collapsed", x=x, collapsed=collapsed,
                 closed_high=None, closed_low=None, m_values=m, bands=part, stats=stats,
             )
-        if witness_checks:
-            closed = witness(here)
-            if m_plus - m_minus > eps:
-                for v in part.pumped:
-                    if here.rb.values[v] < m[v] - 1e-9:
-                        raise PumpInvariantError(
-                            f"iteration {tau}: payoff bound {here.rb.values[v]} at pumped "
-                            f"state {v} fell below its local value {m[v]}"
-                        )
-            if closed is not None:
-                high, low = closed
-                leaks = boundary_gap_violations(game, x, high, low, part.pumped, here.rb,
-                                                eps, params.granularity)
-                if leaks:
-                    raise PumpInvariantError(f"iteration {tau}: " + "; ".join(leaks))
-                stats.iterations = tau
-                return PumpOutcome(
-                    kind="witness-sets", x=x, collapsed=None,
-                    closed_high=high, closed_low=low, m_values=m, bands=part,
-                    stats=stats,
-                )
+        closed = witness(here)
+        if m_plus - m_minus > eps:
+            for v in part.pumped:
+                if here.rb.values[v] < m[v] - 1e-9:
+                    raise PumpInvariantError(
+                        f"iteration {tau}: payoff bound {here.rb.values[v]} at pumped "
+                        f"state {v} fell below its local value {m[v]}"
+                    )
+        if closed is not None:
+            high, low = closed
+            leaks = boundary_gap_violations(game, x, high, low, part.pumped, here.rb,
+                                            eps, params.granularity)
+            if leaks:
+                raise PumpInvariantError(f"iteration {tau}: " + "; ".join(leaks))
+            stats.iterations = tau
+            return PumpOutcome(
+                kind="witness-sets", x=x, collapsed=None,
+                closed_high=high, closed_low=low, m_values=m, bands=part,
+                stats=stats,
+            )
         if tau >= cap:
             stats.iterations = tau
             return PumpOutcome(
@@ -370,8 +363,7 @@ def modified_pump(
 
         def event(k):
             step = probes[k] = evaluate(counts + k * pumped)
-            return (k == limit or step.part != part
-                    or (witness_checks and witness(step) is not None))
+            return k == limit or step.part != part or witness(step) is not None
 
         lo, hi = 0, 1
         while not event(hi):

@@ -24,6 +24,10 @@ from .markov import best_response_value
 from .matrix_game import local_values, solve_matrix_game
 
 
+# verification slack: eps/10, but never above this absolute amount
+_MAX_VERIFY_SLACK = 1e-6
+
+
 class WitnessBuildError(RuntimeError):
     pass
 
@@ -114,7 +118,6 @@ def build_witness(
     eps: float,
     *,
     reflect_value: float | None = None,
-    tol: float = 1e-9,
     exact: bool = False,
 ) -> WitnessCertificate:
     """Build truncated stationary strategies certifying the value gap.
@@ -135,7 +138,7 @@ def build_witness(
             f"required 3*eps = {3 * eps}"
         )
     if reflect_value is None:
-        m = local_values(game, x, tol=tol)
+        m = local_values(game, x)
         reflect_value = float(np.nanmax(m))
 
     high_strategies, low_strategies = {}, {}
@@ -146,7 +149,7 @@ def build_witness(
 
     for v in sorted(high_states):
         matrix = local_reward_matrix(game, v, x)
-        sol = solve_matrix_game(matrix, tol=tol, exact=exact)
+        sol = solve_matrix_game(matrix, exact=exact)
         keep = bar_actions(game, v, high_states, "row")
         if not keep:
             raise WitnessBuildError(
@@ -163,7 +166,7 @@ def build_witness(
         matrix = local_reward_matrix(game, u, x)
         # reflect so the column player's problem becomes a row problem
         reflected = reflect_value * np.ones_like(matrix.T) - matrix.T
-        sol = solve_matrix_game(reflected, tol=tol, exact=exact)
+        sol = solve_matrix_game(reflected, exact=exact)
         keep = bar_actions(game, u, low_states, "col")
         if not keep:
             raise WitnessBuildError(
@@ -203,7 +206,7 @@ def _extend_uniform(game: GameSpec, partial: dict, states, player: str):
     return tuple(out)
 
 
-def verify_witness(game: GameSpec, cert: WitnessCertificate, tol: float | None = None) -> VerificationReport:
+def verify_witness(game: GameSpec, cert: WitnessCertificate) -> VerificationReport:
     """Three independent checks of a witness certificate.
 
     (a) structural: support actions keep all mass inside their set, checked
@@ -213,8 +216,7 @@ def verify_witness(game: GameSpec, cert: WitnessCertificate, tol: float | None =
     (c) global: extending the strategies uniformly outside their sets, the
         opponent's optimal mean-payoff response still respects the bounds.
     """
-    if tol is None:
-        tol = min(cert.eps / 10.0, 1e-6)
+    tol = min(cert.eps / 10.0, _MAX_VERIFY_SLACK)
     x = as_potential(cert.potential, game.n)
     failures = []
 

@@ -91,3 +91,11 @@ MALFORMED_CERTIFICATES = {
     "alpha misses a high state": lambda doc: doc["non_ergodic"].update(alpha={}),
     "beta of the wrong length": lambda doc: doc["non_ergodic"]["beta"].update(low=[0.5, 0.5]),
 }
+
+# ways to break a profile document of disconnected(), each of which
+# parse_profile must reject with DocumentError
+MALFORMED_PROFILES = {
+    "entry not a number": lambda doc: doc["alpha"].update(low=["abc"]),
+    "vector given as a string": lambda doc: doc["alpha"].update(low="x"),
+    "vector given as a number": lambda doc: doc["beta"].update(high=5),
+}

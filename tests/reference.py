@@ -120,8 +120,7 @@ def _try_support(A, rows, cols, tol):
     return va
 
 
-def single_step_pump(game, x0, states, m_minus, m_plus, eps, cap, *,
-                     witness_checks=True, tol=1e-9):
+def single_step_pump(game, x0, states, m_minus, m_plus, eps, cap):
     """The pump taken one step at a time, with one full evaluation per step.
 
     The potential is x0 - delta * counts with integer per-state pump counts.
@@ -137,17 +136,15 @@ def single_step_pump(game, x0, states, m_minus, m_plus, eps, cap, *,
     tau = 0
     while True:
         x = x_entry - delta * counts
-        m = local_values(game, x, states, tol=tol)
+        m = local_values(game, x, states)
         part = partition(m, m_minus, m_plus, states=states)
         closed = None
         if not part.top or not part.bottom:
             kind = "band-collapsed"
         else:
-            if witness_checks:
-                rb = r_bounds(game, x, part.pumped, m_plus)
-                arcs = auxiliary_graph(game, x, part.pumped, rb, eps,
-                                       granularity=granularity)
-                closed = find_closed_sets(arcs, part.top, part.pumped, part.bottom)
+            rb = r_bounds(game, x, part.pumped, m_plus)
+            arcs = auxiliary_graph(game, x, part.pumped, rb, eps, granularity=granularity)
+            closed = find_closed_sets(arcs, part.top, part.pumped, part.bottom)
             if closed is not None:
                 kind = "witness-sets"
             elif tau >= cap:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from builders import MALFORMED_CERTIFICATES
+from builders import MALFORMED_CERTIFICATES, MALFORMED_PROFILES
 from ergopump.cli import main
 from ergopump.documents import parse_game, serialize_profile
 from ergopump.markov import uniform_profile
@@ -103,6 +103,16 @@ class TestOtherCommands:
         assert run(["eval", str(game_path), str(profile_path)]) == 0
         out = capsys.readouterr().out
         assert "c0: 2" in out
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PROFILES))
+    def test_malformed_profile_exit_64(self, case, disconnected_path, tmp_path, capsys):
+        game = parse_game(disconnected_path.read_text())
+        doc = json.loads(serialize_profile(game, uniform_profile(game)))
+        MALFORMED_PROFILES[case](doc)
+        profile_path = tmp_path / "p.json"
+        profile_path.write_text(json.dumps(doc))
+        assert run(["eval", str(disconnected_path), str(profile_path)]) == 64
+        assert "invalid profile document" in capsys.readouterr().err
 
     def test_oracle_prints_intervals(self, disconnected_path, capsys):
         assert run(["oracle", str(disconnected_path)]) == 0

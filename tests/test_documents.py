@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from builders import MALFORMED_CERTIFICATES, disconnected
+from builders import MALFORMED_CERTIFICATES, MALFORMED_PROFILES, disconnected
+from ergopump import game as game_module
 from ergopump.documents import (
     DocumentError,
     parse_certificate,
@@ -18,7 +19,8 @@ from ergopump.documents import (
     serialize_profile,
 )
 from ergopump.driver import decide_ergodicity
-from ergopump.generators import KINDS, generate
+from ergopump.game import GameSpec
+from ergopump.generators import KINDS, generate, random_game
 from ergopump.markov import uniform_profile
 
 MINIMAL = """
@@ -67,6 +69,19 @@ class TestGameDocuments:
         with pytest.raises(DocumentError, match="reward is not finite"):
             parse_game(json.dumps(doc))
 
+    def test_zero_denominator_reported(self):
+        doc = json.loads(MINIMAL)
+        doc["transitions"][0]["p"] = "1/0"
+        with pytest.raises(DocumentError, match="transition record 0"):
+            parse_game(json.dumps(doc))
+
+    def test_missing_field_named(self):
+        doc = json.loads(MINIMAL)
+        del doc["transitions"][0]["to"]
+        with pytest.raises(DocumentError) as err:
+            parse_game(json.dumps(doc))
+        assert err.value.problems == ("transition record 0: missing field 'to'",)
+
     def test_actions_must_be_a_mapping(self):
         doc = json.loads(MINIMAL)
         doc["actions"] = []
@@ -102,6 +117,35 @@ class TestGameDocuments:
             parse_game(json.dumps(doc))
         assert len(err.value.problems) <= 20
 
+    def test_bad_record_reported_before_any_game_is_built(self, monkeypatch):
+        doc = json.loads(serialize_game(random_game(256, max_actions=3, seed=0)))
+        doc["transitions"][5]["to"] = "ghost"
+        built = []
+        original = GameSpec.__post_init__
+
+        def counted(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(GameSpec, "__post_init__", counted)
+        with pytest.raises(DocumentError) as err:
+            parse_game(json.dumps(doc))
+        assert err.value.problems == ("transition record 5: unknown state 'ghost'",)
+        assert not built
+
+    def test_parse_and_solve_validate_once(self, monkeypatch):
+        text = serialize_game(disconnected(0.0, 10.0))
+        calls = []
+        original = game_module.validate
+
+        def counted(game):
+            calls.append(game)
+            return original(game)
+
+        monkeypatch.setattr(game_module, "validate", counted)
+        decide_ergodicity(parse_game(text), eps=0.1)
+        assert len(calls) == 1
+
     def test_probabilities_survive_as_rationals(self):
         text = generate("random", {"n": 3, "granularity": 7}, seed=5)
         game = parse_game(text)
@@ -127,6 +171,14 @@ class TestProfileDocuments:
         with pytest.raises(DocumentError, match="missing state"):
             parse_profile(json.dumps({"format": "ergopump-profile/1",
                                       "alpha": {}, "beta": {}}), g)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PROFILES))
+    def test_malformed_vector_rejected(self, case):
+        g = disconnected()
+        doc = json.loads(serialize_profile(g, uniform_profile(g)))
+        MALFORMED_PROFILES[case](doc)
+        with pytest.raises(DocumentError, match="expected a list of probabilities"):
+            parse_profile(json.dumps(doc), g)
 
 
 class TestCertificates:

@@ -9,15 +9,16 @@ import pytest
 from builders import big_match, disconnected, one_state, random_dense_game, two_cycle
 from ergopump.documents import parse_game, serialize_certificate, serialize_game
 from ergopump.driver import (
+    HARD_CAP,
     DriverConfig,
     compute_iteration_cap,
     decide_ergodicity,
     default_outer_cap,
     reduce_potential,
 )
-from ergopump.game import GameParams, make_game, normalize_rewards
+from ergopump.game import DocumentError, GameParams, make_game, normalize_rewards
 from ergopump.generators import random_game
-from ergopump.markov import brute_force_game_bounds
+from ergopump.oracle import enumerate_pure_bounds
 from ergopump.matrix_game import local_values
 from ergopump.pump import modified_pump
 
@@ -34,7 +35,7 @@ class TestIterationCap:
 
     def test_overflow_saturates(self):
         params = GameParams(8, 4, 8, 8.0)
-        assert compute_iteration_cap(params, 1e-3, 1e-6, hard_cap=12345) == 12345
+        assert compute_iteration_cap(params, 1e-3, 1e-6) == HARD_CAP
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -122,10 +123,10 @@ class TestDecideErgodicity:
         )
         verdict, stats = decide_ergodicity(g, eps=0.05)
         assert verdict.kind == "ergodic-24eps"
-        lo, hi, *_ = brute_force_game_bounds(g)
+        bounds = enumerate_pure_bounds(g)
         for v in range(2):
-            assert lo[v] <= verdict.m_plus + 1e-6
-            assert hi[v] >= verdict.m_minus - 1e-6
+            assert bounds.lo[v] <= verdict.m_plus + 1e-6
+            assert bounds.hi[v] >= verdict.m_minus - 1e-6
 
     def test_negative_rewards_offset_reported(self):
         g = disconnected(-5.0, 5.0)
@@ -166,15 +167,15 @@ class TestDecideErgodicity:
         assert v1.potential.tobytes() == v2.potential.tobytes()
         assert serialize_certificate(g, v1, s1) == serialize_certificate(g, v2, s2)
 
+    # an invalid game cannot reach the solver: building it raises
     def test_invalid_game_rejected(self):
-        g = make_game(["s", "t"], [["a"], ["a"]], [["x"], ["x"]],
+        with pytest.raises(DocumentError, match="non-stopping condition fails"):
+            make_game(["s", "t"], [["a"], ["a"]], [["x"], ["x"]],
                       [("s", "a", "x", "t", "1/2", 1.0), ("t", "a", "x", "t", 1, 0.0)])
-        with pytest.raises(ValueError, match="invalid game"):
-            decide_ergodicity(g, eps=0.1)
 
     def test_rejects_non_finite_reward(self):
-        with pytest.raises(ValueError, match="reward is not finite"):
-            decide_ergodicity(one_state(float("nan")), eps=0.1)
+        with pytest.raises(DocumentError, match="reward is not finite"):
+            one_state(float("nan"))
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 
 from builders import disconnected, one_state, random_dense_game, two_cycle
 from ergopump.game import (
+    DocumentError,
     apply_potential,
     game_params,
     local_reward_matrix,
@@ -20,29 +21,52 @@ from ergopump.matrix_game import local_values
 
 
 class TestValidate:
+    """Construction validates: an invalid game raises DocumentError listing
+    every problem, so no GameSpec exists that fails validate."""
+
     def test_self_loop_game_is_valid(self):
         assert validate(one_state()).ok
 
     def test_substochastic_row_reported(self):
-        g = make_game(["s", "t"], [["a"], ["a"]], [["x"], ["x"]],
+        with pytest.raises(DocumentError) as err:
+            make_game(["s", "t"], [["a"], ["a"]], [["x"], ["x"]],
                       [("s", "a", "x", "t", "9/10", 1.0),
                        ("t", "a", "x", "t", 1, 0.0)])
-        report = validate(g)
-        assert not report.ok
-        assert any("non-stopping" in p for p in report.problems)
+        assert any("non-stopping" in p for p in err.value.problems)
 
     def test_negative_probability_reported(self):
-        g = make_game(["s"], [["a"]], [["x"]],
+        # an out-of-range entry: 11/10 on the only transition
+        with pytest.raises(DocumentError) as err:
+            make_game(["s"], [["a"]], [["x"]],
                       [("s", "a", "x", "s", Fraction(11, 10), 1.0)])
-        # craft an out-of-range entry directly: 1.1 on the only transition
-        report = validate(g)
-        assert any("out of range" in p for p in report.problems)
+        assert any("out of range" in p for p in err.value.problems)
 
     def test_all_problems_listed(self):
-        g = make_game(["s", "t"], [["a"], ["a"]], [["x"], ["x"]],
+        with pytest.raises(DocumentError) as err:
+            make_game(["s", "t"], [["a"], ["a"]], [["x"], ["x"]],
                       [("s", "a", "x", "t", "1/2", 1.0)])
-        report = validate(g)
-        assert len(report.problems) == 2  # two rows fail the sum condition
+        assert len(err.value.problems) == 2  # two rows fail the sum condition
+
+    def test_every_bad_record_reported_by_index(self):
+        with pytest.raises(DocumentError) as err:
+            make_game(["s", "t"], [["a"], ["a"]], [["x"], ["x"]],
+                      [("s", "a", "x", "t", 1, 0.0),
+                       ("s", "a", "x", "t", 1, 0.0),
+                       ("ghost", "a", "x", "t", 1, 0.0),
+                       ("t", "b", "x", "ghost", 1, 0.0),
+                       ("t", "a", "x", 7, 1, 0.0)])
+        assert err.value.problems == (
+            "transition record 1: duplicate transition record for (0, 0, 0, 1)",
+            "transition record 2: unknown state 'ghost'",
+            "transition record 3: unknown state 'ghost'",
+            "transition record 3: unknown row action 'b'",
+            "transition record 4: state index 7 out of range",
+        )
+
+    def test_mapped_games_are_validated(self):
+        with np.errstate(over="ignore"), pytest.raises(DocumentError,
+                                                        match="reward is not finite"):
+            apply_potential(two_cycle(), np.array([1e308, -1e308]))
 
 
 class TestToFraction:

@@ -8,9 +8,7 @@ import pytest
 from builders import big_match, disconnected, matrix_as_game, one_state, random_dense_game, two_cycle
 from ergopump.game import apply_potential
 from ergopump.markov import (
-    OracleBudgetError,
     best_response_value,
-    brute_force_game_bounds,
     evaluate_stationary_pair,
     induced_chain,
     limiting_matrix,
@@ -18,6 +16,7 @@ from ergopump.markov import (
     pure_profile,
     uniform_profile,
 )
+from ergopump.oracle import OracleBudgetError, enumerate_pure_bounds
 
 
 def random_stochastic(rng, n, sparse=False):
@@ -185,22 +184,23 @@ class TestBestResponse:
 
 class TestBruteForce:
     def test_pure_saddle_matrix(self):
-        lo, hi, *_ = brute_force_game_bounds(matrix_as_game([[1.0, 0.0], [0.0, 0.0]]))
-        assert lo[0] == pytest.approx(0.0)
-        assert hi[0] == pytest.approx(0.0)
+        bounds = enumerate_pure_bounds(matrix_as_game([[1.0, 0.0], [0.0, 0.0]]))
+        assert bounds.lo[0] == pytest.approx(0.0)
+        assert bounds.hi[0] == pytest.approx(0.0)
 
     def test_mixed_matrix_keeps_value_inside(self):
-        lo, hi, *_ = brute_force_game_bounds(matrix_as_game([[1.0, -1.0], [-1.0, 1.0]]))
-        assert lo[0] <= 0.0 <= hi[0]
-        assert lo[0] < hi[0]
+        bounds = enumerate_pure_bounds(matrix_as_game([[1.0, -1.0], [-1.0, 1.0]]))
+        assert bounds.lo[0] <= 0.0 <= bounds.hi[0]
+        assert bounds.lo[0] < bounds.hi[0]
 
     def test_disconnected(self):
-        lo, hi, *_ = brute_force_game_bounds(disconnected(0.0, 10.0))
-        assert np.allclose(lo, [0.0, 10.0])
-        assert np.allclose(hi, [0.0, 10.0])
+        bounds = enumerate_pure_bounds(disconnected(0.0, 10.0))
+        assert np.allclose(bounds.lo, [0.0, 10.0])
+        assert np.allclose(bounds.hi, [0.0, 10.0])
 
     def test_big_match_gap(self):
-        lo, hi, *_ = brute_force_game_bounds(big_match())
+        bounds = enumerate_pure_bounds(big_match())
+        lo, hi = bounds.lo, bounds.hi
         live = 0
         assert lo[live] < hi[live]
         assert lo[1] == hi[1] == pytest.approx(1.0)
@@ -210,4 +210,4 @@ class TestBruteForce:
         rng = np.random.default_rng(0)
         g = random_dense_game(rng, n=3, max_actions=3)
         with pytest.raises(OracleBudgetError):
-            brute_force_game_bounds(g, budget=2)
+            enumerate_pure_bounds(g, budget=2)

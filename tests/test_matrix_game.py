@@ -156,10 +156,6 @@ class TestLocalValue:
 
 
 class TestErrors:
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            solve_matrix_game([[1.0]], tol=0.0)
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             solve_matrix_game([[np.inf, 0.0], [0.0, 1.0]])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from builders import big_match, disconnected, one_state, random_dense_game, two_cycle
-from ergopump.markov import OracleBudgetError, evaluate_stationary_pair, pure_profile, uniform_profile
-from ergopump.oracle import enumerate_pure_bounds, simulate_mean_payoff
+from ergopump.markov import evaluate_stationary_pair, pure_profile, uniform_profile
+from ergopump.oracle import OracleBudgetError, enumerate_pure_bounds, simulate_mean_payoff
 
 
 class TestSimulate:
