@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -59,19 +60,23 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _solve_one(game_path: str, eps: float, cap: int | None, exact: bool,
-               trace_path: str | None, out_path: str):
+def _solve_one(game_path: str, eps: float, cap: int | None, trace_path: str | None,
+               out_path: str):
+    """Solve one game document; returns the verdict and the game's state names."""
     game = _load_game(game_path)
-    config = DriverConfig(pump_cap=cap, exact=exact, collect_trace=trace_path is not None)
+    config = DriverConfig(pump_cap=cap, collect_trace=trace_path is not None)
     verdict, stats = decide_ergodicity(game, eps, config)
     _write(out_path, documents.serialize_certificate(game, verdict, stats))
     if trace_path is not None:
         _write(trace_path, "".join(json.dumps(entry, sort_keys=True) + "\n"
                                    for entry in stats.trace))
-    return verdict, stats
+    return verdict, game.states
 
 
 def _cmd_solve(args) -> int:
+    if len(args.game) > 1 and args.trace is not None:
+        print("--trace takes a single game", file=sys.stderr)
+        return EX_USAGE
     if len(args.game) > 1 and args.out is not None:
         out_dir = Path(args.out)
         if not out_dir.is_dir():
@@ -86,8 +91,7 @@ def _cmd_solve(args) -> int:
             out_path = str(Path(args.out) / (Path(game_path).stem + ".cert.json"))
         else:
             out_path = args.out
-        jobs.append((game_path, args.epsilon, args.cap, args.exact,
-                     args.trace if len(args.game) == 1 else None, out_path))
+        jobs.append((game_path, args.epsilon, args.cap, args.trace, out_path))
 
     if len(jobs) > 1 and args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -96,7 +100,7 @@ def _cmd_solve(args) -> int:
         results = [_solve_one(*job) for job in jobs]
 
     code = 0
-    for job, (verdict, stats) in zip(jobs, results):
+    for job, (verdict, states) in zip(jobs, results):
         game_path, out_path = job[0], job[-1]
         if verdict.kind == ERGODIC:
             print(f"{game_path}: ergodic within 24*eps; local values in "
@@ -105,9 +109,8 @@ def _cmd_solve(args) -> int:
                   f"certificate: {out_path}")
             this = 0
         elif verdict.kind == NON_ERGODIC:
-            game = _load_game(game_path)
-            high = ", ".join(game.states[v] for v in sorted(verdict.high_states))
-            low = ", ".join(game.states[v] for v in sorted(verdict.low_states))
+            high = ", ".join(states[v] for v in sorted(verdict.high_states))
+            low = ", ".join(states[v] for v in sorted(verdict.low_states))
             print(f"{game_path}: NOT ergodic; values from {{{high}}} stay >= "
                   f"{_fmt(verdict.floor)} while values from {{{low}}} stay <= "
                   f"{_fmt(verdict.ceiling)}; certificate: {out_path}")
@@ -202,6 +205,20 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _epsilon(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
+def _cap(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ergopump",
                      description="Certify (non-)ergodicity of zero-sum stochastic games.")
@@ -209,13 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run the solver and write a certificate")
     solve.add_argument("game", nargs="+", help="game document path(s)")
-    solve.add_argument("--epsilon", type=float, required=True)
-    solve.add_argument("--cap", type=int, default=None,
+    solve.add_argument("--epsilon", type=_epsilon, required=True)
+    solve.add_argument("--cap", type=_cap, default=None,
                        help="override the pump step cap (for experiments)")
-    solve.add_argument("--exact", action="store_true",
-                       help="store exact rational witness strategies")
     solve.add_argument("--trace", default=None,
-                       help="write per landed pump step trace records to this file")
+                       help="write per landed pump step trace records to this file "
+                            "(single game only)")
     solve.add_argument("--out", default=None,
                        help="certificate path (or directory for multiple games)")
     solve.add_argument("--jobs", type=int, default=1,

@@ -203,7 +203,7 @@ def serialize_certificate(game: GameSpec, verdict, stats) -> str:
     }
     w = verdict.witness
     if w is not None:
-        payload = {
+        doc["non_ergodic"] = {
             "high_states": sorted(game.states[v] for v in w.high_states),
             "low_states": sorted(game.states[v] for v in w.low_states),
             "a": w.ceiling,
@@ -215,17 +215,6 @@ def serialize_certificate(game: GameSpec, verdict, stats) -> str:
             "beta": {game.states[v]: [_sig12(t) for t in vec]
                      for v, vec in sorted(w.low_strategies.items())},
         }
-        if w.high_exact:
-            payload["alpha_exact"] = {
-                game.states[v]: [_fraction_str(f) for f in vec]
-                for v, vec in sorted(w.high_exact.items())
-            }
-        if w.low_exact:
-            payload["beta_exact"] = {
-                game.states[v]: [_fraction_str(f) for f in vec]
-                for v, vec in sorted(w.low_exact.items())
-            }
-        doc["non_ergodic"] = payload
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

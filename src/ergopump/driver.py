@@ -43,7 +43,6 @@ HARD_CAP = 2_000_000  # ceiling the computed pump-step cap saturates at
 @dataclass(frozen=True)
 class DriverConfig:
     pump_cap: int | None = None  # overrides the computed per-phase cap
-    exact: bool = False  # exact-rational strategies in certificates
     collect_trace: bool = False
 
 
@@ -129,8 +128,8 @@ def decide_ergodicity(game: GameSpec, eps: float,
     thresholds are in normalized units, with the shift in value_offset. The
     game needs no validation here: a GameSpec is valid by construction.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError("eps must be positive and finite")
     config = config or DriverConfig()
     normalized, offset = normalize_rewards(game)
     params = game_params(normalized)
@@ -222,7 +221,7 @@ def _drive(game, eps, config, params, offset, stats):
         floor_raw = (5.0 * m_plus + 3.0 * m_minus) / 8.0
         witness = build_witness(
             game, outcome.x, high, low, ceiling_raw=ceiling_raw,
-            floor_raw=floor_raw, eps=eps, reflect_value=m_plus, exact=config.exact,
+            floor_raw=floor_raw, eps=eps, reflect_value=m_plus,
         )
         return stop(NON_ERGODIC, outcome.x,
                     high_states=frozenset(high), low_states=frozenset(low),

@@ -150,16 +150,10 @@ def limiting_matrix(P: np.ndarray) -> np.ndarray:
         try:
             H = np.linalg.solve(np.eye(len(transient)) - Q, B)
         except np.linalg.LinAlgError as exc:
-            raise MarkovError(
-                "ill-conditioned chain: absorption system is singular; "
-                "consider the exact-rational fallback"
-            ) from exc
+            raise MarkovError("ill-conditioned chain: absorption system is singular") from exc
         residual = np.abs((np.eye(len(transient)) - Q) @ H - B).max()
         if residual > _RESIDUAL_TOL:
-            raise MarkovError(
-                f"ill-conditioned chain: absorption residual {residual:.3e}; "
-                "consider the exact-rational fallback"
-            )
+            raise MarkovError(f"ill-conditioned chain: absorption residual {residual:.3e}")
         for col, members in enumerate(classes):
             q[np.ix_(transient, members)] += np.outer(H[:, col], stationary[col])
     return q

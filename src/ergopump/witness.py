@@ -15,7 +15,6 @@ pure action, and a global best-response computation over the whole game.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -52,8 +51,6 @@ class WitnessCertificate:
     floor_raw: float
     ceiling_raw: float
     eps: float
-    high_exact: dict | None = None  # Fractions, present in exact mode
-    low_exact: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -101,13 +98,6 @@ def _truncate(strategy: np.ndarray, keep: frozenset, v: int):
     return out
 
 
-def _truncate_exact(strategy, keep):
-    mass = sum((strategy[k] for k in keep), Fraction(0))
-    if mass <= 0:
-        return None
-    return tuple(strategy[k] / mass if k in keep else Fraction(0) for k in range(len(strategy)))
-
-
 def build_witness(
     game: GameSpec,
     x: Potential,
@@ -118,7 +108,6 @@ def build_witness(
     eps: float,
     *,
     reflect_value: float | None = None,
-    exact: bool = False,
 ) -> WitnessCertificate:
     """Build truncated stationary strategies certifying the value gap.
 
@@ -142,14 +131,12 @@ def build_witness(
         reflect_value = float(np.nanmax(m))
 
     high_strategies, low_strategies = {}, {}
-    high_exact = {} if exact else None
-    low_exact = {} if exact else None
     floor = floor_raw - eps
     ceiling = ceiling_raw + eps
 
     for v in sorted(high_states):
         matrix = local_reward_matrix(game, v, x)
-        sol = solve_matrix_game(matrix, exact=exact)
+        sol = solve_matrix_game(matrix)
         keep = bar_actions(game, v, high_states, "row")
         if not keep:
             raise WitnessBuildError(
@@ -157,16 +144,12 @@ def build_witness(
                 "keeps the play inside the high set"
             )
         high_strategies[v] = _truncate(sol.row_strategy, keep, v)
-        if exact:
-            trunc = _truncate_exact(sol.row_exact, keep)
-            if trunc is not None:
-                high_exact[v] = trunc
 
     for u in sorted(low_states):
         matrix = local_reward_matrix(game, u, x)
         # reflect so the column player's problem becomes a row problem
         reflected = reflect_value * np.ones_like(matrix.T) - matrix.T
-        sol = solve_matrix_game(reflected, exact=exact)
+        sol = solve_matrix_game(reflected)
         keep = bar_actions(game, u, low_states, "col")
         if not keep:
             raise WitnessBuildError(
@@ -174,10 +157,6 @@ def build_witness(
                 "keeps the play inside the low set"
             )
         low_strategies[u] = _truncate(sol.row_strategy, keep, u)
-        if exact:
-            trunc = _truncate_exact(sol.row_exact, keep)
-            if trunc is not None:
-                low_exact[u] = trunc
 
     return WitnessCertificate(
         high_states=high_states,
@@ -190,8 +169,6 @@ def build_witness(
         floor_raw=floor_raw,
         ceiling_raw=ceiling_raw,
         eps=eps,
-        high_exact=high_exact,
-        low_exact=low_exact,
     )
 
 

@@ -1,11 +1,14 @@
 """CLI contract: subcommands, exit codes, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from builders import MALFORMED_CERTIFICATES, MALFORMED_PROFILES
-from ergopump.cli import main
+from ergopump import documents
+from ergopump.cli import build_parser, main
 from ergopump.documents import parse_game, serialize_profile
 from ergopump.markov import uniform_profile
 
@@ -68,12 +71,17 @@ class TestSolveExitCodes:
         lines = [json.loads(line) for line in trace.read_text().splitlines()]
         assert lines and {"tau", "m_min", "m_max", "potential_hash"} <= set(lines[0])
 
-    def test_exact_flag_stores_rationals(self, disconnected_path, tmp_path):
-        cert = tmp_path / "c.json"
-        assert run(["solve", str(disconnected_path), "--epsilon", "0.1",
-                    "--exact", "--out", str(cert)]) == 2
-        doc = json.loads(cert.read_text())
-        assert "alpha_exact" in doc["non_ergodic"]
+    def test_each_game_parsed_once(self, disconnected_path, monkeypatch):
+        calls = []
+        parse = documents.parse_game
+
+        def counting_parse(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(documents, "parse_game", counting_parse)
+        assert run(["solve", str(disconnected_path), "--epsilon", "0.1"]) == 2
+        assert len(calls) == 1
 
 
 class TestUsageAndIO:
@@ -85,6 +93,25 @@ class TestUsageAndIO:
 
     def test_missing_file_exit_66(self, tmp_path):
         assert run(["solve", str(tmp_path / "missing.json"), "--epsilon", "0.1"]) == 66
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--epsilon", "-1"), ("--epsilon", "0"), ("--epsilon", "nan"),
+        ("--epsilon", "inf"), ("--cap", "-5"), ("--cap", "0"),
+    ])
+    def test_bad_number_exit_64(self, flag, value, disconnected_path):
+        args = ["solve", str(disconnected_path), "--epsilon", "0.1", flag, value]
+        assert run(args) == 64
+        assert not disconnected_path.with_suffix(".cert.json").exists()
+
+    def test_trace_with_several_games_exit_64(self, disconnected_path, tmp_path, capsys):
+        other = tmp_path / "other.json"
+        run(["gen", "cycle", "--out", str(other)])
+        out_dir = tmp_path / "certs"
+        out_dir.mkdir()
+        assert run(["solve", str(disconnected_path), str(other), "--epsilon", "0.1",
+                    "--out", str(out_dir), "--trace", str(tmp_path / "t.jsonl")]) == 64
+        assert "--trace takes a single game" in capsys.readouterr().err
+        assert not list(out_dir.iterdir())
 
     def test_invalid_game_document_exit_64(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -145,3 +172,19 @@ class TestOtherCommands:
         run(["solve", str(disconnected_path), "--epsilon", "0.1", "--out", str(c1)])
         run(["solve", str(disconnected_path), "--epsilon", "0.1", "--out", str(c2)])
         assert c1.read_bytes() == c2.read_bytes()
+
+
+def test_readme_command_table_matches_parser():
+    # every option of a subcommand is listed in README's table, and every
+    # flag listed there exists
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)([^`]*)` \|", readme, flags=re.MULTILINE)
+    subparsers = next(a for a in build_parser()._actions if a.choices and a.dest == "command")
+    assert sorted(name for name, _ in rows) == sorted(subparsers.choices)
+    for name, usage in rows:
+        listed = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", usage))
+        options = [a.option_strings for a in subparsers.choices[name]._actions
+                   if a.option_strings and "--help" not in a.option_strings]
+        assert listed <= {flag for strings in options for flag in strings}, name
+        for strings in options:
+            assert listed & set(strings), f"{name}: {strings} missing from README"

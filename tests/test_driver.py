@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from builders import big_match, disconnected, one_state, random_dense_game, two_cycle
+from ergopump import matrix_game
 from ergopump.documents import parse_game, serialize_certificate, serialize_game
 from ergopump.driver import (
     HARD_CAP,
@@ -180,6 +181,28 @@ class TestDecideErgodicity:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             decide_ergodicity(one_state(), eps=0.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            decide_ergodicity(one_state(), eps=eps)
+
+    def test_stalled_local_solve_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(matrix_game, "_MAX_PIVOTS", 0)
+        verdict, _ = decide_ergodicity(random_game(4, max_actions=3, seed=0), 0.05)
+        assert verdict.kind == "inconclusive"
+        assert verdict.reason.startswith("MatrixGameError")
+
+    def test_huge_reward_scale_returns_a_verdict(self):
+        # at this scale the absolute pivot tolerance lets the simplex stall;
+        # that must end the run with a verdict, not an exception
+        g = random_game(4, max_actions=3, seed=11)
+        records = [(g.states[v], g.row_actions[v][k], g.col_actions[v][l], g.states[u], p,
+                    r * 1e12)
+                   for v in range(g.n) for k, l, u, p, r in g.transitions[v]]
+        scaled = make_game(g.states, g.row_actions, g.col_actions, records)
+        verdict, _ = decide_ergodicity(scaled, eps=0.05e12)
+        assert verdict.kind in ("ergodic-24eps", "non-ergodic", "inconclusive")
 
     def test_state_relabeling_invariance(self):
         # permuting the state order must not change the verdict substance

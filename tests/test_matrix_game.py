@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import reference
 from builders import one_state, random_dense_game
+from ergopump import matrix_game
 from ergopump.matrix_game import (
     MatrixGameError,
     local_value,
@@ -48,25 +49,19 @@ class TestKnownGames:
         assert np.allclose(sol.col_strategy, col, atol=1e-10)
         assert reference.value_support_enum(A) == pytest.approx(1.5, abs=1e-9)
 
-    def test_exact_mode_matches(self):
-        sol = solve_matrix_game([[3, 1], [0, 2]], exact=True)
-        assert sol.value_exact == pytest.approx(1.5)
-        assert [float(f) for f in sol.row_exact] == [0.5, 0.5]
-        assert [float(f) for f in sol.col_exact] == [0.25, 0.75]
-        assert sol.duality_gap == 0.0
-
 
 class TestRandomMatrices:
     @pytest.mark.parametrize("seed", range(10))
     def test_saddle_and_oracles(self, seed):
         rng = np.random.default_rng(seed)
-        for _ in range(20):
-            shape = rng.integers(1, 7, size=2)
-            A = rng.uniform(-10, 10, size=shape)
+        matrices = [rng.uniform(-10, 10, size=rng.integers(1, 7, size=2)) for _ in range(20)]
+        # small integers: tied entries and degenerate pivots
+        matrices += [rng.integers(-5, 6, size=(3, 3)).astype(float) for _ in range(2)]
+        for A in matrices:
             sol = solve_matrix_game(A)
             _assert_saddle(A, sol)
             assert sol.value == pytest.approx(reference.value_lp(A), abs=1e-8)
-            if shape[0] == shape[1] == 2:
+            if A.shape == (2, 2):
                 assert sol.value == pytest.approx(reference.value_2x2(A), abs=1e-10)
 
     def test_determinism(self):
@@ -77,14 +72,6 @@ class TestRandomMatrices:
         assert first.value == second.value
         assert first.row_strategy.tobytes() == second.row_strategy.tobytes()
         assert first.col_strategy.tobytes() == second.col_strategy.tobytes()
-
-    def test_exact_agrees_with_float(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            A = rng.integers(-5, 6, size=(3, 3)).astype(float)
-            plain = solve_matrix_game(A)
-            paranoid = solve_matrix_game(A, exact=True)
-            assert plain.value == pytest.approx(float(paranoid.value_exact), abs=1e-9)
 
 
 class TestProperties:
@@ -169,3 +156,13 @@ class TestErrors:
         A = rng.uniform(-3, 3, size=(4, 4))
         assert solve_value(A.tolist()) == pytest.approx(
             solve_matrix_game(A).value, abs=1e-12)
+
+    def test_stalled_simplex_raises_matrix_game_error(self, monkeypatch):
+        # both entry points fail the same way, with the pure maximin and
+        # minimax as bounds
+        monkeypatch.setattr(matrix_game, "_MAX_PIVOTS", 0)
+        pennies = [[1.0, -1.0], [-1.0, 1.0]]
+        for solve in (solve_value, solve_matrix_game):
+            with pytest.raises(MatrixGameError) as info:
+                solve(pennies)
+            assert (info.value.lower, info.value.upper) == (-1.0, 1.0)
