@@ -94,7 +94,8 @@ def _cmd_solve(args) -> int:
         jobs.append((game_path, args.epsilon, args.cap, args.trace, out_path))
 
     if len(jobs) > 1 and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a fork-based pool starts all its workers up front: no more than games
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             results = list(pool.map(_solve_one_star, jobs))
     else:
         results = [_solve_one(*job) for job in jobs]
@@ -212,7 +213,7 @@ def _epsilon(text: str) -> float:
     return value
 
 
-def _cap(text: str) -> int:
+def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
@@ -227,14 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run the solver and write a certificate")
     solve.add_argument("game", nargs="+", help="game document path(s)")
     solve.add_argument("--epsilon", type=_epsilon, required=True)
-    solve.add_argument("--cap", type=_cap, default=None,
+    solve.add_argument("--cap", type=_positive_int, default=None,
                        help="override the pump step cap (for experiments)")
     solve.add_argument("--trace", default=None,
                        help="write per landed pump step trace records to this file "
                             "(single game only)")
     solve.add_argument("--out", default=None,
                        help="certificate path (or directory for multiple games)")
-    solve.add_argument("--jobs", type=int, default=1,
+    solve.add_argument("--jobs", type=_positive_int, default=1,
                        help="parallel workers for multi-file batches")
     solve.set_defaults(func=_cmd_solve)
 
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="pure-strategy value intervals (small games)")
     oracle.add_argument("game")
-    oracle.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    oracle.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     oracle.set_defaults(func=_cmd_oracle)
 
     gen = sub.add_parser("gen", help="generate a game document")

@@ -280,13 +280,31 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
             return frozenset(v for v in known if v is not None)
 
         def strategies(key, members, size):
+            # any non-negative vector with a positive sum names the
+            # distribution it is proportional to; the recheck reads that
             table = payload.get(key)
             table = table if isinstance(table, dict) else {}
-            return {v: vector(table.get(game.states[v]), size(v),
-                              f"non_ergodic.{key}[{game.states[v]!r}]")
-                    for v in sorted(members)}
+            out = {}
+            for v in sorted(members):
+                what = f"non_ergodic.{key}[{game.states[v]!r}]"
+                vec = vector(table.get(game.states[v]), size(v), what)
+                total = float(vec.sum())
+                if np.all(vec >= 0) and 0 < total < math.inf:
+                    vec = vec / total
+                else:
+                    problems.append(f"{what} must be non-negative with a positive, "
+                                    "finite sum")
+                out[v] = vec
+            return out
 
         high, low = states("high_states"), states("low_states")
+        if not high or not low:
+            problems.append("non_ergodic.high_states and non_ergodic.low_states "
+                            "must not be empty")
+        if high & low:
+            problems.append("non_ergodic: states "
+                            f"{sorted(game.states[v] for v in high & low)} are in "
+                            "both the high and the low set")
         witness = WitnessCertificate(
             high_states=high,
             low_states=low,

@@ -219,10 +219,8 @@ def _drive(game, eps, config, params, offset, stats):
         low = first.closed_low
         ceiling_raw = mid
         floor_raw = (5.0 * m_plus + 3.0 * m_minus) / 8.0
-        witness = build_witness(
-            game, outcome.x, high, low, ceiling_raw=ceiling_raw,
-            floor_raw=floor_raw, eps=eps, reflect_value=m_plus,
-        )
+        witness = build_witness(game, outcome.x, high, low, ceiling_raw=ceiling_raw,
+                                floor_raw=floor_raw, eps=eps)
         return stop(NON_ERGODIC, outcome.x,
                     high_states=frozenset(high), low_states=frozenset(low),
                     floor=witness.floor, ceiling=witness.ceiling,

@@ -4,8 +4,10 @@ A game is a finite set of positions; at each position the two players pick
 actions (row player maximizes, column player minimizes), a transition reward
 is paid, and the play moves to the next position according to the transition
 probabilities. Each transition is stored once, as a sparse record with an
-exact rational probability, so the granularity parameter is well defined;
-all iterative numerics run on dense float views built from the records.
+exact rational probability, so the granularity parameter is well defined.
+All float numerics read one flat view of the records (FlatView), and the
+potential-adjusted local games of every state come from one mat-vec over it
+(local_payoffs).
 """
 
 from __future__ import annotations
@@ -56,6 +58,50 @@ def to_fraction(value) -> Fraction:
 
 
 @dataclass(frozen=True)
+class FlatView:
+    """Read-only float view of a game's records, built once per GameSpec.
+
+    A slot is one (v, k, l) action pair; state v owns the slots from
+    first_slot[v] to first_slot[v + 1] in row-major (k, l) order, and its
+    row and column actions are numbered from first_row[v] and first_col[v].
+    """
+
+    slot_state: np.ndarray  # per slot: v
+    slot_row: np.ndarray  # per slot: first_row[v] + k
+    slot_col: np.ndarray  # per slot: first_col[v] + l
+    slot_reward: np.ndarray  # per slot: sum_u p*r
+    rec_slot: np.ndarray  # per record: its slot
+    rec_to: np.ndarray  # per record: the successor u
+    rec_p: np.ndarray  # per record: float(p)
+    first_slot: np.ndarray  # per state, plus the total at [n]
+    first_row: np.ndarray
+    first_col: np.ndarray
+
+
+def _flat_view(game) -> FlatView:
+    rows = np.array([len(acts) for acts in game.row_actions], dtype=np.int64)
+    cols = np.array([len(acts) for acts in game.col_actions], dtype=np.int64)
+    first_slot, first_row, first_col = (np.concatenate(([0], np.cumsum(sizes)))
+                                        for sizes in (rows * cols, rows, cols))
+    slot_state = np.repeat(np.arange(game.n), rows * cols)
+    row, col = np.divmod(np.arange(first_slot[-1]) - first_slot[slot_state], cols[slot_state])
+    table = np.array([(v, k, l, u, float(p), r)
+                      for v, records in enumerate(game.transitions)
+                      for k, l, u, p, r in records], dtype=np.float64).reshape(-1, 6)
+    v, k, l, u = table[:, :4].astype(np.int64).T
+    rec_slot, rec_p = first_slot[v] + k * cols[v] + l, table[:, 4].copy()
+    view = FlatView(
+        slot_state=slot_state, slot_row=first_row[slot_state] + row,
+        slot_col=first_col[slot_state] + col,
+        slot_reward=np.bincount(rec_slot, weights=rec_p * table[:, 5], minlength=first_slot[-1]),
+        rec_slot=rec_slot, rec_to=u, rec_p=rec_p,
+        first_slot=first_slot, first_row=first_row, first_col=first_col)
+    for arr in vars(view).values():
+        arr.setflags(write=False)
+    return view
+
+
+@dataclass(frozen=True)
 class GameSpec:
     """Immutable stochastic game, valid by construction.
 
@@ -63,7 +109,7 @@ class GameSpec:
     position v, sorted by (k, l, u): under actions (k, l) the play moves to u
     with exact nonzero probability p and pays the float reward r. A missing
     triple has probability 0. Construction runs validate and raises
-    DocumentError listing every problem it finds.
+    DocumentError listing every problem it finds, then builds the flat view.
     """
 
     states: tuple[str, ...]
@@ -71,31 +117,13 @@ class GameSpec:
     col_actions: tuple[tuple[str, ...], ...]
     transitions: tuple  # per state, a tuple of (k, l, u, p, r) records
 
-    _p: tuple = field(init=False, compare=False, repr=False, default=())
-    _expected: tuple = field(init=False, compare=False, repr=False, default=())
+    flat: FlatView = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         report = validate(self)
         if not report.ok:
             raise DocumentError(report.problems)
-        n = len(self.states)
-        p_arrays, expected = [], []
-        for v in range(n):
-            shape = (len(self.row_actions[v]), len(self.col_actions[v]), n)
-            p = np.zeros(shape)
-            r = np.zeros(shape)
-            records = self.transitions[v]
-            if records:
-                k, l, u, q, rewards = zip(*records)
-                p[k, l, u] = [float(t) for t in q]
-                r[k, l, u] = rewards
-            p.setflags(write=False)
-            e = np.einsum("klu,klu->kl", p, r)
-            e.setflags(write=False)
-            p_arrays.append(p)
-            expected.append(e)
-        object.__setattr__(self, "_p", tuple(p_arrays))
-        object.__setattr__(self, "_expected", tuple(expected))
+        object.__setattr__(self, "flat", _flat_view(self))
 
     @property
     def n(self) -> int:
@@ -107,13 +135,10 @@ class GameSpec:
     def num_col_actions(self, v: int) -> int:
         return len(self.col_actions[v])
 
-    def prob_array(self, v: int) -> np.ndarray:
-        """Float view of the transition tensor at v, shape (|K|, |L|, n)."""
-        return self._p[v]
-
-    def expected_reward(self, v: int) -> np.ndarray:
-        """One-step expected reward matrix at v: sum_u p*r, shape (|K|, |L|)."""
-        return self._expected[v]
+    def state_matrix(self, per_slot: np.ndarray, v: int) -> np.ndarray:
+        """State v's entries of a per-slot array, shape (|K|, |L|)."""
+        lo, hi = self.flat.first_slot[v], self.flat.first_slot[v + 1]
+        return per_slot[lo:hi].reshape(self.num_row_actions(v), self.num_col_actions(v))
 
 
 @dataclass(frozen=True)
@@ -292,10 +317,19 @@ def as_potential(x, n: int) -> Potential:
     return arr
 
 
+def local_payoffs(game: GameSpec, x: Potential, successor=None) -> np.ndarray:
+    """Every slot's potential-adjusted payoff sum_u p*(r + x[v] - x[u]); r_bounds
+    passes per record the potential to charge in place of x[u]."""
+    x = np.asarray(x, dtype=np.float64)
+    flat = game.flat
+    successor = x[flat.rec_to] if successor is None else successor
+    moved = np.bincount(flat.rec_slot, flat.rec_p * successor, len(flat.slot_state))
+    return flat.slot_reward + x[flat.slot_state] - moved
+
+
 def local_reward_matrix(game: GameSpec, v: int, x: Potential) -> np.ndarray:
-    """Potential-adjusted reward matrix at v: entries sum_u p*(r + x[v] - x[u])."""
-    x = as_potential(x, game.n)
-    return game.expected_reward(v) + x[v] - game.prob_array(v) @ x
+    """Potential-adjusted reward matrix at v: its slots of local_payoffs."""
+    return game.state_matrix(local_payoffs(game, as_potential(x, game.n)), v)
 
 
 def apply_potential(game: GameSpec, x: Potential) -> GameSpec:

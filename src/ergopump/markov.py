@@ -93,12 +93,10 @@ def pure_profile(game, rows, cols) -> StationaryProfile:
 
 
 def induced_chain(game, profile: StationaryProfile) -> np.ndarray:
-    """Transition matrix of the Markov chain the profile plays."""
-    n = game.n
-    P = np.empty((n, n))
-    for v in range(n):
-        P[v] = np.einsum("k,klu,l->u", profile.alpha[v], game.prob_array(v), profile.beta[v])
-    return P
+    """Transition matrix of the Markov chain the profile plays: the column
+    player's MDP against alpha, averaged over beta."""
+    trans, _rew, first = _mdp_tables(game, profile.alpha, "row")
+    return np.add.reduceat(np.concatenate(profile.beta)[:, None] * trans, first[:-1])
 
 
 def _gth_stationary(T: np.ndarray) -> np.ndarray:
@@ -161,12 +159,10 @@ def limiting_matrix(P: np.ndarray) -> np.ndarray:
 
 def profile_step_reward(game, profile: StationaryProfile) -> np.ndarray:
     """Expected one-step payoff at each state under the profile."""
-    return np.array(
-        [
-            profile.alpha[v] @ game.expected_reward(v) @ profile.beta[v]
-            for v in range(game.n)
-        ]
-    )
+    flat = game.flat
+    weight = (np.concatenate(profile.alpha)[flat.slot_row]
+              * np.concatenate(profile.beta)[flat.slot_col])
+    return np.bincount(flat.slot_state, weights=weight * flat.slot_reward, minlength=game.n)
 
 
 def evaluate_stationary_pair(game, profile: StationaryProfile) -> MarkovEvaluation:
@@ -178,22 +174,27 @@ def evaluate_stationary_pair(game, profile: StationaryProfile) -> MarkovEvaluati
 
 
 def _mdp_tables(game, fixed_strategy, fixed_player: str):
-    """Per-state action transition/reward tables for the free player."""
-    n = game.n
-    trans, rew = [], []
-    for v in range(n):
-        p = game.prob_array(v)
-        e = game.expected_reward(v)
-        f = np.asarray(fixed_strategy[v], dtype=np.float64)
-        if fixed_player == "row":
-            trans.append(np.einsum("k,klu->lu", f, p))
-            rew.append(f @ e)
-        elif fixed_player == "col":
-            trans.append(np.einsum("klu,l->ku", p, f))
-            rew.append(e @ f)
-        else:
-            raise ValueError("fixed_player must be 'row' or 'col'")
-    return trans, rew
+    """The free player's MDP (trans, rew, first): its actions are numbered
+    across all states, from first[v] at state v, and action a moves to u
+    with probability trans[a, u] and pays rew[a] in expectation."""
+    flat, n = game.flat, game.n
+    if fixed_player == "row":
+        fixed, free = flat.slot_row, flat.slot_col
+        fixed_first, first = flat.first_row, flat.first_col
+    elif fixed_player == "col":
+        fixed, free = flat.slot_col, flat.slot_row
+        fixed_first, first = flat.first_col, flat.first_row
+    else:
+        raise ValueError("fixed_player must be 'row' or 'col'")
+    vectors = [np.asarray(f, dtype=np.float64) for f in fixed_strategy]
+    if [f.shape for f in vectors] != [(k,) for k in np.diff(fixed_first).tolist()]:
+        raise ValueError("fixed strategy does not match the fixed player's action sets")
+    weight = np.concatenate(vectors)[fixed]
+    actions = int(first[-1])
+    trans = np.bincount(free[flat.rec_slot] * n + flat.rec_to,
+                        weights=weight[flat.rec_slot] * flat.rec_p, minlength=actions * n)
+    rew = np.bincount(free, weights=weight * flat.slot_reward, minlength=actions)
+    return trans.reshape(actions, n), rew, first
 
 
 def best_response_value(game, fixed_strategy, fixed_player: str):
@@ -202,7 +203,7 @@ def best_response_value(game, fixed_strategy, fixed_player: str):
     If the row player's strategy is fixed the column player minimizes, and
     vice versa. Returns (gain vector, pure stationary policy).
     """
-    trans, rew = _mdp_tables(game, fixed_strategy, fixed_player)
+    trans, rew, first = _mdp_tables(game, fixed_strategy, fixed_player)
     maximize = fixed_player == "col"
     sign = 1.0 if maximize else -1.0
     n = game.n
@@ -211,23 +212,24 @@ def best_response_value(game, fixed_strategy, fixed_player: str):
     seen = {}
     prev = None
     for _ in range(_PI_MAX_ITERS):
-        P_d = np.array([trans[v][policy[v]] for v in range(n)])
-        r_d = np.array([rew[v][policy[v]] for v in range(n)])
+        chosen = first[:-1] + policy
+        P_d, r_d = trans[chosen], rew[chosen]
         q = limiting_matrix(P_d)
         gain = q @ r_d
         deviation = np.linalg.solve(np.eye(n) - P_d + q, r_d - gain)
+        action_gain = trans @ gain
+        action_bias = rew + trans @ deviation
 
         new_policy = policy.copy()
         for v in range(n):
-            g_vals = np.array([trans[v][a] @ gain for a in range(len(rew[v]))])
+            g_vals = action_gain[first[v]:first[v + 1]]
             best_g = g_vals.max() if maximize else g_vals.min()
-            if sign * (best_g - g_vals[policy[v]]) > _PI_TOL:
-                ties = np.flatnonzero(sign * (best_g - g_vals) <= _PI_TOL)
-                new_policy[v] = ties[0]
-                continue
             candidates = np.flatnonzero(sign * (best_g - g_vals) <= _PI_TOL)
-            b_vals = np.array([rew[v][a] + trans[v][a] @ deviation for a in candidates])
-            cur = rew[v][policy[v]] + trans[v][policy[v]] @ deviation
+            if sign * (best_g - g_vals[policy[v]]) > _PI_TOL:
+                new_policy[v] = candidates[0]
+                continue
+            b_vals = action_bias[first[v]:first[v + 1]][candidates]
+            cur = action_bias[chosen[v]]
             best_b = b_vals.max() if maximize else b_vals.min()
             if sign * (best_b - cur) > _PI_TOL:
                 new_policy[v] = candidates[int(np.flatnonzero(

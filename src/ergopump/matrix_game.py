@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .game import local_payoffs, local_reward_matrix
+
 _PIVOT_EPS = 1e-11
 _SADDLE_TOL = 1e-9  # largest duality gap a solve may return
 _BLAND_AFTER = 200
@@ -194,18 +196,16 @@ def solve_matrix_game(matrix) -> MatrixGameSolution:
 
 def local_value(game, v: int, x) -> MatrixGameSolution:
     """Value and optimal strategies of the potential-adjusted game at v."""
-    from .game import local_reward_matrix
-
     return solve_matrix_game(local_reward_matrix(game, v, x))
 
 
 def local_values(game, x, states=None) -> np.ndarray:
     """Vector of local values; entries outside `states` are NaN."""
-    n = game.n
-    x = np.asarray(x, dtype=np.float64)
-    out = np.full(n, np.nan)
-    indices = range(n) if states is None else states
-    for v in indices:
-        entries = game.expected_reward(v) + x[v] - game.prob_array(v) @ x
-        out[v] = solve_value(entries.tolist())
+    payoffs = local_payoffs(game, x).tolist()
+    first = game.flat.first_slot.tolist()
+    out = np.full(game.n, np.nan)
+    for v in range(game.n) if states is None else states:
+        width = game.num_col_actions(v)
+        out[v] = solve_value([payoffs[s:s + width]
+                              for s in range(first[v], first[v + 1], width)])
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameSpec
-from .markov import StationaryProfile, best_response_value, profile_step_reward
+from .markov import StationaryProfile, best_response_value, induced_chain, profile_step_reward
 
 DEFAULT_BUDGET = 10_000
 
@@ -40,11 +40,8 @@ def simulate_mean_payoff(game: GameSpec, profile: StationaryProfile, start: int,
         raise ValueError("steps must be at least 1")
     rng = np.random.default_rng(seed)
     step_reward = profile_step_reward(game, profile).tolist()
-    cumulative = []
-    for v in range(game.n):
-        row = np.einsum("k,klu,l->u", profile.alpha[v], game.prob_array(v),
-                        profile.beta[v])
-        cumulative.append(np.cumsum(row / row.sum()).tolist())
+    chain = induced_chain(game, profile)
+    cumulative = np.cumsum(chain / chain.sum(axis=1, keepdims=True), axis=1).tolist()
     total = 0.0
     v = int(start)
     for draw in rng.random(steps).tolist():

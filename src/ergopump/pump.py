@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameParams, GameSpec, Potential, as_potential, game_params
+from .game import GameParams, GameSpec, Potential, as_potential, game_params, local_payoffs
 from .matrix_game import local_values
 
 BAND_SLACK = 1e-9
@@ -117,22 +117,22 @@ def partition(m_values, m_minus: float, m_plus: float, states=None) -> BandParti
 
 
 def r_bounds(game: GameSpec, x: Potential, pumped, m_plus: float) -> RBounds:
-    """Payoff-magnitude bounds used to size the potential-gap thresholds."""
+    """Payoff-magnitude bounds used to size the potential-gap thresholds.
+
+    A pumped state's bound is its largest sum_u p*(r + max(x[v] - x[u], 0));
+    any other state's is its largest m_plus - sum_u p*(r + min(x[v] - x[u], 0)).
+    """
     x = as_potential(x, game.n)
-    values = np.empty(game.n)
+    flat = game.flat
     upper = np.zeros(game.n, dtype=bool)
-    for v in range(game.n):
-        diffs = x[v] - x
-        p = game.prob_array(v)
-        e = game.expected_reward(v)
-        if v in pumped:
-            a_tilde = e + p @ np.maximum(diffs, 0.0)
-            values[v] = float(a_tilde.max())
-            upper[v] = True
-        else:
-            b_tilde = m_plus - e - p @ np.minimum(diffs, 0.0)
-            values[v] = float(b_tilde.max())
-    return RBounds(values=values, upper_side=upper)
+    upper[list(pumped)] = True
+    rec_state = flat.slot_state[flat.rec_slot]
+    x_from, x_to = x[rec_state], x[flat.rec_to]
+    # x[v] - min(x[u], x[v]) is the positive part of x[v] - x[u], x[v] - max(...) the negative
+    successor = np.where(upper[rec_state], np.minimum(x_to, x_from), np.maximum(x_to, x_from))
+    payoffs = local_payoffs(game, x, successor)
+    per_slot = np.where(upper[flat.slot_state], payoffs, m_plus - payoffs)
+    return RBounds(values=np.maximum.reduceat(per_slot, flat.first_slot[:-1]), upper_side=upper)
 
 
 def gap_thresholds(game: GameSpec, pumped, rb: RBounds, eps: float, granularity: int) -> np.ndarray:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameSpec, Potential, as_potential, local_reward_matrix
+from .game import GameSpec, Potential, as_potential, local_payoffs
 from .markov import best_response_value
-from .matrix_game import local_values, solve_matrix_game
+from .matrix_game import solve_matrix_game
 
 
 # verification slack: eps/10, but never above this absolute amount
@@ -106,8 +106,6 @@ def build_witness(
     ceiling_raw: float,
     floor_raw: float,
     eps: float,
-    *,
-    reflect_value: float | None = None,
 ) -> WitnessCertificate:
     """Build truncated stationary strategies certifying the value gap.
 
@@ -126,46 +124,29 @@ def build_witness(
             f"threshold separation {floor_raw - ceiling_raw} is below the "
             f"required 3*eps = {3 * eps}"
         )
-    if reflect_value is None:
-        m = local_values(game, x)
-        reflect_value = float(np.nanmax(m))
-
-    high_strategies, low_strategies = {}, {}
-    floor = floor_raw - eps
-    ceiling = ceiling_raw + eps
-
-    for v in sorted(high_states):
-        matrix = local_reward_matrix(game, v, x)
-        sol = solve_matrix_game(matrix)
-        keep = bar_actions(game, v, high_states, "row")
-        if not keep:
-            raise WitnessBuildError(
-                f"witness preconditions violated at state {v}: no row action "
-                "keeps the play inside the high set"
-            )
-        high_strategies[v] = _truncate(sol.row_strategy, keep, v)
-
-    for u in sorted(low_states):
-        matrix = local_reward_matrix(game, u, x)
-        # reflect so the column player's problem becomes a row problem
-        reflected = reflect_value * np.ones_like(matrix.T) - matrix.T
-        sol = solve_matrix_game(reflected)
-        keep = bar_actions(game, u, low_states, "col")
-        if not keep:
-            raise WitnessBuildError(
-                f"witness preconditions violated at state {u}: no column action "
-                "keeps the play inside the low set"
-            )
-        low_strategies[u] = _truncate(sol.row_strategy, keep, u)
+    payoffs = local_payoffs(game, x)
+    strategies = {"row": {}, "col": {}}
+    for player, members, side in (("row", high_states, "high"), ("col", low_states, "low")):
+        for v in sorted(members):
+            matrix = game.state_matrix(payoffs, v)
+            # negated and transposed, the column player's game is a row player's game
+            sol = solve_matrix_game(matrix if player == "row" else -matrix.T)
+            keep = bar_actions(game, v, members, player)
+            if not keep:
+                raise WitnessBuildError(
+                    f"witness preconditions violated at state {v}: no {player} action "
+                    f"keeps the play inside the {side} set"
+                )
+            strategies[player][v] = _truncate(sol.row_strategy, keep, v)
 
     return WitnessCertificate(
         high_states=high_states,
         low_states=low_states,
-        high_strategies=high_strategies,
-        low_strategies=low_strategies,
+        high_strategies=strategies["row"],
+        low_strategies=strategies["col"],
         potential=x,
-        floor=floor,
-        ceiling=ceiling,
+        floor=floor_raw - eps,
+        ceiling=ceiling_raw + eps,
         floor_raw=floor_raw,
         ceiling_raw=ceiling_raw,
         eps=eps,
@@ -218,8 +199,9 @@ def verify_witness(game: GameSpec, cert: WitnessCertificate) -> VerificationRepo
                 )
 
     local_ok = True
+    payoffs = local_payoffs(game, x)
     for v in sorted(cert.high_states):
-        payoff = cert.high_strategies[v] @ local_reward_matrix(game, v, x)
+        payoff = cert.high_strategies[v] @ game.state_matrix(payoffs, v)
         worst = float(np.min(payoff))
         if worst < cert.floor - tol:
             local_ok = False
@@ -228,7 +210,7 @@ def verify_witness(game: GameSpec, cert: WitnessCertificate) -> VerificationRepo
                 f"floor {cert.floor}"
             )
     for u in sorted(cert.low_states):
-        payoff = local_reward_matrix(game, u, x) @ cert.low_strategies[u]
+        payoff = game.state_matrix(payoffs, u) @ cert.low_strategies[u]
         best = float(np.max(payoff))
         if best > cert.ceiling - tol:
             local_ok = False

@@ -81,6 +81,15 @@ def random_dense_game(rng, n=3, max_actions=2, denominator=4, reward_lo=0.0, rew
     return make_game(states, row_actions, col_actions, records)
 
 
+def max_mass_into(game, v, targets):
+    """Largest probability, over the action pairs at v, of moving into
+    targets, summed exactly over v's transition records."""
+    mass = {}
+    for k, l, u, p, _r in game.transitions[v]:
+        mass[k, l] = mass.get((k, l), 0) + (p if u in targets else 0)
+    return float(max(mass.values()))
+
+
 # ways to break the certificate of disconnected(0, 10) solved at eps = 0.1,
 # each of which parse_certificate must reject
 MALFORMED_CERTIFICATES = {
@@ -90,6 +99,10 @@ MALFORMED_CERTIFICATES = {
     "short potential": lambda doc: doc.update(potential=doc["potential"][:1]),
     "alpha misses a high state": lambda doc: doc["non_ergodic"].update(alpha={}),
     "beta of the wrong length": lambda doc: doc["non_ergodic"]["beta"].update(low=[0.5, 0.5]),
+    "negative strategy entry": lambda doc: doc["non_ergodic"]["alpha"].update(high=[-1.0]),
+    "empty high set": lambda doc: doc["non_ergodic"].update(high_states=[], alpha={}),
+    "state in both sets": lambda doc: doc["non_ergodic"].update(
+        low_states=["high", "low"], beta={"high": [1.0], "low": [1.0]}),
 }
 
 # ways to break a profile document of disconnected(), each of which

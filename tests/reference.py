@@ -2,10 +2,12 @@
 
 Nothing here may import from ergopump.matrix_game's solver internals: the
 2x2 closed form is hand-derived, the general LP goes through scipy, and the
-support enumeration solves equalization systems directly. The single-step
-pump reuses the package's per-step building blocks (local values, bands,
-payoff bounds, gap graph, closures) but none of the pump loop, so it checks
-the event-driven loop's step selection, counts and outcome rules.
+support enumeration solves equalization systems directly. The dense
+per-state tables, the oracle of the package's flat view, come from a plain
+loop over the transition records. The single-step pump reuses the
+package's per-step building blocks (local values, bands, payoff bounds,
+gap graph, closures) but none of the pump loop, so it checks the
+event-driven loop's step selection, counts and outcome rules.
 """
 
 import itertools
@@ -118,6 +120,20 @@ def _try_support(A, rows, cols, tol):
     if (A @ beta).max() > va + 1e-8 or (alpha @ A).min() < va - 1e-8:
         return None
     return va
+
+
+def dense_tables(game):
+    """Per state, the (K, L, n) float transition tensor and the (K, L)
+    expected-reward matrix sum_u p*r, built one record at a time."""
+    tables = []
+    for v, records in enumerate(game.transitions):
+        p = np.zeros((game.num_row_actions(v), game.num_col_actions(v), game.n))
+        e = np.zeros(p.shape[:2])
+        for k, l, u, q, r in records:
+            p[k, l, u] += float(q)
+            e[k, l] += float(q) * r
+        tables.append((p, e))
+    return tables
 
 
 def single_step_pump(game, x0, states, m_minus, m_plus, eps, cap):

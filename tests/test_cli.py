@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from builders import MALFORMED_CERTIFICATES, MALFORMED_PROFILES
-from ergopump import documents
+from ergopump import cli, documents
 from ergopump.cli import build_parser, main
 from ergopump.documents import parse_game, serialize_profile
 from ergopump.markov import uniform_profile
@@ -97,11 +97,17 @@ class TestUsageAndIO:
     @pytest.mark.parametrize("flag, value", [
         ("--epsilon", "-1"), ("--epsilon", "0"), ("--epsilon", "nan"),
         ("--epsilon", "inf"), ("--cap", "-5"), ("--cap", "0"),
+        ("--jobs", "-3"), ("--jobs", "0"),
     ])
     def test_bad_number_exit_64(self, flag, value, disconnected_path):
         args = ["solve", str(disconnected_path), "--epsilon", "0.1", flag, value]
         assert run(args) == 64
         assert not disconnected_path.with_suffix(".cert.json").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_oracle_bad_budget_exit_64(self, value, disconnected_path, capsys):
+        assert run(["oracle", str(disconnected_path), "--budget", value]) == 64
+        assert "exceeds budget" not in capsys.readouterr().err
 
     def test_trace_with_several_games_exit_64(self, disconnected_path, tmp_path, capsys):
         other = tmp_path / "other.json"
@@ -166,6 +172,32 @@ class TestOtherCommands:
         assert code == 0
         assert sorted(f.name for f in out_dir.iterdir()) == ["g0.cert.json",
                                                              "g1.cert.json"]
+
+    def test_jobs_capped_at_game_count(self, tmp_path, monkeypatch):
+        # the pool is replaced by a serial stand-in, so no process starts
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        paths = []
+        for kind in ("disconnected", "cycle"):
+            paths.append(str(tmp_path / f"{kind}.json"))
+            run(["gen", kind, "--out", paths[-1]])
+        assert run(["solve", *paths, "--epsilon", "0.1", "--out", str(tmp_path),
+                    "--jobs", "500"]) == 0
+        assert pools == [2]
 
     def test_certificate_bytes_stable_via_cli(self, disconnected_path, tmp_path):
         c1, c2 = tmp_path / "c1.json", tmp_path / "c2.json"

@@ -211,6 +211,20 @@ class TestCertificates:
         assert not ok
         assert any("floor" in p for p in problems)
 
+    def test_rescaled_strategy_is_renormalised(self):
+        # an unnormalised alpha must not scale the one-shot payoff: read as
+        # a distribution, [20.0] is [1.0] and cannot carry the 0.5 state
+        # above the floor taken from the 10 state
+        game, verdict, stats = self._solve()
+        doc = json.loads(serialize_certificate(game, verdict, stats))
+        doc["non_ergodic"]["alpha"]["high"] = [20.0]
+        weaker = disconnected(0.0, 0.5)
+        bundle = parse_certificate(json.dumps(doc), weaker)
+        assert bundle.witness.high_strategies[1].tolist() == [1.0]
+        ok, problems = recheck_certificate(weaker, bundle)
+        assert not ok
+        assert any("below floor" in p for p in problems)
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
     def test_malformed_certificate_rejected(self, case):
         game, verdict, stats = self._solve()

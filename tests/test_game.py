@@ -1,10 +1,14 @@
 """Game model: validation, normalization, parameters, potential transforms."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from builders import disconnected, one_state, random_dense_game, two_cycle
 from ergopump.game import (
     DocumentError,
@@ -16,8 +20,18 @@ from ergopump.game import (
     to_fraction,
     validate,
 )
-from ergopump.markov import evaluate_stationary_pair, uniform_profile
+from ergopump.generators import random_game
+from ergopump.markov import (
+    best_response_value,
+    evaluate_stationary_pair,
+    induced_chain,
+    limiting_matrix,
+    make_profile,
+    profile_step_reward,
+    uniform_profile,
+)
 from ergopump.matrix_game import local_values
+from ergopump.pump import r_bounds
 
 
 class TestValidate:
@@ -167,6 +181,70 @@ class TestLocalRewardMatrix:
             base = local_reward_matrix(g, v, x)
             shifted = local_reward_matrix(g, v, x + 123.456)
             assert np.allclose(base, shifted, atol=1e-9)
+
+
+class TestFlatView:
+    """Every reader of the flat view agrees with dense per-state tables built
+    by a plain loop over the records, also when the records come shuffled."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_dense_tables(self, seed, shuffle):
+        rng = np.random.default_rng(seed)
+        game = random_game(n=int(rng.integers(1, 6)), max_actions=3,
+                           granularity=int(rng.integers(1, 7)), seed=seed)
+        if shuffle:
+            game = replace(game, transitions=tuple(
+                tuple(rng.permutation(np.array(records, dtype=object)).tolist())
+                for records in game.transitions))
+        n = game.n
+        dense = reference.dense_tables(game)
+        x = rng.normal(size=n) * 10
+        scale = 10 * (1 + np.abs(x).max())  # rewards lie in [0, 8]
+
+        def close(actual, expected):
+            np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale)
+
+        for v, (p, e) in enumerate(dense):
+            close(local_reward_matrix(game, v, x), e + x[v] - p @ x)
+
+        pumped = {v for v in range(n) if rng.random() < 0.5}
+        m_plus = float(rng.uniform(0, 8))
+        rb = r_bounds(game, x, pumped, m_plus)
+        for v, (p, e) in enumerate(dense):
+            if v in pumped:
+                bound = (e + p @ np.maximum(x[v] - x, 0.0)).max()
+            else:
+                bound = (m_plus - e - p @ np.minimum(x[v] - x, 0.0)).max()
+            close(rb.values[v], bound)
+            assert rb.upper_side[v] == (v in pumped)
+
+        profile = make_profile(
+            game,
+            [rng.dirichlet(np.ones(game.num_row_actions(v))) for v in range(n)],
+            [rng.dirichlet(np.ones(game.num_col_actions(v))) for v in range(n)])
+        close(induced_chain(game, profile),
+              [np.einsum("k,klu,l->u", a, p, b)
+               for a, b, (p, _e) in zip(profile.alpha, profile.beta, dense)])
+        close(profile_step_reward(game, profile),
+              [a @ e @ b for a, b, (_p, e) in zip(profile.alpha, profile.beta, dense)])
+
+        for player, fixed in (("row", profile.alpha), ("col", profile.beta)):
+            if player == "row":
+                tables = [(np.einsum("k,klu->lu", f, p), f @ e)
+                          for f, (p, e) in zip(fixed, dense)]
+            else:
+                tables = [(np.einsum("klu,l->ku", p, f), e @ f)
+                          for f, (p, e) in zip(fixed, dense)]
+            gain, policy = best_response_value(game, fixed, player)
+            # the returned policy earns the returned gain ...
+            P_d = np.array([trans[a] for (trans, _r), a in zip(tables, policy)])
+            r_d = np.array([rew[a] for (_t, rew), a in zip(tables, policy)])
+            close(gain, limiting_matrix(P_d) @ r_d)
+            # ... and no action of the free player improves on it
+            sign = 1.0 if player == "col" else -1.0
+            for v, (trans, _r) in enumerate(tables):
+                assert np.all(sign * (trans @ gain - gain[v]) <= 1e-9 * scale)
 
 
 class TestApplyPotential:

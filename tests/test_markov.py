@@ -151,6 +151,12 @@ class TestBestResponse:
         assert gain[0] == pytest.approx(2.0)
         assert policy == (0,)
 
+    @pytest.mark.parametrize("beta", [(np.array([1.0]),), (np.ones(2) / 2, np.ones(2) / 2)])
+    def test_strategy_of_the_wrong_shape_rejected(self, beta):
+        g = matrix_as_game([[3.0, 1.0], [0.0, 2.0]])
+        with pytest.raises(ValueError, match="action sets"):
+            best_response_value(g, beta, "col")
+
     def test_identical_rows_make_optimizer_indifferent(self):
         g = matrix_as_game([[1.0, 2.0], [1.0, 2.0]])
         beta = (np.array([0.5, 0.5]),)

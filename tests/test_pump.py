@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference
-from builders import disconnected, one_state, random_dense_game, two_cycle
+from builders import disconnected, max_mass_into, one_state, random_dense_game, two_cycle
 from ergopump import driver, pump
 from ergopump.driver import decide_ergodicity
 from ergopump.game import game_params
@@ -53,7 +53,10 @@ class TestRBounds:
         g = random_dense_game(rng, n=3)
         rb = r_bounds(g, np.zeros(3), {0, 1, 2}, m_plus=7.0)
         for v in range(3):
-            assert rb.values[v] == pytest.approx(float(g.expected_reward(v).max()))
+            expected = {}
+            for k, l, _u, p, r in g.transitions[v]:
+                expected[k, l] = expected.get((k, l), 0.0) + float(p) * r
+            assert rb.values[v] == pytest.approx(max(expected.values()))
             assert rb.upper_side[v]
 
     def test_self_loop_pumped(self):
@@ -212,18 +215,8 @@ class TestRefinedDriftBounds:
         before = local_values(g, x)
         after = local_values(g, bumped)
         for v in range(4):
-            mass_out = max(
-                float(sum(g.prob_array(v)[k, l, u]
-                          for u in range(4) if u not in subset))
-                for k in range(g.num_row_actions(v))
-                for l in range(g.num_col_actions(v))
-            )
-            mass_in = max(
-                float(sum(g.prob_array(v)[k, l, u]
-                          for u in range(4) if u in subset))
-                for k in range(g.num_row_actions(v))
-                for l in range(g.num_col_actions(v))
-            )
+            mass_out = max_mass_into(g, v, [u for u in range(4) if u not in subset])
+            mass_in = max_mass_into(g, v, subset)
             if v in subset:
                 assert after[v] <= before[v] + 1e-9
                 assert after[v] >= before[v] - delta * mass_out - 1e-9

@@ -93,8 +93,7 @@ class TestBuildWitness:
                                    ("r1", "c0", 0.0), ("r1", "c1", 1.0)]],
         )
         x = np.array([-1000.0, 0.0])
-        cert = build_witness(g, x, {0}, {1}, ceiling_raw=5.0, floor_raw=6.25,
-                             eps=0.1, reflect_value=10.0)
+        cert = build_witness(g, x, {0}, {1}, ceiling_raw=5.0, floor_raw=6.25, eps=0.1)
         direct = local_value(g, 1, x).col_strategy
         assert np.allclose(cert.low_strategies[1], direct, atol=1e-9)
 
