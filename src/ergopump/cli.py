@@ -92,6 +92,15 @@ def _cmd_solve(args) -> int:
         else:
             out_path = args.out
         jobs.append((game_path, args.epsilon, args.cap, args.trace, out_path))
+    writers = {}
+    for game_path, *_, out_path in jobs:
+        writers.setdefault(Path(out_path).resolve(), []).append(game_path)
+    clashes = [(out, paths) for out, paths in writers.items() if len(paths) > 1]
+    for out, paths in clashes:
+        print(f"{' and '.join(paths)} would write the same certificate {out}",
+              file=sys.stderr)
+    if clashes:
+        return EX_USAGE
 
     if len(jobs) > 1 and args.jobs > 1:
         # a fork-based pool starts all its workers up front: no more than games

@@ -230,7 +230,7 @@ def make_game(
 
 def validate(game: GameSpec) -> ValidationReport:
     """Check the structural invariants; every problem is reported, none raised."""
-    problems = []
+    problems = [] if game.n else ["game has no states"]
     for v, name in enumerate(game.states):
         if game.num_row_actions(v) == 0:
             problems.append(f"state {name!r}: row player has no actions")

@@ -30,8 +30,7 @@ downstream.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,6 +115,12 @@ def partition(m_values, m_minus: float, m_plus: float, states=None) -> BandParti
     )
 
 
+def _state_mask(n: int, states) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[list(states)] = True
+    return mask
+
+
 def r_bounds(game: GameSpec, x: Potential, pumped, m_plus: float) -> RBounds:
     """Payoff-magnitude bounds used to size the potential-gap thresholds.
 
@@ -124,8 +129,7 @@ def r_bounds(game: GameSpec, x: Potential, pumped, m_plus: float) -> RBounds:
     """
     x = as_potential(x, game.n)
     flat = game.flat
-    upper = np.zeros(game.n, dtype=bool)
-    upper[list(pumped)] = True
+    upper = _state_mask(game.n, pumped)
     rec_state = flat.slot_state[flat.rec_slot]
     x_from, x_to = x[rec_state], x[flat.rec_to]
     # x[v] - min(x[u], x[v]) is the positive part of x[v] - x[u], x[v] - max(...) the negative
@@ -135,52 +139,81 @@ def r_bounds(game: GameSpec, x: Potential, pumped, m_plus: float) -> RBounds:
     return RBounds(values=np.maximum.reduceat(per_slot, flat.first_slot[:-1]), upper_side=upper)
 
 
-def gap_thresholds(game: GameSpec, pumped, rb: RBounds, eps: float, granularity: int) -> np.ndarray:
-    """Per-state potential-gap threshold |L^v| or |K^v| times W * R_v^2 / eps."""
-    out = np.empty(game.n)
-    for v in range(game.n):
-        width = game.num_col_actions(v) if v in pumped else game.num_row_actions(v)
-        out[v] = width * granularity * rb.values[v] ** 2 / eps
-    return out
+def gap_thresholds(game: GameSpec, rb: RBounds, eps: float, granularity: int) -> np.ndarray:
+    """Per-state potential-gap threshold |L^v| (pumped v) or |K^v| times W * R_v^2 / eps."""
+    flat = game.flat
+    width = np.where(rb.upper_side, np.diff(flat.first_col), np.diff(flat.first_row))
+    return width * float(granularity) * rb.values ** 2 / eps
+
+
+@dataclass(frozen=True)
+class GapGraph:
+    """The potential-gap graph in O(n) memory.
+
+    For u != v there is an arc v -> u when x[u] - x[v] < thresholds[v] for a
+    pumped v, and when x[v] - x[u] < thresholds[v] otherwise; arcs are
+    defined by gaps alone, regardless of the transition structure. Float
+    subtraction is monotone, so in the ascending-x order a pumped state's
+    out-neighbours form a prefix and any other state's a suffix, ties
+    included.
+    """
+
+    x: np.ndarray
+    thresholds: np.ndarray
+    pumped: np.ndarray  # bool per state
+    order: np.ndarray = field(init=False)  # states by ascending x, ties by index
+
+    def __post_init__(self):
+        object.__setattr__(self, "order", np.argsort(self.x, kind="stable"))
 
 
 def auxiliary_graph(
-    game: GameSpec, x: Potential, pumped, rb: RBounds, eps: float,
-    granularity: int | None = None,
-) -> np.ndarray:
-    """Boolean arc matrix over all ordered state pairs.
-
-    An arc (v, u) means the potential gap in the direction that matters for v
-    is still below its threshold; arcs are defined by gaps alone, regardless
-    of the transition structure. Self-loops are excluded.
-    """
+    game: GameSpec, x: Potential, rb: RBounds, eps: float, granularity: int | None = None,
+) -> GapGraph:
+    """The potential-gap graph at x; the pumped set is the one rb was bounded for."""
     x = as_potential(x, game.n)
     if granularity is None:
         granularity = game_params(game).granularity
-    thresholds = gap_thresholds(game, pumped, rb, eps, granularity)
-    arcs = np.zeros((game.n, game.n), dtype=bool)
-    for v in range(game.n):
-        if v in pumped:
-            arcs[v] = (x - x[v]) < thresholds[v]
-        else:
-            arcs[v] = (x[v] - x) < thresholds[v]
-        arcs[v, v] = False
-    return arcs
+    return GapGraph(x=x, thresholds=gap_thresholds(game, rb, eps, granularity),
+                    pumped=rb.upper_side)
 
 
-def _forward_closure(arcs: np.ndarray, seeds) -> frozenset:
+def forward_closure(graph: GapGraph, seeds) -> frozenset:
+    """Every state reachable from `seeds` in the gap graph, seeds included.
+
+    Out-neighbours are prefixes and suffixes of the sorted order, so the
+    closure is its seeds plus the longest prefix and the longest suffix its
+    members reach: a prefix pointer and a suffix pointer that only grow,
+    compared with the same float expressions that define the arcs. Each
+    sorted position is passed at most twice and each state joins once, so
+    after the sort a closure costs O(n).
+    """
+    x, t, up = graph.x.tolist(), graph.thresholds.tolist(), graph.pumped.tolist()
+    order = graph.order.tolist()
+    xs = [x[u] for u in order]
     seen = set(seeds)
-    queue = deque(seen)
+    queue = list(seen)
+    head, tail = 0, len(xs)  # order[:head] and order[tail:] are in the closure
     while queue:
-        v = queue.popleft()
-        for u in np.flatnonzero(arcs[v]):
+        v = queue.pop()
+        if up[v]:
+            stop = head
+            while stop < len(xs) and xs[stop] - x[v] < t[v]:
+                stop += 1
+            reached, head = order[head:stop], stop
+        else:
+            start = tail
+            while start > 0 and x[v] - xs[start - 1] < t[v]:
+                start -= 1
+            reached, tail = order[start:tail], start
+        for u in reached:
             if u not in seen:
-                seen.add(int(u))
-                queue.append(int(u))
+                seen.add(u)
+                queue.append(u)
     return frozenset(seen)
 
 
-def find_closed_sets(arcs: np.ndarray, top, pumped, bottom):
+def find_closed_sets(graph: GapGraph, top, pumped, bottom):
     """Minimal closed supersets of the top and bottom bands, if they separate.
 
     Returns (closed_high, closed_low) when the forward closure of the top
@@ -189,10 +222,10 @@ def find_closed_sets(arcs: np.ndarray, top, pumped, bottom):
     """
     if not top or not bottom:
         return None
-    high = _forward_closure(arcs, top)
+    high = forward_closure(graph, top)
     if not high <= set(pumped):
         return None
-    low = _forward_closure(arcs, bottom)
+    low = forward_closure(graph, bottom)
     if low & set(pumped):
         return None
     return high, low
@@ -238,6 +271,7 @@ class _Step:
     m: np.ndarray
     part: BandPartition
     rb: RBounds | None = None
+    graph: GapGraph | None = None
     closed: tuple | None = None
 
 
@@ -291,10 +325,10 @@ def modified_pump(
     def witness(step: _Step):
         if step.rb is None:
             step.rb = r_bounds(game, step.x, step.part.pumped, m_plus)
-            arcs = auxiliary_graph(game, step.x, step.part.pumped, step.rb, eps,
-                                   granularity=params.granularity)
+            step.graph = auxiliary_graph(game, step.x, step.rb, eps,
+                                         granularity=params.granularity)
             stats.witness_checks += 1
-            step.closed = find_closed_sets(arcs, step.part.top, step.part.pumped,
+            step.closed = find_closed_sets(step.graph, step.part.top, step.part.pumped,
                                            step.part.bottom)
         return step.closed
 
@@ -328,16 +362,16 @@ def modified_pump(
             )
         closed = witness(here)
         if m_plus - m_minus > eps:
-            for v in part.pumped:
-                if here.rb.values[v] < m[v] - 1e-9:
-                    raise PumpInvariantError(
-                        f"iteration {tau}: payoff bound {here.rb.values[v]} at pumped "
-                        f"state {v} fell below its local value {m[v]}"
-                    )
+            below = np.flatnonzero(here.graph.pumped & (here.rb.values < m - 1e-9))
+            if below.size:
+                v = below[0]
+                raise PumpInvariantError(
+                    f"iteration {tau}: payoff bound {here.rb.values[v]} at pumped "
+                    f"state {v} fell below its local value {m[v]}"
+                )
         if closed is not None:
             high, low = closed
-            leaks = boundary_gap_violations(game, x, high, low, part.pumped, here.rb,
-                                            eps, params.granularity)
+            leaks = boundary_gap_violations(here.graph, high, low)
             if leaks:
                 raise PumpInvariantError(f"iteration {tau}: " + "; ".join(leaks))
             stats.iterations = tau
@@ -380,27 +414,30 @@ def modified_pump(
         prev, here = here, probes[hi]
 
 
-def boundary_gap_violations(game, x, high, low, pumped, rb, eps, granularity) -> tuple:
+def boundary_gap_violations(graph: GapGraph, high, low) -> tuple:
     """Boundary gaps of the closed sets that fall short of their thresholds.
 
     Every potential gap from a high state to a state outside the high set,
     and from a low state to a state outside the low set, must reach that
-    state's gap threshold; returns one message per gap that does not.
+    state's gap threshold. The smallest gap out of a high state is the one
+    to the outside state of least potential, and out of a low state the one
+    to the outside state of greatest potential, so only those are checked;
+    returns one message per state whose gap falls short, naming that state.
     """
-    thresholds = gap_thresholds(game, pumped, rb, eps, granularity)
+    x, thresholds = graph.x, graph.thresholds
     problems = []
-    for v in sorted(high):
-        for u in range(game.n):
-            if u not in high and x[u] - x[v] < thresholds[v] - 1e-9:
-                problems.append(
-                    f"witness high set leaks: gap {x[u] - x[v]} from {v} to {u} "
-                    f"is below threshold {thresholds[v]}"
-                )
-    for v in sorted(low):
-        for u in range(game.n):
-            if u not in low and x[v] - x[u] < thresholds[v] - 1e-9:
-                problems.append(
-                    f"witness low set leaks: gap {x[v] - x[u]} from {v} to {u} "
-                    f"is below threshold {thresholds[v]}"
-                )
+    for label, members, pick in (("high", high, np.argmin), ("low", low, np.argmax)):
+        inside = _state_mask(len(x), members)
+        outside = np.flatnonzero(~inside)
+        if not outside.size:
+            continue
+        u = outside[pick(x[outside])]
+        states = np.flatnonzero(inside)
+        gaps = x[u] - x[states] if label == "high" else x[states] - x[u]
+        short = gaps < thresholds[states] - 1e-9
+        problems.extend(
+            f"witness {label} set leaks: gap {gap} from {v} to {u} "
+            f"is below threshold {thresholds[v]}"
+            for v, gap in zip(states[short], gaps[short])
+        )
     return tuple(problems)

@@ -5,12 +5,14 @@ Nothing here may import from ergopump.matrix_game's solver internals: the
 support enumeration solves equalization systems directly. The dense
 per-state tables, the oracle of the package's flat view, come from a plain
 loop over the transition records. The single-step pump reuses the
-package's per-step building blocks (local values, bands, payoff bounds,
-gap graph, closures) but none of the pump loop, so it checks the
-event-driven loop's step selection, counts and outcome rules.
+package's local values, bands and payoff bounds but none of the pump loop,
+and builds its own gap thresholds, dense arc matrix and breadth-first
+closures, so it checks the event-driven loop's step selection, counts and
+outcome rules as well as the package's sorted-sweep closure.
 """
 
 import itertools
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +20,7 @@ from scipy.optimize import linprog
 
 from ergopump.game import game_params
 from ergopump.matrix_game import local_values
-from ergopump.pump import auxiliary_graph, find_closed_sets, partition, r_bounds
+from ergopump.pump import partition, r_bounds
 
 
 def value_2x2(matrix):
@@ -136,6 +138,55 @@ def dense_tables(game):
     return tables
 
 
+def gap_thresholds(game, pumped, rb, eps, granularity):
+    """Per-state gap threshold |L^v| (pumped v) or |K^v| times W * R_v^2 / eps."""
+    out = np.empty(game.n)
+    for v in range(game.n):
+        width = game.num_col_actions(v) if v in pumped else game.num_row_actions(v)
+        out[v] = width * granularity * rb.values[v] ** 2 / eps
+    return out
+
+
+def arc_matrix(x, thresholds, pumped):
+    """Dense gap-graph arcs: v -> u (u != v) when x[u] - x[v] is below v's
+    threshold for pumped v, and when x[v] - x[u] is otherwise."""
+    x = np.asarray(x, dtype=np.float64)
+    arcs = np.zeros((len(x), len(x)), dtype=bool)
+    for v in range(len(x)):
+        gaps = x - x[v] if v in pumped else x[v] - x
+        arcs[v] = gaps < thresholds[v]
+        arcs[v, v] = False
+    return arcs
+
+
+def closure_bfs(arcs, seeds):
+    """Every state reachable from the seeds along the arcs, by breadth-first search."""
+    seen = set(seeds)
+    queue = deque(seen)
+    while queue:
+        v = queue.popleft()
+        for u in np.flatnonzero(arcs[v]):
+            if int(u) not in seen:
+                seen.add(int(u))
+                queue.append(int(u))
+    return frozenset(seen)
+
+
+def closed_sets_bfs(x, thresholds, pumped, top, bottom):
+    """(high, low) closures of the top and bottom bands when the first stays
+    inside pumped and the second outside it, else None."""
+    if not top or not bottom:
+        return None
+    arcs = arc_matrix(x, thresholds, pumped)
+    high = closure_bfs(arcs, top)
+    if not high <= set(pumped):
+        return None
+    low = closure_bfs(arcs, bottom)
+    if low & set(pumped):
+        return None
+    return high, low
+
+
 def single_step_pump(game, x0, states, m_minus, m_plus, eps, cap):
     """The pump taken one step at a time, with one full evaluation per step.
 
@@ -159,8 +210,8 @@ def single_step_pump(game, x0, states, m_minus, m_plus, eps, cap):
             kind = "band-collapsed"
         else:
             rb = r_bounds(game, x, part.pumped, m_plus)
-            arcs = auxiliary_graph(game, x, part.pumped, rb, eps, granularity=granularity)
-            closed = find_closed_sets(arcs, part.top, part.pumped, part.bottom)
+            thresholds = gap_thresholds(game, part.pumped, rb, eps, granularity)
+            closed = closed_sets_bfs(x, thresholds, part.pumped, part.top, part.bottom)
             if closed is not None:
                 kind = "witness-sets"
             elif tau >= cap:

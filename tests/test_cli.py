@@ -173,6 +173,28 @@ class TestOtherCommands:
         assert sorted(f.name for f in out_dir.iterdir()) == ["g0.cert.json",
                                                              "g1.cert.json"]
 
+    @pytest.mark.parametrize("layout", ["same-stem", "same-file"])
+    def test_clashing_certificate_paths_exit_64(self, layout, tmp_path, capsys, monkeypatch):
+        # two jobs that would write one certificate are refused before any solve
+        monkeypatch.setattr(cli, "decide_ergodicity", lambda *args: pytest.fail("solved"))
+        paths = []
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            paths.append(str(tmp_path / folder / "g.json"))
+            run(["gen", "disconnected", "--out", paths[-1]])
+        if layout == "same-stem":
+            out = tmp_path / "out"
+            out.mkdir()
+            args = [*paths, "--out", str(out)]
+        else:
+            args = [paths[0], paths[0]]
+        assert run(["solve", *args, "--epsilon", "0.1"]) == 64
+        err = capsys.readouterr().err
+        assert paths[0] in err and "g.cert.json" in err
+        if layout == "same-stem":
+            assert paths[1] in err
+        assert not list(tmp_path.rglob("*.cert.json"))
+
     def test_jobs_capped_at_game_count(self, tmp_path, monkeypatch):
         # the pool is replaced by a serial stand-in, so no process starts
         pools = []

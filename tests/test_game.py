@@ -55,6 +55,11 @@ class TestValidate:
                       [("s", "a", "x", "s", Fraction(11, 10), 1.0)])
         assert any("out of range" in p for p in err.value.problems)
 
+    def test_no_states_reported(self):
+        with pytest.raises(DocumentError) as err:
+            make_game([], [], [], [])
+        assert err.value.problems == ("game has no states",)
+
     def test_all_problems_listed(self):
         with pytest.raises(DocumentError) as err:
             make_game(["s", "t"], [["a"], ["a"]], [["x"], ["x"]],

@@ -1,7 +1,12 @@
 """Pump core: banding, payoff bounds, gap graph, closures, the pump loop."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from builders import disconnected, max_mass_into, one_state, random_dense_game, two_cycle
@@ -11,8 +16,11 @@ from ergopump.game import game_params
 from ergopump.generators import random_game
 from ergopump.matrix_game import local_values
 from ergopump.pump import (
+    GapGraph,
     auxiliary_graph,
+    boundary_gap_violations,
     find_closed_sets,
+    forward_closure,
     modified_pump,
     partition,
     r_bounds,
@@ -78,53 +86,151 @@ class TestRBounds:
         assert not rb.upper_side[0]
 
 
+def _graph(x, thresholds, pumped):
+    x = np.asarray(x, dtype=np.float64)
+    return GapGraph(x=x, thresholds=np.asarray(thresholds, dtype=np.float64),
+                    pumped=np.isin(np.arange(len(x)), list(pumped)))
+
+
 class TestAuxiliaryGraph:
     def test_equal_potentials_complete(self):
         g = disconnected()
-        arcs = auxiliary_graph(g, np.zeros(2), {1}, r_bounds(g, np.zeros(2), {1}, 10.0),
-                               eps=0.1)
-        assert arcs[0, 1] and arcs[1, 0]
-        assert not arcs[0, 0] and not arcs[1, 1]
+        graph = auxiliary_graph(g, np.zeros(2), r_bounds(g, np.zeros(2), {1}, 10.0), eps=0.1)
+        assert forward_closure(graph, {0}) == {0, 1}  # arc 0 -> 1
+        assert forward_closure(graph, {1}) == {0, 1}  # arc 1 -> 0
 
     def test_saturated_gap_removes_arc(self):
         g = disconnected()
         x = np.array([0.0, -1000.0])  # threshold is exactly 1*1*100/0.1 = 1000
         rb = r_bounds(g, x, {1}, 10.0)
-        arcs = auxiliary_graph(g, x, {1}, rb, eps=0.1)
-        assert not arcs[1, 0]  # pumped state: gap x[0]-x[1] = 1000, not < 1000
-        assert not arcs[0, 1]  # unpumped state: gap x[0]-x[1] = 1000, not < 1000
+        graph = auxiliary_graph(g, x, rb, eps=0.1)
+        # gap x[0]-x[1] = 1000 is not < 1000, from the pumped state 1 nor from 0
+        assert forward_closure(graph, {1}) == {1}
+        assert forward_closure(graph, {0}) == {0}
 
     def test_thresholds_scale_with_action_count(self):
         rng = np.random.default_rng(9)
         g = random_dense_game(rng, n=2, max_actions=2)
         rb = r_bounds(g, np.zeros(2), {0}, 5.0)
         params = game_params(g)
-        arcs = auxiliary_graph(g, np.zeros(2), {0}, rb, eps=0.5,
-                               granularity=params.granularity)
-        assert arcs[0, 1] and arcs[1, 0]
+        graph = auxiliary_graph(g, np.zeros(2), rb, eps=0.5, granularity=params.granularity)
+        assert forward_closure(graph, {0}) == {0, 1}
+        assert forward_closure(graph, {1}) == {0, 1}
+
+    def test_thresholds_match_per_state_loop(self):
+        rng = np.random.default_rng(12)
+        g = random_dense_game(rng, n=6, max_actions=3)
+        x = rng.normal(size=6)
+        pumped = {1, 2, 4}
+        rb = r_bounds(g, x, pumped, 5.0)
+        graph = auxiliary_graph(g, x, rb, eps=0.05)
+        expected = reference.gap_thresholds(g, pumped, rb, 0.05, game_params(g).granularity)
+        assert graph.thresholds.tobytes() == expected.tobytes()
 
 
 class TestFindClosedSets:
     def test_no_arcs_returns_seeds(self):
-        arcs = np.zeros((2, 2), dtype=bool)
-        result = find_closed_sets(arcs, top={0}, pumped={0}, bottom={1})
+        graph = _graph([0.0, 0.0], [-1.0, -1.0], pumped={0})
+        result = find_closed_sets(graph, top={0}, pumped={0}, bottom={1})
         assert result == ({0}, {1})
 
     def test_escape_from_pumped_fails(self):
-        arcs = np.zeros((2, 2), dtype=bool)
-        arcs[0, 1] = True  # top state points outside the pumped half
-        assert find_closed_sets(arcs, top={0}, pumped={0}, bottom={1}) is None
+        graph = _graph([0.0, 0.0], [1.0, -1.0], pumped={0})  # only arc: 0 -> 1
+        assert find_closed_sets(graph, top={0}, pumped={0}, bottom={1}) is None
 
     def test_chain_inside_pumped(self):
-        arcs = np.zeros((4, 4), dtype=bool)
-        arcs[0, 1] = arcs[1, 2] = True  # chain 0 -> 1 -> 2 within the pumped half
-        result = find_closed_sets(arcs, top={0}, pumped={0, 1, 2}, bottom={3})
+        # arcs 0 -> 1 and 1 -> {0, 2}: 2 is reached from 0 only through 1
+        graph = _graph([0.0, 1.0, 2.0, 10.0], [1.5, 1.5, -5.0, -1.0], pumped={0, 1, 2})
+        assert forward_closure(graph, {0}) == {0, 1, 2}
+        result = find_closed_sets(graph, top={0}, pumped={0, 1, 2}, bottom={3})
         assert result == ({0, 1, 2}, {3})
 
     def test_bottom_closure_touching_pumped_fails(self):
-        arcs = np.zeros((3, 3), dtype=bool)
-        arcs[2, 1] = True  # bottom reaches a pumped state
-        assert find_closed_sets(arcs, top={0}, pumped={0, 1}, bottom={2}) is None
+        graph = _graph([0.0, 0.0, 0.0], [-1.0, -1.0, 1.0], pumped={0, 1})  # 2 reaches 0 and 1
+        assert find_closed_sets(graph, top={0}, pumped={0, 1}, bottom={2}) is None
+
+
+_coarse = st.integers(-4, 4).map(lambda k: k * 0.5)  # a coarse grid forces ties
+_potential = st.one_of(_coarse, _coarse, st.floats(-1e17, 1e17))
+_threshold = st.one_of(_coarse, st.sampled_from([0.0, -1.0, 1e300, np.inf]),
+                       st.floats(-10.0, 1e17))
+
+
+@st.composite
+def _gap_instances(draw):
+    """Potentials, thresholds, a mixed pumped set and two seed sets on n = 1-40
+    states. Most thresholds are the gap to a drawn state, so that state sits
+    exactly at the cut where the arcs of the state end."""
+    n = draw(st.integers(1, 40))
+    x = draw(st.lists(_potential, min_size=n, max_size=n))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+
+    def gap_to(v):
+        return st.integers(0, n - 1).map(lambda u: x[u] - x[v] if flags[v] else x[v] - x[u])
+
+    thresholds = [draw(st.one_of(_threshold, gap_to(v), gap_to(v))) for v in range(n)]
+    pumped = {v for v in range(n) if flags[v]}
+    subset = st.sets(st.integers(0, n - 1), min_size=1, max_size=4)
+    return x, thresholds, pumped, draw(subset), draw(subset)
+
+
+class TestSweepAgainstDenseOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_gap_instances())
+    def test_closures_match_bfs(self, instance):
+        x, thresholds, pumped, seeds, _ = instance
+        graph = _graph(x, thresholds, pumped)
+        arcs = reference.arc_matrix(x, thresholds, pumped)
+        for start in [seeds] + [{v} for v in range(len(x))]:
+            assert forward_closure(graph, start) == reference.closure_bfs(arcs, start)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_gap_instances())
+    def test_closed_sets_match_bfs(self, instance):
+        x, thresholds, pumped, top, bottom = instance
+        # seeds drawn from the side each closure must stay on, so both closures run
+        top, bottom = top & pumped, bottom - pumped
+        graph = _graph(x, thresholds, pumped)
+        assert (find_closed_sets(graph, top, pumped, bottom)
+                == reference.closed_sets_bfs(x, thresholds, pumped, top, bottom))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_gap_instances())
+    def test_boundary_gaps_flag_the_all_pairs_states(self, instance):
+        x, thresholds, pumped, high, low = instance
+        graph = _graph(x, thresholds, pumped)
+        expected = set()
+        for label, members in (("high", high), ("low", low)):
+            for v in members:
+                for u in set(range(len(x))) - members:
+                    gap = x[u] - x[v] if label == "high" else x[v] - x[u]
+                    if gap < thresholds[v] - 1e-9:
+                        expected.add((label, v))
+        flagged = set()
+        for message in boundary_gap_violations(graph, high, low):
+            label, v, u = re.match(r"witness (\w+) set leaks: gap .* from (\d+) to (\d+) ",
+                                   message).groups()
+            members = high if label == "high" else low
+            assert int(u) not in members
+            flagged.add((label, int(v)))
+        assert flagged == expected
+
+
+def test_witness_check_memory_is_linear():
+    # a dense boolean arc matrix alone would take n^2 bytes, 16 MB at n = 4096
+    g = random_game(4096, max_actions=1, seed=0)
+    x = np.zeros(g.n)
+    m = local_values(g, x)
+    part = partition(m, float(np.min(m)), float(np.max(m)))
+    tracemalloc.start()
+    try:
+        rb = r_bounds(g, x, part.pumped, part.m_plus)
+        graph = auxiliary_graph(g, x, rb, eps=0.05)
+        find_closed_sets(graph, part.top, part.pumped, part.bottom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 class TestModifiedPump:

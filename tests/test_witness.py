@@ -7,9 +7,9 @@ import pytest
 
 from builders import big_match, disconnected, matrix_as_game
 from ergopump.driver import decide_ergodicity
-from ergopump.game import game_params, make_game
+from ergopump.game import make_game
 from ergopump.matrix_game import local_value, local_values
-from ergopump.pump import boundary_gap_violations, modified_pump, r_bounds
+from ergopump.pump import auxiliary_graph, boundary_gap_violations, modified_pump, r_bounds
 from ergopump.witness import WitnessBuildError, bar_actions, build_witness, verify_witness
 
 
@@ -185,9 +185,8 @@ class TestCertificateChains:
         pumped = out.bands.pumped
 
         def violations(x):
-            rb = r_bounds(g, x, pumped, 10.0)
-            return boundary_gap_violations(g, x, out.closed_high, out.closed_low, pumped,
-                                           rb, 0.1, game_params(g).granularity)
+            graph = auxiliary_graph(g, x, r_bounds(g, x, pumped, 10.0), 0.1)
+            return boundary_gap_violations(graph, out.closed_high, out.closed_low)
 
         assert violations(out.x) == ()
         assert violations(out.x * 0.5)
