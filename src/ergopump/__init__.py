@@ -48,6 +48,6 @@ from .markov import (
 from .matrix_game import MatrixGameError, MatrixGameSolution, local_value, solve_matrix_game
 from .oracle import OracleReport, enumerate_pure_bounds, simulate_mean_payoff
 from .pump import BandPartition, PumpOutcome, modified_pump, partition
-from .witness import WitnessCertificate, build_witness, verify_witness
+from .witness import StrategyCertificate, build_witness, verify_witness
 
 __version__ = "0.1.0"

@@ -92,13 +92,22 @@ def _cmd_solve(args) -> int:
         else:
             out_path = args.out
         jobs.append((game_path, args.epsilon, args.cap, args.trace, out_path))
+    # every file the solve writes, against each other and against every input
     writers = {}
     for game_path, *_, out_path in jobs:
-        writers.setdefault(Path(out_path).resolve(), []).append(game_path)
-    clashes = [(out, paths) for out, paths in writers.items() if len(paths) > 1]
-    for out, paths in clashes:
-        print(f"{' and '.join(paths)} would write the same certificate {out}",
-              file=sys.stderr)
+        writers.setdefault(Path(out_path).resolve(), []).append(
+            f"the certificate of {game_path}")
+    if args.trace is not None:
+        writers.setdefault(Path(args.trace).resolve(), []).append("the trace")
+    inputs = {Path(game_path).resolve() for game_path in args.game}
+    clashes = [(target, what) for target, what in writers.items()
+               if len(what) > 1 or target in inputs]
+    for target, what in clashes:
+        if len(what) > 1:
+            print(f"{' and '.join(what)} would be written to the same file {target}",
+                  file=sys.stderr)
+        if target in inputs:
+            print(f"{what[0]} would overwrite the input game {target}", file=sys.stderr)
     if clashes:
         return EX_USAGE
 

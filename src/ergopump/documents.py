@@ -2,9 +2,9 @@
 
 Documents are JSON. Probabilities travel as exact rational strings ("a/b" or
 a decimal literal) so the granularity parameter survives round-trips;
-rewards and potentials travel as shortest-repr floats, which round-trip
-bit-exactly. Serialization sorts keys and fixes the record order, so equal
-inputs produce byte-identical documents.
+rewards, potentials and strategy entries travel as shortest-repr floats,
+which round-trip bit-exactly. Serialization sorts keys and fixes the record
+order, so equal inputs produce byte-identical documents.
 """
 
 from __future__ import annotations
@@ -24,14 +24,12 @@ from .game import (
     normalize_rewards,
     to_fraction,
 )
-from .matrix_game import local_values
 from .markov import StationaryProfile, make_profile
-from .witness import WitnessCertificate, verify_witness
+from .witness import ERGODIC, NON_ERGODIC, StrategyCertificate, verify_witness
 
 GAME_FORMAT = "ergopump-game/1"
-CERTIFICATE_FORMAT = "ergopump-certificate/2"
+CERTIFICATE_FORMAT = "ergopump-certificate/3"
 PROFILE_FORMAT = "ergopump-profile/1"
-_BAND_TOL = 1e-7  # slack of the ergodic recheck's band comparisons
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -176,23 +174,29 @@ class CertificateBundle:
     verdict_kind: str
     eps: float
     value_offset: float
-    band: tuple | None
-    potential: np.ndarray | None
-    witness: WitnessCertificate | None
+    certificate: StrategyCertificate | None  # None for an inconclusive verdict
     reason: str | None
     metadata: dict
 
 
+def _strategy_table(game: GameSpec, strategies: dict) -> dict:
+    return {game.states[v]: vec.tolist() for v, vec in sorted(strategies.items())}
+
+
 def serialize_certificate(game: GameSpec, verdict, stats) -> str:
     """Render a solve verdict as a self-contained certificate document."""
+    cert = verdict.certificate
     doc = {
         "format": CERTIFICATE_FORMAT,
         "verdict": verdict.kind,
         "epsilon": verdict.eps,
         "value_offset": verdict.value_offset,
         "states": list(game.states),
-        "band": None if verdict.m_minus is None else [verdict.m_minus, verdict.m_plus],
+        # only an ergodic certificate claims its band; per-phase bands stay in metadata
+        "band": [verdict.m_minus, verdict.m_plus] if verdict.kind == ERGODIC else None,
         "potential": None if verdict.potential is None else [float(t) for t in verdict.potential],
+        "alpha": None if cert is None else _strategy_table(game, cert.alpha),
+        "beta": None if cert is None else _strategy_table(game, cert.beta),
         "reason": verdict.reason,
         "non_ergodic": None,
         "metadata": {
@@ -201,26 +205,15 @@ def serialize_certificate(game: GameSpec, verdict, stats) -> str:
             "cap_saturated": stats.cap_saturated,
         },
     }
-    w = verdict.witness
-    if w is not None:
+    if verdict.high_states is not None:
         doc["non_ergodic"] = {
-            "high_states": sorted(game.states[v] for v in w.high_states),
-            "low_states": sorted(game.states[v] for v in w.low_states),
-            "a": w.ceiling,
-            "b": w.floor,
-            "a_prime": w.ceiling_raw,
-            "b_prime": w.floor_raw,
-            "alpha": {game.states[v]: [_sig12(t) for t in vec]
-                      for v, vec in sorted(w.high_strategies.items())},
-            "beta": {game.states[v]: [_sig12(t) for t in vec]
-                     for v, vec in sorted(w.low_strategies.items())},
+            "high_states": sorted(game.states[v] for v in verdict.high_states),
+            "low_states": sorted(game.states[v] for v in verdict.low_states),
+            "a": verdict.ceiling,
+            "b": verdict.floor,
         }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _sig12(value: float) -> float:
-    """Round to 12 significant digits (strategy entries in certificates)."""
-    return float(f"{float(value):.12g}")
+    # one line: json's indenting encoder runs in Python, its compact one in C
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
@@ -245,76 +238,80 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
         problems.append(f"{what} must be a finite number, got {value!r}")
         return 0.0
 
-    def vector(values, size, what):
+    def vector(values, size, what) -> list:
         if not isinstance(values, list) or len(values) != size:
             problems.append(f"{what}: expected a list of {size} numbers")
-            return np.zeros(size)
-        return np.array([number(t, f"{what} entry") for t in values])
+            return [0.0] * size
+        return [number(t, f"{what} entry") for t in values]
+
+    def strategies(key, members, size):
+        # any non-negative vector with a positive sum names the
+        # distribution it is proportional to; the recheck reads that
+        table = doc.get(key)
+        table = table if isinstance(table, dict) else {}
+        out = {}
+        for v in sorted(members):
+            what = f"{key}[{game.states[v]!r}]"
+            vec = vector(table.get(game.states[v]), size(v), what)
+            try:
+                total = math.fsum(vec) if min(vec) >= 0 else 0.0
+            except OverflowError:
+                total = math.inf
+            if not 0 < total < math.inf:
+                problems.append(f"{what} must be non-negative with a positive, "
+                                "finite sum")
+                total = 1.0
+            out[v] = np.array(vec) / total
+        return out
 
     verdict_kind = doc.get("verdict")
     if not isinstance(verdict_kind, str):
         problems.append("'verdict' must be a string")
     eps = number(doc.get("epsilon"), "'epsilon'")
     value_offset = number(doc.get("value_offset", 0.0), "'value_offset'")
-    potential = doc.get("potential")
-    if potential is not None:
-        potential = vector(potential, game.n, "'potential'")
-    band = doc.get("band")
-    if band is not None:
-        band = tuple(vector(band, 2, "'band'").tolist())
-    witness = None
-    payload = doc.get("non_ergodic")
-    if payload is not None:
-        if potential is None:
-            raise DocumentError(["non-ergodic certificate lacks a potential vector"])
-        if not isinstance(payload, dict):
-            raise DocumentError(["'non_ergodic' must be an object"])
-        name_to_idx = {s: i for i, s in enumerate(game.states)}
+    certificate = None
+    if verdict_kind in (ERGODIC, NON_ERGODIC):
+        if doc.get("potential") is None:
+            raise DocumentError([f"{verdict_kind} certificate lacks a potential vector"])
+        potential = np.array(vector(doc["potential"], game.n, "'potential'"))
+        if verdict_kind == ERGODIC:
+            if doc.get("band") is None:
+                raise DocumentError(["ergodic certificate lacks its band"])
+            floor, ceiling = vector(doc["band"], 2, "'band'")
+            alpha_states = beta_states = range(game.n)
+        else:
+            payload = doc.get("non_ergodic")
+            if not isinstance(payload, dict):
+                raise DocumentError(["non-ergodic certificate lacks its 'non_ergodic' "
+                                     "object"])
+            name_to_idx = {s: i for i, s in enumerate(game.states)}
 
-        def states(key):
-            names = payload.get(key)
-            known = [name_to_idx.get(s) if isinstance(s, str) else None
-                     for s in (names if isinstance(names, list) else [None])]
-            if None in known:
-                problems.append(f"non_ergodic.{key} must list states of the game")
-            return frozenset(v for v in known if v is not None)
+            def states(key):
+                names = payload.get(key)
+                known = [name_to_idx.get(s) if isinstance(s, str) else None
+                         for s in (names if isinstance(names, list) else [None])]
+                if None in known:
+                    problems.append(f"non_ergodic.{key} must list states of the game")
+                return frozenset(v for v in known if v is not None)
 
-        def strategies(key, members, size):
-            # any non-negative vector with a positive sum names the
-            # distribution it is proportional to; the recheck reads that
-            table = payload.get(key)
-            table = table if isinstance(table, dict) else {}
-            out = {}
-            for v in sorted(members):
-                what = f"non_ergodic.{key}[{game.states[v]!r}]"
-                vec = vector(table.get(game.states[v]), size(v), what)
-                total = float(vec.sum())
-                if np.all(vec >= 0) and 0 < total < math.inf:
-                    vec = vec / total
-                else:
-                    problems.append(f"{what} must be non-negative with a positive, "
-                                    "finite sum")
-                out[v] = vec
-            return out
-
-        high, low = states("high_states"), states("low_states")
-        if not high or not low:
-            problems.append("non_ergodic.high_states and non_ergodic.low_states "
-                            "must not be empty")
-        if high & low:
-            problems.append("non_ergodic: states "
-                            f"{sorted(game.states[v] for v in high & low)} are in "
-                            "both the high and the low set")
-        witness = WitnessCertificate(
-            high_states=high,
-            low_states=low,
-            high_strategies=strategies("alpha", high, game.num_row_actions),
-            low_strategies=strategies("beta", low, game.num_col_actions),
+            high, low = states("high_states"), states("low_states")
+            if not high or not low:
+                problems.append("non_ergodic.high_states and non_ergodic.low_states "
+                                "must not be empty")
+            if high & low:
+                problems.append("non_ergodic: states "
+                                f"{sorted(game.states[v] for v in high & low)} are in "
+                                "both the high and the low set")
+            floor = number(payload.get("b"), "non_ergodic.b")
+            ceiling = number(payload.get("a"), "non_ergodic.a")
+            alpha_states, beta_states = high, low
+        certificate = StrategyCertificate(
+            kind=verdict_kind,
+            alpha=strategies("alpha", alpha_states, game.num_row_actions),
+            beta=strategies("beta", beta_states, game.num_col_actions),
             potential=potential,
-            floor=number(payload.get("b"), "non_ergodic.b"),
-            ceiling=number(payload.get("a"), "non_ergodic.a"),
-            floor_raw=number(payload.get("b_prime"), "non_ergodic.b_prime"),
-            ceiling_raw=number(payload.get("a_prime"), "non_ergodic.a_prime"),
+            floor=floor,
+            ceiling=ceiling,
             eps=eps,
         )
     if problems:
@@ -323,9 +320,7 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
         verdict_kind=verdict_kind,
         eps=eps,
         value_offset=value_offset,
-        band=band,
-        potential=potential,
-        witness=witness,
+        certificate=certificate,
         reason=doc.get("reason"),
         metadata=doc.get("metadata", {}),
     )
@@ -334,41 +329,20 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
 def recheck_certificate(game: GameSpec, bundle: CertificateBundle) -> tuple[bool, tuple]:
     """Re-establish a certificate from the game and document alone.
 
-    Ergodic: recompute all local values at the stored potential and check the
-    band is at most 24*eps wide and consistent with the stored one.
-    Non-ergodic: run the full three-stage witness verification.
+    The normalization offset must match exactly (it round-trips bit-exactly),
+    and both verdicts get the one check of witness.verify_witness on the
+    normalized game: exact closure, one vectorised pass of one-shot bounds
+    and the verdict's claim on its stored bounds. No LP runs.
     """
     normalized, offset = normalize_rewards(game)
     problems = []
-    if abs(offset - bundle.value_offset) > 1e-9:
+    if offset != bundle.value_offset:
         problems.append(
             f"normalization offset mismatch: game gives {offset}, "
             f"certificate says {bundle.value_offset}"
         )
-    if bundle.verdict_kind == "ergodic-24eps":
-        if bundle.potential is None or bundle.band is None:
-            return False, ("ergodic certificate lacks potential or band",)
-        m = local_values(normalized, bundle.potential)
-        width = float(np.nanmax(m) - np.nanmin(m))
-        if width > 24 * bundle.eps + _BAND_TOL:
-            problems.append(
-                f"recomputed local-value band width {width} exceeds "
-                f"24*eps = {24 * bundle.eps}"
-            )
-        lo, hi = bundle.band
-        if np.nanmin(m) < lo - _BAND_TOL or np.nanmax(m) > hi + _BAND_TOL:
-            problems.append("recomputed local values leave the stored band")
-    elif bundle.verdict_kind == "non-ergodic":
-        if bundle.witness is None:
-            return False, ("non-ergodic certificate lacks a witness payload",)
-        if bundle.witness.floor <= bundle.witness.ceiling:
-            problems.append(
-                f"certificate floor {bundle.witness.floor} does not exceed "
-                f"ceiling {bundle.witness.ceiling}"
-            )
-        report = verify_witness(normalized, bundle.witness)
-        if not report.ok:
-            problems.extend(report.failures)
-    else:
+    if bundle.certificate is None:
         problems.append(f"cannot recheck a {bundle.verdict_kind!r} certificate")
+    else:
+        problems.extend(verify_witness(normalized, bundle.certificate).failures)
     return not problems, tuple(problems)

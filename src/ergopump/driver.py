@@ -1,14 +1,15 @@
 """Outer solve loop: repeated pumping with potential reduction.
 
 Each outer iteration measures the local-value band at the current potential
-and stops once its width is at most 24*eps (the potential then certifies
-that all game values sit in that band). Otherwise one pump pass runs over
-all states; if it collapses the band, the potential is mean-centred and the
-loop continues with a band at most 3/4 as wide. If it instead finds closed
-candidate sets, a second pass pumps only the high set against the upper
-half-band; either that collapses too (band at most 7/8 as wide) or the run
-exits with a non-ergodicity witness whose certified thresholds are
-(m_plus + m_minus) / 2 and (5*m_plus + 3*m_minus) / 8.
+and stops once its width is at most 24*eps: the potential and the optimal
+local strategies of that same measurement certify that all game values sit
+in the band. Otherwise one pump pass runs over all states; if it collapses
+the band, the potential is mean-centred and the loop continues with a band
+at most 3/4 as wide. If it instead finds closed candidate sets, a second
+pass pumps only the high set against the upper half-band; either that
+collapses too (band at most 7/8 as wide) or the run exits with a
+non-ergodicity witness whose certified thresholds are (m_plus + m_minus) / 2
+and (5*m_plus + 3*m_minus) / 8.
 """
 
 from __future__ import annotations
@@ -30,12 +31,16 @@ from .game import (
     normalize_rewards,
 )
 from .markov import MarkovError, PolicyIterationError
-from .matrix_game import MatrixGameError, local_values
+from .matrix_game import MatrixGameError, local_solutions
 from .pump import PumpInvariantError, modified_pump
-from .witness import WitnessBuildError, WitnessCertificate, build_witness
+from .witness import (
+    ERGODIC,
+    NON_ERGODIC,
+    StrategyCertificate,
+    WitnessBuildError,
+    build_witness,
+)
 
-ERGODIC = "ergodic-24eps"
-NON_ERGODIC = "non-ergodic"
 INCONCLUSIVE = "inconclusive"
 HARD_CAP = 2_000_000  # ceiling the computed pump-step cap saturates at
 
@@ -60,7 +65,7 @@ class Verdict:
     ceiling: float | None = None
     floor_raw: float | None = None
     ceiling_raw: float | None = None
-    witness: WitnessCertificate | None = None
+    certificate: StrategyCertificate | None = None  # both certified verdicts
     reason: str | None = None
 
 
@@ -182,11 +187,17 @@ def _drive(game, eps, config, params, offset, stats):
     x = np.zeros(game.n)
     h = 0
     while True:
-        m = local_values(game, x)
+        m, alpha, beta = local_solutions(game, x)
         m_minus = float(np.min(m))
         m_plus = float(np.max(m))
         if m_plus - m_minus <= 24 * eps:
-            return stop(ERGODIC, x)
+            # the band check's own optimal strategies, clipped at 0, certify the band
+            alpha, beta = ({v: np.maximum(vec, 0.0) for v, vec in enumerate(side)}
+                           for side in (alpha, beta))
+            certificate = StrategyCertificate(kind=ERGODIC, alpha=alpha, beta=beta,
+                                              potential=x, floor=m_minus, ceiling=m_plus,
+                                              eps=eps)
+            return stop(ERGODIC, x, certificate=certificate)
         if h >= outer_cap:
             return stop(INCONCLUSIVE, x,
                         reason=f"outer iteration cap {outer_cap} reached with band width "
@@ -224,4 +235,4 @@ def _drive(game, eps, config, params, offset, stats):
         return stop(NON_ERGODIC, outcome.x,
                     high_states=frozenset(high), low_states=frozenset(low),
                     floor=witness.floor, ceiling=witness.ceiling,
-                    floor_raw=floor_raw, ceiling_raw=ceiling_raw, witness=witness)
+                    floor_raw=floor_raw, ceiling_raw=ceiling_raw, certificate=witness)

@@ -199,13 +199,27 @@ def local_value(game, v: int, x) -> MatrixGameSolution:
     return solve_matrix_game(local_reward_matrix(game, v, x))
 
 
-def local_values(game, x, states=None) -> np.ndarray:
-    """Vector of local values; entries outside `states` are NaN."""
+def _local_games(game, x, states):
+    """(v, row-list matrix) of each listed state's potential-adjusted game."""
     payoffs = local_payoffs(game, x).tolist()
     first = game.flat.first_slot.tolist()
-    out = np.full(game.n, np.nan)
-    for v in range(game.n) if states is None else states:
+    for v in states:
         width = game.num_col_actions(v)
-        out[v] = solve_value([payoffs[s:s + width]
-                              for s in range(first[v], first[v + 1], width)])
+        yield v, [payoffs[s:s + width] for s in range(first[v], first[v + 1], width)]
+
+
+def local_values(game, x, states=None) -> np.ndarray:
+    """Vector of local values; entries outside `states` are NaN."""
+    out = np.full(game.n, np.nan)
+    for v, rows in _local_games(game, x, range(game.n) if states is None else states):
+        out[v] = solve_value(rows)
     return out
+
+
+def local_solutions(game, x) -> tuple[np.ndarray, list, list]:
+    """Every state's local value with one optimal strategy per player, from
+    one LP per state: (values, row strategies, column strategies), the
+    strategies as the simplex's lists."""
+    solved = [_solve(rows) for _, rows in _local_games(game, x, range(game.n))]
+    return (np.array([value for value, *_ in solved]),
+            [row for _, row, _, _ in solved], [col for _, _, col, _ in solved])

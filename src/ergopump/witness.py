@@ -1,15 +1,25 @@
-"""Non-ergodicity witnesses: construction and independent verification.
+"""Strategy certificates: witness construction and the one independent check.
 
-A witness is a pair of disjoint state sets with stationary strategies that
-keep the play inside each set and force separated payoffs: the row player
-guarantees at least `floor` from every high state, the column player caps
-the payoff at `ceiling` from every low state. Strategies are built by
-solving the potential-adjusted local games and truncating the optimal mixed
-strategies to the actions that cannot leak out of the set.
+A certificate holds stationary strategies under a potential x: alpha gives
+the row player's mixed action at each state it covers, beta the column
+player's. Its claim is one-shot: at every alpha state, alpha's
+potential-adjusted payoff against any pure column is at least `floor`, and
+at every beta state, any pure row's payoff against beta is at most
+`ceiling`. When no action in a strategy's support can move mass out of the
+states it covers, the potential telescopes along every play, so the row
+player guarantees `floor` from every alpha state and the column player
+concedes at most `ceiling` from every beta state.
 
-Verification is independent of construction: exact closure checks on the
-rational transition data, one-shot payoff checks against every opposing
-pure action, and a global best-response computation over the whole game.
+Two verdicts use it. An ergodic certificate covers every state with both
+players' optimal local strategies (so closure is vacuous) and claims
+ceiling - floor <= 24*eps. A non-ergodicity witness covers two disjoint
+closed sets, the high one with alpha and the low one with beta, and claims
+floor > ceiling, which its proven one-shot bounds must bear out. Its strategies are the optimal local strategies truncated
+to the actions that cannot leak out of the set.
+
+Verification is independent of construction: closure exactly on the
+transition records, then every one-shot bound in one vectorised pass over
+the game's flat view.
 """
 
 from __future__ import annotations
@@ -19,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameSpec, Potential, as_potential, local_payoffs
-from .markov import best_response_value
 from .matrix_game import solve_matrix_game
 
-
-# verification slack: eps/10, but never above this absolute amount
+ERGODIC = "ergodic-24eps"
+NON_ERGODIC = "non-ergodic"
+# slack of every comparison with a computed payoff: eps/10, but never above this
 _MAX_VERIFY_SLACK = 1e-6
 
 
@@ -32,40 +42,31 @@ class WitnessBuildError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class WitnessCertificate:
-    """Certified value gap between two closed sets of starting positions.
+class StrategyCertificate:
+    """Stationary strategies with one-shot bounds under a potential.
 
-    floor is the value guaranteed from every high state, ceiling the value
-    conceded from every low state; floor_raw/ceiling_raw are the pre-margin
-    band thresholds they were derived from (floor = floor_raw - eps,
-    ceiling = ceiling_raw + eps).
+    kind is ERGODIC (alpha and beta cover every state, claim
+    ceiling - floor <= 24*eps) or NON_ERGODIC (alpha covers the high set,
+    beta the low set, claim floor > ceiling).
     """
 
-    high_states: frozenset
-    low_states: frozenset
-    high_strategies: dict  # state -> row player's mixed action vector
-    low_strategies: dict  # state -> column player's mixed action vector
+    kind: str
+    alpha: dict  # state -> row player's mixed action vector
+    beta: dict  # state -> column player's mixed action vector
     potential: Potential
     floor: float
     ceiling: float
-    floor_raw: float
-    ceiling_raw: float
     eps: float
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    structural_ok: bool
-    local_ok: bool
-    global_ok: bool
     failures: tuple
-    guaranteed_floor: float  # global check: worst value the high side achieves
-    guaranteed_ceiling: float  # global check: best value the low side concedes
-    certified_gap: float
+    certified_gap: float  # proven floor minus proven ceiling
 
     @property
     def ok(self) -> bool:
-        return self.structural_ok and self.local_ok and self.global_ok
+        return not self.failures
 
 
 def bar_actions(game: GameSpec, v: int, inside, player: str) -> frozenset:
@@ -106,13 +107,14 @@ def build_witness(
     ceiling_raw: float,
     floor_raw: float,
     eps: float,
-) -> WitnessCertificate:
+) -> StrategyCertificate:
     """Build truncated stationary strategies certifying the value gap.
 
     Requires the closed-set gap conditions to hold at x (supersets of the
-    top/bottom bands with saturated potential gaps). Fails loudly when some
-    state has no set-preserving action, which signals a violated
-    precondition rather than a recoverable condition.
+    top/bottom bands with saturated potential gaps). The certified bounds
+    keep a margin of eps: floor = floor_raw - eps, ceiling = ceiling_raw +
+    eps. Fails loudly when some state has no set-preserving action, which
+    signals a violated precondition rather than a recoverable condition.
     """
     x = as_potential(x, game.n)
     high_states = frozenset(int(v) for v in high_states)
@@ -139,115 +141,89 @@ def build_witness(
                 )
             strategies[player][v] = _truncate(sol.row_strategy, keep, v)
 
-    return WitnessCertificate(
-        high_states=high_states,
-        low_states=low_states,
-        high_strategies=strategies["row"],
-        low_strategies=strategies["col"],
+    return StrategyCertificate(
+        kind=NON_ERGODIC,
+        alpha=strategies["row"],
+        beta=strategies["col"],
         potential=x,
         floor=floor_raw - eps,
         ceiling=ceiling_raw + eps,
-        floor_raw=floor_raw,
-        ceiling_raw=ceiling_raw,
         eps=eps,
     )
 
 
-def _extend_uniform(game: GameSpec, partial: dict, states, player: str):
-    out = []
-    for v in range(game.n):
-        size = game.num_row_actions(v) if player == "row" else game.num_col_actions(v)
-        if v in states:
-            out.append(np.asarray(partial[v], dtype=np.float64))
-        else:
-            out.append(np.full(size, 1.0 / size))
-    return tuple(out)
+def _spread(game: GameSpec, strategies: dict, first: np.ndarray):
+    """One player's strategies laid out over that player's flat actions
+    (zero at uncovered states), and per state whether it is covered."""
+    mix = np.zeros(int(first[-1]))
+    covered = np.zeros(game.n, dtype=bool)
+    for v, vec in strategies.items():
+        mix[first[v]:first[v + 1]] = vec
+        covered[v] = True
+    return mix, covered
 
 
-def verify_witness(game: GameSpec, cert: WitnessCertificate) -> VerificationReport:
-    """Three independent checks of a witness certificate.
+def verify_witness(game: GameSpec, cert: StrategyCertificate) -> VerificationReport:
+    """Check a certificate of either verdict against the game alone.
 
-    (a) structural: support actions keep all mass inside their set, checked
-        exactly on the rational transitions;
-    (b) local: one-shot payoffs against every opposing pure action clear the
-        floor (high side) and stay strictly under the ceiling (low side);
-    (c) global: extending the strategies uniformly outside their sets, the
-        opponent's optimal mean-payoff response still respects the bounds.
+    (a) closure, exact on the transition records: no action in the support
+        of alpha (beta) moves any mass out of the alpha (beta) states;
+    (b) one-shot bounds, one pass over the flat view: alpha's payoff against
+        every pure column reaches floor, and every pure row's payoff against
+        beta stays within ceiling, each up to one slack;
+    (c) the claim: ceiling - floor <= 24*eps on the stored bounds of an
+        ergodic certificate; for a witness floor > ceiling on the stored
+        bounds, and the proven floor above the proven ceiling by more than
+        the slack.
+
+    No LP and no policy iteration runs. certified_gap is the proven one-shot
+    floor minus the proven one-shot ceiling.
     """
+    flat = game.flat
     tol = min(cert.eps / 10.0, _MAX_VERIFY_SLACK)
-    x = as_potential(cert.potential, game.n)
+    alpha, alpha_in = _spread(game, cert.alpha, flat.first_row)
+    beta, beta_in = _spread(game, cert.beta, flat.first_col)
     failures = []
 
-    structural_ok = True
-    for v in sorted(cert.high_states):
-        strategy = cert.high_strategies[v]
-        for k, l, u, p, _r in game.transitions[v]:
-            if strategy[k] > 0.0 and u not in cert.high_states:
-                structural_ok = False
-                failures.append(
-                    f"structural: high state {v} action {k} leaks to {u} "
-                    f"under column {l} with probability {p}"
-                )
-    for u in sorted(cert.low_states):
-        strategy = cert.low_strategies[u]
-        for k, l, w, p, _r in game.transitions[u]:
-            if strategy[l] > 0.0 and w not in cert.low_states:
-                structural_ok = False
-                failures.append(
-                    f"structural: low state {u} action {l} leaks to {w} "
-                    f"under row {k} with probability {p}"
-                )
-
-    local_ok = True
-    payoffs = local_payoffs(game, x)
-    for v in sorted(cert.high_states):
-        payoff = cert.high_strategies[v] @ game.state_matrix(payoffs, v)
-        worst = float(np.min(payoff))
-        if worst < cert.floor - tol:
-            local_ok = False
+    rec_state = flat.slot_state[flat.rec_slot]
+    for player, mix, covered, action_of, first in (
+            ("row", alpha, alpha_in, flat.slot_row, flat.first_row),
+            ("col", beta, beta_in, flat.slot_col, flat.first_col)):
+        leaks = (covered[rec_state] & ~covered[flat.rec_to]
+                 & (mix[action_of[flat.rec_slot]] > 0.0))
+        for r in np.flatnonzero(leaks):
+            v, u = rec_state[r], flat.rec_to[r]
+            action = action_of[flat.rec_slot[r]] - first[v]
             failures.append(
-                f"local: high state {v} one-shot guarantee {worst} is below "
-                f"floor {cert.floor}"
-            )
-    for u in sorted(cert.low_states):
-        payoff = game.state_matrix(payoffs, u) @ cert.low_strategies[u]
-        best = float(np.max(payoff))
-        if best > cert.ceiling - tol:
-            local_ok = False
-            failures.append(
-                f"local: low state {u} one-shot concession {best} is not strictly "
-                f"under ceiling {cert.ceiling}"
-            )
+                f"closure: {player} action {action} at state {game.states[v]!r} leaks to "
+                f"{game.states[u]!r} with probability {flat.rec_p[r]}")
 
-    alpha_full = _extend_uniform(game, cert.high_strategies, cert.high_states, "row")
-    gain_high, _ = best_response_value(game, alpha_full, "row")
-    beta_full = _extend_uniform(game, cert.low_strategies, cert.low_states, "col")
-    gain_low, _ = best_response_value(game, beta_full, "col")
+    payoffs = local_payoffs(game, as_potential(cert.potential, game.n))
+    # alpha's payoff against each column action, each row action's against beta
+    vs_col = np.bincount(flat.slot_col, alpha[flat.slot_row] * payoffs, int(flat.first_col[-1]))
+    vs_row = np.bincount(flat.slot_row, beta[flat.slot_col] * payoffs, int(flat.first_row[-1]))
+    floor_at = np.minimum.reduceat(vs_col, flat.first_col[:-1])
+    ceiling_at = np.maximum.reduceat(vs_row, flat.first_row[:-1])
+    for v in np.flatnonzero(alpha_in & (floor_at < cert.floor - tol)):
+        failures.append(f"one-shot: alpha guarantees {floor_at[v]} at state "
+                        f"{game.states[v]!r}, below floor {cert.floor}")
+    for v in np.flatnonzero(beta_in & (ceiling_at > cert.ceiling + tol)):
+        failures.append(f"one-shot: beta concedes {ceiling_at[v]} at state "
+                        f"{game.states[v]!r}, above ceiling {cert.ceiling}")
 
-    global_ok = True
-    for v in sorted(cert.high_states):
-        if gain_high[v] < cert.floor - tol:
-            global_ok = False
-            failures.append(
-                f"global: best response pushes high state {v} to {gain_high[v]}, "
-                f"below floor {cert.floor}"
-            )
-    for u in sorted(cert.low_states):
-        if gain_low[u] > cert.ceiling + tol:
-            global_ok = False
-            failures.append(
-                f"global: best response lifts low state {u} to {gain_low[u]}, "
-                f"above ceiling {cert.ceiling}"
-            )
-
-    guaranteed_floor = float(min(gain_high[v] for v in cert.high_states))
-    guaranteed_ceiling = float(max(gain_low[u] for u in cert.low_states))
-    return VerificationReport(
-        structural_ok=structural_ok,
-        local_ok=local_ok,
-        global_ok=global_ok,
-        failures=tuple(failures),
-        guaranteed_floor=guaranteed_floor,
-        guaranteed_ceiling=guaranteed_ceiling,
-        certified_gap=guaranteed_floor - guaranteed_ceiling,
-    )
+    proven_floor = float(floor_at[alpha_in].min(initial=np.inf))
+    proven_ceiling = float(ceiling_at[beta_in].max(initial=-np.inf))
+    if cert.kind == ERGODIC:
+        if not cert.ceiling - cert.floor <= 24 * cert.eps:
+            failures.append(f"band [{cert.floor}, {cert.ceiling}] is wider than "
+                            f"24*eps = {24 * cert.eps}")
+    else:
+        if not cert.floor > cert.ceiling:
+            failures.append(f"floor {cert.floor} does not exceed ceiling {cert.ceiling}")
+        # the slack on (b) lets each proven bound fall short of the stored
+        # one, so the separation itself is checked on the proven bounds
+        if not proven_floor - proven_ceiling > tol:
+            failures.append(f"proven floor {proven_floor} does not exceed proven "
+                            f"ceiling {proven_ceiling} by more than the slack {tol}")
+    return VerificationReport(failures=tuple(failures),
+                              certified_gap=proven_floor - proven_ceiling)

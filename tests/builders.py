@@ -1,4 +1,7 @@
-"""Tiny game constructors shared across test modules."""
+"""Tiny game constructors and test helpers shared across test modules."""
+
+import sys
+from collections import Counter
 
 import numpy as np
 
@@ -90,19 +93,60 @@ def max_mass_into(game, v, targets):
     return float(max(mass.values()))
 
 
-# ways to break the certificate of disconnected(0, 10) solved at eps = 0.1,
-# each of which parse_certificate must reject
+def count_calls(monkeypatch, names):
+    """Count calls of the named functions: each is replaced, in every loaded
+    ergopump module that binds it, by a wrapper adding to the returned Counter."""
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] != "ergopump":
+            continue
+        for name in names:
+            original = vars(module).get(name)
+            if callable(original):
+                monkeypatch.setattr(module, name, counting(name, original))
+    return calls
+
+
+# ways to break a certificate, each of which parse_certificate must reject:
+# per case, the game, the eps to solve it at and the edit. disconnected(0, 10)
+# gives a non-ergodicity witness at eps 0.1 and an ergodic certificate at 1.0;
+# the matrix game [[3, 1], [0, 2]] an ergodic certificate with alpha (1/2, 1/2)
+_DISCONNECTED = disconnected(0.0, 10.0)
+_MIXED = matrix_as_game([[3.0, 1.0], [0.0, 2.0]])
 MALFORMED_CERTIFICATES = {
-    "unknown high state": lambda doc: doc["non_ergodic"].update(high_states=["ghost"]),
-    "missing epsilon": lambda doc: doc.pop("epsilon"),
-    "NaN epsilon": lambda doc: doc.update(epsilon=float("nan")),  # would disable every tolerance
-    "short potential": lambda doc: doc.update(potential=doc["potential"][:1]),
-    "alpha misses a high state": lambda doc: doc["non_ergodic"].update(alpha={}),
-    "beta of the wrong length": lambda doc: doc["non_ergodic"]["beta"].update(low=[0.5, 0.5]),
-    "negative strategy entry": lambda doc: doc["non_ergodic"]["alpha"].update(high=[-1.0]),
-    "empty high set": lambda doc: doc["non_ergodic"].update(high_states=[], alpha={}),
-    "state in both sets": lambda doc: doc["non_ergodic"].update(
-        low_states=["high", "low"], beta={"high": [1.0], "low": [1.0]}),
+    "unknown high state": (_DISCONNECTED, 0.1, lambda doc: doc["non_ergodic"].update(
+        high_states=["ghost"])),
+    "missing epsilon": (_DISCONNECTED, 0.1, lambda doc: doc.pop("epsilon")),
+    # NaN would disable every tolerance
+    "NaN epsilon": (_DISCONNECTED, 0.1, lambda doc: doc.update(epsilon=float("nan"))),
+    "short potential": (_DISCONNECTED, 0.1, lambda doc: doc.update(
+        potential=doc["potential"][:1])),
+    "alpha misses a high state": (_DISCONNECTED, 0.1, lambda doc: doc.update(alpha={})),
+    "beta of the wrong length": (_DISCONNECTED, 0.1, lambda doc: doc["beta"].update(
+        low=[0.5, 0.5])),
+    "negative strategy entry": (_DISCONNECTED, 0.1, lambda doc: doc["alpha"].update(
+        high=[-1.0])),
+    "empty high set": (_DISCONNECTED, 0.1, lambda doc: doc["non_ergodic"].update(
+        high_states=[])),
+    "state in both sets": (_DISCONNECTED, 0.1, lambda doc: (
+        doc["non_ergodic"].update(low_states=["high", "low"]),
+        doc["beta"].update(high=[1.0]))),
+    "ergodic alpha misses a state": (_DISCONNECTED, 1.0, lambda doc: doc["alpha"].pop("low")),
+    "ergodic beta of the wrong length": (_DISCONNECTED, 1.0, lambda doc: doc["beta"].update(
+        low=[0.5, 0.5])),
+    "ergodic negative strategy entry": (_DISCONNECTED, 1.0, lambda doc: doc["alpha"].update(
+        high=[-1.0])),
+    "ergodic band missing": (_DISCONNECTED, 1.0, lambda doc: doc.update(band=None)),
+    # finite entries whose sum leaves the float range
+    "strategy sum overflows": (_MIXED, 0.05, lambda doc: doc["alpha"].update(
+        s=[1e308, 1e308])),
 }
 
 # ways to break a profile document of disconnected(), each of which

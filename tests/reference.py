@@ -8,7 +8,10 @@ loop over the transition records. The single-step pump reuses the
 package's local values, bands and payoff bounds but none of the pump loop,
 and builds its own gap thresholds, dense arc matrix and breadth-first
 closures, so it checks the event-driven loop's step selection, counts and
-outcome rules as well as the package's sorted-sweep closure.
+outcome rules as well as the package's sorted-sweep closure. The global
+bounds of a strategy certificate come from policy iteration over mean
+payoffs, and its one-shot bounds from the dense tables, so neither shares
+the verifier's vectorised pass.
 """
 
 import itertools
@@ -19,6 +22,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ergopump.game import game_params
+from ergopump.markov import best_response_value
 from ergopump.matrix_game import local_values
 from ergopump.pump import partition, r_bounds
 
@@ -222,3 +226,30 @@ def single_step_pump(game, x0, states, m_minus, m_plus, eps, cap):
                 continue
         return SimpleNamespace(kind=kind, iterations=tau, pump_counts=counts,
                                closed=closed, x=x, m_values=m)
+
+
+def one_shot_bounds(game, alpha, beta, x):
+    """(worst payoff of alpha against a pure column, best payoff of a pure
+    row against beta) over the states each covers, from the dense tables."""
+    worst, best = np.inf, -np.inf
+    for v, (p, e) in enumerate(dense_tables(game)):
+        adjusted = e + x[v] - p @ np.asarray(x, dtype=np.float64)
+        if v in alpha:
+            worst = min(worst, float(np.min(np.asarray(alpha[v]) @ adjusted)))
+        if v in beta:
+            best = max(best, float(np.max(adjusted @ np.asarray(beta[v]))))
+    return worst, best
+
+
+def global_bounds(game, cert):
+    """(worst gain over the alpha states, best gain over the beta states) when
+    the opponent best-responds over mean payoffs to the certificate's
+    strategies, extended uniformly to the states they do not cover."""
+    def extend(strategies, size):
+        return tuple(np.asarray(strategies[v], dtype=np.float64) if v in strategies
+                     else np.full(size(v), 1.0 / size(v)) for v in range(game.n))
+
+    gain_alpha, _ = best_response_value(game, extend(cert.alpha, game.num_row_actions), "row")
+    gain_beta, _ = best_response_value(game, extend(cert.beta, game.num_col_actions), "col")
+    return (float(min(gain_alpha[v] for v in cert.alpha)),
+            float(max(gain_beta[v] for v in cert.beta)))

@@ -14,7 +14,12 @@ import pytest
 
 import reference
 from builders import matrix_as_game, max_mass_into
-from ergopump.documents import parse_game, serialize_certificate
+from ergopump.documents import (
+    parse_certificate,
+    parse_game,
+    recheck_certificate,
+    serialize_certificate,
+)
 from ergopump.driver import decide_ergodicity, default_outer_cap
 from ergopump.game import game_params, normalize_rewards
 from ergopump.generators import big_match, cycle, disconnected, generate, random_game
@@ -87,14 +92,24 @@ def test_criterion_1_dichotomy(corpus):
 
 
 def test_criterion_2_certificate_soundness(corpus):
-    checked = 0
+    checked = witnesses = 0
     for inst in corpus:
-        if inst.verdict.kind != "non-ergodic":
+        if inst.verdict.kind == "inconclusive":
             continue
         verdict = inst.verdict
+        text = serialize_certificate(inst.game, verdict, inst.stats)
+        ok, problems = recheck_certificate(inst.game, parse_certificate(text, inst.game))
+        assert ok, f"{inst.name}: certificate failed its recheck: {problems[:3]}"
+        # the one-shot bounds the recheck accepted hold globally as well
         normalized, _ = normalize_rewards(inst.game)
-        report = verify_witness(normalized, verdict.witness)
-        assert report.ok, f"{inst.name}: witness failed checks: {report.failures[:3]}"
+        cert = verdict.certificate
+        floor, ceiling = reference.global_bounds(normalized, cert)
+        assert floor >= cert.floor - 1e-6 and ceiling <= cert.ceiling + 1e-6, (
+            f"{inst.name}: best responses reach {floor} / {ceiling} against the "
+            f"certified floor {cert.floor} / ceiling {cert.ceiling}")
+        checked += 1
+        if verdict.kind != "non-ergodic":
+            continue
         assert verdict.floor - verdict.ceiling >= verdict.eps - 1e-12, (
             f"{inst.name}: certified gap {verdict.floor - verdict.ceiling} < eps")
         oracle = enumerate_pure_bounds(normalized)
@@ -108,9 +123,11 @@ def test_criterion_2_certificate_soundness(corpus):
                 f"{inst.name}: oracle hi[{u}]={oracle.hi[u]} above ceiling "
                 f"{verdict.ceiling}")
             assert oracle.lo[u] <= verdict.ceiling + 1e-6
-        checked += 1
-    assert checked > 0, "corpus produced no non-ergodic instances to check"
-    _report(2, f"{checked} witnesses verified (structural/local/global + oracle)")
+        witnesses += 1
+    assert witnesses > 0, "corpus produced no non-ergodic instances to check"
+    _report(2, f"{checked} certificates round-tripped and rechecked, each within its "
+               f"global best-response bounds; {witnesses} witnesses within the "
+               "enumeration bounds")
 
 
 def test_criterion_3_ergodic_validity(corpus):
@@ -298,14 +315,14 @@ def test_criterion_7_markov_evaluation():
 def test_criterion_8_known_instances():
     bm_verdict, _ = decide_ergodicity(big_match(), eps=0.01)
     assert bm_verdict.kind == "non-ergodic"
-    report = verify_witness(big_match(), bm_verdict.witness)
+    report = verify_witness(big_match(), bm_verdict.certificate)
     assert report.ok
     assert report.certified_gap >= 1.0 - 1e-6
     assert bm_verdict.high_states == {1} and bm_verdict.low_states == {2}
 
     disc_verdict, _ = decide_ergodicity(disconnected(0.0, 10.0), eps=0.1)
     assert disc_verdict.kind == "non-ergodic"
-    report = verify_witness(disconnected(0.0, 10.0), disc_verdict.witness)
+    report = verify_witness(disconnected(0.0, 10.0), disc_verdict.certificate)
     assert report.ok
     assert report.certified_gap >= 10.0 - 1e-6
 

@@ -9,7 +9,7 @@ import pytest
 from builders import MALFORMED_CERTIFICATES, MALFORMED_PROFILES
 from ergopump import cli, documents
 from ergopump.cli import build_parser, main
-from ergopump.documents import parse_game, serialize_profile
+from ergopump.documents import parse_game, serialize_game, serialize_profile
 from ergopump.markov import uniform_profile
 
 
@@ -54,13 +54,15 @@ class TestSolveExitCodes:
         assert run(["verify", str(disconnected_path), str(cert)]) == 1
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
-    def test_malformed_certificate_exit_one(self, case, disconnected_path, tmp_path, capsys):
-        cert = tmp_path / "c.json"
-        run(["solve", str(disconnected_path), "--epsilon", "0.1", "--out", str(cert)])
+    def test_malformed_certificate_exit_one(self, case, tmp_path, capsys):
+        game, eps, edit = MALFORMED_CERTIFICATES[case]
+        game_path, cert = tmp_path / "g.json", tmp_path / "c.json"
+        game_path.write_text(serialize_game(game))
+        run(["solve", str(game_path), "--epsilon", str(eps), "--out", str(cert)])
         doc = json.loads(cert.read_text())
-        MALFORMED_CERTIFICATES[case](doc)
+        edit(doc)
         cert.write_text(json.dumps(doc))
-        assert run(["verify", str(disconnected_path), str(cert)]) == 1
+        assert run(["verify", str(game_path), str(cert)]) == 1
         assert "invalid certificate document" in capsys.readouterr().err
 
     def test_trace_written(self, disconnected_path, tmp_path):
@@ -173,27 +175,34 @@ class TestOtherCommands:
         assert sorted(f.name for f in out_dir.iterdir()) == ["g0.cert.json",
                                                              "g1.cert.json"]
 
-    @pytest.mark.parametrize("layout", ["same-stem", "same-file"])
+    @pytest.mark.parametrize("layout", ["same-stem", "same-file", "out-is-game",
+                                        "trace-is-certificate"])
     def test_clashing_certificate_paths_exit_64(self, layout, tmp_path, capsys, monkeypatch):
-        # two jobs that would write one certificate are refused before any solve
+        # a solve that would write one file twice, or over an input game, is
+        # refused before any game is solved, and the message names the clash
         monkeypatch.setattr(cli, "decide_ergodicity", lambda *args: pytest.fail("solved"))
         paths = []
         for folder in ("a", "b"):
             (tmp_path / folder).mkdir()
             paths.append(str(tmp_path / folder / "g.json"))
             run(["gen", "disconnected", "--out", paths[-1]])
+        games = {path: Path(path).read_text() for path in paths}
+        cert = str(tmp_path / "c.json")
         if layout == "same-stem":
             out = tmp_path / "out"
             out.mkdir()
-            args = [*paths, "--out", str(out)]
+            args, named = [*paths, "--out", str(out)], [*paths, "g.cert.json"]
+        elif layout == "same-file":
+            args, named = [paths[0], paths[0]], [paths[0], "g.cert.json"]
+        elif layout == "out-is-game":
+            args, named = [paths[0], "--out", paths[0]], [paths[0], "input game"]
         else:
-            args = [paths[0], paths[0]]
+            args, named = [paths[0], "--out", cert, "--trace", cert], [cert, "trace"]
         assert run(["solve", *args, "--epsilon", "0.1"]) == 64
         err = capsys.readouterr().err
-        assert paths[0] in err and "g.cert.json" in err
-        if layout == "same-stem":
-            assert paths[1] in err
-        assert not list(tmp_path.rglob("*.cert.json"))
+        assert all(name in err for name in named), err
+        assert not list(tmp_path.rglob("*.cert.json")) and not Path(cert).exists()
+        assert {path: Path(path).read_text() for path in paths} == games
 
     def test_jobs_capped_at_game_count(self, tmp_path, monkeypatch):
         # the pool is replaced by a serial stand-in, so no process starts

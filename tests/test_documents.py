@@ -6,7 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from builders import MALFORMED_CERTIFICATES, MALFORMED_PROFILES, disconnected
+from builders import (
+    MALFORMED_CERTIFICATES,
+    MALFORMED_PROFILES,
+    count_calls,
+    disconnected,
+    matrix_as_game,
+)
 from ergopump import game as game_module
 from ergopump.documents import (
     DocumentError,
@@ -19,7 +25,7 @@ from ergopump.documents import (
     serialize_profile,
 )
 from ergopump.driver import decide_ergodicity
-from ergopump.game import GameSpec
+from ergopump.game import GameSpec, normalize_rewards
 from ergopump.generators import KINDS, generate, random_game
 from ergopump.markov import uniform_profile
 
@@ -217,19 +223,20 @@ class TestCertificates:
         # above the floor taken from the 10 state
         game, verdict, stats = self._solve()
         doc = json.loads(serialize_certificate(game, verdict, stats))
-        doc["non_ergodic"]["alpha"]["high"] = [20.0]
+        doc["alpha"]["high"] = [20.0]
         weaker = disconnected(0.0, 0.5)
         bundle = parse_certificate(json.dumps(doc), weaker)
-        assert bundle.witness.high_strategies[1].tolist() == [1.0]
+        assert bundle.certificate.alpha[1].tolist() == [1.0]
         ok, problems = recheck_certificate(weaker, bundle)
         assert not ok
         assert any("below floor" in p for p in problems)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
     def test_malformed_certificate_rejected(self, case):
-        game, verdict, stats = self._solve()
+        game, eps, edit = MALFORMED_CERTIFICATES[case]
+        verdict, stats = decide_ergodicity(game, eps)
         doc = json.loads(serialize_certificate(game, verdict, stats))
-        MALFORMED_CERTIFICATES[case](doc)
+        edit(doc)
         with pytest.raises(DocumentError):
             parse_certificate(json.dumps(doc), game)
 
@@ -251,13 +258,92 @@ class TestCertificates:
         ok, problems = recheck_certificate(game, bundle)
         assert not ok
 
+    @pytest.mark.parametrize("eps, ok", [(0.42, True), (0.41, False)])
+    def test_ergodic_band_width_bound_is_24_eps(self, eps, ok):
+        # the band [0, 10] certifies eps = 0.42 (24*eps = 10.08), not 0.41 (9.84)
+        game, verdict, stats = self._solve(eps=1.0)
+        doc = json.loads(serialize_certificate(game, verdict, stats))
+        assert doc["verdict"] == "ergodic-24eps" and doc["band"] == [0.0, 10.0]
+        doc["epsilon"] = eps
+        assert recheck_certificate(game, parse_certificate(json.dumps(doc), game))[0] == ok
+
     def test_format_one_rejected(self):
         game, verdict, stats = self._solve()
         doc = json.loads(serialize_certificate(game, verdict, stats))
-        assert doc["format"] == "ergopump-certificate/2"
-        doc["format"] = "ergopump-certificate/1"
-        with pytest.raises(DocumentError, match="not a ergopump-certificate/2"):
-            parse_certificate(json.dumps(doc), game)
+        assert doc["format"] == "ergopump-certificate/3"
+        for older in ("ergopump-certificate/1", "ergopump-certificate/2"):
+            doc["format"] = older
+            with pytest.raises(DocumentError, match="not a ergopump-certificate/3"):
+                parse_certificate(json.dumps(doc), game)
+
+    @pytest.mark.parametrize("separation", [1e-7, 1e-12])
+    def test_witness_without_proven_gap_fails_recheck(self, separation):
+        # both states of disconnected(0, 0) have value 0: stored bounds a = 0
+        # and b = a + separation hold within one slack each, but the proven
+        # one-shot bounds do not separate, so nothing is proven
+        game, verdict, stats = self._solve()
+        doc = json.loads(serialize_certificate(game, verdict, stats))
+        doc.update(epsilon=1e-5, potential=[0.0, 0.0], alpha={"high": [1.0]},
+                   beta={"low": [1.0]})
+        doc["non_ergodic"].update(a=0.0, b=separation)
+        equal = disconnected(0.0, 0.0)
+        doc["value_offset"] = normalize_rewards(equal)[1]
+        ok, problems = recheck_certificate(equal, parse_certificate(json.dumps(doc), equal))
+        assert not ok
+        assert problems and all("does not exceed proven ceiling" in p for p in problems)
+
+    def test_band_written_only_for_ergodic(self):
+        # a witness claims its a and b, not the last phase's band
+        for eps, band in ((0.1, None), (1.0, [0.0, 10.0])):
+            game, verdict, stats = self._solve(eps)
+            assert json.loads(serialize_certificate(game, verdict, stats))["band"] == band
+
+    def test_nudged_offset_fails_recheck(self):
+        # the offset round-trips bit-exactly, so any difference is a mismatch
+        game = disconnected(-3.0, 10.0)
+        verdict, stats = decide_ergodicity(game, eps=0.1)
+        doc = json.loads(serialize_certificate(game, verdict, stats))
+        assert doc["value_offset"] == 3.0
+        doc["value_offset"] += 1e-12
+        ok, problems = recheck_certificate(game, parse_certificate(json.dumps(doc), game))
+        assert not ok
+        assert any("offset mismatch" in p for p in problems)
+
+    def test_nudged_ergodic_strategy_fails_recheck(self):
+        # [[3, 1], [0, 2]] has value 1.5 with optimal alpha (1/2, 1/2): the
+        # nudged alpha concedes 1e-5 against column 1
+        game = matrix_as_game([[3.0, 1.0], [0.0, 2.0]])
+        verdict, stats = decide_ergodicity(game, eps=0.05)
+        doc = json.loads(serialize_certificate(game, verdict, stats))
+        assert doc["verdict"] == "ergodic-24eps"
+        assert doc["alpha"] == {"s": [0.5, 0.5]}
+        doc["alpha"]["s"] = [0.5 + 1e-5, 0.5 - 1e-5]
+        ok, problems = recheck_certificate(game, parse_certificate(json.dumps(doc), game))
+        assert not ok
+        assert any("below floor" in p for p in problems)
+
+    def test_strategies_written_as_solved(self):
+        # shortest-repr floats: the parsed strategies are the solver's bits
+        game = random_game(6, max_actions=3, seed=4)
+        verdict, stats = decide_ergodicity(game, eps=0.05)
+        bundle = parse_certificate(serialize_certificate(game, verdict, stats), game)
+        for side in ("alpha", "beta"):
+            solved, parsed = (getattr(c, side) for c in (verdict.certificate,
+                                                         bundle.certificate))
+            assert sorted(parsed) == list(range(game.n))
+            for v, vec in solved.items():
+                assert parsed[v].tolist() == (vec / vec.sum()).tolist()
+
+    def test_recheck_runs_no_solver(self, monkeypatch):
+        # neither verdict's recheck solves a matrix game or runs policy iteration
+        calls = count_calls(monkeypatch, ("_solve", "solve_value", "best_response_value"))
+        for low, high, eps in ((0.0, 10.0, 0.1), (4.0, 4.5, 0.5)):
+            game = disconnected(low, high)
+            verdict, stats = decide_ergodicity(game, eps)
+            text = serialize_certificate(game, verdict, stats)
+            calls.clear()
+            ok, _ = recheck_certificate(game, parse_certificate(text, game))
+            assert ok and not calls, (verdict.kind, dict(calls))
 
     def test_wrong_game_rejected(self):
         game, verdict, stats = self._solve()

@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from builders import big_match, disconnected, one_state, random_dense_game, two_cycle
+from builders import (
+    big_match,
+    count_calls,
+    disconnected,
+    one_state,
+    random_dense_game,
+    two_cycle,
+)
 from ergopump import matrix_game
 from ergopump.documents import parse_game, serialize_certificate, serialize_game
 from ergopump.driver import (
@@ -128,6 +135,21 @@ class TestDecideErgodicity:
         for v in range(2):
             assert bounds.lo[v] <= verdict.m_plus + 1e-6
             assert bounds.hi[v] >= verdict.m_minus - 1e-6
+
+    @pytest.mark.parametrize("game, eps, solves", [
+        (disconnected(0.0, 10.0), 0.1, 43),
+        (big_match(), 0.01, 2409),
+        (disconnected(0.0, 10.0), 1.0, 2),
+        (random_game(8, max_actions=3, seed=0), 0.05, 128),
+    ])
+    def test_ergodic_strategies_cost_no_extra_solve(self, game, eps, solves, monkeypatch):
+        # the strategies of an ergodic certificate come from the band check
+        # the loop runs anyway: a solve makes no more simplex runs than the
+        # value-only loop made on these games
+        calls = count_calls(monkeypatch, ("_solve",))
+        verdict, _ = decide_ergodicity(game, eps)
+        assert verdict.certificate is not None
+        assert 0 < calls["_solve"] <= solves
 
     def test_negative_rewards_offset_reported(self):
         g = disconnected(-5.0, 5.0)

@@ -1,16 +1,28 @@
-"""Witness construction and the three-stage verification."""
+"""Witness construction and the one certificate check of both verdicts."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from builders import big_match, disconnected, matrix_as_game
 from ergopump.driver import decide_ergodicity
 from ergopump.game import make_game
+from ergopump.generators import random_game
 from ergopump.matrix_game import local_value, local_values
 from ergopump.pump import auxiliary_graph, boundary_gap_violations, modified_pump, r_bounds
-from ergopump.witness import WitnessBuildError, bar_actions, build_witness, verify_witness
+from ergopump.witness import (
+    ERGODIC,
+    NON_ERGODIC,
+    StrategyCertificate,
+    WitnessBuildError,
+    bar_actions,
+    build_witness,
+    verify_witness,
+)
 
 
 def leaky_row_game():
@@ -63,7 +75,7 @@ class TestBuildWitness:
         assert np.allclose(sol.row_strategy, [0.7, 0.3], atol=1e-9)
         cert = build_witness(g, np.zeros(2), {0}, {1},
                              ceiling_raw=0.2, floor_raw=0.9, eps=0.1)
-        assert np.allclose(cert.high_strategies[0], [1.0, 0.0])
+        assert np.allclose(cert.alpha[0], [1.0, 0.0])
 
     def test_closed_set_keeps_optimal_strategy(self):
         # the whole state space is closed, so truncation is the identity
@@ -95,7 +107,7 @@ class TestBuildWitness:
         x = np.array([-1000.0, 0.0])
         cert = build_witness(g, x, {0}, {1}, ceiling_raw=5.0, floor_raw=6.25, eps=0.1)
         direct = local_value(g, 1, x).col_strategy
-        assert np.allclose(cert.low_strategies[1], direct, atol=1e-9)
+        assert np.allclose(cert.beta[1], direct, atol=1e-9)
 
 
 def _solved_witness(game, eps):
@@ -108,14 +120,14 @@ class TestVerifyWitness:
     def test_disconnected_certificate_passes(self):
         g = disconnected(0.0, 10.0)
         verdict = _solved_witness(g, 0.1)
-        report = verify_witness(g, verdict.witness)
+        report = verify_witness(g, verdict.certificate)
         assert report.ok
         assert report.certified_gap == pytest.approx(10.0)
 
     def test_big_match_certificate_passes(self):
         g = big_match()
         verdict = _solved_witness(g, 0.01)
-        report = verify_witness(g, verdict.witness)
+        report = verify_witness(g, verdict.certificate)
         assert report.ok
         assert report.certified_gap == pytest.approx(1.0)
         assert verdict.high_states == {1}
@@ -125,28 +137,107 @@ class TestVerifyWitness:
         g = leaky_row_game()
         cert = build_witness(g, np.zeros(2), {0}, {1},
                              ceiling_raw=0.2, floor_raw=0.9, eps=0.1)
-        tampered = dataclasses.replace(
-            cert, high_strategies={0: np.array([0.999, 1e-3])})
+        tampered = dataclasses.replace(cert, alpha={0: np.array([0.999, 1e-3])})
         report = verify_witness(g, tampered)
-        assert not report.structural_ok
+        assert not report.ok
         assert any("leaks" in f and "action 1" in f for f in report.failures)
 
     def test_local_fault_detected(self):
+        # a floor above what alpha guarantees fails the one-shot check, and
+        # the column player's best response indeed holds the high state under it
         g = disconnected(0.0, 10.0)
         verdict = _solved_witness(g, 0.1)
-        tampered = dataclasses.replace(verdict.witness, floor=11.0)
+        tampered = dataclasses.replace(verdict.certificate, floor=11.0)
         report = verify_witness(g, tampered)
-        assert not report.local_ok
-        assert not report.global_ok
+        assert not report.ok
+        assert any("below floor" in f for f in report.failures)
+        assert reference.global_bounds(g, tampered)[0] < tampered.floor
+
+    def test_witness_needs_proven_separation(self):
+        # equal values 0 on both sides: claimed bounds b = 1e-7 > a = 0 each
+        # hold within the slack, yet the proven floor equals the proven ceiling
+        g = disconnected(0.0, 0.0)
+        cert = StrategyCertificate(kind=NON_ERGODIC, alpha={1: np.array([1.0])},
+                                   beta={0: np.array([1.0])}, potential=np.zeros(2),
+                                   floor=1e-7, ceiling=0.0, eps=1e-5)
+        report = verify_witness(g, cert)
+        assert report.certified_gap == 0.0
+        assert len(report.failures) == 1
+        assert "does not exceed proven ceiling" in report.failures[0]
 
     def test_global_check_consistent_with_local(self):
-        # consistency property: on certificates built by the driver, the
-        # global check never contradicts (a)+(b)
-        for game, eps in ((disconnected(0.0, 10.0), 0.1), (big_match(), 0.01)):
-            verdict = _solved_witness(game, eps)
-            report = verify_witness(game, verdict.witness)
-            assert report.structural_ok and report.local_ok
-            assert report.global_ok
+        # on certificates built by the driver, the global best-response
+        # bounds never contradict the one-shot check
+        for game, eps in ((disconnected(0.0, 10.0), 0.1), (big_match(), 0.01),
+                          (disconnected(0.0, 10.0), 1.0)):
+            cert = decide_ergodicity(game, eps)[0].certificate
+            assert verify_witness(game, cert).ok
+            floor, ceiling = reference.global_bounds(game, cert)
+            assert floor >= cert.floor - 1e-9 and ceiling <= cert.ceiling + 1e-9
+
+
+def _distributions(draw, sizes):
+    weights = [np.array(draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)),
+                        dtype=np.float64) + 1e-3 for size in sizes]
+    return {v: w / w.sum() for v, w in enumerate(weights)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_one_shot_bounds_match_dense_tables_and_hold_globally(data):
+    # any strategy pair under any potential, claiming exactly its one-shot
+    # bounds: the check accepts, its gap matches the dense-table bounds, and
+    # best responses over mean payoffs cannot beat those bounds
+    g = random_game(data.draw(st.integers(2, 4)), max_actions=3,
+                    seed=data.draw(st.integers(0, 10_000)))
+    alpha = _distributions(data.draw, [g.num_row_actions(v) for v in range(g.n)])
+    beta = _distributions(data.draw, [g.num_col_actions(v) for v in range(g.n)])
+    x = np.array(data.draw(st.lists(st.floats(-5, 5), min_size=g.n, max_size=g.n)))
+    floor, ceiling = reference.one_shot_bounds(g, alpha, beta, x)
+    cert = StrategyCertificate(kind=ERGODIC, alpha=alpha, beta=beta, potential=x,
+                               floor=floor, ceiling=ceiling,
+                               eps=max(ceiling - floor, 0.0) / 24 + 1.0)
+    report = verify_witness(g, cert)
+    assert report.ok, report.failures
+    assert report.certified_gap == pytest.approx(floor - ceiling, abs=1e-9)
+    global_floor, global_ceiling = reference.global_bounds(g, cert)
+    assert global_floor >= floor - 1e-9 and global_ceiling <= ceiling + 1e-9
+    # claiming one slack more than the strategies give is refused
+    assert not verify_witness(g, dataclasses.replace(cert, floor=floor + 2e-6)).ok
+    assert not verify_witness(g, dataclasses.replace(cert, ceiling=ceiling - 2e-6)).ok
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([
+    # corpus witnesses whose sets hold states with several actions
+    (random_game(2, max_actions=3, granularity=1, reward_bound=8.0, seed=32), 0.05),
+    (random_game(3, max_actions=2, granularity=2, reward_bound=8.0, seed=169), 0.05),
+    (big_match(), 0.5),  # ergodic
+    (random_game(3, max_actions=3, seed=0), 0.05),  # ergodic
+]), st.floats(0.0, 1.0), st.data())
+def test_perturbed_certificates_accepted_only_within_global_bounds(case, weight, data):
+    # mixing a solved certificate's strategies with arbitrary ones on the
+    # actions that keep the play in their set: whatever the one-shot check
+    # still accepts keeps its bounds under best responses
+    g, eps = case
+    cert = decide_ergodicity(g, eps)[0].certificate
+
+    def perturb(strategies, player, size):
+        noise = _distributions(data.draw, [size(v) for v in range(g.n)])
+        out = {}
+        for v, vec in strategies.items():
+            keep = np.zeros(size(v))
+            keep[sorted(bar_actions(g, v, strategies, player))] = 1.0
+            mix = noise[v] * keep
+            out[v] = (1 - weight) * vec + weight * mix / mix.sum()
+        return out
+
+    perturbed = dataclasses.replace(
+        cert, alpha=perturb(cert.alpha, "row", g.num_row_actions),
+        beta=perturb(cert.beta, "col", g.num_col_actions))
+    if verify_witness(g, perturbed).ok:
+        floor, ceiling = reference.global_bounds(g, perturbed)
+        assert floor >= cert.floor - 1e-6 and ceiling <= cert.ceiling + 1e-6
 
 
 class TestCertificateChains:
@@ -154,7 +245,7 @@ class TestCertificateChains:
         # mass dropped by truncation stays under eps / R^v
         g = disconnected(0.0, 10.0)
         verdict = _solved_witness(g, 0.1)
-        x = verdict.witness.potential
+        x = verdict.potential
         rb = r_bounds(g, x, verdict.high_states, float(np.nanmax(local_values(g, x))))
         for v in verdict.high_states:
             sol = local_value(g, v, x)
@@ -169,11 +260,11 @@ class TestCertificateChains:
 
         g = big_match()
         verdict = _solved_witness(g, 0.01)
-        w = verdict.witness
-        m = local_values(g, w.potential)
-        for v in w.high_states:
-            assert w.floor_raw <= m[v] + 1e-9
-            payoffs = w.high_strategies[v] @ local_reward_matrix(g, v, w.potential)
+        m = local_values(g, verdict.potential)
+        for v in verdict.high_states:
+            assert verdict.floor_raw <= m[v] + 1e-9
+            payoffs = (verdict.certificate.alpha[v]
+                       @ local_reward_matrix(g, v, verdict.potential))
             assert np.all(m[v] <= payoffs + verdict.eps + 1e-9)
 
     def test_gap_conditions_recheck(self):
