@@ -11,11 +11,9 @@ from .documents import (
     DocumentError,
     parse_certificate,
     parse_game,
-    parse_profile,
     recheck_certificate,
     serialize_certificate,
     serialize_game,
-    serialize_profile,
 )
 from .driver import (
     DriverConfig,
@@ -36,17 +34,7 @@ from .game import (
     normalize_rewards,
     validate,
 )
-from .markov import (
-    MarkovEvaluation,
-    StationaryProfile,
-    best_response_value,
-    evaluate_stationary_pair,
-    induced_chain,
-    limiting_matrix,
-    make_profile,
-)
 from .matrix_game import MatrixGameError, MatrixGameSolution, local_value, solve_matrix_game
-from .oracle import OracleReport, enumerate_pure_bounds, simulate_mean_payoff
 from .pump import BandPartition, PumpOutcome, modified_pump, partition
 from .witness import StrategyCertificate, build_witness, verify_witness
 

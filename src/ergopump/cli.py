@@ -1,8 +1,9 @@
-"""Command-line interface.
+"""Command-line interface: solve, verify and gen.
 
 Exit codes: solve returns 0 when the game is certified ergodic, 2 when a
 non-ergodicity witness is certified, 3 when inconclusive; verify returns 0
-on pass and 1 on fail; usage errors exit 64 and I/O errors 66.
+on pass and 1 on fail; gen returns 0. Usage errors, an unknown subcommand
+among them, exit 64 and I/O errors 66.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import documents, generators
-from .driver import ERGODIC, INCONCLUSIVE, NON_ERGODIC, DriverConfig, decide_ergodicity
-from .markov import evaluate_stationary_pair
-from .oracle import DEFAULT_BUDGET, OracleBudgetError, enumerate_pure_bounds
+from .driver import ERGODIC, NON_ERGODIC, DriverConfig, decide_ergodicity
 
 EX_USAGE = 64
 EX_IOERR = 66
@@ -168,34 +167,6 @@ def _cmd_verify(args) -> int:
     return 1
 
 
-def _cmd_eval(args) -> int:
-    game = _load_game(args.game)
-    try:
-        profile = documents.parse_profile(_read(args.profile), game)
-    except documents.DocumentError as exc:
-        print(f"{args.profile}: invalid profile document:", file=sys.stderr)
-        for problem in exc.problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return EX_USAGE
-    evaluation = evaluate_stationary_pair(game, profile)
-    for v, name in enumerate(game.states):
-        print(f"{name}: {_fmt(evaluation.gain[v])}")
-    return 0
-
-
-def _cmd_oracle(args) -> int:
-    game = _load_game(args.game)
-    try:
-        report = enumerate_pure_bounds(game, budget=args.budget)
-    except OracleBudgetError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    print(f"pure stationary profiles enumerated: {report.enumerated}")
-    for v, name in enumerate(game.states):
-        print(f"{name}: [{_fmt(report.lo[v])}, {_fmt(report.hi[v])}]")
-    return 0
-
-
 def _parse_param(token: str):
     if "=" not in token:
         raise ValueError(f"expected key=value, got {token!r}")
@@ -261,16 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("game")
     verify.add_argument("certificate")
     verify.set_defaults(func=_cmd_verify)
-
-    evaluate = sub.add_parser("eval", help="mean payoff of a stationary profile")
-    evaluate.add_argument("game")
-    evaluate.add_argument("profile")
-    evaluate.set_defaults(func=_cmd_eval)
-
-    oracle = sub.add_parser("oracle", help="pure-strategy value intervals (small games)")
-    oracle.add_argument("game")
-    oracle.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
-    oracle.set_defaults(func=_cmd_oracle)
 
     gen = sub.add_parser("gen", help="generate a game document")
     gen.add_argument("kind", choices=generators.KINDS)

@@ -1,4 +1,4 @@
-"""File formats: game documents, solve certificates, strategy profiles.
+"""File formats: game documents and solve certificates.
 
 Documents are JSON. Probabilities travel as exact rational strings ("a/b" or
 a decimal literal) so the granularity parameter survives round-trips;
@@ -9,10 +9,12 @@ order, so equal inputs produce byte-identical documents.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -24,12 +26,10 @@ from .game import (
     normalize_rewards,
     to_fraction,
 )
-from .markov import StationaryProfile, make_profile
 from .witness import ERGODIC, NON_ERGODIC, StrategyCertificate, verify_witness
 
 GAME_FORMAT = "ergopump-game/1"
 CERTIFICATE_FORMAT = "ergopump-certificate/3"
-PROFILE_FORMAT = "ergopump-profile/1"
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -119,64 +119,14 @@ def parse_game(text: str) -> GameSpec:
     return make_game(states, row_actions, col_actions, triples)
 
 
-def serialize_profile(game: GameSpec, profile: StationaryProfile) -> str:
-    doc = {
-        "format": PROFILE_FORMAT,
-        "alpha": {game.states[v]: list(map(float, profile.alpha[v])) for v in range(game.n)},
-        "beta": {game.states[v]: list(map(float, profile.beta[v])) for v in range(game.n)},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def parse_profile(text: str, game: GameSpec) -> StationaryProfile:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError([f"JSON syntax error at line {exc.lineno}, column "
-                             f"{exc.colno}: {exc.msg}"]) from None
-    if not isinstance(doc, dict) or doc.get("format") != PROFILE_FORMAT:
-        raise DocumentError([f"not a {PROFILE_FORMAT} document"])
-
-    def _vectors(key, counts):
-        table = doc.get(key, {})
-        if not isinstance(table, dict):
-            raise DocumentError([f"{key}: expected an object mapping states to vectors"])
-        out = []
-        for v, name in enumerate(game.states):
-            if name not in table:
-                raise DocumentError([f"{key}: missing state {name!r}"])
-            entries = table[name]
-            try:
-                vec = ([float(to_fraction(val)) for val in entries]
-                       if isinstance(entries, list) else None)
-            except (TypeError, ValueError, ZeroDivisionError):
-                vec = None
-            if vec is None:
-                raise DocumentError([f"{key}[{name!r}]: expected a list of "
-                                     f"probabilities, got {entries!r}"])
-            if len(vec) != counts(v):
-                raise DocumentError([f"{key}[{name!r}]: expected {counts(v)} entries"])
-            out.append(np.array(vec))
-        return out
-
-    alpha = _vectors("alpha", game.num_row_actions)
-    beta = _vectors("beta", game.num_col_actions)
-    try:
-        return make_profile(game, alpha, beta)
-    except ValueError as exc:
-        raise DocumentError([str(exc)]) from None
-
-
 @dataclass(frozen=True)
 class CertificateBundle:
-    """A parsed certificate: the verdict payload plus solver metadata."""
+    """A parsed certificate: the fields the recheck reads."""
 
     verdict_kind: str
     eps: float
     value_offset: float
     certificate: StrategyCertificate | None  # None for an inconclusive verdict
-    reason: str | None
-    metadata: dict
 
 
 def _strategy_table(game: GameSpec, strategies: dict) -> dict:
@@ -230,39 +180,60 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
         raise DocumentError(["certificate states do not match the game"])
     problems = []
 
+    def finite(values) -> bool:
+        # JSON true would pass a conversion as 1, and NaN would make every
+        # tolerance comparison of the recheck pass; map and all loop in C
+        try:
+            return ({int, float}.issuperset(map(type, values))
+                    and all(map(math.isfinite, values)))
+        except OverflowError:  # an int beyond the float range
+            return False
+
     def number(value, what):
-        # NaN would make every tolerance comparison of the recheck pass
-        if (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value)):
+        if finite([value]):
             return float(value)
         problems.append(f"{what} must be a finite number, got {value!r}")
         return 0.0
 
     def vector(values, size, what) -> list:
-        if not isinstance(values, list) or len(values) != size:
-            problems.append(f"{what}: expected a list of {size} numbers")
-            return [0.0] * size
-        return [number(t, f"{what} entry") for t in values]
+        if isinstance(values, list) and len(values) == size and finite(values):
+            return values
+        problems.append(f"{what}: expected a list of {size} finite numbers")
+        return [0.0] * size
 
-    def strategies(key, members, size):
-        # any non-negative vector with a positive sum names the
-        # distribution it is proportional to; the recheck reads that
-        table = doc.get(key)
-        table = table if isinstance(table, dict) else {}
-        out = {}
-        for v in sorted(members):
-            what = f"{key}[{game.states[v]!r}]"
-            vec = vector(table.get(game.states[v]), size(v), what)
-            try:
-                total = math.fsum(vec) if min(vec) >= 0 else 0.0
-            except OverflowError:
-                total = math.inf
-            if not 0 < total < math.inf:
-                problems.append(f"{what} must be non-negative with a positive, "
-                                "finite sum")
-                total = 1.0
-            out[v] = np.array(vec) / total
-        return out
+    def strategies(alpha_states, beta_states):
+        # any non-negative vector with a positive sum names the distribution
+        # it is proportional to; the recheck reads that. Each check runs
+        # once over both players' tables.
+        owners, rows, sizes = [], [], []
+        for key, members, size in (("alpha", alpha_states, game.num_row_actions),
+                                   ("beta", beta_states, game.num_col_actions)):
+            table = doc.get(key)
+            table = table if isinstance(table, dict) else {}
+            owners.append(sorted(members))
+            got = [table.get(game.states[v]) for v in owners[-1]]
+            want = [size(v) for v in owners[-1]]
+            if [len(row) if isinstance(row, list) else None for row in got] != want:
+                problems.append(f"{key}: expected one list per state, with one number "
+                                "per action")
+            rows += got
+            sizes += want
+        if problems:
+            return {}, {}
+        flat = list(chain.from_iterable(rows))
+        totals = [0.0]
+        with contextlib.suppress(OverflowError):  # finite entries may overflow a sum
+            if finite(flat) and min(flat) >= 0:
+                totals = list(map(math.fsum, rows))
+        if not min(totals) > 0:
+            problems.append("every strategy vector needs finite, non-negative entries "
+                            "with a positive sum")
+            return {}, {}
+        normalized = np.array(flat, dtype=np.float64) / np.repeat(totals, sizes)
+        starts = [0, *accumulate(sizes)]
+        vectors = iter([normalized[a:b] for a, b in zip(starts, starts[1:])])
+        # zip draws from vectors only while the player's states last
+        return tuple(dict(zip(members, vectors)) for members in owners)
 
     verdict_kind = doc.get("verdict")
     if not isinstance(verdict_kind, str):
@@ -271,13 +242,10 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
     value_offset = number(doc.get("value_offset", 0.0), "'value_offset'")
     certificate = None
     if verdict_kind in (ERGODIC, NON_ERGODIC):
-        if doc.get("potential") is None:
-            raise DocumentError([f"{verdict_kind} certificate lacks a potential vector"])
-        potential = np.array(vector(doc["potential"], game.n, "'potential'"))
+        potential = np.array(vector(doc.get("potential"), game.n, "'potential'"),
+                             dtype=np.float64)
         if verdict_kind == ERGODIC:
-            if doc.get("band") is None:
-                raise DocumentError(["ergodic certificate lacks its band"])
-            floor, ceiling = vector(doc["band"], 2, "'band'")
+            floor, ceiling = map(float, vector(doc.get("band"), 2, "'band'"))
             alpha_states = beta_states = range(game.n)
         else:
             payload = doc.get("non_ergodic")
@@ -305,10 +273,11 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
             floor = number(payload.get("b"), "non_ergodic.b")
             ceiling = number(payload.get("a"), "non_ergodic.a")
             alpha_states, beta_states = high, low
+        alpha, beta = strategies(alpha_states, beta_states)
         certificate = StrategyCertificate(
             kind=verdict_kind,
-            alpha=strategies("alpha", alpha_states, game.num_row_actions),
-            beta=strategies("beta", beta_states, game.num_col_actions),
+            alpha=alpha,
+            beta=beta,
             potential=potential,
             floor=floor,
             ceiling=ceiling,
@@ -321,8 +290,6 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
         eps=eps,
         value_offset=value_offset,
         certificate=certificate,
-        reason=doc.get("reason"),
-        metadata=doc.get("metadata", {}),
     )
 
 

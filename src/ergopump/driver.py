@@ -15,12 +15,9 @@ and (5*m_plus + 3*m_minus) / 8.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
-# unused here, but bench/tracing.py looks up and times driver.linprog by name
-from scipy.optimize import linprog  # noqa: F401
 
 from .game import (
     GameParams,
@@ -30,7 +27,6 @@ from .game import (
     game_params,
     normalize_rewards,
 )
-from .markov import MarkovError, PolicyIterationError
 from .matrix_game import MatrixGameError, local_solutions
 from .pump import PumpInvariantError, modified_pump
 from .witness import (
@@ -43,6 +39,15 @@ from .witness import (
 
 INCONCLUSIVE = "inconclusive"
 HARD_CAP = 2_000_000  # ceiling the computed pump-step cap saturates at
+
+
+def __getattr__(name):
+    # scipy's linprog, loaded only when looked up: nothing here calls it, but
+    # bench/tracing.py times driver.linprog. ROADMAP item 1 deletes this hook.
+    if name == "linprog":
+        from scipy.optimize import linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,6 @@ class DriverStats:
     phases: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     cap_saturated: bool = False
-    wall_time: float = 0.0
 
 
 def compute_iteration_cap(params: GameParams, delta: float, eps: float) -> int:
@@ -140,15 +144,12 @@ def decide_ergodicity(game: GameSpec, eps: float,
     params = game_params(normalized)
 
     stats = DriverStats()
-    start = time.perf_counter()
     try:
         verdict = _drive(normalized, eps, config, params, offset, stats)
-    except (MatrixGameError, MarkovError, PolicyIterationError,
-            PumpInvariantError, WitnessBuildError) as exc:
+    except (MatrixGameError, PumpInvariantError, WitnessBuildError) as exc:
         verdict = Verdict(kind=INCONCLUSIVE, eps=eps, potential=None,
                           m_minus=None, m_plus=None, value_offset=offset,
                           reason=f"{type(exc).__name__}: {exc}")
-    stats.wall_time = time.perf_counter() - start
     return verdict, stats
 
 

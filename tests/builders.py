@@ -147,12 +147,12 @@ MALFORMED_CERTIFICATES = {
     # finite entries whose sum leaves the float range
     "strategy sum overflows": (_MIXED, 0.05, lambda doc: doc["alpha"].update(
         s=[1e308, 1e308])),
-}
-
-# ways to break a profile document of disconnected(), each of which
-# parse_profile must reject with DocumentError
-MALFORMED_PROFILES = {
-    "entry not a number": lambda doc: doc["alpha"].update(low=["abc"]),
-    "vector given as a string": lambda doc: doc["alpha"].update(low="x"),
-    "vector given as a number": lambda doc: doc["beta"].update(high=5),
+    # entries that a float conversion would take: JSON true as 1, "0.5" as 0.5
+    "boolean strategy entry": (_DISCONNECTED, 0.1, lambda doc: doc["alpha"].update(
+        high=[True])),
+    "string strategy entry": (_MIXED, 0.05, lambda doc: doc["alpha"].update(
+        s=[0.5, "0.5"])),
+    "all-zero strategy": (_MIXED, 0.05, lambda doc: doc["beta"].update(s=[0.0, 0.0])),
+    "negative entry, positive sum": (_MIXED, 0.05, lambda doc: doc["alpha"].update(
+        s=[-0.5, 1.5])),
 }

@@ -3,12 +3,10 @@
 import json
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from builders import (
     MALFORMED_CERTIFICATES,
-    MALFORMED_PROFILES,
     count_calls,
     disconnected,
     matrix_as_game,
@@ -18,16 +16,13 @@ from ergopump.documents import (
     DocumentError,
     parse_certificate,
     parse_game,
-    parse_profile,
     recheck_certificate,
     serialize_certificate,
     serialize_game,
-    serialize_profile,
 )
 from ergopump.driver import decide_ergodicity
 from ergopump.game import GameSpec, normalize_rewards
 from ergopump.generators import KINDS, generate, random_game
-from ergopump.markov import uniform_profile
 
 MINIMAL = """
 {
@@ -161,30 +156,6 @@ class TestGameDocuments:
         probs = [rec[3] for records in game.transitions for rec in records]
         assert all(isinstance(p, Fraction) for p in probs)
         assert [rec[3] for records in again.transitions for rec in records] == probs
-
-
-class TestProfileDocuments:
-    def test_round_trip(self):
-        g = disconnected()
-        profile = uniform_profile(g)
-        text = serialize_profile(g, profile)
-        parsed = parse_profile(text, g)
-        for v in range(g.n):
-            assert np.allclose(parsed.alpha[v], profile.alpha[v])
-
-    def test_missing_state_rejected(self):
-        g = disconnected()
-        with pytest.raises(DocumentError, match="missing state"):
-            parse_profile(json.dumps({"format": "ergopump-profile/1",
-                                      "alpha": {}, "beta": {}}), g)
-
-    @pytest.mark.parametrize("case", sorted(MALFORMED_PROFILES))
-    def test_malformed_vector_rejected(self, case):
-        g = disconnected()
-        doc = json.loads(serialize_profile(g, uniform_profile(g)))
-        MALFORMED_PROFILES[case](doc)
-        with pytest.raises(DocumentError, match="expected a list of probabilities"):
-            parse_profile(json.dumps(doc), g)
 
 
 class TestCertificates:

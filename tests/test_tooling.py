@@ -3,6 +3,7 @@ each must still exist and mean what the harness reads it as."""
 
 import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,3 +48,14 @@ def test_harness_reads_solver_results(monkeypatch):
     assert sum(fingerprint["verdicts"].values()) == len(games)
     assert fingerprint["verdicts"].get("non-ergodic") == 1
     assert fingerprint["pump.steps"] > 0
+
+
+def test_verdict_path_imports_no_scipy():
+    # scipy serves only the reference modules markov and oracle, which the
+    # package and its CLI never import
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (f"import sys; sys.path.insert(0, {str(src)!r}); import ergopump, ergopump.cli; "
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
