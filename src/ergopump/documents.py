@@ -64,6 +64,17 @@ def serialize_game(game: GameSpec) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _finite(values) -> bool:
+    """Whether every entry is a finite JSON number. JSON true would pass a
+    float conversion as 1 and "2.5" as 2.5, and NaN would make every
+    tolerance comparison pass; map and all loop in C."""
+    try:
+        return ({int, float}.issuperset(map(type, values))
+                and all(map(math.isfinite, values)))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def parse_game(text: str) -> GameSpec:
     """Parse a game document into a (validated) GameSpec; raises DocumentError
     with the first 20 problems (JSON position for syntax, record index for
@@ -108,12 +119,15 @@ def parse_game(text: str) -> GameSpec:
             break
         try:
             p = to_fraction(rec["p"])
-            triples.append((rec["from"], rec["row"], rec["col"], rec["to"], p,
-                            float(rec["r"])))
+            triples.append((rec["from"], rec["row"], rec["col"], rec["to"], p, rec["r"]))
         except KeyError as exc:
             problems.append(f"transition record {idx}: missing field {exc.args[0]!r}")
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             problems.append(f"transition record {idx}: {exc}")
+    rewards = [triple[5] for triple in triples]
+    if not problems and not _finite(rewards):  # every record gave a triple, in order
+        problems = [f"transition record {idx}: reward is not finite or not a number: {r!r}"
+                    for idx, r in enumerate(rewards) if not _finite([r])][:MAX_REPORTED_ERRORS]
     if problems:
         raise DocumentError(problems)
     return make_game(states, row_actions, col_actions, triples)
@@ -180,23 +194,14 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
         raise DocumentError(["certificate states do not match the game"])
     problems = []
 
-    def finite(values) -> bool:
-        # JSON true would pass a conversion as 1, and NaN would make every
-        # tolerance comparison of the recheck pass; map and all loop in C
-        try:
-            return ({int, float}.issuperset(map(type, values))
-                    and all(map(math.isfinite, values)))
-        except OverflowError:  # an int beyond the float range
-            return False
-
     def number(value, what):
-        if finite([value]):
+        if _finite([value]):
             return float(value)
         problems.append(f"{what} must be a finite number, got {value!r}")
         return 0.0
 
     def vector(values, size, what) -> list:
-        if isinstance(values, list) and len(values) == size and finite(values):
+        if isinstance(values, list) and len(values) == size and _finite(values):
             return values
         problems.append(f"{what}: expected a list of {size} finite numbers")
         return [0.0] * size
@@ -223,7 +228,7 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
         flat = list(chain.from_iterable(rows))
         totals = [0.0]
         with contextlib.suppress(OverflowError):  # finite entries may overflow a sum
-            if finite(flat) and min(flat) >= 0:
+            if _finite(flat) and min(flat) >= 0:
                 totals = list(map(math.fsum, rows))
         if not min(totals) > 0:
             problems.append("every strategy vector needs finite, non-negative entries "

@@ -1,10 +1,16 @@
 """Zero-sum matrix game solver.
 
-Solves small dense matrix games by the classic value LP: shift the matrix
-positive, maximize the column player's scaled mixed strategy against unit
-bounds, and read the row player's strategy off the duals. The simplex is
-self-contained (Dantzig entering rule, switching to Bland's rule after a
-pivot budget to rule out cycling) so results are bit-reproducible. Every
+Solves small dense matrix games in closed form where it can: a pure saddle
+(maximin equal to minimax) by unit strategies, and a game up to 3x3 by its
+first Shapley-Snow kernel, a square submatrix whose adjugate gives the
+value and both strategies (Shapley and Snow, Basic solutions of discrete
+games, 1950), kept when its strategies are non-negative and pass the
+saddle check. Larger games, and any small one no kernel settles, go to the
+classic value LP: shift the matrix positive, maximize the column player's
+scaled mixed strategy against unit bounds, and read the row player's
+strategy off the duals. The simplex is self-contained (Dantzig entering
+rule, switching to Bland's rule after a pivot budget to rule out cycling).
+Both stages are deterministic, so results are bit-reproducible. Every
 solve saddle-checks the strategies it returns; a solve that stalls or fails
 that check raises MatrixGameError.
 """
@@ -12,6 +18,8 @@ that check raises MatrixGameError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from operator import mul
 
 import numpy as np
 
@@ -103,15 +111,101 @@ def _simplex_max(tableau, basis, n_vars) -> bool:
         pivots += 1
 
 
-def _solve(rows):
-    """Run the value LP on a row-list matrix and saddle-check its result.
+def _saddle_bounds(rows, row_strategy, col):
+    """(worst column payoff of row_strategy, best row payoff against col)."""
+    best_row = max(sum(map(mul, row, col)) for row in rows)
+    worst_col = min(sum(map(mul, row_strategy, column)) for column in zip(*rows))
+    return worst_col, best_row
 
-    Returns (value, row strategy, col strategy, duality gap). Raises
+
+def _kernel_solve(a):
+    """Closed-form solve of a float row-list matrix, or None if none settles it.
+
+    A single row or column, or any game whose maximin equals its minimax
+    exactly, is a pure saddle: unit strategies at the first row and column
+    attaining them, gap 0. Otherwise, up to 3x3, each square submatrix B is a
+    Shapley-Snow kernel candidate, the 2x2 ones in lexicographic (row pair,
+    column pair) order, then the full 3x3. With C the cofactor matrix of B
+    and s the sum of its entries (1' adj B 1), the candidate's row strategy
+    is C's row sums over s, its column strategy C's column sums over s and
+    its value det B / s; candidates with s exactly 0.0 are skipped. B is
+    shifted by its corner entry first, which leaves C's sums unchanged and
+    keeps det B from cancelling a large common offset.
+    """
+    m, n = len(a), len(a[0])
+    if m == 1:
+        lower = min(a[0])
+        return lower, [1.0], _unit(n, a[0].index(lower)), 0.0
+    if n == 1:
+        column = [row[0] for row in a]
+        upper = max(column)
+        return upper, _unit(m, column.index(upper)), [1.0], 0.0
+    row_mins = [min(row) for row in a]
+    col_maxs = [max(column) for column in zip(*a)]
+    lower, upper = max(row_mins), min(col_maxs)
+    if lower == upper:
+        return (lower, _unit(m, row_mins.index(lower)),
+                _unit(n, col_maxs.index(upper)), 0.0)
+    if m > 3 or n > 3:
+        return None
+    for k1, k2 in combinations(range(m), 2):
+        top, bottom = a[k1], a[k2]
+        for l1, l2 in combinations(range(n), 2):
+            corner = top[l1]
+            b01, b10, b11 = top[l2] - corner, bottom[l1] - corner, bottom[l2] - corner
+            s = b11 - b10 - b01
+            if s == 0.0:
+                continue
+            row_strategy, col = [0.0] * m, [0.0] * n
+            row_strategy[k1], row_strategy[k2] = (b11 - b10) / s, -b01 / s
+            col[l1], col[l2] = (b11 - b01) / s, -b10 / s
+            settled = _settles(a, corner - b01 * b10 / s, row_strategy, col)
+            if settled is not None:
+                return settled
+    if m == n == 3:
+        corner = a[0][0]
+        b = [[x - corner for x in row] for row in a]
+        cof = [[b[(i + 1) % 3][(j + 1) % 3] * b[(i + 2) % 3][(j + 2) % 3]
+                - b[(i + 1) % 3][(j + 2) % 3] * b[(i + 2) % 3][(j + 1) % 3]
+                for j in range(3)] for i in range(3)]
+        row_weights = [sum(row) for row in cof]
+        s = sum(row_weights)
+        if s != 0.0:
+            return _settles(a, corner + sum(map(mul, b[0], cof[0])) / s,
+                            [w / s for w in row_weights],
+                            [sum(column) / s for column in zip(*cof)])
+    return None
+
+
+def _settles(a, value, row_strategy, col):
+    """(value, row_strategy, col, gap) if both strategies are non-negative
+    and their gap on a is at most _SADDLE_TOL, else None."""
+    if min(row_strategy) < 0.0 or min(col) < 0.0:
+        return None
+    worst_col, best_row = _saddle_bounds(a, row_strategy, col)
+    gap = best_row - worst_col
+    return (value, row_strategy, col, gap) if gap <= _SADDLE_TOL else None
+
+
+def _unit(size, index):
+    out = [0.0] * size
+    out[index] = 1.0
+    return out
+
+
+def _solve(rows):
+    """Solve a row-list matrix game and saddle-check the result.
+
+    Returns (value, row strategy, col strategy, duality gap). Games that
+    _kernel_solve settles need no pivot; the rest run the value LP. Raises
     MatrixGameError when the simplex stalls, bounded by the pure maximin
     and minimax, or when the gap exceeds _SADDLE_TOL, bounded by the worst
     column payoff and the best row payoff of the strategies found.
     """
     floats = [[float(x) for x in row] for row in rows]
+    settled = _kernel_solve(floats)
+    if settled is not None:
+        return settled
     m = len(floats)
     n = len(floats[0])
 
@@ -147,10 +241,7 @@ def _solve(rows):
     row_strategy = [x / y_total for x in y]
     value = 1.0 / total - shift
 
-    best_row = max(sum(rows[k][l] * col[l] for l in range(n)) for k in range(m))
-    worst_col = min(
-        sum(row_strategy[k] * rows[k][l] for k in range(m)) for l in range(n)
-    )
+    worst_col, best_row = _saddle_bounds(rows, row_strategy, col)
     gap = best_row - worst_col
     if gap > _SADDLE_TOL:
         raise MatrixGameError(f"duality gap {gap} above {_SADDLE_TOL}",
@@ -161,8 +252,8 @@ def _solve(rows):
 def solve_value(rows: list) -> float:
     """Value-only solve on a row-list matrix; still saddle-checks the result.
 
-    This is the pump loop's hot path: same LP as solve_matrix_game, minus
-    the array packaging.
+    This is the pump loop's hot path: the same closed forms and LP as
+    solve_matrix_game, minus the array packaging.
     """
     return _solve(rows)[0]
 

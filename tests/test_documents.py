@@ -70,6 +70,17 @@ class TestGameDocuments:
         with pytest.raises(DocumentError, match="reward is not finite"):
             parse_game(json.dumps(doc))
 
+    @pytest.mark.parametrize("reward", [True, "2.5", 10**400])
+    def test_reward_that_is_not_a_number_rejected(self, reward):
+        # a float conversion would read JSON true as 1.0 and "2.5" as 2.5,
+        # and raise OverflowError on an integer beyond the float range
+        doc = json.loads(MINIMAL)
+        doc["transitions"][0]["r"] = reward
+        with pytest.raises(DocumentError) as err:
+            parse_game(json.dumps(doc))
+        assert err.value.problems == (
+            f"transition record 0: reward is not finite or not a number: {reward!r}",)
+
     def test_zero_denominator_reported(self):
         doc = json.loads(MINIMAL)
         doc["transitions"][0]["p"] = "1/0"

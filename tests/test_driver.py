@@ -210,8 +210,10 @@ class TestDecideErgodicity:
             decide_ergodicity(one_state(), eps=eps)
 
     def test_stalled_local_solve_is_inconclusive(self, monkeypatch):
+        # state s0 of this game has a mixed 4x2 local game, beyond the closed
+        # forms, so the run reaches the simplex
         monkeypatch.setattr(matrix_game, "_MAX_PIVOTS", 0)
-        verdict, _ = decide_ergodicity(random_game(4, max_actions=3, seed=0), 0.05)
+        verdict, _ = decide_ergodicity(random_game(4, max_actions=4, seed=0), 0.05)
         assert verdict.kind == "inconclusive"
         assert verdict.reason.startswith("MatrixGameError")
 

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from builders import one_state, random_dense_game
+from builders import count_calls, one_state, random_dense_game
 from ergopump import matrix_game
+from ergopump.driver import decide_ergodicity
+from ergopump.generators import random_game
 from ergopump.matrix_game import (
     MatrixGameError,
     local_value,
@@ -103,6 +105,96 @@ class TestProperties:
         assert solve_matrix_game(A).value <= solve_matrix_game(B).value + 1e-9
 
 
+def _games(entries):
+    """Matrices of every shape up to 3x3 with entries drawn from `entries`."""
+    return st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda shape: st.lists(st.lists(entries, min_size=shape[1], max_size=shape[1]),
+                               min_size=shape[0], max_size=shape[0]))
+
+
+def _with_copy(matrix, index, of_column):
+    """matrix with one row (or column) repeated, while it has fewer than 3."""
+    A = np.array(matrix).T if of_column else np.array(matrix)
+    if len(A) < 3:
+        A = np.vstack([A, A[index % len(A)]])
+    return (A.T if of_column else A).tolist()
+
+
+_SMALL_GAMES = st.one_of(
+    _games(st.floats(-10, 10)),
+    # ties, zero 2x2 denominators and pure saddles
+    _games(st.integers(-2, 2).map(float)),
+    st.builds(_with_copy, _games(st.integers(-2, 2).map(float)),
+              st.integers(0, 2), st.booleans()),
+    st.builds(_with_copy, _games(st.floats(-10, 10)), st.integers(0, 2), st.booleans()),
+)
+
+
+class TestClosedForms:
+    """Games up to 3x3, which the pure-saddle and Shapley-Snow kernel stage
+    settles before any pivot, against the independent oracles."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_SMALL_GAMES)
+    def test_against_oracles(self, matrix):
+        sol = solve_matrix_game(matrix)
+        _assert_saddle(matrix, sol)
+        assert sol.value == pytest.approx(reference.value_lp(matrix), abs=1e-8)
+        assert sol.value == pytest.approx(reference.value_support_enum(matrix), abs=1e-8)
+        again = solve_matrix_game(matrix)
+        assert again.value == sol.value
+        assert again.row_strategy.tobytes() == sol.row_strategy.tobytes()
+        assert again.col_strategy.tobytes() == sol.col_strategy.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_SMALL_GAMES)
+    def test_pure_saddles_are_exact(self, matrix):
+        A = np.array(matrix)
+        maximin, minimax = A.min(axis=1).max(), A.max(axis=0).min()
+        assume(maximin == minimax)  # every single row or column passes
+        sol = solve_matrix_game(matrix)
+        assert sol.value == maximin
+        assert sol.duality_gap == 0.0
+        for strategy in (sol.row_strategy, sol.col_strategy):
+            assert sorted(strategy.tolist()) == [0.0] * (len(strategy) - 1) + [1.0]
+        k, l = sol.row_strategy.argmax(), sol.col_strategy.argmax()
+        assert A[k].min() == maximin and A[:, l].max() == minimax
+
+    @pytest.mark.parametrize("matrix, row, col", [
+        ([[4.0, 2.0, 2.0]], [1.0], [0.0, 1.0, 0.0]),
+        ([[1.0], [3.0], [3.0]], [0.0, 1.0, 0.0], [1.0]),
+        ([[5.0, 1.0], [2.0, 2.0]], [0.0, 1.0], [0.0, 1.0]),
+        ([[3.0, 2.0, 2.0], [0.0, 2.0, 2.0]], [1.0, 0.0], [0.0, 1.0, 0.0]),
+    ])
+    def test_unit_strategies_at_first_attaining_index(self, matrix, row, col):
+        sol = solve_matrix_game(matrix)
+        assert sol.row_strategy.tolist() == row
+        assert sol.col_strategy.tolist() == col
+        assert sol.duality_gap == 0.0
+
+    @pytest.mark.parametrize("matrix", [
+        [[3.0, 1.0], [0.0, 2.0]],
+        [[3.0, 1.0, 0.5], [0.0, 2.0, 1.0], [1.0, 0.2, 2.5]],  # settled by its 3x3 kernel
+    ])
+    def test_common_offset_keeps_the_value_digits(self, matrix, monkeypatch):
+        # the saddle check bounds the strategies, not the value: det / s on
+        # the raw entries of these games plus 1e6 cancels to an error near
+        # 1e-5, and their raw cofactors fail the saddle check
+        base = solve_value(matrix)
+        calls = count_calls(monkeypatch, ("_simplex_max",))
+        moved = solve_value((np.array(matrix) + 1e6).tolist())
+        assert moved - 1e6 == pytest.approx(base, abs=1e-9)
+        assert calls["_simplex_max"] == 0
+
+    def test_simplex_is_rare(self, monkeypatch):
+        # every local game of this run is at most 3x3, and the closed forms
+        # settle all but degenerate ones
+        calls = count_calls(monkeypatch, ("_simplex_max", "_solve"))
+        decide_ergodicity(random_game(128, max_actions=3, seed=0), 0.05)
+        assert calls["_solve"] > 1000
+        assert calls["_simplex_max"] < 0.01 * calls["_solve"]
+
+
 class TestLocalValue:
     def test_self_loop_constant(self):
         g = one_state(2.5)
@@ -159,10 +251,11 @@ class TestErrors:
 
     def test_stalled_simplex_raises_matrix_game_error(self, monkeypatch):
         # both entry points fail the same way, with the pure maximin and
-        # minimax as bounds
+        # minimax as bounds; a mixed 4x4 game is beyond the closed forms, so
+        # it reaches the simplex
         monkeypatch.setattr(matrix_game, "_MAX_PIVOTS", 0)
-        pennies = [[1.0, -1.0], [-1.0, 1.0]]
+        identity = np.eye(4).tolist()
         for solve in (solve_value, solve_matrix_game):
             with pytest.raises(MatrixGameError) as info:
-                solve(pennies)
-            assert (info.value.lower, info.value.upper) == (-1.0, 1.0)
+                solve(identity)
+            assert (info.value.lower, info.value.upper) == (0.0, 1.0)
