@@ -19,7 +19,6 @@ from .driver import (
     DriverConfig,
     DriverStats,
     Verdict,
-    compute_iteration_cap,
     decide_ergodicity,
     reduce_potential,
 )

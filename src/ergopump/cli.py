@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import documents, generators
-from .driver import ERGODIC, NON_ERGODIC, DriverConfig, decide_ergodicity
+from .driver import ERGODIC, HARD_CAP, NON_ERGODIC, DriverConfig, decide_ergodicity
 
 EX_USAGE = 64
 EX_IOERR = 66
@@ -59,7 +59,7 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _solve_one(game_path: str, eps: float, cap: int | None, trace_path: str | None,
+def _solve_one(game_path: str, eps: float, cap: int, trace_path: str | None,
                out_path: str):
     """Solve one game document; returns the verdict and the game's state names."""
     game = _load_game(game_path)
@@ -217,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run the solver and write a certificate")
     solve.add_argument("game", nargs="+", help="game document path(s)")
     solve.add_argument("--epsilon", type=_epsilon, required=True)
-    solve.add_argument("--cap", type=_positive_int, default=None,
-                       help="override the pump step cap (for experiments)")
+    solve.add_argument("--cap", type=_positive_int, default=HARD_CAP,
+                       help="pump steps allowed per phase (default: %(default)s)")
     solve.add_argument("--trace", default=None,
                        help="write per landed pump step trace records to this file "
                             "(single game only)")

@@ -166,7 +166,6 @@ def serialize_certificate(game: GameSpec, verdict, stats) -> str:
         "metadata": {
             "outer_iterations": stats.outer_iterations,
             "phases": stats.phases,
-            "cap_saturated": stats.cap_saturated,
         },
     }
     if verdict.high_states is not None:

@@ -10,6 +10,14 @@ pass pumps only the high set against the upper half-band; either that
 collapses too (band at most 7/8 as wide) or the run exits with a
 non-ergodicity witness whose certified thresholds are (m_plus + m_minus) / 2
 and (5*m_plus + 3*m_minus) / 8.
+
+Every pump phase is capped at HARD_CAP steps. The paper bounds a phase by
+2*n*kappa + 1 steps, with kappa = base**(2**n - 1) * n*n*R/delta and
+base = n*N*W*R/eps (N the most actions of a player at a state, W the
+granularity, R the reward bound). That bound is never below HARD_CAP: a
+phase runs only when n >= 2 and 24*eps < band <= R (bands only shrink from
+the h = 0 band, which lies in [0, R]), and delta <= band/4, so base > 48,
+R/delta >= 4 and 2*n*kappa >= 4 * 48**3 * 16, about 7.1e6.
 """
 
 from __future__ import annotations
@@ -19,14 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import (
-    GameParams,
-    GameSpec,
-    Potential,
-    as_potential,
-    game_params,
-    normalize_rewards,
-)
+from .game import GameSpec, Potential, as_potential, game_params, normalize_rewards
 from .matrix_game import MatrixGameError, local_solutions
 from .pump import PumpInvariantError, modified_pump
 from .witness import (
@@ -38,7 +39,7 @@ from .witness import (
 )
 
 INCONCLUSIVE = "inconclusive"
-HARD_CAP = 2_000_000  # ceiling the computed pump-step cap saturates at
+HARD_CAP = 2_000_000  # pump steps per phase; the module docstring says why
 
 
 def __getattr__(name):
@@ -52,7 +53,7 @@ def __getattr__(name):
 
 @dataclass(frozen=True)
 class DriverConfig:
-    pump_cap: int | None = None  # overrides the computed per-phase cap
+    pump_cap: int = HARD_CAP  # pump steps per phase
     collect_trace: bool = False
 
 
@@ -68,8 +69,6 @@ class Verdict:
     low_states: frozenset | None = None
     floor: float | None = None
     ceiling: float | None = None
-    floor_raw: float | None = None
-    ceiling_raw: float | None = None
     certificate: StrategyCertificate | None = None  # both certified verdicts
     reason: str | None = None
 
@@ -79,33 +78,15 @@ class DriverStats:
     """Counters of one solve.
 
     phases holds one record per outer iteration: its index h, the entry band
-    and, per pump phase run ("phase1", "phase2"), the outcome kind, pump steps
-    and step cap. With DriverConfig.collect_trace, trace holds every landed
-    pump step's record tagged with its h and phase, in run order.
+    and, per pump phase run ("phase1", "phase2"), the outcome kind and pump
+    steps, plus for "phase2" the band that emptied (None if none did). With
+    DriverConfig.collect_trace, trace holds every landed pump step's record
+    tagged with its h and phase, in run order.
     """
 
     outer_iterations: int = 0
     phases: list = field(default_factory=list)
     trace: list = field(default_factory=list)
-    cap_saturated: bool = False
-
-
-def compute_iteration_cap(params: GameParams, delta: float, eps: float) -> int:
-    """Pump-step budget 2*n*kappa + 1, saturating at HARD_CAP on overflow."""
-    if delta <= 0 or eps <= 0:
-        raise ValueError("delta and eps must be positive")
-    n = params.n_states
-    base = n * params.max_actions * params.granularity * params.reward_bound / eps
-    if base <= 0:
-        return 1
-    try:
-        kappa = base ** (2 ** n - 1) * (n * n * params.reward_bound / delta)
-        steps = 2 * n * kappa
-        if not math.isfinite(steps) or steps >= HARD_CAP:
-            return HARD_CAP
-        return int(math.floor(steps)) + 1
-    except OverflowError:
-        return HARD_CAP
 
 
 def default_outer_cap(reward_bound: float, eps: float) -> int:
@@ -158,17 +139,11 @@ _PHASE_SCOPES = {"phase1": "full-state", "phase2": "high-set"}
 
 def _pump_phase(phase, game, x, states, m_minus, m_plus, eps, record, params, config,
                 stats):
-    """Run one pump phase and record it as record[phase].
-
-    The step cap comes from the phase's own band unless config.pump_cap
-    overrides it; the trace records of the phase go to stats.trace.
-    """
-    cap = config.pump_cap or compute_iteration_cap(params, (m_plus - m_minus) / 4.0, eps)
-    if cap == HARD_CAP:
-        stats.cap_saturated = True
-    out = modified_pump(game, x, states, m_minus, m_plus, eps, cap, params=params,
-                        collect_trace=config.collect_trace)
-    record[phase] = {"kind": out.kind, "iterations": out.stats.iterations, "cap": cap}
+    """Run one pump phase, capped at config.pump_cap steps, and record it as
+    record[phase]; the trace records of the phase go to stats.trace."""
+    out = modified_pump(game, x, states, m_minus, m_plus, eps, config.pump_cap,
+                        params=params, collect_trace=config.collect_trace)
+    record[phase] = {"kind": out.kind, "iterations": out.stats.iterations}
     if phase == "phase2":
         record[phase]["collapsed"] = out.collapsed
     if config.collect_trace:
@@ -216,7 +191,7 @@ def _drive(game, eps, config, params, offset, stats):
                                   m_plus, eps, record, params, config, stats)
         if outcome.kind == "cap-exceeded":
             return stop(INCONCLUSIVE, outcome.x,
-                        reason=f"pump step cap {record[phase]['cap']} exhausted in the "
+                        reason=f"pump step cap {config.pump_cap} exhausted in the "
                                f"{_PHASE_SCOPES[phase]} phase")
         if outcome.kind == "band-collapsed" and (phase == "phase1"
                                                  or outcome.collapsed != "bottom"):
@@ -229,11 +204,8 @@ def _drive(game, eps, config, params, offset, stats):
         # set stays fixed
         high = first.closed_high if outcome.kind == "band-collapsed" else outcome.closed_high
         low = first.closed_low
-        ceiling_raw = mid
-        floor_raw = (5.0 * m_plus + 3.0 * m_minus) / 8.0
-        witness = build_witness(game, outcome.x, high, low, ceiling_raw=ceiling_raw,
-                                floor_raw=floor_raw, eps=eps)
+        witness = build_witness(game, outcome.x, high, low, ceiling_raw=mid,
+                                floor_raw=(5.0 * m_plus + 3.0 * m_minus) / 8.0, eps=eps)
         return stop(NON_ERGODIC, outcome.x,
                     high_states=frozenset(high), low_states=frozenset(low),
-                    floor=witness.floor, ceiling=witness.ceiling,
-                    floor_raw=floor_raw, ceiling_raw=ceiling_raw, certificate=witness)
+                    floor=witness.floor, ceiling=witness.ceiling, certificate=witness)

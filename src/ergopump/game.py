@@ -143,10 +143,8 @@ class GameSpec:
 
 @dataclass(frozen=True)
 class GameParams:
-    """Size and magnitude parameters of a normalized game."""
+    """Magnitude parameters of a normalized game."""
 
-    n_states: int
-    max_actions: int
     granularity: int  # every nonzero probability is >= 1/granularity
     reward_bound: float  # all rewards lie in [0, reward_bound]
 
@@ -285,11 +283,7 @@ def normalize_rewards(game: GameSpec) -> tuple[GameSpec, float]:
 
 
 def game_params(game: GameSpec) -> GameParams:
-    """Derive (n, N, W, R) from a normalized game."""
-    n = game.n
-    max_actions = max(
-        max(game.num_row_actions(v), game.num_col_actions(v)) for v in range(n)
-    )
+    """Derive (W, R) from a normalized game."""
     granularity = 1
     reward_bound = 0.0
     for records in game.transitions:
@@ -299,12 +293,7 @@ def game_params(game: GameSpec) -> GameParams:
             if r < 0:
                 raise ValueError("game_params requires normalized (non-negative) rewards")
             reward_bound = max(reward_bound, r)
-    return GameParams(
-        n_states=n,
-        max_actions=max_actions,
-        granularity=granularity,
-        reward_bound=reward_bound,
-    )
+    return GameParams(granularity=granularity, reward_bound=reward_bound)
 
 
 def as_potential(x, n: int) -> Potential:

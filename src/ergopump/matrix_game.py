@@ -194,7 +194,8 @@ def _unit(size, index):
 
 
 def _solve(rows):
-    """Solve a row-list matrix game and saddle-check the result.
+    """Solve a matrix game, given as lists of Python floats, and
+    saddle-check the result.
 
     Returns (value, row strategy, col strategy, duality gap). Games that
     _kernel_solve settles need no pivot; the rest run the value LP. Raises
@@ -202,21 +203,20 @@ def _solve(rows):
     and minimax, or when the gap exceeds _SADDLE_TOL, bounded by the worst
     column payoff and the best row payoff of the strategies found.
     """
-    floats = [[float(x) for x in row] for row in rows]
-    settled = _kernel_solve(floats)
+    settled = _kernel_solve(rows)
     if settled is not None:
         return settled
-    m = len(floats)
-    n = len(floats[0])
+    m = len(rows)
+    n = len(rows[0])
 
-    lowest = min(min(row) for row in floats)
+    lowest = min(min(row) for row in rows)
     shift = 1.0 - lowest if lowest < 1.0 else 0.0
 
     # maximize sum(w) s.t. shifted @ w <= 1, w >= 0; slacks start basic
     n_vars = n + m
     tableau = []
     for i in range(m):
-        row = [x + shift for x in floats[i]] + [0.0] * m + [1.0]
+        row = [x + shift for x in rows[i]] + [0.0] * m + [1.0]
         row[n + i] = 1.0
         tableau.append(row)
     tableau.append([-1.0] * n + [0.0] * m + [0.0])
@@ -250,7 +250,7 @@ def _solve(rows):
 
 
 def solve_value(rows: list) -> float:
-    """Value-only solve on a row-list matrix; still saddle-checks the result.
+    """Value-only solve on lists of Python floats; still saddle-checks the result.
 
     This is the pump loop's hot path: the same closed forms and LP as
     solve_matrix_game, minus the array packaging.

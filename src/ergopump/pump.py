@@ -240,17 +240,17 @@ def _check_step_invariants(tau, prev_m, m, prev_part, states, delta, steps):
     bound = steps * delta
     for v in states:
         drift = m[v] - prev_m[v]
-        if abs(drift) > bound + 1e-9:
+        if abs(drift) > bound + BAND_SLACK:
             raise PumpInvariantError(
                 f"iteration {tau}: local value at state {v} moved by {drift}, "
                 f"more than {steps} pump steps of {delta}"
             )
         if v in prev_part.pumped:
-            if drift > 1e-9:
+            if drift > BAND_SLACK:
                 raise PumpInvariantError(
                     f"iteration {tau}: pumped state {v} increased its local value by {drift}"
                 )
-        elif drift < -1e-9:
+        elif drift < -BAND_SLACK:
             raise PumpInvariantError(
                 f"iteration {tau}: unpumped state {v} decreased its local value by {drift}"
             )
@@ -362,7 +362,7 @@ def modified_pump(
             )
         closed = witness(here)
         if m_plus - m_minus > eps:
-            below = np.flatnonzero(here.graph.pumped & (here.rb.values < m - 1e-9))
+            below = np.flatnonzero(here.graph.pumped & (here.rb.values < m - BAND_SLACK))
             if below.size:
                 v = below[0]
                 raise PumpInvariantError(
@@ -434,7 +434,7 @@ def boundary_gap_violations(graph: GapGraph, high, low) -> tuple:
         u = outside[pick(x[outside])]
         states = np.flatnonzero(inside)
         gaps = x[u] - x[states] if label == "high" else x[states] - x[u]
-        short = gaps < thresholds[states] - 1e-9
+        short = gaps < thresholds[states] - BAND_SLACK
         problems.extend(
             f"witness {label} set leaks: gap {gap} from {v} to {u} "
             f"is below threshold {thresholds[v]}"

@@ -171,10 +171,11 @@ def verify_witness(game: GameSpec, cert: StrategyCertificate) -> VerificationRep
     (b) one-shot bounds, one pass over the flat view: alpha's payoff against
         every pure column reaches floor, and every pure row's payoff against
         beta stays within ceiling, each up to one slack;
-    (c) the claim: ceiling - floor <= 24*eps on the stored bounds of an
-        ergodic certificate; for a witness floor > ceiling on the stored
-        bounds, and the proven floor above the proven ceiling by more than
-        the slack.
+    (c) the claim: an ergodic certificate covers every state with both
+        alpha and beta, and ceiling - floor <= 24*eps on its stored bounds;
+        a witness's alpha and beta sets are non-empty and disjoint, floor >
+        ceiling on its stored bounds, and the proven floor exceeds the
+        proven ceiling by more than the slack.
 
     No LP and no policy iteration runs. certified_gap is the proven one-shot
     floor minus the proven one-shot ceiling.
@@ -214,10 +215,19 @@ def verify_witness(game: GameSpec, cert: StrategyCertificate) -> VerificationRep
     proven_floor = float(floor_at[alpha_in].min(initial=np.inf))
     proven_ceiling = float(ceiling_at[beta_in].max(initial=-np.inf))
     if cert.kind == ERGODIC:
+        for name, covered in (("alpha", alpha_in), ("beta", beta_in)):
+            if not covered.all():
+                missing = [game.states[v] for v in np.flatnonzero(~covered)]
+                failures.append(f"ergodic {name} misses states {missing}")
         if not cert.ceiling - cert.floor <= 24 * cert.eps:
             failures.append(f"band [{cert.floor}, {cert.ceiling}] is wider than "
                             f"24*eps = {24 * cert.eps}")
     else:
+        if not (alpha_in.any() and beta_in.any()):
+            failures.append("witness alpha and beta sets must not be empty")
+        shared = [game.states[v] for v in np.flatnonzero(alpha_in & beta_in)]
+        if shared:
+            failures.append(f"witness alpha and beta sets share states {shared}")
         if not cert.floor > cert.ceiling:
             failures.append(f"floor {cert.floor} does not exceed ceiling {cert.ceiling}")
         # the slack on (b) lets each proven bound fall short of the stored

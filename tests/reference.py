@@ -11,10 +11,12 @@ closures, so it checks the event-driven loop's step selection, counts and
 outcome rules as well as the package's sorted-sweep closure. The global
 bounds of a strategy certificate come from policy iteration over mean
 payoffs, and its one-shot bounds from the dense tables, so neither shares
-the verifier's vectorised pass.
+the verifier's vectorised pass. The paper's pump-step bound is evaluated
+as written, to check the driver's constant step cap against it.
 """
 
 import itertools
+import math
 from collections import deque
 from types import SimpleNamespace
 
@@ -65,8 +67,12 @@ def value_lp(matrix):
     A_eq[0, :m] = 1.0
     b_eq = np.array([1.0])
     bounds = [(0, None)] * m + [(None, None)]
+    # HiGHS's default feasibility tolerance, 1e-7, would let v stand up to
+    # 1e-7 off the value: a pure saddle at -2.6e-8 came back as 0
     res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
+                  bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     assert res.success
     return -res.fun
 
@@ -253,3 +259,15 @@ def global_bounds(game, cert):
     gain_beta, _ = best_response_value(game, extend(cert.beta, game.num_col_actions), "col")
     return (float(min(gain_alpha[v] for v in cert.alpha)),
             float(max(gain_beta[v] for v in cert.beta)))
+
+
+def paper_step_bound(n, max_actions, granularity, reward_bound, eps, delta):
+    """The paper's per-phase pump-step bound 2*n*kappa + 1, with
+    kappa = base**(2**n - 1) * n*n*R/delta and base = n*N*W*R/eps; inf when
+    it overflows a float."""
+    base = n * max_actions * granularity * reward_bound / eps
+    try:
+        kappa = base ** (2 ** n - 1) * (n * n * reward_bound / delta)
+    except OverflowError:
+        return math.inf
+    return 2 * n * kappa + 1

@@ -190,6 +190,21 @@ class TestCertificates:
         text2 = serialize_certificate(game2, verdict2, stats2)
         assert text1 == text2
 
+    def test_metadata_holds_only_phase_counters(self):
+        # every phase runs under the same constant step cap, so no record
+        # carries it; the witness exit runs both phases
+        for game, phases in ((disconnected(0.0, 10.0), {"phase1", "phase2"}),
+                             (random_game(4, max_actions=3, seed=11), {"phase1"})):
+            verdict, stats = decide_ergodicity(game, 0.05)
+            metadata = json.loads(serialize_certificate(game, verdict, stats))["metadata"]
+            assert set(metadata) == {"outer_iterations", "phases"}
+            assert metadata["phases"]
+            for record in metadata["phases"]:
+                assert set(record) == {"h", "band"} | phases
+                assert set(record["phase1"]) == {"kind", "iterations"}
+                if "phase2" in record:
+                    assert set(record["phase2"]) == {"kind", "iterations", "collapsed"}
+
     def test_tampered_floor_fails_recheck(self):
         game, verdict, stats = self._solve()
         doc = json.loads(serialize_certificate(game, verdict, stats))

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import reference
 from builders import (
     big_match,
     count_calls,
@@ -19,12 +22,11 @@ from ergopump.documents import parse_game, serialize_certificate, serialize_game
 from ergopump.driver import (
     HARD_CAP,
     DriverConfig,
-    compute_iteration_cap,
     decide_ergodicity,
     default_outer_cap,
     reduce_potential,
 )
-from ergopump.game import DocumentError, GameParams, make_game, normalize_rewards
+from ergopump.game import DocumentError, make_game, normalize_rewards
 from ergopump.generators import random_game
 from ergopump.oracle import enumerate_pure_bounds
 from ergopump.matrix_game import local_values
@@ -32,22 +34,29 @@ from ergopump.pump import modified_pump
 
 
 class TestIterationCap:
-    def test_unit_parameters(self):
-        params = GameParams(1, 1, 1, 1.0)
-        assert compute_iteration_cap(params, 1.0, 1.0) == 3
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 6), max_actions=st.integers(1, 4),
+           granularity=st.integers(1, 4), reward_bound=st.floats(1e-6, 1e6),
+           band_frac=st.floats(0.0, 1.0, exclude_min=True),
+           eps_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           phase2=st.booleans())
+    # the corner where the bound is least: about 4 * 48**3 * 16 = 7.1e6 steps
+    @example(n=2, max_actions=1, granularity=1, reward_bound=1.0, band_frac=1.0,
+             eps_frac=1.0 - 1e-12, phase2=False)
+    def test_paper_bound_is_never_below_hard_cap(self, n, max_actions, granularity,
+                                                 reward_bound, band_frac, eps_frac, phase2):
+        # a pump phase runs only when 24*eps < band <= R, with delta band/4
+        # (full-state phase) or band/8 (high-set phase): there the paper's
+        # bound allows at least HARD_CAP steps, so the constant cap is exact
+        band = reward_bound * band_frac
+        eps = band * eps_frac / 24.0
+        assume(eps > 0 and 24 * eps < band <= reward_bound)
+        delta = band / (8.0 if phase2 else 4.0)
+        assert reference.paper_step_bound(n, max_actions, granularity, reward_bound,
+                                          eps, delta) >= HARD_CAP
 
-    def test_two_state_formula(self):
-        params = GameParams(2, 1, 1, 1.0)
-        # kappa = (2)^3 * 4 = 32, so the cap is 2*2*32 + 1 = 129
-        assert compute_iteration_cap(params, 1.0, 1.0) == 129
-
-    def test_overflow_saturates(self):
-        params = GameParams(8, 4, 8, 8.0)
-        assert compute_iteration_cap(params, 1e-3, 1e-6) == HARD_CAP
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            compute_iteration_cap(GameParams(1, 1, 1, 1.0), 0.0, 1.0)
+    def test_default_cap_is_hard_cap(self):
+        assert DriverConfig().pump_cap == HARD_CAP
 
     def test_outer_cap(self):
         assert default_outer_cap(1.0, 1.0) == 1
@@ -109,14 +118,16 @@ class TestDecideErgodicity:
         assert verdict.high_states == {1}
         assert verdict.low_states == {0}
         # entry band is [0, 10]: thresholds at midpoint and five-eighths
-        assert verdict.ceiling_raw == pytest.approx(5.0)
-        assert verdict.floor_raw == pytest.approx(6.25)
+        ceiling_raw = (verdict.m_minus + verdict.m_plus) / 2.0
+        floor_raw = (5.0 * verdict.m_plus + 3.0 * verdict.m_minus) / 8.0
+        assert ceiling_raw == pytest.approx(5.0)
+        assert floor_raw == pytest.approx(6.25)
         assert verdict.floor - verdict.ceiling >= verdict.eps - 1e-12
         # N4 on the high side at the returned potential
         g, _ = normalize_rewards(disconnected(0.0, 10.0))
         m = local_values(g, verdict.potential)
         for v in verdict.high_states:
-            assert m[v] >= verdict.floor_raw - 1e-9
+            assert m[v] >= floor_raw - 1e-9
 
     def test_uniform_ergodic_two_state(self):
         g = make_game(
@@ -161,7 +172,7 @@ class TestDecideErgodicity:
         verdict, _ = decide_ergodicity(disconnected(0.0, 10.0), eps=0.1,
                                        config=DriverConfig(pump_cap=5))
         assert verdict.kind == "inconclusive"
-        assert "cap" in verdict.reason
+        assert "pump step cap 5 exhausted" in verdict.reason
 
     def test_outer_cap_bound_on_ergodic_runs(self):
         for seed in range(4):

@@ -12,6 +12,7 @@ import reference
 from builders import disconnected, one_state, random_dense_game, two_cycle
 from ergopump.game import (
     DocumentError,
+    GameParams,
     apply_potential,
     game_params,
     local_reward_matrix,
@@ -146,16 +147,15 @@ class TestGameParams:
         assert game_params(two_cycle()).granularity == 1
 
     def test_counts(self):
+        # W and R are the only parameters; action counts do not enter them
         g = make_game(
             ["s", "t"],
             [["a", "b", "c"], ["a", "b", "c"]],
             [["x", "y"], ["x", "y"]],
-            [("s", a, b, "t", 1, 0.0) for a in "abc" for b in "xy"]
-            + [("t", a, b, "s", 1, 0.0) for a in "abc" for b in "xy"],
+            [("s", a, b, "t", 1, 0.5) for a in "abc" for b in "xy"]
+            + [("t", a, b, "s", 1, 2.0 if a + b == "cy" else 0.0) for a in "abc" for b in "xy"],
         )
-        params = game_params(g)
-        assert params.n_states == 2
-        assert params.max_actions == 3
+        assert game_params(g) == GameParams(granularity=1, reward_bound=2.0)
 
 
 class TestLocalRewardMatrix:

@@ -11,7 +11,7 @@ import reference
 from builders import big_match, disconnected, matrix_as_game
 from ergopump.driver import decide_ergodicity
 from ergopump.game import make_game
-from ergopump.generators import random_game
+from ergopump.generators import cycle, random_game
 from ergopump.matrix_game import local_value, local_values
 from ergopump.pump import auxiliary_graph, boundary_gap_violations, modified_pump, r_bounds
 from ergopump.witness import (
@@ -165,6 +165,36 @@ class TestVerifyWitness:
         assert len(report.failures) == 1
         assert "does not exceed proven ceiling" in report.failures[0]
 
+    def test_certificate_must_cover_its_states(self):
+        # with no state covered, every one-shot bound holds vacuously and the
+        # proven floor and ceiling are +inf and -inf, so only coverage fails
+        empty = StrategyCertificate(kind=ERGODIC, alpha={}, beta={},
+                                    potential=np.zeros(3), floor=0.0, ceiling=0.0, eps=0.05)
+        report = verify_witness(cycle(n=3, seed=0), empty)
+        assert report.failures == ("ergodic alpha misses states ['c0', 'c1', 'c2']",
+                                   "ergodic beta misses states ['c0', 'c1', 'c2']")
+        report = verify_witness(disconnected(0.0, 10.0), dataclasses.replace(
+            empty, kind=NON_ERGODIC, potential=np.zeros(2), floor=5.0, ceiling=1.0))
+        assert report.failures == ("witness alpha and beta sets must not be empty",)
+
+    def test_ergodic_certificate_missing_a_state_fails(self):
+        g = cycle(n=3, seed=0)
+        verdict, _ = decide_ergodicity(g, 0.05)
+        assert verdict.kind == ERGODIC and verify_witness(g, verdict.certificate).ok
+        for side in ("alpha", "beta"):
+            table = dict(getattr(verdict.certificate, side))
+            del table[1]
+            report = verify_witness(g, dataclasses.replace(verdict.certificate,
+                                                           **{side: table}))
+            assert f"ergodic {side} misses states ['c1']" in report.failures
+
+    def test_witness_sets_must_be_disjoint(self):
+        g = disconnected(0.0, 10.0)
+        cert = _solved_witness(g, 0.1).certificate
+        shared = dataclasses.replace(cert, alpha={**cert.alpha, 0: np.array([1.0])})
+        assert "witness alpha and beta sets share states ['low']" in (
+            verify_witness(g, shared).failures)
+
     def test_global_check_consistent_with_local(self):
         # on certificates built by the driver, the global best-response
         # bounds never contradict the one-shot check
@@ -262,7 +292,7 @@ class TestCertificateChains:
         verdict = _solved_witness(g, 0.01)
         m = local_values(g, verdict.potential)
         for v in verdict.high_states:
-            assert verdict.floor_raw <= m[v] + 1e-9
+            assert (5.0 * verdict.m_plus + 3.0 * verdict.m_minus) / 8.0 <= m[v] + 1e-9
             payoffs = (verdict.certificate.alpha[v]
                        @ local_reward_matrix(g, v, verdict.potential))
             assert np.all(m[v] <= payoffs + verdict.eps + 1e-9)
