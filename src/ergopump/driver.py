@@ -1,15 +1,15 @@
-"""Outer solve loop: repeated pumping with potential reduction.
+"""Outer solve loop: repeated pumping, one measurement of local values per potential.
 
-Each outer iteration measures the local-value band at the current potential
-and stops once its width is at most 24*eps: the potential and the optimal
-local strategies of that same measurement certify that all game values sit
-in the band. Otherwise one pump pass runs over all states; if it collapses
-the band, the potential is mean-centred and the loop continues with a band
-at most 3/4 as wide. If it instead finds closed candidate sets, a second
-pass pumps only the high set against the upper half-band; either that
-collapses too (band at most 7/8 as wide) or the run exits with a
-non-ergodicity witness whose certified thresholds are (m_plus + m_minus) / 2
-and (5*m_plus + 3*m_minus) / 8.
+Each outer iteration reads the local-value band at the current potential and
+stops once its width is at most 24*eps: the potential and optimal local
+strategies at it certify that all game values sit in the band. Otherwise one
+pump pass, started from those values, runs over all states; if it collapses
+the band, the loop goes on from the pump's last potential and values, not
+re-centred (a constant shift changes no local game), with a band at most 3/4
+as wide. If it instead finds closed candidate sets, a second pass pumps only
+the high set against the upper half-band; either that collapses too (band at
+most 7/8 as wide) or the run exits with a non-ergodicity witness whose
+certified thresholds are (m_plus + m_minus) / 2 and (5*m_plus + 3*m_minus) / 8.
 
 Every pump phase is capped at HARD_CAP steps. The paper bounds a phase by
 2*n*kappa + 1 steps, with kappa = base**(2**n - 1) * n*n*R/delta and
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import GameSpec, Potential, as_potential, game_params, normalize_rewards
-from .matrix_game import MatrixGameError, local_solutions
+from .matrix_game import MatrixGameError, local_solutions, local_values
 from .pump import PumpInvariantError, modified_pump
 from .witness import (
     ERGODIC,
@@ -137,11 +137,10 @@ def decide_ergodicity(game: GameSpec, eps: float,
 _PHASE_SCOPES = {"phase1": "full-state", "phase2": "high-set"}
 
 
-def _pump_phase(phase, game, x, states, m_minus, m_plus, eps, record, params, config,
-                stats):
-    """Run one pump phase, capped at config.pump_cap steps, and record it as
-    record[phase]; the trace records of the phase go to stats.trace."""
-    out = modified_pump(game, x, states, m_minus, m_plus, eps, config.pump_cap,
+def _pump_phase(phase, game, x, m0, m_minus, m_plus, eps, record, params, config, stats):
+    """Run one pump phase from the local values m0 at x, capped at config.pump_cap
+    steps, and record it as record[phase]; its trace records go to stats.trace."""
+    out = modified_pump(game, x, m0, m_minus, m_plus, eps, config.pump_cap,
                         params=params, collect_trace=config.collect_trace)
     record[phase] = {"kind": out.kind, "iterations": out.stats.iterations}
     if phase == "phase2":
@@ -161,13 +160,14 @@ def _drive(game, eps, config, params, offset, stats):
                        m_plus=m_plus, value_offset=offset, **fields)
 
     x = np.zeros(game.n)
+    m, alpha, beta = local_solutions(game, x)
     h = 0
     while True:
-        m, alpha, beta = local_solutions(game, x)
         m_minus = float(np.min(m))
         m_plus = float(np.max(m))
         if m_plus - m_minus <= 24 * eps:
-            # the band check's own optimal strategies, clipped at 0, certify the band
+            if h > 0:  # the pump measured m at x, but not the strategies that certify it
+                _, alpha, beta = local_solutions(game, x)
             alpha, beta = ({v: np.maximum(vec, 0.0) for v, vec in enumerate(side)}
                            for side in (alpha, beta))
             certificate = StrategyCertificate(kind=ERGODIC, alpha=alpha, beta=beta,
@@ -183,19 +183,22 @@ def _drive(game, eps, config, params, offset, stats):
         stats.phases.append(record)
         mid = (m_minus + m_plus) / 2.0
         phase = "phase1"
-        outcome = first = _pump_phase(phase, game, x, range(game.n), m_minus, m_plus, eps,
-                                      record, params, config, stats)
+        outcome = first = _pump_phase(phase, game, x, m, m_minus, m_plus, eps, record,
+                                      params, config, stats)
         if first.kind == "witness-sets":
             phase = "phase2"
-            outcome = _pump_phase(phase, game, first.x, sorted(first.closed_high), mid,
-                                  m_plus, eps, record, params, config, stats)
+            m_high = first.m_values.copy()
+            m_high[sorted(set(range(game.n)) - first.closed_high)] = np.nan
+            outcome = _pump_phase(phase, game, first.x, m_high, mid, m_plus, eps, record,
+                                  params, config, stats)
         if outcome.kind == "cap-exceeded":
             return stop(INCONCLUSIVE, outcome.x,
                         reason=f"pump step cap {config.pump_cap} exhausted in the "
                                f"{_PHASE_SCOPES[phase]} phase")
         if outcome.kind == "band-collapsed" and (phase == "phase1"
                                                  or outcome.collapsed != "bottom"):
-            x, _ = reduce_potential(game, outcome.x)
+            x = outcome.x  # measured at the pump's last step, in phase 2 on the high set only
+            m = outcome.m_values if phase == "phase1" else local_values(game, x)
             h += 1
             continue
 

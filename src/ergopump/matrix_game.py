@@ -308,9 +308,9 @@ def local_values(game, x, states=None) -> np.ndarray:
 
 
 def local_solutions(game, x) -> tuple[np.ndarray, list, list]:
-    """Every state's local value with one optimal strategy per player, from
-    one LP per state: (values, row strategies, column strategies), the
-    strategies as the simplex's lists."""
+    """Every state's local value, bitwise as local_values gives it, with one
+    optimal strategy per player, from one solve per state: (values, row
+    strategies, column strategies), the strategies as lists."""
     solved = [_solve(rows) for _, rows in _local_games(game, x, range(game.n))]
     return (np.array([value for value, *_ in solved]),
             [row for _, row, _, _ in solved], [col for _, _, col, _ in solved])

@@ -96,11 +96,10 @@ class PumpOutcome:
     stats: PumpStats
 
 
-def partition(m_values, m_minus: float, m_plus: float, states=None) -> BandPartition:
-    """Threshold the local values into bands; comparisons carry a fixed slack."""
+def partition(m_values, m_minus: float, m_plus: float) -> BandPartition:
+    """Threshold the local values into bands, with a fixed slack; NaN entries join none."""
     m_values = np.asarray(m_values, dtype=np.float64)
-    if states is None:
-        states = [v for v in range(len(m_values)) if np.isfinite(m_values[v])]
+    states = [v for v in range(len(m_values)) if np.isfinite(m_values[v])]
     delta = (m_plus - m_minus) / 4.0
     t1 = m_minus + delta - BAND_SLACK
     t2 = m_minus + 2 * delta - BAND_SLACK
@@ -278,7 +277,7 @@ class _Step:
 def modified_pump(
     game: GameSpec,
     x0: Potential,
-    states,
+    m0,
     m_minus: float,
     m_plus: float,
     eps: float,
@@ -287,28 +286,31 @@ def modified_pump(
     params: GameParams | None = None,
     collect_trace: bool = False,
 ) -> PumpOutcome:
-    """Pump the upper half of `states` until a band empties, witness sets
-    appear, or the iteration cap is hit.
+    """Pump the upper half of the states where the caller's local values m0 at
+    x0 are not NaN until a band empties, witness sets appear, or the cap is hit.
 
-    The band [m_minus, m_plus] and the step delta are fixed at entry;
-    potentials outside `states` are never modified. The loop lands only on
-    steps where something can change (see the module docstring): while the
-    pumped set is fixed, local values move monotonically and gap-graph arcs
-    only disappear, so the first step at which the bands change or the
-    witness check succeeds is found by doubling and bisection over the step
-    count. Every landed step, and stats.iterations, are exactly those that
-    single steps would reach; stats.pump_counts holds the per-state step
-    counts that define the potential, and the trace has one record per
-    landed step.
+    m0 is step 0, not solved again; the band [m_minus, m_plus] and the step
+    delta are fixed at entry, and potentials outside the phase never change.
+    The loop lands only on steps where something can change (see the module
+    docstring): while the pumped set is fixed, local values move monotonically
+    and gap-graph arcs only disappear, so the first step at which the bands
+    change or the witness check succeeds is found by doubling and bisection
+    over the step count. Every landed step, and stats.iterations, are exactly
+    those that single steps would reach; stats.pump_counts holds the
+    per-state step counts that define the potential, and the trace has one
+    record per landed step.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if cap < 1:
         raise ValueError("cap must be at least 1")
+    m0 = np.array(m0, dtype=np.float64)
+    if m0.shape != (game.n,) or np.isinf(m0).any() or np.isnan(m0).all():
+        raise ValueError("m0 needs n entries, none infinite and not all NaN")
     if params is None:
         params = game_params(game)
     x_entry = as_potential(x0, game.n).copy()
-    state_list = sorted(int(v) for v in states)
+    state_list = np.flatnonzero(~np.isnan(m0)).tolist()
     delta = (m_plus - m_minus) / 4.0
 
     stats = PumpStats(
@@ -320,7 +322,7 @@ def modified_pump(
     def evaluate(step_counts) -> _Step:
         x = x_entry - delta * step_counts
         m = local_values(game, x, state_list)
-        return _Step(x=x, m=m, part=partition(m, m_minus, m_plus, states=state_list))
+        return _Step(x=x, m=m, part=partition(m, m_minus, m_plus))
 
     def witness(step: _Step):
         if step.rb is None:
@@ -332,7 +334,7 @@ def modified_pump(
                                            step.part.bottom)
         return step.closed
 
-    here = evaluate(counts)
+    here = _Step(x=x_entry, m=m0, part=partition(m0, m_minus, m_plus))
     prev = None
     jump = 0
     tau = 0

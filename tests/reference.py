@@ -214,7 +214,7 @@ def single_step_pump(game, x0, states, m_minus, m_plus, eps, cap):
     while True:
         x = x_entry - delta * counts
         m = local_values(game, x, states)
-        part = partition(m, m_minus, m_plus, states=states)
+        part = partition(m, m_minus, m_plus)
         closed = None
         if not part.top or not part.bottom:
             kind = "band-collapsed"

@@ -95,7 +95,8 @@ class TestReducePotential:
 
     def test_band_respected_after_reduction(self):
         g = two_cycle(0.0, 4.0)
-        out = modified_pump(g, np.zeros(2), [0, 1], 0.0, 4.0, eps=0.05, cap=100)
+        out = modified_pump(g, np.zeros(2), local_values(g, np.zeros(2)), 0.0, 4.0, eps=0.05,
+                            cap=100)
         finite = out.m_values[np.isfinite(out.m_values)]
         lo, hi = float(np.min(finite)), float(np.max(finite))
         reduced, _ = reduce_potential(g, out.x)
@@ -148,19 +149,32 @@ class TestDecideErgodicity:
             assert bounds.hi[v] >= verdict.m_minus - 1e-6
 
     @pytest.mark.parametrize("game, eps, solves", [
-        (disconnected(0.0, 10.0), 0.1, 43),
-        (big_match(), 0.01, 2409),
+        (disconnected(0.0, 10.0), 0.1, 40),
+        (big_match(), 0.01, 2405),
         (disconnected(0.0, 10.0), 1.0, 2),
-        (random_game(8, max_actions=3, seed=0), 0.05, 128),
+        (random_game(8, max_actions=3, seed=0), 0.05, 88),
+        (random_game(128, max_actions=3, seed=0), 0.05, 1664),
     ])
     def test_ergodic_strategies_cost_no_extra_solve(self, game, eps, solves, monkeypatch):
-        # the strategies of an ergodic certificate come from the band check
-        # the loop runs anyway: a solve makes no more simplex runs than the
-        # value-only loop made on these games
+        # the loop solves h = 0 once, with strategies; after that the pump
+        # starts from the values its caller passes, and only an ergodic exit
+        # after h = 0 solves its final potential again, for the strategies.
+        # The bounds are that loop's counts on these games
         calls = count_calls(monkeypatch, ("_solve",))
         verdict, _ = decide_ergodicity(game, eps)
         assert verdict.certificate is not None
         assert 0 < calls["_solve"] <= solves
+
+    def test_ergodic_band_is_measured_at_the_certified_potential(self):
+        # the loop carries the pump's last local values into its band check:
+        # they must be exactly what a fresh solve at the final potential gives
+        game = random_game(128, max_actions=3, seed=0)
+        verdict, stats = decide_ergodicity(game, 0.05)
+        assert verdict.kind == "ergodic-24eps"
+        assert stats.outer_iterations == 5
+        normalized, _ = normalize_rewards(game)
+        values = matrix_game.local_solutions(normalized, verdict.potential)[0]
+        assert (verdict.m_minus, verdict.m_plus) == (np.min(values), np.max(values))
 
     def test_negative_rewards_offset_reported(self):
         g = disconnected(-5.0, 5.0)

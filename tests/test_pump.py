@@ -49,7 +49,7 @@ class TestPartition:
         assert part.pumped == {1}
 
     def test_restricted_states(self):
-        part = partition([0.0, 99.0, 4.0], 0.0, 4.0, states=[0, 2])
+        part = partition([0.0, np.nan, 4.0], 0.0, 4.0)
         assert part.top == {2}
         assert part.bottom == {0}
         assert 1 not in part.pumped
@@ -236,13 +236,15 @@ def test_witness_check_memory_is_linear():
 class TestModifiedPump:
     def test_single_state_collapses_immediately(self):
         g = one_state()
-        out = modified_pump(g, np.zeros(1), [0], 5.0, 5.0, eps=0.1, cap=10)
+        out = modified_pump(g, np.zeros(1), local_values(g, np.zeros(1)), 5.0, 5.0, eps=0.1,
+                            cap=10)
         assert out.kind == "band-collapsed"
         assert out.stats.iterations == 0
 
     def test_disconnected_witness_after_400_steps(self):
         g = disconnected(0.0, 10.0)
-        out = modified_pump(g, np.zeros(2), [0, 1], 0.0, 10.0, eps=0.1, cap=1000)
+        out = modified_pump(g, np.zeros(2), local_values(g, np.zeros(2)), 0.0, 10.0, eps=0.1,
+                            cap=1000)
         assert out.kind == "witness-sets"
         assert out.closed_high == {1}
         assert out.closed_low == {0}
@@ -252,27 +254,37 @@ class TestModifiedPump:
 
     def test_two_cycle_collapse_shrinks_band(self):
         g = two_cycle(0.0, 4.0)
-        out = modified_pump(g, np.zeros(2), [0, 1], 0.0, 4.0, eps=0.05, cap=100)
+        out = modified_pump(g, np.zeros(2), local_values(g, np.zeros(2)), 0.0, 4.0, eps=0.05,
+                            cap=100)
         assert out.kind == "band-collapsed"
         finite = out.m_values[np.isfinite(out.m_values)]
         assert np.ptp(finite) <= 3.0 * (1 + 1e-9)
 
     def test_cap_exceeded_is_distinct_outcome(self):
         g = disconnected(0.0, 10.0)
-        out = modified_pump(g, np.zeros(2), [0, 1], 0.0, 10.0, eps=0.1, cap=5)
+        out = modified_pump(g, np.zeros(2), local_values(g, np.zeros(2)), 0.0, 10.0, eps=0.1,
+                            cap=5)
         assert out.kind == "cap-exceeded"
         assert out.stats.iterations == 5
+
+    @pytest.mark.parametrize("m0", [np.zeros(3), np.zeros((2, 1)), np.array([0.0, np.inf]),
+                                    np.array([-np.inf, np.nan]), np.full(2, np.nan)],
+                             ids=["wrong length", "wrong shape", "infinite", "minus infinite",
+                                  "no state"])
+    def test_bad_entry_values_rejected(self, m0):
+        with pytest.raises(ValueError, match="m0"):
+            modified_pump(disconnected(0.0, 10.0), np.zeros(2), m0, 0.0, 10.0, eps=0.1, cap=10)
 
     def test_outside_states_untouched(self):
         g = disconnected(0.0, 10.0)
         x0 = np.array([7.0, 3.0])
-        out = modified_pump(g, x0, [1], 5.0, 10.0, eps=0.1, cap=50)
+        out = modified_pump(g, x0, local_values(g, x0, [1]), 5.0, 10.0, eps=0.1, cap=50)
         assert out.x[0] == 7.0
 
     def test_trace_records(self):
         g = two_cycle(0.0, 4.0)
-        out = modified_pump(g, np.zeros(2), [0, 1], 0.0, 4.0, eps=0.05, cap=100,
-                            collect_trace=True)
+        out = modified_pump(g, np.zeros(2), local_values(g, np.zeros(2)), 0.0, 4.0, eps=0.05,
+                            cap=100, collect_trace=True)
         assert out.stats.trace
         first = out.stats.trace[0]
         assert set(first) == {"tau", "m_min", "m_max", "top", "bottom", "pumped",
@@ -283,7 +295,7 @@ class TestModifiedPump:
         for seed in range(6):
             g = random_dense_game(rng, n=3, max_actions=2)
             m = local_values(g, np.zeros(3))
-            out = modified_pump(g, np.zeros(3), range(3), float(np.min(m)),
+            out = modified_pump(g, np.zeros(3), m, float(np.min(m)),
                                 float(np.max(m)), eps=0.05, cap=500)
             assert out.kind in ("band-collapsed", "witness-sets", "cap-exceeded")
 
@@ -298,7 +310,7 @@ class TestModifiedPump:
             lo, hi = float(np.min(m)), float(np.max(m))
             if hi - lo <= 0.05:
                 break
-            out = modified_pump(g, x, [0, 1], lo, hi, eps=0.05, cap=1000)
+            out = modified_pump(g, x, m, lo, hi, eps=0.05, cap=1000)
             assert out.kind == "band-collapsed"
             x = out.x
             finite = out.m_values[np.isfinite(out.m_values)]
@@ -337,10 +349,12 @@ def _corpus_game(seed):
                        granularity=1 + seed % 8, reward_bound=8.0, seed=seed)
 
 
-def _pump_and_reference(game, x0, states, m_minus, m_plus, eps, cap, **kwargs):
+def _pump_and_reference(game, x0, m0, m_minus, m_plus, eps, cap, **kwargs):
     """modified_pump and the single-step reference on the same call; both must
-    agree bitwise on every result."""
-    out = modified_pump(game, x0, states, m_minus, m_plus, eps, cap, **kwargs)
+    agree bitwise on every result. The reference solves its own step 0 over
+    the states where m0 is not NaN."""
+    out = modified_pump(game, x0, m0, m_minus, m_plus, eps, cap, **kwargs)
+    states = np.flatnonzero(~np.isnan(m0))
     ref = reference.single_step_pump(game, x0, states, m_minus, m_plus, eps, cap)
     assert out.kind == ref.kind
     assert out.stats.iterations == ref.iterations
@@ -368,9 +382,35 @@ class TestSingleStepEquivalence:
         assert verdict.kind != "inconclusive"
         assert sum(out.stats.iterations for out in outcomes) > 100
 
+    @pytest.mark.parametrize("seed", [32, 51, 160, 169, 184])
+    def test_every_pump_starts_from_the_values_at_its_potential(self, monkeypatch, seed):
+        # phase 1 pumps all states from the loop's potential, phase 2 the high
+        # set from the first phase's last potential; after a high-set collapse
+        # (seed 32 only) the loop measures all states again
+        phases, outcomes = [], []
+
+        def checked(game, x0, m0, *args, **kwargs):
+            if outcomes and outcomes[-1].kind == "witness-sets":
+                phases.append(2)
+                states = sorted(outcomes[-1].closed_high)
+                assert x0.tobytes() == outcomes[-1].x.tobytes()
+            else:
+                phases.append(1)
+                states = list(range(game.n))
+            assert np.flatnonzero(~np.isnan(m0)).tolist() == states
+            assert m0[states].tobytes() == local_values(game, x0, states)[states].tobytes()
+            outcomes.append(modified_pump(game, x0, m0, *args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(driver, "modified_pump", checked)
+        verdict, _ = decide_ergodicity(_corpus_game(seed), 0.05)
+        assert verdict.kind != "inconclusive"
+        assert ((2, 1) in zip(phases, phases[1:])) == (seed == 32)
+
     @pytest.mark.parametrize("cap", [1000, 137])
     def test_disconnected(self, cap):
-        out = _pump_and_reference(disconnected(0.0, 10.0), np.zeros(2), [0, 1], 0.0, 10.0,
+        g = disconnected(0.0, 10.0)
+        out = _pump_and_reference(g, np.zeros(2), local_values(g, np.zeros(2)), 0.0, 10.0,
                                   0.1, cap)
         assert out.stats.iterations == min(cap, 400)
 
@@ -380,7 +420,7 @@ class TestSingleStepEquivalence:
             n = int(rng.integers(2, 6))
             g = random_dense_game(rng, n=n, max_actions=3)
             m = local_values(g, np.zeros(n))
-            _pump_and_reference(g, np.zeros(n), range(n), float(np.min(m)),
+            _pump_and_reference(g, np.zeros(n), m, float(np.min(m)),
                                 float(np.max(m)), 0.05, 500)
 
 

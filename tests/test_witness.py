@@ -301,7 +301,8 @@ class TestCertificateChains:
         # the pump's boundary-gap check passes on the sets the pump returns
         # and flags them once every potential gap is halved
         g = disconnected(0.0, 10.0)
-        out = modified_pump(g, np.zeros(2), range(2), 0.0, 10.0, eps=0.1, cap=10_000)
+        out = modified_pump(g, np.zeros(2), local_values(g, np.zeros(2)), 0.0, 10.0, eps=0.1,
+                            cap=10_000)
         assert out.kind == "witness-sets"
         pumped = out.bands.pumped
 
