@@ -29,7 +29,7 @@ from .game import (
 from .witness import ERGODIC, NON_ERGODIC, StrategyCertificate, verify_witness
 
 GAME_FORMAT = "ergopump-game/1"
-CERTIFICATE_FORMAT = "ergopump-certificate/3"
+CERTIFICATE_FORMAT = "ergopump-certificate/4"
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -138,7 +138,6 @@ class CertificateBundle:
     """A parsed certificate: the fields the recheck reads."""
 
     verdict_kind: str
-    eps: float
     value_offset: float
     certificate: StrategyCertificate | None  # None for an inconclusive verdict
 
@@ -148,7 +147,9 @@ def _strategy_table(game: GameSpec, strategies: dict) -> dict:
 
 
 def serialize_certificate(game: GameSpec, verdict, stats) -> str:
-    """Render a solve verdict as a self-contained certificate document."""
+    """Render a solve verdict as a self-contained certificate document. Both
+    certified verdicts write their StrategyCertificate's fields the same way,
+    so a witness's high and low sets are the keys of alpha and beta."""
     cert = verdict.certificate
     doc = {
         "format": CERTIFICATE_FORMAT,
@@ -156,32 +157,28 @@ def serialize_certificate(game: GameSpec, verdict, stats) -> str:
         "epsilon": verdict.eps,
         "value_offset": verdict.value_offset,
         "states": list(game.states),
-        # only an ergodic certificate claims its band; per-phase bands stay in metadata
-        "band": [verdict.m_minus, verdict.m_plus] if verdict.kind == ERGODIC else None,
-        "potential": None if verdict.potential is None else [float(t) for t in verdict.potential],
+        "potential": None if cert is None else [float(t) for t in cert.potential],
+        "floor": None if cert is None else cert.floor,
+        "ceiling": None if cert is None else cert.ceiling,
         "alpha": None if cert is None else _strategy_table(game, cert.alpha),
         "beta": None if cert is None else _strategy_table(game, cert.beta),
         "reason": verdict.reason,
-        "non_ergodic": None,
         "metadata": {
             "outer_iterations": stats.outer_iterations,
             "phases": stats.phases,
         },
     }
-    if verdict.high_states is not None:
-        doc["non_ergodic"] = {
-            "high_states": sorted(game.states[v] for v in verdict.high_states),
-            "low_states": sorted(game.states[v] for v in verdict.low_states),
-            "a": verdict.ceiling,
-            "b": verdict.floor,
-        }
     # one line: json's indenting encoder runs in Python, its compact one in C
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
     """Parse a certificate for `game`; raises DocumentError when a field the
-    recheck reads is missing, malformed or does not fit the game."""
+    recheck reads is missing, malformed or does not fit the game.
+
+    It checks form only: what the certificate claims (which states alpha and
+    beta cover, and the bounds) is for recheck_certificate to judge.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -193,29 +190,31 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
         raise DocumentError(["certificate states do not match the game"])
     problems = []
 
-    def number(value, what):
-        if _finite([value]):
+    def number(key, positive=False):
+        value = doc.get(key)
+        if _finite([value]) and (value > 0 or not positive):
             return float(value)
-        problems.append(f"{what} must be a finite number, got {value!r}")
+        problems.append(f"{key!r} must be a {'positive ' if positive else ''}finite "
+                        f"number, got {value!r}")
         return 0.0
 
-    def vector(values, size, what) -> list:
-        if isinstance(values, list) and len(values) == size and _finite(values):
-            return values
-        problems.append(f"{what}: expected a list of {size} finite numbers")
-        return [0.0] * size
-
-    def strategies(alpha_states, beta_states):
+    def strategies():
         # any non-negative vector with a positive sum names the distribution
         # it is proportional to; the recheck reads that. Each check runs
         # once over both players' tables.
+        index = {s: v for v, s in enumerate(game.states)}
         owners, rows, sizes = [], [], []
-        for key, members, size in (("alpha", alpha_states, game.num_row_actions),
-                                   ("beta", beta_states, game.num_col_actions)):
+        for key, size in (("alpha", game.num_row_actions), ("beta", game.num_col_actions)):
             table = doc.get(key)
-            table = table if isinstance(table, dict) else {}
-            owners.append(sorted(members))
-            got = [table.get(game.states[v]) for v in owners[-1]]
+            if not isinstance(table, dict):
+                problems.append(f"{key!r} must map state names to strategy vectors")
+                table = {}
+            names = [s for s in table if s in index]
+            if len(names) < len(table):
+                problems.append(f"{key}: {sorted(set(table) - set(names))} are not "
+                                "states of the game")
+            owners.append([index[s] for s in names])
+            got = [table[s] for s in names]
             want = [size(v) for v in owners[-1]]
             if [len(row) if isinstance(row, list) else None for row in got] != want:
                 problems.append(f"{key}: expected one list per state, with one number "
@@ -227,9 +226,10 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
         flat = list(chain.from_iterable(rows))
         totals = [0.0]
         with contextlib.suppress(OverflowError):  # finite entries may overflow a sum
-            if _finite(flat) and min(flat) >= 0:
+            # both tables may be empty: covering no state is the recheck's to judge
+            if _finite(flat) and min(flat, default=0.0) >= 0:
                 totals = list(map(math.fsum, rows))
-        if not min(totals) > 0:
+        if not min(totals, default=1.0) > 0:
             problems.append("every strategy vector needs finite, non-negative entries "
                             "with a positive sum")
             return {}, {}
@@ -242,56 +242,30 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
     verdict_kind = doc.get("verdict")
     if not isinstance(verdict_kind, str):
         problems.append("'verdict' must be a string")
-    eps = number(doc.get("epsilon"), "'epsilon'")
-    value_offset = number(doc.get("value_offset", 0.0), "'value_offset'")
+    eps = number("epsilon", positive=True)
+    value_offset = number("value_offset")
     certificate = None
     if verdict_kind in (ERGODIC, NON_ERGODIC):
-        potential = np.array(vector(doc.get("potential"), game.n, "'potential'"),
-                             dtype=np.float64)
-        if verdict_kind == ERGODIC:
-            floor, ceiling = map(float, vector(doc.get("band"), 2, "'band'"))
-            alpha_states = beta_states = range(game.n)
-        else:
-            payload = doc.get("non_ergodic")
-            if not isinstance(payload, dict):
-                raise DocumentError(["non-ergodic certificate lacks its 'non_ergodic' "
-                                     "object"])
-            name_to_idx = {s: i for i, s in enumerate(game.states)}
-
-            def states(key):
-                names = payload.get(key)
-                known = [name_to_idx.get(s) if isinstance(s, str) else None
-                         for s in (names if isinstance(names, list) else [None])]
-                if None in known:
-                    problems.append(f"non_ergodic.{key} must list states of the game")
-                return frozenset(v for v in known if v is not None)
-
-            high, low = states("high_states"), states("low_states")
-            if not high or not low:
-                problems.append("non_ergodic.high_states and non_ergodic.low_states "
-                                "must not be empty")
-            if high & low:
-                problems.append("non_ergodic: states "
-                                f"{sorted(game.states[v] for v in high & low)} are in "
-                                "both the high and the low set")
-            floor = number(payload.get("b"), "non_ergodic.b")
-            ceiling = number(payload.get("a"), "non_ergodic.a")
-            alpha_states, beta_states = high, low
-        alpha, beta = strategies(alpha_states, beta_states)
-        certificate = StrategyCertificate(
-            kind=verdict_kind,
-            alpha=alpha,
-            beta=beta,
-            potential=potential,
-            floor=floor,
-            ceiling=ceiling,
-            eps=eps,
-        )
+        potential = doc.get("potential")
+        if not (isinstance(potential, list) and len(potential) == game.n
+                and _finite(potential)):
+            problems.append(f"'potential': expected a list of {game.n} finite numbers")
+        floor, ceiling = number("floor"), number("ceiling")
+        alpha, beta = strategies()
+        if not problems:
+            certificate = StrategyCertificate(
+                kind=verdict_kind,
+                alpha=alpha,
+                beta=beta,
+                potential=np.array(potential, dtype=np.float64),
+                floor=floor,
+                ceiling=ceiling,
+                eps=eps,
+            )
     if problems:
         raise DocumentError(problems)
     return CertificateBundle(
         verdict_kind=verdict_kind,
-        eps=eps,
         value_offset=value_offset,
         certificate=certificate,
     )

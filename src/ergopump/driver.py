@@ -168,8 +168,6 @@ def _drive(game, eps, config, params, offset, stats):
         if m_plus - m_minus <= 24 * eps:
             if h > 0:  # the pump measured m at x, but not the strategies that certify it
                 _, alpha, beta = local_solutions(game, x)
-            alpha, beta = ({v: np.maximum(vec, 0.0) for v, vec in enumerate(side)}
-                           for side in (alpha, beta))
             certificate = StrategyCertificate(kind=ERGODIC, alpha=alpha, beta=beta,
                                               potential=x, floor=m_minus, ceiling=m_plus,
                                               eps=eps)

@@ -307,10 +307,14 @@ def local_values(game, x, states=None) -> np.ndarray:
     return out
 
 
-def local_solutions(game, x) -> tuple[np.ndarray, list, list]:
-    """Every state's local value, bitwise as local_values gives it, with one
-    optimal strategy per player, from one solve per state: (values, row
-    strategies, column strategies), the strategies as lists."""
-    solved = [_solve(rows) for _, rows in _local_games(game, x, range(game.n))]
-    return (np.array([value for value, *_ in solved]),
-            [row for _, row, _, _ in solved], [col for _, _, col, _ in solved])
+def local_solutions(game, x, states=None) -> tuple[np.ndarray, dict, dict]:
+    """Local values, bitwise as local_values gives them, with one optimal
+    strategy per player, from one solve per state: (values, row strategies,
+    column strategies). Entries outside `states` are NaN; the strategies map
+    each listed state to its vector, clipped at 0."""
+    values = np.full(game.n, np.nan)
+    rows, cols = {}, {}
+    for v, matrix in _local_games(game, x, range(game.n) if states is None else states):
+        values[v], row, col, _ = _solve(matrix)
+        rows[v], cols[v] = np.maximum(row, 0.0), np.maximum(col, 0.0)
+    return values, rows, cols

@@ -10,12 +10,15 @@ states it covers, the potential telescopes along every play, so the row
 player guarantees `floor` from every alpha state and the column player
 concedes at most `ceiling` from every beta state.
 
-Two verdicts use it. An ergodic certificate covers every state with both
-players' optimal local strategies (so closure is vacuous) and claims
-ceiling - floor <= 24*eps. A non-ergodicity witness covers two disjoint
-closed sets, the high one with alpha and the low one with beta, and claims
-floor > ceiling, which its proven one-shot bounds must bear out. Its strategies are the optimal local strategies truncated
-to the actions that cannot leak out of the set.
+Two verdicts use it, and both take their strategies from one local solve
+(matrix_game.local_solutions) at the certified potential. An ergodic
+certificate covers every state with both players' optimal local strategies
+(so closure is vacuous) and claims ceiling - floor <= 24*eps. A
+non-ergodicity witness covers two disjoint closed sets, the high one with
+alpha and the low one with beta, and claims floor > ceiling, which its
+proven one-shot bounds must bear out. Its strategies are the optimal local
+ones of the states it covers, each truncated to the actions that cannot
+leak out of its set.
 
 Verification is independent of construction: closure exactly on the
 transition records, then every one-shot bound in one vectorised pass over
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameSpec, Potential, as_potential, local_payoffs
-from .matrix_game import solve_matrix_game
+from .matrix_game import local_solutions
 
 ERGODIC = "ergodic-24eps"
 NON_ERGODIC = "non-ergodic"
@@ -91,7 +94,7 @@ def _truncate(strategy: np.ndarray, keep: frozenset, v: int):
     if mass <= 0.0:
         raise WitnessBuildError(
             f"witness preconditions violated at state {v}: optimal strategy "
-            "has no mass on set-preserving actions"
+            f"has no mass on its {len(keep)} set-preserving actions"
         )
     out = np.zeros_like(strategy)
     for k in keep:
@@ -111,10 +114,15 @@ def build_witness(
     """Build truncated stationary strategies certifying the value gap.
 
     Requires the closed-set gap conditions to hold at x (supersets of the
-    top/bottom bands with saturated potential gaps). The certified bounds
-    keep a margin of eps: floor = floor_raw - eps, ceiling = ceiling_raw +
-    eps. Fails loudly when some state has no set-preserving action, which
-    signals a violated precondition rather than a recoverable condition.
+    top/bottom bands with saturated potential gaps). One local solve of the
+    high and low states at x gives alpha from the row strategies of the
+    high states and beta from the column strategies of the low states;
+    each is then truncated to its bar_actions and renormalised. The
+    certified bounds keep a margin of eps: floor = floor_raw - eps,
+    ceiling = ceiling_raw + eps. Fails loudly when a strategy has no mass on
+    set-preserving actions (none at all, or none its optimal strategy
+    plays), which signals a violated precondition rather than a
+    recoverable condition.
     """
     x = as_potential(x, game.n)
     high_states = frozenset(int(v) for v in high_states)
@@ -126,25 +134,13 @@ def build_witness(
             f"threshold separation {floor_raw - ceiling_raw} is below the "
             f"required 3*eps = {3 * eps}"
         )
-    payoffs = local_payoffs(game, x)
-    strategies = {"row": {}, "col": {}}
-    for player, members, side in (("row", high_states, "high"), ("col", low_states, "low")):
-        for v in sorted(members):
-            matrix = game.state_matrix(payoffs, v)
-            # negated and transposed, the column player's game is a row player's game
-            sol = solve_matrix_game(matrix if player == "row" else -matrix.T)
-            keep = bar_actions(game, v, members, player)
-            if not keep:
-                raise WitnessBuildError(
-                    f"witness preconditions violated at state {v}: no {player} action "
-                    f"keeps the play inside the {side} set"
-                )
-            strategies[player][v] = _truncate(sol.row_strategy, keep, v)
-
+    _, rows, cols = local_solutions(game, x, sorted(high_states | low_states))
     return StrategyCertificate(
         kind=NON_ERGODIC,
-        alpha=strategies["row"],
-        beta=strategies["col"],
+        alpha={v: _truncate(rows[v], bar_actions(game, v, high_states, "row"), v)
+               for v in sorted(high_states)},
+        beta={v: _truncate(cols[v], bar_actions(game, v, low_states, "col"), v)
+              for v in sorted(low_states)},
         potential=x,
         floor=floor_raw - eps,
         ceiling=ceiling_raw + eps,

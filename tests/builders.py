@@ -114,45 +114,61 @@ def count_calls(monkeypatch, names):
     return calls
 
 
-# ways to break a certificate, each of which parse_certificate must reject:
-# per case, the game, the eps to solve it at and the edit. disconnected(0, 10)
-# gives a non-ergodicity witness at eps 0.1 and an ergodic certificate at 1.0;
-# the matrix game [[3, 1], [0, 2]] an ergodic certificate with alpha (1/2, 1/2)
+# ways to break a certificate: per case, the game, the eps to solve it at,
+# the edit, and None where parse_certificate rejects the document, else a
+# failure recheck_certificate must report. The parser checks form only, so
+# what a certificate claims (which states alpha and beta cover, and the
+# bounds) fails the recheck. disconnected(0, 10) gives a non-ergodicity
+# witness at eps 0.1 and an ergodic certificate at 1.0; _SPLIT a witness
+# whose high set is the 2-cycle of u and v; the matrix game [[3, 1], [0, 2]]
+# an ergodic certificate with alpha (1/2, 1/2)
 _DISCONNECTED = disconnected(0.0, 10.0)
+_SPLIT = make_game(
+    ["low", "u", "v"], [["a"]] * 3, [["x"]] * 3,
+    [("low", "a", "x", "low", 1, 0.0), ("u", "a", "x", "v", 1, 10.0),
+     ("v", "a", "x", "u", 1, 10.0)],
+)
 _MIXED = matrix_as_game([[3.0, 1.0], [0.0, 2.0]])
 MALFORMED_CERTIFICATES = {
-    "unknown high state": (_DISCONNECTED, 0.1, lambda doc: doc["non_ergodic"].update(
-        high_states=["ghost"])),
-    "missing epsilon": (_DISCONNECTED, 0.1, lambda doc: doc.pop("epsilon")),
+    "unknown high state": (_DISCONNECTED, 0.1, lambda doc: doc.update(
+        alpha={"ghost": doc["alpha"]["high"]}), None),
+    "missing epsilon": (_DISCONNECTED, 0.1, lambda doc: doc.pop("epsilon"), None),
     # NaN would disable every tolerance
-    "NaN epsilon": (_DISCONNECTED, 0.1, lambda doc: doc.update(epsilon=float("nan"))),
+    "NaN epsilon": (_DISCONNECTED, 0.1, lambda doc: doc.update(epsilon=float("nan")), None),
+    # a slack of min(eps/10, 1e-6) that is 0 or negative breaks every bound
+    "zero epsilon": (_DISCONNECTED, 0.1, lambda doc: doc.update(epsilon=0.0), None),
+    "negative epsilon": (_DISCONNECTED, 1.0, lambda doc: doc.update(epsilon=-1.0), None),
+    "missing value_offset": (_DISCONNECTED, 0.1, lambda doc: doc.pop("value_offset"), None),
     "short potential": (_DISCONNECTED, 0.1, lambda doc: doc.update(
-        potential=doc["potential"][:1])),
-    "alpha misses a high state": (_DISCONNECTED, 0.1, lambda doc: doc.update(alpha={})),
+        potential=doc["potential"][:1]), None),
+    # v's only action moves to u, which alpha no longer covers
+    "alpha misses a high state": (_SPLIT, 0.1, lambda doc: doc["alpha"].pop("u"),
+                                  "leaks to 'u'"),
     "beta of the wrong length": (_DISCONNECTED, 0.1, lambda doc: doc["beta"].update(
-        low=[0.5, 0.5])),
+        low=[0.5, 0.5]), None),
     "negative strategy entry": (_DISCONNECTED, 0.1, lambda doc: doc["alpha"].update(
-        high=[-1.0])),
-    "empty high set": (_DISCONNECTED, 0.1, lambda doc: doc["non_ergodic"].update(
-        high_states=[])),
-    "state in both sets": (_DISCONNECTED, 0.1, lambda doc: (
-        doc["non_ergodic"].update(low_states=["high", "low"]),
-        doc["beta"].update(high=[1.0]))),
-    "ergodic alpha misses a state": (_DISCONNECTED, 1.0, lambda doc: doc["alpha"].pop("low")),
+        high=[-1.0]), None),
+    "empty high set": (_DISCONNECTED, 0.1, lambda doc: doc.update(alpha={}),
+                       "must not be empty"),
+    "state in both sets": (_DISCONNECTED, 0.1, lambda doc: doc["beta"].update(high=[1.0]),
+                           "share states ['high']"),
+    "ergodic alpha misses a state": (_DISCONNECTED, 1.0, lambda doc: doc["alpha"].pop("low"),
+                                     "ergodic alpha misses states ['low']"),
     "ergodic beta of the wrong length": (_DISCONNECTED, 1.0, lambda doc: doc["beta"].update(
-        low=[0.5, 0.5])),
+        low=[0.5, 0.5]), None),
     "ergodic negative strategy entry": (_DISCONNECTED, 1.0, lambda doc: doc["alpha"].update(
-        high=[-1.0])),
-    "ergodic band missing": (_DISCONNECTED, 1.0, lambda doc: doc.update(band=None)),
+        high=[-1.0]), None),
+    "ergodic band missing": (_DISCONNECTED, 1.0, lambda doc: doc.update(
+        floor=None, ceiling=None), None),
     # finite entries whose sum leaves the float range
     "strategy sum overflows": (_MIXED, 0.05, lambda doc: doc["alpha"].update(
-        s=[1e308, 1e308])),
+        s=[1e308, 1e308]), None),
     # entries that a float conversion would take: JSON true as 1, "0.5" as 0.5
     "boolean strategy entry": (_DISCONNECTED, 0.1, lambda doc: doc["alpha"].update(
-        high=[True])),
+        high=[True]), None),
     "string strategy entry": (_MIXED, 0.05, lambda doc: doc["alpha"].update(
-        s=[0.5, "0.5"])),
-    "all-zero strategy": (_MIXED, 0.05, lambda doc: doc["beta"].update(s=[0.0, 0.0])),
+        s=[0.5, "0.5"]), None),
+    "all-zero strategy": (_MIXED, 0.05, lambda doc: doc["beta"].update(s=[0.0, 0.0]), None),
     "negative entry, positive sum": (_MIXED, 0.05, lambda doc: doc["alpha"].update(
-        s=[-0.5, 1.5])),
+        s=[-0.5, 1.5]), None),
 }

@@ -53,18 +53,19 @@ def _solve(name, game, eps=EPS):
                           stats=stats, seconds=time.perf_counter() - start)
 
 
+def _corpus_game(seed):
+    return random_game(
+        n=2 + seed % 4,  # 2..5
+        max_actions=1 + seed % 3,  # 1..3
+        granularity=1 + seed % 8,  # 1..8
+        reward_bound=8.0,
+        seed=seed,
+    )
+
+
 @pytest.fixture(scope="session")
 def corpus():
-    instances = []
-    for seed in range(N_RANDOM):
-        game = random_game(
-            n=2 + seed % 4,  # 2..5
-            max_actions=1 + seed % 3,  # 1..3
-            granularity=1 + seed % 8,  # 1..8
-            reward_bound=8.0,
-            seed=seed,
-        )
-        instances.append(_solve(f"random-{seed}", game))
+    instances = [_solve(f"random-{seed}", _corpus_game(seed)) for seed in range(N_RANDOM)]
     instances.append(_solve("big-match", big_match()))
     instances.append(_solve("disconnected", disconnected(0.0, 10.0)))
     for seed in (0, 1, 2):
@@ -128,6 +129,26 @@ def test_criterion_2_certificate_soundness(corpus):
     _report(2, f"{checked} certificates round-tripped and rechecked, each within its "
                f"global best-response bounds; {witnesses} witnesses within the "
                "enumeration bounds")
+
+
+def test_verdict_agrees_with_its_certificate(corpus):
+    # the CLI and the benchmark report a Verdict's floor, ceiling, sets and
+    # potential, while the document writes its certificate's: they must be
+    # one and the same. The eps sweep on seed 184 adds the benchmark's
+    # pump-long instances that the corpus lacks
+    sweep = [_solve(f"random-184@eps={eps}", _corpus_game(184), eps)
+             for eps in (0.02, 0.01, 0.005, 0.0025)]
+    for inst in corpus + sweep:
+        verdict, cert = inst.verdict, inst.verdict.certificate
+        assert verdict.kind != "inconclusive", inst.name
+        if verdict.kind == "ergodic-24eps":
+            assert (verdict.m_minus, verdict.m_plus) == (cert.floor, cert.ceiling), inst.name
+        else:
+            assert (verdict.floor, verdict.ceiling) == (cert.floor, cert.ceiling), inst.name
+            assert verdict.high_states == set(cert.alpha), inst.name
+            assert verdict.low_states == set(cert.beta), inst.name
+        assert verdict.potential.tobytes() == np.asarray(cert.potential).tobytes(), inst.name
+    assert all(inst.verdict.kind == "non-ergodic" for inst in sweep)
 
 
 def test_criterion_3_ergodic_validity(corpus):

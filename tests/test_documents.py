@@ -20,7 +20,7 @@ from ergopump.documents import (
     serialize_certificate,
     serialize_game,
 )
-from ergopump.driver import decide_ergodicity
+from ergopump.driver import DriverConfig, decide_ergodicity
 from ergopump.game import GameSpec, normalize_rewards
 from ergopump.generators import KINDS, generate, random_game
 
@@ -208,7 +208,7 @@ class TestCertificates:
     def test_tampered_floor_fails_recheck(self):
         game, verdict, stats = self._solve()
         doc = json.loads(serialize_certificate(game, verdict, stats))
-        doc["non_ergodic"]["b"] = doc["non_ergodic"]["a"] - 0.1
+        doc["floor"] = doc["ceiling"] - 0.1
         bundle = parse_certificate(json.dumps(doc), game)
         ok, problems = recheck_certificate(game, bundle)
         assert not ok
@@ -230,12 +230,17 @@ class TestCertificates:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
     def test_malformed_certificate_rejected(self, case):
-        game, eps, edit = MALFORMED_CERTIFICATES[case]
+        # each case fails at one stage: the parser (failure None) or the recheck
+        game, eps, edit, failure = MALFORMED_CERTIFICATES[case]
         verdict, stats = decide_ergodicity(game, eps)
         doc = json.loads(serialize_certificate(game, verdict, stats))
         edit(doc)
-        with pytest.raises(DocumentError):
-            parse_certificate(json.dumps(doc), game)
+        if failure is None:
+            with pytest.raises(DocumentError):
+                parse_certificate(json.dumps(doc), game)
+        else:
+            ok, problems = recheck_certificate(game, parse_certificate(json.dumps(doc), game))
+            assert not ok and any(failure in p for p in problems), problems
 
     def test_ergodic_certificate_recheck(self):
         game = disconnected(4.0, 4.5)
@@ -260,40 +265,55 @@ class TestCertificates:
         # the band [0, 10] certifies eps = 0.42 (24*eps = 10.08), not 0.41 (9.84)
         game, verdict, stats = self._solve(eps=1.0)
         doc = json.loads(serialize_certificate(game, verdict, stats))
-        assert doc["verdict"] == "ergodic-24eps" and doc["band"] == [0.0, 10.0]
+        assert doc["verdict"] == "ergodic-24eps"
+        assert (doc["floor"], doc["ceiling"]) == (0.0, 10.0)
         doc["epsilon"] = eps
         assert recheck_certificate(game, parse_certificate(json.dumps(doc), game))[0] == ok
 
     def test_format_one_rejected(self):
         game, verdict, stats = self._solve()
         doc = json.loads(serialize_certificate(game, verdict, stats))
-        assert doc["format"] == "ergopump-certificate/3"
-        for older in ("ergopump-certificate/1", "ergopump-certificate/2"):
+        assert doc["format"] == "ergopump-certificate/4"
+        for older in ("ergopump-certificate/1", "ergopump-certificate/2",
+                      "ergopump-certificate/3"):
             doc["format"] = older
-            with pytest.raises(DocumentError, match="not a ergopump-certificate/3"):
+            with pytest.raises(DocumentError, match="not a ergopump-certificate/4"):
                 parse_certificate(json.dumps(doc), game)
 
     @pytest.mark.parametrize("separation", [1e-7, 1e-12])
     def test_witness_without_proven_gap_fails_recheck(self, separation):
-        # both states of disconnected(0, 0) have value 0: stored bounds a = 0
-        # and b = a + separation hold within one slack each, but the proven
+        # both states of disconnected(0, 0) have value 0: stored bounds
+        # ceiling = 0 and floor = separation hold within one slack each, but the proven
         # one-shot bounds do not separate, so nothing is proven
         game, verdict, stats = self._solve()
         doc = json.loads(serialize_certificate(game, verdict, stats))
         doc.update(epsilon=1e-5, potential=[0.0, 0.0], alpha={"high": [1.0]},
-                   beta={"low": [1.0]})
-        doc["non_ergodic"].update(a=0.0, b=separation)
+                   beta={"low": [1.0]}, ceiling=0.0, floor=separation)
         equal = disconnected(0.0, 0.0)
         doc["value_offset"] = normalize_rewards(equal)[1]
         ok, problems = recheck_certificate(equal, parse_certificate(json.dumps(doc), equal))
         assert not ok
         assert problems and all("does not exceed proven ceiling" in p for p in problems)
 
-    def test_band_written_only_for_ergodic(self):
-        # a witness claims its a and b, not the last phase's band
-        for eps, band in ((0.1, None), (1.0, [0.0, 10.0])):
+    def test_both_verdicts_write_one_layout(self):
+        # the same fields for both verdicts, null for an inconclusive one; a
+        # witness's high and low sets are the keys of alpha and beta
+        fields = {"format", "verdict", "epsilon", "value_offset", "states", "potential",
+                  "floor", "ceiling", "alpha", "beta", "reason", "metadata"}
+        for eps, kind, high, low in ((0.1, "non-ergodic", ["high"], ["low"]),
+                                     (1.0, "ergodic-24eps", ["high", "low"], ["high", "low"])):
             game, verdict, stats = self._solve(eps)
-            assert json.loads(serialize_certificate(game, verdict, stats))["band"] == band
+            doc = json.loads(serialize_certificate(game, verdict, stats))
+            assert doc["verdict"] == kind and set(doc) == fields
+            assert (sorted(doc["alpha"]), sorted(doc["beta"])) == (high, low)
+            assert (doc["floor"], doc["ceiling"]) == (verdict.certificate.floor,
+                                                      verdict.certificate.ceiling)
+        verdict, stats = decide_ergodicity(disconnected(0.0, 10.0), 0.1,
+                                           config=DriverConfig(pump_cap=3))
+        doc = json.loads(serialize_certificate(disconnected(0.0, 10.0), verdict, stats))
+        assert doc["verdict"] == "inconclusive" and set(doc) == fields
+        assert all(doc[key] is None for key in ("potential", "floor", "ceiling", "alpha",
+                                                "beta"))
 
     def test_nudged_offset_fails_recheck(self):
         # the offset round-trips bit-exactly, so any difference is a mismatch

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ergopump.documents import serialize_game
+from ergopump.documents import CERTIFICATE_FORMAT, serialize_game
 from ergopump.generators import cycle, disconnected
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -59,3 +59,9 @@ def test_verdict_path_imports_no_scipy():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_readme_names_the_certificate_format():
+    # a format bump must update the README's account of the document
+    readme = (BENCH.parent / "README.md").read_text()
+    assert f"`{CERTIFICATE_FORMAT}`" in readme
