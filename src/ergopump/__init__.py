@@ -18,7 +18,6 @@ from .documents import (
 from .driver import (
     DriverConfig,
     DriverStats,
-    Verdict,
     decide_ergodicity,
     reduce_potential,
 )
@@ -35,6 +34,6 @@ from .game import (
 )
 from .matrix_game import MatrixGameError, MatrixGameSolution, local_value, solve_matrix_game
 from .pump import BandPartition, PumpOutcome, modified_pump, partition
-from .witness import StrategyCertificate, build_witness, verify_witness
+from .witness import Verdict, build_witness, verify_witness
 
 __version__ = "0.1.0"

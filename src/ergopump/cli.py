@@ -16,7 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import documents, generators
-from .driver import ERGODIC, HARD_CAP, NON_ERGODIC, DriverConfig, decide_ergodicity
+from .driver import HARD_CAP, DriverConfig, decide_ergodicity
+from .witness import ERGODIC, NON_ERGODIC
 
 EX_USAGE = 64
 EX_IOERR = 66
@@ -59,17 +60,15 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _solve_one(game_path: str, eps: float, cap: int, trace_path: str | None,
-               out_path: str):
-    """Solve one game document; returns the verdict and the game's state names."""
-    game = _load_game(game_path)
+def _solve_one(game, eps: float, cap: int, trace_path: str | None, out_path: str):
+    """Solve one parsed game, write its certificate (and trace); returns the verdict."""
     config = DriverConfig(pump_cap=cap, collect_trace=trace_path is not None)
     verdict, stats = decide_ergodicity(game, eps, config)
     _write(out_path, documents.serialize_certificate(game, verdict, stats))
     if trace_path is not None:
         _write(trace_path, "".join(json.dumps(entry, sort_keys=True) + "\n"
                                    for entry in stats.trace))
-    return verdict, game.states
+    return verdict
 
 
 def _cmd_solve(args) -> int:
@@ -90,10 +89,10 @@ def _cmd_solve(args) -> int:
             out_path = str(Path(args.out) / (Path(game_path).stem + ".cert.json"))
         else:
             out_path = args.out
-        jobs.append((game_path, args.epsilon, args.cap, args.trace, out_path))
+        jobs.append((game_path, out_path))
     # every file the solve writes, against each other and against every input
     writers = {}
-    for game_path, *_, out_path in jobs:
+    for game_path, out_path in jobs:
         writers.setdefault(Path(out_path).resolve(), []).append(
             f"the certificate of {game_path}")
     if args.trace is not None:
@@ -110,25 +109,28 @@ def _cmd_solve(args) -> int:
     if clashes:
         return EX_USAGE
 
-    if len(jobs) > 1 and args.jobs > 1:
+    # every game is read and validated before the first certificate is written
+    games = [_load_game(game_path) for game_path, _ in jobs]
+    work = [(game, args.epsilon, args.cap, args.trace, out_path)
+            for game, (_, out_path) in zip(games, jobs)]
+    if len(work) > 1 and args.jobs > 1:
         # a fork-based pool starts all its workers up front: no more than games
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
-            results = list(pool.map(_solve_one_star, jobs))
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(work))) as pool:
+            verdicts = list(pool.map(_solve_one_star, work))
     else:
-        results = [_solve_one(*job) for job in jobs]
+        verdicts = [_solve_one(*item) for item in work]
 
     code = 0
-    for job, (verdict, states) in zip(jobs, results):
-        game_path, out_path = job[0], job[-1]
+    for (game_path, out_path), game, verdict in zip(jobs, games, verdicts):
         if verdict.kind == ERGODIC:
             print(f"{game_path}: ergodic within 24*eps; local values in "
-                  f"[{_fmt(verdict.m_minus)}, {_fmt(verdict.m_plus)}] "
+                  f"[{_fmt(verdict.floor)}, {_fmt(verdict.ceiling)}] "
                   f"(normalized units, offset {_fmt(verdict.value_offset)}); "
                   f"certificate: {out_path}")
             this = 0
         elif verdict.kind == NON_ERGODIC:
-            high = ", ".join(states[v] for v in sorted(verdict.high_states))
-            low = ", ".join(states[v] for v in sorted(verdict.low_states))
+            high = ", ".join(game.states[v] for v in sorted(verdict.high_states))
+            low = ", ".join(game.states[v] for v in sorted(verdict.low_states))
             print(f"{game_path}: NOT ergodic; values from {{{high}}} stay >= "
                   f"{_fmt(verdict.floor)} while values from {{{low}}} stay <= "
                   f"{_fmt(verdict.ceiling)}; certificate: {out_path}")
@@ -151,15 +153,15 @@ def _solve_one_star(job):
 def _cmd_verify(args) -> int:
     game = _load_game(args.game)
     try:
-        bundle = documents.parse_certificate(_read(args.certificate), game)
+        verdict = documents.parse_certificate(_read(args.certificate), game)
     except documents.DocumentError as exc:
         print(f"{args.certificate}: invalid certificate document:", file=sys.stderr)
         for problem in exc.problems:
             print(f"  - {problem}", file=sys.stderr)
         return 1
-    ok, problems = documents.recheck_certificate(game, bundle)
+    ok, problems = documents.recheck_certificate(game, verdict)
     if ok:
-        print(f"{args.certificate}: PASS ({bundle.verdict_kind})")
+        print(f"{args.certificate}: PASS ({verdict.kind})")
         return 0
     print(f"{args.certificate}: FAIL")
     for problem in problems:

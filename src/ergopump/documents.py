@@ -1,10 +1,13 @@
 """File formats: game documents and solve certificates.
 
-Documents are JSON. Probabilities travel as exact rational strings ("a/b" or
-a decimal literal) so the granularity parameter survives round-trips;
-rewards, potentials and strategy entries travel as shortest-repr floats,
-which round-trip bit-exactly. Serialization sorts keys and fixes the record
-order, so equal inputs produce byte-identical documents.
+A certificate is the document form of a witness.Verdict: serialize_certificate
+writes the record a solve returns, and parse_certificate reads it back as the
+same record for recheck_certificate. Documents are JSON. Probabilities travel
+as exact rational strings ("a/b" or a decimal literal) so the granularity
+parameter survives round-trips; rewards, potentials and strategy entries
+travel as shortest-repr floats, which round-trip bit-exactly. Serialization
+sorts keys and fixes the record order, so equal inputs produce byte-identical
+documents.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 
@@ -26,7 +28,7 @@ from .game import (
     normalize_rewards,
     to_fraction,
 )
-from .witness import ERGODIC, NON_ERGODIC, StrategyCertificate, verify_witness
+from .witness import ERGODIC, INCONCLUSIVE, NON_ERGODIC, Verdict, verify_witness
 
 GAME_FORMAT = "ergopump-game/1"
 CERTIFICATE_FORMAT = "ergopump-certificate/4"
@@ -75,18 +77,25 @@ def _finite(values) -> bool:
         return False
 
 
-def parse_game(text: str) -> GameSpec:
-    """Parse a game document into a (validated) GameSpec; raises DocumentError
-    with the first 20 problems (JSON position for syntax, record index for
-    content)."""
+def _load(text: str, fmt: str) -> dict:
+    """The JSON object of a document in format fmt; raises DocumentError on a
+    syntax error (with its position) or another format."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError([f"JSON syntax error at line {exc.lineno}, column "
                              f"{exc.colno}: {exc.msg}"]) from None
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise DocumentError([f"not a {fmt} document"])
+    return doc
+
+
+def parse_game(text: str) -> GameSpec:
+    """Parse a game document into a (validated) GameSpec; raises DocumentError
+    with the first 20 problems (JSON position for syntax, record index for
+    content)."""
+    doc = _load(text, GAME_FORMAT)
     problems = []
-    if not isinstance(doc, dict) or doc.get("format") != GAME_FORMAT:
-        raise DocumentError([f"not a {GAME_FORMAT} document"])
     states = doc.get("states")
     if not isinstance(states, list) or not states or not all(isinstance(s, str) for s in states):
         raise DocumentError(["'states' must be a non-empty list of names"])
@@ -133,59 +142,45 @@ def parse_game(text: str) -> GameSpec:
     return make_game(states, row_actions, col_actions, triples)
 
 
-@dataclass(frozen=True)
-class CertificateBundle:
-    """A parsed certificate: the fields the recheck reads."""
-
-    verdict_kind: str
-    value_offset: float
-    certificate: StrategyCertificate | None  # None for an inconclusive verdict
-
-
-def _strategy_table(game: GameSpec, strategies: dict) -> dict:
-    return {game.states[v]: vec.tolist() for v, vec in sorted(strategies.items())}
-
-
-def serialize_certificate(game: GameSpec, verdict, stats) -> str:
+def serialize_certificate(game: GameSpec, verdict: Verdict, stats) -> str:
     """Render a solve verdict as a self-contained certificate document. Both
-    certified verdicts write their StrategyCertificate's fields the same way,
-    so a witness's high and low sets are the keys of alpha and beta."""
-    cert = verdict.certificate
+    certified kinds write their fields the same way, so a witness's high and
+    low sets are the keys of alpha and beta; an inconclusive verdict's
+    potential, floor, ceiling, alpha and beta are None and written as null."""
+    def named(strategies):
+        return strategies and {game.states[v]: vec for v, vec in sorted(strategies.items())}
+
     doc = {
         "format": CERTIFICATE_FORMAT,
         "verdict": verdict.kind,
         "epsilon": verdict.eps,
         "value_offset": verdict.value_offset,
         "states": list(game.states),
-        "potential": None if cert is None else [float(t) for t in cert.potential],
-        "floor": None if cert is None else cert.floor,
-        "ceiling": None if cert is None else cert.ceiling,
-        "alpha": None if cert is None else _strategy_table(game, cert.alpha),
-        "beta": None if cert is None else _strategy_table(game, cert.beta),
+        "potential": verdict.potential,
+        "floor": verdict.floor,
+        "ceiling": verdict.ceiling,
+        "alpha": named(verdict.alpha),
+        "beta": named(verdict.beta),
         "reason": verdict.reason,
         "metadata": {
             "outer_iterations": stats.outer_iterations,
             "phases": stats.phases,
         },
     }
-    # one line: json's indenting encoder runs in Python, its compact one in C
-    return json.dumps(doc, sort_keys=True) + "\n"
+    # one line: json's indenting encoder runs in Python, its compact one in C;
+    # potential and strategy arrays go out as lists of shortest-repr floats
+    return json.dumps(doc, sort_keys=True, default=np.ndarray.tolist) + "\n"
 
 
-def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
-    """Parse a certificate for `game`; raises DocumentError when a field the
+def parse_certificate(text: str, game: GameSpec) -> Verdict:
+    """Parse a certificate for `game` back into the Verdict it was written
+    from; raises DocumentError when the verdict kind is unknown or a field the
     recheck reads is missing, malformed or does not fit the game.
 
     It checks form only: what the certificate claims (which states alpha and
     beta cover, and the bounds) is for recheck_certificate to judge.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError([f"JSON syntax error at line {exc.lineno}, column "
-                             f"{exc.colno}: {exc.msg}"]) from None
-    if not isinstance(doc, dict) or doc.get("format") != CERTIFICATE_FORMAT:
-        raise DocumentError([f"not a {CERTIFICATE_FORMAT} document"])
+    doc = _load(text, CERTIFICATE_FORMAT)
     if doc.get("states") != list(game.states):
         raise DocumentError(["certificate states do not match the game"])
     problems = []
@@ -239,55 +234,44 @@ def parse_certificate(text: str, game: GameSpec) -> CertificateBundle:
         # zip draws from vectors only while the player's states last
         return tuple(dict(zip(members, vectors)) for members in owners)
 
-    verdict_kind = doc.get("verdict")
-    if not isinstance(verdict_kind, str):
-        problems.append("'verdict' must be a string")
+    kind = doc.get("verdict")
+    if kind not in (ERGODIC, NON_ERGODIC, INCONCLUSIVE):
+        problems.append(f"'verdict' must be {ERGODIC!r}, {NON_ERGODIC!r} or "
+                        f"{INCONCLUSIVE!r}, got {kind!r}")
     eps = number("epsilon", positive=True)
     value_offset = number("value_offset")
-    certificate = None
-    if verdict_kind in (ERGODIC, NON_ERGODIC):
+    reason = doc.get("reason")
+    if not (reason is None or isinstance(reason, str)):
+        problems.append(f"'reason' must be a string or null, got {reason!r}")
+    certified = {}
+    if kind in (ERGODIC, NON_ERGODIC):
         potential = doc.get("potential")
-        if not (isinstance(potential, list) and len(potential) == game.n
-                and _finite(potential)):
+        if isinstance(potential, list) and len(potential) == game.n and _finite(potential):
+            certified["potential"] = np.array(potential, dtype=np.float64)
+        else:
             problems.append(f"'potential': expected a list of {game.n} finite numbers")
-        floor, ceiling = number("floor"), number("ceiling")
-        alpha, beta = strategies()
-        if not problems:
-            certificate = StrategyCertificate(
-                kind=verdict_kind,
-                alpha=alpha,
-                beta=beta,
-                potential=np.array(potential, dtype=np.float64),
-                floor=floor,
-                ceiling=ceiling,
-                eps=eps,
-            )
+        certified.update(floor=number("floor"), ceiling=number("ceiling"))
+        certified["alpha"], certified["beta"] = strategies()
     if problems:
         raise DocumentError(problems)
-    return CertificateBundle(
-        verdict_kind=verdict_kind,
-        value_offset=value_offset,
-        certificate=certificate,
-    )
+    return Verdict(kind=kind, eps=eps, value_offset=value_offset, reason=reason, **certified)
 
 
-def recheck_certificate(game: GameSpec, bundle: CertificateBundle) -> tuple[bool, tuple]:
-    """Re-establish a certificate from the game and document alone.
+def recheck_certificate(game: GameSpec, verdict: Verdict) -> tuple[bool, tuple]:
+    """Re-establish a parsed certificate from the game and document alone.
 
     The normalization offset must match exactly (it round-trips bit-exactly),
-    and both verdicts get the one check of witness.verify_witness on the
+    and every verdict gets the one check of witness.verify_witness on the
     normalized game: exact closure, one vectorised pass of one-shot bounds
-    and the verdict's claim on its stored bounds. No LP runs.
+    and the verdict's claim on its stored bounds, which an inconclusive
+    verdict cannot pass. No LP runs.
     """
     normalized, offset = normalize_rewards(game)
     problems = []
-    if offset != bundle.value_offset:
+    if offset != verdict.value_offset:
         problems.append(
             f"normalization offset mismatch: game gives {offset}, "
-            f"certificate says {bundle.value_offset}"
+            f"certificate says {verdict.value_offset}"
         )
-    if bundle.certificate is None:
-        problems.append(f"cannot recheck a {bundle.verdict_kind!r} certificate")
-    else:
-        problems.extend(verify_witness(normalized, bundle.certificate).failures)
+    problems.extend(verify_witness(normalized, verdict).failures)
     return not problems, tuple(problems)

@@ -1,5 +1,9 @@
 """Outer solve loop: repeated pumping, one measurement of local values per potential.
 
+decide_ergodicity returns a witness.Verdict, the one result record; the
+three verdict kinds are defined there and bound here for callers that import
+them from the driver.
+
 Each outer iteration reads the local-value band at the current potential and
 stops once its width is at most 24*eps: the potential and optimal local
 strategies at it certify that all game values sit in the band. Otherwise one
@@ -32,13 +36,13 @@ from .matrix_game import MatrixGameError, local_solutions, local_values
 from .pump import PumpInvariantError, modified_pump
 from .witness import (
     ERGODIC,
+    INCONCLUSIVE,
     NON_ERGODIC,
-    StrategyCertificate,
+    Verdict,
     WitnessBuildError,
     build_witness,
 )
 
-INCONCLUSIVE = "inconclusive"
 HARD_CAP = 2_000_000  # pump steps per phase; the module docstring says why
 
 
@@ -55,22 +59,6 @@ def __getattr__(name):
 class DriverConfig:
     pump_cap: int = HARD_CAP  # pump steps per phase
     collect_trace: bool = False
-
-
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # ERGODIC, NON_ERGODIC or INCONCLUSIVE
-    eps: float
-    potential: Potential | None
-    m_minus: float | None
-    m_plus: float | None
-    value_offset: float  # added to every original reward by normalization
-    high_states: frozenset | None = None
-    low_states: frozenset | None = None
-    floor: float | None = None
-    ceiling: float | None = None
-    certificate: StrategyCertificate | None = None  # both certified verdicts
-    reason: str | None = None
 
 
 @dataclass
@@ -128,8 +116,7 @@ def decide_ergodicity(game: GameSpec, eps: float,
     try:
         verdict = _drive(normalized, eps, config, params, offset, stats)
     except (MatrixGameError, PumpInvariantError, WitnessBuildError) as exc:
-        verdict = Verdict(kind=INCONCLUSIVE, eps=eps, potential=None,
-                          m_minus=None, m_plus=None, value_offset=offset,
+        verdict = Verdict(kind=INCONCLUSIVE, eps=eps, value_offset=offset,
                           reason=f"{type(exc).__name__}: {exc}")
     return verdict, stats
 
@@ -154,10 +141,9 @@ def _pump_phase(phase, game, x, m0, m_minus, m_plus, eps, record, params, config
 def _drive(game, eps, config, params, offset, stats):
     outer_cap = default_outer_cap(params.reward_bound, eps)
 
-    def stop(kind, potential, **fields):
+    def stop(kind, **fields):
         stats.outer_iterations = h
-        return Verdict(kind=kind, eps=eps, potential=potential, m_minus=m_minus,
-                       m_plus=m_plus, value_offset=offset, **fields)
+        return Verdict(kind=kind, eps=eps, value_offset=offset, **fields)
 
     x = np.zeros(game.n)
     m, alpha, beta = local_solutions(game, x)
@@ -168,12 +154,10 @@ def _drive(game, eps, config, params, offset, stats):
         if m_plus - m_minus <= 24 * eps:
             if h > 0:  # the pump measured m at x, but not the strategies that certify it
                 _, alpha, beta = local_solutions(game, x)
-            certificate = StrategyCertificate(kind=ERGODIC, alpha=alpha, beta=beta,
-                                              potential=x, floor=m_minus, ceiling=m_plus,
-                                              eps=eps)
-            return stop(ERGODIC, x, certificate=certificate)
+            return stop(ERGODIC, potential=x, floor=m_minus, ceiling=m_plus,
+                        alpha=alpha, beta=beta)
         if h >= outer_cap:
-            return stop(INCONCLUSIVE, x,
+            return stop(INCONCLUSIVE,
                         reason=f"outer iteration cap {outer_cap} reached with band width "
                                f"{m_plus - m_minus}")
 
@@ -190,7 +174,7 @@ def _drive(game, eps, config, params, offset, stats):
             outcome = _pump_phase(phase, game, first.x, m_high, mid, m_plus, eps, record,
                                   params, config, stats)
         if outcome.kind == "cap-exceeded":
-            return stop(INCONCLUSIVE, outcome.x,
+            return stop(INCONCLUSIVE,
                         reason=f"pump step cap {config.pump_cap} exhausted in the "
                                f"{_PHASE_SCOPES[phase]} phase")
         if outcome.kind == "band-collapsed" and (phase == "phase1"
@@ -206,7 +190,7 @@ def _drive(game, eps, config, params, offset, stats):
         high = first.closed_high if outcome.kind == "band-collapsed" else outcome.closed_high
         low = first.closed_low
         witness = build_witness(game, outcome.x, high, low, ceiling_raw=mid,
-                                floor_raw=(5.0 * m_plus + 3.0 * m_minus) / 8.0, eps=eps)
-        return stop(NON_ERGODIC, outcome.x,
-                    high_states=frozenset(high), low_states=frozenset(low),
-                    floor=witness.floor, ceiling=witness.ceiling, certificate=witness)
+                                floor_raw=(5.0 * m_plus + 3.0 * m_minus) / 8.0, eps=eps,
+                                value_offset=offset)
+        stats.outer_iterations = h
+        return witness

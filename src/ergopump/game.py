@@ -77,6 +77,12 @@ class FlatView:
     first_row: np.ndarray
     first_col: np.ndarray
 
+    def __setstate__(self, state):
+        # a pickle restores the arrays writeable, e.g. in a solve worker
+        for arr in state.values():
+            arr.setflags(write=False)
+        self.__dict__.update(state)
+
 
 def _flat_view(game) -> FlatView:
     rows = np.array([len(acts) for acts in game.row_actions], dtype=np.int64)

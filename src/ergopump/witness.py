@@ -1,28 +1,29 @@
-"""Strategy certificates: witness construction and the one independent check.
+"""The one result record, Verdict, and the one independent check of it.
 
-A certificate holds stationary strategies under a potential x: alpha gives
-the row player's mixed action at each state it covers, beta the column
-player's. Its claim is one-shot: at every alpha state, alpha's
-potential-adjusted payoff against any pure column is at least `floor`, and
-at every beta state, any pure row's payoff against beta is at most
-`ceiling`. When no action in a strategy's support can move mass out of the
-states it covers, the potential telescopes along every play, so the row
-player guarantees `floor` from every alpha state and the column player
-concedes at most `ceiling` from every beta state.
+A solve ends in one of three kinds. An ERGODIC or NON_ERGODIC verdict holds
+stationary strategies under a potential x: alpha gives the row player's
+mixed action at each state it covers, beta the column player's. Its claim
+is one-shot: at every alpha state, alpha's potential-adjusted payoff against
+any pure column is at least `floor`, and at every beta state, any pure row's
+payoff against beta is at most `ceiling`. When no action in a strategy's
+support can move mass out of the states it covers, the potential telescopes
+along every play, so the row player guarantees `floor` from every alpha
+state and the column player concedes at most `ceiling` from every beta
+state. An INCONCLUSIVE verdict holds only its reason and certifies nothing.
 
-Two verdicts use it, and both take their strategies from one local solve
+Both certified kinds take their strategies from one local solve
 (matrix_game.local_solutions) at the certified potential. An ergodic
-certificate covers every state with both players' optimal local strategies
-(so closure is vacuous) and claims ceiling - floor <= 24*eps. A
-non-ergodicity witness covers two disjoint closed sets, the high one with
-alpha and the low one with beta, and claims floor > ceiling, which its
-proven one-shot bounds must bear out. Its strategies are the optimal local
-ones of the states it covers, each truncated to the actions that cannot
-leak out of its set.
+verdict covers every state with both players' optimal local strategies (so
+closure is vacuous) and claims ceiling - floor <= 24*eps. A non-ergodicity
+witness covers two disjoint closed sets, the high one with alpha and the
+low one with beta, and claims floor > ceiling, which its proven one-shot
+bounds must bear out. Its strategies are the optimal local ones of the
+states it covers, each truncated to the actions that cannot leak out of its
+set.
 
-Verification is independent of construction: closure exactly on the
-transition records, then every one-shot bound in one vectorised pass over
-the game's flat view.
+The record goes from decide_ergodicity through the documents module to
+verify_witness, which is independent of construction: closure exactly on the
+transition records, then every one-shot bound in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .matrix_game import local_solutions
 
 ERGODIC = "ergodic-24eps"
 NON_ERGODIC = "non-ergodic"
+INCONCLUSIVE = "inconclusive"
 # slack of every comparison with a computed payoff: eps/10, but never above this
 _MAX_VERIFY_SLACK = 1e-6
 
@@ -45,21 +47,33 @@ class WitnessBuildError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class StrategyCertificate:
-    """Stationary strategies with one-shot bounds under a potential.
+class Verdict:
+    """The result of a solve, as written to and read from a certificate.
 
-    kind is ERGODIC (alpha and beta cover every state, claim
-    ceiling - floor <= 24*eps) or NON_ERGODIC (alpha covers the high set,
-    beta the low set, claim floor > ceiling).
+    value_offset is the shift normalization added to every original reward;
+    floor, ceiling and the potential are in normalized units. A certified
+    kind (ERGODIC or NON_ERGODIC) holds potential, floor, ceiling, alpha and
+    beta (state -> mixed action vector); an INCONCLUSIVE one holds reason
+    instead and leaves them None.
     """
 
-    kind: str
-    alpha: dict  # state -> row player's mixed action vector
-    beta: dict  # state -> column player's mixed action vector
-    potential: Potential
-    floor: float
-    ceiling: float
+    kind: str  # ERGODIC, NON_ERGODIC or INCONCLUSIVE
     eps: float
+    value_offset: float
+    potential: Potential | None = None
+    floor: float | None = None
+    ceiling: float | None = None
+    alpha: dict | None = None  # state -> row player's mixed action vector
+    beta: dict | None = None  # state -> column player's mixed action vector
+    reason: str | None = None
+
+    @property
+    def high_states(self) -> frozenset | None:  # a witness's high set
+        return frozenset(self.alpha) if self.kind == NON_ERGODIC else None
+
+    @property
+    def low_states(self) -> frozenset | None:  # a witness's low set
+        return frozenset(self.beta) if self.kind == NON_ERGODIC else None
 
 
 @dataclass(frozen=True)
@@ -110,7 +124,8 @@ def build_witness(
     ceiling_raw: float,
     floor_raw: float,
     eps: float,
-) -> StrategyCertificate:
+    value_offset: float = 0.0,
+) -> Verdict:
     """Build truncated stationary strategies certifying the value gap.
 
     Requires the closed-set gap conditions to hold at x (supersets of the
@@ -122,7 +137,8 @@ def build_witness(
     ceiling = ceiling_raw + eps. Fails loudly when a strategy has no mass on
     set-preserving actions (none at all, or none its optimal strategy
     plays), which signals a violated precondition rather than a
-    recoverable condition.
+    recoverable condition. value_offset is the caller's normalization shift,
+    recorded as is.
     """
     x = as_potential(x, game.n)
     high_states = frozenset(int(v) for v in high_states)
@@ -135,16 +151,13 @@ def build_witness(
             f"required 3*eps = {3 * eps}"
         )
     _, rows, cols = local_solutions(game, x, sorted(high_states | low_states))
-    return StrategyCertificate(
-        kind=NON_ERGODIC,
+    return Verdict(
+        kind=NON_ERGODIC, eps=eps, value_offset=value_offset, potential=x,
+        floor=floor_raw - eps, ceiling=ceiling_raw + eps,
         alpha={v: _truncate(rows[v], bar_actions(game, v, high_states, "row"), v)
                for v in sorted(high_states)},
         beta={v: _truncate(cols[v], bar_actions(game, v, low_states, "col"), v)
               for v in sorted(low_states)},
-        potential=x,
-        floor=floor_raw - eps,
-        ceiling=ceiling_raw + eps,
-        eps=eps,
     )
 
 
@@ -159,8 +172,8 @@ def _spread(game: GameSpec, strategies: dict, first: np.ndarray):
     return mix, covered
 
 
-def verify_witness(game: GameSpec, cert: StrategyCertificate) -> VerificationReport:
-    """Check a certificate of either verdict against the game alone.
+def verify_witness(game: GameSpec, verdict: Verdict) -> VerificationReport:
+    """Check a verdict's certificate against the game alone.
 
     (a) closure, exact on the transition records: no action in the support
         of alpha (beta) moves any mass out of the alpha (beta) states;
@@ -171,15 +184,19 @@ def verify_witness(game: GameSpec, cert: StrategyCertificate) -> VerificationRep
         alpha and beta, and ceiling - floor <= 24*eps on its stored bounds;
         a witness's alpha and beta sets are non-empty and disjoint, floor >
         ceiling on its stored bounds, and the proven floor exceeds the
-        proven ceiling by more than the slack.
+        proven ceiling by more than the slack. An inconclusive verdict
+        certifies nothing and fails.
 
     No LP and no policy iteration runs. certified_gap is the proven one-shot
     floor minus the proven one-shot ceiling.
     """
+    if verdict.kind == INCONCLUSIVE:
+        return VerificationReport(failures=(f"an {INCONCLUSIVE} verdict certifies nothing",),
+                                  certified_gap=-np.inf)
     flat = game.flat
-    tol = min(cert.eps / 10.0, _MAX_VERIFY_SLACK)
-    alpha, alpha_in = _spread(game, cert.alpha, flat.first_row)
-    beta, beta_in = _spread(game, cert.beta, flat.first_col)
+    tol = min(verdict.eps / 10.0, _MAX_VERIFY_SLACK)
+    alpha, alpha_in = _spread(game, verdict.alpha, flat.first_row)
+    beta, beta_in = _spread(game, verdict.beta, flat.first_col)
     failures = []
 
     rec_state = flat.slot_state[flat.rec_slot]
@@ -195,37 +212,37 @@ def verify_witness(game: GameSpec, cert: StrategyCertificate) -> VerificationRep
                 f"closure: {player} action {action} at state {game.states[v]!r} leaks to "
                 f"{game.states[u]!r} with probability {flat.rec_p[r]}")
 
-    payoffs = local_payoffs(game, as_potential(cert.potential, game.n))
+    payoffs = local_payoffs(game, as_potential(verdict.potential, game.n))
     # alpha's payoff against each column action, each row action's against beta
     vs_col = np.bincount(flat.slot_col, alpha[flat.slot_row] * payoffs, int(flat.first_col[-1]))
     vs_row = np.bincount(flat.slot_row, beta[flat.slot_col] * payoffs, int(flat.first_row[-1]))
     floor_at = np.minimum.reduceat(vs_col, flat.first_col[:-1])
     ceiling_at = np.maximum.reduceat(vs_row, flat.first_row[:-1])
-    for v in np.flatnonzero(alpha_in & (floor_at < cert.floor - tol)):
+    for v in np.flatnonzero(alpha_in & (floor_at < verdict.floor - tol)):
         failures.append(f"one-shot: alpha guarantees {floor_at[v]} at state "
-                        f"{game.states[v]!r}, below floor {cert.floor}")
-    for v in np.flatnonzero(beta_in & (ceiling_at > cert.ceiling + tol)):
+                        f"{game.states[v]!r}, below floor {verdict.floor}")
+    for v in np.flatnonzero(beta_in & (ceiling_at > verdict.ceiling + tol)):
         failures.append(f"one-shot: beta concedes {ceiling_at[v]} at state "
-                        f"{game.states[v]!r}, above ceiling {cert.ceiling}")
+                        f"{game.states[v]!r}, above ceiling {verdict.ceiling}")
 
     proven_floor = float(floor_at[alpha_in].min(initial=np.inf))
     proven_ceiling = float(ceiling_at[beta_in].max(initial=-np.inf))
-    if cert.kind == ERGODIC:
+    if verdict.kind == ERGODIC:
         for name, covered in (("alpha", alpha_in), ("beta", beta_in)):
             if not covered.all():
                 missing = [game.states[v] for v in np.flatnonzero(~covered)]
                 failures.append(f"ergodic {name} misses states {missing}")
-        if not cert.ceiling - cert.floor <= 24 * cert.eps:
-            failures.append(f"band [{cert.floor}, {cert.ceiling}] is wider than "
-                            f"24*eps = {24 * cert.eps}")
+        if not verdict.ceiling - verdict.floor <= 24 * verdict.eps:
+            failures.append(f"band [{verdict.floor}, {verdict.ceiling}] is wider than "
+                            f"24*eps = {24 * verdict.eps}")
     else:
         if not (alpha_in.any() and beta_in.any()):
             failures.append("witness alpha and beta sets must not be empty")
         shared = [game.states[v] for v in np.flatnonzero(alpha_in & beta_in)]
         if shared:
             failures.append(f"witness alpha and beta sets share states {shared}")
-        if not cert.floor > cert.ceiling:
-            failures.append(f"floor {cert.floor} does not exceed ceiling {cert.ceiling}")
+        if not verdict.floor > verdict.ceiling:
+            failures.append(f"floor {verdict.floor} does not exceed ceiling {verdict.ceiling}")
         # the slack on (b) lets each proven bound fall short of the stored
         # one, so the separation itself is checked on the proven bounds
         if not proven_floor - proven_ceiling > tol:

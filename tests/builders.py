@@ -132,6 +132,7 @@ _MIXED = matrix_as_game([[3.0, 1.0], [0.0, 2.0]])
 MALFORMED_CERTIFICATES = {
     "unknown high state": (_DISCONNECTED, 0.1, lambda doc: doc.update(
         alpha={"ghost": doc["alpha"]["high"]}), None),
+    "unknown verdict": (_DISCONNECTED, 0.1, lambda doc: doc.update(verdict="maybe"), None),
     "missing epsilon": (_DISCONNECTED, 0.1, lambda doc: doc.pop("epsilon"), None),
     # NaN would disable every tolerance
     "NaN epsilon": (_DISCONNECTED, 0.1, lambda doc: doc.update(epsilon=float("nan")), None),

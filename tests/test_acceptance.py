@@ -103,11 +103,10 @@ def test_criterion_2_certificate_soundness(corpus):
         assert ok, f"{inst.name}: certificate failed its recheck: {problems[:3]}"
         # the one-shot bounds the recheck accepted hold globally as well
         normalized, _ = normalize_rewards(inst.game)
-        cert = verdict.certificate
-        floor, ceiling = reference.global_bounds(normalized, cert)
-        assert floor >= cert.floor - 1e-6 and ceiling <= cert.ceiling + 1e-6, (
+        floor, ceiling = reference.global_bounds(normalized, verdict)
+        assert floor >= verdict.floor - 1e-6 and ceiling <= verdict.ceiling + 1e-6, (
             f"{inst.name}: best responses reach {floor} / {ceiling} against the "
-            f"certified floor {cert.floor} / ceiling {cert.ceiling}")
+            f"certified floor {verdict.floor} / ceiling {verdict.ceiling}")
         checked += 1
         if verdict.kind != "non-ergodic":
             continue
@@ -131,23 +130,22 @@ def test_criterion_2_certificate_soundness(corpus):
                "enumeration bounds")
 
 
-def test_verdict_agrees_with_its_certificate(corpus):
-    # the CLI and the benchmark report a Verdict's floor, ceiling, sets and
-    # potential, while the document writes its certificate's: they must be
-    # one and the same. The eps sweep on seed 184 adds the benchmark's
-    # pump-long instances that the corpus lacks
+def test_certificate_round_trips_the_verdict(corpus):
+    # the document is the solver's Verdict on disk: parsing it gives back the
+    # record the CLI and the benchmark report, bit for bit. The eps sweep on
+    # seed 184 adds the benchmark's pump-long instances that the corpus lacks
     sweep = [_solve(f"random-184@eps={eps}", _corpus_game(184), eps)
              for eps in (0.02, 0.01, 0.005, 0.0025)]
     for inst in corpus + sweep:
-        verdict, cert = inst.verdict, inst.verdict.certificate
-        assert verdict.kind != "inconclusive", inst.name
-        if verdict.kind == "ergodic-24eps":
-            assert (verdict.m_minus, verdict.m_plus) == (cert.floor, cert.ceiling), inst.name
-        else:
-            assert (verdict.floor, verdict.ceiling) == (cert.floor, cert.ceiling), inst.name
-            assert verdict.high_states == set(cert.alpha), inst.name
-            assert verdict.low_states == set(cert.beta), inst.name
-        assert verdict.potential.tobytes() == np.asarray(cert.potential).tobytes(), inst.name
+        solved = inst.verdict
+        parsed = parse_certificate(serialize_certificate(inst.game, solved, inst.stats),
+                                   inst.game)
+        assert solved.kind != "inconclusive", inst.name
+        for field in ("kind", "eps", "value_offset", "floor", "ceiling", "reason"):
+            assert getattr(parsed, field) == getattr(solved, field), (inst.name, field)
+        assert parsed.potential.tobytes() == solved.potential.tobytes(), inst.name
+        assert (set(parsed.alpha), set(parsed.beta)) == (set(solved.alpha),
+                                                         set(solved.beta)), inst.name
     assert all(inst.verdict.kind == "non-ergodic" for inst in sweep)
 
 
@@ -169,7 +167,7 @@ def test_criterion_3_ergodic_validity(corpus):
         mean = float(np.mean([game.transitions[v][0][4] for v in range(game.n)]))
         verdict, _ = decide_ergodicity(game, EPS)
         assert verdict.kind == "ergodic-24eps"
-        assert verdict.m_minus - 1e-6 <= mean <= verdict.m_plus + 1e-6, (
+        assert verdict.floor - 1e-6 <= mean <= verdict.ceiling + 1e-6, (
             f"cycle-{seed}: value {mean} outside band")
     for seed in range(3):
         text = generate("ergodic-extension", {}, seed=seed)
@@ -179,7 +177,7 @@ def test_criterion_3_ergodic_validity(corpus):
         value = reference.value_lp(base)
         verdict, _ = decide_ergodicity(game, EPS)
         assert verdict.kind == "ergodic-24eps"
-        assert verdict.m_minus - 1e-6 <= value <= verdict.m_plus + 1e-6
+        assert verdict.floor - 1e-6 <= value <= verdict.ceiling + 1e-6
     # oracle intervals intersect the certified band on small instances
     intersected = 0
     for inst in corpus:
@@ -188,8 +186,8 @@ def test_criterion_3_ergodic_validity(corpus):
         normalized, _ = normalize_rewards(inst.game)
         oracle = enumerate_pure_bounds(normalized)
         for v in range(inst.n):
-            assert oracle.lo[v] <= inst.verdict.m_plus + 1e-6
-            assert oracle.hi[v] >= inst.verdict.m_minus - 1e-6
+            assert oracle.lo[v] <= inst.verdict.ceiling + 1e-6
+            assert oracle.hi[v] >= inst.verdict.floor - 1e-6
         intersected += 1
     _report(3, f"{recomputed} ergodic bands rechecked, 8 known-value instances, "
                f"{intersected} oracle intersections")
@@ -336,14 +334,14 @@ def test_criterion_7_markov_evaluation():
 def test_criterion_8_known_instances():
     bm_verdict, _ = decide_ergodicity(big_match(), eps=0.01)
     assert bm_verdict.kind == "non-ergodic"
-    report = verify_witness(big_match(), bm_verdict.certificate)
+    report = verify_witness(big_match(), bm_verdict)
     assert report.ok
     assert report.certified_gap >= 1.0 - 1e-6
     assert bm_verdict.high_states == {1} and bm_verdict.low_states == {2}
 
     disc_verdict, _ = decide_ergodicity(disconnected(0.0, 10.0), eps=0.1)
     assert disc_verdict.kind == "non-ergodic"
-    report = verify_witness(disconnected(0.0, 10.0), disc_verdict.certificate)
+    report = verify_witness(disconnected(0.0, 10.0), disc_verdict)
     assert report.ok
     assert report.certified_gap >= 10.0 - 1e-6
 
@@ -353,7 +351,7 @@ def test_criterion_8_known_instances():
         game = matrix_as_game(rng.uniform(0, 8, size=shape))
         verdict, _ = decide_ergodicity(game, eps=0.05)
         assert verdict.kind == "ergodic-24eps"
-        assert verdict.m_plus - verdict.m_minus <= 1e-9
+        assert verdict.ceiling - verdict.floor <= 1e-9
     _report(8, "big match gap 1 certified, disconnected gap 10 certified, "
                "10 one-state games certified with zero-width bands")
 

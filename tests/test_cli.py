@@ -124,6 +124,18 @@ class TestUsageAndIO:
         assert "--trace takes a single game" in capsys.readouterr().err
         assert not list(out_dir.iterdir())
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_invalid_second_game_writes_nothing(self, disconnected_path, tmp_path, jobs,
+                                                capsys):
+        # every game is validated before the first one is solved
+        bad = tmp_path / "bad.json"
+        bad.write_text("{}")
+        assert run(["solve", str(disconnected_path), str(bad), "--epsilon", "0.1",
+                    "--out", str(tmp_path), "--jobs", jobs]) == 64
+        out = capsys.readouterr()
+        assert f"{bad}: invalid game document" in out.err and not out.out
+        assert not list(tmp_path.glob("*.cert.json"))
+
     def test_invalid_game_document_exit_64(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

@@ -178,9 +178,9 @@ class TestCertificates:
     def test_round_trip_and_recheck(self):
         game, verdict, stats = self._solve()
         text = serialize_certificate(game, verdict, stats)
-        bundle = parse_certificate(text, game)
-        assert bundle.verdict_kind == "non-ergodic"
-        ok, problems = recheck_certificate(game, bundle)
+        parsed = parse_certificate(text, game)
+        assert parsed.kind == "non-ergodic"
+        ok, problems = recheck_certificate(game, parsed)
         assert ok, problems
 
     def test_byte_identical_across_runs(self):
@@ -209,8 +209,7 @@ class TestCertificates:
         game, verdict, stats = self._solve()
         doc = json.loads(serialize_certificate(game, verdict, stats))
         doc["floor"] = doc["ceiling"] - 0.1
-        bundle = parse_certificate(json.dumps(doc), game)
-        ok, problems = recheck_certificate(game, bundle)
+        ok, problems = recheck_certificate(game, parse_certificate(json.dumps(doc), game))
         assert not ok
         assert any("floor" in p for p in problems)
 
@@ -222,9 +221,9 @@ class TestCertificates:
         doc = json.loads(serialize_certificate(game, verdict, stats))
         doc["alpha"]["high"] = [20.0]
         weaker = disconnected(0.0, 0.5)
-        bundle = parse_certificate(json.dumps(doc), weaker)
-        assert bundle.certificate.alpha[1].tolist() == [1.0]
-        ok, problems = recheck_certificate(weaker, bundle)
+        parsed = parse_certificate(json.dumps(doc), weaker)
+        assert parsed.alpha[1].tolist() == [1.0]
+        ok, problems = recheck_certificate(weaker, parsed)
         assert not ok
         assert any("below floor" in p for p in problems)
 
@@ -247,8 +246,7 @@ class TestCertificates:
         verdict, stats = decide_ergodicity(game, eps=0.5)
         assert verdict.kind == "ergodic-24eps"
         text = serialize_certificate(game, verdict, stats)
-        bundle = parse_certificate(text, game)
-        ok, problems = recheck_certificate(game, bundle)
+        ok, problems = recheck_certificate(game, parse_certificate(text, game))
         assert ok, problems
 
     def test_ergodic_band_tamper_detected(self):
@@ -256,8 +254,7 @@ class TestCertificates:
         verdict, stats = decide_ergodicity(game, eps=0.5)
         doc = json.loads(serialize_certificate(game, verdict, stats))
         doc["epsilon"] = 1e-4  # claims a much tighter band than achievable
-        bundle = parse_certificate(json.dumps(doc), game)
-        ok, problems = recheck_certificate(game, bundle)
+        ok, problems = recheck_certificate(game, parse_certificate(json.dumps(doc), game))
         assert not ok
 
     @pytest.mark.parametrize("eps, ok", [(0.42, True), (0.41, False)])
@@ -306,14 +303,24 @@ class TestCertificates:
             doc = json.loads(serialize_certificate(game, verdict, stats))
             assert doc["verdict"] == kind and set(doc) == fields
             assert (sorted(doc["alpha"]), sorted(doc["beta"])) == (high, low)
-            assert (doc["floor"], doc["ceiling"]) == (verdict.certificate.floor,
-                                                      verdict.certificate.ceiling)
+            assert (doc["floor"], doc["ceiling"]) == (verdict.floor, verdict.ceiling)
         verdict, stats = decide_ergodicity(disconnected(0.0, 10.0), 0.1,
                                            config=DriverConfig(pump_cap=3))
         doc = json.loads(serialize_certificate(disconnected(0.0, 10.0), verdict, stats))
         assert doc["verdict"] == "inconclusive" and set(doc) == fields
         assert all(doc[key] is None for key in ("potential", "floor", "ceiling", "alpha",
                                                 "beta"))
+
+    def test_inconclusive_certificate_parses_and_fails_recheck(self):
+        # the document gives back the record the solver returned: kind, eps,
+        # offset and reason, nothing certified, and the recheck refuses it
+        game = disconnected(0.0, 10.0)
+        verdict, stats = decide_ergodicity(game, 0.1, config=DriverConfig(pump_cap=3))
+        parsed = parse_certificate(serialize_certificate(game, verdict, stats), game)
+        assert parsed == verdict and parsed.kind == "inconclusive"
+        assert parsed.reason == "pump step cap 3 exhausted in the full-state phase"
+        ok, problems = recheck_certificate(game, parsed)
+        assert not ok and problems == ("an inconclusive verdict certifies nothing",)
 
     def test_nudged_offset_fails_recheck(self):
         # the offset round-trips bit-exactly, so any difference is a mismatch
@@ -343,10 +350,9 @@ class TestCertificates:
         # shortest-repr floats: the parsed strategies are the solver's bits
         game = random_game(6, max_actions=3, seed=4)
         verdict, stats = decide_ergodicity(game, eps=0.05)
-        bundle = parse_certificate(serialize_certificate(game, verdict, stats), game)
+        read = parse_certificate(serialize_certificate(game, verdict, stats), game)
         for side in ("alpha", "beta"):
-            solved, parsed = (getattr(c, side) for c in (verdict.certificate,
-                                                         bundle.certificate))
+            solved, parsed = getattr(verdict, side), getattr(read, side)
             assert sorted(parsed) == list(range(game.n))
             for v, vec in solved.items():
                 assert parsed[v].tolist() == (vec / vec.sum()).tolist()
@@ -366,8 +372,7 @@ class TestCertificates:
         game, verdict, stats = self._solve()
         text = serialize_certificate(game, verdict, stats)
         other = disconnected(1.0, 2.0)  # same states, different rewards
-        bundle = parse_certificate(text, other)
-        ok, problems = recheck_certificate(other, bundle)
+        ok, problems = recheck_certificate(other, parse_certificate(text, other))
         assert not ok
 
 

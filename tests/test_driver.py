@@ -110,7 +110,7 @@ class TestDecideErgodicity:
     def test_single_state_trivially_ergodic(self):
         verdict, stats = decide_ergodicity(one_state(), eps=0.05)
         assert verdict.kind == "ergodic-24eps"
-        assert verdict.m_plus - verdict.m_minus == 0.0
+        assert verdict.ceiling - verdict.floor == 0.0
         assert np.allclose(verdict.potential, 0.0)
 
     def test_disconnected_witness_thresholds(self):
@@ -119,8 +119,9 @@ class TestDecideErgodicity:
         assert verdict.high_states == {1}
         assert verdict.low_states == {0}
         # entry band is [0, 10]: thresholds at midpoint and five-eighths
-        ceiling_raw = (verdict.m_minus + verdict.m_plus) / 2.0
-        floor_raw = (5.0 * verdict.m_plus + 3.0 * verdict.m_minus) / 8.0
+        m_minus, m_plus = stats.phases[-1]["band"]
+        ceiling_raw = (m_minus + m_plus) / 2.0
+        floor_raw = (5.0 * m_plus + 3.0 * m_minus) / 8.0
         assert ceiling_raw == pytest.approx(5.0)
         assert floor_raw == pytest.approx(6.25)
         assert verdict.floor - verdict.ceiling >= verdict.eps - 1e-12
@@ -145,8 +146,8 @@ class TestDecideErgodicity:
         assert verdict.kind == "ergodic-24eps"
         bounds = enumerate_pure_bounds(g)
         for v in range(2):
-            assert bounds.lo[v] <= verdict.m_plus + 1e-6
-            assert bounds.hi[v] >= verdict.m_minus - 1e-6
+            assert bounds.lo[v] <= verdict.ceiling + 1e-6
+            assert bounds.hi[v] >= verdict.floor - 1e-6
 
     @pytest.mark.parametrize("game, eps, solves", [
         (disconnected(0.0, 10.0), 0.1, 40),
@@ -162,7 +163,7 @@ class TestDecideErgodicity:
         # The bounds are that loop's counts on these games
         calls = count_calls(monkeypatch, ("_solve",))
         verdict, _ = decide_ergodicity(game, eps)
-        assert verdict.certificate is not None
+        assert verdict.alpha and verdict.beta
         assert 0 < calls["_solve"] <= solves
 
     def test_ergodic_band_is_measured_at_the_certified_potential(self):
@@ -174,7 +175,7 @@ class TestDecideErgodicity:
         assert stats.outer_iterations == 5
         normalized, _ = normalize_rewards(game)
         values = matrix_game.local_solutions(normalized, verdict.potential)[0]
-        assert (verdict.m_minus, verdict.m_plus) == (np.min(values), np.max(values))
+        assert (verdict.floor, verdict.ceiling) == (np.min(values), np.max(values))
 
     def test_negative_rewards_offset_reported(self):
         g = disconnected(-5.0, 5.0)
@@ -267,8 +268,8 @@ class TestDecideErgodicity:
         verdict2, _ = decide_ergodicity(shuffled, eps=0.05)
         assert verdict2.kind == verdict.kind
         if verdict.kind == "ergodic-24eps":
-            assert verdict2.m_plus - verdict2.m_minus == pytest.approx(
-                verdict.m_plus - verdict.m_minus, abs=1e-9)
+            assert verdict2.ceiling - verdict2.floor == pytest.approx(
+                verdict.ceiling - verdict.floor, abs=1e-9)
 
     def test_state_order_does_not_change_the_run(self):
         # renumbering the states of a game document must reproduce the same

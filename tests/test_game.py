@@ -1,5 +1,6 @@
 """Game model: validation, normalization, parameters, potential transforms."""
 
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -250,6 +251,12 @@ class TestFlatView:
             sign = 1.0 if player == "col" else -1.0
             for v, (trans, _r) in enumerate(tables):
                 assert np.all(sign * (trans @ gain - gain[v]) <= 1e-9 * scale)
+
+    def test_read_only_after_pickling(self):
+        # solve --jobs sends parsed games to worker processes by pickle
+        game = pickle.loads(pickle.dumps(random_game(n=3, max_actions=2, seed=1)))
+        assert game.flat is not None
+        assert not any(arr.flags.writeable for arr in vars(game.flat).values())
 
 
 class TestApplyPotential:

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ergopump.documents import CERTIFICATE_FORMAT, serialize_game
 from ergopump.generators import cycle, disconnected
 
@@ -48,6 +50,9 @@ def test_harness_reads_solver_results(monkeypatch):
     assert sum(fingerprint["verdicts"].values()) == len(games)
     assert fingerprint["verdicts"].get("non-ergodic") == 1
     assert fingerprint["pump.steps"] > 0
+    # the traced run reads each verdict's potential for driver.max_abs_potential
+    assert [s.verdict.potential.shape for s in solved] == [(g.n,) for g in games]
+    assert all(np.isfinite(float(np.max(np.abs(s.verdict.potential)))) for s in solved)
 
 
 def test_verdict_path_imports_no_scipy():

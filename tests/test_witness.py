@@ -16,8 +16,9 @@ from ergopump.matrix_game import local_value, local_values
 from ergopump.pump import auxiliary_graph, boundary_gap_violations, modified_pump, r_bounds
 from ergopump.witness import (
     ERGODIC,
+    INCONCLUSIVE,
     NON_ERGODIC,
-    StrategyCertificate,
+    Verdict,
     WitnessBuildError,
     bar_actions,
     build_witness,
@@ -120,14 +121,14 @@ class TestVerifyWitness:
     def test_disconnected_certificate_passes(self):
         g = disconnected(0.0, 10.0)
         verdict = _solved_witness(g, 0.1)
-        report = verify_witness(g, verdict.certificate)
+        report = verify_witness(g, verdict)
         assert report.ok
         assert report.certified_gap == pytest.approx(10.0)
 
     def test_big_match_certificate_passes(self):
         g = big_match()
         verdict = _solved_witness(g, 0.01)
-        report = verify_witness(g, verdict.certificate)
+        report = verify_witness(g, verdict)
         assert report.ok
         assert report.certified_gap == pytest.approx(1.0)
         assert verdict.high_states == {1}
@@ -147,7 +148,7 @@ class TestVerifyWitness:
         # the column player's best response indeed holds the high state under it
         g = disconnected(0.0, 10.0)
         verdict = _solved_witness(g, 0.1)
-        tampered = dataclasses.replace(verdict.certificate, floor=11.0)
+        tampered = dataclasses.replace(verdict, floor=11.0)
         report = verify_witness(g, tampered)
         assert not report.ok
         assert any("below floor" in f for f in report.failures)
@@ -157,9 +158,9 @@ class TestVerifyWitness:
         # equal values 0 on both sides: claimed bounds b = 1e-7 > a = 0 each
         # hold within the slack, yet the proven floor equals the proven ceiling
         g = disconnected(0.0, 0.0)
-        cert = StrategyCertificate(kind=NON_ERGODIC, alpha={1: np.array([1.0])},
-                                   beta={0: np.array([1.0])}, potential=np.zeros(2),
-                                   floor=1e-7, ceiling=0.0, eps=1e-5)
+        cert = Verdict(kind=NON_ERGODIC, eps=1e-5, value_offset=0.0, potential=np.zeros(2),
+                       floor=1e-7, ceiling=0.0, alpha={1: np.array([1.0])},
+                       beta={0: np.array([1.0])})
         report = verify_witness(g, cert)
         assert report.certified_gap == 0.0
         assert len(report.failures) == 1
@@ -168,8 +169,8 @@ class TestVerifyWitness:
     def test_certificate_must_cover_its_states(self):
         # with no state covered, every one-shot bound holds vacuously and the
         # proven floor and ceiling are +inf and -inf, so only coverage fails
-        empty = StrategyCertificate(kind=ERGODIC, alpha={}, beta={},
-                                    potential=np.zeros(3), floor=0.0, ceiling=0.0, eps=0.05)
+        empty = Verdict(kind=ERGODIC, eps=0.05, value_offset=0.0, potential=np.zeros(3),
+                        floor=0.0, ceiling=0.0, alpha={}, beta={})
         report = verify_witness(cycle(n=3, seed=0), empty)
         assert report.failures == ("ergodic alpha misses states ['c0', 'c1', 'c2']",
                                    "ergodic beta misses states ['c0', 'c1', 'c2']")
@@ -180,17 +181,22 @@ class TestVerifyWitness:
     def test_ergodic_certificate_missing_a_state_fails(self):
         g = cycle(n=3, seed=0)
         verdict, _ = decide_ergodicity(g, 0.05)
-        assert verdict.kind == ERGODIC and verify_witness(g, verdict.certificate).ok
+        assert verdict.kind == ERGODIC and verify_witness(g, verdict).ok
         for side in ("alpha", "beta"):
-            table = dict(getattr(verdict.certificate, side))
+            table = dict(getattr(verdict, side))
             del table[1]
-            report = verify_witness(g, dataclasses.replace(verdict.certificate,
-                                                           **{side: table}))
+            report = verify_witness(g, dataclasses.replace(verdict, **{side: table}))
             assert f"ergodic {side} misses states ['c1']" in report.failures
+
+    def test_inconclusive_verdict_certifies_nothing(self):
+        verdict = Verdict(kind=INCONCLUSIVE, eps=0.1, value_offset=0.0, reason="cap")
+        assert verify_witness(disconnected(0.0, 10.0), verdict).failures == (
+            "an inconclusive verdict certifies nothing",)
+        assert verdict.high_states is verdict.low_states is None
 
     def test_witness_sets_must_be_disjoint(self):
         g = disconnected(0.0, 10.0)
-        cert = _solved_witness(g, 0.1).certificate
+        cert = _solved_witness(g, 0.1)
         shared = dataclasses.replace(cert, alpha={**cert.alpha, 0: np.array([1.0])})
         assert "witness alpha and beta sets share states ['low']" in (
             verify_witness(g, shared).failures)
@@ -200,7 +206,7 @@ class TestVerifyWitness:
         # bounds never contradict the one-shot check
         for game, eps in ((disconnected(0.0, 10.0), 0.1), (big_match(), 0.01),
                           (disconnected(0.0, 10.0), 1.0)):
-            cert = decide_ergodicity(game, eps)[0].certificate
+            cert = decide_ergodicity(game, eps)[0]
             assert verify_witness(game, cert).ok
             floor, ceiling = reference.global_bounds(game, cert)
             assert floor >= cert.floor - 1e-9 and ceiling <= cert.ceiling + 1e-9
@@ -224,9 +230,8 @@ def test_one_shot_bounds_match_dense_tables_and_hold_globally(data):
     beta = _distributions(data.draw, [g.num_col_actions(v) for v in range(g.n)])
     x = np.array(data.draw(st.lists(st.floats(-5, 5), min_size=g.n, max_size=g.n)))
     floor, ceiling = reference.one_shot_bounds(g, alpha, beta, x)
-    cert = StrategyCertificate(kind=ERGODIC, alpha=alpha, beta=beta, potential=x,
-                               floor=floor, ceiling=ceiling,
-                               eps=max(ceiling - floor, 0.0) / 24 + 1.0)
+    cert = Verdict(kind=ERGODIC, eps=max(ceiling - floor, 0.0) / 24 + 1.0, value_offset=0.0,
+                   potential=x, floor=floor, ceiling=ceiling, alpha=alpha, beta=beta)
     report = verify_witness(g, cert)
     assert report.ok, report.failures
     assert report.certified_gap == pytest.approx(floor - ceiling, abs=1e-9)
@@ -250,7 +255,7 @@ def test_perturbed_certificates_accepted_only_within_global_bounds(case, weight,
     # actions that keep the play in their set: whatever the one-shot check
     # still accepts keeps its bounds under best responses
     g, eps = case
-    cert = decide_ergodicity(g, eps)[0].certificate
+    cert = decide_ergodicity(g, eps)[0]
 
     def perturb(strategies, player, size):
         noise = _distributions(data.draw, [size(v) for v in range(g.n)])
@@ -289,12 +294,13 @@ class TestCertificateChains:
         from ergopump.game import local_reward_matrix
 
         g = big_match()
-        verdict = _solved_witness(g, 0.01)
+        verdict, stats = decide_ergodicity(g, 0.01)
+        assert verdict.kind == NON_ERGODIC
+        m_minus, m_plus = stats.phases[-1]["band"]
         m = local_values(g, verdict.potential)
         for v in verdict.high_states:
-            assert (5.0 * verdict.m_plus + 3.0 * verdict.m_minus) / 8.0 <= m[v] + 1e-9
-            payoffs = (verdict.certificate.alpha[v]
-                       @ local_reward_matrix(g, v, verdict.potential))
+            assert (5.0 * m_plus + 3.0 * m_minus) / 8.0 <= m[v] + 1e-9
+            payoffs = verdict.alpha[v] @ local_reward_matrix(g, v, verdict.potential)
             assert np.all(m[v] <= payoffs + verdict.eps + 1e-9)
 
     def test_gap_conditions_recheck(self):
