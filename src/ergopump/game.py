@@ -63,7 +63,10 @@ class FlatView:
 
     A slot is one (v, k, l) action pair; state v owns the slots from
     first_slot[v] to first_slot[v + 1] in row-major (k, l) order, and its
-    row and column actions are numbered from first_row[v] and first_col[v].
+    row and column actions are numbered from first_row[v] and first_col[v]
+    (global rows and columns). row_start and col_order with col_start are the
+    segment indices of per-row and per-column reductions over a per-slot
+    array, as matrix_game's pure-saddle screen runs them.
     """
 
     slot_state: np.ndarray  # per slot: v
@@ -71,11 +74,17 @@ class FlatView:
     slot_col: np.ndarray  # per slot: first_col[v] + l
     slot_reward: np.ndarray  # per slot: sum_u p*r
     rec_slot: np.ndarray  # per record: its slot
+    rec_state: np.ndarray  # per record: v, the state owning its slot
     rec_to: np.ndarray  # per record: the successor u
     rec_p: np.ndarray  # per record: float(p)
     first_slot: np.ndarray  # per state, plus the total at [n]
-    first_row: np.ndarray
-    first_col: np.ndarray
+    first_row: np.ndarray  # per state, plus the total at [n]
+    first_col: np.ndarray  # per state, plus the total at [n]
+    row_count: np.ndarray  # per state: |K^v|
+    col_count: np.ndarray  # per state: |L^v|
+    row_start: np.ndarray  # per global row: its first slot (l = 0)
+    col_order: np.ndarray  # slots grouped by global column, each column's by k
+    col_start: np.ndarray  # per global column: its first position in col_order
 
     def __setstate__(self, state):
         # a pickle restores the arrays writeable, e.g. in a solve worker
@@ -96,12 +105,15 @@ def _flat_view(game) -> FlatView:
                       for k, l, u, p, r in records], dtype=np.float64).reshape(-1, 6)
     v, k, l, u = table[:, :4].astype(np.int64).T
     rec_slot, rec_p = first_slot[v] + k * cols[v] + l, table[:, 4].copy()
+    slot_col = first_col[slot_state] + col
+    col_order = np.argsort(slot_col, kind="stable")
     view = FlatView(
-        slot_state=slot_state, slot_row=first_row[slot_state] + row,
-        slot_col=first_col[slot_state] + col,
+        slot_state=slot_state, slot_row=first_row[slot_state] + row, slot_col=slot_col,
         slot_reward=np.bincount(rec_slot, weights=rec_p * table[:, 5], minlength=first_slot[-1]),
-        rec_slot=rec_slot, rec_to=u, rec_p=rec_p,
-        first_slot=first_slot, first_row=first_row, first_col=first_col)
+        rec_slot=rec_slot, rec_state=slot_state[rec_slot], rec_to=u, rec_p=rec_p,
+        first_slot=first_slot, first_row=first_row, first_col=first_col,
+        row_count=rows, col_count=cols, row_start=np.flatnonzero(col == 0),
+        col_order=col_order, col_start=np.flatnonzero(row[col_order] == 0))
     for arr in vars(view).values():
         arr.setflags(write=False)
     return view

@@ -1,18 +1,27 @@
 """Zero-sum matrix game solver.
 
-Solves small dense matrix games in closed form where it can: a pure saddle
-(maximin equal to minimax) by unit strategies, and a game up to 3x3 by its
-first Shapley-Snow kernel, a square submatrix whose adjugate gives the
-value and both strategies (Shapley and Snow, Basic solutions of discrete
-games, 1950), kept when its strategies are non-negative and pass the
-saddle check. Larger games, and any small one no kernel settles, go to the
-classic value LP: shift the matrix positive, maximize the column player's
-scaled mixed strategy against unit bounds, and read the row player's
-strategy off the duals. The simplex is self-contained (Dantzig entering
-rule, switching to Bland's rule after a pivot budget to rule out cycling).
-Both stages are deterministic, so results are bit-reproducible. Every
-solve saddle-checks the strategies it returns; a solve that stalls or fails
-that check raises MatrixGameError.
+Settles the local games of a stochastic game in three stages.
+
+1. A screen over all states at once (local_values, local_solutions): each
+   state's pure maximin and minimax come from segmented numpy reductions
+   over the flat view's slots, and every listed state whose two values are
+   exactly equal is a pure saddle, settled by unit strategies at the first
+   row and column attaining them.
+2. Closed-form kernels, per remaining game: a single row or column, a pure
+   saddle, or, up to 3x3, the first Shapley-Snow kernel, a square
+   submatrix whose adjugate gives the value and both strategies (Shapley
+   and Snow, Basic solutions of discrete games, 1950), kept when its
+   strategies are non-negative and pass the saddle check.
+3. The classic value LP, for larger games and any small one no kernel
+   settles: shift the matrix positive, maximize the column player's scaled
+   mixed strategy against unit bounds, and read the row player's strategy
+   off the duals. The simplex is self-contained (Dantzig entering rule,
+   switching to Bland's rule after a pivot budget to rule out cycling).
+
+The screen returns bit for bit what the kernels return for the games it
+settles. Every stage is deterministic, so results are bit-reproducible.
+Every solve saddle-checks the strategies it returns; a solve that stalls or
+fails that check raises MatrixGameError.
 """
 
 from __future__ import annotations
@@ -130,7 +139,10 @@ def _kernel_solve(a):
     is C's row sums over s, its column strategy C's column sums over s and
     its value det B / s; candidates with s exactly 0.0 are skipped. B is
     shifted by its corner entry first, which leaves C's sums unchanged and
-    keeps det B from cancelling a large common offset.
+    keeps det B from cancelling a large common offset. A 2x2 candidate's
+    weights are sign-tested before anything is allocated, and its saddle
+    bounds read only its two rows and two columns, where the strategies
+    have their mass.
     """
     m, n = len(a), len(a[0])
     if m == 1:
@@ -156,12 +168,16 @@ def _kernel_solve(a):
             s = b11 - b10 - b01
             if s == 0.0:
                 continue
-            row_strategy, col = [0.0] * m, [0.0] * n
-            row_strategy[k1], row_strategy[k2] = (b11 - b10) / s, -b01 / s
-            col[l1], col[l2] = (b11 - b01) / s, -b10 / s
-            settled = _settles(a, corner - b01 * b10 / s, row_strategy, col)
-            if settled is not None:
-                return settled
+            p1, p2, q1, q2 = (b11 - b10) / s, -b01 / s, (b11 - b01) / s, -b10 / s
+            if p1 < 0.0 or p2 < 0.0 or q1 < 0.0 or q2 < 0.0:
+                continue
+            gap = (max(row[l1] * q1 + row[l2] * q2 for row in a)
+                   - min(p1 * x + p2 * y for x, y in zip(top, bottom)))
+            if gap <= _SADDLE_TOL:
+                row_strategy, col = [0.0] * m, [0.0] * n
+                row_strategy[k1], row_strategy[k2] = p1, p2
+                col[l1], col[l2] = q1, q2
+                return corner - b01 * b10 / s, row_strategy, col, gap
     if m == n == 3:
         corner = a[0][0]
         b = [[x - corner for x in row] for row in a]
@@ -252,8 +268,9 @@ def _solve(rows):
 def solve_value(rows: list) -> float:
     """Value-only solve on lists of Python floats; still saddle-checks the result.
 
-    This is the pump loop's hot path: the same closed forms and LP as
-    solve_matrix_game, minus the array packaging.
+    This is local_values' scalar path, which only the games its pure-saddle
+    screen leaves reach, so the pump's calls are mixed games: the same
+    closed forms and LP as solve_matrix_game, minus the array packaging.
     """
     return _solve(rows)[0]
 
@@ -290,31 +307,68 @@ def local_value(game, v: int, x) -> MatrixGameSolution:
     return solve_matrix_game(local_reward_matrix(game, v, x))
 
 
-def _local_games(game, x, states):
-    """(v, row-list matrix) of each listed state's potential-adjusted game."""
-    payoffs = local_payoffs(game, x).tolist()
-    first = game.flat.first_slot.tolist()
-    for v in states:
-        width = game.num_col_actions(v)
-        yield v, [payoffs[s:s + width] for s in range(first[v], first[v + 1], width)]
+def _screen(game, x, states):
+    """The pure-saddle screen over every state's local game at x at once.
+
+    Segmented reductions give each global row's minimum, each global
+    column's maximum (over the flat view's column order), then each state's
+    pure maximin and minimax. Returns (payoffs, values, mixed, row_min,
+    col_max): every slot's payoff; per state, the value of each listed pure
+    saddle, whose two values are exactly equal, NaN elsewhere; the listed
+    states that are not pure saddles, ascending; and each global row's
+    minimum and column's maximum. A value is bit for bit the entry
+    _kernel_solve returns: the reductions return entries, and equal entries
+    are equal bits, as local_payoffs never returns -0.0 (its first term, a
+    bincount total, is not -0.0, and a float sum or difference is -0.0 only
+    if its first term is).
+    """
+    flat = game.flat
+    payoffs = local_payoffs(game, x)
+    row_min = np.minimum.reduceat(payoffs, flat.row_start)
+    col_max = np.maximum.reduceat(payoffs[flat.col_order], flat.col_start)
+    lower = np.maximum.reduceat(row_min, flat.first_row[:-1])
+    listed = np.zeros(game.n, dtype=bool)
+    listed[slice(None) if states is None else list(states)] = True
+    saddle = listed & (lower == np.minimum.reduceat(col_max, flat.first_col[:-1]))
+    values = np.where(saddle, lower, np.nan)
+    return payoffs, values, (listed & ~saddle).nonzero()[0], row_min, col_max
+
+
+def _local_games(game, payoffs, states):
+    """(v, row-list matrix) of each listed state's game, from its slots of payoffs."""
+    if not states.size:
+        return
+    payoffs = payoffs.tolist()
+    first, width = game.flat.first_slot.tolist(), game.flat.col_count.tolist()
+    for v in states.tolist():
+        yield v, [payoffs[s:s + width[v]] for s in range(first[v], first[v + 1], width[v])]
 
 
 def local_values(game, x, states=None) -> np.ndarray:
-    """Vector of local values; entries outside `states` are NaN."""
-    out = np.full(game.n, np.nan)
-    for v, rows in _local_games(game, x, range(game.n) if states is None else states):
-        out[v] = solve_value(rows)
-    return out
+    """Vector of local values; entries outside `states` are NaN. The screen
+    settles the pure saddles, and each other game takes one solve_value."""
+    payoffs, values, mixed, _, _ = _screen(game, x, states)
+    for v, rows in _local_games(game, payoffs, mixed):
+        values[v] = solve_value(rows)
+    return values
 
 
 def local_solutions(game, x, states=None) -> tuple[np.ndarray, dict, dict]:
     """Local values, bitwise as local_values gives them, with one optimal
-    strategy per player, from one solve per state: (values, row strategies,
-    column strategies). Entries outside `states` are NaN; the strategies map
-    each listed state to its vector, clipped at 0."""
-    values = np.full(game.n, np.nan)
+    strategy per player: (values, row strategies, column strategies).
+    Entries outside `states` are NaN; the strategies map each listed state,
+    in ascending order, to its vector, clipped at 0. A pure saddle's are
+    unit vectors at the first row and column attaining its value, as
+    _kernel_solve picks them; each other game takes one solve."""
+    payoffs, values, mixed, row_min, col_max = _screen(game, x, states)
+    first_row, first_col = game.flat.first_row.tolist(), game.flat.first_col.tolist()
+    row_min, col_max = row_min.tolist(), col_max.tolist()
     rows, cols = {}, {}
-    for v, matrix in _local_games(game, x, range(game.n) if states is None else states):
+    for v in (~np.isnan(values)).nonzero()[0].tolist():
+        for out, first, extreme in ((rows, first_row, row_min), (cols, first_col, col_max)):
+            start, stop = first[v], first[v + 1]
+            out[v] = np.array(_unit(stop - start, extreme.index(values[v], start, stop) - start))
+    for v, matrix in _local_games(game, payoffs, mixed):
         values[v], row, col, _ = _solve(matrix)
         rows[v], cols[v] = np.maximum(row, 0.0), np.maximum(col, 0.0)
-    return values, rows, cols
+    return values, dict(sorted(rows.items())), dict(sorted(cols.items()))

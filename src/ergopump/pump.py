@@ -97,20 +97,23 @@ class PumpOutcome:
 
 
 def partition(m_values, m_minus: float, m_plus: float) -> BandPartition:
-    """Threshold the local values into bands, with a fixed slack; NaN entries join none."""
+    """Threshold the local values into bands, with a fixed slack; NaN and infinite
+    entries join none."""
     m_values = np.asarray(m_values, dtype=np.float64)
-    states = [v for v in range(len(m_values)) if np.isfinite(m_values[v])]
+    finite = np.isfinite(m_values)
     delta = (m_plus - m_minus) / 4.0
     t1 = m_minus + delta - BAND_SLACK
     t2 = m_minus + 2 * delta - BAND_SLACK
     t3 = m_minus + 3 * delta - BAND_SLACK
-    top = frozenset(v for v in states if m_values[v] >= t3)
-    bottom = frozenset(v for v in states if m_values[v] < t1)
-    pumped = frozenset(v for v in states if m_values[v] >= t2)
-    middle = frozenset(states) - top - bottom
+    top, bottom = finite & (m_values >= t3), finite & (m_values < t1)
+
+    def members(mask):
+        return frozenset(mask.nonzero()[0].tolist())
+
     return BandPartition(
         m_minus=m_minus, m_plus=m_plus, delta=delta,
-        top=top, bottom=bottom, middle=middle, pumped=pumped,
+        top=members(top), bottom=members(bottom), middle=members(finite & ~top & ~bottom),
+        pumped=members(finite & (m_values >= t2)),
     )
 
 
@@ -129,10 +132,10 @@ def r_bounds(game: GameSpec, x: Potential, pumped, m_plus: float) -> RBounds:
     x = as_potential(x, game.n)
     flat = game.flat
     upper = _state_mask(game.n, pumped)
-    rec_state = flat.slot_state[flat.rec_slot]
-    x_from, x_to = x[rec_state], x[flat.rec_to]
+    x_from, x_to = x[flat.rec_state], x[flat.rec_to]
     # x[v] - min(x[u], x[v]) is the positive part of x[v] - x[u], x[v] - max(...) the negative
-    successor = np.where(upper[rec_state], np.minimum(x_to, x_from), np.maximum(x_to, x_from))
+    successor = np.where(upper[flat.rec_state], np.minimum(x_to, x_from),
+                         np.maximum(x_to, x_from))
     payoffs = local_payoffs(game, x, successor)
     per_slot = np.where(upper[flat.slot_state], payoffs, m_plus - payoffs)
     return RBounds(values=np.maximum.reduceat(per_slot, flat.first_slot[:-1]), upper_side=upper)
@@ -140,8 +143,7 @@ def r_bounds(game: GameSpec, x: Potential, pumped, m_plus: float) -> RBounds:
 
 def gap_thresholds(game: GameSpec, rb: RBounds, eps: float, granularity: int) -> np.ndarray:
     """Per-state potential-gap threshold |L^v| (pumped v) or |K^v| times W * R_v^2 / eps."""
-    flat = game.flat
-    width = np.where(rb.upper_side, np.diff(flat.first_col), np.diff(flat.first_row))
+    width = np.where(rb.upper_side, game.flat.col_count, game.flat.row_count)
     return width * float(granularity) * rb.values ** 2 / eps
 
 
@@ -234,25 +236,29 @@ def _potential_hash(x: np.ndarray) -> str:
     return hashlib.sha256(x.tobytes()).hexdigest()[:16]
 
 
-def _check_step_invariants(tau, prev_m, m, prev_part, states, delta, steps):
-    """Value drift over a jump of `steps` steps: bounded, and signed by the pumped set."""
-    bound = steps * delta
-    for v in states:
-        drift = m[v] - prev_m[v]
-        if abs(drift) > bound + BAND_SLACK:
-            raise PumpInvariantError(
-                f"iteration {tau}: local value at state {v} moved by {drift}, "
-                f"more than {steps} pump steps of {delta}"
-            )
-        if v in prev_part.pumped:
-            if drift > BAND_SLACK:
-                raise PumpInvariantError(
-                    f"iteration {tau}: pumped state {v} increased its local value by {drift}"
-                )
-        elif drift < -BAND_SLACK:
-            raise PumpInvariantError(
-                f"iteration {tau}: unpumped state {v} decreased its local value by {drift}"
-            )
+def _check_step_invariants(tau, prev_m, m, pumped, delta, steps):
+    """Value drift over a jump of `steps` steps that pumped the states where
+    `pumped` is nonzero: bounded, and signed by the pumped set. States
+    outside the phase, NaN in both value vectors, never fail."""
+    drift = m - prev_m
+    too_far = np.abs(drift) > steps * delta + BAND_SLACK
+    wrong_way = np.where(pumped, drift, -drift) > BAND_SLACK
+    failing = (too_far | wrong_way).nonzero()[0]
+    if not failing.size:
+        return
+    v = failing[0]  # the first failing state, and its first failing condition
+    if too_far[v]:
+        raise PumpInvariantError(
+            f"iteration {tau}: local value at state {v} moved by {drift[v]}, "
+            f"more than {steps} pump steps of {delta}"
+        )
+    if pumped[v]:
+        raise PumpInvariantError(
+            f"iteration {tau}: pumped state {v} increased its local value by {drift[v]}"
+        )
+    raise PumpInvariantError(
+        f"iteration {tau}: unpumped state {v} decreased its local value by {drift[v]}"
+    )
 
 
 def _check_band_monotonicity(tau, prev_part, part):
@@ -340,8 +346,8 @@ def modified_pump(
     tau = 0
     while True:
         x, m, part = here.x, here.m, here.part
-        if prev is not None:
-            _check_step_invariants(tau, prev.m, m, prev.part, state_list, delta, jump)
+        if prev is not None:  # the jump from prev pumped the states where `pumped` is 1
+            _check_step_invariants(tau, prev.m, m, pumped, delta, jump)
             _check_band_monotonicity(tau, prev.part, part)
         if stats.trace is not None:
             finite = m[state_list]

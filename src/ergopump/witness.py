@@ -199,14 +199,13 @@ def verify_witness(game: GameSpec, verdict: Verdict) -> VerificationReport:
     beta, beta_in = _spread(game, verdict.beta, flat.first_col)
     failures = []
 
-    rec_state = flat.slot_state[flat.rec_slot]
     for player, mix, covered, action_of, first in (
             ("row", alpha, alpha_in, flat.slot_row, flat.first_row),
             ("col", beta, beta_in, flat.slot_col, flat.first_col)):
-        leaks = (covered[rec_state] & ~covered[flat.rec_to]
+        leaks = (covered[flat.rec_state] & ~covered[flat.rec_to]
                  & (mix[action_of[flat.rec_slot]] > 0.0))
         for r in np.flatnonzero(leaks):
-            v, u = rec_state[r], flat.rec_to[r]
+            v, u = flat.rec_state[r], flat.rec_to[r]
             action = action_of[flat.rec_slot[r]] - first[v]
             failures.append(
                 f"closure: {player} action {action} at state {game.states[v]!r} leaks to "

@@ -93,14 +93,15 @@ def max_mass_into(game, v, targets):
     return float(max(mass.values()))
 
 
-def count_calls(monkeypatch, names):
+def count_calls(monkeypatch, names, weight=None):
     """Count calls of the named functions: each is replaced, in every loaded
-    ergopump module that binds it, by a wrapper adding to the returned Counter."""
+    ergopump module that binds it, by a wrapper adding to the returned
+    Counter 1 per call, or weight(*args, **kwargs) if given."""
     calls = Counter()
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += 1 if weight is None else weight(*args, **kwargs)
             return original(*args, **kwargs)
         return wrapper
 
@@ -112,6 +113,16 @@ def count_calls(monkeypatch, names):
             if callable(original):
                 monkeypatch.setattr(module, name, counting(name, original))
     return calls
+
+
+def count_local_games(monkeypatch):
+    """Count the local games settled, by the pure-saddle screen or a solve:
+    the states each local_values or local_solutions call lists (all of them
+    when it lists none), summed by the returned Counter's total()."""
+    def listed(game, x, states=None):
+        return game.n if states is None else len(states)
+
+    return count_calls(monkeypatch, ("local_values", "local_solutions"), weight=listed)
 
 
 # ways to break a certificate: per case, the game, the eps to solve it at,

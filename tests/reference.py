@@ -2,7 +2,10 @@
 
 Nothing here may import from ergopump.matrix_game's solver internals: the
 2x2 closed form is hand-derived, the general LP goes through scipy, and the
-support enumeration solves equalization systems directly. The dense
+support enumeration solves equalization systems directly. kernel_solve is
+the scalar closed-form kernel as it settled every local game before the
+package's vectorised pure-saddle screen and its cheaper 2x2 candidate
+test, kept unchanged as the bitwise oracle of both. The dense
 per-state tables, the oracle of the package's flat view, come from a plain
 loop over the transition records. The single-step pump reuses the
 package's local values, bands and payoff bounds but none of the pump loop,
@@ -18,6 +21,8 @@ as written, to check the driver's constant step cap against it.
 import itertools
 import math
 from collections import deque
+from itertools import combinations
+from operator import mul
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,6 +54,91 @@ def strategies_2x2(matrix):
     p = (d - c) / denom
     q = (d - b) / denom
     return np.array([p, 1 - p]), np.array([q, 1 - q])
+
+
+KERNEL_SADDLE_TOL = 1e-9
+
+
+def _saddle_bounds(rows, row_strategy, col):
+    """(worst column payoff of row_strategy, best row payoff against col)."""
+    best_row = max(sum(map(mul, row, col)) for row in rows)
+    worst_col = min(sum(map(mul, row_strategy, column)) for column in zip(*rows))
+    return worst_col, best_row
+
+
+def kernel_solve(a):
+    """Closed-form solve of a float row-list matrix, or None if none settles it.
+
+    A single row or column, or any game whose maximin equals its minimax
+    exactly, is a pure saddle: unit strategies at the first row and column
+    attaining them, gap 0. Otherwise, up to 3x3, each square submatrix B is a
+    Shapley-Snow kernel candidate, the 2x2 ones in lexicographic (row pair,
+    column pair) order, then the full 3x3. With C the cofactor matrix of B
+    and s the sum of its entries (1' adj B 1), the candidate's row strategy
+    is C's row sums over s, its column strategy C's column sums over s and
+    its value det B / s; candidates with s exactly 0.0 are skipped. B is
+    shifted by its corner entry first, which leaves C's sums unchanged and
+    keeps det B from cancelling a large common offset.
+    """
+    m, n = len(a), len(a[0])
+    if m == 1:
+        lower = min(a[0])
+        return lower, [1.0], _unit(n, a[0].index(lower)), 0.0
+    if n == 1:
+        column = [row[0] for row in a]
+        upper = max(column)
+        return upper, _unit(m, column.index(upper)), [1.0], 0.0
+    row_mins = [min(row) for row in a]
+    col_maxs = [max(column) for column in zip(*a)]
+    lower, upper = max(row_mins), min(col_maxs)
+    if lower == upper:
+        return (lower, _unit(m, row_mins.index(lower)),
+                _unit(n, col_maxs.index(upper)), 0.0)
+    if m > 3 or n > 3:
+        return None
+    for k1, k2 in combinations(range(m), 2):
+        top, bottom = a[k1], a[k2]
+        for l1, l2 in combinations(range(n), 2):
+            corner = top[l1]
+            b01, b10, b11 = top[l2] - corner, bottom[l1] - corner, bottom[l2] - corner
+            s = b11 - b10 - b01
+            if s == 0.0:
+                continue
+            row_strategy, col = [0.0] * m, [0.0] * n
+            row_strategy[k1], row_strategy[k2] = (b11 - b10) / s, -b01 / s
+            col[l1], col[l2] = (b11 - b01) / s, -b10 / s
+            settled = _settles(a, corner - b01 * b10 / s, row_strategy, col)
+            if settled is not None:
+                return settled
+    if m == n == 3:
+        corner = a[0][0]
+        b = [[x - corner for x in row] for row in a]
+        cof = [[b[(i + 1) % 3][(j + 1) % 3] * b[(i + 2) % 3][(j + 2) % 3]
+                - b[(i + 1) % 3][(j + 2) % 3] * b[(i + 2) % 3][(j + 1) % 3]
+                for j in range(3)] for i in range(3)]
+        row_weights = [sum(row) for row in cof]
+        s = sum(row_weights)
+        if s != 0.0:
+            return _settles(a, corner + sum(map(mul, b[0], cof[0])) / s,
+                            [w / s for w in row_weights],
+                            [sum(column) / s for column in zip(*cof)])
+    return None
+
+
+def _settles(a, value, row_strategy, col):
+    """(value, row_strategy, col, gap) if both strategies are non-negative
+    and their gap on a is at most KERNEL_SADDLE_TOL, else None."""
+    if min(row_strategy) < 0.0 or min(col) < 0.0:
+        return None
+    worst_col, best_row = _saddle_bounds(a, row_strategy, col)
+    gap = best_row - worst_col
+    return (value, row_strategy, col, gap) if gap <= KERNEL_SADDLE_TOL else None
+
+
+def _unit(size, index):
+    out = [0.0] * size
+    out[index] = 1.0
+    return out
 
 
 def value_lp(matrix):
@@ -195,6 +285,35 @@ def closed_sets_bfs(x, thresholds, pumped, top, bottom):
     if low & set(pumped):
         return None
     return high, low
+
+
+def partition_sets(m_values, m_minus, m_plus, slack):
+    """(top, bottom, middle, pumped) of the finite local values, one
+    comprehension over the states per band."""
+    states = [v for v in range(len(m_values)) if math.isfinite(m_values[v])]
+    delta = (m_plus - m_minus) / 4.0
+    t1, t2, t3 = (m_minus + i * delta - slack for i in (1, 2, 3))
+    top = frozenset(v for v in states if m_values[v] >= t3)
+    bottom = frozenset(v for v in states if m_values[v] < t1)
+    pumped = frozenset(v for v in states if m_values[v] >= t2)
+    return top, bottom, frozenset(states) - top - bottom, pumped
+
+
+def step_invariant_failure(tau, prev_m, m, pumped, states, delta, steps, slack):
+    """The message of the first state, in the order of `states`, whose value
+    drift over a jump breaks the drift bound or the pumped set's sign, and
+    of its first broken condition; None if every state keeps both."""
+    for v in states:
+        drift = m[v] - prev_m[v]
+        if abs(drift) > steps * delta + slack:
+            return (f"iteration {tau}: local value at state {v} moved by {drift}, "
+                    f"more than {steps} pump steps of {delta}")
+        if v in pumped:
+            if drift > slack:
+                return f"iteration {tau}: pumped state {v} increased its local value by {drift}"
+        elif drift < -slack:
+            return f"iteration {tau}: unpumped state {v} decreased its local value by {drift}"
+    return None
 
 
 def single_step_pump(game, x0, states, m_minus, m_plus, eps, cap):

@@ -358,8 +358,10 @@ class TestCertificates:
                 assert parsed[v].tolist() == (vec / vec.sum()).tolist()
 
     def test_recheck_runs_no_solver(self, monkeypatch):
-        # neither verdict's recheck solves a matrix game or runs policy iteration
-        calls = count_calls(monkeypatch, ("_solve", "solve_value", "best_response_value"))
+        # neither verdict's recheck settles a local game, solves a matrix
+        # game or runs policy iteration
+        calls = count_calls(monkeypatch, ("local_values", "local_solutions", "_solve",
+                                          "solve_value", "best_response_value"))
         for low, high, eps in ((0.0, 10.0, 0.1), (4.0, 4.5, 0.5)):
             game = disconnected(low, high)
             verdict, stats = decide_ergodicity(game, eps)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import reference
 from builders import (
     big_match,
-    count_calls,
+    count_local_games,
     disconnected,
     one_state,
     random_dense_game,
@@ -157,14 +157,15 @@ class TestDecideErgodicity:
         (random_game(128, max_actions=3, seed=0), 0.05, 1664),
     ])
     def test_ergodic_strategies_cost_no_extra_solve(self, game, eps, solves, monkeypatch):
-        # the loop solves h = 0 once, with strategies; after that the pump
-        # starts from the values its caller passes, and only an ergodic exit
-        # after h = 0 solves its final potential again, for the strategies.
-        # The bounds are that loop's counts on these games
-        calls = count_calls(monkeypatch, ("_solve",))
+        # the loop settles the local games of h = 0 once, with strategies;
+        # after that the pump starts from the values its caller passes, and
+        # only an ergodic exit after h = 0 settles its final potential's
+        # games again, for the strategies. The bounds are that loop's counts
+        # of local games settled on these games
+        settled = count_local_games(monkeypatch)
         verdict, _ = decide_ergodicity(game, eps)
         assert verdict.alpha and verdict.beta
-        assert 0 < calls["_solve"] <= solves
+        assert 0 < settled.total() <= solves
 
     def test_ergodic_band_is_measured_at_the_certified_potential(self):
         # the loop carries the pump's last local values into its band check:

@@ -214,6 +214,18 @@ class TestFlatView:
         for v, (p, e) in enumerate(dense):
             close(local_reward_matrix(game, v, x), e + x[v] - p @ x)
 
+        # the segment indices of per-row and per-column reductions
+        flat = game.flat
+        assert flat.row_count.tolist() == [e.shape[0] for _p, e in dense]
+        assert flat.col_count.tolist() == [e.shape[1] for _p, e in dense]
+        assert flat.rec_state.tolist() == [v for v, records in enumerate(game.transitions)
+                                           for _ in records]
+        reward = flat.slot_reward
+        assert np.minimum.reduceat(reward, flat.row_start).tolist() == [
+            x for v in range(n) for x in game.state_matrix(reward, v).min(axis=1)]
+        assert np.maximum.reduceat(reward[flat.col_order], flat.col_start).tolist() == [
+            x for v in range(n) for x in game.state_matrix(reward, v).max(axis=0)]
+
         pumped = {v for v in range(n) if rng.random() < 0.5}
         m_plus = float(rng.uniform(0, 8))
         rb = r_bounds(game, x, pumped, m_plus)
@@ -256,7 +268,10 @@ class TestFlatView:
         # solve --jobs sends parsed games to worker processes by pickle
         game = pickle.loads(pickle.dumps(random_game(n=3, max_actions=2, seed=1)))
         assert game.flat is not None
-        assert not any(arr.flags.writeable for arr in vars(game.flat).values())
+        arrays = vars(game.flat)
+        assert {"rec_state", "row_count", "col_count", "row_start", "col_order",
+                "col_start"} <= set(arrays)
+        assert not any(arr.flags.writeable for arr in arrays.values())
 
 
 class TestApplyPotential:

@@ -6,12 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from builders import count_calls, one_state, random_dense_game
+from builders import count_calls, count_local_games, one_state, random_dense_game
 from ergopump import matrix_game
 from ergopump.driver import decide_ergodicity
+from ergopump.game import local_payoffs, make_game
 from ergopump.generators import random_game
 from ergopump.matrix_game import (
     MatrixGameError,
+    local_solutions,
     local_value,
     local_values,
     solve_matrix_game,
@@ -187,12 +189,97 @@ class TestClosedForms:
         assert calls["_simplex_max"] == 0
 
     def test_simplex_is_rare(self, monkeypatch):
-        # every local game of this run is at most 3x3, and the closed forms
-        # settle all but degenerate ones
-        calls = count_calls(monkeypatch, ("_simplex_max", "_solve"))
+        # every local game of this run is at most 3x3, and the screen and
+        # the closed forms settle all but degenerate ones
+        calls = count_calls(monkeypatch, ("_simplex_max",))
+        settled = count_local_games(monkeypatch)
         decide_ergodicity(random_game(128, max_actions=3, seed=0), 0.05)
-        assert calls["_solve"] > 1000
-        assert calls["_simplex_max"] < 0.01 * calls["_solve"]
+        assert settled.total() > 1000
+        assert calls["_simplex_max"] < 0.01 * settled.total()
+
+
+def _bits(numbers):
+    return np.asarray(numbers, dtype=np.float64).tobytes()
+
+
+def _solution_bits(solved):
+    """The bits of a (value, row strategy, col strategy, gap) solve, gap aside."""
+    value, row, col, _ = solved
+    return _bits([value, *row, *col])
+
+
+@st.composite
+def _stacked_games(draw):
+    """(game, x, states): 1-5 states of 1-3 actions per player, one record
+    per action pair to a drawn successor with a reward in {-2..2} or a
+    float, at a potential of small integers (so integer rewards keep exact
+    ties in the payoffs) or floats, with every state listed (None) or a
+    drawn subset."""
+    entries = draw(st.sampled_from([st.integers(-2, 2).map(float), st.floats(-10, 10)]))
+    n = draw(st.integers(1, 5))
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                           min_size=n, max_size=n))
+    records = [(v, k, l, draw(st.integers(0, n - 1)), 1, draw(entries))
+               for v, (rows, cols) in enumerate(shapes)
+               for k in range(rows) for l in range(cols)]
+    game = make_game([f"s{v}" for v in range(n)],
+                     [[f"a{k}" for k in range(rows)] for rows, _ in shapes],
+                     [[f"b{l}" for l in range(cols)] for _, cols in shapes], records)
+    x = draw(st.lists(st.one_of(st.integers(-2, 2).map(float), st.floats(-10, 10)),
+                      min_size=n, max_size=n))
+    states = draw(st.none() | st.sets(st.integers(0, n - 1)).map(sorted))
+    return game, np.array(x), states
+
+
+class TestScreenAgainstScalarKernel:
+    """The pure-saddle screen and the cheaper 2x2 candidates return bit for
+    bit what the scalar kernel, kept unchanged in reference.kernel_solve,
+    returns for each local game."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_stacked_games())
+    def test_local_games_match_a_per_state_solve(self, drawn):
+        game, x, states = drawn
+        payoffs = local_payoffs(game, x)
+        listed = range(game.n) if states is None else states
+        expected = {}
+        for v in listed:
+            rows = game.state_matrix(payoffs, v).tolist()
+            expected[v] = reference.kernel_solve(rows) or matrix_game._solve(rows)
+        values = np.full(game.n, np.nan)
+        values[list(expected)] = [solved[0] for solved in expected.values()]
+
+        assert _bits(local_values(game, x, states)) == _bits(values)
+        got, rows, cols = local_solutions(game, x, states)
+        assert _bits(got) == _bits(values)
+        assert list(rows) == list(cols) == list(listed)
+        for v, (_, row, col, _) in expected.items():
+            assert _bits(rows[v]) == _bits(np.maximum(row, 0.0))
+            assert _bits(cols[v]) == _bits(np.maximum(col, 0.0))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_SMALL_GAMES, st.sampled_from([0.0, 1e6]))
+    def test_kernel_matches_the_scalar_kernel(self, matrix, offset):
+        rows = (np.array(matrix) + offset).tolist()
+        expected = reference.kernel_solve(rows)
+        settled = matrix_game._kernel_solve(rows)
+        if expected is None:
+            assert settled is None
+            return
+        assert _solution_bits(settled) == _solution_bits(expected)
+        assert settled[3] == expected[3]  # the gap, equal up to the sign of a zero
+
+    @pytest.mark.parametrize("matrix", [
+        [[3.0, 1.0], [0.0, 2.0]],
+        [[1.0, -1.0, 0.5], [-1.0, 1.0, 0.5]],
+        [[2.0, -1.0], [-1.0, 1.0], [0.0, 0.0]],
+    ])
+    def test_mixed_games_take_a_2x2_kernel(self, matrix):
+        for offset in (0.0, 1e6):
+            rows = (np.array(matrix) + offset).tolist()
+            expected = reference.kernel_solve(rows)
+            assert expected is not None and 0.0 < max(expected[1]) < 1.0
+            assert _solution_bits(matrix_game._kernel_solve(rows)) == _solution_bits(expected)
 
 
 class TestLocalValue:

@@ -54,6 +54,48 @@ class TestPartition:
         assert part.bottom == {0}
         assert 1 not in part.pumped
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-3, 5).map(float), st.floats(-4, 6),
+                              st.sampled_from([np.nan, np.inf, -np.inf])), max_size=12),
+           st.integers(-2, 2).map(float), st.integers(0, 4).map(float))
+    def test_matches_per_state_comprehensions(self, m_values, m_minus, width):
+        # integer values land exactly on band thresholds; NaN and infinite
+        # values join no band
+        part = partition(m_values, m_minus, m_minus + width)
+        expected = reference.partition_sets(m_values, m_minus, m_minus + width, pump.BAND_SLACK)
+        assert (part.top, part.bottom, part.middle, part.pumped) == expected
+        for band in expected:
+            assert all(type(v) is int for v in band)
+
+
+class TestStepInvariants:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 3))
+    def test_first_failure_matches_per_state_loop(self, seed, n, steps):
+        # drifts on a grid around the bound and the sign thresholds, over a
+        # subset of the states in ascending order; the others are NaN, as
+        # outside a pump phase
+        rng = np.random.default_rng(seed)
+        delta = 0.25
+        prev_m = rng.uniform(-5, 5, size=n)
+        bound = steps * delta
+        choices = [0.0, pump.BAND_SLACK / 2, 2 * pump.BAND_SLACK, bound,
+                   bound + 2 * pump.BAND_SLACK, bound / 3]
+        m = prev_m + rng.choice(choices, size=n) * rng.choice([-1.0, 1.0], size=n)
+        states = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+        outside = np.setdiff1d(np.arange(n), states)
+        prev_m[outside] = m[outside] = np.nan
+        pumped = (rng.random(n) < 0.5).astype(np.int64)
+        expected = reference.step_invariant_failure(
+            7, prev_m, m, set(np.flatnonzero(pumped).tolist()), states, delta, steps,
+            pump.BAND_SLACK)
+        if expected is None:
+            pump._check_step_invariants(7, prev_m, m, pumped, delta, steps)
+        else:
+            with pytest.raises(pump.PumpInvariantError) as info:
+                pump._check_step_invariants(7, prev_m, m, pumped, delta, steps)
+            assert str(info.value) == expected
+
 
 class TestRBounds:
     def test_zero_potential_plain_expected_reward(self):
