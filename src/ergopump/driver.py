@@ -8,12 +8,19 @@ Each outer iteration reads the local-value band at the current potential and
 stops once its width is at most 24*eps: the potential and optimal local
 strategies at it certify that all game values sit in the band. Otherwise one
 pump pass, started from those values, runs over all states; if it collapses
-the band, the loop goes on from the pump's last potential and values, not
-re-centred (a constant shift changes no local game), with a band at most 3/4
-as wide. If it instead finds closed candidate sets, a second pass pumps only
-the high set against the upper half-band; either that collapses too (band at
-most 7/8 as wide) or the run exits with a non-ergodicity witness whose
-certified thresholds are (m_plus + m_minus) / 2 and (5*m_plus + 3*m_minus) / 8.
+the band, the loop goes on from the pump's last potential and local solve,
+not re-centred (a constant shift changes no local game), with a band at most
+3/4 as wide. If it instead finds closed candidate sets, a second pass pumps
+only the high set against the upper half-band; either that collapses too
+(band at most 7/8 as wide) or the run exits with a non-ergodicity witness
+whose certified thresholds are (m_plus + m_minus) / 2 and
+(5*m_plus + 3*m_minus) / 8.
+
+Each potential's local games are settled once. The loop holds the
+matrix_game.LocalSolve that measured its band: the h = 0 solve, the pump's
+last step, or the re-solve of all states after a high-set phase. An ergodic
+exit lays out that solve's strategies instead of solving again, and
+DriverStats.local_games counts every local game a run settles.
 
 Every pump phase is capped at HARD_CAP steps. The paper bounds a phase by
 2*n*kappa + 1 steps, with kappa = base**(2**n - 1) * n*n*R/delta and
@@ -32,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import GameSpec, Potential, as_potential, game_params, normalize_rewards
-from .matrix_game import MatrixGameError, local_solutions, local_values
+from .matrix_game import MatrixGameError, local_solve
 from .pump import PumpInvariantError, modified_pump
 from .witness import (
     ERGODIC,
@@ -69,10 +76,14 @@ class DriverStats:
     and, per pump phase run ("phase1", "phase2"), the outcome kind and pump
     steps, plus for "phase2" the band that emptied (None if none did). With
     DriverConfig.collect_trace, trace holds every landed pump step's record
-    tagged with its h and phase, in run order.
+    tagged with its h and phase, in run order. local_games counts the local
+    games settled, by the screen or a solve: every state each local solve
+    lists. Like outer_iterations it is deterministic, but it is not written
+    to the certificate.
     """
 
     outer_iterations: int = 0
+    local_games: int = 0
     phases: list = field(default_factory=list)
     trace: list = field(default_factory=list)
 
@@ -130,6 +141,7 @@ def _pump_phase(phase, game, x, m0, m_minus, m_plus, eps, record, params, config
     out = modified_pump(game, x, m0, m_minus, m_plus, eps, config.pump_cap,
                         params=params, collect_trace=config.collect_trace)
     record[phase] = {"kind": out.kind, "iterations": out.stats.iterations}
+    stats.local_games += out.stats.local_games
     if phase == "phase2":
         record[phase]["collapsed"] = out.collapsed
     if config.collect_trace:
@@ -145,15 +157,19 @@ def _drive(game, eps, config, params, offset, stats):
         stats.outer_iterations = h
         return Verdict(kind=kind, eps=eps, value_offset=offset, **fields)
 
+    def measure(x):
+        stats.local_games += game.n
+        return local_solve(game, x)
+
     x = np.zeros(game.n)
-    m, alpha, beta = local_solutions(game, x)
+    solve = measure(x)  # the local solve that measured the band at x
     h = 0
     while True:
+        m = solve.values
         m_minus = float(np.min(m))
         m_plus = float(np.max(m))
         if m_plus - m_minus <= 24 * eps:
-            if h > 0:  # the pump measured m at x, but not the strategies that certify it
-                _, alpha, beta = local_solutions(game, x)
+            alpha, beta = solve.strategies()
             return stop(ERGODIC, potential=x, floor=m_minus, ceiling=m_plus,
                         alpha=alpha, beta=beta)
         if h >= outer_cap:
@@ -180,7 +196,10 @@ def _drive(game, eps, config, params, offset, stats):
         if outcome.kind == "band-collapsed" and (phase == "phase1"
                                                  or outcome.collapsed != "bottom"):
             x = outcome.x  # measured at the pump's last step, in phase 2 on the high set only
-            m = outcome.m_values if phase == "phase1" else local_values(game, x)
+            if phase == "phase2":
+                solve = measure(x)
+            elif outcome.solve is not None:  # else the pump stopped where it started
+                solve = outcome.solve
             h += 1
             continue
 
@@ -189,6 +208,7 @@ def _drive(game, eps, config, params, offset, stats):
         # set stays fixed
         high = first.closed_high if outcome.kind == "band-collapsed" else outcome.closed_high
         low = first.closed_low
+        stats.local_games += len(high) + len(low)  # the witness build's solve
         witness = build_witness(game, outcome.x, high, low, ceiling_raw=mid,
                                 floor_raw=(5.0 * m_plus + 3.0 * m_minus) / 8.0, eps=eps,
                                 value_offset=offset)

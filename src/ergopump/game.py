@@ -7,7 +7,10 @@ probabilities. Each transition is stored once, as a sparse record with an
 exact rational probability, so the granularity parameter is well defined.
 All float numerics read one flat view of the records (FlatView), and the
 potential-adjusted local games of every state come from one mat-vec over it
-(local_payoffs).
+(local_payoffs). The flat view also holds the game's constants, fixed when it
+is built: the granularity W, from one pass over the distinct probabilities,
+and the least and greatest reward, from the record table; game_params and
+normalize_rewards read them instead of walking the records.
 """
 
 from __future__ import annotations
@@ -66,7 +69,9 @@ class FlatView:
     row and column actions are numbered from first_row[v] and first_col[v]
     (global rows and columns). row_start and col_order with col_start are the
     segment indices of per-row and per-column reductions over a per-slot
-    array, as matrix_game's pure-saddle screen runs them.
+    array, as matrix_game's pure-saddle screen runs them. granularity is
+    the largest ceil(1/p) over the records, exact on the rational p, and
+    reward_low and reward_high are the least and greatest record reward.
     """
 
     slot_state: np.ndarray  # per slot: v
@@ -85,12 +90,20 @@ class FlatView:
     row_start: np.ndarray  # per global row: its first slot (l = 0)
     col_order: np.ndarray  # slots grouped by global column, each column's by k
     col_start: np.ndarray  # per global column: its first position in col_order
+    granularity: int  # W: every nonzero probability is >= 1/granularity
+    reward_low: float
+    reward_high: float
 
     def __setstate__(self, state):
         # a pickle restores the arrays writeable, e.g. in a solve worker
-        for arr in state.values():
-            arr.setflags(write=False)
+        _read_only(state)
         self.__dict__.update(state)
+
+
+def _read_only(fields: dict):
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
 
 
 def _flat_view(game) -> FlatView:
@@ -107,15 +120,20 @@ def _flat_view(game) -> FlatView:
     rec_slot, rec_p = first_slot[v] + k * cols[v] + l, table[:, 4].copy()
     slot_col = first_col[slot_state] + col
     col_order = np.argsort(slot_col, kind="stable")
+    # ceil(1/p) = ceil(b/a) for p = a/b in lowest terms; (a, b) pairs dedupe
+    # far faster than Fractions, whose hash is computed in Python
+    distinct = {(p.numerator, p.denominator) for records in game.transitions
+                for _k, _l, _u, p, _r in records}
     view = FlatView(
         slot_state=slot_state, slot_row=first_row[slot_state] + row, slot_col=slot_col,
         slot_reward=np.bincount(rec_slot, weights=rec_p * table[:, 5], minlength=first_slot[-1]),
         rec_slot=rec_slot, rec_state=slot_state[rec_slot], rec_to=u, rec_p=rec_p,
         first_slot=first_slot, first_row=first_row, first_col=first_col,
         row_count=rows, col_count=cols, row_start=np.flatnonzero(col == 0),
-        col_order=col_order, col_start=np.flatnonzero(row[col_order] == 0))
-    for arr in vars(view).values():
-        arr.setflags(write=False)
+        col_order=col_order, col_start=np.flatnonzero(row[col_order] == 0),
+        granularity=max(-(-b // a) for a, b in distinct if a),
+        reward_low=float(table[:, 5].min()), reward_high=float(table[:, 5].max()))
+    _read_only(vars(view))
     return view
 
 
@@ -291,27 +309,18 @@ def normalize_rewards(game: GameSpec) -> tuple[GameSpec, float]:
     original by exactly the offset. Games already in [0, R] are returned
     unchanged with offset 0.
     """
-    rewards = [rec[4] for records in game.transitions for rec in records]
-    if not rewards:
-        return game, 0.0
-    offset = max(0.0, -min(rewards))
+    offset = max(0.0, -game.flat.reward_low)
     if offset == 0.0:
         return game, 0.0
     return _map_rewards(game, lambda v, u, r: r + offset), offset
 
 
 def game_params(game: GameSpec) -> GameParams:
-    """Derive (W, R) from a normalized game."""
-    granularity = 1
-    reward_bound = 0.0
-    for records in game.transitions:
-        for _k, _l, _u, p, r in records:
-            # ceil(1/p) on exact rationals
-            granularity = max(granularity, -((-p.denominator) // p.numerator))
-            if r < 0:
-                raise ValueError("game_params requires normalized (non-negative) rewards")
-            reward_bound = max(reward_bound, r)
-    return GameParams(granularity=granularity, reward_bound=reward_bound)
+    """(W, R) of a normalized game, as its flat view holds them."""
+    flat = game.flat
+    if flat.reward_low < 0:
+        raise ValueError("game_params requires normalized (non-negative) rewards")
+    return GameParams(granularity=flat.granularity, reward_bound=max(0.0, flat.reward_high))
 
 
 def as_potential(x, n: int) -> Potential:

@@ -2,26 +2,31 @@
 
 Settles the local games of a stochastic game in three stages.
 
-1. A screen over all states at once (local_values, local_solutions): each
-   state's pure maximin and minimax come from segmented numpy reductions
-   over the flat view's slots, and every listed state whose two values are
-   exactly equal is a pure saddle, settled by unit strategies at the first
-   row and column attaining them.
+1. A screen over all states at once (local_solve): each state's pure
+   maximin and minimax come from segmented numpy reductions over the flat
+   view's slots, and every listed state whose two values are exactly equal
+   is a pure saddle, settled by unit strategies at the first row and column
+   attaining them.
 2. Closed-form kernels, per remaining game: a single row or column, a pure
    saddle, or, up to 3x3, the first Shapley-Snow kernel, a square
    submatrix whose adjugate gives the value and both strategies (Shapley
    and Snow, Basic solutions of discrete games, 1950), kept when its
-   strategies are non-negative and pass the saddle check.
+   strategies are non-negative and pass the saddle check. Games the screen
+   found mixed skip the first two tests, which they have already failed.
 3. The classic value LP, for larger games and any small one no kernel
    settles: shift the matrix positive, maximize the column player's scaled
    mixed strategy against unit bounds, and read the row player's strategy
    off the duals. The simplex is self-contained (Dantzig entering rule,
    switching to Bland's rule after a pivot budget to rule out cycling).
 
-The screen returns bit for bit what the kernels return for the games it
-settles. Every stage is deterministic, so results are bit-reproducible.
-Every solve saddle-checks the strategies it returns; a solve that stalls or
-fails that check raises MatrixGameError.
+A LocalSolve keeps what settling its games took: the screen's row minima
+and column maxima and each mixed game's strategies. Its values serve the
+pump and the band check; the strategies are laid out per state only when a
+certificate asks for them, so no game is solved twice for them. The screen
+returns bit for bit what the kernels return for the games it settles.
+Every stage is deterministic, so results are bit-reproducible. Every solve
+saddle-checks the strategies it returns; a solve that stalls or fails that
+check raises MatrixGameError.
 """
 
 from __future__ import annotations
@@ -127,17 +132,19 @@ def _saddle_bounds(rows, row_strategy, col):
     return worst_col, best_row
 
 
-def _kernel_solve(a):
+def _kernel_solve(a, screened=False):
     """Closed-form solve of a float row-list matrix, or None if none settles it.
 
     A single row or column, or any game whose maximin equals its minimax
     exactly, is a pure saddle: unit strategies at the first row and column
-    attaining them, gap 0. Otherwise, up to 3x3, each square submatrix B is a
-    Shapley-Snow kernel candidate, the 2x2 ones in lexicographic (row pair,
-    column pair) order, then the full 3x3. With C the cofactor matrix of B
-    and s the sum of its entries (1' adj B 1), the candidate's row strategy
-    is C's row sums over s, its column strategy C's column sums over s and
-    its value det B / s; candidates with s exactly 0.0 are skipped. B is
+    attaining them, gap 0. A game the screen found mixed (screened) is
+    neither, so that test is skipped. Otherwise, up to 3x3, each square
+    submatrix B is a Shapley-Snow kernel candidate, the 2x2 ones in
+    lexicographic (row pair, column pair) order, then the full 3x3. With C
+    the cofactor matrix of B and s the sum of its entries (1' adj B 1), the
+    candidate's row strategy is C's row sums over s, its column strategy C's
+    column sums over s and its value det B / s; candidates with s exactly
+    0.0 are skipped. B is
     shifted by its corner entry first, which leaves C's sums unchanged and
     keeps det B from cancelling a large common offset. A 2x2 candidate's
     weights are sign-tested before anything is allocated, and its saddle
@@ -145,19 +152,20 @@ def _kernel_solve(a):
     have their mass.
     """
     m, n = len(a), len(a[0])
-    if m == 1:
-        lower = min(a[0])
-        return lower, [1.0], _unit(n, a[0].index(lower)), 0.0
-    if n == 1:
-        column = [row[0] for row in a]
-        upper = max(column)
-        return upper, _unit(m, column.index(upper)), [1.0], 0.0
-    row_mins = [min(row) for row in a]
-    col_maxs = [max(column) for column in zip(*a)]
-    lower, upper = max(row_mins), min(col_maxs)
-    if lower == upper:
-        return (lower, _unit(m, row_mins.index(lower)),
-                _unit(n, col_maxs.index(upper)), 0.0)
+    if not screened:
+        if m == 1:
+            lower = min(a[0])
+            return lower, [1.0], _unit(n, a[0].index(lower)), 0.0
+        if n == 1:
+            column = [row[0] for row in a]
+            upper = max(column)
+            return upper, _unit(m, column.index(upper)), [1.0], 0.0
+        row_mins = [min(row) for row in a]
+        col_maxs = [max(column) for column in zip(*a)]
+        lower, upper = max(row_mins), min(col_maxs)
+        if lower == upper:
+            return (lower, _unit(m, row_mins.index(lower)),
+                    _unit(n, col_maxs.index(upper)), 0.0)
     if m > 3 or n > 3:
         return None
     for k1, k2 in combinations(range(m), 2):
@@ -209,17 +217,18 @@ def _unit(size, index):
     return out
 
 
-def _solve(rows):
+def _solve(rows, screened=False):
     """Solve a matrix game, given as lists of Python floats, and
     saddle-check the result.
 
     Returns (value, row strategy, col strategy, duality gap). Games that
-    _kernel_solve settles need no pivot; the rest run the value LP. Raises
+    _kernel_solve settles need no pivot; the rest run the value LP.
+    screened says the screen found the game mixed (see _kernel_solve). Raises
     MatrixGameError when the simplex stalls, bounded by the pure maximin
     and minimax, or when the gap exceeds _SADDLE_TOL, bounded by the worst
     column payoff and the best row payoff of the strategies found.
     """
-    settled = _kernel_solve(rows)
+    settled = _kernel_solve(rows, screened)
     if settled is not None:
         return settled
     m = len(rows)
@@ -268,9 +277,8 @@ def _solve(rows):
 def solve_value(rows: list) -> float:
     """Value-only solve on lists of Python floats; still saddle-checks the result.
 
-    This is local_values' scalar path, which only the games its pure-saddle
-    screen leaves reach, so the pump's calls are mixed games: the same
-    closed forms and LP as solve_matrix_game, minus the array packaging.
+    The same closed forms and LP as solve_matrix_game, minus the array
+    packaging. local_solve does not call it: it keeps each game's strategies.
     """
     return _solve(rows)[0]
 
@@ -334,41 +342,67 @@ def _screen(game, x, states):
     return payoffs, values, (listed & ~saddle).nonzero()[0], row_min, col_max
 
 
-def _local_games(game, payoffs, states):
-    """(v, row-list matrix) of each listed state's game, from its slots of payoffs."""
-    if not states.size:
-        return
-    payoffs = payoffs.tolist()
-    first, width = game.flat.first_slot.tolist(), game.flat.col_count.tolist()
-    for v in states.tolist():
-        yield v, [payoffs[s:s + width[v]] for s in range(first[v], first[v + 1], width[v])]
+@dataclass(frozen=True)
+class LocalSolve:
+    """The listed states' local games at one potential, each settled once.
+
+    values holds each listed state's local value and NaN elsewhere. The
+    solve keeps what settling took: each global row's minimum and column's
+    maximum from the screen, and each mixed game's (row, column) strategy
+    lists from its kernel or LP, so strategies() reads them and solves
+    nothing.
+    """
+
+    game: object
+    values: np.ndarray
+    row_min: np.ndarray
+    col_max: np.ndarray
+    mixed: dict  # state -> (row strategy, column strategy) of its solve
+
+    def strategies(self) -> tuple[dict, dict]:
+        """(row strategies, column strategies): each listed state, ascending,
+        to its vector, clipped at 0. A pure saddle's are unit vectors at the
+        first row and column attaining its value, as _kernel_solve picks
+        them; a mixed game's are its solve's."""
+        flat = self.game.flat
+        first_row, first_col = flat.first_row.tolist(), flat.first_col.tolist()
+        row_min, col_max = self.row_min.tolist(), self.col_max.tolist()
+        values = self.values.tolist()
+        rows, cols = {}, {}
+        for v in (~np.isnan(self.values)).nonzero()[0].tolist():
+            if v in self.mixed:
+                row, col = self.mixed[v]
+                rows[v], cols[v] = np.maximum(row, 0.0), np.maximum(col, 0.0)
+                continue
+            for out, first, extreme in ((rows, first_row, row_min), (cols, first_col, col_max)):
+                start, stop = first[v], first[v + 1]
+                out[v] = np.array(_unit(stop - start, extreme.index(values[v], start, stop) - start))
+        return rows, cols
+
+
+def local_solve(game, x, states=None) -> LocalSolve:
+    """Settle the local games of `states` (all when None) at x: the screen
+    settles the pure saddles, and each other game takes one solve."""
+    payoffs, values, mixed, row_min, col_max = _screen(game, x, states)
+    solved = {}
+    if mixed.size:
+        payoffs = payoffs.tolist()
+        first, width = game.flat.first_slot.tolist(), game.flat.col_count.tolist()
+        for v in mixed.tolist():
+            rows = [payoffs[s:s + width[v]] for s in range(first[v], first[v + 1], width[v])]
+            values[v], row, col, _ = _solve(rows, screened=True)
+            solved[v] = row, col
+    return LocalSolve(game=game, values=values, row_min=row_min, col_max=col_max, mixed=solved)
 
 
 def local_values(game, x, states=None) -> np.ndarray:
-    """Vector of local values; entries outside `states` are NaN. The screen
-    settles the pure saddles, and each other game takes one solve_value."""
-    payoffs, values, mixed, _, _ = _screen(game, x, states)
-    for v, rows in _local_games(game, payoffs, mixed):
-        values[v] = solve_value(rows)
-    return values
+    """Vector of local values; entries outside `states` are NaN."""
+    return local_solve(game, x, states).values
 
 
 def local_solutions(game, x, states=None) -> tuple[np.ndarray, dict, dict]:
     """Local values, bitwise as local_values gives them, with one optimal
-    strategy per player: (values, row strategies, column strategies).
-    Entries outside `states` are NaN; the strategies map each listed state,
-    in ascending order, to its vector, clipped at 0. A pure saddle's are
-    unit vectors at the first row and column attaining its value, as
-    _kernel_solve picks them; each other game takes one solve."""
-    payoffs, values, mixed, row_min, col_max = _screen(game, x, states)
-    first_row, first_col = game.flat.first_row.tolist(), game.flat.first_col.tolist()
-    row_min, col_max = row_min.tolist(), col_max.tolist()
-    rows, cols = {}, {}
-    for v in (~np.isnan(values)).nonzero()[0].tolist():
-        for out, first, extreme in ((rows, first_row, row_min), (cols, first_col, col_max)):
-            start, stop = first[v], first[v + 1]
-            out[v] = np.array(_unit(stop - start, extreme.index(values[v], start, stop) - start))
-    for v, matrix in _local_games(game, payoffs, mixed):
-        values[v], row, col, _ = _solve(matrix)
-        rows[v], cols[v] = np.maximum(row, 0.0), np.maximum(col, 0.0)
-    return values, dict(sorted(rows.items())), dict(sorted(cols.items()))
+    strategy per player: (values, row strategies, column strategies), as
+    LocalSolve.strategies lays them out."""
+    solve = local_solve(game, x, states)
+    return (solve.values, *solve.strategies())

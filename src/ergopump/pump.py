@@ -20,6 +20,12 @@ that size the gap thresholds only shrink, so arcs of the gap graph only
 disappear and a successful witness check stays successful. Both events are
 thus monotone in the number of steps, which is what the bisection needs.
 
+Each evaluated step is one matrix_game.LocalSolve, and the outcome carries
+the last one, so a caller that certifies the pump's last potential takes
+the strategies from it instead of solving those games again. The witness
+check rejects most steps at their first hop (find_closed_sets), before it
+sorts the potential.
+
 Band monotonicity, the drift bound (at most k*delta over a jump of k steps,
 in the direction the pumped set dictates), the payoff bound and the boundary
 gaps of witness sets are asserted at every landed step; a violation raises
@@ -30,12 +36,13 @@ downstream.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .game import GameParams, GameSpec, Potential, as_potential, game_params, local_payoffs
-from .matrix_game import local_values
+from .matrix_game import LocalSolve, local_solve
 
 BAND_SLACK = 1e-9
 
@@ -75,6 +82,7 @@ class PumpStats:
     iterations: int = 0
     pump_counts: np.ndarray | None = None
     witness_checks: int = 0
+    local_games: int = 0  # local games settled: the phase's states, per evaluated step
     trace: list | None = None
 
 
@@ -84,6 +92,8 @@ class PumpOutcome:
 
     kind is "band-collapsed" (top or bottom band emptied: the value band
     shrank), "witness-sets" (closed high/low sets found), or "cap-exceeded".
+    solve is the local solve that measured m_values at x, or None when the
+    pump stopped at its entry step, whose values are the caller's m0.
     """
 
     kind: str
@@ -94,6 +104,7 @@ class PumpOutcome:
     m_values: np.ndarray
     bands: BandPartition
     stats: PumpStats
+    solve: LocalSolve | None
 
 
 def partition(m_values, m_minus: float, m_plus: float) -> BandPartition:
@@ -156,16 +167,17 @@ class GapGraph:
     defined by gaps alone, regardless of the transition structure. Float
     subtraction is monotone, so in the ascending-x order a pumped state's
     out-neighbours form a prefix and any other state's a suffix, ties
-    included.
+    included. The sorted order is computed on first use, by a closure.
     """
 
     x: np.ndarray
     thresholds: np.ndarray
     pumped: np.ndarray  # bool per state
-    order: np.ndarray = field(init=False)  # states by ascending x, ties by index
 
-    def __post_init__(self):
-        object.__setattr__(self, "order", np.argsort(self.x, kind="stable"))
+    @cached_property
+    def order(self) -> np.ndarray:
+        """States by ascending x, ties by index."""
+        return np.argsort(self.x, kind="stable")
 
 
 def auxiliary_graph(
@@ -214,14 +226,42 @@ def forward_closure(graph: GapGraph, seeds) -> frozenset:
     return frozenset(seen)
 
 
+def _leaks_at_first_hop(graph: GapGraph, top, pumped, bottom) -> bool:
+    """Whether a top state lies outside `pumped` or has an arc out of it, or a
+    bottom state lies inside it or has an arc into it.
+
+    Either rules the closed sets out. A state's out-neighbours are a prefix
+    or a suffix of the ascending-x order, so it has an arc into a set of
+    states exactly when it has one to the set's state of least x (prefix)
+    or of greatest x (suffix): one comparison per seed, and no sort. Plain
+    Python lists: the witness checks of small games would spend longer in
+    numpy's per-call overhead than in the comparisons.
+    """
+    x, t, up = graph.x.tolist(), graph.thresholds.tolist(), graph.pumped.tolist()
+    pumped = frozenset(pumped)
+    outside = [x[u] for u in range(len(x)) if u not in pumped]
+    inside = [x[u] for u in pumped]
+    for seeds, across, misplaced in ((top, outside, not pumped.issuperset(top)),
+                                     (bottom, inside, not pumped.isdisjoint(bottom))):
+        if not across:
+            continue
+        if misplaced:
+            return True
+        lowest, highest = min(across), max(across)
+        if any(lowest - x[v] < t[v] if up[v] else x[v] - highest < t[v] for v in seeds):
+            return True
+    return False
+
+
 def find_closed_sets(graph: GapGraph, top, pumped, bottom):
     """Minimal closed supersets of the top and bottom bands, if they separate.
 
     Returns (closed_high, closed_low) when the forward closure of the top
     band stays inside the pumped half and the closure of the bottom band
-    stays outside it; otherwise None.
+    stays outside it; otherwise None. A check that fails at its first hop
+    (_leaks_at_first_hop) returns None before any closure runs.
     """
-    if not top or not bottom:
+    if not top or not bottom or _leaks_at_first_hop(graph, top, pumped, bottom):
         return None
     high = forward_closure(graph, top)
     if not high <= set(pumped):
@@ -275,6 +315,7 @@ class _Step:
     x: np.ndarray
     m: np.ndarray
     part: BandPartition
+    solve: LocalSolve | None  # None at the entry step, valued by the caller
     rb: RBounds | None = None
     graph: GapGraph | None = None
     closed: tuple | None = None
@@ -304,7 +345,8 @@ def modified_pump(
     over the step count. Every landed step, and stats.iterations, are exactly
     those that single steps would reach; stats.pump_counts holds the
     per-state step counts that define the potential, and the trace has one
-    record per landed step.
+    record per landed step. The outcome carries the landed step's local
+    solve.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -327,8 +369,10 @@ def modified_pump(
 
     def evaluate(step_counts) -> _Step:
         x = x_entry - delta * step_counts
-        m = local_values(game, x, state_list)
-        return _Step(x=x, m=m, part=partition(m, m_minus, m_plus))
+        solve = local_solve(game, x, state_list)
+        stats.local_games += len(state_list)
+        return _Step(x=x, m=solve.values, part=partition(solve.values, m_minus, m_plus),
+                     solve=solve)
 
     def witness(step: _Step):
         if step.rb is None:
@@ -340,7 +384,7 @@ def modified_pump(
                                            step.part.bottom)
         return step.closed
 
-    here = _Step(x=x_entry, m=m0, part=partition(m0, m_minus, m_plus))
+    here = _Step(x=x_entry, m=m0, part=partition(m0, m_minus, m_plus), solve=None)
     prev = None
     jump = 0
     tau = 0
@@ -367,6 +411,7 @@ def modified_pump(
             return PumpOutcome(
                 kind="band-collapsed", x=x, collapsed=collapsed,
                 closed_high=None, closed_low=None, m_values=m, bands=part, stats=stats,
+                solve=here.solve,
             )
         closed = witness(here)
         if m_plus - m_minus > eps:
@@ -386,13 +431,14 @@ def modified_pump(
             return PumpOutcome(
                 kind="witness-sets", x=x, collapsed=None,
                 closed_high=high, closed_low=low, m_values=m, bands=part,
-                stats=stats,
+                stats=stats, solve=here.solve,
             )
         if tau >= cap:
             stats.iterations = tau
             return PumpOutcome(
                 kind="cap-exceeded", x=x, collapsed=None,
                 closed_high=None, closed_low=None, m_values=m, bands=part, stats=stats,
+                solve=here.solve,
             )
 
         # Find the first k >= 1 steps ahead, pumping this partition's upper

@@ -12,9 +12,11 @@ state and the column player concedes at most `ceiling` from every beta
 state. An INCONCLUSIVE verdict holds only its reason and certifies nothing.
 
 Both certified kinds take their strategies from one local solve
-(matrix_game.local_solutions) at the certified potential. An ergodic
-verdict covers every state with both players' optimal local strategies (so
-closure is vacuous) and claims ceiling - floor <= 24*eps. A non-ergodicity
+(matrix_game.LocalSolve) at the certified potential: an ergodic verdict
+from the solve that measured its band, a witness from local_solutions over
+the states it covers. An ergodic verdict covers every state with both
+players' optimal local strategies (so closure is vacuous) and claims
+ceiling - floor <= 24*eps. A non-ergodicity
 witness covers two disjoint closed sets, the high one with alpha and the
 low one with beta, and claims floor > ceiling, which its proven one-shot
 bounds must bear out. Its strategies are the optimal local ones of the

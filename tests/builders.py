@@ -117,12 +117,13 @@ def count_calls(monkeypatch, names, weight=None):
 
 def count_local_games(monkeypatch):
     """Count the local games settled, by the pure-saddle screen or a solve:
-    the states each local_values or local_solutions call lists (all of them
-    when it lists none), summed by the returned Counter's total()."""
+    the states each local_solve call lists (all of them when it lists none),
+    summed by the returned Counter's total(). local_values and
+    local_solutions settle their games through local_solve."""
     def listed(game, x, states=None):
         return game.n if states is None else len(states)
 
-    return count_calls(monkeypatch, ("local_values", "local_solutions"), weight=listed)
+    return count_calls(monkeypatch, ("local_solve",), weight=listed)
 
 
 # ways to break a certificate: per case, the game, the eps to solve it at,

@@ -15,7 +15,9 @@ outcome rules as well as the package's sorted-sweep closure. The global
 bounds of a strategy certificate come from policy iteration over mean
 payoffs, and its one-shot bounds from the dense tables, so neither shares
 the verifier's vectorised pass. The paper's pump-step bound is evaluated
-as written, to check the driver's constant step cap against it.
+as written, to check the driver's constant step cap against it. The game
+constants W and R come from a per-record loop over the exact probabilities,
+the oracle of the constants the flat view is built with.
 """
 
 import itertools
@@ -28,10 +30,26 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.optimize import linprog
 
-from ergopump.game import game_params
+from ergopump.game import GameParams
 from ergopump.markov import best_response_value
 from ergopump.matrix_game import local_values
 from ergopump.pump import partition, r_bounds
+
+
+def game_params(game):
+    """(W, R) of a normalized game by one loop over its records: W the largest
+    ceil(1/p), exact on the rational p, and R the largest reward (at least
+    0). Raises ValueError on a negative reward."""
+    granularity = 1
+    reward_bound = 0.0
+    for records in game.transitions:
+        for _k, _l, _u, p, r in records:
+            # ceil(1/p) on exact rationals
+            granularity = max(granularity, -((-p.denominator) // p.numerator))
+            if r < 0:
+                raise ValueError("game_params requires normalized (non-negative) rewards")
+            reward_bound = max(reward_bound, r)
+    return GameParams(granularity=granularity, reward_bound=reward_bound)
 
 
 def value_2x2(matrix):

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from builders import MALFORMED_CERTIFICATES
+from builders import MALFORMED_CERTIFICATES, disconnected
 from ergopump import cli, documents
 from ergopump.cli import build_parser, main
 from ergopump.documents import serialize_game
+from ergopump.generators import random_game
 
 
 def run(args):
@@ -218,6 +219,23 @@ class TestOtherCommands:
         assert run(["solve", *paths, "--epsilon", "0.1", "--out", str(tmp_path),
                     "--jobs", "500"]) == 0
         assert pools == [2]
+
+    def test_jobs_write_the_same_certificates(self, tmp_path):
+        # --jobs 2 pickles each parsed game to a worker, flat view and game
+        # constants with it; its certificates must be --jobs 1's, byte for byte
+        paths = []
+        for name, game in (("coarse", random_game(6, max_actions=2, granularity=7, seed=3)),
+                           ("disconnected", disconnected(-2.0, 10.0))):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(serialize_game(game))
+        written = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            out.mkdir()
+            assert run(["solve", *map(str, paths), "--epsilon", "0.05", "--out", str(out),
+                        "--jobs", jobs]) in (0, 2)
+            written.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert len(written[0]) == 2 and written[0] == written[1]
 
     def test_certificate_bytes_stable_via_cli(self, disconnected_path, tmp_path):
         c1, c2 = tmp_path / "c1.json", tmp_path / "c2.json"

@@ -17,7 +17,7 @@ from builders import (
     random_dense_game,
     two_cycle,
 )
-from ergopump import matrix_game
+from ergopump import driver, matrix_game
 from ergopump.documents import parse_game, serialize_certificate, serialize_game
 from ergopump.driver import (
     HARD_CAP,
@@ -153,19 +153,38 @@ class TestDecideErgodicity:
         (disconnected(0.0, 10.0), 0.1, 40),
         (big_match(), 0.01, 2405),
         (disconnected(0.0, 10.0), 1.0, 2),
-        (random_game(8, max_actions=3, seed=0), 0.05, 88),
-        (random_game(128, max_actions=3, seed=0), 0.05, 1664),
+        (random_game(8, max_actions=3, seed=0), 0.05, 80),
+        (random_game(128, max_actions=3, seed=0), 0.05, 1536),
     ])
     def test_ergodic_strategies_cost_no_extra_solve(self, game, eps, solves, monkeypatch):
-        # the loop settles the local games of h = 0 once, with strategies;
-        # after that the pump starts from the values its caller passes, and
-        # only an ergodic exit after h = 0 settles its final potential's
-        # games again, for the strategies. The bounds are that loop's counts
-        # of local games settled on these games
+        # the loop settles each potential's local games once: the pump
+        # starts from the values its caller passes, and an ergodic exit lays
+        # out the strategies of the solve that measured its band. The bounds
+        # are that loop's counts of local games settled on these games, and
+        # DriverStats.local_games counts the same games
         settled = count_local_games(monkeypatch)
-        verdict, _ = decide_ergodicity(game, eps)
+        verdict, stats = decide_ergodicity(game, eps)
         assert verdict.alpha and verdict.beta
-        assert 0 < settled.total() <= solves
+        assert 0 < settled.total() == stats.local_games <= solves
+
+    @pytest.mark.parametrize("game", [random_game(8, max_actions=3, seed=0),
+                                      random_game(128, max_actions=3, seed=0)])
+    def test_ergodic_exit_after_pumping_settles_only_the_pumps_games(self, game, monkeypatch):
+        # every phase of these runs collapses the band in phase 1, so the
+        # loop settles the h = 0 games and then only what the pumps settle
+        outcomes = []
+
+        def recorded(*args, **kwargs):
+            outcomes.append(modified_pump(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(driver, "modified_pump", recorded)
+        settled = count_local_games(monkeypatch)
+        verdict, stats = decide_ergodicity(game, 0.05)
+        assert verdict.kind == "ergodic-24eps" and stats.outer_iterations > 0
+        assert all("phase2" not in record for record in stats.phases)
+        pumped = sum(out.stats.local_games for out in outcomes)
+        assert settled.total() == stats.local_games == game.n + pumped
 
     def test_ergodic_band_is_measured_at_the_certified_potential(self):
         # the loop carries the pump's last local values into its band check:

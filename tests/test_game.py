@@ -158,6 +158,79 @@ class TestGameParams:
         )
         assert game_params(g) == GameParams(granularity=1, reward_bound=2.0)
 
+    def test_granularity_is_exact_beyond_doubles(self):
+        # 1/(2**60 + 1) rounds to the double 2**-60, whose ceil(1/p) is 2**60
+        tiny = Fraction(1, 2**60 + 1)
+        g = make_game(["s", "t"], [["a"], ["a"]], [["x"], ["x"]],
+                      [("s", "a", "x", "s", str(tiny), 1.0), ("s", "a", "x", "t", str(1 - tiny), 1.0),
+                       ("t", "a", "x", "t", 1, 0.0)])
+        assert game_params(g).granularity == 2**60 + 1 == reference.game_params(g).granularity
+
+    def test_negative_reward_raises(self):
+        with pytest.raises(ValueError, match="normalized"):
+            game_params(disconnected(-1.0, 2.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_built_constants_match_the_record_loop(self, data):
+        game = data.draw(_rational_games())
+        normalized, _ = normalize_rewards(game)
+        for g in (game, normalized):
+            try:
+                expected = reference.game_params(g)
+            except ValueError:
+                with pytest.raises(ValueError, match="normalized"):
+                    game_params(g)
+                continue
+            got = game_params(g)
+            assert got == expected
+            assert type(got.granularity) is int
+            assert np.float64(got.reward_bound).tobytes() == np.float64(
+                expected.reward_bound).tobytes()
+
+
+def _decimal(p: Fraction) -> str:
+    """p, whose denominator divides a power of 10, as a decimal string."""
+    digits = 0
+    while (p * 10**digits).denominator != 1:
+        digits += 1
+    text = str(int(p * 10**digits)).rjust(digits + 1, "0")
+    return f"{text[:-digits]}.{text[-digits:]}" if digits else text
+
+
+@st.composite
+def _rational_games(draw):
+    """1-3 states of 1-2 actions per player; each action pair splits 1 over
+    1-3 successors, written "a/b" with a drawn denominator (some above
+    2**53) or as decimals, with rewards all zero, all non-negative or of
+    both signs."""
+    n = draw(st.integers(1, 3))
+    shapes = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)),
+                           min_size=n, max_size=n))
+    reward = draw(st.sampled_from([st.just(0.0), st.floats(0.0, 1e3),
+                                   st.floats(-1e3, 1e3)]))
+    records = []
+    for v, (rows, cols) in enumerate(shapes):
+        for k in range(rows):
+            for l in range(cols):
+                successors = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                                           unique=True))
+                decimal = draw(st.booleans())
+                denominator = 10 ** draw(st.integers(0, 20)) if decimal else draw(
+                    st.one_of(st.integers(1, 12), st.integers(2**53, 2**64)))
+                cuts = sorted(draw(st.lists(st.integers(1, denominator - 1),
+                                            min_size=len(successors) - 1,
+                                            max_size=len(successors) - 1, unique=True))
+                              if denominator > len(successors) else [])
+                bounds = [0, *cuts, denominator]
+                parts = [Fraction(hi - lo, denominator) for lo, hi in zip(bounds, bounds[1:])]
+                for u, p in zip(successors, parts):
+                    records.append((v, k, l, u, _decimal(p) if decimal else f"{p.numerator}/"
+                                    f"{p.denominator}", draw(reward)))
+    return make_game([f"s{v}" for v in range(n)],
+                     [[f"a{k}" for k in range(rows)] for rows, _ in shapes],
+                     [[f"b{l}" for l in range(cols)] for _, cols in shapes], records)
+
 
 class TestLocalRewardMatrix:
     def test_self_loop_potential_cancels(self):
@@ -266,12 +339,21 @@ class TestFlatView:
 
     def test_read_only_after_pickling(self):
         # solve --jobs sends parsed games to worker processes by pickle
-        game = pickle.loads(pickle.dumps(random_game(n=3, max_actions=2, seed=1)))
+        built = random_game(n=3, max_actions=2, granularity=7, reward_bound=8.0, seed=1)
+        game = pickle.loads(pickle.dumps(built))
         assert game.flat is not None
-        arrays = vars(game.flat)
+        fields = vars(game.flat)
         assert {"rec_state", "row_count", "col_count", "row_start", "col_order",
-                "col_start"} <= set(arrays)
+                "col_start"} <= set(fields)
+        arrays = {name: value for name, value in fields.items()
+                  if isinstance(value, np.ndarray)}
         assert not any(arr.flags.writeable for arr in arrays.values())
+        # the game constants are plain numbers and come through unchanged
+        constants = {name: fields[name] for name in ("granularity", "reward_low",
+                                                     "reward_high")}
+        assert set(fields) == set(arrays) | set(constants)
+        assert constants == {name: getattr(built.flat, name) for name in constants}
+        assert game_params(game) == game_params(built) == reference.game_params(built)
 
 
 class TestApplyPotential:

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -202,18 +203,31 @@ _threshold = st.one_of(_coarse, st.sampled_from([0.0, -1.0, 1e300, np.inf]),
 def _gap_instances(draw):
     """Potentials, thresholds, a mixed pumped set and two seed sets on n = 1-40
     states. Most thresholds are the gap to a drawn state, so that state sits
-    exactly at the cut where the arcs of the state end."""
+    exactly at the cut where the arcs of the state end. In a sealed
+    instance each seed's threshold is instead its gap to the nearest state
+    across the pumped boundary (for a pumped state the outside state of
+    least x, else the pumped state of greatest x), so no seed has an arc
+    across the boundary and find_closed_sets passes its first hop."""
     n = draw(st.integers(1, 40))
     x = draw(st.lists(_potential, min_size=n, max_size=n))
     flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    subset = st.sets(st.integers(0, n - 1), min_size=1, max_size=4)
+    top, bottom = draw(subset), draw(subset)
+    sealed = draw(st.booleans())
 
     def gap_to(v):
         return st.integers(0, n - 1).map(lambda u: x[u] - x[v] if flags[v] else x[v] - x[u])
 
-    thresholds = [draw(st.one_of(_threshold, gap_to(v), gap_to(v))) for v in range(n)]
+    def threshold(v):
+        across = [x[u] - x[v] if flags[v] else x[v] - x[u]
+                  for u in range(n) if flags[u] != flags[v]]
+        if sealed and across and v in top | bottom:
+            return st.just(min(across))
+        return st.one_of(_threshold, gap_to(v), gap_to(v))
+
+    thresholds = [draw(threshold(v)) for v in range(n)]
     pumped = {v for v in range(n) if flags[v]}
-    subset = st.sets(st.integers(0, n - 1), min_size=1, max_size=4)
-    return x, thresholds, pumped, draw(subset), draw(subset)
+    return x, thresholds, pumped, top, bottom
 
 
 class TestSweepAgainstDenseOracle:
@@ -226,15 +240,50 @@ class TestSweepAgainstDenseOracle:
         for start in [seeds] + [{v} for v in range(len(x))]:
             assert forward_closure(graph, start) == reference.closure_bfs(arcs, start)
 
-    @settings(max_examples=300, deadline=None)
-    @given(_gap_instances())
-    def test_closed_sets_match_bfs(self, instance):
-        x, thresholds, pumped, top, bottom = instance
-        # seeds drawn from the side each closure must stay on, so both closures run
-        top, bottom = top & pumped, bottom - pumped
-        graph = _graph(x, thresholds, pumped)
-        assert (find_closed_sets(graph, top, pumped, bottom)
-                == reference.closed_sets_bfs(x, thresholds, pumped, top, bottom))
+    def test_closed_sets_match_bfs(self):
+        # both first-hop outcomes occur: a seed's arc across the pumped
+        # boundary rejects the check before any sort, and otherwise the
+        # sweep decides it, finding closed sets or a leak further out
+        outcomes = Counter()
+
+        @settings(max_examples=300, deadline=None)
+        @given(_gap_instances())
+        def check(instance):
+            x, thresholds, pumped, top, bottom = instance
+            # seeds drawn from the side each closure must stay on, so both closures run
+            top, bottom = top & pumped, bottom - pumped
+            graph = _graph(x, thresholds, pumped)
+            leaks = pump._leaks_at_first_hop(graph, top, pumped, bottom)
+            result = find_closed_sets(graph, top, pumped, bottom)
+            assert result == reference.closed_sets_bfs(x, thresholds, pumped, top, bottom)
+            if top and bottom:
+                outcomes["first hop" if leaks else "sweep", result is not None] += 1
+            if leaks:
+                assert result is None and "order" not in vars(graph)
+
+        check()
+        assert {("first hop", False), ("sweep", False), ("sweep", True)} <= set(outcomes)
+
+    def test_first_hop_rejection_never_sorts(self, monkeypatch):
+        sorts = Counter()
+        argsort = np.argsort
+
+        def counted(*args, **kwargs):
+            sorts["argsort"] += 1
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        # top state 0 reaches the unpumped 2; bottom state 2 reaches the pumped 1
+        for thresholds in ([5.0, -1.0, -1.0], [-1.0, -1.0, 5.0]):
+            graph = _graph([0.0, 1.0, 2.0], thresholds, pumped={0, 1})
+            assert find_closed_sets(graph, top={0}, pumped={0, 1}, bottom={2}) is None
+            assert "order" not in vars(graph)
+        assert sorts["argsort"] == 0
+        # with neither arc the sweep runs and sorts once: 0 reaches 1, and
+        # only 1 reaches 2
+        graph = _graph([0.0, 1.0, 2.0], [1.5, 5.0, -1.0], pumped={0, 1})
+        assert find_closed_sets(graph, top={0}, pumped={0, 1}, bottom={2}) is None
+        assert sorts["argsort"] == 1
 
     @settings(max_examples=300, deadline=None)
     @given(_gap_instances())
@@ -468,13 +517,13 @@ class TestSingleStepEquivalence:
 
 def test_local_value_evaluations_grow_slower_than_steps(monkeypatch):
     evaluations = []
-    original = pump.local_values
+    original = pump.local_solve
 
     def counted(*args, **kwargs):
         evaluations[-1] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(pump, "local_values", counted)
+    monkeypatch.setattr(pump, "local_solve", counted)
     steps = []
     for eps in (0.05, 0.0025):
         evaluations.append(0)

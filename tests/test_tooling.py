@@ -8,8 +8,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from ergopump.documents import CERTIFICATE_FORMAT, serialize_game
+from ergopump.documents import CERTIFICATE_FORMAT, parse_game, serialize_game
 from ergopump.generators import cycle, disconnected
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -53,6 +54,29 @@ def test_harness_reads_solver_results(monkeypatch):
     # the traced run reads each verdict's potential for driver.max_abs_potential
     assert [s.verdict.potential.shape for s in solved] == [(g.n,) for g in games]
     assert all(np.isfinite(float(np.max(np.abs(s.verdict.potential)))) for s in solved)
+
+
+# certificates_sha256 of `bench/run.py --workload W --seed 0`
+GOLDEN_CERTIFICATES = {
+    "corpus": "c4f51694ac3d9f616c10f640a66e95b515f2ca6a884793ec2384540c44c85b9a",
+    "ladder": "d732e59b1d472ea293c6f877cb6799be1790d4f8073bc3b070074b3d4b457676",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN_CERTIFICATES))
+def test_benchmark_certificates_are_unchanged(workload, monkeypatch):
+    """The benchmark's workloads at seed 0, parsed from the documents that
+    bench/workloads.build writes, solve to certificates whose hash is the
+    one bench/run.py's fingerprint reports. A change that alters any
+    certificate bit fails here. ROADMAP items 2, 5 and 6 change certificate
+    bits on purpose: such a change refreshes these values, and records the
+    new fingerprints in CHANGES.md."""
+    run = _load("run", monkeypatch)
+    instances = run.workloads.build(workload, 0)
+    games = [parse_game(inst.text) for inst in instances]
+    solved = run.solve_pass(instances, games)
+    assert run.find_failures(instances, games, [solved], []) == {}
+    assert run.fingerprint(instances, solved)["certificates_sha256"] == GOLDEN_CERTIFICATES[workload]
 
 
 def test_verdict_path_imports_no_scipy():
