@@ -4,23 +4,24 @@ decide_ergodicity returns a witness.Verdict, the one result record; the
 three verdict kinds are defined there and bound here for callers that import
 them from the driver.
 
-Each outer iteration reads the local-value band at the current potential and
-stops once its width is at most 24*eps: the potential and optimal local
-strategies at it certify that all game values sit in the band. Otherwise one
-pump pass, started from those values, runs over all states; if it collapses
-the band, the loop goes on from the pump's last potential and local solve,
-not re-centred (a constant shift changes no local game), with a band at most
-3/4 as wide. If it instead finds closed candidate sets, a second pass pumps
-only the high set against the upper half-band; either that collapses too
-(band at most 7/8 as wide) or the run exits with a non-ergodicity witness
-whose certified thresholds are (m_plus + m_minus) / 2 and
-(5*m_plus + 3*m_minus) / 8.
+The loop holds one record, the matrix_game.LocalSolve of its current
+potential: the h = 0 solve at the zero potential, the pump's last step, or
+the re-solve of all states after a high-set phase. Each outer iteration
+reads the local-value band off it and stops once its width is at most
+24*eps: the solve's potential and optimal local strategies certify that all
+game values sit in the band. Otherwise one pump pass, started from that
+solve, runs over all states; if it collapses the band, the loop goes on from
+the pump's last solve, not re-centred (a constant shift changes no local
+game), with a band at most 3/4 as wide. If it instead finds closed
+candidate sets, a second pass pumps only the high set against the upper
+half-band, entering with the first pass's last solve restricted to the high
+set; either that collapses too (band at most 7/8 as wide) or the run exits
+with a non-ergodicity witness whose certified thresholds are
+(m_plus + m_minus) / 2 and (5*m_plus + 3*m_minus) / 8.
 
-Each potential's local games are settled once. The loop holds the
-matrix_game.LocalSolve that measured its band: the h = 0 solve, the pump's
-last step, or the re-solve of all states after a high-set phase. An ergodic
-exit lays out that solve's strategies instead of solving again, and
-DriverStats.local_games counts every local game a run settles.
+Each potential's local games are settled once: an ergodic exit lays out its
+solve's strategies instead of solving again, and DriverStats.local_games
+counts every local game a run settles.
 
 Every pump phase is capped at HARD_CAP steps. The paper bounds a phase by
 2*n*kappa + 1 steps, with kappa = base**(2**n - 1) * n*n*R/delta and
@@ -34,7 +35,7 @@ R/delta >= 4 and 2*n*kappa >= 4 * 48**3 * 16, about 7.1e6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -121,11 +122,10 @@ def decide_ergodicity(game: GameSpec, eps: float,
         raise ValueError("eps must be positive and finite")
     config = config or DriverConfig()
     normalized, offset = normalize_rewards(game)
-    params = game_params(normalized)
 
     stats = DriverStats()
     try:
-        verdict = _drive(normalized, eps, config, params, offset, stats)
+        verdict = _drive(normalized, eps, config, offset, stats)
     except (MatrixGameError, PumpInvariantError, WitnessBuildError) as exc:
         verdict = Verdict(kind=INCONCLUSIVE, eps=eps, value_offset=offset,
                           reason=f"{type(exc).__name__}: {exc}")
@@ -135,23 +135,23 @@ def decide_ergodicity(game: GameSpec, eps: float,
 _PHASE_SCOPES = {"phase1": "full-state", "phase2": "high-set"}
 
 
-def _pump_phase(phase, game, x, m0, m_minus, m_plus, eps, record, params, config, stats):
-    """Run one pump phase from the local values m0 at x, capped at config.pump_cap
+def _pump_phase(phase, game, entry, m_minus, m_plus, eps, record, config, stats):
+    """Run one pump phase from the local solve `entry`, capped at config.pump_cap
     steps, and record it as record[phase]; its trace records go to stats.trace."""
-    out = modified_pump(game, x, m0, m_minus, m_plus, eps, config.pump_cap,
-                        params=params, collect_trace=config.collect_trace)
+    out = modified_pump(game, entry, m_minus, m_plus, eps, config.pump_cap,
+                        collect_trace=config.collect_trace)
     record[phase] = {"kind": out.kind, "iterations": out.stats.iterations}
     stats.local_games += out.stats.local_games
     if phase == "phase2":
         record[phase]["collapsed"] = out.collapsed
     if config.collect_trace:
-        stats.trace += [{"h": record["h"], "phase": phase, **entry}
-                        for entry in out.stats.trace]
+        stats.trace += [{"h": record["h"], "phase": phase, **step}
+                        for step in out.stats.trace]
     return out
 
 
-def _drive(game, eps, config, params, offset, stats):
-    outer_cap = default_outer_cap(params.reward_bound, eps)
+def _drive(game, eps, config, offset, stats):
+    outer_cap = default_outer_cap(game_params(game).reward_bound, eps)
 
     def stop(kind, **fields):
         stats.outer_iterations = h
@@ -161,8 +161,7 @@ def _drive(game, eps, config, params, offset, stats):
         stats.local_games += game.n
         return local_solve(game, x)
 
-    x = np.zeros(game.n)
-    solve = measure(x)  # the local solve that measured the band at x
+    solve = measure(np.zeros(game.n))  # the local solve at the current potential
     h = 0
     while True:
         m = solve.values
@@ -170,7 +169,7 @@ def _drive(game, eps, config, params, offset, stats):
         m_plus = float(np.max(m))
         if m_plus - m_minus <= 24 * eps:
             alpha, beta = solve.strategies()
-            return stop(ERGODIC, potential=x, floor=m_minus, ceiling=m_plus,
+            return stop(ERGODIC, potential=solve.x, floor=m_minus, ceiling=m_plus,
                         alpha=alpha, beta=beta)
         if h >= outer_cap:
             return stop(INCONCLUSIVE,
@@ -181,35 +180,32 @@ def _drive(game, eps, config, params, offset, stats):
         stats.phases.append(record)
         mid = (m_minus + m_plus) / 2.0
         phase = "phase1"
-        outcome = first = _pump_phase(phase, game, x, m, m_minus, m_plus, eps, record,
-                                      params, config, stats)
+        outcome = first = _pump_phase(phase, game, solve, m_minus, m_plus, eps, record,
+                                      config, stats)
         if first.kind == "witness-sets":
             phase = "phase2"
-            m_high = first.m_values.copy()
-            m_high[sorted(set(range(game.n)) - first.closed_high)] = np.nan
-            outcome = _pump_phase(phase, game, first.x, m_high, mid, m_plus, eps, record,
-                                  params, config, stats)
+            high_only = first.solve.values.copy()
+            high_only[sorted(set(range(game.n)) - first.closed[0])] = np.nan
+            outcome = _pump_phase(phase, game, replace(first.solve, values=high_only), mid,
+                                  m_plus, eps, record, config, stats)
         if outcome.kind == "cap-exceeded":
             return stop(INCONCLUSIVE,
                         reason=f"pump step cap {config.pump_cap} exhausted in the "
                                f"{_PHASE_SCOPES[phase]} phase")
         if outcome.kind == "band-collapsed" and (phase == "phase1"
                                                  or outcome.collapsed != "bottom"):
-            x = outcome.x  # measured at the pump's last step, in phase 2 on the high set only
-            if phase == "phase2":
-                solve = measure(x)
-            elif outcome.solve is not None:  # else the pump stopped where it started
-                solve = outcome.solve
+            # phase 2 measured the high set only
+            solve = measure(outcome.solve.x) if phase == "phase2" else outcome.solve
             h += 1
             continue
 
         # witness exit: a bottom collapse of the high-set phase keeps the
         # first-phase high set, a second-phase witness refines it; the low
         # set stays fixed
-        high = first.closed_high if outcome.kind == "band-collapsed" else outcome.closed_high
-        low = first.closed_low
+        high = (first if outcome.kind == "band-collapsed" else outcome).closed[0]
+        low = first.closed[1]
         stats.local_games += len(high) + len(low)  # the witness build's solve
-        witness = build_witness(game, outcome.x, high, low, ceiling_raw=mid,
+        witness = build_witness(game, outcome.solve.x, high, low, ceiling_raw=mid,
                                 floor_raw=(5.0 * m_plus + 3.0 * m_minus) / 8.0, eps=eps,
                                 value_offset=offset)
         stats.outer_iterations = h

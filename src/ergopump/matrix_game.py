@@ -7,23 +7,25 @@ Settles the local games of a stochastic game in three stages.
    view's slots, and every listed state whose two values are exactly equal
    is a pure saddle, settled by unit strategies at the first row and column
    attaining them.
-2. Closed-form kernels, per remaining game: a single row or column, a pure
-   saddle, or, up to 3x3, the first Shapley-Snow kernel, a square
-   submatrix whose adjugate gives the value and both strategies (Shapley
-   and Snow, Basic solutions of discrete games, 1950), kept when its
-   strategies are non-negative and pass the saddle check. Games the screen
-   found mixed skip the first two tests, which they have already failed.
+2. Closed-form kernels, per remaining game: a pure saddle or, up to 3x3,
+   the first Shapley-Snow kernel, a square submatrix whose adjugate gives
+   the value and both strategies (Shapley and Snow, Basic solutions of
+   discrete games, 1950), kept when its strategies are non-negative and
+   pass the saddle check. Games the screen found mixed skip the saddle
+   test, which they have already failed; a game with one row or one column
+   is always a pure saddle, so the screen never forwards one.
 3. The classic value LP, for larger games and any small one no kernel
    settles: shift the matrix positive, maximize the column player's scaled
    mixed strategy against unit bounds, and read the row player's strategy
    off the duals. The simplex is self-contained (Dantzig entering rule,
    switching to Bland's rule after a pivot budget to rule out cycling).
 
-A LocalSolve keeps what settling its games took: the screen's row minima
-and column maxima and each mixed game's strategies. Its values serve the
-pump and the band check; the strategies are laid out per state only when a
-certificate asks for them, so no game is solved twice for them. The screen
-returns bit for bit what the kernels return for the games it settles.
+A LocalSolve is the one record of a potential and its local games: the
+potential x, and what settling the games took, namely the screen's row
+minima and column maxima and each mixed game's strategies. Its values serve
+the pump and the band check; the strategies are laid out per state only
+when a certificate asks for them, so no game is solved twice for them. The
+screen returns bit for bit what the kernels return for the games it settles.
 Every stage is deterministic, so results are bit-reproducible. Every solve
 saddle-checks the strategies it returns; a solve that stalls or fails that
 check raises MatrixGameError.
@@ -135,16 +137,16 @@ def _saddle_bounds(rows, row_strategy, col):
 def _kernel_solve(a, screened=False):
     """Closed-form solve of a float row-list matrix, or None if none settles it.
 
-    A single row or column, or any game whose maximin equals its minimax
-    exactly, is a pure saddle: unit strategies at the first row and column
-    attaining them, gap 0. A game the screen found mixed (screened) is
-    neither, so that test is skipped. Otherwise, up to 3x3, each square
-    submatrix B is a Shapley-Snow kernel candidate, the 2x2 ones in
-    lexicographic (row pair, column pair) order, then the full 3x3. With C
-    the cofactor matrix of B and s the sum of its entries (1' adj B 1), the
-    candidate's row strategy is C's row sums over s, its column strategy C's
-    column sums over s and its value det B / s; candidates with s exactly
-    0.0 are skipped. B is
+    A game whose maximin equals its minimax exactly is a pure saddle: unit
+    strategies at the first row and column attaining them, gap 0. A single
+    row or column always is one: its row minima and column maxima are that
+    row or column. A game the screen found mixed (screened) is not, so that
+    test is skipped. Otherwise, up to 3x3, each square submatrix B is a
+    Shapley-Snow kernel candidate, the 2x2 ones in lexicographic (row pair,
+    column pair) order, then the full 3x3. With C the cofactor matrix of B
+    and s the sum of its entries (1' adj B 1), the candidate's row strategy
+    is C's row sums over s, its column strategy C's column sums over s and
+    its value det B / s; candidates with s exactly 0.0 are skipped. B is
     shifted by its corner entry first, which leaves C's sums unchanged and
     keeps det B from cancelling a large common offset. A 2x2 candidate's
     weights are sign-tested before anything is allocated, and its saddle
@@ -153,13 +155,6 @@ def _kernel_solve(a, screened=False):
     """
     m, n = len(a), len(a[0])
     if not screened:
-        if m == 1:
-            lower = min(a[0])
-            return lower, [1.0], _unit(n, a[0].index(lower)), 0.0
-        if n == 1:
-            column = [row[0] for row in a]
-            upper = max(column)
-            return upper, _unit(m, column.index(upper)), [1.0], 0.0
         row_mins = [min(row) for row in a]
         col_maxs = [max(column) for column in zip(*a)]
         lower, upper = max(row_mins), min(col_maxs)
@@ -344,7 +339,7 @@ def _screen(game, x, states):
 
 @dataclass(frozen=True)
 class LocalSolve:
-    """The listed states' local games at one potential, each settled once.
+    """The listed states' local games at one potential x, each settled once.
 
     values holds each listed state's local value and NaN elsewhere. The
     solve keeps what settling took: each global row's minimum and column's
@@ -354,6 +349,7 @@ class LocalSolve:
     """
 
     game: object
+    x: np.ndarray
     values: np.ndarray
     row_min: np.ndarray
     col_max: np.ndarray
@@ -383,6 +379,7 @@ class LocalSolve:
 def local_solve(game, x, states=None) -> LocalSolve:
     """Settle the local games of `states` (all when None) at x: the screen
     settles the pure saddles, and each other game takes one solve."""
+    x = np.asarray(x, dtype=np.float64)
     payoffs, values, mixed, row_min, col_max = _screen(game, x, states)
     solved = {}
     if mixed.size:
@@ -392,17 +389,11 @@ def local_solve(game, x, states=None) -> LocalSolve:
             rows = [payoffs[s:s + width[v]] for s in range(first[v], first[v + 1], width[v])]
             values[v], row, col, _ = _solve(rows, screened=True)
             solved[v] = row, col
-    return LocalSolve(game=game, values=values, row_min=row_min, col_max=col_max, mixed=solved)
+    return LocalSolve(game=game, x=x, values=values, row_min=row_min, col_max=col_max,
+                      mixed=solved)
 
 
 def local_values(game, x, states=None) -> np.ndarray:
     """Vector of local values; entries outside `states` are NaN."""
     return local_solve(game, x, states).values
 
-
-def local_solutions(game, x, states=None) -> tuple[np.ndarray, dict, dict]:
-    """Local values, bitwise as local_values gives them, with one optimal
-    strategy per player: (values, row strategies, column strategies), as
-    LocalSolve.strategies lays them out."""
-    solve = local_solve(game, x, states)
-    return (solve.values, *solve.strategies())

@@ -20,11 +20,14 @@ that size the gap thresholds only shrink, so arcs of the gap graph only
 disappear and a successful witness check stays successful. Both events are
 thus monotone in the number of steps, which is what the bisection needs.
 
-Each evaluated step is one matrix_game.LocalSolve, and the outcome carries
-the last one, so a caller that certifies the pump's last potential takes
-the strategies from it instead of solving those games again. The witness
-check rejects most steps at their first hop (find_closed_sets), before it
-sorts the potential.
+The pump steps from LocalSolve to LocalSolve (matrix_game): it enters with
+its caller's solve, which holds the entry potential and the local values
+there, each evaluated step is one more, and the outcome carries the last
+one, so a caller that certifies the pump's last potential takes the
+strategies from it instead of solving those games again. A witness check
+builds one GapGraph, which keeps the pumped set and the payoff bounds that
+size its gap thresholds, and rejects most steps at their first hop
+(find_closed_sets), before it sorts the potential.
 
 Band monotonicity, the drift bound (at most k*delta over a jump of k steps,
 in the direction the pumped set dictates), the payoff bound and the boundary
@@ -41,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .game import GameParams, GameSpec, Potential, as_potential, game_params, local_payoffs
+from .game import GameSpec, Potential, as_potential, local_payoffs
 from .matrix_game import LocalSolve, local_solve
 
 BAND_SLACK = 1e-9
@@ -60,21 +63,7 @@ class BandPartition:
     delta: float
     top: frozenset  # local value >= m_minus + 3*delta
     bottom: frozenset  # local value < m_minus + delta
-    middle: frozenset
     pumped: frozenset  # local value >= m_minus + 2*delta
-
-
-@dataclass(frozen=True)
-class RBounds:
-    """Per-state bound on the potential-adjusted payoff magnitude.
-
-    For pumped states the bound comes from the sums over non-negative
-    potential differences (upper side); for the rest from the reflected
-    non-positive sums.
-    """
-
-    values: np.ndarray
-    upper_side: np.ndarray  # bool per state
 
 
 @dataclass
@@ -92,19 +81,22 @@ class PumpOutcome:
 
     kind is "band-collapsed" (top or bottom band emptied: the value band
     shrank), "witness-sets" (closed high/low sets found), or "cap-exceeded".
-    solve is the local solve that measured m_values at x, or None when the
-    pump stopped at its entry step, whose values are the caller's m0.
+    solve is the last step's local solve, the entry one if the pump stopped
+    where it started, and bands its partition.
     """
 
     kind: str
-    x: Potential
-    collapsed: str | None
-    closed_high: frozenset | None  # I: contains the top band, inside pumped
-    closed_low: frozenset | None  # F: contains the bottom band, outside pumped
-    m_values: np.ndarray
+    solve: LocalSolve
     bands: BandPartition
+    # (I, F): I contains the top band inside pumped, F the bottom band outside it
+    closed: tuple | None
     stats: PumpStats
-    solve: LocalSolve | None
+
+    @property
+    def collapsed(self) -> str | None:
+        """The band that emptied, "top", "bottom" or "both"; None if neither."""
+        top, bottom = not self.bands.top, not self.bands.bottom
+        return "both" if top and bottom else "top" if top else "bottom" if bottom else None
 
 
 def partition(m_values, m_minus: float, m_plus: float) -> BandPartition:
@@ -123,8 +115,7 @@ def partition(m_values, m_minus: float, m_plus: float) -> BandPartition:
 
     return BandPartition(
         m_minus=m_minus, m_plus=m_plus, delta=delta,
-        top=members(top), bottom=members(bottom), middle=members(finite & ~top & ~bottom),
-        pumped=members(finite & (m_values >= t2)),
+        top=members(top), bottom=members(bottom), pumped=members(finite & (m_values >= t2)),
     )
 
 
@@ -134,28 +125,22 @@ def _state_mask(n: int, states) -> np.ndarray:
     return mask
 
 
-def r_bounds(game: GameSpec, x: Potential, pumped, m_plus: float) -> RBounds:
-    """Payoff-magnitude bounds used to size the potential-gap thresholds.
+def r_bounds(game: GameSpec, x: Potential, pumped: np.ndarray, m_plus: float) -> np.ndarray:
+    """Per-state payoff-magnitude bounds that size the potential-gap thresholds.
 
-    A pumped state's bound is its largest sum_u p*(r + max(x[v] - x[u], 0));
-    any other state's is its largest m_plus - sum_u p*(r + min(x[v] - x[u], 0)).
+    pumped is a bool per state. A pumped state's bound is its largest
+    sum_u p*(r + max(x[v] - x[u], 0)); any other state's is its largest
+    m_plus - sum_u p*(r + min(x[v] - x[u], 0)).
     """
     x = as_potential(x, game.n)
     flat = game.flat
-    upper = _state_mask(game.n, pumped)
     x_from, x_to = x[flat.rec_state], x[flat.rec_to]
     # x[v] - min(x[u], x[v]) is the positive part of x[v] - x[u], x[v] - max(...) the negative
-    successor = np.where(upper[flat.rec_state], np.minimum(x_to, x_from),
+    successor = np.where(pumped[flat.rec_state], np.minimum(x_to, x_from),
                          np.maximum(x_to, x_from))
     payoffs = local_payoffs(game, x, successor)
-    per_slot = np.where(upper[flat.slot_state], payoffs, m_plus - payoffs)
-    return RBounds(values=np.maximum.reduceat(per_slot, flat.first_slot[:-1]), upper_side=upper)
-
-
-def gap_thresholds(game: GameSpec, rb: RBounds, eps: float, granularity: int) -> np.ndarray:
-    """Per-state potential-gap threshold |L^v| (pumped v) or |K^v| times W * R_v^2 / eps."""
-    width = np.where(rb.upper_side, game.flat.col_count, game.flat.row_count)
-    return width * float(granularity) * rb.values ** 2 / eps
+    per_slot = np.where(pumped[flat.slot_state], payoffs, m_plus - payoffs)
+    return np.maximum.reduceat(per_slot, flat.first_slot[:-1])
 
 
 @dataclass(frozen=True)
@@ -168,9 +153,11 @@ class GapGraph:
     subtraction is monotone, so in the ascending-x order a pumped state's
     out-neighbours form a prefix and any other state's a suffix, ties
     included. The sorted order is computed on first use, by a closure.
+    bounds are the payoff bounds (r_bounds) the thresholds were sized by.
     """
 
     x: np.ndarray
+    bounds: np.ndarray
     thresholds: np.ndarray
     pumped: np.ndarray  # bool per state
 
@@ -180,15 +167,19 @@ class GapGraph:
         return np.argsort(self.x, kind="stable")
 
 
-def auxiliary_graph(
-    game: GameSpec, x: Potential, rb: RBounds, eps: float, granularity: int | None = None,
-) -> GapGraph:
-    """The potential-gap graph at x; the pumped set is the one rb was bounded for."""
+def auxiliary_graph(game: GameSpec, x: Potential, pumped, m_plus: float, eps: float) -> GapGraph:
+    """The potential-gap graph at x for the pumped states `pumped`.
+
+    A state's gap threshold is |L^v| (pumped v) or |K^v| times W * R_v^2 / eps,
+    with R_v its r_bounds bound and W the game's granularity.
+    """
     x = as_potential(x, game.n)
-    if granularity is None:
-        granularity = game_params(game).granularity
-    return GapGraph(x=x, thresholds=gap_thresholds(game, rb, eps, granularity),
-                    pumped=rb.upper_side)
+    flat = game.flat
+    mask = _state_mask(game.n, pumped)
+    bounds = r_bounds(game, x, mask, m_plus)
+    width = np.where(mask, flat.col_count, flat.row_count)
+    return GapGraph(x=x, bounds=bounds, pumped=mask,
+                    thresholds=width * float(flat.granularity) * bounds ** 2 / eps)
 
 
 def forward_closure(graph: GapGraph, seeds) -> frozenset:
@@ -226,48 +217,49 @@ def forward_closure(graph: GapGraph, seeds) -> frozenset:
     return frozenset(seen)
 
 
-def _leaks_at_first_hop(graph: GapGraph, top, pumped, bottom) -> bool:
-    """Whether a top state lies outside `pumped` or has an arc out of it, or a
-    bottom state lies inside it or has an arc into it.
+def _leaks_at_first_hop(graph: GapGraph, top, bottom) -> bool:
+    """Whether a top state lies outside the pumped set or has an arc out of
+    it, or a bottom state lies inside it or has an arc into it.
 
     Either rules the closed sets out. A state's out-neighbours are a prefix
     or a suffix of the ascending-x order, so it has an arc into a set of
     states exactly when it has one to the set's state of least x (prefix)
-    or of greatest x (suffix): one comparison per seed, and no sort. Plain
-    Python lists: the witness checks of small games would spend longer in
-    numpy's per-call overhead than in the comparisons.
+    or of greatest x (suffix): one comparison per seed, and no sort. A top
+    state can lie outside the pumped set only when some state does, and a
+    bottom state inside it only when some state does, so each side is
+    tested only when the other side has a state. Plain Python lists: the
+    witness checks of small games would spend longer in numpy's per-call
+    overhead than in the comparisons.
     """
     x, t, up = graph.x.tolist(), graph.thresholds.tolist(), graph.pumped.tolist()
-    pumped = frozenset(pumped)
-    outside = [x[u] for u in range(len(x)) if u not in pumped]
-    inside = [x[u] for u in pumped]
-    for seeds, across, misplaced in ((top, outside, not pumped.issuperset(top)),
-                                     (bottom, inside, not pumped.isdisjoint(bottom))):
-        if not across:
-            continue
-        if misplaced:
+    outside = [xu for xu, pumped in zip(x, up) if not pumped]
+    inside = [xu for xu, pumped in zip(x, up) if pumped]
+    if outside:
+        lowest = min(outside)
+        if any(not up[v] or lowest - x[v] < t[v] for v in top):
             return True
-        lowest, highest = min(across), max(across)
-        if any(lowest - x[v] < t[v] if up[v] else x[v] - highest < t[v] for v in seeds):
+    if inside:
+        highest = max(inside)
+        if any(up[v] or x[v] - highest < t[v] for v in bottom):
             return True
     return False
 
 
-def find_closed_sets(graph: GapGraph, top, pumped, bottom):
+def find_closed_sets(graph: GapGraph, top, bottom):
     """Minimal closed supersets of the top and bottom bands, if they separate.
 
-    Returns (closed_high, closed_low) when the forward closure of the top
-    band stays inside the pumped half and the closure of the bottom band
-    stays outside it; otherwise None. A check that fails at its first hop
-    (_leaks_at_first_hop) returns None before any closure runs.
+    Returns (high, low) when the forward closure of the top band (high)
+    stays inside the graph's pumped set and the closure of the bottom band
+    (low) stays outside it; otherwise None. A check that fails at its first
+    hop (_leaks_at_first_hop) returns None before any closure runs.
     """
-    if not top or not bottom or _leaks_at_first_hop(graph, top, pumped, bottom):
+    if not top or not bottom or _leaks_at_first_hop(graph, top, bottom):
         return None
     high = forward_closure(graph, top)
-    if not high <= set(pumped):
+    if not graph.pumped[list(high)].all():
         return None
     low = forward_closure(graph, bottom)
-    if low & set(pumped):
+    if graph.pumped[list(low)].any():
         return None
     return high, low
 
@@ -310,54 +302,49 @@ def _check_band_monotonicity(tau, prev_part, part):
 
 @dataclass
 class _Step:
-    """One evaluated pump step; the witness check runs at most once, on demand."""
+    """One evaluated pump step; the witness check runs at most once, on demand,
+    and leaves its graph and result here."""
 
-    x: np.ndarray
-    m: np.ndarray
+    solve: LocalSolve
     part: BandPartition
-    solve: LocalSolve | None  # None at the entry step, valued by the caller
-    rb: RBounds | None = None
     graph: GapGraph | None = None
     closed: tuple | None = None
 
 
 def modified_pump(
     game: GameSpec,
-    x0: Potential,
-    m0,
+    entry: LocalSolve,
     m_minus: float,
     m_plus: float,
     eps: float,
     cap: int,
     *,
-    params: GameParams | None = None,
     collect_trace: bool = False,
 ) -> PumpOutcome:
-    """Pump the upper half of the states where the caller's local values m0 at
-    x0 are not NaN until a band empties, witness sets appear, or the cap is hit.
+    """Pump the upper half of the states that the caller's local solve `entry`
+    lists (its values are not NaN) until a band empties, witness sets
+    appear, or the cap is hit.
 
-    m0 is step 0, not solved again; the band [m_minus, m_plus] and the step
-    delta are fixed at entry, and potentials outside the phase never change.
-    The loop lands only on steps where something can change (see the module
-    docstring): while the pumped set is fixed, local values move monotonically
-    and gap-graph arcs only disappear, so the first step at which the bands
-    change or the witness check succeeds is found by doubling and bisection
-    over the step count. Every landed step, and stats.iterations, are exactly
-    those that single steps would reach; stats.pump_counts holds the
-    per-state step counts that define the potential, and the trace has one
-    record per landed step. The outcome carries the landed step's local
-    solve.
+    entry is step 0, not solved again; the band [m_minus, m_plus] and the
+    step delta are fixed at entry, and potentials outside the phase never
+    change. The loop lands only on steps where something can change (see
+    the module docstring): while the pumped set is fixed, local values move
+    monotonically and gap-graph arcs only disappear, so the first step at
+    which the bands change or the witness check succeeds is found by
+    doubling and bisection over the step count. Every landed step, and
+    stats.iterations, are exactly those that single steps would reach;
+    stats.pump_counts holds the per-state step counts that define the
+    potential, and the trace has one record per landed step. The outcome
+    carries the landed step's local solve.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    m0 = np.array(m0, dtype=np.float64)
+    m0 = entry.values
     if m0.shape != (game.n,) or np.isinf(m0).any() or np.isnan(m0).all():
-        raise ValueError("m0 needs n entries, none infinite and not all NaN")
-    if params is None:
-        params = game_params(game)
-    x_entry = as_potential(x0, game.n).copy()
+        raise ValueError("entry values need n entries, none infinite and not all NaN")
+    x_entry = as_potential(entry.x, game.n)
     state_list = np.flatnonzero(~np.isnan(m0)).tolist()
     delta = (m_plus - m_minus) / 4.0
 
@@ -368,30 +355,25 @@ def modified_pump(
     counts = stats.pump_counts
 
     def evaluate(step_counts) -> _Step:
-        x = x_entry - delta * step_counts
-        solve = local_solve(game, x, state_list)
+        solve = local_solve(game, x_entry - delta * step_counts, state_list)
         stats.local_games += len(state_list)
-        return _Step(x=x, m=solve.values, part=partition(solve.values, m_minus, m_plus),
-                     solve=solve)
+        return _Step(solve=solve, part=partition(solve.values, m_minus, m_plus))
 
     def witness(step: _Step):
-        if step.rb is None:
-            step.rb = r_bounds(game, step.x, step.part.pumped, m_plus)
-            step.graph = auxiliary_graph(game, step.x, step.rb, eps,
-                                         granularity=params.granularity)
+        if step.graph is None:
+            step.graph = auxiliary_graph(game, step.solve.x, step.part.pumped, m_plus, eps)
             stats.witness_checks += 1
-            step.closed = find_closed_sets(step.graph, step.part.top, step.part.pumped,
-                                           step.part.bottom)
+            step.closed = find_closed_sets(step.graph, step.part.top, step.part.bottom)
         return step.closed
 
-    here = _Step(x=x_entry, m=m0, part=partition(m0, m_minus, m_plus), solve=None)
+    here = _Step(solve=entry, part=partition(m0, m_minus, m_plus))
     prev = None
     jump = 0
     tau = 0
     while True:
-        x, m, part = here.x, here.m, here.part
+        m, part = here.solve.values, here.part
         if prev is not None:  # the jump from prev pumped the states where `pumped` is 1
-            _check_step_invariants(tau, prev.m, m, pumped, delta, jump)
+            _check_step_invariants(tau, prev.solve.values, m, pumped, delta, jump)
             _check_band_monotonicity(tau, prev.part, part)
         if stats.trace is not None:
             finite = m[state_list]
@@ -402,44 +384,31 @@ def modified_pump(
                 "top": len(part.top),
                 "bottom": len(part.bottom),
                 "pumped": len(part.pumped),
-                "potential_hash": _potential_hash(x),
+                "potential_hash": _potential_hash(here.solve.x),
             })
         if not part.top or not part.bottom:
-            collapsed = "both" if not part.top and not part.bottom else (
-                "top" if not part.top else "bottom")
+            kind = "band-collapsed"
+        else:
+            closed = witness(here)
+            bounds = here.graph.bounds
+            if m_plus - m_minus > eps:
+                below = np.flatnonzero(here.graph.pumped & (bounds < m - BAND_SLACK))
+                if below.size:
+                    v = below[0]
+                    raise PumpInvariantError(
+                        f"iteration {tau}: payoff bound {bounds[v]} at pumped "
+                        f"state {v} fell below its local value {m[v]}"
+                    )
+            if closed is not None:
+                leaks = boundary_gap_violations(here.graph, *closed)
+                if leaks:
+                    raise PumpInvariantError(f"iteration {tau}: " + "; ".join(leaks))
+            kind = ("witness-sets" if closed is not None
+                    else "cap-exceeded" if tau >= cap else None)
+        if kind is not None:
             stats.iterations = tau
-            return PumpOutcome(
-                kind="band-collapsed", x=x, collapsed=collapsed,
-                closed_high=None, closed_low=None, m_values=m, bands=part, stats=stats,
-                solve=here.solve,
-            )
-        closed = witness(here)
-        if m_plus - m_minus > eps:
-            below = np.flatnonzero(here.graph.pumped & (here.rb.values < m - BAND_SLACK))
-            if below.size:
-                v = below[0]
-                raise PumpInvariantError(
-                    f"iteration {tau}: payoff bound {here.rb.values[v]} at pumped "
-                    f"state {v} fell below its local value {m[v]}"
-                )
-        if closed is not None:
-            high, low = closed
-            leaks = boundary_gap_violations(here.graph, high, low)
-            if leaks:
-                raise PumpInvariantError(f"iteration {tau}: " + "; ".join(leaks))
-            stats.iterations = tau
-            return PumpOutcome(
-                kind="witness-sets", x=x, collapsed=None,
-                closed_high=high, closed_low=low, m_values=m, bands=part,
-                stats=stats, solve=here.solve,
-            )
-        if tau >= cap:
-            stats.iterations = tau
-            return PumpOutcome(
-                kind="cap-exceeded", x=x, collapsed=None,
-                closed_high=None, closed_low=None, m_values=m, bands=part, stats=stats,
-                solve=here.solve,
-            )
+            return PumpOutcome(kind=kind, solve=here.solve, bands=part, closed=here.closed,
+                               stats=stats)
 
         # Find the first k >= 1 steps ahead, pumping this partition's upper
         # half, at which the partition differs, the witness check succeeds or

@@ -13,8 +13,8 @@ state. An INCONCLUSIVE verdict holds only its reason and certifies nothing.
 
 Both certified kinds take their strategies from one local solve
 (matrix_game.LocalSolve) at the certified potential: an ergodic verdict
-from the solve that measured its band, a witness from local_solutions over
-the states it covers. An ergodic verdict covers every state with both
+from the solve that measured its band, a witness from a local_solve of the
+states it covers. An ergodic verdict covers every state with both
 players' optimal local strategies (so closure is vacuous) and claims
 ceiling - floor <= 24*eps. A non-ergodicity
 witness covers two disjoint closed sets, the high one with alpha and the
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameSpec, Potential, as_potential, local_payoffs
-from .matrix_game import local_solutions
+from .matrix_game import local_solve
 
 ERGODIC = "ergodic-24eps"
 NON_ERGODIC = "non-ergodic"
@@ -152,7 +152,7 @@ def build_witness(
             f"threshold separation {floor_raw - ceiling_raw} is below the "
             f"required 3*eps = {3 * eps}"
         )
-    _, rows, cols = local_solutions(game, x, sorted(high_states | low_states))
+    rows, cols = local_solve(game, x, sorted(high_states | low_states)).strategies()
     return Verdict(
         kind=NON_ERGODIC, eps=eps, value_offset=value_offset, potential=x,
         floor=floor_raw - eps, ceiling=ceiling_raw + eps,

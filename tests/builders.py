@@ -118,8 +118,8 @@ def count_calls(monkeypatch, names, weight=None):
 def count_local_games(monkeypatch):
     """Count the local games settled, by the pure-saddle screen or a solve:
     the states each local_solve call lists (all of them when it lists none),
-    summed by the returned Counter's total(). local_values and
-    local_solutions settle their games through local_solve."""
+    summed by the returned Counter's total(). local_values settles its
+    games through local_solve."""
     def listed(game, x, states=None):
         return game.n if states is None else len(states)
 

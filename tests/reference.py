@@ -256,12 +256,13 @@ def dense_tables(game):
     return tables
 
 
-def gap_thresholds(game, pumped, rb, eps, granularity):
-    """Per-state gap threshold |L^v| (pumped v) or |K^v| times W * R_v^2 / eps."""
+def gap_thresholds(game, pumped, bounds, eps, granularity):
+    """Per-state gap threshold |L^v| (pumped v) or |K^v| times W * R_v^2 / eps,
+    with R_v the payoff bound bounds[v]."""
     out = np.empty(game.n)
     for v in range(game.n):
         width = game.num_col_actions(v) if v in pumped else game.num_row_actions(v)
-        out[v] = width * granularity * rb.values[v] ** 2 / eps
+        out[v] = width * granularity * bounds[v] ** 2 / eps
     return out
 
 
@@ -306,15 +307,15 @@ def closed_sets_bfs(x, thresholds, pumped, top, bottom):
 
 
 def partition_sets(m_values, m_minus, m_plus, slack):
-    """(top, bottom, middle, pumped) of the finite local values, one
-    comprehension over the states per band."""
+    """(top, bottom, pumped) of the finite local values, one comprehension
+    over the states per band."""
     states = [v for v in range(len(m_values)) if math.isfinite(m_values[v])]
     delta = (m_plus - m_minus) / 4.0
     t1, t2, t3 = (m_minus + i * delta - slack for i in (1, 2, 3))
     top = frozenset(v for v in states if m_values[v] >= t3)
     bottom = frozenset(v for v in states if m_values[v] < t1)
     pumped = frozenset(v for v in states if m_values[v] >= t2)
-    return top, bottom, frozenset(states) - top - bottom, pumped
+    return top, bottom, pumped
 
 
 def step_invariant_failure(tau, prev_m, m, pumped, states, delta, steps, slack):
@@ -356,8 +357,8 @@ def single_step_pump(game, x0, states, m_minus, m_plus, eps, cap):
         if not part.top or not part.bottom:
             kind = "band-collapsed"
         else:
-            rb = r_bounds(game, x, part.pumped, m_plus)
-            thresholds = gap_thresholds(game, part.pumped, rb, eps, granularity)
+            bounds = r_bounds(game, x, np.isin(np.arange(game.n), list(part.pumped)), m_plus)
+            thresholds = gap_thresholds(game, part.pumped, bounds, eps, granularity)
             closed = closed_sets_bfs(x, thresholds, part.pumped, part.top, part.bottom)
             if closed is not None:
                 kind = "witness-sets"

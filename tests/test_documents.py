@@ -360,7 +360,7 @@ class TestCertificates:
     def test_recheck_runs_no_solver(self, monkeypatch):
         # neither verdict's recheck settles a local game, solves a matrix
         # game or runs policy iteration
-        calls = count_calls(monkeypatch, ("local_values", "local_solutions", "_solve",
+        calls = count_calls(monkeypatch, ("local_values", "local_solve", "_solve",
                                           "solve_value", "best_response_value"))
         for low, high, eps in ((0.0, 10.0, 0.1), (4.0, 4.5, 0.5)):
             game = disconnected(low, high)

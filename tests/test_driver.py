@@ -29,7 +29,7 @@ from ergopump.driver import (
 from ergopump.game import DocumentError, make_game, normalize_rewards
 from ergopump.generators import random_game
 from ergopump.oracle import enumerate_pure_bounds
-from ergopump.matrix_game import local_values
+from ergopump.matrix_game import local_solve, local_values
 from ergopump.pump import modified_pump
 
 
@@ -95,15 +95,15 @@ class TestReducePotential:
 
     def test_band_respected_after_reduction(self):
         g = two_cycle(0.0, 4.0)
-        out = modified_pump(g, np.zeros(2), local_values(g, np.zeros(2)), 0.0, 4.0, eps=0.05,
-                            cap=100)
-        finite = out.m_values[np.isfinite(out.m_values)]
+        out = modified_pump(g, local_solve(g, np.zeros(2)), 0.0, 4.0, eps=0.05, cap=100)
+        finite = out.solve.values[np.isfinite(out.solve.values)]
         lo, hi = float(np.min(finite)), float(np.max(finite))
-        reduced, _ = reduce_potential(g, out.x)
+        x = out.solve.x
+        reduced, _ = reduce_potential(g, x)
         m = local_values(g, reduced)
         assert np.min(m) >= lo - 1e-7
         assert np.max(m) <= hi + 1e-7
-        assert np.max(np.abs(reduced)) <= np.max(np.abs(out.x - np.mean(out.x))) + 1e-12
+        assert np.max(np.abs(reduced)) <= np.max(np.abs(x - np.mean(x))) + 1e-12
 
 
 class TestDecideErgodicity:
@@ -194,7 +194,7 @@ class TestDecideErgodicity:
         assert verdict.kind == "ergodic-24eps"
         assert stats.outer_iterations == 5
         normalized, _ = normalize_rewards(game)
-        values = matrix_game.local_solutions(normalized, verdict.potential)[0]
+        values = matrix_game.local_solve(normalized, verdict.potential).values
         assert (verdict.floor, verdict.ceiling) == (np.min(values), np.max(values))
 
     def test_negative_rewards_offset_reported(self):

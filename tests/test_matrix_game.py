@@ -13,7 +13,7 @@ from ergopump.game import local_payoffs, make_game
 from ergopump.generators import random_game
 from ergopump.matrix_game import (
     MatrixGameError,
-    local_solutions,
+    local_solve,
     local_value,
     local_values,
     solve_matrix_game,
@@ -250,8 +250,9 @@ class TestScreenAgainstScalarKernel:
         values[list(expected)] = [solved[0] for solved in expected.values()]
 
         assert _bits(local_values(game, x, states)) == _bits(values)
-        got, rows, cols = local_solutions(game, x, states)
-        assert _bits(got) == _bits(values)
+        solve = local_solve(game, x, states)
+        rows, cols = solve.strategies()
+        assert _bits(solve.values) == _bits(values)
         assert list(rows) == list(cols) == list(listed)
         for v, (_, row, col, _) in expected.items():
             assert _bits(rows[v]) == _bits(np.maximum(row, 0.0))

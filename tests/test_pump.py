@@ -1,5 +1,6 @@
 """Pump core: banding, payoff bounds, gap graph, closures, the pump loop."""
 
+import dataclasses
 import re
 import tracemalloc
 from collections import Counter
@@ -15,9 +16,11 @@ from ergopump import driver, pump
 from ergopump.driver import decide_ergodicity
 from ergopump.game import game_params
 from ergopump.generators import random_game
-from ergopump.matrix_game import local_values
+from ergopump.matrix_game import local_solve, local_values
 from ergopump.pump import (
     GapGraph,
+    PumpOutcome,
+    PumpStats,
     auxiliary_graph,
     boundary_gap_violations,
     find_closed_sets,
@@ -33,7 +36,6 @@ class TestPartition:
         part = partition([0.0, 1.0, 2.0, 4.0], 0.0, 4.0)
         assert part.top == {3}
         assert part.bottom == {0}
-        assert part.middle == {1, 2}
         assert part.pumped == {2, 3}
 
     def test_all_equal_degenerate(self):
@@ -46,7 +48,6 @@ class TestPartition:
         part = partition([0.0, 4.0], 0.0, 4.0)
         assert part.top == {1}
         assert part.bottom == {0}
-        assert part.middle == set()
         assert part.pumped == {1}
 
     def test_restricted_states(self):
@@ -64,7 +65,7 @@ class TestPartition:
         # values join no band
         part = partition(m_values, m_minus, m_minus + width)
         expected = reference.partition_sets(m_values, m_minus, m_minus + width, pump.BAND_SLACK)
-        assert (part.top, part.bottom, part.middle, part.pumped) == expected
+        assert (part.top, part.bottom, part.pumped) == expected
         for band in expected:
             assert all(type(v) is int for v in band)
 
@@ -98,55 +99,59 @@ class TestStepInvariants:
             assert str(info.value) == expected
 
 
+def _upper(n, pumped):
+    """The bool-per-state mask of the pumped states, as r_bounds takes it."""
+    return np.isin(np.arange(n), list(pumped))
+
+
 class TestRBounds:
     def test_zero_potential_plain_expected_reward(self):
         rng = np.random.default_rng(4)
         g = random_dense_game(rng, n=3)
-        rb = r_bounds(g, np.zeros(3), {0, 1, 2}, m_plus=7.0)
+        bounds = r_bounds(g, np.zeros(3), _upper(3, {0, 1, 2}), m_plus=7.0)
         for v in range(3):
             expected = {}
             for k, l, _u, p, r in g.transitions[v]:
                 expected[k, l] = expected.get((k, l), 0.0) + float(p) * r
-            assert rb.values[v] == pytest.approx(max(expected.values()))
-            assert rb.upper_side[v]
+            assert bounds[v] == pytest.approx(max(expected.values()))
 
     def test_self_loop_pumped(self):
         g = one_state(6.0)
-        rb = r_bounds(g, np.array([-55.0]), {0}, m_plus=6.0)
-        assert rb.values[0] == pytest.approx(6.0)
+        bounds = r_bounds(g, np.array([-55.0]), _upper(1, {0}), m_plus=6.0)
+        assert bounds[0] == pytest.approx(6.0)
 
     def test_single_arc(self):
         from ergopump.game import make_game
         g = make_game(["v", "u"], [["a"], ["a"]], [["x"], ["x"]],
                       [("v", "a", "x", "u", 1, 2.0), ("u", "a", "x", "u", 1, 0.0)])
-        rb = r_bounds(g, np.array([3.0, 0.0]), {0}, m_plus=5.0)
-        assert rb.values[0] == pytest.approx(5.0)
+        bounds = r_bounds(g, np.array([3.0, 0.0]), _upper(2, {0}), m_plus=5.0)
+        assert bounds[0] == pytest.approx(5.0)
 
     def test_lower_side_reflection(self):
         g = one_state(2.0)
-        rb = r_bounds(g, np.zeros(1), set(), m_plus=9.0)
-        assert rb.values[0] == pytest.approx(7.0)
-        assert not rb.upper_side[0]
+        bounds = r_bounds(g, np.zeros(1), _upper(1, set()), m_plus=9.0)
+        assert bounds[0] == pytest.approx(7.0)
 
 
 def _graph(x, thresholds, pumped):
+    """A gap graph with the given thresholds; no payoff bounds sized them."""
     x = np.asarray(x, dtype=np.float64)
-    return GapGraph(x=x, thresholds=np.asarray(thresholds, dtype=np.float64),
-                    pumped=np.isin(np.arange(len(x)), list(pumped)))
+    return GapGraph(x=x, bounds=np.full(len(x), np.nan),
+                    thresholds=np.asarray(thresholds, dtype=np.float64),
+                    pumped=_upper(len(x), pumped))
 
 
 class TestAuxiliaryGraph:
     def test_equal_potentials_complete(self):
         g = disconnected()
-        graph = auxiliary_graph(g, np.zeros(2), r_bounds(g, np.zeros(2), {1}, 10.0), eps=0.1)
+        graph = auxiliary_graph(g, np.zeros(2), {1}, 10.0, eps=0.1)
         assert forward_closure(graph, {0}) == {0, 1}  # arc 0 -> 1
         assert forward_closure(graph, {1}) == {0, 1}  # arc 1 -> 0
 
     def test_saturated_gap_removes_arc(self):
         g = disconnected()
         x = np.array([0.0, -1000.0])  # threshold is exactly 1*1*100/0.1 = 1000
-        rb = r_bounds(g, x, {1}, 10.0)
-        graph = auxiliary_graph(g, x, rb, eps=0.1)
+        graph = auxiliary_graph(g, x, {1}, 10.0, eps=0.1)
         # gap x[0]-x[1] = 1000 is not < 1000, from the pumped state 1 nor from 0
         assert forward_closure(graph, {1}) == {1}
         assert forward_closure(graph, {0}) == {0}
@@ -154,9 +159,7 @@ class TestAuxiliaryGraph:
     def test_thresholds_scale_with_action_count(self):
         rng = np.random.default_rng(9)
         g = random_dense_game(rng, n=2, max_actions=2)
-        rb = r_bounds(g, np.zeros(2), {0}, 5.0)
-        params = game_params(g)
-        graph = auxiliary_graph(g, np.zeros(2), rb, eps=0.5, granularity=params.granularity)
+        graph = auxiliary_graph(g, np.zeros(2), {0}, 5.0, eps=0.5)
         assert forward_closure(graph, {0}) == {0, 1}
         assert forward_closure(graph, {1}) == {0, 1}
 
@@ -165,32 +168,33 @@ class TestAuxiliaryGraph:
         g = random_dense_game(rng, n=6, max_actions=3)
         x = rng.normal(size=6)
         pumped = {1, 2, 4}
-        rb = r_bounds(g, x, pumped, 5.0)
-        graph = auxiliary_graph(g, x, rb, eps=0.05)
-        expected = reference.gap_thresholds(g, pumped, rb, 0.05, game_params(g).granularity)
+        graph = auxiliary_graph(g, x, pumped, 5.0, eps=0.05)
+        bounds = r_bounds(g, x, _upper(6, pumped), 5.0)
+        assert graph.bounds.tobytes() == bounds.tobytes()
+        expected = reference.gap_thresholds(g, pumped, bounds, 0.05, game_params(g).granularity)
         assert graph.thresholds.tobytes() == expected.tobytes()
 
 
 class TestFindClosedSets:
     def test_no_arcs_returns_seeds(self):
         graph = _graph([0.0, 0.0], [-1.0, -1.0], pumped={0})
-        result = find_closed_sets(graph, top={0}, pumped={0}, bottom={1})
+        result = find_closed_sets(graph, top={0}, bottom={1})
         assert result == ({0}, {1})
 
     def test_escape_from_pumped_fails(self):
         graph = _graph([0.0, 0.0], [1.0, -1.0], pumped={0})  # only arc: 0 -> 1
-        assert find_closed_sets(graph, top={0}, pumped={0}, bottom={1}) is None
+        assert find_closed_sets(graph, top={0}, bottom={1}) is None
 
     def test_chain_inside_pumped(self):
         # arcs 0 -> 1 and 1 -> {0, 2}: 2 is reached from 0 only through 1
         graph = _graph([0.0, 1.0, 2.0, 10.0], [1.5, 1.5, -5.0, -1.0], pumped={0, 1, 2})
         assert forward_closure(graph, {0}) == {0, 1, 2}
-        result = find_closed_sets(graph, top={0}, pumped={0, 1, 2}, bottom={3})
+        result = find_closed_sets(graph, top={0}, bottom={3})
         assert result == ({0, 1, 2}, {3})
 
     def test_bottom_closure_touching_pumped_fails(self):
         graph = _graph([0.0, 0.0, 0.0], [-1.0, -1.0, 1.0], pumped={0, 1})  # 2 reaches 0 and 1
-        assert find_closed_sets(graph, top={0}, pumped={0, 1}, bottom={2}) is None
+        assert find_closed_sets(graph, top={0}, bottom={2}) is None
 
 
 _coarse = st.integers(-4, 4).map(lambda k: k * 0.5)  # a coarse grid forces ties
@@ -250,11 +254,18 @@ class TestSweepAgainstDenseOracle:
         @given(_gap_instances())
         def check(instance):
             x, thresholds, pumped, top, bottom = instance
+            # seeds on the wrong side of the pumped boundary fail at the first
+            # hop, as they fail in the oracle
+            graph = _graph(x, thresholds, pumped)
+            if not top <= pumped or bottom & pumped:
+                assert pump._leaks_at_first_hop(graph, top, bottom)
+            assert (find_closed_sets(graph, top, bottom)
+                    == reference.closed_sets_bfs(x, thresholds, pumped, top, bottom))
             # seeds drawn from the side each closure must stay on, so both closures run
             top, bottom = top & pumped, bottom - pumped
             graph = _graph(x, thresholds, pumped)
-            leaks = pump._leaks_at_first_hop(graph, top, pumped, bottom)
-            result = find_closed_sets(graph, top, pumped, bottom)
+            leaks = pump._leaks_at_first_hop(graph, top, bottom)
+            result = find_closed_sets(graph, top, bottom)
             assert result == reference.closed_sets_bfs(x, thresholds, pumped, top, bottom)
             if top and bottom:
                 outcomes["first hop" if leaks else "sweep", result is not None] += 1
@@ -276,13 +287,13 @@ class TestSweepAgainstDenseOracle:
         # top state 0 reaches the unpumped 2; bottom state 2 reaches the pumped 1
         for thresholds in ([5.0, -1.0, -1.0], [-1.0, -1.0, 5.0]):
             graph = _graph([0.0, 1.0, 2.0], thresholds, pumped={0, 1})
-            assert find_closed_sets(graph, top={0}, pumped={0, 1}, bottom={2}) is None
+            assert find_closed_sets(graph, top={0}, bottom={2}) is None
             assert "order" not in vars(graph)
         assert sorts["argsort"] == 0
         # with neither arc the sweep runs and sorts once: 0 reaches 1, and
         # only 1 reaches 2
         graph = _graph([0.0, 1.0, 2.0], [1.5, 5.0, -1.0], pumped={0, 1})
-        assert find_closed_sets(graph, top={0}, pumped={0, 1}, bottom={2}) is None
+        assert find_closed_sets(graph, top={0}, bottom={2}) is None
         assert sorts["argsort"] == 1
 
     @settings(max_examples=300, deadline=None)
@@ -315,9 +326,8 @@ def test_witness_check_memory_is_linear():
     part = partition(m, float(np.min(m)), float(np.max(m)))
     tracemalloc.start()
     try:
-        rb = r_bounds(g, x, part.pumped, part.m_plus)
-        graph = auxiliary_graph(g, x, rb, eps=0.05)
-        find_closed_sets(graph, part.top, part.pumped, part.bottom)
+        graph = auxiliary_graph(g, x, part.pumped, part.m_plus, eps=0.05)
+        find_closed_sets(graph, part.top, part.bottom)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -327,55 +337,67 @@ def test_witness_check_memory_is_linear():
 class TestModifiedPump:
     def test_single_state_collapses_immediately(self):
         g = one_state()
-        out = modified_pump(g, np.zeros(1), local_values(g, np.zeros(1)), 5.0, 5.0, eps=0.1,
-                            cap=10)
+        out = modified_pump(g, local_solve(g, np.zeros(1)), 5.0, 5.0, eps=0.1, cap=10)
         assert out.kind == "band-collapsed"
         assert out.stats.iterations == 0
 
     def test_disconnected_witness_after_400_steps(self):
         g = disconnected(0.0, 10.0)
-        out = modified_pump(g, np.zeros(2), local_values(g, np.zeros(2)), 0.0, 10.0, eps=0.1,
-                            cap=1000)
+        out = modified_pump(g, local_solve(g, np.zeros(2)), 0.0, 10.0, eps=0.1, cap=1000)
         assert out.kind == "witness-sets"
-        assert out.closed_high == {1}
-        assert out.closed_low == {0}
+        assert out.closed == ({1}, {0})
         # gap must reach 1*1*10^2/0.1 = 1000 at 2.5 per pump
         assert out.stats.iterations == 400
-        assert out.x[0] - out.x[1] == pytest.approx(1000.0)
+        assert out.solve.x[0] - out.solve.x[1] == pytest.approx(1000.0)
 
     def test_two_cycle_collapse_shrinks_band(self):
         g = two_cycle(0.0, 4.0)
-        out = modified_pump(g, np.zeros(2), local_values(g, np.zeros(2)), 0.0, 4.0, eps=0.05,
-                            cap=100)
+        out = modified_pump(g, local_solve(g, np.zeros(2)), 0.0, 4.0, eps=0.05, cap=100)
         assert out.kind == "band-collapsed"
-        finite = out.m_values[np.isfinite(out.m_values)]
+        finite = out.solve.values[np.isfinite(out.solve.values)]
         assert np.ptp(finite) <= 3.0 * (1 + 1e-9)
 
     def test_cap_exceeded_is_distinct_outcome(self):
         g = disconnected(0.0, 10.0)
-        out = modified_pump(g, np.zeros(2), local_values(g, np.zeros(2)), 0.0, 10.0, eps=0.1,
-                            cap=5)
+        out = modified_pump(g, local_solve(g, np.zeros(2)), 0.0, 10.0, eps=0.1, cap=5)
         assert out.kind == "cap-exceeded"
         assert out.stats.iterations == 5
 
-    @pytest.mark.parametrize("m0", [np.zeros(3), np.zeros((2, 1)), np.array([0.0, np.inf]),
-                                    np.array([-np.inf, np.nan]), np.full(2, np.nan)],
-                             ids=["wrong length", "wrong shape", "infinite", "minus infinite",
-                                  "no state"])
-    def test_bad_entry_values_rejected(self, m0):
-        with pytest.raises(ValueError, match="m0"):
-            modified_pump(disconnected(0.0, 10.0), np.zeros(2), m0, 0.0, 10.0, eps=0.1, cap=10)
+    @pytest.mark.parametrize("field, bad", [
+        ("values", np.zeros(3)), ("values", np.zeros((2, 1))), ("values", np.array([0.0, np.inf])),
+        ("values", np.array([-np.inf, np.nan])), ("values", np.full(2, np.nan)),
+        ("x", np.zeros(3)), ("x", np.array([0.0, np.inf])),
+    ], ids=["wrong length", "wrong shape", "infinite", "minus infinite", "no state",
+            "potential of the wrong length", "infinite potential"])
+    def test_bad_entry_values_rejected(self, field, bad):
+        g = disconnected(0.0, 10.0)
+        entry = dataclasses.replace(local_solve(g, np.zeros(2)), **{field: bad})
+        with pytest.raises(ValueError, match="entry values|potential"):
+            modified_pump(g, entry, 0.0, 10.0, eps=0.1, cap=10)
+
+    @pytest.mark.parametrize("kind, m_values, collapsed", [
+        ("band-collapsed", [0.0, 1.5], "top"),
+        ("band-collapsed", [2.0, 4.0], "bottom"),
+        ("band-collapsed", [2.0, 2.0], "both"),
+        ("witness-sets", [0.0, 4.0], None),
+        ("cap-exceeded", [0.0, 4.0], None),
+    ])
+    def test_collapsed_reads_the_emptied_band(self, kind, m_values, collapsed):
+        g = disconnected(0.0, 10.0)
+        out = PumpOutcome(kind=kind, solve=local_solve(g, np.zeros(2)),
+                          bands=partition(m_values, 0.0, 4.0), closed=None, stats=PumpStats())
+        assert out.collapsed == collapsed
 
     def test_outside_states_untouched(self):
         g = disconnected(0.0, 10.0)
-        x0 = np.array([7.0, 3.0])
-        out = modified_pump(g, x0, local_values(g, x0, [1]), 5.0, 10.0, eps=0.1, cap=50)
-        assert out.x[0] == 7.0
+        out = modified_pump(g, local_solve(g, np.array([7.0, 3.0]), [1]), 5.0, 10.0, eps=0.1,
+                            cap=50)
+        assert out.solve.x[0] == 7.0
 
     def test_trace_records(self):
         g = two_cycle(0.0, 4.0)
-        out = modified_pump(g, np.zeros(2), local_values(g, np.zeros(2)), 0.0, 4.0, eps=0.05,
-                            cap=100, collect_trace=True)
+        out = modified_pump(g, local_solve(g, np.zeros(2)), 0.0, 4.0, eps=0.05, cap=100,
+                            collect_trace=True)
         assert out.stats.trace
         first = out.stats.trace[0]
         assert set(first) == {"tau", "m_min", "m_max", "top", "bottom", "pumped",
@@ -385,9 +407,9 @@ class TestModifiedPump:
         rng = np.random.default_rng(31)
         for seed in range(6):
             g = random_dense_game(rng, n=3, max_actions=2)
-            m = local_values(g, np.zeros(3))
-            out = modified_pump(g, np.zeros(3), m, float(np.min(m)),
-                                float(np.max(m)), eps=0.05, cap=500)
+            entry = local_solve(g, np.zeros(3))
+            m = entry.values
+            out = modified_pump(g, entry, float(np.min(m)), float(np.max(m)), eps=0.05, cap=500)
             assert out.kind in ("band-collapsed", "witness-sets", "cap-exceeded")
 
     def test_plain_repeated_pumping_harness(self):
@@ -397,14 +419,14 @@ class TestModifiedPump:
         x = np.zeros(2)
         width = 4.0
         for _ in range(12):
-            m = local_values(g, x)
-            lo, hi = float(np.min(m)), float(np.max(m))
+            entry = local_solve(g, x)
+            lo, hi = float(np.min(entry.values)), float(np.max(entry.values))
             if hi - lo <= 0.05:
                 break
-            out = modified_pump(g, x, m, lo, hi, eps=0.05, cap=1000)
+            out = modified_pump(g, entry, lo, hi, eps=0.05, cap=1000)
             assert out.kind == "band-collapsed"
-            x = out.x
-            finite = out.m_values[np.isfinite(out.m_values)]
+            x = out.solve.x
+            finite = out.solve.values[np.isfinite(out.solve.values)]
             new_width = float(np.ptp(finite))
             assert new_width <= 0.75 * (hi - lo) + 1e-9
             width = new_width
@@ -440,19 +462,19 @@ def _corpus_game(seed):
                        granularity=1 + seed % 8, reward_bound=8.0, seed=seed)
 
 
-def _pump_and_reference(game, x0, m0, m_minus, m_plus, eps, cap, **kwargs):
+def _pump_and_reference(game, entry, m_minus, m_plus, eps, cap, **kwargs):
     """modified_pump and the single-step reference on the same call; both must
-    agree bitwise on every result. The reference solves its own step 0 over
-    the states where m0 is not NaN."""
-    out = modified_pump(game, x0, m0, m_minus, m_plus, eps, cap, **kwargs)
-    states = np.flatnonzero(~np.isnan(m0))
-    ref = reference.single_step_pump(game, x0, states, m_minus, m_plus, eps, cap)
+    agree bitwise on every result. The reference solves its own step 0 at
+    entry.x over the states where entry.values is not NaN."""
+    out = modified_pump(game, entry, m_minus, m_plus, eps, cap, **kwargs)
+    states = np.flatnonzero(~np.isnan(entry.values))
+    ref = reference.single_step_pump(game, entry.x, states, m_minus, m_plus, eps, cap)
     assert out.kind == ref.kind
     assert out.stats.iterations == ref.iterations
     assert np.array_equal(out.stats.pump_counts, ref.pump_counts)
-    assert (out.closed_high, out.closed_low) == (ref.closed or (None, None))
-    assert out.x.tobytes() == ref.x.tobytes()
-    assert out.m_values.tobytes() == ref.m_values.tobytes()
+    assert out.closed == ref.closed
+    assert out.solve.x.tobytes() == ref.x.tobytes()
+    assert out.solve.values.tobytes() == ref.m_values.tobytes()
     return out
 
 
@@ -480,17 +502,18 @@ class TestSingleStepEquivalence:
         # (seed 32 only) the loop measures all states again
         phases, outcomes = [], []
 
-        def checked(game, x0, m0, *args, **kwargs):
+        def checked(game, entry, *args, **kwargs):
             if outcomes and outcomes[-1].kind == "witness-sets":
                 phases.append(2)
-                states = sorted(outcomes[-1].closed_high)
-                assert x0.tobytes() == outcomes[-1].x.tobytes()
+                states = sorted(outcomes[-1].closed[0])
+                assert entry.x.tobytes() == outcomes[-1].solve.x.tobytes()
             else:
                 phases.append(1)
                 states = list(range(game.n))
-            assert np.flatnonzero(~np.isnan(m0)).tolist() == states
-            assert m0[states].tobytes() == local_values(game, x0, states)[states].tobytes()
-            outcomes.append(modified_pump(game, x0, m0, *args, **kwargs))
+            assert np.flatnonzero(~np.isnan(entry.values)).tolist() == states
+            assert (entry.values[states].tobytes()
+                    == local_values(game, entry.x, states)[states].tobytes())
+            outcomes.append(modified_pump(game, entry, *args, **kwargs))
             return outcomes[-1]
 
         monkeypatch.setattr(driver, "modified_pump", checked)
@@ -501,8 +524,7 @@ class TestSingleStepEquivalence:
     @pytest.mark.parametrize("cap", [1000, 137])
     def test_disconnected(self, cap):
         g = disconnected(0.0, 10.0)
-        out = _pump_and_reference(g, np.zeros(2), local_values(g, np.zeros(2)), 0.0, 10.0,
-                                  0.1, cap)
+        out = _pump_and_reference(g, local_solve(g, np.zeros(2)), 0.0, 10.0, 0.1, cap)
         assert out.stats.iterations == min(cap, 400)
 
     def test_random_dense_games(self):
@@ -510,9 +532,9 @@ class TestSingleStepEquivalence:
         for _ in range(20):
             n = int(rng.integers(2, 6))
             g = random_dense_game(rng, n=n, max_actions=3)
-            m = local_values(g, np.zeros(n))
-            _pump_and_reference(g, np.zeros(n), m, float(np.min(m)),
-                                float(np.max(m)), 0.05, 500)
+            entry = local_solve(g, np.zeros(n))
+            _pump_and_reference(g, entry, float(np.min(entry.values)),
+                                float(np.max(entry.values)), 0.05, 500)
 
 
 def test_local_value_evaluations_grow_slower_than_steps(monkeypatch):

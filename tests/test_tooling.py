@@ -60,6 +60,7 @@ def test_harness_reads_solver_results(monkeypatch):
 GOLDEN_CERTIFICATES = {
     "corpus": "c4f51694ac3d9f616c10f640a66e95b515f2ca6a884793ec2384540c44c85b9a",
     "ladder": "d732e59b1d472ea293c6f877cb6799be1790d4f8073bc3b070074b3d4b457676",
+    "pump-long": "b8f05ed6c95c01ba05a3ed64b4a17bc01885fb3207b87e56f29e642ff6632f50",
 }
 
 

@@ -12,8 +12,8 @@ from builders import big_match, disconnected, matrix_as_game
 from ergopump.driver import decide_ergodicity
 from ergopump.game import make_game
 from ergopump.generators import cycle, random_game
-from ergopump.matrix_game import local_value, local_values
-from ergopump.pump import auxiliary_graph, boundary_gap_violations, modified_pump, r_bounds
+from ergopump.matrix_game import local_solve, local_value, local_values
+from ergopump.pump import auxiliary_graph, boundary_gap_violations, modified_pump
 from ergopump.witness import (
     ERGODIC,
     INCONCLUSIVE,
@@ -281,13 +281,14 @@ class TestCertificateChains:
         g = disconnected(0.0, 10.0)
         verdict = _solved_witness(g, 0.1)
         x = verdict.potential
-        rb = r_bounds(g, x, verdict.high_states, float(np.nanmax(local_values(g, x))))
+        graph = auxiliary_graph(g, x, verdict.high_states, float(np.nanmax(local_values(g, x))),
+                                verdict.eps)
         for v in verdict.high_states:
             sol = local_value(g, v, x)
             keep = bar_actions(g, v, verdict.high_states, "row")
             dropped = sum(sol.row_strategy[k]
                           for k in range(g.num_row_actions(v)) if k not in keep)
-            assert dropped < verdict.eps / rb.values[v] + 1e-12
+            assert dropped < verdict.eps / graph.bounds[v] + 1e-12
 
     def test_one_shot_chain_on_built_certificates(self):
         # floor_raw <= local value <= truncated payoff + eps, per pure column
@@ -307,14 +308,12 @@ class TestCertificateChains:
         # the pump's boundary-gap check passes on the sets the pump returns
         # and flags them once every potential gap is halved
         g = disconnected(0.0, 10.0)
-        out = modified_pump(g, np.zeros(2), local_values(g, np.zeros(2)), 0.0, 10.0, eps=0.1,
-                            cap=10_000)
+        out = modified_pump(g, local_solve(g, np.zeros(2)), 0.0, 10.0, eps=0.1, cap=10_000)
         assert out.kind == "witness-sets"
         pumped = out.bands.pumped
 
         def violations(x):
-            graph = auxiliary_graph(g, x, r_bounds(g, x, pumped, 10.0), 0.1)
-            return boundary_gap_violations(graph, out.closed_high, out.closed_low)
+            return boundary_gap_violations(auxiliary_graph(g, x, pumped, 10.0, 0.1), *out.closed)
 
-        assert violations(out.x) == ()
-        assert violations(out.x * 0.5)
+        assert violations(out.solve.x) == ()
+        assert violations(out.solve.x * 0.5)
