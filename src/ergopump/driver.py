@@ -20,8 +20,9 @@ with a non-ergodicity witness whose certified thresholds are
 (m_plus + m_minus) / 2 and (5*m_plus + 3*m_minus) / 8.
 
 Each potential's local games are settled once: an ergodic exit lays out its
-solve's strategies instead of solving again, and DriverStats.local_games
-counts every local game a run settles.
+solve's strategies instead of solving again, a witness exit takes the high
+set's from the pump's last solve, which lists that set, and solves only the
+low set, and DriverStats.local_games counts every local game a run settles.
 
 Every pump phase is capped at HARD_CAP steps. The paper bounds a phase by
 2*n*kappa + 1 steps, with kappa = base**(2**n - 1) * n*n*R/delta and
@@ -165,8 +166,8 @@ def _drive(game, eps, config, offset, stats):
     h = 0
     while True:
         m = solve.values
-        m_minus = float(np.min(m))
-        m_plus = float(np.max(m))
+        m_minus = float(m.min())
+        m_plus = float(m.max())
         if m_plus - m_minus <= 24 * eps:
             alpha, beta = solve.strategies()
             return stop(ERGODIC, potential=solve.x, floor=m_minus, ceiling=m_plus,
@@ -204,8 +205,8 @@ def _drive(game, eps, config, offset, stats):
         # set stays fixed
         high = (first if outcome.kind == "band-collapsed" else outcome).closed[0]
         low = first.closed[1]
-        stats.local_games += len(high) + len(low)  # the witness build's solve
-        witness = build_witness(game, outcome.solve.x, high, low, ceiling_raw=mid,
+        stats.local_games += len(low)  # the witness build solves the low set only
+        witness = build_witness(game, outcome.solve, high, low, ceiling_raw=mid,
                                 floor_raw=(5.0 * m_plus + 3.0 * m_minus) / 8.0, eps=eps,
                                 value_offset=offset)
         stats.outer_iterations = h

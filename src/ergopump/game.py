@@ -263,16 +263,24 @@ def make_game(
 
 
 def validate(game: GameSpec) -> ValidationReport:
-    """Check the structural invariants; every problem is reported, none raised."""
+    """Check the structural invariants; every problem is reported, none raised.
+
+    Each slot's probabilities are summed exactly, as an integer numerator
+    over an integer denominator: records that share the running total's
+    denominator, as most do, add numerators, and any other cross-multiplies.
+    The total is 1 exactly when numerator equals denominator.
+    """
     problems = [] if game.n else ["game has no states"]
     for v, name in enumerate(game.states):
-        if game.num_row_actions(v) == 0:
+        rows, cols = game.num_row_actions(v), game.num_col_actions(v)
+        if rows == 0:
             problems.append(f"state {name!r}: row player has no actions")
-        if game.num_col_actions(v) == 0:
+        if cols == 0:
             problems.append(f"state {name!r}: column player has no actions")
-        totals = {}
+        totals = {}  # (k, l) -> [a, b]: the slot's probabilities so far sum to a/b, b > 0
         for k, l, u, p, r in game.transitions[v]:
-            if p < 0 or p > 1:
+            a, b = p.as_integer_ratio()
+            if a < 0 or a > b:
                 problems.append(
                     f"probability out of range at ({name!r}, k={k}, l={l}, "
                     f"u={game.states[u]!r}): {p}"
@@ -282,14 +290,21 @@ def validate(game: GameSpec) -> ValidationReport:
                     f"reward is not finite at ({name!r}, k={k}, l={l}, "
                     f"u={game.states[u]!r}): {r}"
                 )
-            totals[k, l] = totals.get((k, l), 0) + p
-        for k in range(game.num_row_actions(v)):
-            for l in range(game.num_col_actions(v)):
-                total = totals.get((k, l), 0)
-                if total != 1:
+            total = totals.get((k, l))
+            if total is None:
+                totals[k, l] = [a, b]
+            elif total[1] == b:
+                total[0] += a
+            else:
+                total[0] = total[0] * b + a * total[1]
+                total[1] *= b
+        for k in range(rows):
+            for l in range(cols):
+                a, b = totals.get((k, l), (0, 1))
+                if a != b:
                     problems.append(
                         f"non-stopping condition fails at ({name!r}, k={k}, l={l}): "
-                        f"probabilities sum to {total}"
+                        f"probabilities sum to {Fraction(a, b)}"
                     )
     return ValidationReport(problems=tuple(problems))
 
@@ -328,9 +343,19 @@ def as_potential(x, n: int) -> Potential:
     arr = np.asarray(x, dtype=np.float64)
     if arr.shape != (n,):
         raise ValueError(f"potential must have shape ({n},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if np.count_nonzero(np.isfinite(arr)) < n:  # one C call; .all() wraps a reduction in Python
         raise ValueError("potential entries must be finite")
     return arr
+
+
+def state_mask(n: int, states) -> np.ndarray:
+    """A bool per state: states itself when it is already such a mask, else
+    True at the state indices it lists."""
+    if isinstance(states, np.ndarray) and states.dtype == bool and states.shape == (n,):
+        return states
+    mask = np.zeros(n, dtype=bool)
+    mask[list(states)] = True
+    return mask
 
 
 def local_payoffs(game: GameSpec, x: Potential, successor=None) -> np.ndarray:

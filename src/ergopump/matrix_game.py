@@ -39,7 +39,7 @@ from operator import mul
 
 import numpy as np
 
-from .game import local_payoffs, local_reward_matrix
+from .game import local_payoffs, local_reward_matrix, state_mask
 
 _PIVOT_EPS = 1e-11
 _SADDLE_TOL = 1e-9  # largest duality gap a solve may return
@@ -330,11 +330,11 @@ def _screen(game, x, states):
     row_min = np.minimum.reduceat(payoffs, flat.row_start)
     col_max = np.maximum.reduceat(payoffs[flat.col_order], flat.col_start)
     lower = np.maximum.reduceat(row_min, flat.first_row[:-1])
-    listed = np.zeros(game.n, dtype=bool)
-    listed[slice(None) if states is None else list(states)] = True
+    listed = np.ones(game.n, dtype=bool) if states is None else state_mask(game.n, states)
     saddle = listed & (lower == np.minimum.reduceat(col_max, flat.first_col[:-1]))
     values = np.where(saddle, lower, np.nan)
-    return payoffs, values, (listed & ~saddle).nonzero()[0], row_min, col_max
+    # saddle is a subset of listed, so listed ^ saddle is listed & ~saddle
+    return payoffs, values, (listed ^ saddle).nonzero()[0], row_min, col_max
 
 
 @dataclass(frozen=True)
@@ -377,8 +377,10 @@ class LocalSolve:
 
 
 def local_solve(game, x, states=None) -> LocalSolve:
-    """Settle the local games of `states` (all when None) at x: the screen
-    settles the pure saddles, and each other game takes one solve."""
+    """Settle the local games of `states` at x: all states when None, else
+    the state indices it lists or, as the pump passes them, a bool mask per
+    state. The screen settles the pure saddles, and each other game takes
+    one solve."""
     x = np.asarray(x, dtype=np.float64)
     payoffs, values, mixed, row_min, col_max = _screen(game, x, states)
     solved = {}

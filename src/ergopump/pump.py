@@ -31,20 +31,37 @@ size its gap thresholds, and rejects most steps at their first hop
 
 Band monotonicity, the drift bound (at most k*delta over a jump of k steps,
 in the direction the pumped set dictates), the payoff bound and the boundary
-gaps of witness sets are asserted at every landed step; a violation raises
-PumpInvariantError since it would invalidate any certificate built
-downstream.
+gaps of witness sets are asserted at every landed step, and every evaluated
+potential must be finite; a violation raises PumpInvariantError since it
+would invalidate any certificate built downstream.
+
+What a step costs. On small games (the acceptance corpus has 2 to 5
+states) an evaluated step's arrays hold a few dozen entries, so its cost is
+the fixed cost of each numpy call and Python call it makes, not arithmetic.
+An evaluated step is one local solve and one band partition; a witness
+check adds one gap graph, with its payoff bounds, and a closed-set search.
+Each is cut to few calls: partition sorts the values into all three bands
+in one Python pass; the phase's states go to local_solve as a bool mask
+built once per pump; a potential is checked finite once per evaluation and
+once per graph (in r_bounds); and the pumped mask is built once per
+landed step, by its graph, which keeps it (GapGraph.pumped): r_bounds, the
+payoff-bound check, the jump vector, the drift check and the graphs of the
+jump's probes, whose partition is the landed step's, all read it.
+The pump still calls partition, auxiliary_graph, r_bounds,
+find_closed_sets and local_solve by their module names, so a tracer that
+wraps those names sees every band and every graph.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .game import GameSpec, Potential, as_potential, local_payoffs
+from .game import GameSpec, Potential, as_potential, local_payoffs, state_mask
 from .matrix_game import LocalSolve, local_solve
 
 BAND_SLACK = 1e-9
@@ -101,28 +118,27 @@ class PumpOutcome:
 
 def partition(m_values, m_minus: float, m_plus: float) -> BandPartition:
     """Threshold the local values into bands, with a fixed slack; NaN and infinite
-    entries join none."""
-    m_values = np.asarray(m_values, dtype=np.float64)
-    finite = np.isfinite(m_values)
+    entries join none.
+
+    One pass over the values: each band is tested on its own, so when
+    m_plus < m_minus a value can sit in both the bottom band and the pumped
+    half.
+    """
     delta = (m_plus - m_minus) / 4.0
     t1 = m_minus + delta - BAND_SLACK
     t2 = m_minus + 2 * delta - BAND_SLACK
     t3 = m_minus + 3 * delta - BAND_SLACK
-    top, bottom = finite & (m_values >= t3), finite & (m_values < t1)
-
-    def members(mask):
-        return frozenset(mask.nonzero()[0].tolist())
-
-    return BandPartition(
-        m_minus=m_minus, m_plus=m_plus, delta=delta,
-        top=members(top), bottom=members(bottom), pumped=members(finite & (m_values >= t2)),
-    )
-
-
-def _state_mask(n: int, states) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[list(states)] = True
-    return mask
+    top, bottom, pumped = [], [], []
+    for v, m in enumerate(np.asarray(m_values, dtype=np.float64).tolist()):
+        if -math.inf < m < math.inf:
+            if m >= t3:
+                top.append(v)
+            if m < t1:
+                bottom.append(v)
+            if m >= t2:
+                pumped.append(v)
+    return BandPartition(m_minus=m_minus, m_plus=m_plus, delta=delta, top=frozenset(top),
+                         bottom=frozenset(bottom), pumped=frozenset(pumped))
 
 
 def r_bounds(game: GameSpec, x: Potential, pumped: np.ndarray, m_plus: float) -> np.ndarray:
@@ -136,11 +152,11 @@ def r_bounds(game: GameSpec, x: Potential, pumped: np.ndarray, m_plus: float) ->
     flat = game.flat
     x_from, x_to = x[flat.rec_state], x[flat.rec_to]
     # x[v] - min(x[u], x[v]) is the positive part of x[v] - x[u], x[v] - max(...) the negative
-    successor = np.where(pumped[flat.rec_state], np.minimum(x_to, x_from),
-                         np.maximum(x_to, x_from))
+    successor = np.maximum(x_to, x_from)
+    np.minimum(x_to, x_from, out=successor, where=pumped[flat.rec_state])
     payoffs = local_payoffs(game, x, successor)
-    per_slot = np.where(pumped[flat.slot_state], payoffs, m_plus - payoffs)
-    return np.maximum.reduceat(per_slot, flat.first_slot[:-1])
+    np.subtract(m_plus, payoffs, out=payoffs, where=~pumped[flat.slot_state])
+    return np.maximum.reduceat(payoffs, flat.first_slot[:-1])
 
 
 @dataclass(frozen=True)
@@ -170,12 +186,14 @@ class GapGraph:
 def auxiliary_graph(game: GameSpec, x: Potential, pumped, m_plus: float, eps: float) -> GapGraph:
     """The potential-gap graph at x for the pumped states `pumped`.
 
-    A state's gap threshold is |L^v| (pumped v) or |K^v| times W * R_v^2 / eps,
-    with R_v its r_bounds bound and W the game's granularity.
+    pumped is a bool mask per state, which the graph keeps as is, or the
+    pumped states' indices. A state's gap threshold is |L^v| (pumped v) or
+    |K^v| times W * R_v^2 / eps, with R_v its r_bounds bound and W the
+    game's granularity. r_bounds checks x, once per graph.
     """
-    x = as_potential(x, game.n)
+    x = np.asarray(x, dtype=np.float64)
     flat = game.flat
-    mask = _state_mask(game.n, pumped)
+    mask = state_mask(game.n, pumped)
     bounds = r_bounds(game, x, mask, m_plus)
     width = np.where(mask, flat.col_count, flat.row_count)
     return GapGraph(x=x, bounds=bounds, pumped=mask,
@@ -270,16 +288,22 @@ def _potential_hash(x: np.ndarray) -> str:
 
 def _check_step_invariants(tau, prev_m, m, pumped, delta, steps):
     """Value drift over a jump of `steps` steps that pumped the states where
-    `pumped` is nonzero: bounded, and signed by the pumped set. States
-    outside the phase, NaN in both value vectors, never fail."""
+    `pumped` is true: bounded, and signed by the pumped set. States outside
+    the phase, NaN in both value vectors, never fail.
+
+    A state fails when its drift, negated outside the pumped set, exceeds
+    the bound in magnitude or exceeds BAND_SLACK, that is when it lies
+    above min(bound, BAND_SLACK) or below -bound: one comparison pair
+    checks both invariants.
+    """
+    bound = steps * delta + BAND_SLACK
     drift = m - prev_m
-    too_far = np.abs(drift) > steps * delta + BAND_SLACK
-    wrong_way = np.where(pumped, drift, -drift) > BAND_SLACK
-    failing = (too_far | wrong_way).nonzero()[0]
+    signed = np.where(pumped, drift, -drift)
+    failing = ((signed > min(bound, BAND_SLACK)) | (signed < -bound)).nonzero()[0]
     if not failing.size:
         return
     v = failing[0]  # the first failing state, and its first failing condition
-    if too_far[v]:
+    if abs(drift[v]) > bound:
         raise PumpInvariantError(
             f"iteration {tau}: local value at state {v} moved by {drift[v]}, "
             f"more than {steps} pump steps of {delta}"
@@ -335,33 +359,46 @@ def modified_pump(
     stats.iterations, are exactly those that single steps would reach;
     stats.pump_counts holds the per-state step counts that define the
     potential, and the trace has one record per landed step. The outcome
-    carries the landed step's local solve.
+    carries the landed step's local solve. A broken invariant, or an
+    evaluated potential that leaves the float range, raises
+    PumpInvariantError naming the iteration.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    m0 = entry.values
-    if m0.shape != (game.n,) or np.isinf(m0).any() or np.isnan(m0).all():
+    n, m0 = game.n, entry.values
+    listed = ~np.isnan(m0)  # the phase's states, as local_solve takes them
+    listed_count = int(np.count_nonzero(listed))
+    if m0.shape != (n,) or np.count_nonzero(np.isinf(m0)) or not listed_count:
         raise ValueError("entry values need n entries, none infinite and not all NaN")
-    x_entry = as_potential(entry.x, game.n)
-    state_list = np.flatnonzero(~np.isnan(m0)).tolist()
+    x_entry = as_potential(entry.x, n)
     delta = (m_plus - m_minus) / 4.0
+    check_payoff_bound = m_plus - m_minus > eps
 
     stats = PumpStats(
-        pump_counts=np.zeros(game.n, dtype=np.int64),
+        pump_counts=np.zeros(n, dtype=np.int64),
         trace=[] if collect_trace else None,
     )
     counts = stats.pump_counts
 
-    def evaluate(step_counts) -> _Step:
-        solve = local_solve(game, x_entry - delta * step_counts, state_list)
-        stats.local_games += len(state_list)
+    def evaluate(tau, step_counts) -> _Step:
+        x = x_entry - delta * step_counts
+        finite = np.isfinite(x)
+        if np.count_nonzero(finite) < n:
+            v = (~finite).nonzero()[0][0]
+            raise PumpInvariantError(
+                f"iteration {tau}: potential at state {v} left the float range ({x[v]})"
+            )
+        solve = local_solve(game, x, listed)
+        stats.local_games += listed_count
         return _Step(solve=solve, part=partition(solve.values, m_minus, m_plus))
 
-    def witness(step: _Step):
+    def witness(step: _Step, pumped):
+        # pumped: the step's pumped states, as a set or as the mask a graph
+        # of the same partition already built
         if step.graph is None:
-            step.graph = auxiliary_graph(game, step.solve.x, step.part.pumped, m_plus, eps)
+            step.graph = auxiliary_graph(game, step.solve.x, pumped, m_plus, eps)
             stats.witness_checks += 1
             step.closed = find_closed_sets(step.graph, step.part.top, step.part.bottom)
         return step.closed
@@ -372,11 +409,11 @@ def modified_pump(
     tau = 0
     while True:
         m, part = here.solve.values, here.part
-        if prev is not None:  # the jump from prev pumped the states where `pumped` is 1
-            _check_step_invariants(tau, prev.solve.values, m, pumped, delta, jump)
+        if prev is not None:  # the jump from prev pumped prev's graph's pumped states
+            _check_step_invariants(tau, prev.solve.values, m, prev.graph.pumped, delta, jump)
             _check_band_monotonicity(tau, prev.part, part)
         if stats.trace is not None:
-            finite = m[state_list]
+            finite = m[listed]
             stats.trace.append({
                 "tau": tau,
                 "m_min": float(np.min(finite)),
@@ -389,18 +426,18 @@ def modified_pump(
         if not part.top or not part.bottom:
             kind = "band-collapsed"
         else:
-            closed = witness(here)
-            bounds = here.graph.bounds
-            if m_plus - m_minus > eps:
-                below = np.flatnonzero(here.graph.pumped & (bounds < m - BAND_SLACK))
+            closed = witness(here, part.pumped)
+            graph = here.graph
+            if check_payoff_bound:
+                below = (graph.pumped & (graph.bounds < m - BAND_SLACK)).nonzero()[0]
                 if below.size:
                     v = below[0]
                     raise PumpInvariantError(
-                        f"iteration {tau}: payoff bound {bounds[v]} at pumped "
+                        f"iteration {tau}: payoff bound {graph.bounds[v]} at pumped "
                         f"state {v} fell below its local value {m[v]}"
                     )
             if closed is not None:
-                leaks = boundary_gap_violations(here.graph, *closed)
+                leaks = boundary_gap_violations(graph, *closed)
                 if leaks:
                     raise PumpInvariantError(f"iteration {tau}: " + "; ".join(leaks))
             kind = ("witness-sets" if closed is not None
@@ -411,16 +448,16 @@ def modified_pump(
                                stats=stats)
 
         # Find the first k >= 1 steps ahead, pumping this partition's upper
-        # half, at which the partition differs, the witness check succeeds or
-        # the cap is reached. No event at k = lo; an event at k = hi.
-        pumped = np.zeros(game.n, dtype=np.int64)
-        pumped[sorted(part.pumped)] = 1
+        # half (the graph's pumped mask), at which the partition differs, the
+        # witness check succeeds or the cap is reached. No event at k = lo;
+        # an event at k = hi.
+        pumped = here.graph.pumped
         limit = cap - tau
         probes = {}
 
         def event(k):
-            step = probes[k] = evaluate(counts + k * pumped)
-            return k == limit or step.part != part or witness(step) is not None
+            step = probes[k] = evaluate(tau + k, counts + k * pumped)
+            return k == limit or step.part != part or witness(step, pumped) is not None
 
         lo, hi = 0, 1
         while not event(hi):
@@ -450,7 +487,7 @@ def boundary_gap_violations(graph: GapGraph, high, low) -> tuple:
     x, thresholds = graph.x, graph.thresholds
     problems = []
     for label, members, pick in (("high", high, np.argmin), ("low", low, np.argmax)):
-        inside = _state_mask(len(x), members)
+        inside = state_mask(len(x), members)
         outside = np.flatnonzero(~inside)
         if not outside.size:
             continue

@@ -11,10 +11,11 @@ along every play, so the row player guarantees `floor` from every alpha
 state and the column player concedes at most `ceiling` from every beta
 state. An INCONCLUSIVE verdict holds only its reason and certifies nothing.
 
-Both certified kinds take their strategies from one local solve
-(matrix_game.LocalSolve) at the certified potential: an ergodic verdict
-from the solve that measured its band, a witness from a local_solve of the
-states it covers. An ergodic verdict covers every state with both
+Both certified kinds take their strategies from the local solves
+(matrix_game.LocalSolve) at the certified potential, and settle no game
+twice: an ergodic verdict from the solve that measured its band, a witness
+from the pump's last solve, which lists its high set, and one local_solve
+of its low set. An ergodic verdict covers every state with both
 players' optimal local strategies (so closure is vacuous) and claims
 ceiling - floor <= 24*eps. A non-ergodicity
 witness covers two disjoint closed sets, the high one with alpha and the
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameSpec, Potential, as_potential, local_payoffs
-from .matrix_game import local_solve
+from .matrix_game import LocalSolve, local_solve
 
 ERGODIC = "ergodic-24eps"
 NON_ERGODIC = "non-ergodic"
@@ -120,7 +121,7 @@ def _truncate(strategy: np.ndarray, keep: frozenset, v: int):
 
 def build_witness(
     game: GameSpec,
-    x: Potential,
+    solve: LocalSolve,
     high_states,
     low_states,
     ceiling_raw: float,
@@ -128,21 +129,21 @@ def build_witness(
     eps: float,
     value_offset: float = 0.0,
 ) -> Verdict:
-    """Build truncated stationary strategies certifying the value gap.
+    """Build truncated stationary strategies certifying the value gap at solve.x.
 
-    Requires the closed-set gap conditions to hold at x (supersets of the
-    top/bottom bands with saturated potential gaps). One local solve of the
-    high and low states at x gives alpha from the row strategies of the
-    high states and beta from the column strategies of the low states;
-    each is then truncated to its bar_actions and renormalised. The
-    certified bounds keep a margin of eps: floor = floor_raw - eps,
-    ceiling = ceiling_raw + eps. Fails loudly when a strategy has no mass on
-    set-preserving actions (none at all, or none its optimal strategy
-    plays), which signals a violated precondition rather than a
-    recoverable condition. value_offset is the caller's normalization shift,
-    recorded as is.
+    Requires the closed-set gap conditions to hold at x = solve.x (supersets
+    of the top/bottom bands with saturated potential gaps). solve must list
+    every high state, as the pump's last solve does: alpha comes from its
+    row strategies, and one local solve of the low states at x gives beta
+    from their column strategies. Each is then truncated to its bar_actions
+    and renormalised. The certified bounds keep a margin of eps: floor =
+    floor_raw - eps, ceiling = ceiling_raw + eps. Fails loudly when a
+    strategy has no mass on set-preserving actions (none at all, or none
+    its optimal strategy plays), which signals a violated precondition
+    rather than a recoverable condition. value_offset is the caller's
+    normalization shift, recorded as is.
     """
-    x = as_potential(x, game.n)
+    x = as_potential(solve.x, game.n)
     high_states = frozenset(int(v) for v in high_states)
     low_states = frozenset(int(v) for v in low_states)
     if not high_states or not low_states or (high_states & low_states):
@@ -152,7 +153,11 @@ def build_witness(
             f"threshold separation {floor_raw - ceiling_raw} is below the "
             f"required 3*eps = {3 * eps}"
         )
-    rows, cols = local_solve(game, x, sorted(high_states | low_states)).strategies()
+    unsettled = sorted(v for v in high_states if np.isnan(solve.values[v]))
+    if unsettled:
+        raise WitnessBuildError(f"the solve does not list high states {unsettled}")
+    rows, _ = solve.strategies()
+    _, cols = local_solve(game, x, sorted(low_states)).strategies()
     return Verdict(
         kind=NON_ERGODIC, eps=eps, value_offset=value_offset, potential=x,
         floor=floor_raw - eps, ceiling=ceiling_raw + eps,

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 
-from ergopump.game import make_game
+from ergopump.game import make_game, state_mask
 
 
 def one_state(reward=5.0):
@@ -117,11 +117,11 @@ def count_calls(monkeypatch, names, weight=None):
 
 def count_local_games(monkeypatch):
     """Count the local games settled, by the pure-saddle screen or a solve:
-    the states each local_solve call lists (all of them when it lists none),
-    summed by the returned Counter's total(). local_values settles its
-    games through local_solve."""
+    the states each local_solve call lists (all of them when it lists none,
+    the true entries of a bool mask), summed by the returned Counter's
+    total(). local_values settles its games through local_solve."""
     def listed(game, x, states=None):
-        return game.n if states is None else len(states)
+        return game.n if states is None else int(np.count_nonzero(state_mask(game.n, states)))
 
     return count_calls(monkeypatch, ("local_solve",), weight=listed)
 

@@ -17,7 +17,9 @@ payoffs, and its one-shot bounds from the dense tables, so neither shares
 the verifier's vectorised pass. The paper's pump-step bound is evaluated
 as written, to check the driver's constant step cap against it. The game
 constants W and R come from a per-record loop over the exact probabilities,
-the oracle of the constants the flat view is built with.
+the oracle of the constants the flat view is built with, and the problems
+game validation reports come from a per-record loop that sums each slot's
+probabilities as Fractions.
 """
 
 import itertools
@@ -50,6 +52,39 @@ def game_params(game):
                 raise ValueError("game_params requires normalized (non-negative) rewards")
             reward_bound = max(reward_bound, r)
     return GameParams(granularity=granularity, reward_bound=reward_bound)
+
+
+def validate_problems(game):
+    """The problems game.validate must report, in its order, from a per-record
+    loop that sums each slot's probabilities as Fractions."""
+    problems = [] if game.n else ["game has no states"]
+    for v, name in enumerate(game.states):
+        if game.num_row_actions(v) == 0:
+            problems.append(f"state {name!r}: row player has no actions")
+        if game.num_col_actions(v) == 0:
+            problems.append(f"state {name!r}: column player has no actions")
+        totals = {}
+        for k, l, u, p, r in game.transitions[v]:
+            if p < 0 or p > 1:
+                problems.append(
+                    f"probability out of range at ({name!r}, k={k}, l={l}, "
+                    f"u={game.states[u]!r}): {p}"
+                )
+            if not math.isfinite(r):
+                problems.append(
+                    f"reward is not finite at ({name!r}, k={k}, l={l}, "
+                    f"u={game.states[u]!r}): {r}"
+                )
+            totals[k, l] = totals.get((k, l), 0) + p
+        for k in range(game.num_row_actions(v)):
+            for l in range(game.num_col_actions(v)):
+                total = totals.get((k, l), 0)
+                if total != 1:
+                    problems.append(
+                        f"non-stopping condition fails at ({name!r}, k={k}, l={l}): "
+                        f"probabilities sum to {total}"
+                    )
+    return tuple(problems)
 
 
 def value_2x2(matrix):

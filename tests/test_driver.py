@@ -17,7 +17,7 @@ from builders import (
     random_dense_game,
     two_cycle,
 )
-from ergopump import driver, matrix_game
+from ergopump import driver, matrix_game, witness
 from ergopump.documents import parse_game, serialize_certificate, serialize_game
 from ergopump.driver import (
     HARD_CAP,
@@ -185,6 +185,37 @@ class TestDecideErgodicity:
         assert all("phase2" not in record for record in stats.phases)
         pumped = sum(out.stats.local_games for out in outcomes)
         assert settled.total() == stats.local_games == game.n + pumped
+
+    def test_witness_exit_solves_only_the_low_set(self, monkeypatch):
+        # the pump's last solve lists the high set at the certified
+        # potential, so the witness build settles the low set's games alone
+        outcomes, built = [], []
+
+        def recorded(*args, **kwargs):
+            outcomes.append(modified_pump(*args, **kwargs))
+            return outcomes[-1]
+
+        def build_solve(game, x, states=None):
+            built.append(states)
+            return local_solve(game, x, states)
+
+        monkeypatch.setattr(driver, "modified_pump", recorded)
+        monkeypatch.setattr(witness, "local_solve", build_solve)
+        settled = count_local_games(monkeypatch)
+        game = disconnected(0.0, 10.0)
+        verdict, stats = decide_ergodicity(game, 0.1)
+        assert verdict.kind == "non-ergodic" and [o.kind for o in outcomes] == [
+            "witness-sets", "band-collapsed"]
+        assert built == [[0]]
+        pumped = sum(out.stats.local_games for out in outcomes)
+        assert settled.total() == stats.local_games == game.n + pumped + 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_potential_overflow_ends_inconclusive_with_its_reason(self):
+        verdict, _ = decide_ergodicity(disconnected(0.0, 1e307), 1e300)
+        assert verdict.kind == "inconclusive"
+        assert verdict.reason == ("PumpInvariantError: iteration 128: potential at state 1 "
+                                  "left the float range (-inf)")
 
     def test_ergodic_band_is_measured_at_the_certified_potential(self):
         # the loop carries the pump's last local values into its band check:

@@ -14,6 +14,7 @@ from builders import disconnected, one_state, random_dense_game, two_cycle
 from ergopump.game import (
     DocumentError,
     GameParams,
+    GameSpec,
     apply_potential,
     game_params,
     local_reward_matrix,
@@ -88,6 +89,67 @@ class TestValidate:
         with np.errstate(over="ignore"), pytest.raises(DocumentError,
                                                         match="reward is not finite"):
             apply_potential(two_cycle(), np.array([1e308, -1e308]))
+
+
+def _unvalidated(states, row_actions, col_actions, transitions):
+    """A GameSpec with these fields that construction has not validated."""
+    game = object.__new__(GameSpec)
+    for name, value in (("states", states), ("row_actions", row_actions),
+                        ("col_actions", col_actions), ("transitions", transitions)):
+        object.__setattr__(game, name, value)
+    return game
+
+
+@st.composite
+def _probability_tables(draw):
+    """0-3 states of 0-2 actions per player; each action pair has 0-3
+    records, whose probabilities split 1 (written "a/b" with denominators up
+    to 2**64, or as decimals), miss it by a tiny fraction such as 1/2**64,
+    or include a negative value or one above 1; a few rewards are NaN or
+    infinite."""
+    n = draw(st.integers(0, 3))
+    shapes = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                           min_size=n, max_size=n))
+    reward = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([np.nan, np.inf, -np.inf]))
+    transitions = []
+    for rows, cols in shapes:
+        records = []
+        for k in range(rows):
+            for l in range(cols):
+                successors = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+                denominator = draw(st.one_of(st.integers(1, 12), st.integers(2**53, 2**64),
+                                             st.sampled_from([10, 100, 10**20])))
+                cuts = sorted(draw(st.lists(st.integers(0, denominator), min_size=len(successors),
+                                            max_size=len(successors))))
+                parts = [Fraction(hi - lo, denominator)
+                         for lo, hi in zip([0, *cuts[:-1]], [*cuts[:-1], denominator])]
+                off = draw(st.sampled_from([0, 0, Fraction(1, 2**64), -Fraction(1, 2**64),
+                                            Fraction(3, 2), -Fraction(1, 7)]))
+                for i, u in enumerate(successors):
+                    p = parts[i] + (off if i == 0 else 0)
+                    text = (_decimal(p) if p >= 0 and 10**20 % p.denominator == 0
+                            and draw(st.booleans()) else f"{p.numerator}/{p.denominator}")
+                    records.append((k, l, u, to_fraction(text), draw(reward)))
+        transitions.append(tuple(draw(st.permutations(records))))
+    return _unvalidated(tuple(f"s{v}" for v in range(n)),
+                        tuple(tuple(f"a{k}" for k in range(rows)) for rows, _ in shapes),
+                        tuple(tuple(f"b{l}" for l in range(cols)) for _, cols in shapes),
+                        tuple(transitions))
+
+
+class TestValidateAgainstFractionSums:
+    @settings(max_examples=300, deadline=None)
+    @given(_probability_tables())
+    def test_same_problems_in_the_same_order(self, game):
+        assert validate(game).problems == reference.validate_problems(game)
+
+    def test_sum_short_by_two_to_the_minus_64(self):
+        short = Fraction(1, 2) - Fraction(1, 2**64)
+        game = _unvalidated(("s",), (("a",),), (("x",),),
+                            (((0, 0, 0, short, 0.0), (0, 0, 0, Fraction(1, 2), 0.0)),))
+        assert validate(game).problems == (
+            "non-stopping condition fails at ('s', k=0, l=0): probabilities sum to "
+            f"{1 - Fraction(1, 2**64)}",)
 
 
 class TestToFraction:

@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from builders import disconnected, max_mass_into, one_state, random_dense_game, two_cycle
+from builders import (
+    count_calls,
+    disconnected,
+    max_mass_into,
+    one_state,
+    random_dense_game,
+    two_cycle,
+)
 from ergopump import driver, pump
 from ergopump.driver import decide_ergodicity
 from ergopump.game import game_params
@@ -29,6 +36,21 @@ from ergopump.pump import (
     partition,
     r_bounds,
 )
+
+
+@st.composite
+def _band_inputs(draw):
+    """Local values and a band: integers and floats, NaN and infinities,
+    values exactly at each threshold and one float either side of it, and
+    bands of either orientation (m_plus < m_minus too)."""
+    m_minus = draw(st.one_of(st.integers(-2, 2).map(float), st.floats(-5, 5)))
+    m_plus = m_minus + draw(st.one_of(st.integers(-4, 4).map(float), st.floats(-6, 6)))
+    delta = (m_plus - m_minus) / 4.0
+    edges = [m_minus + i * delta - pump.BAND_SLACK for i in (1, 2, 3)]
+    edges += [float(np.nextafter(t, side)) for t in edges[:3] for side in (-np.inf, np.inf)]
+    value = st.one_of(st.integers(-3, 5).map(float), st.floats(-6, 6),
+                      st.sampled_from([np.nan, np.inf, -np.inf]), st.sampled_from(edges))
+    return draw(st.lists(value, max_size=12)), m_minus, m_plus
 
 
 class TestPartition:
@@ -56,15 +78,18 @@ class TestPartition:
         assert part.bottom == {0}
         assert 1 not in part.pumped
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.one_of(st.integers(-3, 5).map(float), st.floats(-4, 6),
-                              st.sampled_from([np.nan, np.inf, -np.inf])), max_size=12),
-           st.integers(-2, 2).map(float), st.integers(0, 4).map(float))
-    def test_matches_per_state_comprehensions(self, m_values, m_minus, width):
-        # integer values land exactly on band thresholds; NaN and infinite
-        # values join no band
-        part = partition(m_values, m_minus, m_minus + width)
-        expected = reference.partition_sets(m_values, m_minus, m_minus + width, pump.BAND_SLACK)
+    def test_inverted_band_overlaps(self):
+        # m_plus < m_minus: the thresholds run downwards, so a value can sit
+        # in the bottom band and the pumped half (and here the top band)
+        part = partition([2.5, np.inf, -np.inf, np.nan], 4.0, 0.0)
+        assert part.top == part.bottom == part.pumped == {0}
+
+    @settings(max_examples=300, deadline=None)
+    @given(_band_inputs())
+    def test_matches_per_state_comprehensions(self, inputs):
+        m_values, m_minus, m_plus = inputs
+        part = partition(m_values, m_minus, m_plus)
+        expected = reference.partition_sets(m_values, m_minus, m_plus, pump.BAND_SLACK)
         assert (part.top, part.bottom, part.pumped) == expected
         for band in expected:
             assert all(type(v) is int for v in band)
@@ -173,6 +198,23 @@ class TestAuxiliaryGraph:
         assert graph.bounds.tobytes() == bounds.tobytes()
         expected = reference.gap_thresholds(g, pumped, bounds, 0.05, game_params(g).granularity)
         assert graph.thresholds.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_mask_and_set_build_the_same_graph(self, seed):
+        # the pump passes a landed step's pumped set, and its probes the mask
+        # that step's graph built; a mask is kept as is
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        g = random_dense_game(rng, n=n, max_actions=3)
+        x = rng.uniform(-30, 30, n) * rng.integers(0, 2, n)
+        pumped = set(np.flatnonzero(rng.random(n) < 0.5).tolist())
+        mask = _upper(n, pumped)
+        by_set = auxiliary_graph(g, x, pumped, 6.0, 0.05)
+        by_mask = auxiliary_graph(g, x, mask, 6.0, 0.05)
+        assert by_mask.pumped is mask
+        for name in ("x", "bounds", "thresholds", "pumped"):
+            assert getattr(by_set, name).tobytes() == getattr(by_mask, name).tobytes()
 
 
 class TestFindClosedSets:
@@ -554,3 +596,16 @@ def test_local_value_evaluations_grow_slower_than_steps(monkeypatch):
                          for phase in ("phase1", "phase2") if phase in record))
     assert steps[1] >= 15 * steps[0]
     assert evaluations[1] < 2 * evaluations[0]
+
+
+@pytest.mark.parametrize("seed, partitions, graphs", [
+    (32, 33, 30), (51, 28, 27), (151, 232, 203), (169, 29, 28)])
+def test_traced_functions_run_once_per_band_and_graph(monkeypatch, seed, partitions, graphs):
+    # the pump calls these by their module names, where the benchmark's
+    # per-layer trace wraps them: one partition per evaluated step, and per
+    # witness check one graph with its bounds and one closed-set search
+    calls = count_calls(monkeypatch, ("partition", "auxiliary_graph", "r_bounds",
+                                      "find_closed_sets"))
+    decide_ergodicity(_corpus_game(seed), 0.05)
+    assert calls == {"partition": partitions, "auxiliary_graph": graphs, "r_bounds": graphs,
+                     "find_closed_sets": graphs}

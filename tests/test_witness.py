@@ -74,7 +74,7 @@ class TestBuildWitness:
         # local game at v is [[1,0],[0,7/3]] whose optimal row mix is (0.7, 0.3)
         sol = local_value(g, 0, np.zeros(2))
         assert np.allclose(sol.row_strategy, [0.7, 0.3], atol=1e-9)
-        cert = build_witness(g, np.zeros(2), {0}, {1},
+        cert = build_witness(g, local_solve(g, np.zeros(2)), {0}, {1},
                              ceiling_raw=0.2, floor_raw=0.9, eps=0.1)
         assert np.allclose(cert.alpha[0], [1.0, 0.0])
 
@@ -93,7 +93,13 @@ class TestBuildWitness:
             [("a", "k", "l", "b", 1, 5.0), ("b", "k", "l", "b", 1, 0.0)],
         )
         with pytest.raises(WitnessBuildError, match="preconditions violated"):
-            build_witness(g, np.zeros(2), {0}, {1}, 0.2, 0.9, eps=0.1)
+            build_witness(g, local_solve(g, np.zeros(2)), {0}, {1}, 0.2, 0.9, eps=0.1)
+
+    def test_high_states_come_from_the_callers_solve(self):
+        # alpha is read off the caller's solve, so it must list the high set
+        g = disconnected(0.0, 10.0)
+        with pytest.raises(WitnessBuildError, match=r"does not list high states \[1\]"):
+            build_witness(g, local_solve(g, np.zeros(2), [0]), {1}, {0}, 0.2, 0.9, eps=0.1)
 
     def test_reflected_equals_direct_minimizer_side(self):
         g = make_game(
@@ -106,7 +112,8 @@ class TestBuildWitness:
                                    ("r1", "c0", 0.0), ("r1", "c1", 1.0)]],
         )
         x = np.array([-1000.0, 0.0])
-        cert = build_witness(g, x, {0}, {1}, ceiling_raw=5.0, floor_raw=6.25, eps=0.1)
+        cert = build_witness(g, local_solve(g, x), {0}, {1}, ceiling_raw=5.0, floor_raw=6.25,
+                             eps=0.1)
         direct = local_value(g, 1, x).col_strategy
         assert np.allclose(cert.beta[1], direct, atol=1e-9)
 
@@ -136,7 +143,7 @@ class TestVerifyWitness:
 
     def test_structural_fault_is_named(self):
         g = leaky_row_game()
-        cert = build_witness(g, np.zeros(2), {0}, {1},
+        cert = build_witness(g, local_solve(g, np.zeros(2)), {0}, {1},
                              ceiling_raw=0.2, floor_raw=0.9, eps=0.1)
         tampered = dataclasses.replace(cert, alpha={0: np.array([0.999, 1e-3])})
         report = verify_witness(g, tampered)
