@@ -24,7 +24,6 @@ from .driver import (
 from .game import (
     GameParams,
     GameSpec,
-    ValidationReport,
     apply_potential,
     game_params,
     local_reward_matrix,

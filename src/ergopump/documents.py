@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from fractions import Fraction
 from itertools import accumulate, chain
 
 import numpy as np
@@ -34,10 +33,6 @@ GAME_FORMAT = "ergopump-game/1"
 CERTIFICATE_FORMAT = "ergopump-certificate/4"
 
 
-def _fraction_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def serialize_game(game: GameSpec) -> str:
     records = [
         {
@@ -45,11 +40,11 @@ def serialize_game(game: GameSpec) -> str:
             "row": game.row_actions[v][k],
             "col": game.col_actions[v][l],
             "to": game.states[u],
-            "p": _fraction_str(p),
+            "p": str(p),  # "a/b", or "a" when b is 1
             "r": r,
         }
-        for v in range(game.n)
-        for k, l, u, p, r in game.transitions[v]
+        for v, state_records in enumerate(game.transitions)
+        for k, l, u, p, r in state_records
     ]
     doc = {
         "format": GAME_FORMAT,
@@ -123,11 +118,15 @@ def parse_game(text: str) -> GameSpec:
     if not isinstance(records, list):
         raise DocumentError(problems + ["'transitions' must be a list"])
     triples = []
+    checked = set()  # probability texts already read: a document repeats a few
     for idx, rec in enumerate(records):
         if len(problems) >= MAX_REPORTED_ERRORS:
             break
         try:
-            p = to_fraction(rec["p"])
+            p = rec["p"]
+            if type(p) is not str or p not in checked:
+                to_fraction(p)
+                checked.add(p)
             triples.append((rec["from"], rec["row"], rec["col"], rec["to"], p, rec["r"]))
         except KeyError as exc:
             problems.append(f"transition record {idx}: missing field {exc.args[0]!r}")

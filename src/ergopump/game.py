@@ -3,21 +3,21 @@
 A game is a finite set of positions; at each position the two players pick
 actions (row player maximizes, column player minimizes), a transition reward
 is paid, and the play moves to the next position according to the transition
-probabilities. Each transition is stored once, as a sparse record with an
-exact rational probability, so the granularity parameter is well defined.
-All float numerics read one flat view of the records (FlatView), and the
-potential-adjusted local games of every state come from one mat-vec over it
-(local_payoffs). The flat view also holds the game's constants, fixed when it
-is built: the granularity W, from one pass over the distinct probabilities,
-and the least and greatest reward, from the record table; game_params and
-normalize_rewards read them instead of walking the records.
+probabilities. A game is stored once, as the record columns of its flat view
+(FlatView), each exact rational probability an index into a small table of
+Fractions, so the granularity parameter is well defined. All numerics
+read that view: the potential-adjusted local games of every state come from
+one mat-vec over it (local_payoffs), and it holds the game's constants W and
+reward range, fixed when it is built.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import compress, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,16 +62,17 @@ def to_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class FlatView:
-    """Read-only float view of a game's records, built once per GameSpec.
+    """A game's transition records, stored once as columns, and the float
+    views of them that every solve reads; built once per GameSpec.
 
     A slot is one (v, k, l) action pair; state v owns the slots from
-    first_slot[v] to first_slot[v + 1] in row-major (k, l) order, and its
-    row and column actions are numbered from first_row[v] and first_col[v]
-    (global rows and columns). row_start and col_order with col_start are the
-    segment indices of per-row and per-column reductions over a per-slot
-    array, as matrix_game's pure-saddle screen runs them. granularity is
-    the largest ceil(1/p) over the records, exact on the rational p, and
-    reward_low and reward_high are the least and greatest record reward.
+    first_slot[v] to first_slot[v + 1] in row-major (k, l) order, and its row
+    and column actions are numbered from first_row[v] and first_col[v]
+    (global rows and columns). row_start and col_order with col_start are
+    the segment indices of per-row and per-column reductions over a per-slot
+    array, as matrix_game's pure-saddle screen runs them. granularity is the
+    largest ceil(1/p) over the nonzero probabilities, exact on the rational
+    p, and reward_low and reward_high are the least and greatest reward.
     """
 
     slot_state: np.ndarray  # per slot: v
@@ -81,7 +82,10 @@ class FlatView:
     rec_slot: np.ndarray  # per record: its slot
     rec_state: np.ndarray  # per record: v, the state owning its slot
     rec_to: np.ndarray  # per record: the successor u
+    rec_prob: np.ndarray  # per record: the index of its p in probabilities
     rec_p: np.ndarray  # per record: float(p)
+    rec_reward: np.ndarray  # per record: r
+    probabilities: np.ndarray  # the exact probabilities (Fractions) the records index
     first_slot: np.ndarray  # per state, plus the total at [n]
     first_row: np.ndarray  # per state, plus the total at [n]
     first_col: np.ndarray  # per state, plus the total at [n]
@@ -106,60 +110,77 @@ def _read_only(fields: dict):
             value.setflags(write=False)
 
 
-def _flat_view(game) -> FlatView:
-    rows = np.array([len(acts) for acts in game.row_actions], dtype=np.int64)
-    cols = np.array([len(acts) for acts in game.col_actions], dtype=np.int64)
+def _reward_fields(rec_slot, rec_p, reward, slots) -> dict:
+    """The fields of a flat view that its per-record rewards fix."""
+    return dict(rec_reward=reward,
+                slot_reward=np.bincount(rec_slot, weights=rec_p * reward, minlength=slots),
+                reward_low=float(reward.min(initial=np.inf)),
+                reward_high=float(reward.max(initial=-np.inf)))
+
+
+def _flat_view(row_actions, col_actions, v, k, l, u, probabilities, rec_prob,
+               reward) -> FlatView:
+    """The flat view of records given as int64 columns v, k, l, u and rec_prob
+    (an index into probabilities) and a float column reward, in that order."""
+    rows, cols = (np.array([len(acts) for acts in actions], dtype=np.int64)
+                  for actions in (row_actions, col_actions))
     first_slot, first_row, first_col = (np.concatenate(([0], np.cumsum(sizes)))
                                         for sizes in (rows * cols, rows, cols))
-    slot_state = np.repeat(np.arange(game.n), rows * cols)
+    slot_state = np.repeat(np.arange(len(rows)), rows * cols)
     row, col = np.divmod(np.arange(first_slot[-1]) - first_slot[slot_state], cols[slot_state])
-    table = np.array([(v, k, l, u, float(p), r)
-                      for v, records in enumerate(game.transitions)
-                      for k, l, u, p, r in records], dtype=np.float64).reshape(-1, 6)
-    v, k, l, u = table[:, :4].astype(np.int64).T
-    rec_slot, rec_p = first_slot[v] + k * cols[v] + l, table[:, 4].copy()
+    rec_slot = first_slot[v] + k * cols[v] + l
+    rec_p = np.array([float(p) for p in probabilities], dtype=np.float64)[rec_prob]
     slot_col = first_col[slot_state] + col
     col_order = np.argsort(slot_col, kind="stable")
-    # ceil(1/p) = ceil(b/a) for p = a/b in lowest terms; (a, b) pairs dedupe
-    # far faster than Fractions, whose hash is computed in Python
-    distinct = {(p.numerator, p.denominator) for records in game.transitions
-                for _k, _l, _u, p, _r in records}
     view = FlatView(
         slot_state=slot_state, slot_row=first_row[slot_state] + row, slot_col=slot_col,
-        slot_reward=np.bincount(rec_slot, weights=rec_p * table[:, 5], minlength=first_slot[-1]),
-        rec_slot=rec_slot, rec_state=slot_state[rec_slot], rec_to=u, rec_p=rec_p,
+        rec_slot=rec_slot, rec_state=slot_state[rec_slot], rec_to=u, rec_prob=rec_prob,
+        rec_p=rec_p, probabilities=np.array(probabilities, dtype=object),
         first_slot=first_slot, first_row=first_row, first_col=first_col,
         row_count=rows, col_count=cols, row_start=np.flatnonzero(col == 0),
         col_order=col_order, col_start=np.flatnonzero(row[col_order] == 0),
-        granularity=max(-(-b // a) for a, b in distinct if a),
-        reward_low=float(table[:, 5].min()), reward_high=float(table[:, 5].max()))
+        # ceil(1/p) = ceil(b/a) for p = a/b in lowest terms
+        granularity=max((-(-p.denominator // p.numerator) for p in probabilities if p.numerator),
+                        default=1),
+        **_reward_fields(rec_slot, rec_p, reward, first_slot[-1]))
     _read_only(vars(view))
     return view
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameSpec:
-    """Immutable stochastic game, valid by construction.
-
-    transitions[v] holds one (k, l, u, p, r) record per transition out of
-    position v, sorted by (k, l, u): under actions (k, l) the play moves to u
-    with exact nonzero probability p and pays the float reward r. A missing
-    triple has probability 0. Construction runs validate and raises
-    DocumentError listing every problem it finds, then builds the flat view.
-    """
+    """Immutable stochastic game, valid by construction: construction runs
+    validate and raises DocumentError listing every problem it finds. The
+    flat view alone stores the records; games with equal names and
+    transitions are equal."""
 
     states: tuple[str, ...]
     row_actions: tuple[tuple[str, ...], ...]
     col_actions: tuple[tuple[str, ...], ...]
-    transitions: tuple  # per state, a tuple of (k, l, u, p, r) records
-
-    flat: FlatView = field(init=False, compare=False, repr=False, default=None)
+    flat: FlatView = field(repr=False)
 
     def __post_init__(self):
-        report = validate(self)
-        if not report.ok:
-            raise DocumentError(report.problems)
-        object.__setattr__(self, "flat", _flat_view(self))
+        problems = validate(self)
+        if problems:
+            raise DocumentError(problems)
+
+    def __eq__(self, other):
+        fields = ("states", "row_actions", "col_actions", "transitions")
+        return isinstance(other, GameSpec) and all(
+            getattr(self, name) == getattr(other, name) for name in fields)
+
+    @property
+    def transitions(self) -> tuple:
+        """Per state v, its (k, l, u, p, r) records, derived from the flat view:
+        under actions (k, l) the play moves to u with exact nonzero
+        probability p and pays the float reward r; sorted by (k, l, u)."""
+        flat = self.flat
+        k, l = np.divmod(flat.rec_slot - flat.first_slot[flat.rec_state],
+                         flat.col_count[flat.rec_state])
+        records = zip(k.tolist(), l.tolist(), flat.rec_to.tolist(),
+                      flat.probabilities[flat.rec_prob].tolist(), flat.rec_reward.tolist())
+        return tuple(tuple(islice(records, count))
+                     for count in np.bincount(flat.rec_state, minlength=self.n).tolist())
 
     @property
     def n(self) -> int:
@@ -185,15 +206,6 @@ class GameParams:
     reward_bound: float  # all rewards lie in [0, reward_bound]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    problems: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
 def make_game(
     states: Sequence[str],
     row_actions: Sequence[Sequence[str]],
@@ -203,118 +215,122 @@ def make_game(
     """Build a GameSpec from sparse transition records.
 
     Each record is (v, k, l, u, p, r) with states/actions given by name or
-    index. Missing entries default to probability 0; records with p == 0 are
-    dropped. Every record is resolved before anything is built: each unknown
-    name or index and each duplicate (v, k, l, u) is reported with its record
-    index in one DocumentError.
+    index (an int or numpy integer). Missing entries default to probability
+    0; records with p == 0 are dropped. Every record is resolved before
+    anything is built: each unknown name or index and each duplicate
+    (v, k, l, u) is reported with its record index in one DocumentError, as
+    is a name repeated among the states or one player's actions at a state.
     """
     states = tuple(str(s) for s in states)
     row_actions = tuple(tuple(str(a) for a in acts) for acts in row_actions)
     col_actions = tuple(tuple(str(a) for a in acts) for acts in col_actions)
     if len(row_actions) != len(states) or len(col_actions) != len(states):
         raise ValueError("need one action set per state for each player")
-
-    state_idx = {name: i for i, name in enumerate(states)}
-    problems = []
-
-    def resolve(token, pool, what, where):
-        if isinstance(token, int) and not isinstance(token, bool):
-            if 0 <= token < len(pool):
-                return token
-            problems.append(f"{where}: {what} index {token} out of range")
-            return None
-        token = str(token)
-        if what == "state":
-            found = state_idx.get(token)
-        else:
-            found = pool.index(token) if token in pool else None
-        if found is None:
-            problems.append(f"{where}: unknown {what} {token!r}")
-        return found
-
-    records = [[] for _ in states]
-    seen = set()
-    for idx, (v_tok, k_tok, l_tok, u_tok, p_val, r_val) in enumerate(transitions):
-        where = f"transition record {idx}"
-        v = resolve(v_tok, states, "state", where)
-        u = resolve(u_tok, states, "state", where)
-        if v is None:
-            continue
-        k = resolve(k_tok, row_actions[v], "row action", where)
-        l = resolve(l_tok, col_actions[v], "column action", where)
-        if None in (u, k, l):
-            continue
-        if (v, k, l, u) in seen:
-            problems.append(f"{where}: duplicate transition record for {(v, k, l, u)}")
-            continue
-        seen.add((v, k, l, u))
-        p = to_fraction(p_val)
-        if p != 0:
-            records[v].append((k, l, u, p, float(r_val)))
+    state_index = dict(zip(states, range(len(states))))
+    row_index, col_index = ([dict(zip(acts, range(len(acts)))) for acts in actions]
+                            for actions in (row_actions, col_actions))
+    problems = [f"duplicate state name {s!r}" for s, count in Counter(states).items()
+                if count > 1] if len(state_index) < len(states) else []
+    problems += [f"state {states[v]!r}: duplicate {player} action name {a!r}"
+                 for player, actions, index in (("row", row_actions, row_index),
+                                                ("column", col_actions, col_index))
+                 for v, acts in enumerate(actions) if len(index[v]) < len(acts)
+                 for a, count in Counter(acts).items() if count > 1]
     if problems:
         raise DocumentError(problems)
 
-    return GameSpec(
-        states=states,
-        row_actions=row_actions,
-        col_actions=col_actions,
-        transitions=tuple(tuple(sorted(recs, key=lambda rec: rec[:3])) for recs in records),
-    )
+    def resolve(token, positions, what):  # a problem names the record idx
+        if isinstance(token, (int, np.integer)) and not isinstance(token, bool):
+            if 0 <= token < len(positions):
+                return int(token)
+            problems.append(f"transition record {idx}: {what} index {token} out of range")
+            return None
+        found = positions.get(str(token))
+        if found is None:
+            problems.append(f"transition record {idx}: unknown {what} {str(token)!r}")
+        return found
+
+    records = {}  # (v, k, l, u) -> (p, r)
+    for idx, (v_tok, k_tok, l_tok, u_tok, p_val, r_val) in enumerate(transitions):
+        v = resolve(v_tok, state_index, "state")
+        u = resolve(u_tok, state_index, "state")
+        if v is None:
+            continue
+        k = resolve(k_tok, row_index[v], "row action")
+        l = resolve(l_tok, col_index[v], "column action")
+        if None in (u, k, l):
+            continue
+        if (v, k, l, u) in records:
+            problems.append(f"transition record {idx}: duplicate transition record for "
+                            f"{(v, k, l, u)}")
+        else:
+            records[v, k, l, u] = p_val, r_val
+
+    p_val, r_val = zip(*records.values()) if records else ((), ())
+    p_keys = list(zip(map(type, p_val), map(str, p_val)))
+    values = dict(zip(p_keys, p_val))  # one value per distinct (type, text)
+    probabilities = [to_fraction(value) for value in values.values()]
+    rec_prob = np.fromiter(map(dict(zip(values, range(len(values)))).__getitem__, p_keys),
+                           np.int64, len(p_keys))
+    nonzero = np.array([p.numerator != 0 for p in probabilities], dtype=bool)[rec_prob]
+    reward = np.fromiter(map(float, compress(r_val, nonzero)), np.float64)
+    if problems:
+        raise DocumentError(problems)
+    keys = np.array(list(records), dtype=np.int64).reshape(-1, 4)[nonzero]
+    order = np.lexsort(keys.T[::-1])
+    return GameSpec(states, row_actions, col_actions,
+                    _flat_view(row_actions, col_actions, *keys[order].T.copy(), probabilities,
+                               rec_prob[nonzero][order], reward[order]))
 
 
-def validate(game: GameSpec) -> ValidationReport:
-    """Check the structural invariants; every problem is reported, none raised.
-
-    Each slot's probabilities are summed exactly, as an integer numerator
-    over an integer denominator: records that share the running total's
-    denominator, as most do, add numerators, and any other cross-multiplies.
-    The total is 1 exactly when numerator equals denominator.
-    """
-    problems = [] if game.n else ["game has no states"]
-    for v, name in enumerate(game.states):
-        rows, cols = game.num_row_actions(v), game.num_col_actions(v)
-        if rows == 0:
-            problems.append(f"state {name!r}: row player has no actions")
-        if cols == 0:
-            problems.append(f"state {name!r}: column player has no actions")
-        totals = {}  # (k, l) -> [a, b]: the slot's probabilities so far sum to a/b, b > 0
-        for k, l, u, p, r in game.transitions[v]:
-            a, b = p.as_integer_ratio()
-            if a < 0 or a > b:
-                problems.append(
-                    f"probability out of range at ({name!r}, k={k}, l={l}, "
-                    f"u={game.states[u]!r}): {p}"
-                )
-            if not math.isfinite(r):
-                problems.append(
-                    f"reward is not finite at ({name!r}, k={k}, l={l}, "
-                    f"u={game.states[u]!r}): {r}"
-                )
-            total = totals.get((k, l))
-            if total is None:
-                totals[k, l] = [a, b]
-            elif total[1] == b:
-                total[0] += a
-            else:
-                total[0] = total[0] * b + a * total[1]
-                total[1] *= b
-        for k in range(rows):
-            for l in range(cols):
-                a, b = totals.get((k, l), (0, 1))
-                if a != b:
-                    problems.append(
-                        f"non-stopping condition fails at ({name!r}, k={k}, l={l}): "
-                        f"probabilities sum to {Fraction(a, b)}"
-                    )
-    return ValidationReport(problems=tuple(problems))
+def validate(game: GameSpec) -> tuple[str, ...]:
+    """The game's structural problems, state by state; every problem is
+    reported, none raised. Each slot's probabilities are summed exactly."""
+    flat, states = game.flat, game.states
+    found = [((v, side), f"state {states[v]!r}: {player} player has no actions")
+             for side, (player, actions) in enumerate((("row", game.row_actions),
+                                                       ("column", game.col_actions)))
+             for v, acts in enumerate(actions) if not acts]
+    # every reward is finite when the range of them is
+    if (any(not 0 <= p.numerator <= p.denominator for p in flat.probabilities)
+            or not math.isfinite(flat.reward_high - flat.reward_low)):
+        for v, records in enumerate(game.transitions):
+            for i, (k, l, u, p, r) in enumerate(records):
+                at = f"({states[v]!r}, k={k}, l={l}, u={states[u]!r})"
+                if not 0 <= p <= 1:
+                    found.append(((v, 2, i, 0), f"probability out of range at {at}: {p}"))
+                if not math.isfinite(r):
+                    found.append(((v, 2, i, 1), f"reward is not finite at {at}: {r}"))
+    # each slot's sum is sums[slot] / scale: one float bincount of numerators
+    # over a common denominator while every partial sum stays within 2**53
+    scale = 1
+    for p in flat.probabilities:
+        scale = math.lcm(scale, p.denominator)
+        if scale > 2**53:
+            break
+    numerators = [p.numerator * (scale // p.denominator) for p in flat.probabilities]
+    if scale <= 2**53 and max(map(abs, numerators), default=0) * len(flat.rec_prob) <= 2**53:
+        sums = np.bincount(flat.rec_slot, np.array(numerators, dtype=np.float64)[flat.rec_prob],
+                           len(flat.slot_state))
+    else:  # Fractions, exact at any size
+        scale, sums = 1, np.zeros(len(flat.slot_state), dtype=object)
+        np.add.at(sums, flat.rec_slot, flat.probabilities[flat.rec_prob])
+    for s in np.flatnonzero(sums != scale).tolist():
+        v = int(flat.slot_state[s])
+        k, l = divmod(s - int(flat.first_slot[v]), int(flat.col_count[v]))
+        found.append(((v, 3, s), f"non-stopping condition fails at ({states[v]!r}, k={k}, "
+                                 f"l={l}): probabilities sum to {Fraction(sums[s]) / scale}"))
+    return ((() if game.n else ("game has no states",))
+            + tuple(message for _key, message in sorted(found)))
 
 
-def _map_rewards(game: GameSpec, new_reward) -> GameSpec:
-    """The same game with each record's reward r replaced by new_reward(v, u, r)."""
-    return replace(game, transitions=tuple(
-        tuple((k, l, u, p, new_reward(v, u, r)) for k, l, u, p, r in records)
-        for v, records in enumerate(game.transitions)
-    ))
+def _map_rewards(game: GameSpec, reward: np.ndarray) -> GameSpec:
+    """The same game with the per-record rewards replaced by reward."""
+    flat = game.flat
+    flat = replace(flat, **_reward_fields(flat.rec_slot, flat.rec_p, reward,
+                                          len(flat.slot_state)))
+    _read_only(vars(flat))
+    return GameSpec(game.states, game.row_actions, game.col_actions, flat)
 
 
 def normalize_rewards(game: GameSpec) -> tuple[GameSpec, float]:
@@ -327,7 +343,7 @@ def normalize_rewards(game: GameSpec) -> tuple[GameSpec, float]:
     offset = max(0.0, -game.flat.reward_low)
     if offset == 0.0:
         return game, 0.0
-    return _map_rewards(game, lambda v, u, r: r + offset), offset
+    return _map_rewards(game, game.flat.rec_reward + offset), offset
 
 
 def game_params(game: GameSpec) -> GameParams:
@@ -379,4 +395,5 @@ def apply_potential(game: GameSpec, x: Potential) -> GameSpec:
     Mean payoffs of every stationary profile are unchanged by this transform.
     """
     x = as_potential(x, game.n)
-    return _map_rewards(game, lambda v, u, r: r + x[v] - x[u])
+    flat = game.flat
+    return _map_rewards(game, flat.rec_reward + x[flat.rec_state] - x[flat.rec_to])

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameSpec, Potential, as_potential, local_payoffs
+from .game import GameSpec, Potential, as_potential, local_payoffs, state_mask
 from .matrix_game import LocalSolve, local_solve
 
 ERGODIC = "ergodic-24eps"
@@ -99,9 +99,10 @@ def bar_actions(game: GameSpec, v: int, inside, player: str) -> frozenset:
     """
     if player not in ("row", "col"):
         raise ValueError("player must be 'row' or 'col'")
-    inside = set(inside)
-    leaking = {k if player == "row" else l
-               for k, l, u, _p, _r in game.transitions[v] if u not in inside}
+    flat = game.flat
+    lo, hi = np.searchsorted(flat.rec_state, (v, v + 1))  # v's records
+    pair = np.divmod(flat.rec_slot[lo:hi] - flat.first_slot[v], flat.col_count[v])
+    leaking = set(pair[player == "col"][~state_mask(game.n, inside)[flat.rec_to[lo:hi]]].tolist())
     size = game.num_row_actions(v) if player == "row" else game.num_col_actions(v)
     return frozenset(range(size)) - leaking
 

@@ -19,7 +19,12 @@ as written, to check the driver's constant step cap against it. The game
 constants W and R come from a per-record loop over the exact probabilities,
 the oracle of the constants the flat view is built with, and the problems
 game validation reports come from a per-record loop that sums each slot's
-probabilities as Fractions.
+probabilities as Fractions. make_game and parse_game are the package's
+record-tuple construction path as it was before games were built straight
+into columns: per-record name resolution, (k, l, u, p, r) tuples per state,
+and a flat view read back from those tuples one record at a time; they are
+the oracle of the column-built flat view, its exact probabilities and the
+problems construction reports.
 """
 
 import itertools
@@ -32,7 +37,8 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.optimize import linprog
 
-from ergopump.game import GameParams
+from ergopump.documents import GAME_FORMAT, _finite, _load
+from ergopump.game import MAX_REPORTED_ERRORS, DocumentError, GameParams, to_fraction
 from ergopump.markov import best_response_value
 from ergopump.matrix_game import local_values
 from ergopump.pump import partition, r_bounds
@@ -85,6 +91,155 @@ def validate_problems(game):
                         f"probabilities sum to {total}"
                     )
     return tuple(problems)
+
+
+class RecordGame:
+    """A game held as per-state tuples of (k, l, u, p, r) records, sorted by
+    (k, l, u), with the float view of them read back one record at a time."""
+
+    def __init__(self, states, row_actions, col_actions, transitions):
+        self.states, self.row_actions, self.col_actions = states, row_actions, col_actions
+        self.transitions = transitions
+        problems = validate_problems(self)
+        if problems:
+            raise DocumentError(problems)
+        self.flat = _record_flat_view(self)
+
+    @property
+    def n(self):
+        return len(self.states)
+
+    def num_row_actions(self, v):
+        return len(self.row_actions[v])
+
+    def num_col_actions(self, v):
+        return len(self.col_actions[v])
+
+
+def _record_flat_view(game):
+    """The flat view's fields, from one table row per record."""
+    rows = np.array([len(acts) for acts in game.row_actions], dtype=np.int64)
+    cols = np.array([len(acts) for acts in game.col_actions], dtype=np.int64)
+    first_slot, first_row, first_col = (np.concatenate(([0], np.cumsum(sizes)))
+                                        for sizes in (rows * cols, rows, cols))
+    slot_state = np.repeat(np.arange(game.n), rows * cols)
+    row, col = np.divmod(np.arange(first_slot[-1]) - first_slot[slot_state], cols[slot_state])
+    table = np.array([(v, k, l, u, float(p), r)
+                      for v, records in enumerate(game.transitions)
+                      for k, l, u, p, r in records], dtype=np.float64).reshape(-1, 6)
+    v, k, l, u = table[:, :4].astype(np.int64).T
+    rec_slot, rec_p = first_slot[v] + k * cols[v] + l, table[:, 4].copy()
+    slot_col = first_col[slot_state] + col
+    col_order = np.argsort(slot_col, kind="stable")
+    return dict(
+        slot_state=slot_state, slot_row=first_row[slot_state] + row, slot_col=slot_col,
+        slot_reward=np.bincount(rec_slot, weights=rec_p * table[:, 5], minlength=first_slot[-1]),
+        rec_slot=rec_slot, rec_state=slot_state[rec_slot], rec_to=u, rec_p=rec_p,
+        rec_reward=table[:, 5].copy(), first_slot=first_slot, first_row=first_row,
+        first_col=first_col, row_count=rows, col_count=cols,
+        row_start=np.flatnonzero(col == 0), col_order=col_order,
+        col_start=np.flatnonzero(row[col_order] == 0),
+        granularity=max(-(-p.denominator // p.numerator)
+                        for records in game.transitions for _k, _l, _u, p, _r in records),
+        reward_low=float(table[:, 5].min()), reward_high=float(table[:, 5].max()))
+
+
+def make_game(states, row_actions, col_actions, transitions):
+    """A RecordGame from sparse (v, k, l, u, p, r) records, resolving each
+    record's names with a search of its pool; problems as game.make_game
+    reports them for names that are unique."""
+    states = tuple(str(s) for s in states)
+    row_actions = tuple(tuple(str(a) for a in acts) for acts in row_actions)
+    col_actions = tuple(tuple(str(a) for a in acts) for acts in col_actions)
+    if len(row_actions) != len(states) or len(col_actions) != len(states):
+        raise ValueError("need one action set per state for each player")
+    problems = []
+
+    def resolve(token, pool, what, where):
+        if isinstance(token, (int, np.integer)) and not isinstance(token, bool):
+            if 0 <= token < len(pool):
+                return int(token)
+            problems.append(f"{where}: {what} index {token} out of range")
+            return None
+        token = str(token)
+        if token in pool:
+            return pool.index(token)
+        problems.append(f"{where}: unknown {what} {token!r}")
+        return None
+
+    records = [[] for _ in states]
+    seen = set()
+    for idx, (v_tok, k_tok, l_tok, u_tok, p_val, r_val) in enumerate(transitions):
+        where = f"transition record {idx}"
+        v = resolve(v_tok, states, "state", where)
+        u = resolve(u_tok, states, "state", where)
+        if v is None:
+            continue
+        k = resolve(k_tok, row_actions[v], "row action", where)
+        l = resolve(l_tok, col_actions[v], "column action", where)
+        if None in (u, k, l):
+            continue
+        if (v, k, l, u) in seen:
+            problems.append(f"{where}: duplicate transition record for {(v, k, l, u)}")
+            continue
+        seen.add((v, k, l, u))
+        p = to_fraction(p_val)
+        if p != 0:
+            records[v].append((k, l, u, p, float(r_val)))
+    if problems:
+        raise DocumentError(problems)
+    return RecordGame(states, row_actions, col_actions,
+                      tuple(tuple(sorted(recs, key=lambda rec: rec[:3])) for recs in records))
+
+
+def parse_game(text):
+    """A RecordGame from a game document, reading every record's
+    probability on its own; problems as documents.parse_game reports them."""
+    doc = _load(text, GAME_FORMAT)
+    problems = []
+    states = doc.get("states")
+    if not isinstance(states, list) or not states or not all(isinstance(s, str) for s in states):
+        raise DocumentError(["'states' must be a non-empty list of names"])
+    if len(set(states)) != len(states):
+        raise DocumentError(["duplicate state names"])
+    actions = doc.get("actions", {})
+    if not isinstance(actions, dict):
+        raise DocumentError(["'actions' must map each state to its action lists"])
+    row_actions, col_actions = [], []
+    for s in states:
+        entry = actions.get(s)
+        if not isinstance(entry, dict) or "row" not in entry or "col" not in entry:
+            problems.append(f"state {s!r}: missing action declaration")
+            row_actions.append(("a0",))
+            col_actions.append(("b0",))
+            continue
+        for player, out in (("row", row_actions), ("col", col_actions)):
+            names = entry[player]
+            if not isinstance(names, list) or not all(isinstance(a, str) for a in names):
+                problems.append(f"state {s!r}: {player!r} actions must be a list of names")
+                names = []
+            out.append(tuple(names))
+    records = doc.get("transitions")
+    if not isinstance(records, list):
+        raise DocumentError(problems + ["'transitions' must be a list"])
+    triples = []
+    for idx, rec in enumerate(records):
+        if len(problems) >= MAX_REPORTED_ERRORS:
+            break
+        try:
+            p = to_fraction(rec["p"])
+            triples.append((rec["from"], rec["row"], rec["col"], rec["to"], p, rec["r"]))
+        except KeyError as exc:
+            problems.append(f"transition record {idx}: missing field {exc.args[0]!r}")
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            problems.append(f"transition record {idx}: {exc}")
+    rewards = [triple[5] for triple in triples]
+    if not problems and not _finite(rewards):
+        problems = [f"transition record {idx}: reward is not finite or not a number: {r!r}"
+                    for idx, r in enumerate(rewards) if not _finite([r])][:MAX_REPORTED_ERRORS]
+    if problems:
+        raise DocumentError(problems)
+    return make_game(states, row_actions, col_actions, triples)
 
 
 def value_2x2(matrix):

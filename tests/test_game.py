@@ -1,7 +1,7 @@
 """Game model: validation, normalization, parameters, potential transforms."""
 
+import json
 import pickle
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import reference
 from builders import disconnected, one_state, random_dense_game, two_cycle
+from ergopump import game as game_module
+from ergopump.documents import parse_game
 from ergopump.game import (
     DocumentError,
     GameParams,
@@ -42,7 +44,7 @@ class TestValidate:
     every problem, so no GameSpec exists that fails validate."""
 
     def test_self_loop_game_is_valid(self):
-        assert validate(one_state()).ok
+        assert validate(one_state()) == ()
 
     def test_substochastic_row_reported(self):
         with pytest.raises(DocumentError) as err:
@@ -92,10 +94,20 @@ class TestValidate:
 
 
 def _unvalidated(states, row_actions, col_actions, transitions):
-    """A GameSpec with these fields that construction has not validated."""
+    """A GameSpec of these per-state (k, l, u, p, r) records, kept in the
+    order given as the columns of its flat view, that construction has not
+    validated."""
+    records = [(v, *rec) for v, recs in enumerate(transitions) for rec in recs]
+    v, k, l, u = (np.array([rec[i] for rec in records], dtype=np.int64) for i in range(4))
+    table = list(dict.fromkeys(rec[4] for rec in records))
+    with np.errstate(invalid="ignore"):  # an infinite reward on a p = 0 record
+        flat = game_module._flat_view(
+            row_actions, col_actions, v, k, l, u, table,
+            np.array([table.index(rec[4]) for rec in records], dtype=np.int64),
+            np.array([rec[5] for rec in records], dtype=np.float64))
     game = object.__new__(GameSpec)
     for name, value in (("states", states), ("row_actions", row_actions),
-                        ("col_actions", col_actions), ("transitions", transitions)):
+                        ("col_actions", col_actions), ("flat", flat)):
         object.__setattr__(game, name, value)
     return game
 
@@ -141,15 +153,189 @@ class TestValidateAgainstFractionSums:
     @settings(max_examples=300, deadline=None)
     @given(_probability_tables())
     def test_same_problems_in_the_same_order(self, game):
-        assert validate(game).problems == reference.validate_problems(game)
+        assert validate(game) == reference.validate_problems(game)
 
     def test_sum_short_by_two_to_the_minus_64(self):
         short = Fraction(1, 2) - Fraction(1, 2**64)
         game = _unvalidated(("s",), (("a",),), (("x",),),
                             (((0, 0, 0, short, 0.0), (0, 0, 0, Fraction(1, 2), 0.0)),))
-        assert validate(game).problems == (
+        assert validate(game) == (
             "non-stopping condition fails at ('s', k=0, l=0): probabilities sum to "
             f"{1 - Fraction(1, 2**64)}",)
+
+
+class TestNames:
+    @pytest.mark.parametrize("states, rows, cols, problem", [
+        (["s", "s"], [["a"], ["a"]], [["x"], ["x"]], "duplicate state name 's'"),
+        (["s"], [["a", "a"]], [["x"]], "state 's': duplicate row action name 'a'"),
+        (["s"], [["a"]], [["x", "x"]], "state 's': duplicate column action name 'x'"),
+    ])
+    def test_repeated_names_rejected(self, states, rows, cols, problem):
+        # such a game wrote a document that parse_game could not read back
+        records = [(v, 0, 0, v, 1, 1.0) for v in range(len(states))]
+        records += [(0, 1, 0, 0, 1, 2.0)] if len(rows[0]) > 1 else []
+        records += [(0, 0, 1, 0, 1, 2.0)] if len(cols[0]) > 1 else []
+        with pytest.raises(DocumentError) as err:
+            make_game(states, rows, cols, records)
+        assert err.value.problems == (problem,)
+
+    def test_numpy_integers_are_indices(self):
+        g = make_game(["s"], [["a"]], [["x"]],
+                      [(np.int64(0), np.int32(0), np.uint8(0), np.int64(0), 1, 5.0)])
+        assert g == one_state(5.0)
+        with pytest.raises(DocumentError) as err:
+            make_game(["s"], [["a"]], [["x"]], [(0, np.int64(1), 0, np.int16(-1), 1, 5.0)])
+        assert err.value.problems == ("transition record 0: state index -1 out of range",
+                                      "transition record 0: row action index 1 out of range")
+
+
+_BAD_TOKENS = ("ghost", 7, np.int64(-1), True, 1.5)
+_BAD_PROBABILITIES = ("1/0", "x", None, [1], True, float("nan"), 1.5)
+
+
+@st.composite
+def _record_lists(draw, broken):
+    """make_game's arguments: 1-3 states of 1-2 actions per player and a
+    shuffled record list in which each action pair splits 1 over 1-3
+    successors, plus p = 0 records on other successors. Tokens are names,
+    ints or numpy integers; probabilities are written "a/b" (denominators up
+    to 2**64), as decimals, ints, floats or Fractions. When broken, some
+    tokens name nothing, some probabilities are bools, off 1, out of range
+    or no number, some rewards are not finite, some records repeat, and a
+    player may have no actions."""
+    n = draw(st.integers(1, 3))
+    actions = st.integers(0 if broken else 1, 2)
+    shapes = draw(st.lists(st.tuples(actions, actions), min_size=n, max_size=n))
+    states = [f"s{v}" for v in range(n)]
+    rows = [[f"a{k}" for k in range(count)] for count, _ in shapes]
+    cols = [[f"b{l}" for l in range(count)] for _, count in shapes]
+
+    def token(names, i):
+        return draw(st.sampled_from([names[i], i, np.int64(i)]))
+
+    def written(p):
+        forms = [f"{p.numerator}/{p.denominator}", p]
+        if to_fraction(float(p)) == p:
+            forms.append(float(p))
+        if p >= 0 and 10**20 % p.denominator == 0:
+            forms.append(_decimal(p))
+        if p.denominator == 1:
+            forms += [int(p), np.int64(int(p))]
+        return draw(st.sampled_from(forms))
+
+    reward = st.floats(-1e3, 1e3)
+    records = []
+    for v, (row_count, col_count) in enumerate(shapes):
+        for k in range(row_count):
+            for l in range(col_count):
+                successors = draw(st.permutations(range(n)))
+                support = draw(st.integers(1, n))
+                denominator = draw(st.one_of(st.integers(1, 12), st.integers(2**53, 2**64),
+                                             st.sampled_from([10, 100, 10**20])))
+                cuts = sorted(draw(st.lists(st.integers(1, denominator - 1),
+                                            min_size=support - 1, max_size=support - 1,
+                                            unique=True))) if denominator > support else []
+                bounds = [0, *cuts, denominator]
+                parts = [Fraction(hi - lo, denominator) for lo, hi in zip(bounds, bounds[1:])]
+                parts += [Fraction(0)] * (n - len(parts))
+                for u, p in zip(successors, parts):
+                    if p or draw(st.booleans()):
+                        records.append((token(states, v), token(rows[v], k),
+                                        token(cols[v], l), token(states, u), written(p),
+                                        draw(reward)))
+    if broken:
+        for _ in range(draw(st.integers(1, 4))):
+            if not records:
+                break
+            i = draw(st.integers(0, len(records) - 1))
+            record = list(records[i])
+            field = draw(st.integers(0, 6))
+            if field < 4:
+                record[field] = draw(st.sampled_from(_BAD_TOKENS))
+            elif field == 4:
+                record[4] = draw(st.sampled_from([*_BAD_PROBABILITIES, Fraction(1, 2**64),
+                                                  "-1/7", "3/2", Fraction(0)]))
+            elif field == 5:
+                record[5] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            else:
+                records.append(records[i])
+            records[i] = tuple(record)
+    return states, rows, cols, draw(st.permutations(records))
+
+
+def _document(states, rows, cols, records, data, broken):
+    """A game document of these records, with more problems when broken:
+    missing fields, a record that is no object, a state without actions."""
+    def plain(value):
+        if isinstance(value, np.integer):
+            return int(value)
+        return f"{value.numerator}/{value.denominator}" if isinstance(value, Fraction) else value
+
+    transitions = [dict(zip(("from", "row", "col", "to", "p", "r"), map(plain, record)))
+                   for record in records]
+    actions = {s: {"row": r, "col": c} for s, r, c in zip(states, rows, cols)}
+    if broken and transitions:
+        for _ in range(data.draw(st.integers(0, 3))):
+            i = data.draw(st.integers(0, len(transitions) - 1))
+            change = data.draw(st.sampled_from(["drop", "object", "actions", "reward"]))
+            if change == "drop" and isinstance(transitions[i], dict):
+                transitions[i].pop(data.draw(st.sampled_from(sorted(transitions[i]))))
+            elif change == "object":
+                transitions[i] = data.draw(st.sampled_from([3, [1], "s0"]))
+            elif change == "actions":
+                actions.pop(data.draw(st.sampled_from(states)), None)
+            elif isinstance(transitions[i], dict):
+                transitions[i]["r"] = data.draw(st.sampled_from(["1.0", None, True, 10**400]))
+    return json.dumps({"format": "ergopump-game/1", "states": states, "actions": actions,
+                       "transitions": transitions})
+
+
+def _built(build, *args):
+    """What build returns, or the problems or error it raises."""
+    try:
+        return build(*args)
+    except DocumentError as exc:
+        return exc.problems
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_game(got, expected):
+    """got is the game expected is, with every flat view field bit-equal and
+    the same exact probability on every record; or both raised the same."""
+    if not isinstance(expected, reference.RecordGame):
+        assert got == expected
+        return
+    assert isinstance(got, GameSpec), got
+    assert got.transitions == expected.transitions
+    flat = got.flat
+    assert flat.probabilities[flat.rec_prob].tolist() == [
+        p for records in expected.transitions for _k, _l, _u, p, _r in records]
+    for name, want in expected.flat.items():
+        have = getattr(flat, name)
+        if isinstance(want, np.ndarray):
+            assert (have.dtype, have.shape, have.tobytes()) == (
+                want.dtype, want.shape, want.tobytes()), name
+        else:
+            assert (type(have), repr(have)) == (type(want), repr(want)), name
+
+
+class TestConstructionAgainstRecordTuples:
+    """make_game and parse_game build straight into the flat view's columns;
+    the record-tuple path in reference.py, which resolves and stores each
+    record on its own and reads the flat view back from the tuples, builds
+    bit-equal arrays and reports the same problems in the same order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.booleans().flatmap(lambda broken: _record_lists(broken)))
+    def test_make_game(self, args):
+        _assert_same_game(_built(make_game, *args), _built(reference.make_game, *args))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.booleans(), st.data())
+    def test_parse_game(self, broken, data):
+        text = _document(*data.draw(_record_lists(broken)), data, broken)
+        _assert_same_game(_built(parse_game, text), _built(reference.parse_game, text))
 
 
 class TestToFraction:
@@ -335,9 +521,9 @@ class TestFlatView:
         game = random_game(n=int(rng.integers(1, 6)), max_actions=3,
                            granularity=int(rng.integers(1, 7)), seed=seed)
         if shuffle:
-            game = replace(game, transitions=tuple(
-                tuple(rng.permutation(np.array(records, dtype=object)).tolist())
-                for records in game.transitions))
+            records = [(v, *rec) for v, recs in enumerate(game.transitions) for rec in recs]
+            game = make_game(game.states, game.row_actions, game.col_actions,
+                             [records[i] for i in rng.permutation(len(records))])
         n = game.n
         dense = reference.dense_tables(game)
         x = rng.normal(size=n) * 10

@@ -135,11 +135,10 @@ class TestEvaluate:
 
 def matrix_shift(game, c):
     """Rebuild the game with every (present) reward shifted by c."""
-    from ergopump.game import GameSpec
-    transitions = tuple(tuple((k, l, u, p, r + c) for k, l, u, p, r in records)
-                        for records in game.transitions)
-    return GameSpec(states=game.states, row_actions=game.row_actions,
-                    col_actions=game.col_actions, transitions=transitions)
+    from ergopump.game import make_game
+    records = [(v, k, l, u, p, r + c)
+               for v, recs in enumerate(game.transitions) for k, l, u, p, r in recs]
+    return make_game(game.states, game.row_actions, game.col_actions, records)
 
 
 class TestBestResponse:

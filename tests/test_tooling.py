@@ -1,6 +1,7 @@
 """The benchmark's tracer and harness use library names and result fields;
 each must still exist and mean what the harness reads it as."""
 
+import hashlib
 import importlib
 import importlib.util
 import subprocess
@@ -78,6 +79,24 @@ def test_benchmark_certificates_are_unchanged(workload, monkeypatch):
     solved = run.solve_pass(instances, games)
     assert run.find_failures(instances, games, [solved], []) == {}
     assert run.fingerprint(instances, solved)["certificates_sha256"] == GOLDEN_CERTIFICATES[workload]
+
+
+GOLDEN_DOCUMENTS = {
+    "corpus": "0e3fb6af8b53d1bb803464e504c18feddbdbac9afc00dee7cc28084d27094d63",
+    "ladder": "f64b104b267b716afbaba9b6df6cde28fe4c2747394b61353129bf5b9e21a0c2",
+    "pump-long": "125b98997400c5063cf819d8a4184dd3204837d3f4a63dd29b78c3dbdcdef901",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN_DOCUMENTS))
+def test_benchmark_documents_are_unchanged(workload, monkeypatch):
+    """The game documents bench/workloads.build writes at seed 0 hash as
+    they did: serialize_game writes every record of every game in the same
+    order and format, so the benchmark's parser reads the same input."""
+    digest = hashlib.sha256()
+    for inst in _load("workloads", monkeypatch).build(workload, 0):
+        digest.update(inst.text.encode())
+    assert digest.hexdigest() == GOLDEN_DOCUMENTS[workload]
 
 
 def test_verdict_path_imports_no_scipy():
