@@ -118,16 +118,12 @@ def parse_game(text: str) -> GameSpec:
     if not isinstance(records, list):
         raise DocumentError(problems + ["'transitions' must be a list"])
     triples = []
-    checked = set()  # probability texts already read: a document repeats a few
     for idx, rec in enumerate(records):
         if len(problems) >= MAX_REPORTED_ERRORS:
             break
         try:
-            p = rec["p"]
-            if type(p) is not str or p not in checked:
-                to_fraction(p)
-                checked.add(p)
-            triples.append((rec["from"], rec["row"], rec["col"], rec["to"], p, rec["r"]))
+            to_fraction(rec["p"])  # checked here, converted once per value by make_game
+            triples.append((rec["from"], rec["row"], rec["col"], rec["to"], rec["p"], rec["r"]))
         except KeyError as exc:
             problems.append(f"transition record {idx}: missing field {exc.args[0]!r}")
         except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -83,7 +83,7 @@ class FlatView:
     rec_state: np.ndarray  # per record: v, the state owning its slot
     rec_to: np.ndarray  # per record: the successor u
     rec_prob: np.ndarray  # per record: the index of its p in probabilities
-    rec_p: np.ndarray  # per record: float(p)
+    rec_p: np.ndarray  # per record: float(p), or NaN for a p outside [0, 1]
     rec_reward: np.ndarray  # per record: r
     probabilities: np.ndarray  # the exact probabilities (Fractions) the records index
     first_slot: np.ndarray  # per state, plus the total at [n]
@@ -129,7 +129,7 @@ def _flat_view(row_actions, col_actions, v, k, l, u, probabilities, rec_prob,
     slot_state = np.repeat(np.arange(len(rows)), rows * cols)
     row, col = np.divmod(np.arange(first_slot[-1]) - first_slot[slot_state], cols[slot_state])
     rec_slot = first_slot[v] + k * cols[v] + l
-    rec_p = np.array([float(p) for p in probabilities], dtype=np.float64)[rec_prob]
+    rec_p = np.array([float(p) if 0 <= p <= 1 else math.nan for p in probabilities])[rec_prob]
     slot_col = first_col[slot_state] + col
     col_order = np.argsort(slot_col, kind="stable")
     view = FlatView(
@@ -151,8 +151,8 @@ def _flat_view(row_actions, col_actions, v, k, l, u, probabilities, rec_prob,
 class GameSpec:
     """Immutable stochastic game, valid by construction: construction runs
     validate and raises DocumentError listing every problem it finds. The
-    flat view alone stores the records; games with equal names and
-    transitions are equal."""
+    flat view alone stores the records; make_game builds it to fit the names.
+    Games with equal names and transitions are equal."""
 
     states: tuple[str, ...]
     row_actions: tuple[tuple[str, ...], ...]
@@ -229,8 +229,7 @@ def make_game(
     state_index = dict(zip(states, range(len(states))))
     row_index, col_index = ([dict(zip(acts, range(len(acts)))) for acts in actions]
                             for actions in (row_actions, col_actions))
-    problems = [f"duplicate state name {s!r}" for s, count in Counter(states).items()
-                if count > 1] if len(state_index) < len(states) else []
+    problems = [f"duplicate state name {s!r}" for s, count in Counter(states).items() if count > 1]
     problems += [f"state {states[v]!r}: duplicate {player} action name {a!r}"
                  for player, actions, index in (("row", row_actions, row_index),
                                                 ("column", col_actions, col_index))
@@ -285,15 +284,14 @@ def make_game(
 
 def validate(game: GameSpec) -> tuple[str, ...]:
     """The game's structural problems, state by state; every problem is
-    reported, none raised. Each slot's probabilities are summed exactly."""
+    reported, none raised. Slot sums are exact: int numerators over scale."""
     flat, states = game.flat, game.states
     found = [((v, side), f"state {states[v]!r}: {player} player has no actions")
              for side, (player, actions) in enumerate((("row", game.row_actions),
                                                        ("column", game.col_actions)))
              for v, acts in enumerate(actions) if not acts]
-    # every reward is finite when the range of them is
-    if (any(not 0 <= p.numerator <= p.denominator for p in flat.probabilities)
-            or not math.isfinite(flat.reward_high - flat.reward_low)):
+    # rec_p is NaN where p is outside [0, 1]; every reward is finite when their range is
+    if np.isnan(flat.rec_p).any() or not math.isfinite(flat.reward_high - flat.reward_low):
         for v, records in enumerate(game.transitions):
             for i, (k, l, u, p, r) in enumerate(records):
                 at = f"({states[v]!r}, k={k}, l={l}, u={states[u]!r})"
@@ -301,25 +299,15 @@ def validate(game: GameSpec) -> tuple[str, ...]:
                     found.append(((v, 2, i, 0), f"probability out of range at {at}: {p}"))
                 if not math.isfinite(r):
                     found.append(((v, 2, i, 1), f"reward is not finite at {at}: {r}"))
-    # each slot's sum is sums[slot] / scale: one float bincount of numerators
-    # over a common denominator while every partial sum stays within 2**53
-    scale = 1
-    for p in flat.probabilities:
-        scale = math.lcm(scale, p.denominator)
-        if scale > 2**53:
-            break
+    scale = math.lcm(*(p.denominator for p in flat.probabilities))
     numerators = [p.numerator * (scale // p.denominator) for p in flat.probabilities]
-    if scale <= 2**53 and max(map(abs, numerators), default=0) * len(flat.rec_prob) <= 2**53:
-        sums = np.bincount(flat.rec_slot, np.array(numerators, dtype=np.float64)[flat.rec_prob],
-                           len(flat.slot_state))
-    else:  # Fractions, exact at any size
-        scale, sums = 1, np.zeros(len(flat.slot_state), dtype=object)
-        np.add.at(sums, flat.rec_slot, flat.probabilities[flat.rec_prob])
+    sums = np.zeros(len(flat.slot_state), dtype=object)
+    np.add.at(sums, flat.rec_slot, np.array(numerators, dtype=object)[flat.rec_prob])
     for s in np.flatnonzero(sums != scale).tolist():
         v = int(flat.slot_state[s])
         k, l = divmod(s - int(flat.first_slot[v]), int(flat.col_count[v]))
         found.append(((v, 3, s), f"non-stopping condition fails at ({states[v]!r}, k={k}, "
-                                 f"l={l}): probabilities sum to {Fraction(sums[s]) / scale}"))
+                                 f"l={l}): probabilities sum to {Fraction(sums[s], scale)}"))
     return ((() if game.n else ("game has no states",))
             + tuple(message for _key, message in sorted(found)))
 

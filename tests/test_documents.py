@@ -81,6 +81,18 @@ class TestGameDocuments:
         assert err.value.problems == (
             f"transition record 0: reward is not finite or not a number: {reward!r}",)
 
+    @pytest.mark.parametrize("p", ["1e400", "-1e400", 10**400], ids=["1e400", "-1e400", "int"])
+    def test_probability_beyond_the_float_range_reported(self, p):
+        # an exact value the float view cannot hold is reported, not raised
+        doc = json.loads(MINIMAL)
+        doc["transitions"][0]["p"] = p
+        with pytest.raises(DocumentError) as err:
+            parse_game(json.dumps(doc))
+        assert err.value.problems == (
+            f"probability out of range at ('s', k=0, l=0, u='s'): {Fraction(p)}",
+            f"non-stopping condition fails at ('s', k=0, l=0): probabilities sum to "
+            f"{Fraction(p)}")
+
     def test_zero_denominator_reported(self):
         doc = json.loads(MINIMAL)
         doc["transitions"][0]["p"] = "1/0"

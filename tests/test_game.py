@@ -190,7 +190,9 @@ class TestNames:
 
 
 _BAD_TOKENS = ("ghost", 7, np.int64(-1), True, 1.5)
-_BAD_PROBABILITIES = ("1/0", "x", None, [1], True, float("nan"), 1.5)
+# "1e400" and 10**400 are valid Fractions beyond the float range
+_BAD_PROBABILITIES = ("1/0", "x", None, [1], True, float("nan"), 1.5, "1e400", "-1e400",
+                      10**400)
 
 
 @st.composite
