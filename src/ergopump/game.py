@@ -36,7 +36,8 @@ class DocumentError(ValueError):
 
 
 def to_fraction(value) -> Fraction:
-    """Coerce a probability-like value to an exact Fraction.
+    """Coerce a probability-like value to an exact Fraction, or raise
+    TypeError, ValueError or ZeroDivisionError, which make_game reports.
 
     Strings may be "a/b" or decimal; floats are read through their shortest
     decimal repr (so 0.1 means 1/10, not the binary double).
@@ -45,19 +46,29 @@ def to_fraction(value) -> Fraction:
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a probability")
-    if isinstance(value, np.integer):
-        value = int(value)
-    elif isinstance(value, np.floating):
-        value = float(value)
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
+    if isinstance(value, (int, np.integer)):
+        return Fraction(int(value))
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value := float(value)):
             raise ValueError(f"probability must be finite, got {value!r}")
         return Fraction(repr(value))
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a probability")
+
+
+_REAL_TYPES = frozenset([int, float, *(np.dtype(code).type  # and numpy's scalars of both
+                                      for kind in ("AllInteger", "Float")
+                                      for code in np.typecodes[kind])])
+
+
+def _finite(values) -> bool:
+    """Whether every entry is a finite int or float, numpy's included, checked
+    by map and all in C. A float conversion would read True as 1, "2.5" as 2.5."""
+    try:
+        return _REAL_TYPES.issuperset(map(type, values)) and all(map(math.isfinite, values))
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -114,8 +125,9 @@ def _reward_fields(rec_slot, rec_p, reward, slots) -> dict:
     """The fields of a flat view that its per-record rewards fix."""
     return dict(rec_reward=reward,
                 slot_reward=np.bincount(rec_slot, weights=rec_p * reward, minlength=slots),
-                reward_low=float(reward.min(initial=np.inf)),
-                reward_high=float(reward.max(initial=-np.inf)))
+                # + 0.0 makes a zero extreme +0.0, whichever zero numpy meets first
+                reward_low=float(reward.min(initial=np.inf)) + 0.0,
+                reward_high=float(reward.max(initial=-np.inf)) + 0.0)
 
 
 def _flat_view(row_actions, col_actions, v, k, l, u, probabilities, rec_prob,
@@ -212,14 +224,16 @@ def make_game(
     col_actions: Sequence[Sequence[str]],
     transitions: Iterable[tuple],
 ) -> GameSpec:
-    """Build a GameSpec from sparse transition records.
+    """Build a GameSpec from sparse transition records; every caller's record
+    values, a document's or a generator's, are checked here and only here.
 
-    Each record is (v, k, l, u, p, r) with states/actions given by name or
-    index (an int or numpy integer). Missing entries default to probability
-    0; records with p == 0 are dropped. Every record is resolved before
-    anything is built: each unknown name or index and each duplicate
-    (v, k, l, u) is reported with its record index in one DocumentError, as
-    is a name repeated among the states or one player's actions at a state.
+    Each record is (v, k, l, u, p, r): states and actions by name or index
+    (an int or numpy integer), p anything to_fraction reads (each distinct
+    (type, text) converted once), r what _finite accepts. Missing entries
+    default to probability 0; records with p == 0 are dropped. A repeated
+    state name, or action name at one state, raises at once; otherwise one
+    DocumentError lists, by record index, every unknown name or index and
+    duplicate (v, k, l, u), then every bad p, then every bad r.
     """
     states = tuple(str(s) for s in states)
     row_actions = tuple(tuple(str(a) for a in acts) for acts in row_actions)
@@ -249,8 +263,10 @@ def make_game(
             problems.append(f"transition record {idx}: unknown {what} {str(token)!r}")
         return found
 
-    records = {}  # (v, k, l, u) -> (p, r)
-    for idx, (v_tok, k_tok, l_tok, u_tok, p_val, r_val) in enumerate(transitions):
+    keys, p_val, r_val = {}, [], []  # keys: each resolved (v, k, l, u), in record order
+    for idx, (v_tok, k_tok, l_tok, u_tok, p, r) in enumerate(transitions):
+        p_val.append(p)
+        r_val.append(r)
         v = resolve(v_tok, state_index, "state")
         u = resolve(u_tok, state_index, "state")
         if v is None:
@@ -259,23 +275,32 @@ def make_game(
         l = resolve(l_tok, col_index[v], "column action")
         if None in (u, k, l):
             continue
-        if (v, k, l, u) in records:
+        if (v, k, l, u) in keys:
             problems.append(f"transition record {idx}: duplicate transition record for "
                             f"{(v, k, l, u)}")
-        else:
-            records[v, k, l, u] = p_val, r_val
+        keys[v, k, l, u] = None
 
-    p_val, r_val = zip(*records.values()) if records else ((), ())
     p_keys = list(zip(map(type, p_val), map(str, p_val)))
-    values = dict(zip(p_keys, p_val))  # one value per distinct (type, text)
-    probabilities = [to_fraction(value) for value in values.values()]
-    rec_prob = np.fromiter(map(dict(zip(values, range(len(values)))).__getitem__, p_keys),
+    fractions, errors = {}, {}  # per distinct (type, text): its Fraction, or why it has none
+    for key, value in dict(zip(p_keys, p_val)).items():
+        try:
+            fractions[key] = to_fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            errors[key] = exc
+    problems += [f"transition record {idx}: {errors[key]}"
+                 for idx, key in enumerate(p_keys) if key in errors]
+    if not _finite(r_val):
+        problems += [f"transition record {idx}: reward is not finite or not a number: {r!r}"
+                     for idx, r in enumerate(r_val) if not _finite([r])]
+    if problems:
+        raise DocumentError(problems)
+    # every record resolved to a key of its own, so keys, p_keys and r_val align
+    probabilities = list(fractions.values())
+    rec_prob = np.fromiter(map(dict(zip(fractions, range(len(fractions)))).__getitem__, p_keys),
                            np.int64, len(p_keys))
     nonzero = np.array([p.numerator != 0 for p in probabilities], dtype=bool)[rec_prob]
     reward = np.fromiter(map(float, compress(r_val, nonzero)), np.float64)
-    if problems:
-        raise DocumentError(problems)
-    keys = np.array(list(records), dtype=np.int64).reshape(-1, 4)[nonzero]
+    keys = np.array(list(keys), dtype=np.int64).reshape(-1, 4)[nonzero]
     order = np.lexsort(keys.T[::-1])
     return GameSpec(states, row_actions, col_actions,
                     _flat_view(row_actions, col_actions, *keys[order].T.copy(), probabilities,

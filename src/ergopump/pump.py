@@ -196,8 +196,11 @@ def auxiliary_graph(game: GameSpec, x: Potential, pumped, m_plus: float, eps: fl
     mask = state_mask(game.n, pumped)
     bounds = r_bounds(game, x, mask, m_plus)
     width = np.where(mask, flat.col_count, flat.row_count)
-    return GapGraph(x=x, bounds=bounds, pumped=mask,
-                    thresholds=width * float(flat.granularity) * bounds ** 2 / eps)
+    try:
+        thresholds = width * float(flat.granularity) * bounds ** 2 / eps
+    except OverflowError:  # W beyond the float range: a threshold is 0 or saturates to inf
+        thresholds = np.where(bounds == 0, 0.0, math.inf)
+    return GapGraph(x=x, bounds=bounds, pumped=mask, thresholds=thresholds)
 
 
 def forward_closure(graph: GapGraph, seeds) -> frozenset:

@@ -2,6 +2,7 @@
 
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -16,6 +17,17 @@ def disconnected(low=0.0, high=10.0):
     return make_game(
         ["low", "high"], [["a"], ["a"]], [["x"], ["x"]],
         [("low", "a", "x", "low", 1, low), ("high", "a", "x", "high", 1, high)],
+    )
+
+
+def leaky_pair(leak="1e-300", low=0.0, high=10.0):
+    """Two absorbing-but-for-a-leak states: each moves to the other with the
+    exact probability leak, so W is 1/leak, which may exceed the float range."""
+    stay = str(1 - Fraction(leak))
+    return make_game(
+        ["low", "high"], [["a"], ["a"]], [["x"], ["x"]],
+        [("low", "a", "x", "low", stay, low), ("low", "a", "x", "high", leak, low),
+         ("high", "a", "x", "high", stay, high), ("high", "a", "x", "low", leak, high)],
     )
 
 

@@ -21,10 +21,12 @@ the oracle of the constants the flat view is built with, and the problems
 game validation reports come from a per-record loop that sums each slot's
 probabilities as Fractions. make_game and parse_game are the package's
 record-tuple construction path as it was before games were built straight
-into columns: per-record name resolution, (k, l, u, p, r) tuples per state,
-and a flat view read back from those tuples one record at a time; they are
-the oracle of the column-built flat view, its exact probabilities and the
-problems construction reports.
+into columns: per-record name resolution, one to_fraction per record,
+(k, l, u, p, r) tuples per state, and a flat view read back from those
+tuples one record at a time; they check in the package's stages (parse_game
+the document's shape, make_game the records' values) and are the oracle of
+the column-built flat view, its exact probabilities and the problems
+construction reports.
 """
 
 import itertools
@@ -37,8 +39,8 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.optimize import linprog
 
-from ergopump.documents import GAME_FORMAT, _finite, _load
-from ergopump.game import MAX_REPORTED_ERRORS, DocumentError, GameParams, to_fraction
+from ergopump.documents import GAME_FORMAT, _load
+from ergopump.game import MAX_REPORTED_ERRORS, DocumentError, GameParams, _finite, to_fraction
 from ergopump.markov import best_response_value
 from ergopump.matrix_game import local_values
 from ergopump.pump import partition, r_bounds
@@ -141,13 +143,16 @@ def _record_flat_view(game):
         col_start=np.flatnonzero(row[col_order] == 0),
         granularity=max(-(-p.denominator // p.numerator)
                         for records in game.transitions for _k, _l, _u, p, _r in records),
-        reward_low=float(table[:, 5].min()), reward_high=float(table[:, 5].max()))
+        # + 0.0: a zero extreme is +0.0, whichever zero the reduction meets first
+        reward_low=float(table[:, 5].min()) + 0.0, reward_high=float(table[:, 5].max()) + 0.0)
 
 
 def make_game(states, row_actions, col_actions, transitions):
     """A RecordGame from sparse (v, k, l, u, p, r) records, resolving each
-    record's names with a search of its pool; problems as game.make_game
-    reports them for names that are unique."""
+    record's names with a search of its pool and converting each record's
+    probability on its own; problems as game.make_game reports them for
+    names that are unique: names and duplicates, then probabilities, then
+    rewards, each in record order."""
     states = tuple(str(s) for s in states)
     row_actions = tuple(tuple(str(a) for a in acts) for acts in row_actions)
     col_actions = tuple(tuple(str(a) for a in acts) for acts in col_actions)
@@ -167,9 +172,9 @@ def make_game(states, row_actions, col_actions, transitions):
         problems.append(f"{where}: unknown {what} {token!r}")
         return None
 
-    records = [[] for _ in states]
-    seen = set()
-    for idx, (v_tok, k_tok, l_tok, u_tok, p_val, r_val) in enumerate(transitions):
+    transitions = list(transitions)
+    resolved, seen = [], set()
+    for idx, (v_tok, k_tok, l_tok, u_tok, _p, _r) in enumerate(transitions):
         where = f"transition record {idx}"
         v = resolve(v_tok, states, "state", where)
         u = resolve(u_tok, states, "state", where)
@@ -181,27 +186,36 @@ def make_game(states, row_actions, col_actions, transitions):
             continue
         if (v, k, l, u) in seen:
             problems.append(f"{where}: duplicate transition record for {(v, k, l, u)}")
-            continue
         seen.add((v, k, l, u))
-        p = to_fraction(p_val)
-        if p != 0:
-            records[v].append((k, l, u, p, float(r_val)))
+        resolved.append((v, k, l, u))
+    # every record's values are checked, whether or not its names resolved
+    fractions = []
+    for idx, (*_names, p_val, _r) in enumerate(transitions):
+        try:
+            fractions.append(to_fraction(p_val))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            problems.append(f"transition record {idx}: {exc}")
+    problems += [f"transition record {idx}: reward is not finite or not a number: {r_val!r}"
+                 for idx, (*_names, r_val) in enumerate(transitions) if not _finite([r_val])]
     if problems:
         raise DocumentError(problems)
+    records = [[] for _ in states]  # every record resolved, to a (v, k, l, u) of its own
+    for (v, k, l, u), p, (*_fields, r_val) in zip(resolved, fractions, transitions):
+        if p != 0:
+            records[v].append((k, l, u, p, float(r_val)))
     return RecordGame(states, row_actions, col_actions,
                       tuple(tuple(sorted(recs, key=lambda rec: rec[:3])) for recs in records))
 
 
 def parse_game(text):
-    """A RecordGame from a game document, reading every record's
-    probability on its own; problems as documents.parse_game reports them."""
+    """A RecordGame from a game document, whose shape is checked here and its
+    records' values by make_game; problems as documents.parse_game reports
+    them."""
     doc = _load(text, GAME_FORMAT)
     problems = []
     states = doc.get("states")
     if not isinstance(states, list) or not states or not all(isinstance(s, str) for s in states):
         raise DocumentError(["'states' must be a non-empty list of names"])
-    if len(set(states)) != len(states):
-        raise DocumentError(["duplicate state names"])
     actions = doc.get("actions", {})
     if not isinstance(actions, dict):
         raise DocumentError(["'actions' must map each state to its action lists"])
@@ -227,16 +241,11 @@ def parse_game(text):
         if len(problems) >= MAX_REPORTED_ERRORS:
             break
         try:
-            p = to_fraction(rec["p"])
-            triples.append((rec["from"], rec["row"], rec["col"], rec["to"], p, rec["r"]))
+            triples.append((rec["from"], rec["row"], rec["col"], rec["to"], rec["p"], rec["r"]))
         except KeyError as exc:
             problems.append(f"transition record {idx}: missing field {exc.args[0]!r}")
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except TypeError as exc:
             problems.append(f"transition record {idx}: {exc}")
-    rewards = [triple[5] for triple in triples]
-    if not problems and not _finite(rewards):
-        problems = [f"transition record {idx}: reward is not finite or not a number: {r!r}"
-                    for idx, r in enumerate(rewards) if not _finite([r])][:MAX_REPORTED_ERRORS]
     if problems:
         raise DocumentError(problems)
     return make_game(states, row_actions, col_actions, triples)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from builders import MALFORMED_CERTIFICATES, disconnected
+from builders import MALFORMED_CERTIFICATES, disconnected, leaky_pair
 from ergopump import cli, documents
 from ergopump.cli import build_parser, main
 from ergopump.documents import serialize_game
@@ -44,6 +44,12 @@ class TestSolveExitCodes:
     def test_inconclusive_exit_three(self, disconnected_path, tmp_path):
         assert run(["solve", str(disconnected_path), "--epsilon", "0.1",
                     "--cap", "3"]) == 3
+
+    def test_granularity_beyond_the_float_range_exit_three(self, tmp_path):
+        # W = 10**400 has no float; the solve ends inconclusive, not in a traceback
+        game = tmp_path / "leaky.json"
+        game.write_text(serialize_game(leaky_pair("1e-400")))
+        assert run(["solve", str(game), "--epsilon", "0.05"]) == 3
 
     def test_tampered_certificate_fails_verify(self, disconnected_path, tmp_path):
         cert = tmp_path / "c.json"

@@ -99,6 +99,30 @@ class TestGameDocuments:
         with pytest.raises(DocumentError, match="transition record 0"):
             parse_game(json.dumps(doc))
 
+    def test_name_and_probability_problems_reported_together(self):
+        doc = json.loads(MINIMAL)
+        doc["transitions"][0]["to"] = "ghost"
+        doc["transitions"].append({**doc["transitions"][0], "to": "s", "p": "1/0"})
+        with pytest.raises(DocumentError) as err:
+            parse_game(json.dumps(doc))
+        assert err.value.problems == ("transition record 0: unknown state 'ghost'",
+                                      "transition record 1: Fraction(1, 0)")
+
+    def test_shape_problem_stops_the_parse_before_values(self):
+        doc = json.loads(MINIMAL)
+        doc["transitions"].append({**doc["transitions"][0], "p": "1/0", "r": "x"})
+        del doc["transitions"][0]["r"]
+        with pytest.raises(DocumentError) as err:
+            parse_game(json.dumps(doc))
+        assert err.value.problems == ("transition record 0: missing field 'r'",)
+
+    def test_repeated_state_named(self):
+        doc = json.loads(MINIMAL)
+        doc["states"].append("s")
+        with pytest.raises(DocumentError) as err:
+            parse_game(json.dumps(doc))
+        assert err.value.problems == ("duplicate state name 's'",)
+
     def test_missing_field_named(self):
         doc = json.loads(MINIMAL)
         del doc["transitions"][0]["to"]

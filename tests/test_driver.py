@@ -13,6 +13,7 @@ from builders import (
     big_match,
     count_local_games,
     disconnected,
+    leaky_pair,
     one_state,
     random_dense_game,
     two_cycle,
@@ -216,6 +217,14 @@ class TestDecideErgodicity:
         assert verdict.kind == "inconclusive"
         assert verdict.reason == ("PumpInvariantError: iteration 128: potential at state 1 "
                                   "left the float range (-inf)")
+
+    def test_granularity_beyond_the_float_range_saturates(self):
+        # W = 10**400 has no float: the gap thresholds saturate to inf, and the
+        # run ends as it does at W = 10**300
+        near, beyond = (decide_ergodicity(leaky_pair(leak), 0.05)[0]
+                        for leak in ("1e-300", "1e-400"))
+        assert (beyond.kind, beyond.reason) == (near.kind, near.reason) == (
+            "inconclusive", "pump step cap 2000000 exhausted in the full-state phase")
 
     def test_ergodic_band_is_measured_at_the_certified_potential(self):
         # the loop carries the pump's last local values into its band check:

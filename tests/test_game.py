@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -189,6 +189,54 @@ class TestNames:
                                       "transition record 0: row action index 1 out of range")
 
 
+class TestRecordValues:
+    """make_game checks every caller's probabilities and rewards, and
+    reports each bad one against its record rather than raising it."""
+
+    @pytest.mark.parametrize("p, problem", [
+        ("1/0", "Fraction(1, 0)"),
+        (True, "bool is not a probability"),
+        ([1], "cannot interpret [1] as a probability"),
+    ])
+    def test_bad_probability_named(self, p, problem):
+        with pytest.raises(DocumentError) as err:
+            make_game(["s"], [["a"]], [["x"]], [("s", "a", "x", "s", p, 0.0)])
+        assert err.value.problems == (f"transition record 0: {problem}",)
+
+    @pytest.mark.parametrize("reward", ["2.5", 10**400, None, True, np.bool_(True),
+                                        np.timedelta64(5, "s"), np.nan],
+                             ids=["str", "int-beyond-floats", "None", "bool", "numpy-bool",
+                                  "numpy-timedelta", "nan"])
+    def test_bad_reward_named(self, reward):
+        # a float conversion would read "2.5" as 2.5 and True as 1.0, and
+        # raise OverflowError on an integer beyond the float range
+        with pytest.raises(DocumentError) as err:
+            make_game(["s"], [["a"]], [["x"]], [("s", "a", "x", "s", 1, reward)])
+        assert err.value.problems == (
+            f"transition record 0: reward is not finite or not a number: {reward!r}",)
+
+    @pytest.mark.parametrize("reward", [np.float64(5.0), np.int64(5), np.float32(5.0), 5])
+    def test_numpy_and_int_rewards_build(self, reward):
+        assert make_game(["s"], [["a"]], [["x"]],
+                         [("s", "a", "x", "s", 1, reward)]) == one_state(5.0)
+
+    def test_every_kind_of_problem_reported_in_order(self):
+        # names and duplicates, then probabilities, then rewards, each by
+        # record index; a zero-probability record's values are checked too
+        with pytest.raises(DocumentError) as err:
+            make_game(["s"], [["a"]], [["x"]],
+                      [("s", "a", "x", "s", "x", "r"),
+                       ("ghost", "a", "x", "s", None, 1.0),
+                       ("s", "a", "x", "s", 0, np.inf)])
+        assert err.value.problems == (
+            "transition record 1: unknown state 'ghost'",
+            "transition record 2: duplicate transition record for (0, 0, 0, 0)",
+            "transition record 0: Invalid literal for Fraction: 'x'",
+            "transition record 1: cannot interpret None as a probability",
+            "transition record 0: reward is not finite or not a number: 'r'",
+            "transition record 2: reward is not finite or not a number: inf")
+
+
 _BAD_TOKENS = ("ghost", 7, np.int64(-1), True, 1.5)
 # "1e400" and 10**400 are valid Fractions beyond the float range
 _BAD_PROBABILITIES = ("1/0", "x", None, [1], True, float("nan"), 1.5, "1e400", "-1e400",
@@ -201,10 +249,11 @@ def _record_lists(draw, broken):
     shuffled record list in which each action pair splits 1 over 1-3
     successors, plus p = 0 records on other successors. Tokens are names,
     ints or numpy integers; probabilities are written "a/b" (denominators up
-    to 2**64), as decimals, ints, floats or Fractions. When broken, some
-    tokens name nothing, some probabilities are bools, off 1, out of range
-    or no number, some rewards are not finite, some records repeat, and a
-    player may have no actions."""
+    to 2**64), as decimals, ints, floats or Fractions; rewards are floats,
+    numpy floats or numpy ints. When broken, some tokens name nothing, some
+    probabilities are bools, off 1, out of range or no number, some rewards
+    are not finite or no number, some records repeat, and a player may have
+    no actions."""
     n = draw(st.integers(1, 3))
     actions = st.integers(0 if broken else 1, 2)
     shapes = draw(st.lists(st.tuples(actions, actions), min_size=n, max_size=n))
@@ -225,7 +274,8 @@ def _record_lists(draw, broken):
             forms += [int(p), np.int64(int(p))]
         return draw(st.sampled_from(forms))
 
-    reward = st.floats(-1e3, 1e3)
+    reward = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3).map(np.float64),
+                       st.integers(-1000, 1000).map(np.int64))
     records = []
     for v, (row_count, col_count) in enumerate(shapes):
         for k in range(row_count):
@@ -258,7 +308,8 @@ def _record_lists(draw, broken):
                 record[4] = draw(st.sampled_from([*_BAD_PROBABILITIES, Fraction(1, 2**64),
                                                   "-1/7", "3/2", Fraction(0)]))
             elif field == 5:
-                record[5] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+                record[5] = draw(st.sampled_from([np.nan, np.inf, -np.inf, "2.5", True, None,
+                                                  10**400]))
             else:
                 records.append(records[i])
             records[i] = tuple(record)
@@ -322,6 +373,16 @@ def _assert_same_game(got, expected):
             assert (type(have), repr(have)) == (type(want), repr(want)), name
 
 
+# rewards of both zeros: a numpy reduction may meet either first, and the
+# flat view's reward range holds +0.0 either way
+_SIGNED_ZEROS = (
+    ["s0", "s1"], [["a0"], ["a0", "a1"]], [["b0", "b1"], ["b0", "b1"]],
+    [("s0", "a0", "b0", "s0", "1/1", 0.0), ("s0", "a0", "b1", "s0", "1/1", 0.0),
+     ("s1", "a0", "b0", "s0", "1/3", 0.0), ("s1", "a0", "b0", "s1", "2/3", 0.0),
+     ("s1", "a0", "b1", "s0", "1/3", 0.0), ("s1", "a0", "b1", "s1", "2/3", 0.0),
+     ("s1", "a1", "b0", "s0", "1/1", 0.0), ("s1", "a1", "b1", "s0", "1/1", -0.0)])
+
+
 class TestConstructionAgainstRecordTuples:
     """make_game and parse_game build straight into the flat view's columns;
     the record-tuple path in reference.py, which resolves and stores each
@@ -330,6 +391,7 @@ class TestConstructionAgainstRecordTuples:
 
     @settings(max_examples=300, deadline=None)
     @given(st.booleans().flatmap(lambda broken: _record_lists(broken)))
+    @example(_SIGNED_ZEROS)
     def test_make_game(self, args):
         _assert_same_game(_built(make_game, *args), _built(reference.make_game, *args))
 

@@ -14,6 +14,7 @@ import reference
 from builders import (
     count_calls,
     disconnected,
+    leaky_pair,
     max_mass_into,
     one_state,
     random_dense_game,
@@ -180,6 +181,14 @@ class TestAuxiliaryGraph:
         # gap x[0]-x[1] = 1000 is not < 1000, from the pumped state 1 nor from 0
         assert forward_closure(graph, {1}) == {1}
         assert forward_closure(graph, {0}) == {0}
+
+    @pytest.mark.parametrize("leak, high", [("1e-300", 8e301), ("1e-400", np.inf)])
+    def test_zero_bound_keeps_a_zero_threshold(self, leak, high):
+        # state 0 is pumped with payoffs 0, state 1 unpumped with payoffs
+        # 10 below m_plus = 12: bounds (0, 2), and W = 1/leak
+        graph = auxiliary_graph(leaky_pair(leak), np.zeros(2), {0}, 12.0, eps=0.05)
+        assert graph.bounds.tolist() == [0.0, 2.0]
+        assert graph.thresholds.tolist() == [0.0, pytest.approx(high)]
 
     def test_thresholds_scale_with_action_count(self):
         rng = np.random.default_rng(9)

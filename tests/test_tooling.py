@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from builders import count_calls
 from ergopump.documents import CERTIFICATE_FORMAT, parse_game, serialize_game
 from ergopump.generators import cycle, disconnected
 
@@ -97,6 +98,19 @@ def test_benchmark_documents_are_unchanged(workload, monkeypatch):
     for inst in _load("workloads", monkeypatch).build(workload, 0):
         digest.update(inst.text.encode())
     assert digest.hexdigest() == GOLDEN_DOCUMENTS[workload]
+
+
+@pytest.mark.parametrize("workload, conversions", [("corpus", 761), ("ladder", 8)])
+def test_each_distinct_probability_is_converted_once(workload, conversions, monkeypatch):
+    """parse_game leaves the records' values to make_game, which converts
+    each distinct probability of a document to a Fraction once: the corpus's
+    documents hold 761 distinct values and the ladder's 8, in some 3,800 and
+    4,100 records."""
+    instances = _load("workloads", monkeypatch).build(workload, 0)
+    calls = count_calls(monkeypatch, ("to_fraction",))
+    for inst in instances:
+        parse_game(inst.text)
+    assert calls == {"to_fraction": conversions}
 
 
 def test_verdict_path_imports_no_scipy():
