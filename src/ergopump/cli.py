@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import documents, generators
@@ -114,6 +113,8 @@ def _cmd_solve(args) -> int:
     work = [(game, args.epsilon, args.cap, args.trace, out_path)
             for game, (_, out_path) in zip(games, jobs)]
     if len(work) > 1 and args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         # a fork-based pool starts all its workers up front: no more than games
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(work))) as pool:
             verdicts = list(pool.map(_solve_one_star, work))

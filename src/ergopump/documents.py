@@ -15,7 +15,9 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import sys
 from itertools import accumulate, chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -24,6 +26,8 @@ from .witness import ERGODIC, INCONCLUSIVE, NON_ERGODIC, Verdict, verify_witness
 
 GAME_FORMAT = "ergopump-game/1"
 CERTIFICATE_FORMAT = "ergopump-certificate/4"
+_FIELD_NAMES = ("from", "row", "col", "to", "p", "r")
+_RECORD_FIELDS = itemgetter(*_FIELD_NAMES)  # a record object's (v, k, l, u, p, r)
 
 
 def serialize_game(game: GameSpec) -> str:
@@ -56,12 +60,19 @@ def serialize_game(game: GameSpec) -> str:
 
 def _load(text: str, fmt: str) -> dict:
     """The JSON object of a document in format fmt; raises DocumentError on a
-    syntax error (with its position) or another format."""
+    syntax error (with its position), on JSON that Python cannot hold (an
+    integer literal past the int string-conversion limit, or nesting past
+    the recursion limit) or on another format."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError([f"JSON syntax error at line {exc.lineno}, column "
                              f"{exc.colno}: {exc.msg}"]) from None
+    except ValueError:  # the one other ValueError: int() refuses an over-long literal
+        raise DocumentError([f"JSON integer literal longer than "
+                             f"{sys.get_int_max_str_digits()} digits"]) from None
+    except RecursionError:
+        raise DocumentError(["JSON nesting too deep to read"]) from None
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise DocumentError([f"not a {fmt} document"])
     return doc
@@ -96,14 +107,16 @@ def parse_game(text: str) -> GameSpec:
     records = doc.get("transitions")
     if not isinstance(records, list):
         raise DocumentError(problems + ["'transitions' must be a list"])
-    triples = []
-    for idx, rec in enumerate(records):
-        try:
-            triples.append((rec["from"], rec["row"], rec["col"], rec["to"], rec["p"], rec["r"]))
-        except KeyError as exc:
-            problems.append(f"transition record {idx}: missing field {exc.args[0]!r}")
-        except TypeError as exc:  # a record that is no object
-            problems.append(f"transition record {idx}: {exc}")
+    try:
+        triples = list(map(_RECORD_FIELDS, records))
+    except (KeyError, TypeError):  # a record that is no object or lacks a field
+        for idx, rec in enumerate(records):
+            if not isinstance(rec, dict):
+                problems.append(f"transition record {idx}: the record is not an object")
+                continue
+            missing = next((key for key in _FIELD_NAMES if key not in rec), None)
+            if missing is not None:
+                problems.append(f"transition record {idx}: missing field {missing!r}")
     if problems:
         raise DocumentError(problems)
     return make_game(states, row_actions, col_actions, triples)

@@ -36,7 +36,7 @@ R/delta >= 4 and 2*n*kappa >= 4 * 48**3 * 16, about 7.1e6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,13 +64,11 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class DriverConfig:
+class DriverConfig(NamedTuple):
     pump_cap: int = HARD_CAP  # pump steps per phase
     collect_trace: bool = False
 
 
-@dataclass
 class DriverStats:
     """Counters of one solve.
 
@@ -84,10 +82,13 @@ class DriverStats:
     to the certificate.
     """
 
-    outer_iterations: int = 0
-    local_games: int = 0
-    phases: list = field(default_factory=list)
-    trace: list = field(default_factory=list)
+    __slots__ = ("outer_iterations", "local_games", "phases", "trace")
+
+    def __init__(self):
+        self.outer_iterations = 0
+        self.local_games = 0
+        self.phases = []
+        self.trace = []
 
 
 def default_outer_cap(reward_bound: float, eps: float) -> int:
@@ -187,7 +188,7 @@ def _drive(game, eps, config, offset, stats):
             phase = "phase2"
             high_only = first.solve.values.copy()
             high_only[sorted(set(range(game.n)) - first.closed[0])] = np.nan
-            outcome = _pump_phase(phase, game, replace(first.solve, values=high_only), mid,
+            outcome = _pump_phase(phase, game, first.solve._replace(values=high_only), mid,
                                   m_plus, eps, record, config, stats)
         if outcome.kind == "cap-exceeded":
             return stop(INCONCLUSIVE,

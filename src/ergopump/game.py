@@ -14,11 +14,12 @@ reward range, fixed when it is built.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import compress, islice
-from typing import Iterable, Sequence
+from itertools import accumulate, islice
+from operator import mul
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,9 +36,28 @@ class DocumentError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+def _fraction_of_text(text: str) -> Fraction:
+    """Fraction(text), or ValueError before it is built when its numerator or
+    denominator would pass Python's int string-conversion limit (an exponent
+    can take them far past the length of text), and a zero denominator named
+    as such."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    mantissa, _, exponent = text.lower().partition("e")
+    try:
+        too_long = abs(int(exponent)) + len(mantissa) > limit if exponent else False
+    except ValueError:  # not an exponent: Fraction reports the text
+        too_long = False
+    if too_long:
+        raise ValueError(f"probability {text!r} has more than {limit} digits")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"probability {text!r} has a zero denominator") from None
+
+
 def to_fraction(value) -> Fraction:
     """Coerce a probability-like value to an exact Fraction, or raise
-    TypeError, ValueError or ZeroDivisionError, which make_game reports.
+    TypeError or ValueError, which make_game reports.
 
     Strings may be "a/b" or decimal; floats are read through their shortest
     decimal repr (so 0.1 means 1/10, not the binary double).
@@ -53,7 +73,7 @@ def to_fraction(value) -> Fraction:
             raise ValueError(f"probability must be finite, got {value!r}")
         return Fraction(repr(value))
     if isinstance(value, str):
-        return Fraction(value)
+        return _fraction_of_text(value)
     raise TypeError(f"cannot interpret {value!r} as a probability")
 
 
@@ -71,10 +91,10 @@ def _finite(values) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class FlatView:
+class FlatView(NamedTuple):
     """A game's transition records, stored once as columns, and the float
-    views of them that every solve reads; built once per GameSpec.
+    views of them that every solve reads; built once per GameSpec, its
+    arrays read-only.
 
     A slot is one (v, k, l) action pair; state v owns the slots from
     first_slot[v] to first_slot[v + 1] in row-major (k, l) order, and its row
@@ -109,16 +129,17 @@ class FlatView:
     reward_low: float
     reward_high: float
 
-    def __setstate__(self, state):
+    def __reduce__(self):
         # a pickle restores the arrays writeable, e.g. in a solve worker
-        _read_only(state)
-        self.__dict__.update(state)
+        return _read_only, (tuple(self),)
 
 
-def _read_only(fields: dict):
-    for value in fields.values():
+def _read_only(fields) -> FlatView:
+    """The flat view of these fields, its arrays made read-only."""
+    for value in fields:
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
+    return FlatView._make(fields)
 
 
 def _reward_fields(rec_slot, rec_p, reward, slots) -> dict:
@@ -134,19 +155,22 @@ def _flat_view(row_actions, col_actions, v, k, l, u, probabilities, rec_prob,
                reward) -> FlatView:
     """The flat view of records given as int64 columns v, k, l, u and rec_prob
     (an index into probabilities) and a float column reward, in that order."""
-    rows, cols = (np.array([len(acts) for acts in actions], dtype=np.int64)
-                  for actions in (row_actions, col_actions))
-    first_slot, first_row, first_col = (np.concatenate(([0], np.cumsum(sizes)))
-                                        for sizes in (rows * cols, rows, cols))
-    slot_state = np.repeat(np.arange(len(rows)), rows * cols)
+    rows, cols = list(map(len, row_actions)), list(map(len, col_actions))
+    sizes = rows, cols, list(map(mul, rows, cols))  # per state: rows, columns and slots
+    rows, cols, slots = np.array(sizes, dtype=np.int64).reshape(3, -1)
+    first_row, first_col, first_slot = np.array([[0, *accumulate(count)] for count in sizes],
+                                                dtype=np.int64)
+    slot_state = np.repeat(np.arange(len(rows)), slots)
     row, col = np.divmod(np.arange(first_slot[-1]) - first_slot[slot_state], cols[slot_state])
     rec_slot = first_slot[v] + k * cols[v] + l
-    rec_p = np.array([float(p) if 0 <= p <= 1 else math.nan for p in probabilities])[rec_prob]
+    # 0 <= p <= 1 on the exact p; its denominator is positive
+    rec_p = np.array([p.numerator / p.denominator if 0 <= p.numerator <= p.denominator
+                      else math.nan for p in probabilities], dtype=np.float64)[rec_prob]
     slot_col = first_col[slot_state] + col
     col_order = np.argsort(slot_col, kind="stable")
-    view = FlatView(
+    return _read_only(FlatView(
         slot_state=slot_state, slot_row=first_row[slot_state] + row, slot_col=slot_col,
-        rec_slot=rec_slot, rec_state=slot_state[rec_slot], rec_to=u, rec_prob=rec_prob,
+        rec_slot=rec_slot, rec_state=v, rec_to=u, rec_prob=rec_prob,
         rec_p=rec_p, probabilities=np.array(probabilities, dtype=object),
         first_slot=first_slot, first_row=first_row, first_col=first_col,
         row_count=rows, col_count=cols, row_start=np.flatnonzero(col == 0),
@@ -154,32 +178,46 @@ def _flat_view(row_actions, col_actions, v, k, l, u, probabilities, rec_prob,
         # ceil(1/p) = ceil(b/a) for p = a/b in lowest terms
         granularity=max((-(-p.denominator // p.numerator) for p in probabilities if p.numerator),
                         default=1),
-        **_reward_fields(rec_slot, rec_p, reward, first_slot[-1]))
-    _read_only(vars(view))
-    return view
+        **_reward_fields(rec_slot, rec_p, reward, first_slot[-1])))
 
 
-@dataclass(frozen=True, eq=False)
 class GameSpec:
     """Immutable stochastic game, valid by construction: construction runs
     validate and raises DocumentError listing every problem it finds. The
     flat view alone stores the records; make_game builds it to fit the names.
-    Games with equal names and transitions are equal."""
+    Games with equal names and transitions are equal; a game hashes by
+    identity."""
 
-    states: tuple[str, ...]
-    row_actions: tuple[tuple[str, ...], ...]
-    col_actions: tuple[tuple[str, ...], ...]
-    flat: FlatView = field(repr=False)
+    __slots__ = ("states", "row_actions", "col_actions", "flat")
 
-    def __post_init__(self):
+    def __init__(self, states: tuple[str, ...], row_actions: tuple[tuple[str, ...], ...],
+                 col_actions: tuple[tuple[str, ...], ...], flat: FlatView):
+        for name, value in zip(GameSpec.__slots__, (states, row_actions, col_actions, flat)):
+            object.__setattr__(self, name, value)
         problems = validate(self)
         if problems:
             raise DocumentError(problems)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a GameSpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a GameSpec is immutable")
+
+    def __reduce__(self):
+        # unpickling constructs the game again, from the same fields
+        return GameSpec, (self.states, self.row_actions, self.col_actions, self.flat)
+
+    def __repr__(self):
+        return (f"GameSpec(states={self.states!r}, row_actions={self.row_actions!r}, "
+                f"col_actions={self.col_actions!r})")
 
     def __eq__(self, other):
         fields = ("states", "row_actions", "col_actions", "transitions")
         return isinstance(other, GameSpec) and all(
             getattr(self, name) == getattr(other, name) for name in fields)
+
+    __hash__ = object.__hash__
 
     @property
     def transitions(self) -> tuple:
@@ -210,12 +248,57 @@ class GameSpec:
         return per_slot[lo:hi].reshape(self.num_row_actions(v), self.num_col_actions(v))
 
 
-@dataclass(frozen=True)
-class GameParams:
+class GameParams(NamedTuple):
     """Magnitude parameters of a normalized game."""
 
     granularity: int  # every nonzero probability is >= 1/granularity
     reward_bound: float  # all rewards lie in [0, reward_bound]
+
+
+def _token(token):
+    """A state or action token as make_game reads it: an int or numpy
+    integer, a bool aside, is an index, and anything else a name, its str."""
+    if isinstance(token, (int, np.integer)) and not isinstance(token, bool):
+        return int(token)
+    return str(token)
+
+
+def _action_index(actions) -> dict:
+    """(v, name) -> k for every action k of every state v."""
+    return {(v, name): k for v, acts in enumerate(actions) for k, name in enumerate(acts)}
+
+
+def _resolve(tokens, state_index, row_index, col_index) -> tuple[tuple, bool]:
+    """The v, k, l and u columns of the records whose tokens are the columns
+    tokens, one dict lookup per token and None where a token names nothing;
+    and whether every token resolved."""
+    v_tok, k_tok, l_tok, u_tok = tokens
+    v = list(map(state_index.get, v_tok))
+    columns = (v, list(map(row_index.get, zip(v, k_tok))),
+               list(map(col_index.get, zip(v, l_tok))), list(map(state_index.get, u_tok)))
+    return columns, not any(None in column for column in columns)
+
+
+def _name_problems(tokens, v, k, l, u) -> list:
+    """The problems of the records whose names did not resolve or that
+    repeat a resolved (v, k, l, u), in record order: each record's state,
+    successor, row action and column action, the actions only when its
+    state resolved, then its repetition."""
+    problems, seen = [], set()
+    checked = ((0, "state"), (3, "state"), (1, "row action"), (2, "column action"))
+    for idx, key in enumerate(zip(v, k, l, u)):
+        for i, what in checked if key[0] is not None else checked[:2]:
+            if key[i] is None:
+                token = tokens[i][idx]
+                problems.append(f"transition record {idx}: " + (
+                    f"{what} index {token} out of range"
+                    if isinstance(token, int) else f"unknown {what} {token!r}"))
+        if None not in key:
+            if key in seen:
+                problems.append(f"transition record {idx}: duplicate transition record for "
+                                f"{key}")
+            seen.add(key)
+    return problems
 
 
 def make_game(
@@ -234,77 +317,72 @@ def make_game(
     state name, or action name at one state, raises at once; otherwise one
     DocumentError lists, by record index, every unknown name or index and
     duplicate (v, k, l, u), then every bad p, then every bad r.
+
+    Names resolve a column at a time, by one dict lookup per token in C: by
+    name first, and when some token is no name, again with every token read
+    as _token reads it. Only a token that still resolves to nothing, or a
+    repeated record, sends the records through a loop, which words the
+    problems.
     """
-    states = tuple(str(s) for s in states)
-    row_actions = tuple(tuple(str(a) for a in acts) for acts in row_actions)
-    col_actions = tuple(tuple(str(a) for a in acts) for acts in col_actions)
-    if len(row_actions) != len(states) or len(col_actions) != len(states):
+    states = tuple(map(str, states))
+    row_actions = tuple(tuple(map(str, acts)) for acts in row_actions)
+    col_actions = tuple(tuple(map(str, acts)) for acts in col_actions)
+    n = len(states)
+    if len(row_actions) != n or len(col_actions) != n:
         raise ValueError("need one action set per state for each player")
-    state_index = dict(zip(states, range(len(states))))
-    row_index, col_index = ([dict(zip(acts, range(len(acts)))) for acts in actions]
-                            for actions in (row_actions, col_actions))
-    problems = [f"duplicate state name {s!r}" for s, count in Counter(states).items() if count > 1]
-    problems += [f"state {states[v]!r}: duplicate {player} action name {a!r}"
-                 for player, actions, index in (("row", row_actions, row_index),
-                                                ("column", col_actions, col_index))
-                 for v, acts in enumerate(actions) if len(index[v]) < len(acts)
-                 for a, count in Counter(acts).items() if count > 1]
-    if problems:
+    state_index = dict(zip(states, range(n)))
+    row_index, col_index = _action_index(row_actions), _action_index(col_actions)
+    if (len(state_index) < n or len(row_index) < sum(map(len, row_actions))
+            or len(col_index) < sum(map(len, col_actions))):
+        problems = [f"duplicate state name {s!r}"
+                    for s, count in Counter(states).items() if count > 1]
+        problems += [f"state {states[v]!r}: duplicate {player} action name {a!r}"
+                     for player, actions in (("row", row_actions), ("column", col_actions))
+                     for v, acts in enumerate(actions) if len(set(acts)) < len(acts)
+                     for a, count in Counter(acts).items() if count > 1]
         raise DocumentError(problems)
 
-    def resolve(token, positions, what):  # a problem names the record idx
-        if isinstance(token, (int, np.integer)) and not isinstance(token, bool):
-            if 0 <= token < len(positions):
-                return int(token)
-            problems.append(f"transition record {idx}: {what} index {token} out of range")
-            return None
-        found = positions.get(str(token))
-        if found is None:
-            problems.append(f"transition record {idx}: unknown {what} {str(token)!r}")
-        return found
-
-    keys, p_val, r_val = {}, [], []  # keys: each resolved (v, k, l, u), in record order
-    for idx, (v_tok, k_tok, l_tok, u_tok, p, r) in enumerate(transitions):
-        p_val.append(p)
-        r_val.append(r)
-        v = resolve(v_tok, state_index, "state")
-        u = resolve(u_tok, state_index, "state")
-        if v is None:
-            continue
-        k = resolve(k_tok, row_index[v], "row action")
-        l = resolve(l_tok, col_index[v], "column action")
-        if None in (u, k, l):
-            continue
-        if (v, k, l, u) in keys:
-            problems.append(f"transition record {idx}: duplicate transition record for "
-                            f"{(v, k, l, u)}")
-        keys[v, k, l, u] = None
+    v_tok, k_tok, l_tok, u_tok, p_val, r_val = list(zip(*transitions, strict=True)) or [()] * 6
+    tokens = (v_tok, k_tok, l_tok, u_tok)
+    columns, resolved = _resolve(tokens, state_index, row_index, col_index)
+    if not resolved:  # a token that is no name
+        tokens = [list(map(_token, column)) for column in tokens]
+        state_index.update(zip(range(n), range(n)))
+        for index, actions in ((row_index, row_actions), (col_index, col_actions)):
+            index.update(((s, a), a) for s, acts in enumerate(actions) for a in range(len(acts)))
+        columns, resolved = _resolve(tokens, state_index, row_index, col_index)
+    if resolved:  # sorted by (v, k, l, u), a repeated record sits next to its first
+        keys = np.array(columns, dtype=np.int64)
+        order = np.lexsort(keys[::-1])
+        keys = keys[:, order]
+        resolved = not (keys[:, 1:] == keys[:, :-1]).all(axis=0).any()
+    problems = [] if resolved else _name_problems(tokens, *columns)
 
     p_keys = list(zip(map(type, p_val), map(str, p_val)))
     fractions, errors = {}, {}  # per distinct (type, text): its Fraction, or why it has none
     for key, value in dict(zip(p_keys, p_val)).items():
         try:
             fractions[key] = to_fraction(value)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError) as exc:
             errors[key] = exc
-    problems += [f"transition record {idx}: {errors[key]}"
-                 for idx, key in enumerate(p_keys) if key in errors]
+    if errors:
+        problems += [f"transition record {idx}: {errors[key]}"
+                     for idx, key in enumerate(p_keys) if key in errors]
     if not _finite(r_val):
         problems += [f"transition record {idx}: reward is not finite or not a number: {r!r}"
                      for idx, r in enumerate(r_val) if not _finite([r])]
     if problems:
         raise DocumentError(problems)
-    # every record resolved to a key of its own, so keys, p_keys and r_val align
+    # every record resolved to a key of its own, sorted by (v, k, l, u) in order
     probabilities = list(fractions.values())
     rec_prob = np.fromiter(map(dict(zip(fractions, range(len(fractions)))).__getitem__, p_keys),
-                           np.int64, len(p_keys))
-    nonzero = np.array([p.numerator != 0 for p in probabilities], dtype=bool)[rec_prob]
-    reward = np.fromiter(map(float, compress(r_val, nonzero)), np.float64)
-    keys = np.array(list(keys), dtype=np.int64).reshape(-1, 4)[nonzero]
-    order = np.lexsort(keys.T[::-1])
+                           np.int64, len(p_keys))[order]
+    reward = np.array(r_val, dtype=np.float64)[order]
+    if not all(p.numerator for p in probabilities):  # drop the p = 0 records
+        nonzero = np.array([p.numerator != 0 for p in probabilities], dtype=bool)[rec_prob]
+        keys, rec_prob, reward = keys[:, nonzero], rec_prob[nonzero], reward[nonzero]
     return GameSpec(states, row_actions, col_actions,
-                    _flat_view(row_actions, col_actions, *keys[order].T.copy(), probabilities,
-                               rec_prob[nonzero][order], reward[order]))
+                    _flat_view(row_actions, col_actions, *keys, probabilities, rec_prob, reward))
 
 
 def validate(game: GameSpec) -> tuple[str, ...]:
@@ -340,10 +418,8 @@ def validate(game: GameSpec) -> tuple[str, ...]:
 def _map_rewards(game: GameSpec, reward: np.ndarray) -> GameSpec:
     """The same game with the per-record rewards replaced by reward."""
     flat = game.flat
-    flat = replace(flat, **_reward_fields(flat.rec_slot, flat.rec_p, reward,
-                                          len(flat.slot_state)))
-    _read_only(vars(flat))
-    return GameSpec(game.states, game.row_actions, game.col_actions, flat)
+    flat = flat._replace(**_reward_fields(flat.rec_slot, flat.rec_p, reward, len(flat.slot_state)))
+    return GameSpec(game.states, game.row_actions, game.col_actions, _read_only(flat))
 
 
 def normalize_rewards(game: GameSpec) -> tuple[GameSpec, float]:

@@ -33,9 +33,9 @@ check raises MatrixGameError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ class MatrixGameError(RuntimeError):
         self.upper = upper
 
 
-@dataclass(frozen=True)
-class MatrixGameSolution:
+class MatrixGameSolution(NamedTuple):
     """Minimax value and optimal mixed strategies of one matrix game."""
 
     value: float
@@ -337,8 +336,7 @@ def _screen(game, x, states):
     return payoffs, values, (listed ^ saddle).nonzero()[0], row_min, col_max
 
 
-@dataclass(frozen=True)
-class LocalSolve:
+class LocalSolve(NamedTuple):
     """The listed states' local games at one potential x, each settled once.
 
     values holds each listed state's local value and NaN elsewhere. The

@@ -54,10 +54,8 @@ wraps those names sees every band and every graph.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +69,7 @@ class PumpInvariantError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class BandPartition:
+class BandPartition(NamedTuple):
     """States split by local value: top/bottom quartile bands and the pumped upper half."""
 
     m_minus: float
@@ -83,17 +80,21 @@ class BandPartition:
     pumped: frozenset  # local value >= m_minus + 2*delta
 
 
-@dataclass
 class PumpStats:
-    iterations: int = 0
-    pump_counts: np.ndarray | None = None
-    witness_checks: int = 0
-    local_games: int = 0  # local games settled: the phase's states, per evaluated step
-    trace: list | None = None
+    """Counters of one pump run; pump_counts holds the per-state step counts
+    and trace, when collected, one record per landed step."""
+
+    __slots__ = ("iterations", "pump_counts", "witness_checks", "local_games", "trace")
+
+    def __init__(self, pump_counts: np.ndarray | None = None, trace: list | None = None):
+        self.iterations = 0
+        self.pump_counts = pump_counts
+        self.witness_checks = 0
+        self.local_games = 0  # local games settled: the phase's states, per evaluated step
+        self.trace = trace
 
 
-@dataclass(frozen=True)
-class PumpOutcome:
+class PumpOutcome(NamedTuple):
     """Result of one pump run.
 
     kind is "band-collapsed" (top or bottom band emptied: the value band
@@ -159,8 +160,7 @@ def r_bounds(game: GameSpec, x: Potential, pumped: np.ndarray, m_plus: float) ->
     return np.maximum.reduceat(payoffs, flat.first_slot[:-1])
 
 
-@dataclass(frozen=True)
-class GapGraph:
+class GapGraph(NamedTuple):
     """The potential-gap graph in O(n) memory.
 
     For u != v there is an arc v -> u when x[u] - x[v] < thresholds[v] for a
@@ -168,19 +168,14 @@ class GapGraph:
     defined by gaps alone, regardless of the transition structure. Float
     subtraction is monotone, so in the ascending-x order a pumped state's
     out-neighbours form a prefix and any other state's a suffix, ties
-    included. The sorted order is computed on first use, by a closure.
-    bounds are the payoff bounds (r_bounds) the thresholds were sized by.
+    included; forward_closure sorts the states into that order. bounds are
+    the payoff bounds (r_bounds) the thresholds were sized by.
     """
 
     x: np.ndarray
     bounds: np.ndarray
     thresholds: np.ndarray
     pumped: np.ndarray  # bool per state
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """States by ascending x, ties by index."""
-        return np.argsort(self.x, kind="stable")
 
 
 def auxiliary_graph(game: GameSpec, x: Potential, pumped, m_plus: float, eps: float) -> GapGraph:
@@ -206,15 +201,15 @@ def auxiliary_graph(game: GameSpec, x: Potential, pumped, m_plus: float, eps: fl
 def forward_closure(graph: GapGraph, seeds) -> frozenset:
     """Every state reachable from `seeds` in the gap graph, seeds included.
 
-    Out-neighbours are prefixes and suffixes of the sorted order, so the
-    closure is its seeds plus the longest prefix and the longest suffix its
-    members reach: a prefix pointer and a suffix pointer that only grow,
-    compared with the same float expressions that define the arcs. Each
-    sorted position is passed at most twice and each state joins once, so
-    after the sort a closure costs O(n).
+    Out-neighbours are prefixes and suffixes of the states sorted by
+    ascending x, ties by index, so the closure is its seeds plus the longest
+    prefix and the longest suffix its members reach: a prefix pointer and a
+    suffix pointer that only grow, compared with the same float expressions
+    that define the arcs. Each sorted position is passed at most twice and
+    each state joins once, so after the sort a closure costs O(n).
     """
     x, t, up = graph.x.tolist(), graph.thresholds.tolist(), graph.pumped.tolist()
-    order = graph.order.tolist()
+    order = np.argsort(graph.x, kind="stable").tolist()
     xs = [x[u] for u in order]
     seen = set(seeds)
     queue = list(seen)
@@ -286,6 +281,8 @@ def find_closed_sets(graph: GapGraph, top, bottom):
 
 
 def _potential_hash(x: np.ndarray) -> str:
+    import hashlib  # only a run that collects its trace hashes: off the import path
+
     return hashlib.sha256(x.tobytes()).hexdigest()[:16]
 
 
@@ -327,15 +324,17 @@ def _check_band_monotonicity(tau, prev_part, part):
         raise PumpInvariantError(f"iteration {tau}: bottom band gained states")
 
 
-@dataclass
 class _Step:
     """One evaluated pump step; the witness check runs at most once, on demand,
     and leaves its graph and result here."""
 
-    solve: LocalSolve
-    part: BandPartition
-    graph: GapGraph | None = None
-    closed: tuple | None = None
+    __slots__ = ("solve", "part", "graph", "closed")
+
+    def __init__(self, solve: LocalSolve, part: BandPartition):
+        self.solve = solve
+        self.part = part
+        self.graph: GapGraph | None = None
+        self.closed: tuple | None = None
 
 
 def modified_pump(

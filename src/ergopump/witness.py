@@ -31,7 +31,7 @@ transition records, then every one-shot bound in one vectorised pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ class WitnessBuildError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """The result of a solve, as written to and read from a certificate.
 
     value_offset is the shift normalization added to every original reward;
@@ -79,8 +78,7 @@ class Verdict:
         return frozenset(self.beta) if self.kind == NON_ERGODIC else None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     failures: tuple
     certified_gap: float  # proven floor minus proven ceiling
 

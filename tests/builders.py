@@ -96,13 +96,17 @@ def random_dense_game(rng, n=3, max_actions=2, denominator=4, reward_lo=0.0, rew
     return make_game(states, row_actions, col_actions, records)
 
 
-def max_mass_into(game, v, targets):
-    """Largest probability, over the action pairs at v, of moving into
-    targets, summed exactly over v's transition records."""
-    mass = {}
-    for k, l, u, p, _r in game.transitions[v]:
-        mass[k, l] = mass.get((k, l), 0) + (p if u in targets else 0)
-    return float(max(mass.values()))
+def max_mass_into(game, targets):
+    """Per state v, the largest probability, over the action pairs at v, of
+    moving into targets, summed exactly over v's transition records; the
+    records are derived once per call."""
+    masses = []
+    for records in game.transitions:
+        mass = {}
+        for k, l, u, p, _r in records:
+            mass[k, l] = mass.get((k, l), 0) + (p if u in targets else 0)
+        masses.append(float(max(mass.values())))
+    return masses
 
 
 def count_calls(monkeypatch, names, weight=None):

@@ -66,13 +66,14 @@ def validate_problems(game):
     """The problems game.validate must report, in its order, from a per-record
     loop that sums each slot's probabilities as Fractions."""
     problems = [] if game.n else ["game has no states"]
+    transitions = game.transitions  # derived from the flat view: read it once
     for v, name in enumerate(game.states):
         if game.num_row_actions(v) == 0:
             problems.append(f"state {name!r}: row player has no actions")
         if game.num_col_actions(v) == 0:
             problems.append(f"state {name!r}: column player has no actions")
         totals = {}
-        for k, l, u, p, r in game.transitions[v]:
+        for k, l, u, p, r in transitions[v]:
             if p < 0 or p > 1:
                 problems.append(
                     f"probability out of range at ({name!r}, k={k}, l={l}, "
@@ -244,8 +245,8 @@ def parse_game(text):
             triples.append((rec["from"], rec["row"], rec["col"], rec["to"], rec["p"], rec["r"]))
         except KeyError as exc:
             problems.append(f"transition record {idx}: missing field {exc.args[0]!r}")
-        except TypeError as exc:
-            problems.append(f"transition record {idx}: {exc}")
+        except TypeError:
+            problems.append(f"transition record {idx}: the record is not an object")
     if problems:
         raise DocumentError(problems)
     return make_game(states, row_actions, col_actions, triples)

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, determinism."""
 
+import concurrent.futures
 import json
 import re
 from pathlib import Path
@@ -143,6 +144,26 @@ class TestUsageAndIO:
         assert f"{bad}: invalid game document" in out.err and not out.out
         assert not list(tmp_path.glob("*.cert.json"))
 
+    @pytest.mark.parametrize("document, code, what", [("game", 64, "game"),
+                                                      ("certificate", 1, "certificate")])
+    def test_integer_literal_past_the_digit_limit(self, document, code, what, disconnected_path,
+                                                  tmp_path, capsys):
+        # json.loads raises ValueError, not JSONDecodeError, on such a literal;
+        # the document is invalid, as any other invalid game or certificate
+        cert = tmp_path / "c.json"
+        run(["solve", str(disconnected_path), "--epsilon", "0.1", "--out", str(cert)])
+        path = disconnected_path if document == "game" else cert
+        doc = json.loads(path.read_text())
+        if document == "game":
+            doc["transitions"][0]["r"] = "HUGE"
+        else:
+            doc["floor"] = "HUGE"
+        path.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * 5000))
+        capsys.readouterr()
+        assert run(["verify", str(disconnected_path), str(cert)]) == code
+        err = capsys.readouterr().err
+        assert f"invalid {what} document" in err and "JSON integer literal" in err
+
     def test_invalid_game_document_exit_64(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -217,7 +238,8 @@ class TestOtherCommands:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        # cli imports the pool class where it starts one, from concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         paths = []
         for kind in ("disconnected", "cycle"):
             paths.append(str(tmp_path / f"{kind}.json"))

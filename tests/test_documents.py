@@ -99,6 +99,23 @@ class TestGameDocuments:
         with pytest.raises(DocumentError, match="transition record 0"):
             parse_game(json.dumps(doc))
 
+    @pytest.mark.parametrize("record", [3, [1], "s", None])
+    def test_record_that_is_no_object_named(self, record):
+        # the same words whatever Python's subscript error says
+        doc = json.loads(MINIMAL)
+        doc["transitions"].append(record)
+        with pytest.raises(DocumentError) as err:
+            parse_game(json.dumps(doc))
+        assert err.value.problems == ("transition record 1: the record is not an object",)
+
+    @pytest.mark.parametrize("text", [
+        '{"format": "ergopump-game/1", "states": [' + "1" * 5000 + "]}",
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["integer-literal-past-the-digit-limit", "nesting-past-the-recursion-limit"])
+    def test_json_python_cannot_hold_is_a_document_error(self, text):
+        with pytest.raises(DocumentError, match="JSON"):
+            parse_game(text)
+
     def test_name_and_probability_problems_reported_together(self):
         doc = json.loads(MINIMAL)
         doc["transitions"][0]["to"] = "ghost"
@@ -106,7 +123,8 @@ class TestGameDocuments:
         with pytest.raises(DocumentError) as err:
             parse_game(json.dumps(doc))
         assert err.value.problems == ("transition record 0: unknown state 'ghost'",
-                                      "transition record 1: Fraction(1, 0)")
+                                      "transition record 1: probability '1/0' has a zero "
+                                      "denominator")
 
     def test_shape_problem_stops_the_parse_before_values(self):
         doc = json.loads(MINIMAL)
@@ -169,13 +187,13 @@ class TestGameDocuments:
         doc = json.loads(serialize_game(random_game(256, max_actions=3, seed=0)))
         doc["transitions"][5]["to"] = "ghost"
         built = []
-        original = GameSpec.__post_init__
+        original = GameSpec.__init__
 
-        def counted(self):
+        def counted(self, *fields):
             built.append(self)
-            original(self)
+            original(self, *fields)
 
-        monkeypatch.setattr(GameSpec, "__post_init__", counted)
+        monkeypatch.setattr(GameSpec, "__init__", counted)
         with pytest.raises(DocumentError) as err:
             parse_game(json.dumps(doc))
         assert err.value.problems == ("transition record 5: unknown state 'ghost'",)

@@ -309,7 +309,7 @@ class TestDecideErgodicity:
         g = random_game(4, max_actions=3, seed=11)
         records = [(g.states[v], g.row_actions[v][k], g.col_actions[v][l], g.states[u], p,
                     r * 1e12)
-                   for v in range(g.n) for k, l, u, p, r in g.transitions[v]]
+                   for v, recs in enumerate(g.transitions) for k, l, u, p, r in recs]
         scaled = make_game(g.states, g.row_actions, g.col_actions, records)
         verdict, _ = decide_ergodicity(scaled, eps=0.05e12)
         assert verdict.kind in ("ergodic-24eps", "non-ergodic", "inconclusive")
@@ -322,7 +322,7 @@ class TestDecideErgodicity:
         perm = [2, 0, 3, 1]
         renamed = [g.states[i] for i in perm]
         records = [(g.states[v], g.row_actions[v][k], g.col_actions[v][l], g.states[u], p, r)
-                   for v in range(g.n) for k, l, u, p, r in g.transitions[v]]
+                   for v, recs in enumerate(g.transitions) for k, l, u, p, r in recs]
         shuffled = make_game(renamed, [g.row_actions[i] for i in perm],
                              [g.col_actions[i] for i in perm], records)
         verdict2, _ = decide_ergodicity(shuffled, eps=0.05)

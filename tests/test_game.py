@@ -2,6 +2,8 @@
 
 import json
 import pickle
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -194,14 +196,27 @@ class TestRecordValues:
     reports each bad one against its record rather than raising it."""
 
     @pytest.mark.parametrize("p, problem", [
-        ("1/0", "Fraction(1, 0)"),
+        ("1/0", "probability '1/0' has a zero denominator"),
         (True, "bool is not a probability"),
         ([1], "cannot interpret [1] as a probability"),
+        # 10**100000 builds quickly, but a slot sum with it would not print
+        ("1e-100000", f"probability '1e-100000' has more than {sys.get_int_max_str_digits()} "
+                      "digits"),
     ])
     def test_bad_probability_named(self, p, problem):
         with pytest.raises(DocumentError) as err:
             make_game(["s"], [["a"]], [["x"]], [("s", "a", "x", "s", p, 0.0)])
         assert err.value.problems == (f"transition record 0: {problem}",)
+
+    def test_probability_past_the_digit_limit_rejected_before_it_is_built(self):
+        # Fraction("1e-10000000") would spend seconds building 10**10000000
+        start = time.perf_counter()
+        with pytest.raises(DocumentError) as err:
+            make_game(["s"], [["a"]], [["x"]], [("s", "a", "x", "s", "1e-10000000", 0.0)])
+        assert time.perf_counter() - start < 0.5
+        assert err.value.problems == (
+            f"transition record 0: probability '1e-10000000' has more than "
+            f"{sys.get_int_max_str_digits()} digits",)
 
     @pytest.mark.parametrize("reward", ["2.5", 10**400, None, True, np.bool_(True),
                                         np.timedelta64(5, "s"), np.nan],
@@ -653,7 +668,7 @@ class TestFlatView:
         built = random_game(n=3, max_actions=2, granularity=7, reward_bound=8.0, seed=1)
         game = pickle.loads(pickle.dumps(built))
         assert game.flat is not None
-        fields = vars(game.flat)
+        fields = game.flat._asdict()
         assert {"rec_state", "row_count", "col_count", "row_start", "col_order",
                 "col_start"} <= set(fields)
         arrays = {name: value for name, value in fields.items()

@@ -124,6 +124,20 @@ def test_verdict_path_imports_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_path_execs_no_generated_code():
+    # no dataclass on the import path: each one execs generated methods on
+    # every start, which no bytecode cache keeps. hashlib serves only the
+    # trace, and multiprocessing only the CLI's --jobs pool
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (f"import sys; sys.path.insert(0, {str(src)!r}); import ergopump; "
+             "print(sorted({'dataclasses', 'hashlib'} & set(sys.modules))); "
+             "import ergopump.cli; "
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'multiprocessing'))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.splitlines() == ["[]", "[]"]
+
+
 def test_readme_names_the_certificate_format():
     # a format bump must update the README's account of the document
     readme = (BENCH.parent / "README.md").read_text()

@@ -1,7 +1,5 @@
 """Witness construction and the one certificate check of both verdicts."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,7 +143,7 @@ class TestVerifyWitness:
         g = leaky_row_game()
         cert = build_witness(g, local_solve(g, np.zeros(2)), {0}, {1},
                              ceiling_raw=0.2, floor_raw=0.9, eps=0.1)
-        tampered = dataclasses.replace(cert, alpha={0: np.array([0.999, 1e-3])})
+        tampered = cert._replace(alpha={0: np.array([0.999, 1e-3])})
         report = verify_witness(g, tampered)
         assert not report.ok
         assert any("leaks" in f and "action 1" in f for f in report.failures)
@@ -155,7 +153,7 @@ class TestVerifyWitness:
         # the column player's best response indeed holds the high state under it
         g = disconnected(0.0, 10.0)
         verdict = _solved_witness(g, 0.1)
-        tampered = dataclasses.replace(verdict, floor=11.0)
+        tampered = verdict._replace(floor=11.0)
         report = verify_witness(g, tampered)
         assert not report.ok
         assert any("below floor" in f for f in report.failures)
@@ -181,8 +179,8 @@ class TestVerifyWitness:
         report = verify_witness(cycle(n=3, seed=0), empty)
         assert report.failures == ("ergodic alpha misses states ['c0', 'c1', 'c2']",
                                    "ergodic beta misses states ['c0', 'c1', 'c2']")
-        report = verify_witness(disconnected(0.0, 10.0), dataclasses.replace(
-            empty, kind=NON_ERGODIC, potential=np.zeros(2), floor=5.0, ceiling=1.0))
+        report = verify_witness(disconnected(0.0, 10.0), empty._replace(
+            kind=NON_ERGODIC, potential=np.zeros(2), floor=5.0, ceiling=1.0))
         assert report.failures == ("witness alpha and beta sets must not be empty",)
 
     def test_ergodic_certificate_missing_a_state_fails(self):
@@ -192,7 +190,7 @@ class TestVerifyWitness:
         for side in ("alpha", "beta"):
             table = dict(getattr(verdict, side))
             del table[1]
-            report = verify_witness(g, dataclasses.replace(verdict, **{side: table}))
+            report = verify_witness(g, verdict._replace(**{side: table}))
             assert f"ergodic {side} misses states ['c1']" in report.failures
 
     def test_inconclusive_verdict_certifies_nothing(self):
@@ -204,7 +202,7 @@ class TestVerifyWitness:
     def test_witness_sets_must_be_disjoint(self):
         g = disconnected(0.0, 10.0)
         cert = _solved_witness(g, 0.1)
-        shared = dataclasses.replace(cert, alpha={**cert.alpha, 0: np.array([1.0])})
+        shared = cert._replace(alpha={**cert.alpha, 0: np.array([1.0])})
         assert "witness alpha and beta sets share states ['low']" in (
             verify_witness(g, shared).failures)
 
@@ -245,8 +243,8 @@ def test_one_shot_bounds_match_dense_tables_and_hold_globally(data):
     global_floor, global_ceiling = reference.global_bounds(g, cert)
     assert global_floor >= floor - 1e-9 and global_ceiling <= ceiling + 1e-9
     # claiming one slack more than the strategies give is refused
-    assert not verify_witness(g, dataclasses.replace(cert, floor=floor + 2e-6)).ok
-    assert not verify_witness(g, dataclasses.replace(cert, ceiling=ceiling - 2e-6)).ok
+    assert not verify_witness(g, cert._replace(floor=floor + 2e-6)).ok
+    assert not verify_witness(g, cert._replace(ceiling=ceiling - 2e-6)).ok
 
 
 @settings(max_examples=30, deadline=None)
@@ -274,9 +272,8 @@ def test_perturbed_certificates_accepted_only_within_global_bounds(case, weight,
             out[v] = (1 - weight) * vec + weight * mix / mix.sum()
         return out
 
-    perturbed = dataclasses.replace(
-        cert, alpha=perturb(cert.alpha, "row", g.num_row_actions),
-        beta=perturb(cert.beta, "col", g.num_col_actions))
+    perturbed = cert._replace(alpha=perturb(cert.alpha, "row", g.num_row_actions),
+                              beta=perturb(cert.beta, "col", g.num_col_actions))
     if verify_witness(g, perturbed).ok:
         floor, ceiling = reference.global_bounds(g, perturbed)
         assert floor >= cert.floor - 1e-6 and ceiling <= cert.ceiling + 1e-6
