@@ -185,8 +185,7 @@ class GameSpec:
     """Immutable stochastic game, valid by construction: construction runs
     validate and raises DocumentError listing every problem it finds. The
     flat view alone stores the records; make_game builds it to fit the names.
-    Games with equal names and transitions are equal; a game hashes by
-    identity."""
+    Games with equal names and transitions are equal."""
 
     __slots__ = ("states", "row_actions", "col_actions", "flat")
 
@@ -216,8 +215,6 @@ class GameSpec:
         fields = ("states", "row_actions", "col_actions", "transitions")
         return isinstance(other, GameSpec) and all(
             getattr(self, name) == getattr(other, name) for name in fields)
-
-    __hash__ = object.__hash__
 
     @property
     def transitions(self) -> tuple:
@@ -271,11 +268,15 @@ def _action_index(actions) -> dict:
 def _resolve(tokens, state_index, row_index, col_index) -> tuple[tuple, bool]:
     """The v, k, l and u columns of the records whose tokens are the columns
     tokens, one dict lookup per token and None where a token names nothing;
-    and whether every token resolved."""
+    and whether every token resolved. An unhashable token (a JSON list, say)
+    resolves nothing: no columns, and False."""
     v_tok, k_tok, l_tok, u_tok = tokens
-    v = list(map(state_index.get, v_tok))
-    columns = (v, list(map(row_index.get, zip(v, k_tok))),
-               list(map(col_index.get, zip(v, l_tok))), list(map(state_index.get, u_tok)))
+    try:
+        v = list(map(state_index.get, v_tok))
+        columns = (v, list(map(row_index.get, zip(v, k_tok))),
+                   list(map(col_index.get, zip(v, l_tok))), list(map(state_index.get, u_tok)))
+    except TypeError:
+        return None, False
     return columns, not any(None in column for column in columns)
 
 

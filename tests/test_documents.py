@@ -108,6 +108,19 @@ class TestGameDocuments:
             parse_game(json.dumps(doc))
         assert err.value.problems == ("transition record 1: the record is not an object",)
 
+    @pytest.mark.parametrize("field", ["from", "row", "col", "to"])
+    def test_list_or_object_name_named(self, field):
+        # an unhashable token is looked up by its str, as any other name
+        doc = json.loads(MINIMAL)
+        doc["transitions"][0][field] = ["s"]
+        doc["transitions"].append({**doc["transitions"][0], field: {"s": 0}})
+        what = {"from": "state", "to": "state", "row": "row action", "col": "column action"}
+        with pytest.raises(DocumentError) as err:
+            parse_game(json.dumps(doc))
+        assert err.value.problems == (f"transition record 0: unknown {what[field]} \"['s']\"",
+                                      f"transition record 1: unknown {what[field]} "
+                                      f"\"{{'s': 0}}\"")
+
     @pytest.mark.parametrize("text", [
         '{"format": "ergopump-game/1", "states": [' + "1" * 5000 + "]}",
         "[" * 100_000 + "]" * 100_000,

@@ -252,7 +252,8 @@ class TestRecordValues:
             "transition record 2: reward is not finite or not a number: inf")
 
 
-_BAD_TOKENS = ("ghost", 7, np.int64(-1), True, 1.5)
+# a list or dict token is unhashable: make_game names it by its str
+_BAD_TOKENS = ("ghost", 7, np.int64(-1), True, 1.5, ["s0"], {"s0": 0})
 # "1e400" and 10**400 are valid Fractions beyond the float range
 _BAD_PROBABILITIES = ("1/0", "x", None, [1], True, float("nan"), 1.5, "1e400", "-1e400",
                       10**400)
