@@ -21,7 +21,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .game import DocumentError, GameSpec, _finite, make_game, normalize_rewards
+from .game import DocumentError, GameSpec, _finite, make_game
 from .witness import ERGODIC, INCONCLUSIVE, NON_ERGODIC, Verdict, verify_witness
 
 GAME_FORMAT = "ergopump-game/1"
@@ -238,20 +238,7 @@ def parse_certificate(text: str, game: GameSpec) -> Verdict:
 
 
 def recheck_certificate(game: GameSpec, verdict: Verdict) -> tuple[bool, tuple]:
-    """Re-establish a parsed certificate from the game and document alone.
-
-    The normalization offset must match exactly (it round-trips bit-exactly),
-    and every verdict gets the one check of witness.verify_witness on the
-    normalized game: exact closure, one vectorised pass of one-shot bounds
-    and the verdict's claim on its stored bounds, which an inconclusive
-    verdict cannot pass. No LP runs.
-    """
-    normalized, offset = normalize_rewards(game)
-    problems = []
-    if offset != verdict.value_offset:
-        problems.append(
-            f"normalization offset mismatch: game gives {offset}, "
-            f"certificate says {verdict.value_offset}"
-        )
-    problems.extend(verify_witness(normalized, verdict).failures)
-    return not problems, tuple(problems)
+    """Re-establish a parsed certificate from the game and document alone:
+    witness.verify_witness's report on the game as given, as (ok, problems)."""
+    report = verify_witness(game, verdict)
+    return report.ok, report.failures

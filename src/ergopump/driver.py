@@ -117,8 +117,9 @@ def decide_ergodicity(game: GameSpec, eps: float,
     """Certify the game 24*eps-ergodic or produce a non-ergodicity witness.
 
     Rewards are normalized to [0, R] internally; reported band and witness
-    thresholds are in normalized units, with the shift in value_offset. The
-    game needs no validation here: a GameSpec is valid by construction.
+    thresholds are in normalized units. The shift is stamped here, and only
+    here, as value_offset on the verdict returned, certified or inconclusive.
+    The game needs no validation here: a GameSpec is valid by construction.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
@@ -127,11 +128,10 @@ def decide_ergodicity(game: GameSpec, eps: float,
 
     stats = DriverStats()
     try:
-        verdict = _drive(normalized, eps, config, offset, stats)
+        verdict = _drive(normalized, eps, config, stats)
     except (MatrixGameError, PumpInvariantError, WitnessBuildError) as exc:
-        verdict = Verdict(kind=INCONCLUSIVE, eps=eps, value_offset=offset,
-                          reason=f"{type(exc).__name__}: {exc}")
-    return verdict, stats
+        verdict = Verdict(kind=INCONCLUSIVE, eps=eps, reason=f"{type(exc).__name__}: {exc}")
+    return verdict._replace(value_offset=offset), stats
 
 
 _PHASE_SCOPES = {"phase1": "full-state", "phase2": "high-set"}
@@ -152,12 +152,12 @@ def _pump_phase(phase, game, entry, m_minus, m_plus, eps, record, config, stats)
     return out
 
 
-def _drive(game, eps, config, offset, stats):
+def _drive(game, eps, config, stats):
     outer_cap = default_outer_cap(game_params(game).reward_bound, eps)
 
     def stop(kind, **fields):
         stats.outer_iterations = h
-        return Verdict(kind=kind, eps=eps, value_offset=offset, **fields)
+        return Verdict(kind=kind, eps=eps, **fields)
 
     def measure(x):
         stats.local_games += game.n
@@ -208,7 +208,6 @@ def _drive(game, eps, config, offset, stats):
         low = first.closed[1]
         stats.local_games += len(low)  # the witness build solves the low set only
         witness = build_witness(game, outcome.solve, high, low, ceiling_raw=mid,
-                                floor_raw=(5.0 * m_plus + 3.0 * m_minus) / 8.0, eps=eps,
-                                value_offset=offset)
+                                floor_raw=(5.0 * m_plus + 3.0 * m_minus) / 8.0, eps=eps)
         stats.outer_iterations = h
         return witness

@@ -151,18 +151,22 @@ def _reward_fields(rec_slot, rec_p, reward, slots) -> dict:
                 reward_high=float(reward.max(initial=-np.inf)) + 0.0)
 
 
-def _flat_view(row_actions, col_actions, v, k, l, u, probabilities, rec_prob,
-               reward) -> FlatView:
-    """The flat view of records given as int64 columns v, k, l, u and rec_prob
-    (an index into probabilities) and a float column reward, in that order."""
+def _shape(row_actions, col_actions) -> tuple:
+    """(rows, cols, first_row, first_col, first_slot): per state its row and column
+    counts, then its first global row, column and slot, with the total at [n]."""
     rows, cols = list(map(len, row_actions)), list(map(len, col_actions))
     sizes = rows, cols, list(map(mul, rows, cols))  # per state: rows, columns and slots
-    rows, cols, slots = np.array(sizes, dtype=np.int64).reshape(3, -1)
-    first_row, first_col, first_slot = np.array([[0, *accumulate(count)] for count in sizes],
-                                                dtype=np.int64)
-    slot_state = np.repeat(np.arange(len(rows)), slots)
+    firsts = np.array([[0, *accumulate(count)] for count in sizes], dtype=np.int64)
+    return (*np.array(sizes[:2], dtype=np.int64).reshape(2, -1), *firsts)
+
+
+def _flat_view(shape, rec_slot, u, probabilities, rec_prob, reward) -> FlatView:
+    """The flat view, for the _shape of its actions, of records given as
+    int64 columns rec_slot (first_slot[v] + k*cols[v] + l), u and rec_prob
+    (an index into probabilities) and a float column reward, in that order."""
+    rows, cols, first_row, first_col, first_slot = shape
+    slot_state = np.repeat(np.arange(len(rows)), rows * cols)
     row, col = np.divmod(np.arange(first_slot[-1]) - first_slot[slot_state], cols[slot_state])
-    rec_slot = first_slot[v] + k * cols[v] + l
     # 0 <= p <= 1 on the exact p; its denominator is positive
     rec_p = np.array([p.numerator / p.denominator if 0 <= p.numerator <= p.denominator
                       else math.nan for p in probabilities], dtype=np.float64)[rec_prob]
@@ -170,7 +174,7 @@ def _flat_view(row_actions, col_actions, v, k, l, u, probabilities, rec_prob,
     col_order = np.argsort(slot_col, kind="stable")
     return _read_only(FlatView(
         slot_state=slot_state, slot_row=first_row[slot_state] + row, slot_col=slot_col,
-        rec_slot=rec_slot, rec_state=v, rec_to=u, rec_prob=rec_prob,
+        rec_slot=rec_slot, rec_state=slot_state[rec_slot], rec_to=u, rec_prob=rec_prob,
         rec_p=rec_p, probabilities=np.array(probabilities, dtype=object),
         first_slot=first_slot, first_row=first_row, first_col=first_col,
         row_count=rows, col_count=cols, row_start=np.flatnonzero(col == 0),
@@ -352,11 +356,14 @@ def make_game(
         for index, actions in ((row_index, row_actions), (col_index, col_actions)):
             index.update(((s, a), a) for s, acts in enumerate(actions) for a in range(len(acts)))
         columns, resolved = _resolve(tokens, state_index, row_index, col_index)
-    if resolved:  # sorted by (v, k, l, u), a repeated record sits next to its first
-        keys = np.array(columns, dtype=np.int64)
-        order = np.lexsort(keys[::-1])
-        keys = keys[:, order]
-        resolved = not (keys[:, 1:] == keys[:, :-1]).all(axis=0).any()
+    shape = _shape(row_actions, col_actions)
+    if resolved:  # sorted by (slot, u), i.e. (v, k, l, u), a repeat sits next to its first
+        v, k, l, u = np.array(columns, dtype=np.int64)
+        _rows, cols, _first_row, _first_col, first_slot = shape
+        slot = first_slot[v] + k * cols[v] + l
+        sort_key = slot * n + u
+        order = np.argsort(sort_key, kind="stable")
+        resolved = bool(np.diff(sort_key[order]).all())  # no two records share a key
     problems = [] if resolved else _name_problems(tokens, *columns)
 
     p_keys = list(zip(map(type, p_val), map(str, p_val)))
@@ -375,15 +382,16 @@ def make_game(
     if problems:
         raise DocumentError(problems)
     # every record resolved to a key of its own, sorted by (v, k, l, u) in order
+    slot, u = slot[order], u[order]
     probabilities = list(fractions.values())
     rec_prob = np.fromiter(map(dict(zip(fractions, range(len(fractions)))).__getitem__, p_keys),
                            np.int64, len(p_keys))[order]
     reward = np.array(r_val, dtype=np.float64)[order]
     if not all(p.numerator for p in probabilities):  # drop the p = 0 records
         nonzero = np.array([p.numerator != 0 for p in probabilities], dtype=bool)[rec_prob]
-        keys, rec_prob, reward = keys[:, nonzero], rec_prob[nonzero], reward[nonzero]
+        slot, u, rec_prob, reward = slot[nonzero], u[nonzero], rec_prob[nonzero], reward[nonzero]
     return GameSpec(states, row_actions, col_actions,
-                    _flat_view(row_actions, col_actions, *keys, probabilities, rec_prob, reward))
+                    _flat_view(shape, slot, u, probabilities, rec_prob, reward))
 
 
 def validate(game: GameSpec) -> tuple[str, ...]:
@@ -410,8 +418,12 @@ def validate(game: GameSpec) -> tuple[str, ...]:
     for s in np.flatnonzero(sums != scale).tolist():
         v = int(flat.slot_state[s])
         k, l = divmod(s - int(flat.first_slot[v]), int(flat.col_count[v]))
+        try:
+            total = str(Fraction(sums[s], scale))
+        except ValueError:  # a term past the int string-conversion limit: str() refuses it
+            total = f"a fraction with more than {sys.get_int_max_str_digits()} digits"
         found.append(((v, 3, s), f"non-stopping condition fails at ({states[v]!r}, k={k}, "
-                                 f"l={l}): probabilities sum to {Fraction(sums[s], scale)}"))
+                                 f"l={l}): probabilities sum to {total}"))
     return ((() if game.n else ("game has no states",))
             + tuple(message for _key, message in sorted(found)))
 

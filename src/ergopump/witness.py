@@ -24,9 +24,11 @@ bounds must bear out. Its strategies are the optimal local ones of the
 states it covers, each truncated to the actions that cannot leak out of its
 set.
 
-The record goes from decide_ergodicity through the documents module to
-verify_witness, which is independent of construction: closure exactly on the
-transition records, then every one-shot bound in one vectorised pass.
+The record goes from decide_ergodicity, which stamps its reward shift on it
+as value_offset, through the documents module to verify_witness, which takes
+the game as given and is independent of construction: the same shift, which
+must match value_offset, then closure exactly on the transition records, then
+every one-shot bound in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game import GameSpec, Potential, as_potential, local_payoffs, state_mask
+from .game import GameSpec, Potential, as_potential, local_payoffs, normalize_rewards, state_mask
 from .matrix_game import LocalSolve, local_solve
 
 ERGODIC = "ergodic-24eps"
@@ -52,8 +54,9 @@ class WitnessBuildError(RuntimeError):
 class Verdict(NamedTuple):
     """The result of a solve, as written to and read from a certificate.
 
-    value_offset is the shift normalization added to every original reward;
-    floor, ceiling and the potential are in normalized units. A certified
+    value_offset is the shift normalization added to every original reward,
+    which decide_ergodicity stamps on the verdict it returns; floor, ceiling
+    and the potential are in normalized units. A certified
     kind (ERGODIC or NON_ERGODIC) holds potential, floor, ceiling, alpha and
     beta (state -> mixed action vector); an INCONCLUSIVE one holds reason
     instead and leaves them None.
@@ -61,7 +64,7 @@ class Verdict(NamedTuple):
 
     kind: str  # ERGODIC, NON_ERGODIC or INCONCLUSIVE
     eps: float
-    value_offset: float
+    value_offset: float = 0.0
     potential: Potential | None = None
     floor: float | None = None
     ceiling: float | None = None
@@ -118,16 +121,8 @@ def _truncate(strategy: np.ndarray, keep: frozenset, v: int):
     return out
 
 
-def build_witness(
-    game: GameSpec,
-    solve: LocalSolve,
-    high_states,
-    low_states,
-    ceiling_raw: float,
-    floor_raw: float,
-    eps: float,
-    value_offset: float = 0.0,
-) -> Verdict:
+def build_witness(game: GameSpec, solve: LocalSolve, high_states, low_states,
+                  ceiling_raw: float, floor_raw: float, eps: float) -> Verdict:
     """Build truncated stationary strategies certifying the value gap at solve.x.
 
     Requires the closed-set gap conditions to hold at x = solve.x (supersets
@@ -139,8 +134,8 @@ def build_witness(
     floor_raw - eps, ceiling = ceiling_raw + eps. Fails loudly when a
     strategy has no mass on set-preserving actions (none at all, or none
     its optimal strategy plays), which signals a violated precondition
-    rather than a recoverable condition. value_offset is the caller's
-    normalization shift, recorded as is.
+    rather than a recoverable condition. game is the normalized game the
+    solve ran on; the verdict's value_offset is left for decide_ergodicity.
     """
     x = as_potential(solve.x, game.n)
     high_states = frozenset(int(v) for v in high_states)
@@ -158,7 +153,7 @@ def build_witness(
     rows, _ = solve.strategies()
     _, cols = local_solve(game, x, sorted(low_states)).strategies()
     return Verdict(
-        kind=NON_ERGODIC, eps=eps, value_offset=value_offset, potential=x,
+        kind=NON_ERGODIC, eps=eps, potential=x,
         floor=floor_raw - eps, ceiling=ceiling_raw + eps,
         alpha={v: _truncate(rows[v], bar_actions(game, v, high_states, "row"), v)
                for v in sorted(high_states)},
@@ -179,8 +174,10 @@ def _spread(game: GameSpec, strategies: dict, first: np.ndarray):
 
 
 def verify_witness(game: GameSpec, verdict: Verdict) -> VerificationReport:
-    """Check a verdict's certificate against the game alone.
+    """Check a verdict's certificate against the game alone, as given.
 
+    First, the shift to [0, R] that decide_ergodicity makes must equal
+    value_offset exactly (it round-trips bit-exactly). Then, on the shifted game:
     (a) closure, exact on the transition records: no action in the support
         of alpha (beta) moves any mass out of the alpha (beta) states;
     (b) one-shot bounds, one pass over the flat view: alpha's payoff against
@@ -196,14 +193,18 @@ def verify_witness(game: GameSpec, verdict: Verdict) -> VerificationReport:
     No LP and no policy iteration runs. certified_gap is the proven one-shot
     floor minus the proven one-shot ceiling.
     """
+    game, offset = normalize_rewards(game)
+    failures = []
+    if offset != verdict.value_offset:
+        failures.append(f"normalization offset mismatch: game gives {offset}, "
+                        f"certificate says {verdict.value_offset}")
     if verdict.kind == INCONCLUSIVE:
-        return VerificationReport(failures=(f"an {INCONCLUSIVE} verdict certifies nothing",),
-                                  certified_gap=-np.inf)
+        failures.append(f"an {INCONCLUSIVE} verdict certifies nothing")
+        return VerificationReport(failures=tuple(failures), certified_gap=-np.inf)
     flat = game.flat
     tol = min(verdict.eps / 10.0, _MAX_VERIFY_SLACK)
     alpha, alpha_in = _spread(game, verdict.alpha, flat.first_row)
     beta, beta_in = _spread(game, verdict.beta, flat.first_col)
-    failures = []
 
     for player, mix, covered, action_of, first in (
             ("row", alpha, alpha_in, flat.slot_row, flat.first_row),

@@ -164,6 +164,20 @@ class TestUsageAndIO:
         err = capsys.readouterr().err
         assert f"invalid {what} document" in err and "JSON integer literal" in err
 
+    def test_slot_sum_past_the_digit_limit_exit_64(self, tmp_path, capsys):
+        big = 10**2500
+        records = [("s", "s", f"1/{big + 1}"), ("s", "t", f"1/{big + 3}"), ("t", "t", "1")]
+        game = tmp_path / "long.json"
+        game.write_text(json.dumps({
+            "format": "ergopump-game/1", "states": ["s", "t"],
+            "actions": {s: {"row": ["a"], "col": ["b"]} for s in ("s", "t")},
+            "transitions": [{"from": v, "row": "a", "col": "b", "to": u, "p": p, "r": 0.0}
+                            for v, u, p in records]}))
+        assert run(["solve", str(game), "--epsilon", "0.1"]) == 64
+        err = capsys.readouterr().err
+        assert "invalid game document" in err and "('s', k=0, l=0)" in err
+        assert "Traceback" not in err
+
     def test_invalid_game_document_exit_64(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

@@ -243,6 +243,12 @@ class TestDecideErgodicity:
         assert verdict.kind == "non-ergodic"
         assert verdict.value_offset == 5.0
 
+    def test_inconclusive_verdict_carries_the_offset(self):
+        verdict, _ = decide_ergodicity(disconnected(-5.0, 5.0), eps=0.1,
+                                       config=DriverConfig(pump_cap=5))
+        assert verdict.kind == "inconclusive"
+        assert verdict.value_offset == 5.0
+
     def test_tiny_cap_gives_inconclusive(self):
         verdict, _ = decide_ergodicity(disconnected(0.0, 10.0), eps=0.1,
                                        config=DriverConfig(pump_cap=5))

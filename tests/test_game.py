@@ -102,9 +102,11 @@ def _unvalidated(states, row_actions, col_actions, transitions):
     records = [(v, *rec) for v, recs in enumerate(transitions) for rec in recs]
     v, k, l, u = (np.array([rec[i] for rec in records], dtype=np.int64) for i in range(4))
     table = list(dict.fromkeys(rec[4] for rec in records))
+    shape = game_module._shape(row_actions, col_actions)
+    _rows, cols, _first_row, _first_col, first_slot = shape
     with np.errstate(invalid="ignore"):  # an infinite reward on a p = 0 record
         flat = game_module._flat_view(
-            row_actions, col_actions, v, k, l, u, table,
+            shape, first_slot[v] + k * cols[v] + l, u, table,
             np.array([table.index(rec[4]) for rec in records], dtype=np.int64),
             np.array([rec[5] for rec in records], dtype=np.float64))
     game = object.__new__(GameSpec)
@@ -164,6 +166,18 @@ class TestValidateAgainstFractionSums:
         assert validate(game) == (
             "non-stopping condition fails at ('s', k=0, l=0): probabilities sum to "
             f"{1 - Fraction(1, 2**64)}",)
+
+    def test_sum_past_the_digit_limit_named(self):
+        # each probability is within the limit, but their exact sum is not:
+        # str() of it would raise a raw ValueError
+        big = 10**2500
+        with pytest.raises(DocumentError) as err:
+            make_game(["s", "t"], [["a"], ["a"]], [["b"], ["b"]],
+                      [("s", "a", "b", "s", f"1/{big + 1}", 0.0),
+                       ("s", "a", "b", "t", f"1/{big + 3}", 0.0), ("t", "a", "b", "t", 1, 0.0)])
+        assert err.value.problems == (
+            "non-stopping condition fails at ('s', k=0, l=0): probabilities sum to a fraction "
+            f"with more than {sys.get_int_max_str_digits()} digits",)
 
 
 class TestNames:

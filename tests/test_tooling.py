@@ -1,6 +1,7 @@
 """The benchmark's tracer and harness use library names and result fields;
 each must still exist and mean what the harness reads it as."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -16,6 +17,7 @@ from ergopump.documents import CERTIFICATE_FORMAT, parse_game, serialize_game
 from ergopump.generators import cycle, disconnected
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+PACKAGE = BENCH.parent / "src" / "ergopump"
 
 
 def _load(name, monkeypatch=None):
@@ -142,3 +144,36 @@ def test_readme_names_the_certificate_format():
     # a format bump must update the README's account of the document
     readme = (BENCH.parent / "README.md").read_text()
     assert f"`{CERTIFICATE_FORMAT}`" in readme
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # the README's library example, as written, on a game with negative
+    # rewards, whose verdict carries a nonzero value_offset
+    readme = (BENCH.parent / "README.md").read_text()
+    example = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "game.json").write_text(serialize_game(disconnected(-2.0, 10.0)))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("certified gap: ")
+
+
+def _callers(name):
+    """module.function for every function in src/ergopump that calls name."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                callee = getattr(node, "func", None)  # set on calls only
+                if name in (getattr(callee, "id", None), getattr(callee, "attr", None)):
+                    found.add(f"{path.stem}.{fn.name}")
+    return found
+
+
+def test_reward_shift_has_one_owner_per_side():
+    # the solve shifts rewards in decide_ergodicity and stamps the shift on
+    # its verdict; the check shifts them in verify_witness and compares.
+    # A reward scale beside the shift then has these two places to change
+    assert _callers("normalize_rewards") == {"driver.decide_ergodicity",
+                                             "witness.verify_witness"}

@@ -183,6 +183,19 @@ class TestVerifyWitness:
             kind=NON_ERGODIC, potential=np.zeros(2), floor=5.0, ceiling=1.0))
         assert report.failures == ("witness alpha and beta sets must not be empty",)
 
+    def test_negative_reward_game_checked_as_given(self):
+        # verify_witness shifts the rewards itself, as the solve did
+        g = disconnected(-5.0, 5.0)
+        verdict = _solved_witness(g, 0.1)
+        assert verdict.value_offset == 5.0
+        assert verify_witness(g, verdict).ok
+
+    def test_nudged_offset_is_the_first_failure(self):
+        g = disconnected(-5.0, 5.0)
+        nudged = _solved_witness(g, 0.1)._replace(value_offset=5.0 + 1e-12)
+        assert verify_witness(g, nudged).failures == (
+            f"normalization offset mismatch: game gives 5.0, certificate says {5.0 + 1e-12}",)
+
     def test_ergodic_certificate_missing_a_state_fails(self):
         g = cycle(n=3, seed=0)
         verdict, _ = decide_ergodicity(g, 0.05)
