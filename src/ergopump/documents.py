@@ -16,12 +16,12 @@ import contextlib
 import json
 import math
 import sys
-from itertools import accumulate, chain
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
 
-from .game import DocumentError, GameSpec, _finite, make_game
+from .game import DocumentError, GameSpec, Strategy, _finite, make_game
 from .witness import ERGODIC, INCONCLUSIVE, NON_ERGODIC, Verdict, verify_witness
 
 GAME_FORMAT = "ergopump-game/1"
@@ -124,11 +124,16 @@ def parse_game(text: str) -> GameSpec:
 
 def serialize_certificate(game: GameSpec, verdict: Verdict, stats) -> str:
     """Render a solve verdict as a self-contained certificate document. Both
-    certified kinds write their fields the same way, so a witness's high and
-    low sets are the keys of alpha and beta; an inconclusive verdict's
-    potential, floor, ceiling, alpha and beta are None and written as null."""
-    def named(strategies):
-        return strategies and {game.states[v]: vec for v, vec in sorted(strategies.items())}
+    certified kinds write alpha and beta the same way, as each covered state's
+    name to its slice of the array, so a witness's high and low sets are their
+    keys; an inconclusive verdict's potential, floor, ceiling, alpha and beta
+    are None and written as null."""
+    def named(strategy, first):  # one tolist per player; NaN != NaN skips a state
+        if strategy is None:
+            return None
+        values, first = strategy.tolist(), first.tolist()
+        return {name: values[start:stop] for name, start, stop
+                in zip(game.states, first, first[1:]) if values[start] == values[start]}
 
     doc = {
         "format": CERTIFICATE_FORMAT,
@@ -139,8 +144,8 @@ def serialize_certificate(game: GameSpec, verdict: Verdict, stats) -> str:
         "potential": verdict.potential,
         "floor": verdict.floor,
         "ceiling": verdict.ceiling,
-        "alpha": named(verdict.alpha),
-        "beta": named(verdict.beta),
+        "alpha": named(verdict.alpha, game.flat.first_row),
+        "beta": named(verdict.beta, game.flat.first_col),
         "reason": verdict.reason,
         "metadata": {
             "outer_iterations": stats.outer_iterations,
@@ -148,14 +153,15 @@ def serialize_certificate(game: GameSpec, verdict: Verdict, stats) -> str:
         },
     }
     # one line: json's indenting encoder runs in Python, its compact one in C;
-    # potential and strategy arrays go out as lists of shortest-repr floats
+    # the potential goes out as a list of shortest-repr floats
     return json.dumps(doc, sort_keys=True, default=np.ndarray.tolist) + "\n"
 
 
 def parse_certificate(text: str, game: GameSpec) -> Verdict:
     """Parse a certificate for `game` back into the Verdict it was written
     from; raises DocumentError when the verdict kind is unknown or a field the
-    recheck reads is missing, malformed or does not fit the game.
+    recheck reads is missing, malformed or does not fit the game. Each table
+    row, normalized, goes straight to its state's slice of a Strategy.
 
     It checks form only: what the certificate claims (which states alpha and
     beta cover, and the bounds) is for recheck_certificate to judge.
@@ -175,11 +181,15 @@ def parse_certificate(text: str, game: GameSpec) -> Verdict:
 
     def strategies():
         # any non-negative vector with a positive sum names the distribution
-        # it is proportional to; the recheck reads that. Each check runs
-        # once over both players' tables.
+        # it is proportional to; the recheck reads that. Each check runs once
+        # over both players' tables, and each row goes to its slice of one
+        # list holding alpha's global rows, then beta's global columns
         index = {s: v for v, s in enumerate(game.states)}
-        owners, rows, sizes = [], [], []
-        for key, size in (("alpha", game.num_row_actions), ("beta", game.num_col_actions)):
+        first_row, first_col = game.flat.first_row, game.flat.first_col
+        rows_total = int(first_row[-1])
+        starts, rows = [], []
+        for key, first, offset in (("alpha", first_row.tolist(), 0),
+                                   ("beta", first_col.tolist(), rows_total)):
             table = doc.get(key)
             if not isinstance(table, dict):
                 problems.append(f"{key!r} must map state names to strategy vectors")
@@ -188,16 +198,16 @@ def parse_certificate(text: str, game: GameSpec) -> Verdict:
             if len(names) < len(table):
                 problems.append(f"{key}: {sorted(set(table) - set(names))} are not "
                                 "states of the game")
-            owners.append([index[s] for s in names])
+            owners = [index[s] for s in names]
             got = [table[s] for s in names]
-            want = [size(v) for v in owners[-1]]
-            if [len(row) if isinstance(row, list) else None for row in got] != want:
+            if ([len(row) if isinstance(row, list) else None for row in got]
+                    != [first[v + 1] - first[v] for v in owners]):
                 problems.append(f"{key}: expected one list per state, with one number "
                                 "per action")
+            starts += [offset + first[v] for v in owners]
             rows += got
-            sizes += want
         if problems:
-            return {}, {}
+            return None, None
         flat = list(chain.from_iterable(rows))
         totals = [0.0]
         with contextlib.suppress(OverflowError):  # finite entries may overflow a sum
@@ -207,12 +217,13 @@ def parse_certificate(text: str, game: GameSpec) -> Verdict:
         if not min(totals, default=1.0) > 0:
             problems.append("every strategy vector needs finite, non-negative entries "
                             "with a positive sum")
-            return {}, {}
-        normalized = np.array(flat, dtype=np.float64) / np.repeat(totals, sizes)
-        starts = [0, *accumulate(sizes)]
-        vectors = iter([normalized[a:b] for a, b in zip(starts, starts[1:])])
-        # zip draws from vectors only while the player's states last
-        return tuple(dict(zip(members, vectors)) for members in owners)
+            return None, None
+        mix = [math.nan] * (rows_total + int(first_col[-1]))
+        for start, row, total in zip(starts, rows, totals):
+            # x / total rounds as numpy's division does; most rows sum to 1
+            mix[start:start + len(row)] = row if total == 1.0 else [x / total for x in row]
+        mix = np.array(mix, dtype=np.float64)
+        return Strategy(mix[:rows_total], first_row), Strategy(mix[rows_total:], first_col)
 
     kind = doc.get("verdict")
     if kind not in (ERGODIC, NON_ERGODIC, INCONCLUSIVE):

@@ -476,6 +476,31 @@ def state_mask(n: int, states) -> np.ndarray:
     return mask
 
 
+def covered_states(mix, first) -> np.ndarray:
+    """Per state, whether mix, laid out from first[v], has no NaN at its actions."""
+    sums = np.add.reduceat(np.asarray(mix), first[:-1])
+    return sums == sums  # False at NaN
+
+
+class Strategy(np.ndarray):
+    """One player's stationary strategy, a read-only float array over its
+    global actions, state v's from first[v] (FlatView.first_row or first_col),
+    NaN outside the states it covers, which it names; a slice does not."""
+
+    def __new__(cls, values, first):
+        out = np.asarray(values, dtype=np.float64).view(cls)
+        out.first = first
+        out.setflags(write=False)
+        return out
+
+    def __reduce__(self):  # a pickle keeps first, e.g. from a solve worker
+        return Strategy, (np.asarray(self), self.first)
+
+    @property
+    def states(self) -> frozenset:
+        return frozenset(covered_states(self, self.first).nonzero()[0].tolist())
+
+
 def local_payoffs(game: GameSpec, x: Potential, successor=None) -> np.ndarray:
     """Every slot's potential-adjusted payoff sum_u p*(r + x[v] - x[u]); r_bounds
     passes per record the potential to charge in place of x[u]."""

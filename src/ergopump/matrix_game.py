@@ -23,12 +23,12 @@ Settles the local games of a stochastic game in three stages.
 A LocalSolve is the one record of a potential and its local games: the
 potential x, and what settling the games took, namely the screen's row
 minima and column maxima and each mixed game's strategies. Its values serve
-the pump and the band check; the strategies are laid out per state only
-when a certificate asks for them, so no game is solved twice for them. The
-screen returns bit for bit what the kernels return for the games it settles.
-Every stage is deterministic, so results are bit-reproducible. Every solve
-saddle-checks the strategies it returns; a solve that stalls or fails that
-check raises MatrixGameError.
+the pump and the band check; the strategies are laid out, one array per
+player, only when a certificate asks for them, so no game is solved twice
+for them. The screen returns bit for bit what the kernels return for the
+games it settles. Every stage is deterministic, so results are
+bit-reproducible. Every solve saddle-checks the strategies it returns; a
+solve that stalls or fails that check raises MatrixGameError.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game import local_payoffs, local_reward_matrix, state_mask
+from .game import Strategy, local_payoffs, local_reward_matrix, state_mask
 
 _PIVOT_EPS = 1e-11
 _SADDLE_TOL = 1e-9  # largest duality gap a solve may return
@@ -353,25 +353,27 @@ class LocalSolve(NamedTuple):
     col_max: np.ndarray
     mixed: dict  # state -> (row strategy, column strategy) of its solve
 
-    def strategies(self) -> tuple[dict, dict]:
-        """(row strategies, column strategies): each listed state, ascending,
-        to its vector, clipped at 0. A pure saddle's are unit vectors at the
-        first row and column attaining its value, as _kernel_solve picks
-        them; a mixed game's are its solve's."""
+    def strategies(self) -> tuple:
+        """(row strategy, column strategy), each a Strategy covering the
+        listed states, clipped at 0, built as one list. A pure saddle's are
+        unit vectors at the first row and column attaining its value, as
+        _kernel_solve picks them; a mixed game's are its solve's."""
         flat = self.game.flat
-        first_row, first_col = flat.first_row.tolist(), flat.first_col.tolist()
-        row_min, col_max = self.row_min.tolist(), self.col_max.tolist()
         values = self.values.tolist()
-        rows, cols = {}, {}
-        for v in (~np.isnan(self.values)).nonzero()[0].tolist():
-            if v in self.mixed:
-                row, col = self.mixed[v]
-                rows[v], cols[v] = np.maximum(row, 0.0), np.maximum(col, 0.0)
-                continue
-            for out, first, extreme in ((rows, first_row, row_min), (cols, first_col, col_max)):
-                start, stop = first[v], first[v + 1]
-                out[v] = np.array(_unit(stop - start, extreme.index(values[v], start, stop) - start))
-        return rows, cols
+        out = []
+        for side, first, extreme in ((0, flat.first_row, self.row_min),
+                                     (1, flat.first_col, self.col_max)):
+            starts, extreme = first.tolist(), extreme.tolist()
+            mix = [0.0] * starts[-1]
+            for v, (value, start, stop) in enumerate(zip(values, starts, starts[1:])):
+                if value != value:  # NaN: v is not listed
+                    mix[start:stop] = [np.nan] * (stop - start)
+                elif v in self.mixed:
+                    mix[start:stop] = self.mixed[v][side]
+                else:
+                    mix[extreme.index(value, start, stop)] = 1.0
+            out.append(Strategy(np.maximum(mix, 0.0), first))
+        return tuple(out)
 
 
 def local_solve(game, x, states=None) -> LocalSolve:

@@ -2,14 +2,15 @@
 
 A solve ends in one of three kinds. An ERGODIC or NON_ERGODIC verdict holds
 stationary strategies under a potential x: alpha gives the row player's
-mixed action at each state it covers, beta the column player's. Its claim
-is one-shot: at every alpha state, alpha's potential-adjusted payoff against
-any pure column is at least `floor`, and at every beta state, any pure row's
-payoff against beta is at most `ceiling`. When no action in a strategy's
-support can move mass out of the states it covers, the potential telescopes
-along every play, so the row player guarantees `floor` from every alpha
-state and the column player concedes at most `ceiling` from every beta
-state. An INCONCLUSIVE verdict holds only its reason and certifies nothing.
+mixed action at each state it covers, beta the column player's, each one
+game.Strategy array. Its claim is one-shot: at every alpha state, alpha's
+potential-adjusted payoff against any pure column is at least `floor`, and
+at every beta state, any pure row's payoff against beta is at most
+`ceiling`. When no action in a strategy's support can move mass out of the
+states it covers, the potential telescopes along every play, so the row
+player guarantees `floor` from every alpha state and the column player
+concedes at most `ceiling` from every beta state. An INCONCLUSIVE verdict
+holds only its reason and certifies nothing.
 
 Both certified kinds take their strategies from the local solves
 (matrix_game.LocalSolve) at the certified potential, and settle no game
@@ -37,7 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game import GameSpec, Potential, as_potential, local_payoffs, normalize_rewards, state_mask
+from .game import (GameSpec, Potential, Strategy, as_potential, covered_states, local_payoffs,
+                   normalize_rewards, state_mask)
 from .matrix_game import LocalSolve, local_solve
 
 ERGODIC = "ergodic-24eps"
@@ -56,10 +58,11 @@ class Verdict(NamedTuple):
 
     value_offset is the shift normalization added to every original reward,
     which decide_ergodicity stamps on the verdict it returns; floor, ceiling
-    and the potential are in normalized units. A certified
-    kind (ERGODIC or NON_ERGODIC) holds potential, floor, ceiling, alpha and
-    beta (state -> mixed action vector); an INCONCLUSIVE one holds reason
-    instead and leaves them None.
+    and the potential are in normalized units. A certified kind (ERGODIC or
+    NON_ERGODIC) holds potential, floor, ceiling, alpha, one read-only
+    Strategy over the game's global rows, and beta, one over its global
+    columns, each NaN outside the states it covers: a witness's high and low
+    sets. An INCONCLUSIVE one holds reason instead and leaves them None.
     """
 
     kind: str  # ERGODIC, NON_ERGODIC or INCONCLUSIVE
@@ -68,17 +71,17 @@ class Verdict(NamedTuple):
     potential: Potential | None = None
     floor: float | None = None
     ceiling: float | None = None
-    alpha: dict | None = None  # state -> row player's mixed action vector
-    beta: dict | None = None  # state -> column player's mixed action vector
+    alpha: Strategy | None = None  # the row player's, over global rows
+    beta: Strategy | None = None  # the column player's, over global columns
     reason: str | None = None
 
     @property
     def high_states(self) -> frozenset | None:  # a witness's high set
-        return frozenset(self.alpha) if self.kind == NON_ERGODIC else None
+        return self.alpha.states if self.kind == NON_ERGODIC else None
 
     @property
     def low_states(self) -> frozenset | None:  # a witness's low set
-        return frozenset(self.beta) if self.kind == NON_ERGODIC else None
+        return self.beta.states if self.kind == NON_ERGODIC else None
 
 
 class VerificationReport(NamedTuple):
@@ -108,17 +111,22 @@ def bar_actions(game: GameSpec, v: int, inside, player: str) -> frozenset:
     return frozenset(range(size)) - leaking
 
 
-def _truncate(strategy: np.ndarray, keep: frozenset, v: int):
-    mass = float(sum(strategy[k] for k in keep))
-    if mass <= 0.0:
-        raise WitnessBuildError(
-            f"witness preconditions violated at state {v}: optimal strategy "
-            f"has no mass on its {len(keep)} set-preserving actions"
-        )
-    out = np.zeros_like(strategy)
-    for k in keep:
-        out[k] = strategy[k] / mass
-    return out
+def _truncate(game: GameSpec, strategy: Strategy, states: frozenset, player: str) -> Strategy:
+    """A new Strategy: strategy at states, each state's vector truncated to
+    its bar_actions and renormalised."""
+    first, mix = strategy.first, np.asarray(strategy)
+    out = np.full(len(mix), np.nan)
+    for v in sorted(states):
+        keep = bar_actions(game, v, states, player)
+        mass = float(sum(mix[first[v] + k] for k in keep))
+        if mass <= 0.0:
+            raise WitnessBuildError(
+                f"witness preconditions violated at state {v}: optimal strategy "
+                f"has no mass on its {len(keep)} set-preserving actions")
+        out[first[v]:first[v + 1]] = 0.0
+        for k in keep:
+            out[first[v] + k] = mix[first[v] + k] / mass
+    return Strategy(out, first)
 
 
 def build_witness(game: GameSpec, solve: LocalSolve, high_states, low_states,
@@ -128,14 +136,15 @@ def build_witness(game: GameSpec, solve: LocalSolve, high_states, low_states,
     Requires the closed-set gap conditions to hold at x = solve.x (supersets
     of the top/bottom bands with saturated potential gaps). solve must list
     every high state, as the pump's last solve does: alpha comes from its
-    row strategies, and one local solve of the low states at x gives beta
-    from their column strategies. Each is then truncated to its bar_actions
-    and renormalised. The certified bounds keep a margin of eps: floor =
-    floor_raw - eps, ceiling = ceiling_raw + eps. Fails loudly when a
-    strategy has no mass on set-preserving actions (none at all, or none
-    its optimal strategy plays), which signals a violated precondition
-    rather than a recoverable condition. game is the normalized game the
-    solve ran on; the verdict's value_offset is left for decide_ergodicity.
+    row strategy, and one local solve of the low states at x gives beta
+    from its column strategy. Each state's vector is then truncated to its
+    bar_actions and renormalised into new arrays, never the solve's. The
+    certified bounds keep a margin of eps: floor = floor_raw - eps, ceiling
+    = ceiling_raw + eps. Fails loudly when a strategy has no mass on
+    set-preserving actions (none at all, or none its optimal strategy
+    plays), which signals a violated precondition rather than a recoverable
+    condition. game is the normalized game the solve ran on; the verdict's
+    value_offset is left for decide_ergodicity.
     """
     x = as_potential(solve.x, game.n)
     high_states = frozenset(int(v) for v in high_states)
@@ -155,29 +164,18 @@ def build_witness(game: GameSpec, solve: LocalSolve, high_states, low_states,
     return Verdict(
         kind=NON_ERGODIC, eps=eps, potential=x,
         floor=floor_raw - eps, ceiling=ceiling_raw + eps,
-        alpha={v: _truncate(rows[v], bar_actions(game, v, high_states, "row"), v)
-               for v in sorted(high_states)},
-        beta={v: _truncate(cols[v], bar_actions(game, v, low_states, "col"), v)
-              for v in sorted(low_states)},
+        alpha=_truncate(game, rows, high_states, "row"),
+        beta=_truncate(game, cols, low_states, "col"),
     )
-
-
-def _spread(game: GameSpec, strategies: dict, first: np.ndarray):
-    """One player's strategies laid out over that player's flat actions
-    (zero at uncovered states), and per state whether it is covered."""
-    mix = np.zeros(int(first[-1]))
-    covered = np.zeros(game.n, dtype=bool)
-    for v, vec in strategies.items():
-        mix[first[v]:first[v + 1]] = vec
-        covered[v] = True
-    return mix, covered
 
 
 def verify_witness(game: GameSpec, verdict: Verdict) -> VerificationReport:
     """Check a verdict's certificate against the game alone, as given.
 
     First, the shift to [0, R] that decide_ergodicity makes must equal
-    value_offset exactly (it round-trips bit-exactly). Then, on the shifted game:
+    value_offset exactly (it round-trips bit-exactly), and alpha and beta
+    hold one entry per global row and column, the states they cover those
+    with no NaN entry. Then, on the shifted game:
     (a) closure, exact on the transition records: no action in the support
         of alpha (beta) moves any mass out of the alpha (beta) states;
     (b) one-shot bounds, one pass over the flat view: alpha's payoff against
@@ -190,8 +188,9 @@ def verify_witness(game: GameSpec, verdict: Verdict) -> VerificationReport:
         proven ceiling by more than the slack. An inconclusive verdict
         certifies nothing and fails.
 
-    No LP and no policy iteration runs. certified_gap is the proven one-shot
-    floor minus the proven one-shot ceiling.
+    No LP, policy iteration or per-state loop runs. certified_gap is the
+    proven one-shot floor minus the proven one-shot ceiling (-inf when the
+    verdict is inconclusive or an array has the wrong shape).
     """
     game, offset = normalize_rewards(game)
     failures = []
@@ -202,16 +201,23 @@ def verify_witness(game: GameSpec, verdict: Verdict) -> VerificationReport:
         failures.append(f"an {INCONCLUSIVE} verdict certifies nothing")
         return VerificationReport(failures=tuple(failures), certified_gap=-np.inf)
     flat = game.flat
+    sides = (("alpha", verdict.alpha, flat.first_row, "row"),
+             ("beta", verdict.beta, flat.first_col, "column"))
+    shapes = [f"{name}: expected an array of {first[-1]} entries, one per {player} action, "
+              f"got {getattr(mix, 'shape', type(mix).__name__)}"
+              for name, mix, first, player in sides if np.shape(mix) != (first[-1],)]
+    if shapes:
+        return VerificationReport(failures=tuple(failures + shapes), certified_gap=-np.inf)
     tol = min(verdict.eps / 10.0, _MAX_VERIFY_SLACK)
-    alpha, alpha_in = _spread(game, verdict.alpha, flat.first_row)
-    beta, beta_in = _spread(game, verdict.beta, flat.first_col)
+    alpha, beta = (np.asarray(mix, dtype=np.float64) for _, mix, _, _ in sides)
+    alpha_in, beta_in = covered_states(alpha, flat.first_row), covered_states(beta, flat.first_col)
 
     for player, mix, covered, action_of, first in (
             ("row", alpha, alpha_in, flat.slot_row, flat.first_row),
             ("col", beta, beta_in, flat.slot_col, flat.first_col)):
         leaks = (covered[flat.rec_state] & ~covered[flat.rec_to]
                  & (mix[action_of[flat.rec_slot]] > 0.0))
-        for r in np.flatnonzero(leaks):
+        for r in leaks.nonzero()[0]:
             v, u = flat.rec_state[r], flat.rec_to[r]
             action = action_of[flat.rec_slot[r]] - first[v]
             failures.append(
@@ -224,10 +230,10 @@ def verify_witness(game: GameSpec, verdict: Verdict) -> VerificationReport:
     vs_row = np.bincount(flat.slot_row, beta[flat.slot_col] * payoffs, int(flat.first_row[-1]))
     floor_at = np.minimum.reduceat(vs_col, flat.first_col[:-1])
     ceiling_at = np.maximum.reduceat(vs_row, flat.first_row[:-1])
-    for v in np.flatnonzero(alpha_in & (floor_at < verdict.floor - tol)):
+    for v in (alpha_in & (floor_at < verdict.floor - tol)).nonzero()[0]:
         failures.append(f"one-shot: alpha guarantees {floor_at[v]} at state "
                         f"{game.states[v]!r}, below floor {verdict.floor}")
-    for v in np.flatnonzero(beta_in & (ceiling_at > verdict.ceiling + tol)):
+    for v in (beta_in & (ceiling_at > verdict.ceiling + tol)).nonzero()[0]:
         failures.append(f"one-shot: beta concedes {ceiling_at[v]} at state "
                         f"{game.states[v]!r}, above ceiling {verdict.ceiling}")
 
@@ -236,7 +242,7 @@ def verify_witness(game: GameSpec, verdict: Verdict) -> VerificationReport:
     if verdict.kind == ERGODIC:
         for name, covered in (("alpha", alpha_in), ("beta", beta_in)):
             if not covered.all():
-                missing = [game.states[v] for v in np.flatnonzero(~covered)]
+                missing = [game.states[v] for v in (~covered).nonzero()[0]]
                 failures.append(f"ergodic {name} misses states {missing}")
         if not verdict.ceiling - verdict.floor <= 24 * verdict.eps:
             failures.append(f"band [{verdict.floor}, {verdict.ceiling}] is wider than "
@@ -244,7 +250,7 @@ def verify_witness(game: GameSpec, verdict: Verdict) -> VerificationReport:
     else:
         if not (alpha_in.any() and beta_in.any()):
             failures.append("witness alpha and beta sets must not be empty")
-        shared = [game.states[v] for v in np.flatnonzero(alpha_in & beta_in)]
+        shared = [game.states[v] for v in (alpha_in & beta_in).nonzero()[0]]
         if shared:
             failures.append(f"witness alpha and beta sets share states {shared}")
         if not verdict.floor > verdict.ceiling:

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from ergopump.game import make_game, state_mask
+import reference
+from ergopump.game import Strategy, make_game, state_mask
+from ergopump.witness import NON_ERGODIC, Verdict
 
 
 def one_state(reward=5.0):
@@ -66,6 +68,20 @@ def matrix_as_game(matrix):
         for l in range(n)
     ]
     return make_game(["s"], [rows], [cols], records)
+
+
+def strategy(game, tables, player):
+    """One player's Strategy from per-state vectors {state: vector}, laid out
+    by reference.layout."""
+    first = game.flat.first_row if player == "row" else game.flat.first_col
+    return Strategy(reference.layout(game, tables, player), first)
+
+
+def verdict(game, alpha, beta, kind=NON_ERGODIC, **fields):
+    """A certified Verdict for game built in code, its strategies given as
+    per-state vectors {state: vector}."""
+    return Verdict(kind=kind, alpha=strategy(game, alpha, "row"),
+                   beta=strategy(game, beta, "col"), **fields)
 
 
 def random_dense_game(rng, n=3, max_actions=2, denominator=4, reward_lo=0.0, reward_hi=8.0):

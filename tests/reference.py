@@ -14,9 +14,15 @@ closures, so it checks the event-driven loop's step selection, counts and
 outcome rules as well as the package's sorted-sweep closure. The global
 bounds of a strategy certificate come from policy iteration over mean
 payoffs, and its one-shot bounds from the dense tables, so neither shares
-the verifier's vectorised pass. The paper's pump-step bound is evaluated
-as written, to check the driver's constant step cap against it. The game
-constants W and R come from a per-record loop over the exact probabilities,
+the verifier's vectorised pass. layout is the per-state loop that laid a
+player's strategies out over its global actions before every stage kept
+one flat array per player, and per_state its inverse; strategies_per_state
+is LocalSolve.strategies as it built one vector per state and player, the
+bitwise oracle of the flat arrays, and document_strategies reads a
+certificate's tables through layout, the oracle of parse_certificate's.
+The paper's pump-step bound is evaluated as written, to check the driver's
+constant step cap against it. The game constants W and R come from a
+per-record loop over the exact probabilities,
 the oracle of the constants the flat view is built with, and the problems
 game validation reports come from a per-record loop that sums each slot's
 probabilities as Fractions. make_game and parse_game are the package's
@@ -30,6 +36,7 @@ construction reports.
 """
 
 import itertools
+import json
 import math
 from collections import deque
 from itertools import combinations
@@ -593,10 +600,66 @@ def global_bounds(game, cert):
         return tuple(np.asarray(strategies[v], dtype=np.float64) if v in strategies
                      else np.full(size(v), 1.0 / size(v)) for v in range(game.n))
 
-    gain_alpha, _ = best_response_value(game, extend(cert.alpha, game.num_row_actions), "row")
-    gain_beta, _ = best_response_value(game, extend(cert.beta, game.num_col_actions), "col")
-    return (float(min(gain_alpha[v] for v in cert.alpha)),
-            float(max(gain_beta[v] for v in cert.beta)))
+    alpha, beta = per_state(game, cert.alpha, "row"), per_state(game, cert.beta, "col")
+    gain_alpha, _ = best_response_value(game, extend(alpha, game.num_row_actions), "row")
+    gain_beta, _ = best_response_value(game, extend(beta, game.num_col_actions), "col")
+    return (float(min(gain_alpha[v] for v in alpha)),
+            float(max(gain_beta[v] for v in beta)))
+
+
+def _first(game, player):
+    return game.flat.first_row if player == "row" else game.flat.first_col
+
+
+def layout(game, tables, player):
+    """One player's per-state strategy vectors {state: vector} laid out over
+    that player's global actions, NaN at the states tables does not list,
+    one state at a time."""
+    first = _first(game, player)
+    mix = np.full(int(first[-1]), np.nan)
+    for v, vec in tables.items():
+        mix[first[v]:first[v + 1]] = vec
+    return mix
+
+
+def per_state(game, mix, player):
+    """The inverse of layout: {state: vector} for every state at which no
+    entry of mix is NaN, each vector a copy."""
+    first = _first(game, player)
+    vectors = {v: np.array(mix[first[v]:first[v + 1]], dtype=np.float64)
+               for v in range(game.n)}
+    return {v: vec for v, vec in vectors.items() if not np.isnan(vec).any()}
+
+
+def document_strategies(game, text):
+    """(alpha, beta) as a certificate document's tables give them: each row
+    over its math.fsum, laid out by layout."""
+    doc = json.loads(text)
+    index = {s: v for v, s in enumerate(game.states)}
+    return tuple(layout(game, {index[s]: np.array(row, dtype=np.float64) / math.fsum(row)
+                               for s, row in doc[key].items()}, player)
+                 for key, player in (("alpha", "row"), ("beta", "col")))
+
+
+def strategies_per_state(solve):
+    """(row strategies, column strategies) of a LocalSolve, one vector per
+    listed state, ascending, clipped at 0: a pure saddle's are unit vectors
+    at the first row and column attaining its value, a mixed game's its
+    solve's."""
+    flat = solve.game.flat
+    first_row, first_col = flat.first_row.tolist(), flat.first_col.tolist()
+    row_min, col_max = solve.row_min.tolist(), solve.col_max.tolist()
+    values = solve.values.tolist()
+    rows, cols = {}, {}
+    for v in (~np.isnan(solve.values)).nonzero()[0].tolist():
+        if v in solve.mixed:
+            row, col = solve.mixed[v]
+            rows[v], cols[v] = np.maximum(row, 0.0), np.maximum(col, 0.0)
+            continue
+        for out, first, extreme in ((rows, first_row, row_min), (cols, first_col, col_max)):
+            start, stop = first[v], first[v + 1]
+            out[v] = np.array(_unit(stop - start, extreme.index(values[v], start, stop) - start))
+    return rows, cols
 
 
 def paper_step_bound(n, max_actions, granularity, reward_bound, eps, delta):

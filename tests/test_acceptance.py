@@ -144,8 +144,8 @@ def test_certificate_round_trips_the_verdict(corpus):
         for field in ("kind", "eps", "value_offset", "floor", "ceiling", "reason"):
             assert getattr(parsed, field) == getattr(solved, field), (inst.name, field)
         assert parsed.potential.tobytes() == solved.potential.tobytes(), inst.name
-        assert (set(parsed.alpha), set(parsed.beta)) == (set(solved.alpha),
-                                                         set(solved.beta)), inst.name
+        assert (parsed.alpha.states, parsed.beta.states) == (solved.alpha.states,
+                                                             solved.beta.states), inst.name
     assert all(inst.verdict.kind == "non-ergodic" for inst in sweep)
 
 

@@ -3,8 +3,10 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import reference
 from builders import (
     MALFORMED_CERTIFICATES,
     count_calls,
@@ -289,7 +291,7 @@ class TestCertificates:
         doc["alpha"]["high"] = [20.0]
         weaker = disconnected(0.0, 0.5)
         parsed = parse_certificate(json.dumps(doc), weaker)
-        assert parsed.alpha[1].tolist() == [1.0]
+        assert reference.per_state(weaker, parsed.alpha, "row")[1].tolist() == [1.0]
         ok, problems = recheck_certificate(weaker, parsed)
         assert not ok
         assert any("below floor" in p for p in problems)
@@ -418,11 +420,29 @@ class TestCertificates:
         game = random_game(6, max_actions=3, seed=4)
         verdict, stats = decide_ergodicity(game, eps=0.05)
         read = parse_certificate(serialize_certificate(game, verdict, stats), game)
-        for side in ("alpha", "beta"):
-            solved, parsed = getattr(verdict, side), getattr(read, side)
+        for side, player in (("alpha", "row"), ("beta", "col")):
+            solved = reference.per_state(game, getattr(verdict, side), player)
+            parsed = reference.per_state(game, getattr(read, side), player)
             assert sorted(parsed) == list(range(game.n))
             for v, vec in solved.items():
                 assert parsed[v].tolist() == (vec / vec.sum()).tolist()
+
+    @pytest.mark.parametrize("game", [
+        random_game(6, max_actions=3, seed=4),  # ergodic: every state covered
+        random_game(3, max_actions=2, granularity=2, reward_bound=8.0, seed=169),  # a witness
+    ])
+    def test_parsed_strategies_match_the_per_state_layout(self, game):
+        # with the game's states listed out of name order, each parsed array
+        # is still the document's tables laid out one state at a time, bit
+        # for bit, NaN positions included
+        doc = json.loads(serialize_game(game))
+        doc["states"] = [doc["states"][v] for v in np.random.default_rng(0).permutation(game.n)]
+        shuffled = parse_game(json.dumps(doc))
+        verdict, stats = decide_ergodicity(shuffled, 0.05)
+        text = serialize_certificate(shuffled, verdict, stats)
+        parsed = parse_certificate(text, shuffled)
+        assert [np.asarray(mix).tobytes() for mix in (parsed.alpha, parsed.beta)] == [
+            mix.tobytes() for mix in reference.document_strategies(shuffled, text)]
 
     def test_recheck_runs_no_solver(self, monkeypatch):
         # neither verdict's recheck settles a local game, solves a matrix

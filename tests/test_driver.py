@@ -165,7 +165,7 @@ class TestDecideErgodicity:
         # DriverStats.local_games counts the same games
         settled = count_local_games(monkeypatch)
         verdict, stats = decide_ergodicity(game, eps)
-        assert verdict.alpha and verdict.beta
+        assert verdict.alpha.states and verdict.beta.states
         assert 0 < settled.total() == stats.local_games <= solves
 
     @pytest.mark.parametrize("game", [random_game(8, max_actions=3, seed=0),

@@ -9,7 +9,7 @@ import reference
 from builders import count_calls, count_local_games, one_state, random_dense_game
 from ergopump import matrix_game
 from ergopump.driver import decide_ergodicity
-from ergopump.game import local_payoffs, make_game
+from ergopump.game import local_payoffs, make_game, normalize_rewards
 from ergopump.generators import random_game
 from ergopump.matrix_game import (
     MatrixGameError,
@@ -251,12 +251,28 @@ class TestScreenAgainstScalarKernel:
 
         assert _bits(local_values(game, x, states)) == _bits(values)
         solve = local_solve(game, x, states)
-        rows, cols = solve.strategies()
         assert _bits(solve.values) == _bits(values)
-        assert list(rows) == list(cols) == list(listed)
-        for v, (_, row, col, _) in expected.items():
-            assert _bits(rows[v]) == _bits(np.maximum(row, 0.0))
-            assert _bits(cols[v]) == _bits(np.maximum(col, 0.0))
+        # one array per player: each listed state's vector from its own
+        # solve, clipped at 0, and NaN at the states not listed, as the
+        # per-state build lays them out, signs of zeros included
+        per_state = reference.strategies_per_state(solve)
+        for mix, side, vectors, player in zip(solve.strategies(), (1, 2), per_state,
+                                              ("row", "col")):
+            solved = {v: np.maximum(out[side], 0.0) for v, out in expected.items()}
+            assert _bits(mix) == _bits(reference.layout(game, solved, player))
+            assert _bits(mix) == _bits(reference.layout(game, vectors, player))
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_ladder_exit_strategies_match_the_per_state_build(self, n):
+        # the benchmark ladder's games exit ergodic, each verdict's arrays
+        # laid out by the solve at its potential
+        game = random_game(n, max_actions=3, seed=0)
+        verdict, _ = decide_ergodicity(game, 0.05)
+        assert verdict.kind == "ergodic-24eps"
+        solve = local_solve(normalize_rewards(game)[0], verdict.potential)
+        for mix, vectors, player in zip((verdict.alpha, verdict.beta),
+                                        reference.strategies_per_state(solve), ("row", "col")):
+            assert _bits(mix) == _bits(reference.layout(game, vectors, player))
 
     @settings(max_examples=400, deadline=None)
     @given(_SMALL_GAMES, st.sampled_from([0.0, 1e6]))

@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 from builders import count_calls
-from ergopump.documents import CERTIFICATE_FORMAT, parse_game, serialize_game
+from ergopump.documents import CERTIFICATE_FORMAT, parse_certificate, parse_game, serialize_game
 from ergopump.generators import cycle, disconnected
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -58,6 +59,10 @@ def test_harness_reads_solver_results(monkeypatch):
     # the traced run reads each verdict's potential for driver.max_abs_potential
     assert [s.verdict.potential.shape for s in solved] == [(g.n,) for g in games]
     assert all(np.isfinite(float(np.max(np.abs(s.verdict.potential)))) for s in solved)
+    # the oracle check reads a witness's high and low sets as state indices
+    witness = solved[0].verdict
+    assert witness.high_states == frozenset({1}) and witness.low_states == frozenset({0})
+    assert run.oracle_misses(games[0], witness) == []
 
 
 # certificates_sha256 of `bench/run.py --workload W --seed 0`
@@ -82,6 +87,21 @@ def test_benchmark_certificates_are_unchanged(workload, monkeypatch):
     solved = run.solve_pass(instances, games)
     assert run.find_failures(instances, games, [solved], []) == {}
     assert run.fingerprint(instances, solved)["certificates_sha256"] == GOLDEN_CERTIFICATES[workload]
+
+
+@pytest.mark.parametrize("workload", ["corpus", "ladder"])
+def test_parsed_strategies_match_the_per_state_layout(workload, monkeypatch):
+    """On every benchmark certificate at seed 0, parse_certificate's arrays
+    are the document's tables laid out one state at a time, bit for bit, NaN
+    positions included. The ladder's tables list their states as the names
+    sort, s0, s1, s10, ..., not in index order."""
+    run = _load("run", monkeypatch)
+    instances = run.workloads.build(workload, 0)
+    games = [parse_game(inst.text) for inst in instances]
+    for game, result in zip(games, run.solve_pass(instances, games)):
+        parsed = parse_certificate(result.certificate, game)
+        assert [np.asarray(mix).tobytes() for mix in (parsed.alpha, parsed.beta)] == [
+            mix.tobytes() for mix in reference.document_strategies(game, result.certificate)]
 
 
 GOLDEN_DOCUMENTS = {

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import builders
 import reference
 from builders import big_match, disconnected, matrix_as_game
+from ergopump.documents import parse_certificate, serialize_certificate
 from ergopump.driver import decide_ergodicity
-from ergopump.game import make_game
+from ergopump.game import Strategy, make_game
 from ergopump.generators import cycle, random_game
 from ergopump.matrix_game import local_solve, local_value, local_values
 from ergopump.pump import auxiliary_graph, boundary_gap_violations, modified_pump
@@ -74,16 +76,16 @@ class TestBuildWitness:
         assert np.allclose(sol.row_strategy, [0.7, 0.3], atol=1e-9)
         cert = build_witness(g, local_solve(g, np.zeros(2)), {0}, {1},
                              ceiling_raw=0.2, floor_raw=0.9, eps=0.1)
-        assert np.allclose(cert.alpha[0], [1.0, 0.0])
+        assert np.allclose(reference.per_state(g, cert.alpha, "row")[0], [1.0, 0.0])
 
     def test_closed_set_keeps_optimal_strategy(self):
         # the whole state space is closed, so truncation is the identity
         g = matrix_as_game([[3.0, 1.0], [0.0, 2.0]])
         sol = local_value(g, 0, np.zeros(1))
-        keep = bar_actions(g, 0, {0}, "row")
-        assert keep == {0, 1}
+        assert bar_actions(g, 0, {0}, "row") == {0, 1}
         from ergopump.witness import _truncate
-        assert np.allclose(_truncate(sol.row_strategy, keep, 0), sol.row_strategy)
+        kept = _truncate(g, Strategy(sol.row_strategy, g.flat.first_row), frozenset({0}), "row")
+        assert np.allclose(kept, sol.row_strategy)
 
     def test_empty_bar_set_raises(self):
         g = make_game(
@@ -92,6 +94,19 @@ class TestBuildWitness:
         )
         with pytest.raises(WitnessBuildError, match="preconditions violated"):
             build_witness(g, local_solve(g, np.zeros(2)), {0}, {1}, 0.2, 0.9, eps=0.1)
+
+    def test_build_leaves_the_solves_strategies_intact(self):
+        # truncation lays new arrays; a verdict's arrays are read-only, so
+        # a write through one that aliases a solve's raises
+        g = leaky_row_game()
+        solve = local_solve(g, np.zeros(2))
+        before = solve.strategies()
+        cert = build_witness(g, solve, {0}, {1}, ceiling_raw=0.2, floor_raw=0.9, eps=0.1)
+        assert [a.tobytes() for a in solve.strategies()] == [a.tobytes() for a in before]
+        ergodic, _ = decide_ergodicity(cycle(n=3, seed=0), 0.05)
+        for mix in (cert.alpha, cert.beta, ergodic.alpha, ergodic.beta):
+            with pytest.raises(ValueError, match="read-only"):
+                mix[0] = 0.5
 
     def test_high_states_come_from_the_callers_solve(self):
         # alpha is read off the caller's solve, so it must list the high set
@@ -113,7 +128,7 @@ class TestBuildWitness:
         cert = build_witness(g, local_solve(g, x), {0}, {1}, ceiling_raw=5.0, floor_raw=6.25,
                              eps=0.1)
         direct = local_value(g, 1, x).col_strategy
-        assert np.allclose(cert.beta[1], direct, atol=1e-9)
+        assert np.allclose(reference.per_state(g, cert.beta, "col")[1], direct, atol=1e-9)
 
 
 def _solved_witness(game, eps):
@@ -143,7 +158,7 @@ class TestVerifyWitness:
         g = leaky_row_game()
         cert = build_witness(g, local_solve(g, np.zeros(2)), {0}, {1},
                              ceiling_raw=0.2, floor_raw=0.9, eps=0.1)
-        tampered = cert._replace(alpha={0: np.array([0.999, 1e-3])})
+        tampered = cert._replace(alpha=builders.strategy(g, {0: [0.999, 1e-3]}, "row"))
         report = verify_witness(g, tampered)
         assert not report.ok
         assert any("leaks" in f and "action 1" in f for f in report.failures)
@@ -163,9 +178,8 @@ class TestVerifyWitness:
         # equal values 0 on both sides: claimed bounds b = 1e-7 > a = 0 each
         # hold within the slack, yet the proven floor equals the proven ceiling
         g = disconnected(0.0, 0.0)
-        cert = Verdict(kind=NON_ERGODIC, eps=1e-5, value_offset=0.0, potential=np.zeros(2),
-                       floor=1e-7, ceiling=0.0, alpha={1: np.array([1.0])},
-                       beta={0: np.array([1.0])})
+        cert = builders.verdict(g, {1: [1.0]}, {0: [1.0]}, eps=1e-5, potential=np.zeros(2),
+                                floor=1e-7, ceiling=0.0)
         report = verify_witness(g, cert)
         assert report.certified_gap == 0.0
         assert len(report.failures) == 1
@@ -174,13 +188,15 @@ class TestVerifyWitness:
     def test_certificate_must_cover_its_states(self):
         # with no state covered, every one-shot bound holds vacuously and the
         # proven floor and ceiling are +inf and -inf, so only coverage fails
-        empty = Verdict(kind=ERGODIC, eps=0.05, value_offset=0.0, potential=np.zeros(3),
-                        floor=0.0, ceiling=0.0, alpha={}, beta={})
-        report = verify_witness(cycle(n=3, seed=0), empty)
+        g = cycle(n=3, seed=0)
+        empty = builders.verdict(g, {}, {}, kind=ERGODIC, eps=0.05, potential=np.zeros(3),
+                                 floor=0.0, ceiling=0.0)
+        report = verify_witness(g, empty)
         assert report.failures == ("ergodic alpha misses states ['c0', 'c1', 'c2']",
                                    "ergodic beta misses states ['c0', 'c1', 'c2']")
-        report = verify_witness(disconnected(0.0, 10.0), empty._replace(
-            kind=NON_ERGODIC, potential=np.zeros(2), floor=5.0, ceiling=1.0))
+        g = disconnected(0.0, 10.0)
+        report = verify_witness(g, builders.verdict(g, {}, {}, eps=0.05, potential=np.zeros(2),
+                                                    floor=5.0, ceiling=1.0))
         assert report.failures == ("witness alpha and beta sets must not be empty",)
 
     def test_negative_reward_game_checked_as_given(self):
@@ -200,11 +216,30 @@ class TestVerifyWitness:
         g = cycle(n=3, seed=0)
         verdict, _ = decide_ergodicity(g, 0.05)
         assert verdict.kind == ERGODIC and verify_witness(g, verdict).ok
-        for side in ("alpha", "beta"):
-            table = dict(getattr(verdict, side))
+        for side, player in (("alpha", "row"), ("beta", "col")):
+            table = reference.per_state(g, getattr(verdict, side), player)
             del table[1]
-            report = verify_witness(g, verdict._replace(**{side: table}))
+            report = verify_witness(g, verdict._replace(
+                **{side: builders.strategy(g, table, player)}))
             assert f"ergodic {side} misses states ['c1']" in report.failures
+
+    @pytest.mark.parametrize("side, mix, got", [
+        ("alpha", np.array([np.nan]), "(1,)"),
+        ("alpha", np.array([np.nan, 1.0, 0.0]), "(3,)"),
+        ("beta", np.array([1.0]), "(1,)"),
+        ("beta", np.array([1.0, np.nan, 0.0]), "(3,)"),
+        ("alpha", {1: np.ones(3)}, "dict"),  # a per-state table, too long at its state
+        ("alpha", {7: np.ones(1)}, "dict"),  # a per-state table naming no state
+    ], ids=["alpha-short", "alpha-long", "beta-short", "beta-long", "alpha-table",
+            "alpha-unknown-state"])
+    def test_wrong_shape_is_a_named_failure(self, side, mix, got):
+        # each player's array holds one entry per global action: 2 here
+        g = disconnected(0.0, 10.0)
+        report = verify_witness(g, _solved_witness(g, 0.1)._replace(**{side: mix}))
+        player = "row" if side == "alpha" else "column"
+        assert report.failures == (
+            f"{side}: expected an array of 2 entries, one per {player} action, got {got}",)
+        assert report.certified_gap == -np.inf
 
     def test_inconclusive_verdict_certifies_nothing(self):
         verdict = Verdict(kind=INCONCLUSIVE, eps=0.1, value_offset=0.0, reason="cap")
@@ -215,7 +250,8 @@ class TestVerifyWitness:
     def test_witness_sets_must_be_disjoint(self):
         g = disconnected(0.0, 10.0)
         cert = _solved_witness(g, 0.1)
-        shared = cert._replace(alpha={**cert.alpha, 0: np.array([1.0])})
+        alpha = reference.per_state(g, cert.alpha, "row")
+        shared = cert._replace(alpha=builders.strategy(g, {**alpha, 0: [1.0]}, "row"))
         assert "witness alpha and beta sets share states ['low']" in (
             verify_witness(g, shared).failures)
 
@@ -248,8 +284,8 @@ def test_one_shot_bounds_match_dense_tables_and_hold_globally(data):
     beta = _distributions(data.draw, [g.num_col_actions(v) for v in range(g.n)])
     x = np.array(data.draw(st.lists(st.floats(-5, 5), min_size=g.n, max_size=g.n)))
     floor, ceiling = reference.one_shot_bounds(g, alpha, beta, x)
-    cert = Verdict(kind=ERGODIC, eps=max(ceiling - floor, 0.0) / 24 + 1.0, value_offset=0.0,
-                   potential=x, floor=floor, ceiling=ceiling, alpha=alpha, beta=beta)
+    cert = builders.verdict(g, alpha, beta, kind=ERGODIC, potential=x, floor=floor,
+                            ceiling=ceiling, eps=max(ceiling - floor, 0.0) / 24 + 1.0)
     report = verify_witness(g, cert)
     assert report.ok, report.failures
     assert report.certified_gap == pytest.approx(floor - ceiling, abs=1e-9)
@@ -271,25 +307,36 @@ def test_one_shot_bounds_match_dense_tables_and_hold_globally(data):
 def test_perturbed_certificates_accepted_only_within_global_bounds(case, weight, data):
     # mixing a solved certificate's strategies with arbitrary ones on the
     # actions that keep the play in their set: whatever the one-shot check
-    # still accepts keeps its bounds under best responses
+    # still accepts keeps its bounds under best responses. The mix's
+    # certificate, parsed, checks as the verdict laid out per state from the
+    # document's tables does: the same failures, and the same gap bit for bit
     g, eps = case
-    cert = decide_ergodicity(g, eps)[0]
+    cert, stats = decide_ergodicity(g, eps)
 
-    def perturb(strategies, player, size):
+    def perturb(strategy, player, size):
+        tables = reference.per_state(g, strategy, player)
         noise = _distributions(data.draw, [size(v) for v in range(g.n)])
         out = {}
-        for v, vec in strategies.items():
+        for v, vec in tables.items():
             keep = np.zeros(size(v))
-            keep[sorted(bar_actions(g, v, strategies, player))] = 1.0
+            keep[sorted(bar_actions(g, v, tables, player))] = 1.0
             mix = noise[v] * keep
             out[v] = (1 - weight) * vec + weight * mix / mix.sum()
-        return out
+        return builders.strategy(g, out, player)
 
     perturbed = cert._replace(alpha=perturb(cert.alpha, "row", g.num_row_actions),
                               beta=perturb(cert.beta, "col", g.num_col_actions))
     if verify_witness(g, perturbed).ok:
         floor, ceiling = reference.global_bounds(g, perturbed)
         assert floor >= cert.floor - 1e-6 and ceiling <= cert.ceiling + 1e-6
+    text = serialize_certificate(g, perturbed, stats)
+    parsed = parse_certificate(text, g)
+    alpha, beta = reference.document_strategies(g, text)
+    built = parsed._replace(alpha=Strategy(alpha, g.flat.first_row),
+                            beta=Strategy(beta, g.flat.first_col))
+    got, expected = verify_witness(g, parsed), verify_witness(g, built)
+    assert got.failures == expected.failures
+    assert np.float64(got.certified_gap).tobytes() == np.float64(expected.certified_gap).tobytes()
 
 
 class TestCertificateChains:
@@ -318,7 +365,8 @@ class TestCertificateChains:
         m = local_values(g, verdict.potential)
         for v in verdict.high_states:
             assert (5.0 * m_plus + 3.0 * m_minus) / 8.0 <= m[v] + 1e-9
-            payoffs = verdict.alpha[v] @ local_reward_matrix(g, v, verdict.potential)
+            alpha = reference.per_state(g, verdict.alpha, "row")[v]
+            payoffs = alpha @ local_reward_matrix(g, v, verdict.potential)
             assert np.all(m[v] <= payoffs + verdict.eps + 1e-9)
 
     def test_gap_conditions_recheck(self):
