@@ -306,6 +306,18 @@ def _name_problems(tokens, v, k, l, u) -> list:
     return problems
 
 
+def _probability_keys(values):
+    """One key per record probability, equal for values that to_fraction
+    reads alike: the values themselves when all are of one hashable type, as
+    a document's strings are, else (type, text) pairs, which keep apart
+    equal values of two types that to_fraction reads differently (True and
+    1, 0.5 and Decimal("0.5")) and name an unhashable value by its text."""
+    types = set(map(type, values))
+    if len(types) == 1 and types.pop().__hash__ is not None:
+        return values
+    return list(zip(map(type, values), map(str, values)))
+
+
 def make_game(
     states: Sequence[str],
     row_actions: Sequence[Sequence[str]],
@@ -317,11 +329,12 @@ def make_game(
 
     Each record is (v, k, l, u, p, r): states and actions by name or index
     (an int or numpy integer), p anything to_fraction reads (each distinct
-    (type, text) converted once), r what _finite accepts. Missing entries
-    default to probability 0; records with p == 0 are dropped. A repeated
-    state name, or action name at one state, raises at once; otherwise one
-    DocumentError lists, by record index, every unknown name or index and
-    duplicate (v, k, l, u), then every bad p, then every bad r.
+    value converted once, see _probability_keys), r what _finite accepts.
+    Missing entries default to probability 0; records with p == 0 are
+    dropped. A repeated state name, or action name at one state, raises at
+    once; otherwise one DocumentError lists, by record index, every unknown
+    name or index and duplicate (v, k, l, u), then every bad p, then every
+    bad r.
 
     Names resolve a column at a time, by one dict lookup per token in C: by
     name first, and when some token is no name, again with every token read
@@ -366,8 +379,8 @@ def make_game(
         resolved = bool(np.diff(sort_key[order]).all())  # no two records share a key
     problems = [] if resolved else _name_problems(tokens, *columns)
 
-    p_keys = list(zip(map(type, p_val), map(str, p_val)))
-    fractions, errors = {}, {}  # per distinct (type, text): its Fraction, or why it has none
+    p_keys = _probability_keys(p_val)
+    fractions, errors = {}, {}  # per distinct key: its Fraction, or why it has none
     for key, value in dict(zip(p_keys, p_val)).items():
         try:
             fractions[key] = to_fraction(value)

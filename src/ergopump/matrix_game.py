@@ -7,13 +7,20 @@ Settles the local games of a stochastic game in three stages.
    view's slots, and every listed state whose two values are exactly equal
    is a pure saddle, settled by unit strategies at the first row and column
    attaining them.
-2. Closed-form kernels, per remaining game: a pure saddle or, up to 3x3,
-   the first Shapley-Snow kernel, a square submatrix whose adjugate gives
-   the value and both strategies (Shapley and Snow, Basic solutions of
-   discrete games, 1950), kept when its strategies are non-negative and
-   pass the saddle check. Games the screen found mixed skip the saddle
-   test, which they have already failed; a game with one row or one column
-   is always a pure saddle, so the screen never forwards one.
+2. Closed-form kernels: a pure saddle or, up to 3x3, the first Shapley-Snow
+   kernel, a square submatrix whose adjugate gives the value and both
+   strategies (Shapley and Snow, Basic solutions of discrete games, 1950),
+   kept when its strategies are non-negative and pass the saddle check.
+   Games the screen found mixed skip the saddle test, which they have
+   already failed; a game with one row or one column is always a pure
+   saddle, so the screen never forwards one. A call whose mixed games of at
+   most 3x3 number _BATCH_MIN_GAMES or more settles those together in numpy
+   (_batch_kernels): all nine 2x2 candidates and the full adjugate at once,
+   in the scalar kernel's float operations and order, each game keeping its
+   own saddle check and its first candidate that passes, so values and
+   strategies keep the scalar kernel's bits. Smaller calls, larger games and
+   games no candidate settles take the scalar kernel, one game at a time,
+   which does not retry the 2x2 candidates the batch rejected.
 3. The classic value LP, for larger games and any small one no kernel
    settles: shift the matrix positive, maximize the column player's scaled
    mixed strategy against unit bounds, and read the row player's strategy
@@ -22,10 +29,11 @@ Settles the local games of a stochastic game in three stages.
 
 A LocalSolve is the one record of a potential and its local games: the
 potential x, and what settling the games took, namely the screen's row
-minima and column maxima and each mixed game's strategies. Its values serve
-the pump and the band check; the strategies are laid out, one array per
-player, only when a certificate asks for them, so no game is solved twice
-for them. The screen returns bit for bit what the kernels return for the
+minima and column maxima and its mixed games' strategies, one MixedGames
+record of flat arrays, as the batch or the scalar kernels left them. Its
+values serve the pump and the band check; the strategies are laid out, one
+array per player, only when a certificate asks for them, so no game is
+solved twice for them. The screen returns bit for bit what the kernels return for the
 games it settles. Every stage is deterministic, so results are
 bit-reproducible. Every solve saddle-checks the strategies it returns; a
 solve that stalls or fails that check raises MatrixGameError.
@@ -133,24 +141,25 @@ def _saddle_bounds(rows, row_strategy, col):
     return worst_col, best_row
 
 
-def _kernel_solve(a, screened=False):
+def _kernel_solve(a, screened=False, paired=False):
     """Closed-form solve of a float row-list matrix, or None if none settles it.
 
     A game whose maximin equals its minimax exactly is a pure saddle: unit
     strategies at the first row and column attaining them, gap 0. A single
     row or column always is one: its row minima and column maxima are that
     row or column. A game the screen found mixed (screened) is not, so that
-    test is skipped. Otherwise, up to 3x3, each square submatrix B is a
-    Shapley-Snow kernel candidate, the 2x2 ones in lexicographic (row pair,
-    column pair) order, then the full 3x3. With C the cofactor matrix of B
-    and s the sum of its entries (1' adj B 1), the candidate's row strategy
-    is C's row sums over s, its column strategy C's column sums over s and
-    its value det B / s; candidates with s exactly 0.0 are skipped. B is
-    shifted by its corner entry first, which leaves C's sums unchanged and
-    keeps det B from cancelling a large common offset. A 2x2 candidate's
-    weights are sign-tested before anything is allocated, and its saddle
-    bounds read only its two rows and two columns, where the strategies
-    have their mass.
+    test is skipped, and the 2x2 candidates of a game the batch has
+    rejected (paired) are not tried again. Otherwise, up to 3x3, each square
+    submatrix B is a Shapley-Snow kernel candidate, the 2x2 ones in
+    lexicographic (row pair, column pair) order, then the full 3x3. With C
+    the cofactor matrix of B and s the sum of its entries (1' adj B 1), the
+    candidate's row strategy is C's row sums over s, its column strategy
+    C's column sums over s and its value det B / s; candidates with s
+    exactly 0.0 are skipped. B is shifted by its corner entry first, which
+    leaves C's sums unchanged and keeps det B from cancelling a large common
+    offset. A 2x2 candidate's weights are sign-tested before anything is
+    allocated, and its saddle bounds read only its two rows and two
+    columns, where the strategies have their mass.
     """
     m, n = len(a), len(a[0])
     if not screened:
@@ -162,7 +171,7 @@ def _kernel_solve(a, screened=False):
                     _unit(n, col_maxs.index(upper)), 0.0)
     if m > 3 or n > 3:
         return None
-    for k1, k2 in combinations(range(m), 2):
+    for k1, k2 in () if paired else combinations(range(m), 2):
         top, bottom = a[k1], a[k2]
         for l1, l2 in combinations(range(n), 2):
             corner = top[l1]
@@ -211,18 +220,19 @@ def _unit(size, index):
     return out
 
 
-def _solve(rows, screened=False):
+def _solve(rows, screened=False, paired=False):
     """Solve a matrix game, given as lists of Python floats, and
     saddle-check the result.
 
     Returns (value, row strategy, col strategy, duality gap). Games that
     _kernel_solve settles need no pivot; the rest run the value LP.
-    screened says the screen found the game mixed (see _kernel_solve). Raises
+    screened says the screen found the game mixed, paired that the batch
+    rejected its 2x2 candidates (see _kernel_solve). Raises
     MatrixGameError when the simplex stalls, bounded by the pure maximin
     and minimax, or when the gap exceeds _SADDLE_TOL, bounded by the worst
     column payoff and the best row payoff of the strategies found.
     """
-    settled = _kernel_solve(rows, screened)
+    settled = _kernel_solve(rows, screened, paired)
     if settled is not None:
         return settled
     m = len(rows)
@@ -336,14 +346,27 @@ def _screen(game, x, states):
     return payoffs, values, (listed ^ saddle).nonzero()[0], row_min, col_max
 
 
+class MixedGames(NamedTuple):
+    """The strategies of a solve's mixed games: states lists each once, and
+    rows and cols hold their row and column strategies, one game after
+    another in that order, each over its own actions."""
+
+    states: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+# the record of every solve without a mixed game; nothing writes into it
+_NO_MIXED = MixedGames(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
+
+
 class LocalSolve(NamedTuple):
     """The listed states' local games at one potential x, each settled once.
 
     values holds each listed state's local value and NaN elsewhere. The
     solve keeps what settling took: each global row's minimum and column's
-    maximum from the screen, and each mixed game's (row, column) strategy
-    lists from its kernel or LP, so strategies() reads them and solves
-    nothing.
+    maximum from the screen, and its mixed games' strategies as solved, so
+    strategies() reads them and solves nothing.
     """
 
     game: object
@@ -351,51 +374,197 @@ class LocalSolve(NamedTuple):
     values: np.ndarray
     row_min: np.ndarray
     col_max: np.ndarray
-    mixed: dict  # state -> (row strategy, column strategy) of its solve
+    mixed: MixedGames
 
     def strategies(self) -> tuple:
         """(row strategy, column strategy), each a Strategy covering the
         listed states, clipped at 0, built as one list. A pure saddle's are
         unit vectors at the first row and column attaining its value, as
-        _kernel_solve picks them; a mixed game's are its solve's."""
+        _kernel_solve picks them; a mixed game's are its solve's, read from
+        the MixedGames record in the record's order."""
         flat = self.game.flat
         values = self.values.tolist()
+        mixed = self.mixed.states.tolist()
+        pure = [value == value for value in values]  # NaN: v is not listed
+        for v in mixed:
+            pure[v] = False
         out = []
-        for side, first, extreme in ((0, flat.first_row, self.row_min),
-                                     (1, flat.first_col, self.col_max)):
-            starts, extreme = first.tolist(), extreme.tolist()
+        for first, extreme, played in ((flat.first_row, self.row_min, self.mixed.rows),
+                                       (flat.first_col, self.col_max, self.mixed.cols)):
+            starts, extreme, played = first.tolist(), extreme.tolist(), played.tolist()
             mix = [0.0] * starts[-1]
             for v, (value, start, stop) in enumerate(zip(values, starts, starts[1:])):
-                if value != value:  # NaN: v is not listed
-                    mix[start:stop] = [np.nan] * (stop - start)
-                elif v in self.mixed:
-                    mix[start:stop] = self.mixed[v][side]
-                else:
+                if pure[v]:
                     mix[extreme.index(value, start, stop)] = 1.0
+                elif value != value:
+                    mix[start:stop] = [np.nan] * (stop - start)
+            offset = 0
+            for v in mixed:
+                start, stop = starts[v], starts[v + 1]
+                mix[start:stop] = played[offset:offset + stop - start]
+                offset += stop - start
             out.append(Strategy(np.maximum(mix, 0.0), first))
         return tuple(out)
+
+
+# Calls with fewer mixed games of at most 3x3 than this settle them one at a
+# time; from this many on, the batch is the faster (timeit table in CHANGES.md)
+_BATCH_MIN_GAMES = 16
+
+_AR3 = np.arange(3)
+_PAIRS = np.array(list(combinations(range(3), 2)))  # (0, 1), (0, 2), (1, 2)
+_FIRST, _SECOND = _PAIRS[:, 0], _PAIRS[:, 1]
+_LAST = _SECOND[:, None]  # a pair (i, j), i < j, is a game's iff j < its size
+# per candidate c = 3 * row pair + column pair: its (first, second) row and column
+_CAND_ROW, _CAND_COL = _PAIRS[_AR3.repeat(3)].T, _PAIRS[np.tile(_AR3, 3)].T
+# a[_SUB_ROWS, _SUB_COLS] is (2, 2, row pair, column pair, G): the entries of
+# the nine 2x2 candidates, in lexicographic (row pair, column pair) order
+_SUB_ROWS = _PAIRS.T[:, None, :, None]
+_SUB_COLS = _PAIRS.T[None, :, None, :]
+# b[_COF_ROWS, _COF_COLS] stacks the four factor matrices of the cofactors
+# C[i][j] = b[i+1][j+1] * b[i+2][j+2] - b[i+1][j+2] * b[i+2][j+1], indices mod 3
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+_COF_ROWS = np.stack([_NEXT, _AFTER, _NEXT, _AFTER])[:, :, None]
+_COF_COLS = np.stack([_NEXT, _AFTER, _AFTER, _NEXT])[:, None, :]
+
+
+def _batch_kernels(payoffs, flat, games, values):
+    """Settle the mixed games of `games`, each at most 3x3, by their kernels
+    together: the nine 2x2 candidates, then for a 3x3 that none settles its
+    full adjugate, each in the float operations and order _kernel_solve
+    uses, so values and strategies keep its bits, zero signs included.
+
+    The games are gathered into a (3, 3, G) array, games last, so that each
+    operation's inner loop runs over the games. Each game's last row and
+    column are repeated into its padding, which changes no maximum over
+    rows or minimum over columns, so each saddle check reads the game's own
+    rows and columns; candidates that use a padding row or column are
+    masked. Writes the value of every settled game into values and returns
+    (rows, cols, unsettled): each game's strategies, (3, G) with zeros in
+    the padding, and the positions in games of those no kernel settled.
+
+    A weight is NaN only where a quantity overflows. _kernel_solve's sign
+    test, Python's min, lets a NaN through, but then every saddle sum of
+    that candidate is NaN and its check fails, so it rejects the candidate
+    as the batch's sign test does. Weights that pass are finite, so no
+    saddle sum is NaN and numpy's max and min agree with Python's.
+    """
+    count = len(games)
+    m, n = flat.row_count[games], flat.col_count[games]
+    row_slot = flat.first_slot[games] + np.minimum(_AR3[:, None], m - 1) * n
+    a = payoffs[row_slot[:, None] + np.minimum(_AR3[:, None], n - 1)]
+    each = np.arange(count)
+    with np.errstate(all="ignore"):
+        sub = a[_SUB_ROWS, _SUB_COLS]
+        corner = sub[0, 0]
+        b = sub - corner
+        b01, b10, b11 = b[0, 1], b[1, 0], b[1, 1]
+        s = b11 - b10 - b01
+        # per candidate: p1, p2, q1, q2 and its value
+        solved = np.empty((5, 3, 3, count))
+        p1, p2, q1, q2, value = solved
+        np.divide(b11 - b10, s, out=p1)
+        np.divide(-b01, s, out=p2)
+        np.divide(b11 - b01, s, out=q1)
+        np.divide(-b10, s, out=q2)
+        np.subtract(corner, b01 * b10 / s, out=value)
+        ok = (solved[:4] >= 0.0).all(0) & (s != 0.0)
+        ok &= (_LAST < m)[:, None] & (_LAST < n)
+        best_row = (a[:, None, _FIRST] * q1 + a[:, None, _SECOND] * q2).max(0)
+        columns = a.transpose(1, 0, 2)
+        worst_col = (p1 * columns[:, _FIRST, None] + p2 * columns[:, _SECOND, None]).min(0)
+        ok &= best_row - worst_col <= _SADDLE_TOL
+        ok = ok.reshape(9, count)
+        first = ok.argmax(0)  # each game's first candidate that settles it
+        settled = ok[first, each]
+        p1, p2, q1, q2, value = solved.reshape(5, 9, count)[:, first, each]
+        values[games[settled]] = value[settled]
+        rows, cols = np.zeros((3, count)), np.zeros((3, count))
+        pair_row, pair_col = _CAND_ROW[:, first], _CAND_COL[:, first]
+        rows[pair_row[0], each], rows[pair_row[1], each] = p1, p2
+        cols[pair_col[0], each], cols[pair_col[1], each] = q1, q2
+
+        square = (~settled & (m == 3) & (n == 3)).nonzero()[0]
+        if square.size:
+            a = a[:, :, square]
+            corner = a[0, 0]
+            b = a - corner
+            f = b[_COF_ROWS, _COF_COLS]
+            cof = f[0] * f[1] - f[2] * f[3]
+            # every sum left to right from +0.0, as Python's sum adds floats
+            sums = np.concatenate([cof, cof.transpose(1, 0, 2)])
+            weights = 0.0 + sums[:, 0] + sums[:, 1] + sums[:, 2]  # row sums, column sums
+            s = 0.0 + weights[0] + weights[1] + weights[2]
+            det = b[0] * cof[0]
+            value = corner + (0.0 + det[0] + det[1] + det[2]) / s
+            weights /= s
+            row, col = weights[:3], weights[3:]
+            against = a * col
+            mixed_by = row[:, None] * a
+            gap = ((0.0 + against[:, 0] + against[:, 1] + against[:, 2]).max(0)
+                   - (0.0 + mixed_by[0] + mixed_by[1] + mixed_by[2]).min(0))
+            fit = (s != 0.0) & (weights >= 0.0).all(0) & (gap <= _SADDLE_TOL)
+            square = square[fit]
+            settled[square] = True
+            values[games[square]] = value[fit]
+            rows[:, square], cols[:, square] = row[:, fit], col[:, fit]
+    return rows, cols, (~settled).nonzero()[0]
+
+
+def _solve_each(flat, payoffs, values, games, paired=False):
+    """Solve the games of `games` one at a time, writing their values;
+    returns their row and column strategies, each as one list in order."""
+    payoffs = payoffs.tolist()
+    first, width = flat.first_slot.tolist(), flat.col_count.tolist()
+    rows, cols = [], []
+    for v in games.tolist():
+        matrix = [payoffs[s:s + width[v]] for s in range(first[v], first[v + 1], width[v])]
+        values[v], row, col, _ = _solve(matrix, screened=True, paired=paired)
+        rows += row
+        cols += col
+    return rows, cols
+
+
+def _settle_mixed(flat, payoffs, values, mixed) -> MixedGames:
+    """Settle the games the screen found mixed, writing their values. From
+    _BATCH_MIN_GAMES games of at most 3x3 on, _batch_kernels settles those
+    and the rest, with any it leaves, are solved one at a time; with fewer,
+    every game is."""
+    if mixed.size >= _BATCH_MIN_GAMES:
+        m, n = flat.row_count[mixed], flat.col_count[mixed]
+        small = (m <= 3) & (n <= 3)
+        if np.count_nonzero(small) >= _BATCH_MIN_GAMES:
+            games, m, n = mixed[small], m[small], n[small]
+            rows, cols, unsettled = _batch_kernels(payoffs, flat, games, values)
+            rows, cols = rows.T[_AR3 < m[:, None]], cols.T[_AR3 < n[:, None]]
+            if unsettled.size:
+                redo = np.zeros(games.size, dtype=bool)
+                redo[unsettled] = True
+                rows[np.repeat(redo, m)], cols[np.repeat(redo, n)] = _solve_each(
+                    flat, payoffs, values, games[redo], paired=True)
+            if small.all():
+                return MixedGames(games, rows, cols)
+            rest = mixed[~small]
+            more_rows, more_cols = _solve_each(flat, payoffs, values, rest)
+            return MixedGames(np.concatenate([games, rest]), np.concatenate([rows, more_rows]),
+                              np.concatenate([cols, more_cols]))
+    if not mixed.size:
+        return _NO_MIXED
+    rows, cols = _solve_each(flat, payoffs, values, mixed)
+    return MixedGames(mixed, np.array(rows), np.array(cols))
 
 
 def local_solve(game, x, states=None) -> LocalSolve:
     """Settle the local games of `states` at x: all states when None, else
     the state indices it lists or, as the pump passes them, a bool mask per
-    state. The screen settles the pure saddles, and each other game takes
-    one solve."""
+    state. The screen settles the pure saddles, and the mixed games are
+    settled by _settle_mixed."""
     x = np.asarray(x, dtype=np.float64)
     payoffs, values, mixed, row_min, col_max = _screen(game, x, states)
-    solved = {}
-    if mixed.size:
-        payoffs = payoffs.tolist()
-        first, width = game.flat.first_slot.tolist(), game.flat.col_count.tolist()
-        for v in mixed.tolist():
-            rows = [payoffs[s:s + width[v]] for s in range(first[v], first[v + 1], width[v])]
-            values[v], row, col, _ = _solve(rows, screened=True)
-            solved[v] = row, col
     return LocalSolve(game=game, x=x, values=values, row_min=row_min, col_max=col_max,
-                      mixed=solved)
+                      mixed=_settle_mixed(game.flat, payoffs, values, mixed))
 
 
 def local_values(game, x, states=None) -> np.ndarray:
     """Vector of local values; entries outside `states` are NaN."""
     return local_solve(game, x, states).values
-

@@ -70,6 +70,39 @@ def matrix_as_game(matrix):
     return make_game(["s"], [rows], [cols], records)
 
 
+def _named_records(game):
+    """The game's records as (v, k, l, u, p, r) names, p exact."""
+    return [(game.states[v], game.row_actions[v][k], game.col_actions[v][l], game.states[u], p, r)
+            for v, recs in enumerate(game.transitions) for k, l, u, p, r in recs]
+
+
+def permute_actions(game, rng):
+    """The same game with each state's row and column actions declared in an
+    rng-drawn order, so every action has a new index."""
+    row_actions, col_actions = ([[acts[i] for i in rng.permutation(len(acts))] for acts in actions]
+                                for actions in (game.row_actions, game.col_actions))
+    return make_game(game.states, row_actions, col_actions, _named_records(game))
+
+
+def duplicate_action(game, rng):
+    """The same game with one rng-drawn action of each player, at an
+    rng-drawn state each, repeated under a new name at an rng-drawn index:
+    the copy's records are the original's."""
+    actions = [list(map(list, game.row_actions)), list(map(list, game.col_actions))]
+    records = _named_records(game)
+    for player, declared in enumerate(actions):
+        v = int(rng.integers(game.n))
+        original = declared[v][int(rng.integers(len(declared[v])))]
+        copy = original + "'"
+        while copy in declared[v]:
+            copy += "'"
+        declared[v].insert(int(rng.integers(len(declared[v]) + 1)), copy)
+        state = game.states[v]
+        records += [rec[:1 + player] + (copy,) + rec[2 + player:] for rec in records
+                    if rec[0] == state and rec[1 + player] == original]
+    return make_game(game.states, *actions, records)
+
+
 def strategy(game, tables, player):
     """One player's Strategy from per-state vectors {state: vector}, laid out
     by reference.layout."""

@@ -4,8 +4,9 @@ Nothing here may import from ergopump.matrix_game's solver internals: the
 2x2 closed form is hand-derived, the general LP goes through scipy, and the
 support enumeration solves equalization systems directly. kernel_solve is
 the scalar closed-form kernel as it settled every local game before the
-package's vectorised pure-saddle screen and its cheaper 2x2 candidate
-test, kept unchanged as the bitwise oracle of both. The dense
+package's vectorised pure-saddle screen, its cheaper 2x2 candidate test
+and its batch of a call's mixed games, kept unchanged as the bitwise
+oracle of all three. The dense
 per-state tables, the oracle of the package's flat view, come from a plain
 loop over the transition records. The single-step pump reuses the
 package's local values, bands and payoff bounds but none of the pump loop,
@@ -643,18 +644,24 @@ def document_strategies(game, text):
 
 def strategies_per_state(solve):
     """(row strategies, column strategies) of a LocalSolve, one vector per
-    listed state, ascending, clipped at 0: a pure saddle's are unit vectors
-    at the first row and column attaining its value, a mixed game's its
-    solve's."""
+    listed state, clipped at 0: a pure saddle's are unit vectors at the
+    first row and column attaining its value, a mixed game's cut from its
+    solve's MixedGames record, whose games follow one another in the
+    record's state order."""
     flat = solve.game.flat
     first_row, first_col = flat.first_row.tolist(), flat.first_col.tolist()
     row_min, col_max = solve.row_min.tolist(), solve.col_max.tolist()
     values = solve.values.tolist()
     rows, cols = {}, {}
+    mixed = solve.mixed
+    row_at = col_at = 0
+    for v in mixed.states.tolist():  # each game's strategies follow the one before
+        size_row, size_col = first_row[v + 1] - first_row[v], first_col[v + 1] - first_col[v]
+        rows[v] = np.maximum(mixed.rows[row_at:row_at + size_row], 0.0)
+        cols[v] = np.maximum(mixed.cols[col_at:col_at + size_col], 0.0)
+        row_at, col_at = row_at + size_row, col_at + size_col
     for v in (~np.isnan(solve.values)).nonzero()[0].tolist():
-        if v in solve.mixed:
-            row, col = solve.mixed[v]
-            rows[v], cols[v] = np.maximum(row, 0.0), np.maximum(col, 0.0)
+        if v in rows:
             continue
         for out, first, extreme in ((rows, first_row, row_min), (cols, first_col, col_max)):
             start, stop = first[v], first[v + 1]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import reference
-from builders import matrix_as_game, max_mass_into
+from builders import duplicate_action, matrix_as_game, max_mass_into, permute_actions
 from ergopump.documents import (
     parse_certificate,
     parse_game,
@@ -353,6 +353,22 @@ def test_criterion_8_known_instances():
         assert verdict.ceiling - verdict.floor <= 1e-9
     _report(8, "big match gap 1 certified, disconnected gap 10 certified, "
                "10 one-state games certified with zero-width bands")
+
+
+def test_action_relabelling_keeps_the_verdict(corpus):
+    # each state's actions in another order, or one action of each player
+    # repeated, is the same game: the verdict kind and a witness's high and
+    # low sets stay as they were. The n = 128 game's local solves settle
+    # their mixed games in matrix_game's batch, which tries the 2x2
+    # candidates in the order of the action indices
+    rng = np.random.default_rng(0)
+    ladder = _solve("random-n128", random_game(128, max_actions=3, seed=0))
+    for inst in [*corpus, ladder]:
+        for changed in (permute_actions(inst.game, rng), duplicate_action(inst.game, rng)):
+            verdict, _ = decide_ergodicity(changed, EPS)
+            assert verdict.kind == inst.verdict.kind, inst.name
+            assert verdict.high_states == inst.verdict.high_states, inst.name
+            assert verdict.low_states == inst.verdict.low_states, inst.name
 
 
 def test_criterion_9_determinism(corpus):

@@ -4,6 +4,7 @@ import json
 import pickle
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -221,6 +222,21 @@ class TestRecordValues:
         with pytest.raises(DocumentError) as err:
             make_game(["s"], [["a"]], [["x"]], [("s", "a", "x", "s", p, 0.0)])
         assert err.value.problems == (f"transition record 0: {problem}",)
+
+    @pytest.mark.parametrize("first, second, problem", [
+        (1, True, "transition record 1: bool is not a probability"),
+        (True, 1, "transition record 0: bool is not a probability"),
+        (0.5, Decimal("0.5"), "transition record 1: cannot interpret Decimal('0.5') as a "
+                              "probability"),
+        ("1/2", [1], "transition record 1: cannot interpret [1] as a probability"),
+    ], ids=["int then bool", "bool then int", "float then Decimal", "str then list"])
+    def test_probability_equal_to_a_good_one_is_still_checked(self, first, second, problem):
+        # True == 1 and Decimal("0.5") == 0.5, each pair hashing alike: no
+        # value is read as an equal value of another type
+        with pytest.raises(DocumentError) as err:
+            make_game(["s"], [["a"]], [["x", "y"]],
+                      [("s", "a", "x", "s", first, 0.0), ("s", "a", "y", "s", second, 0.0)])
+        assert err.value.problems == (problem,)
 
     def test_probability_past_the_digit_limit_rejected_before_it_is_built(self):
         # Fraction("1e-10000000") would spend seconds building 10**10000000

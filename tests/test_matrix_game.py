@@ -1,5 +1,7 @@
 """Matrix game solver against closed forms, independent LPs, and properties."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -210,57 +212,193 @@ def _solution_bits(solved):
 
 @st.composite
 def _stacked_games(draw):
-    """(game, x, states): 1-5 states of 1-3 actions per player, one record
-    per action pair to a drawn successor with a reward in {-2..2} or a
-    float, at a potential of small integers (so integer rewards keep exact
-    ties in the payoffs) or floats, with every state listed (None) or a
-    drawn subset."""
+    """(game, x, states): 1-5 states of 1-3 actions per player, now and
+    then 4, one record per action pair to a drawn successor with a reward
+    in {-2..2} or a float, at a potential of small integers (so integer
+    rewards keep exact ties in the payoffs) or floats, with every state
+    listed (None) or a drawn subset. The block is stacked once or
+    _BATCH_MIN_GAMES times, each copy's records to its own states and x
+    repeated, so that a stacked call with a mixed game of at most 3x3 has
+    the crossover count of them, and a larger one beside them."""
     entries = draw(st.sampled_from([st.integers(-2, 2).map(float), st.floats(-10, 10)]))
     n = draw(st.integers(1, 5))
-    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
-                           min_size=n, max_size=n))
-    records = [(v, k, l, draw(st.integers(0, n - 1)), 1, draw(entries))
-               for v, (rows, cols) in enumerate(shapes)
-               for k in range(rows) for l in range(cols)]
-    game = make_game([f"s{v}" for v in range(n)],
-                     [[f"a{k}" for k in range(rows)] for rows, _ in shapes],
-                     [[f"b{l}" for l in range(cols)] for _, cols in shapes], records)
+    actions = st.integers(1, 3) | st.just(4)
+    shapes = draw(st.lists(st.tuples(actions, actions), min_size=n, max_size=n))
+    block = [(v, k, l, draw(st.integers(0, n - 1)), 1, draw(entries))
+             for v, (rows, cols) in enumerate(shapes)
+             for k in range(rows) for l in range(cols)]
     x = draw(st.lists(st.one_of(st.integers(-2, 2).map(float), st.floats(-10, 10)),
                       min_size=n, max_size=n))
     states = draw(st.none() | st.sets(st.integers(0, n - 1)).map(sorted))
-    return game, np.array(x), states
+    copies = draw(st.sampled_from([1, matrix_game._BATCH_MIN_GAMES]))
+    game = make_game([f"s{v}" for v in range(n * copies)],
+                     [[f"a{k}" for k in range(rows)] for rows, _ in shapes] * copies,
+                     [[f"b{l}" for l in range(cols)] for _, cols in shapes] * copies,
+                     [(v + c * n, k, l, u + c * n, p, r)
+                      for c in range(copies) for v, k, l, u, p, r in block])
+    if states is not None:
+        states = [v + c * n for c in range(copies) for v in states]
+    return game, np.array(x * copies), states
+
+
+def _expected_solves(game, x, states):
+    """{state: (value, row, col, gap)} of each listed state's local game, by
+    the scalar kernel kept in reference.kernel_solve, else the value LP."""
+    payoffs = local_payoffs(game, x)
+    expected = {}
+    for v in range(game.n) if states is None else states:
+        rows = game.state_matrix(payoffs, v).tolist()
+        expected[v] = reference.kernel_solve(rows) or matrix_game._solve(rows)
+    return expected
+
+
+def _assert_solve_matches(game, x, states, expected):
+    """local_values and local_solve give each listed state's expected value,
+    and strategies() one array per player: each listed state's vector from
+    its own solve, clipped at 0, and NaN at the states not listed, as the
+    per-state build lays them out, signs of zeros included."""
+    values = np.full(game.n, np.nan)
+    values[list(expected)] = [solved[0] for solved in expected.values()]
+    assert _bits(local_values(game, x, states)) == _bits(values)
+    solve = local_solve(game, x, states)
+    assert _bits(solve.values) == _bits(values)
+    per_state = reference.strategies_per_state(solve)
+    for mix, side, vectors, player in zip(solve.strategies(), (1, 2), per_state,
+                                          ("row", "col")):
+        solved = {v: np.maximum(out[side], 0.0) for v, out in expected.items()}
+        assert _bits(mix) == _bits(reference.layout(game, solved, player))
+        assert _bits(mix) == _bits(reference.layout(game, vectors, player))
+
+
+def _assert_matches_on_its_path(drawn, batch_min):
+    """_assert_solve_matches with _BATCH_MIN_GAMES set to batch_min, and
+    the batch run exactly when the call lists that many mixed games of at
+    most 3x3."""
+    game, x, states = drawn
+    expected = _expected_solves(game, x, states)
+    crossover = mock.patch.object(matrix_game, "_BATCH_MIN_GAMES", batch_min)
+    kernels = mock.patch.object(matrix_game, "_batch_kernels", wraps=matrix_game._batch_kernels)
+    with crossover, kernels as batched:
+        _assert_solve_matches(game, x, states, expected)
+    assert batched.called == (_mixed_small(game, x, states) >= batch_min)
+
+
+def _mixed_small(game, x, states):
+    """How many listed states' local games are mixed and at most 3x3."""
+    payoffs = local_payoffs(game, x)
+    count = 0
+    for v in range(game.n) if states is None else states:
+        A = game.state_matrix(payoffs, v)
+        count += A.min(1).max() != A.max(0).min() and max(A.shape) <= 3
+    return count
+
+
+def _repeated(*matrices, copies=1):
+    """A game of one state per matrix, the list repeated `copies` times, each
+    state's local game its matrix (all self-loops, so its payoffs at x = 0
+    are the matrix's entries)."""
+    matrices = matrices * copies
+    return make_game([f"s{v}" for v in range(len(matrices))],
+                     [[f"a{k}" for k in range(len(A))] for A in matrices],
+                     [[f"b{l}" for l in range(len(A[0]))] for A in matrices],
+                     [(v, k, l, v, 1, entry) for v, A in enumerate(matrices)
+                      for k, row in enumerate(A) for l, entry in enumerate(row)])
+
+
+def _first_candidate(rows):
+    """(s, (p1, p2, q1, q2)) of a game's first 2x2 candidate, rows 0 and 1
+    and columns 0 and 1, as _kernel_solve computes them; no weights when s
+    is 0.0."""
+    corner = rows[0][0]
+    b01, b10, b11 = rows[0][1] - corner, rows[1][0] - corner, rows[1][1] - corner
+    s = b11 - b10 - b01
+    return s, ((b11 - b10) / s, -b01 / s, (b11 - b01) / s, -b10 / s) if s else None
+
+
+_TOL = matrix_game._SADDLE_TOL
+_ABOVE = float(np.nextafter(2 * _TOL, 1.0))
+# mixed games, each meeting the branch of the kernels its name gives, as
+# test_degenerate_games_meet_their_branch checks at offset 0
+_DEGENERATE = {
+    # the first candidate has s == 0.0
+    "zero s": [[0.0, 1.0, 3.0], [1.0, 2.0, -1.0]],
+    # the first candidate has s != 0 and a negative weight
+    "negative weight": [[2.0, -2.0, -3.0], [3.0, -3.0, 0.0]],
+    # the first candidate settles with a gap of exactly _SADDLE_TOL ...
+    "gap at tolerance": [[2 * _TOL, 0.0, 4 * _TOL], [0.0, 2 * _TOL, -4 * _TOL]],
+    # ... and fails with the third column's payoff a few ulps lower
+    "gap above tolerance": [[2 * _TOL, 0.0, 4 * _TOL], [0.0, 2 * _TOL, -2 * _ABOVE]],
+    # the first candidate's entries overflow, so its s and weights are NaN:
+    # _kernel_solve's sign test passes them and its saddle check fails them
+    "overflow": [[1.7e308, -1.7e308, -1e308], [-1e308, -1e308, -1.7e308]],
+    # no 2x2 candidate settles it, its 3x3 adjugate does
+    "adjugate only": [[-2.0, -2.0, 2.0], [1.0, 2.0, 0.0], [2.0, -1.0, 0.0]],
+    # at this scale no kernel passes the saddle check; the value LP does
+    "needs the simplex": [[8814194.0, 5394566.0, -4976244.0],
+                          [9704495.0, 8453080.0, -3132186.0],
+                          [1235916.0, 4775544.0, 8368012.0]],
+}
 
 
 class TestScreenAgainstScalarKernel:
-    """The pure-saddle screen and the cheaper 2x2 candidates return bit for
-    bit what the scalar kernel, kept unchanged in reference.kernel_solve,
-    returns for each local game."""
+    """The pure-saddle screen, the cheaper 2x2 candidates and the batch of
+    a call's mixed games return bit for bit what the scalar kernel, kept
+    unchanged in reference.kernel_solve, returns for each local game."""
 
     @settings(max_examples=300, deadline=None)
     @given(_stacked_games())
     def test_local_games_match_a_per_state_solve(self, drawn):
-        game, x, states = drawn
-        payoffs = local_payoffs(game, x)
-        listed = range(game.n) if states is None else states
-        expected = {}
-        for v in listed:
-            rows = game.state_matrix(payoffs, v).tolist()
-            expected[v] = reference.kernel_solve(rows) or matrix_game._solve(rows)
-        values = np.full(game.n, np.nan)
-        values[list(expected)] = [solved[0] for solved in expected.values()]
+        # a stacked call with a mixed game takes the batch, a single block
+        # the scalar kernels
+        _assert_matches_on_its_path(drawn, matrix_game._BATCH_MIN_GAMES)
 
-        assert _bits(local_values(game, x, states)) == _bits(values)
-        solve = local_solve(game, x, states)
-        assert _bits(solve.values) == _bits(values)
-        # one array per player: each listed state's vector from its own
-        # solve, clipped at 0, and NaN at the states not listed, as the
-        # per-state build lays them out, signs of zeros included
-        per_state = reference.strategies_per_state(solve)
-        for mix, side, vectors, player in zip(solve.strategies(), (1, 2), per_state,
-                                              ("row", "col")):
-            solved = {v: np.maximum(out[side], 0.0) for v, out in expected.items()}
-            assert _bits(mix) == _bits(reference.layout(game, solved, player))
-            assert _bits(mix) == _bits(reference.layout(game, vectors, player))
+    @settings(max_examples=200, deadline=None)
+    @given(_stacked_games())
+    def test_batch_matches_a_per_state_solve_from_one_game(self, drawn):
+        # with the crossover count set to 1, every call with a mixed game
+        # of at most 3x3 takes the batch, whatever its count
+        _assert_matches_on_its_path(drawn, 1)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("case", sorted(_DEGENERATE))
+    def test_degenerate_games_on_both_paths(self, case, offset, monkeypatch):
+        matrix = (np.array(_DEGENERATE[case]) + offset).tolist()
+        kernels = count_calls(monkeypatch, ("_batch_kernels", "_simplex_max"))
+        for copies in (1, matrix_game._BATCH_MIN_GAMES):
+            game = _repeated(matrix, copies=copies)
+            x = np.zeros(copies)
+            _assert_solve_matches(game, x, None, _expected_solves(game, x, None))
+        assert kernels["_batch_kernels"] == 2  # local_values and local_solve, stacked
+        assert (kernels["_simplex_max"] > 0) == (case == "needs the simplex")
+
+    def test_larger_games_beside_the_batch(self, monkeypatch):
+        # a call that batches its mixed 2x2 games solves its mixed 4x4 ones
+        # one at a time, and keeps their strategies after the batch's, out
+        # of state order
+        kernels = count_calls(monkeypatch, ("_batch_kernels", "_simplex_max"))
+        game = _repeated(np.eye(4).tolist(), [[3.0, 1.0], [0.0, 2.0]],
+                         copies=matrix_game._BATCH_MIN_GAMES)
+        x = np.zeros(game.n)
+        _assert_solve_matches(game, x, None, _expected_solves(game, x, None))
+        assert kernels["_batch_kernels"] == 2 and kernels["_simplex_max"] > 0
+
+    def test_degenerate_games_meet_their_branch(self):
+        cases = _DEGENERATE
+        assert _first_candidate(cases["zero s"])[0] == 0.0
+        s, weights = _first_candidate(cases["negative weight"])
+        assert s != 0.0 and min(weights) < 0.0
+        assert reference.kernel_solve(cases["gap at tolerance"])[3] == _TOL
+        # the first candidate, which settles the game above at the tolerance
+        assert _first_candidate(cases["gap above tolerance"])[1] == (0.5, 0.5, 0.5, 0.5)
+        assert reference.kernel_solve(cases["gap above tolerance"])[2] != [0.5, 0.5, 0.0]
+        s, weights = _first_candidate(cases["overflow"])
+        assert s != s and reference.kernel_solve(cases["overflow"]) is not None
+        row, col = reference.kernel_solve(cases["adjugate only"])[1:3]
+        assert min(row) > 0.0 and min(col) > 0.0
+        assert reference.kernel_solve(cases["needs the simplex"]) is None
+        for matrix in cases.values():
+            A = np.array(matrix)
+            assert A.min(1).max() != A.max(0).min()  # mixed: the screen forwards it
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_ladder_exit_strategies_match_the_per_state_build(self, n):

@@ -104,6 +104,22 @@ def test_parsed_strategies_match_the_per_state_layout(workload, monkeypatch):
             mix.tobytes() for mix in reference.document_strategies(game, result.certificate)]
 
 
+@pytest.mark.parametrize("workload, batched", [("corpus", False), ("ladder", True)])
+def test_each_dispatch_side_has_a_workload(workload, batched, monkeypatch):
+    """matrix_game settles a call's mixed games in one batch from
+    _BATCH_MIN_GAMES games on, else one at a time. At seed 0 every ladder
+    local solve takes the batch and no corpus local solve does, so the
+    benchmark times each side; a workload change that moves a side out of
+    it fails here."""
+    run = _load("run", monkeypatch)
+    instances = run.workloads.build(workload, 0)
+    games = [parse_game(inst.text) for inst in instances]
+    calls = count_calls(monkeypatch, ("local_solve", "_batch_kernels"))
+    run.solve_pass(instances, games)
+    assert calls["local_solve"] > 0
+    assert calls["_batch_kernels"] == (calls["local_solve"] if batched else 0)
+
+
 GOLDEN_DOCUMENTS = {
     "corpus": "0e3fb6af8b53d1bb803464e504c18feddbdbac9afc00dee7cc28084d27094d63",
     "ladder": "f64b104b267b716afbaba9b6df6cde28fe4c2747394b61353129bf5b9e21a0c2",
