@@ -29,20 +29,25 @@ Settles the local games of a stochastic game in three stages.
 
 A LocalSolve is the one record of a potential and its local games: the
 potential x, and what settling the games took, namely the screen's row
-minima and column maxima and its mixed games' strategies, one MixedGames
-record of flat arrays, as the batch or the scalar kernels left them. Its
-values serve the pump and the band check; the strategies are laid out, one
-array per player, only when a certificate asks for them, so no game is
-solved twice for them. The screen returns bit for bit what the kernels return for the
-games it settles. Every stage is deterministic, so results are
-bit-reproducible. Every solve saddle-checks the strategies it returns; a
-solve that stalls or fails that check raises MatrixGameError.
+minima and column maxima, its per-state pure maximin and minimax, and its
+mixed games' strategies, one MixedGames record of flat arrays, as the
+batch or the scalar kernels left them. Its values serve the pump and the
+band check, and its pure bounds the pump's witness check; the strategies
+are laid out, one array per player, only when a certificate asks for
+them, so no game is solved twice for them. The screen returns bit for bit
+what the kernels return for the games it settles. Every stage is
+deterministic, and every float sum in the scalar kernels adds left to
+right from +0.0 (left_sum), as the batch does, so results are
+bit-reproducible on every Python version. Every solve saddle-checks the
+strategies it returns; a solve that stalls or fails that check raises
+MatrixGameError.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
@@ -134,10 +139,17 @@ def _simplex_max(tableau, basis, n_vars) -> bool:
         pivots += 1
 
 
+def left_sum(items):
+    """The floats of items added left to right from +0.0, as builtin sum
+    adds them up to Python 3.11; from 3.12 on, sum compensates its rounding,
+    which would set the scalar kernels' bits apart from _batch_kernels'."""
+    return reduce(add, items, 0.0)
+
+
 def _saddle_bounds(rows, row_strategy, col):
     """(worst column payoff of row_strategy, best row payoff against col)."""
-    best_row = max(sum(map(mul, row, col)) for row in rows)
-    worst_col = min(sum(map(mul, row_strategy, column)) for column in zip(*rows))
+    best_row = max(left_sum(map(mul, row, col)) for row in rows)
+    worst_col = min(left_sum(map(mul, row_strategy, column)) for column in zip(*rows))
     return worst_col, best_row
 
 
@@ -195,12 +207,12 @@ def _kernel_solve(a, screened=False, paired=False):
         cof = [[b[(i + 1) % 3][(j + 1) % 3] * b[(i + 2) % 3][(j + 2) % 3]
                 - b[(i + 1) % 3][(j + 2) % 3] * b[(i + 2) % 3][(j + 1) % 3]
                 for j in range(3)] for i in range(3)]
-        row_weights = [sum(row) for row in cof]
-        s = sum(row_weights)
+        row_weights = [left_sum(row) for row in cof]
+        s = left_sum(row_weights)
         if s != 0.0:
-            return _settles(a, corner + sum(map(mul, b[0], cof[0])) / s,
+            return _settles(a, corner + left_sum(map(mul, b[0], cof[0])) / s,
                             [w / s for w in row_weights],
-                            [sum(column) / s for column in zip(*cof)])
+                            [left_sum(column) / s for column in zip(*cof)])
     return None
 
 
@@ -257,10 +269,10 @@ def _solve(rows, screened=False, paired=False):
     for i, b in enumerate(basis):
         if b < n:
             w[b] = tableau[i][n_vars]
-    total = sum(w)
+    total = left_sum(w)
     # duals live in the objective row under the slack columns
     y = [x if x > 0.0 else 0.0 for x in tableau[m][n:n_vars]]
-    y_total = sum(y)
+    y_total = left_sum(y)
     if not optimal or total <= 0.0 or y_total <= 0.0:
         raise MatrixGameError(
             "simplex did not reach an optimum",
@@ -325,10 +337,11 @@ def _screen(game, x, states):
     Segmented reductions give each global row's minimum, each global
     column's maximum (over the flat view's column order), then each state's
     pure maximin and minimax. Returns (payoffs, values, mixed, row_min,
-    col_max): every slot's payoff; per state, the value of each listed pure
-    saddle, whose two values are exactly equal, NaN elsewhere; the listed
-    states that are not pure saddles, ascending; and each global row's
-    minimum and column's maximum. A value is bit for bit the entry
+    col_max, maximin, minimax): every slot's payoff; per state, the value of
+    each listed pure saddle, whose two values are exactly equal, NaN
+    elsewhere; the listed states that are not pure saddles, ascending; each
+    global row's minimum and column's maximum; and every state's pure
+    maximin and minimax, listed or not. A value is bit for bit the entry
     _kernel_solve returns: the reductions return entries, and equal entries
     are equal bits, as local_payoffs never returns -0.0 (its first term, a
     bincount total, is not -0.0, and a float sum or difference is -0.0 only
@@ -338,12 +351,14 @@ def _screen(game, x, states):
     payoffs = local_payoffs(game, x)
     row_min = np.minimum.reduceat(payoffs, flat.row_start)
     col_max = np.maximum.reduceat(payoffs[flat.col_order], flat.col_start)
-    lower = np.maximum.reduceat(row_min, flat.first_row[:-1])
+    maximin = np.maximum.reduceat(row_min, flat.first_row[:-1])
+    minimax = np.minimum.reduceat(col_max, flat.first_col[:-1])
     listed = np.ones(game.n, dtype=bool) if states is None else state_mask(game.n, states)
-    saddle = listed & (lower == np.minimum.reduceat(col_max, flat.first_col[:-1]))
-    values = np.where(saddle, lower, np.nan)
+    saddle = listed & (maximin == minimax)
+    values = np.where(saddle, maximin, np.nan)
     # saddle is a subset of listed, so listed ^ saddle is listed & ~saddle
-    return payoffs, values, (listed ^ saddle).nonzero()[0], row_min, col_max
+    return (payoffs, values, (listed ^ saddle).nonzero()[0], row_min, col_max, maximin,
+            minimax)
 
 
 class MixedGames(NamedTuple):
@@ -366,7 +381,10 @@ class LocalSolve(NamedTuple):
     values holds each listed state's local value and NaN elsewhere. The
     solve keeps what settling took: each global row's minimum and column's
     maximum from the screen, and its mixed games' strategies as solved, so
-    strategies() reads them and solves nothing.
+    strategies() reads them and solves nothing. maximin and minimax are
+    every state's pure maximin and minimax from the screen, listed or not:
+    entries of its local game, which the pump's witness check reads as
+    bounds on the payoffs of that game (pump._first_hop_threshold).
     """
 
     game: object
@@ -374,6 +392,8 @@ class LocalSolve(NamedTuple):
     values: np.ndarray
     row_min: np.ndarray
     col_max: np.ndarray
+    maximin: np.ndarray
+    minimax: np.ndarray
     mixed: MixedGames
 
     def strategies(self) -> tuple:
@@ -491,7 +511,7 @@ def _batch_kernels(payoffs, flat, games, values):
             b = a - corner
             f = b[_COF_ROWS, _COF_COLS]
             cof = f[0] * f[1] - f[2] * f[3]
-            # every sum left to right from +0.0, as Python's sum adds floats
+            # every sum left to right from +0.0, as left_sum adds floats
             sums = np.concatenate([cof, cof.transpose(1, 0, 2)])
             weights = 0.0 + sums[:, 0] + sums[:, 1] + sums[:, 2]  # row sums, column sums
             s = 0.0 + weights[0] + weights[1] + weights[2]
@@ -513,12 +533,13 @@ def _batch_kernels(payoffs, flat, games, values):
 
 def _solve_each(flat, payoffs, values, games, paired=False):
     """Solve the games of `games` one at a time, writing their values;
-    returns their row and column strategies, each as one list in order."""
-    payoffs = payoffs.tolist()
+    returns their row and column strategies, each as one list in order.
+    Only the games' own slots are converted to Python floats."""
     first, width = flat.first_slot.tolist(), flat.col_count.tolist()
     rows, cols = [], []
     for v in games.tolist():
-        matrix = [payoffs[s:s + width[v]] for s in range(first[v], first[v + 1], width[v])]
+        slots, step = payoffs[first[v]:first[v + 1]].tolist(), width[v]
+        matrix = [slots[s:s + step] for s in range(0, len(slots), step)]
         values[v], row, col, _ = _solve(matrix, screened=True, paired=paired)
         rows += row
         cols += col
@@ -560,8 +581,9 @@ def local_solve(game, x, states=None) -> LocalSolve:
     state. The screen settles the pure saddles, and the mixed games are
     settled by _settle_mixed."""
     x = np.asarray(x, dtype=np.float64)
-    payoffs, values, mixed, row_min, col_max = _screen(game, x, states)
+    payoffs, values, mixed, row_min, col_max, maximin, minimax = _screen(game, x, states)
     return LocalSolve(game=game, x=x, values=values, row_min=row_min, col_max=col_max,
+                      maximin=maximin, minimax=minimax,
                       mixed=_settle_mixed(game.flat, payoffs, values, mixed))
 
 

@@ -24,10 +24,18 @@ The pump steps from LocalSolve to LocalSolve (matrix_game): it enters with
 its caller's solve, which holds the entry potential and the local values
 there, each evaluated step is one more, and the outcome carries the last
 one, so a caller that certifies the pump's last potential takes the
-strategies from it instead of solving those games again. A witness check
-builds one GapGraph, which keeps the pumped set and the payoff bounds that
-size its gap thresholds, and rejects most steps at their first hop
-(find_closed_sets), before it sorts the potential.
+strategies from it instead of solving those games again.
+
+A witness check tests its first hop before anything else: a top state
+outside the pumped set or with an arc out of it, or a bottom state inside
+it or with an arc into it, rules the closed sets out (_first_hop_leaks).
+It sizes the gap thresholds of that test from the step's LocalSolve alone,
+by the screen's pure maximin and minimax, which bound the payoff bounds of
+the graph's thresholds from below (_first_hop_threshold), so an arc found
+there is an arc of the graph. Most checks end there, with no gap graph.
+Only a check that passes builds one GapGraph, which keeps the pumped set
+and the payoff bounds that size its gap thresholds, and runs its closures
+(find_closed_sets). Both size thresholds by one rule (gap_thresholds).
 
 Band monotonicity, the drift bound (at most k*delta over a jump of k steps,
 in the direction the pumped set dictates), the payoff bound and the boundary
@@ -39,17 +47,21 @@ What a step costs. On small games (the acceptance corpus has 2 to 5
 states) an evaluated step's arrays hold a few dozen entries, so its cost is
 the fixed cost of each numpy call and Python call it makes, not arithmetic.
 An evaluated step is one local solve and one band partition; a witness
-check adds one gap graph, with its payoff bounds, and a closed-set search.
+check adds its first-hop test, Python comparisons that size a threshold
+only for the seeds they reach, and only if that passes one gap graph,
+with its payoff bounds, and a closed-set search. A landed step with both
+bands non-empty also computes its payoff bounds (r_bounds) for the
+payoff-bound check, once, taking them from its graph when it has one.
 Each is cut to few calls: partition sorts the values into all three bands
 in one Python pass; the phase's states go to local_solve as a bool mask
-built once per pump; a potential is checked finite once per evaluation and
-once per graph (in r_bounds); and the pumped mask is built once per
-landed step, by its graph, which keeps it (GapGraph.pumped): r_bounds, the
-payoff-bound check, the jump vector, the drift check and the graphs of the
-jump's probes, whose partition is the landed step's, all read it.
-The pump still calls partition, auxiliary_graph, r_bounds,
-find_closed_sets and local_solve by their module names, so a tracer that
-wraps those names sees every band and every graph.
+built once per pump; a potential is checked finite once per evaluation
+and once per r_bounds; and the pumped mask is built once per landed step,
+which keeps it (_Step.pumped): the first-hop test, r_bounds, the
+payoff-bound check, the jump vector, the drift check and the checks of the
+jump's probes, whose partition is the landed step's, all read it. The
+pump still calls partition, r_bounds, auxiliary_graph, find_closed_sets
+and local_solve by their module names, so a tracer that wraps those names
+sees every band, every payoff bound and every graph.
 """
 
 from __future__ import annotations
@@ -89,6 +101,8 @@ class PumpStats:
     def __init__(self, pump_counts: np.ndarray | None = None, trace: list | None = None):
         self.iterations = 0
         self.pump_counts = pump_counts
+        # witness checks run, at landed steps and probes: those the first hop
+        # rejected from the local solve and those a gap graph decided
         self.witness_checks = 0
         self.local_games = 0  # local games settled: the phase's states, per evaluated step
         self.trace = trace
@@ -183,19 +197,31 @@ def auxiliary_graph(game: GameSpec, x: Potential, pumped, m_plus: float, eps: fl
 
     pumped is a bool mask per state, which the graph keeps as is, or the
     pumped states' indices. A state's gap threshold is |L^v| (pumped v) or
-    |K^v| times W * R_v^2 / eps, with R_v its r_bounds bound and W the
-    game's granularity. r_bounds checks x, once per graph.
+    |K^v| times W * R_v^2 / eps (gap_thresholds), with R_v its r_bounds
+    bound and W the game's granularity. r_bounds checks x, once per graph.
     """
     x = np.asarray(x, dtype=np.float64)
     flat = game.flat
     mask = state_mask(game.n, pumped)
     bounds = r_bounds(game, x, mask, m_plus)
     width = np.where(mask, flat.col_count, flat.row_count)
+    return GapGraph(x=x, bounds=bounds, pumped=mask,
+                    thresholds=gap_thresholds(width, flat.granularity, bounds, eps))
+
+
+def gap_thresholds(width, granularity: int, bounds, eps: float):
+    """|L^v| (pumped v) or |K^v| (width) times W * bound^2 / eps, W the
+    game's granularity: per state for arrays, as auxiliary_graph sizes its
+    thresholds, or for one state's Python floats, as the witness check's
+    first hop does (_first_hop_threshold), bit for bit the same.
+
+    Every operation is a correctly rounded float operation with positive
+    factors, so a threshold never decreases as a non-negative bound grows.
+    """
     try:
-        thresholds = width * float(flat.granularity) * bounds ** 2 / eps
+        return width * float(granularity) * (bounds * bounds) / eps
     except OverflowError:  # W beyond the float range: a threshold is 0 or saturates to inf
-        thresholds = np.where(bounds == 0, 0.0, math.inf)
-    return GapGraph(x=x, bounds=bounds, pumped=mask, thresholds=thresholds)
+        return np.where(bounds == 0, 0.0, math.inf)
 
 
 def forward_closure(graph: GapGraph, seeds) -> frozenset:
@@ -233,30 +259,58 @@ def forward_closure(graph: GapGraph, seeds) -> frozenset:
     return frozenset(seen)
 
 
-def _leaks_at_first_hop(graph: GapGraph, top, bottom) -> bool:
-    """Whether a top state lies outside the pumped set or has an arc out of
-    it, or a bottom state lies inside it or has an arc into it.
+def _first_hop_threshold(solve: LocalSolve, v: int, pumped: np.ndarray, m_plus: float,
+                         eps: float) -> float:
+    """State v's gap threshold at solve.x for the pumped mask `pumped`, from
+    the local solve alone, no larger than auxiliary_graph's.
 
-    Either rules the closed sets out. A state's out-neighbours are a prefix
-    or a suffix of the ascending-x order, so it has an arc into a set of
+    It is sized by a lower bound on v's r_bounds bound: its pure maximin if
+    pumped, else m_plus minus its pure minimax, at least 0. r_bounds
+    charges each record min(x[u], x[v]) at a pumped state and max(x[u],
+    x[v]) elsewhere in place of x[u], and float rounding is monotone, so
+    every slot payoff it takes the largest of is at least the screen's
+    (pumped) or at most it (otherwise); the maximin and the minimax are
+    entries the screen took from those payoffs. A threshold never
+    decreases as its bound grows (gap_thresholds), so every arc under this
+    threshold is an arc of the graph.
+    """
+    flat = solve.game.flat
+    if pumped.item(v):
+        width, bound = flat.col_count.item(v), solve.maximin.item(v)
+    else:
+        width, bound = flat.row_count.item(v), m_plus - solve.minimax.item(v)
+    return gap_thresholds(width, flat.granularity, max(bound, 0.0), eps)
+
+
+def _first_hop_leaks(x: np.ndarray, pumped: np.ndarray, top, bottom, threshold) -> bool:
+    """Whether a top state lies outside the pumped set or has an arc out of
+    it, or a bottom state lies inside it or has an arc into it, in the gap
+    graph at x whose state v has the threshold threshold(v).
+
+    Either rules the closed sets out, in this graph and in any graph with
+    larger thresholds: the pump passes _first_hop_threshold, so a check
+    this rejects needs no graph. A state's out-neighbours are a prefix or
+    a suffix of the ascending-x order, so it has an arc into a set of
     states exactly when it has one to the set's state of least x (prefix)
     or of greatest x (suffix): one comparison per seed, and no sort. A top
     state can lie outside the pumped set only when some state does, and a
     bottom state inside it only when some state does, so each side is
-    tested only when the other side has a state. Plain Python lists: the
-    witness checks of small games would spend longer in numpy's per-call
-    overhead than in the comparisons.
+    tested only when the other side has a state. Seeds are tested in turn
+    until one leaks, each threshold asked for only when its seed's
+    comparison needs it. Plain Python lists: the witness checks of small
+    games would spend longer in numpy's per-call overhead than in the
+    comparisons.
     """
-    x, t, up = graph.x.tolist(), graph.thresholds.tolist(), graph.pumped.tolist()
-    outside = [xu for xu, pumped in zip(x, up) if not pumped]
-    inside = [xu for xu, pumped in zip(x, up) if pumped]
+    x, up = x.tolist(), pumped.tolist()
+    outside = [xu for xu, flag in zip(x, up) if not flag]
+    inside = [xu for xu, flag in zip(x, up) if flag]
     if outside:
         lowest = min(outside)
-        if any(not up[v] or lowest - x[v] < t[v] for v in top):
+        if any(not up[v] or lowest - x[v] < threshold(v) for v in top):
             return True
     if inside:
         highest = max(inside)
-        if any(up[v] or x[v] - highest < t[v] for v in bottom):
+        if any(up[v] or x[v] - highest < threshold(v) for v in bottom):
             return True
     return False
 
@@ -266,10 +320,11 @@ def find_closed_sets(graph: GapGraph, top, bottom):
 
     Returns (high, low) when the forward closure of the top band (high)
     stays inside the graph's pumped set and the closure of the bottom band
-    (low) stays outside it; otherwise None. A check that fails at its first
-    hop (_leaks_at_first_hop) returns None before any closure runs.
+    (low) stays outside it; otherwise None. The pump calls it only on a
+    check whose first hop (_first_hop_leaks) passed, so it runs the
+    closures, and their sort, without a first-hop test of its own.
     """
-    if not top or not bottom or _leaks_at_first_hop(graph, top, bottom):
+    if not top or not bottom:
         return None
     high = forward_closure(graph, top)
     if not graph.pumped[list(high)].all():
@@ -326,13 +381,15 @@ def _check_band_monotonicity(tau, prev_part, part):
 
 class _Step:
     """One evaluated pump step; the witness check runs at most once, on demand,
-    and leaves its graph and result here."""
+    and leaves here the pumped mask it ran with, its graph if it needed one,
+    and its result."""
 
-    __slots__ = ("solve", "part", "graph", "closed")
+    __slots__ = ("solve", "part", "pumped", "graph", "closed")
 
     def __init__(self, solve: LocalSolve, part: BandPartition):
         self.solve = solve
         self.part = part
+        self.pumped: np.ndarray | None = None
         self.graph: GapGraph | None = None
         self.closed: tuple | None = None
 
@@ -396,13 +453,17 @@ def modified_pump(
         stats.local_games += listed_count
         return _Step(solve=solve, part=partition(solve.values, m_minus, m_plus))
 
-    def witness(step: _Step, pumped):
-        # pumped: the step's pumped states, as a set or as the mask a graph
-        # of the same partition already built
-        if step.graph is None:
-            step.graph = auxiliary_graph(game, step.solve.x, pumped, m_plus, eps)
+    def witness(step: _Step, pumped: np.ndarray):
+        # pumped: the bool mask of the step's pumped states
+        if step.pumped is None:
+            step.pumped = pumped
             stats.witness_checks += 1
-            step.closed = find_closed_sets(step.graph, step.part.top, step.part.bottom)
+            top, bottom = step.part.top, step.part.bottom
+            solve = step.solve
+            if not _first_hop_leaks(solve.x, pumped, top, bottom,
+                                    lambda v: _first_hop_threshold(solve, v, pumped, m_plus, eps)):
+                step.graph = auxiliary_graph(game, solve.x, pumped, m_plus, eps)
+                step.closed = find_closed_sets(step.graph, top, bottom)
         return step.closed
 
     here = _Step(solve=entry, part=partition(m0, m_minus, m_plus))
@@ -411,8 +472,8 @@ def modified_pump(
     tau = 0
     while True:
         m, part = here.solve.values, here.part
-        if prev is not None:  # the jump from prev pumped prev's graph's pumped states
-            _check_step_invariants(tau, prev.solve.values, m, prev.graph.pumped, delta, jump)
+        if prev is not None:  # the jump from prev pumped prev's checked pumped states
+            _check_step_invariants(tau, prev.solve.values, m, prev.pumped, delta, jump)
             _check_band_monotonicity(tau, prev.part, part)
         if stats.trace is not None:
             finite = m[listed]
@@ -428,14 +489,18 @@ def modified_pump(
         if not part.top or not part.bottom:
             kind = "band-collapsed"
         else:
-            closed = witness(here, part.pumped)
+            # a landed step whose probe checked it has the mask of its partition
+            pumped = here.pumped if here.pumped is not None else state_mask(n, part.pumped)
+            closed = witness(here, pumped)
             graph = here.graph
             if check_payoff_bound:
-                below = (graph.pumped & (graph.bounds < m - BAND_SLACK)).nonzero()[0]
+                bounds = (graph.bounds if graph is not None
+                          else r_bounds(game, here.solve.x, pumped, m_plus))
+                below = (pumped & (bounds < m - BAND_SLACK)).nonzero()[0]
                 if below.size:
                     v = below[0]
                     raise PumpInvariantError(
-                        f"iteration {tau}: payoff bound {graph.bounds[v]} at pumped "
+                        f"iteration {tau}: payoff bound {bounds[v]} at pumped "
                         f"state {v} fell below its local value {m[v]}"
                     )
             if closed is not None:
@@ -450,10 +515,9 @@ def modified_pump(
                                stats=stats)
 
         # Find the first k >= 1 steps ahead, pumping this partition's upper
-        # half (the graph's pumped mask), at which the partition differs, the
+        # half (the checked pumped mask), at which the partition differs, the
         # witness check succeeds or the cap is reached. No event at k = lo;
         # an event at k = hi.
-        pumped = here.graph.pumped
         limit = cap - tau
         probes = {}
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .game import (GameSpec, Potential, Strategy, as_potential, covered_states, local_payoffs,
                    normalize_rewards, state_mask)
-from .matrix_game import LocalSolve, local_solve
+from .matrix_game import LocalSolve, left_sum, local_solve
 
 ERGODIC = "ergodic-24eps"
 NON_ERGODIC = "non-ergodic"
@@ -118,7 +118,7 @@ def _truncate(game: GameSpec, strategy: Strategy, states: frozenset, player: str
     out = np.full(len(mix), np.nan)
     for v in sorted(states):
         keep = bar_actions(game, v, states, player)
-        mass = float(sum(mix[first[v] + k] for k in keep))
+        mass = float(left_sum(mix[first[v] + k] for k in keep))
         if mass <= 0.0:
             raise WitnessBuildError(
                 f"witness preconditions violated at state {v}: optimal strategy "

@@ -285,10 +285,19 @@ def strategies_2x2(matrix):
 KERNEL_SADDLE_TOL = 1e-9
 
 
+def left_sum(items):
+    """The floats of items added left to right from +0.0, on every Python:
+    builtin sum compensates its rounding from 3.12 on."""
+    total = 0.0
+    for item in items:
+        total += item
+    return total
+
+
 def _saddle_bounds(rows, row_strategy, col):
     """(worst column payoff of row_strategy, best row payoff against col)."""
-    best_row = max(sum(map(mul, row, col)) for row in rows)
-    worst_col = min(sum(map(mul, row_strategy, column)) for column in zip(*rows))
+    best_row = max(left_sum(map(mul, row, col)) for row in rows)
+    worst_col = min(left_sum(map(mul, row_strategy, column)) for column in zip(*rows))
     return worst_col, best_row
 
 
@@ -342,12 +351,12 @@ def kernel_solve(a):
         cof = [[b[(i + 1) % 3][(j + 1) % 3] * b[(i + 2) % 3][(j + 2) % 3]
                 - b[(i + 1) % 3][(j + 2) % 3] * b[(i + 2) % 3][(j + 1) % 3]
                 for j in range(3)] for i in range(3)]
-        row_weights = [sum(row) for row in cof]
-        s = sum(row_weights)
+        row_weights = [left_sum(row) for row in cof]
+        s = left_sum(row_weights)
         if s != 0.0:
-            return _settles(a, corner + sum(map(mul, b[0], cof[0])) / s,
+            return _settles(a, corner + left_sum(map(mul, b[0], cof[0])) / s,
                             [w / s for w in row_weights],
-                            [sum(column) / s for column in zip(*cof)])
+                            [left_sum(column) / s for column in zip(*cof)])
     return None
 
 

@@ -1,5 +1,6 @@
 """Matrix game solver against closed forms, independent LPs, and properties."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -8,10 +9,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from builders import count_calls, count_local_games, one_state, random_dense_game
-from ergopump import matrix_game
+from builders import (
+    count_calls,
+    count_local_games,
+    matrix_as_game,
+    one_state,
+    random_dense_game,
+)
+from ergopump import matrix_game, witness
 from ergopump.driver import decide_ergodicity
-from ergopump.game import local_payoffs, make_game, normalize_rewards
+from ergopump.game import Strategy, local_payoffs, make_game, normalize_rewards
 from ergopump.generators import random_game
 from ergopump.matrix_game import (
     MatrixGameError,
@@ -21,6 +28,7 @@ from ergopump.matrix_game import (
     solve_matrix_game,
     solve_value,
 )
+from ergopump.witness import _truncate
 
 
 def _assert_saddle(matrix, sol, tol=1e-9):
@@ -501,3 +509,35 @@ class TestErrors:
             with pytest.raises(MatrixGameError) as info:
                 solve(identity)
             assert (info.value.lower, info.value.upper) == (0.0, 1.0)
+
+
+def _compensated_sum(items, start=0):
+    """builtin sum as Python 3.12 and later add floats, with their rounding
+    compensated (here exactly rounded)."""
+    return math.fsum([start, *items])
+
+
+def test_sums_keep_their_bits_under_a_compensated_sum(monkeypatch):
+    # Python 3.12 made builtin sum compensate float rounding. The kernels'
+    # adjugate sums and saddle bounds, the value LP's totals, witness
+    # truncation's mass and their reference copies add left to right from
+    # +0.0 on every version: with sum shadowed by a compensated one in
+    # those modules, no value, strategy or truncation changes a bit
+    rng = np.random.default_rng(8)
+    games = [rng.uniform(-10, 10, shape).tolist()
+             for shape in [(3, 3)] * 100 + [(4, 4), (2, 5), (5, 3)] * 20]
+    g = matrix_as_game(np.ones((4, 1)))
+    mixes = [Strategy(rng.random(4) * rng.integers(0, 2, 4), g.flat.first_row)
+             for _ in range(50)]
+    mixes = [mix for mix in mixes if mix.any()]
+
+    def solved():
+        kernels = [reference.kernel_solve(rows) for rows in games]
+        return ([_bits(np.hstack(matrix_game._solve(rows))) for rows in games]
+                + [_bits(np.hstack(settled)) for settled in kernels if settled is not None]
+                + [_truncate(g, mix, frozenset({0}), "row").tobytes() for mix in mixes])
+
+    expected = solved()
+    for module in (matrix_game, witness, reference):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    assert solved() == expected

@@ -294,65 +294,73 @@ class TestSweepAgainstDenseOracle:
         for start in [seeds] + [{v} for v in range(len(x))]:
             assert forward_closure(graph, start) == reference.closure_bfs(arcs, start)
 
-    def test_closed_sets_match_bfs(self, monkeypatch):
+    def test_closed_sets_match_bfs(self):
         # both first-hop outcomes occur: a seed's arc across the pumped
-        # boundary rejects the check before any sort, and otherwise the
+        # boundary rejects the check, as the oracle does, and otherwise the
         # sweep decides it, finding closed sets or a leak further out
         outcomes = Counter()
-        sorts = Counter()
-        argsort = np.argsort
-
-        def counted(*args, **kwargs):
-            sorts["argsort"] += 1
-            return argsort(*args, **kwargs)
-
-        monkeypatch.setattr(np, "argsort", counted)
 
         @settings(max_examples=300, deadline=None)
         @given(_gap_instances())
         def check(instance):
             x, thresholds, pumped, top, bottom = instance
+            graph = _graph(x, thresholds, pumped)
+            expected = reference.closed_sets_bfs(x, thresholds, pumped, top, bottom)
+            leaks = pump._first_hop_leaks(graph.x, graph.pumped, top, bottom,
+                                          graph.thresholds.item)
             # seeds on the wrong side of the pumped boundary fail at the first
             # hop, as they fail in the oracle
-            graph = _graph(x, thresholds, pumped)
             if not top <= pumped or bottom & pumped:
-                assert pump._leaks_at_first_hop(graph, top, bottom)
-            assert (find_closed_sets(graph, top, bottom)
-                    == reference.closed_sets_bfs(x, thresholds, pumped, top, bottom))
+                assert leaks
+            assert not (leaks and expected)
+            assert find_closed_sets(graph, top, bottom) == expected
             # seeds drawn from the side each closure must stay on, so both closures run
             top, bottom = top & pumped, bottom - pumped
-            graph = _graph(x, thresholds, pumped)
-            leaks = pump._leaks_at_first_hop(graph, top, bottom)
-            sorted_before = sorts["argsort"]
-            result = find_closed_sets(graph, top, bottom)
-            if leaks:
-                assert result is None and sorts["argsort"] == sorted_before
-            assert result == reference.closed_sets_bfs(x, thresholds, pumped, top, bottom)
+            expected = reference.closed_sets_bfs(x, thresholds, pumped, top, bottom)
+            leaks = pump._first_hop_leaks(graph.x, graph.pumped, top, bottom,
+                                          graph.thresholds.item)
+            assert not (leaks and expected)
+            assert find_closed_sets(graph, top, bottom) == expected
             if top and bottom:
-                outcomes["first hop" if leaks else "sweep", result is not None] += 1
+                outcomes["first hop" if leaks else "sweep", expected is not None] += 1
 
         check()
         assert {("first hop", False), ("sweep", False), ("sweep", True)} <= set(outcomes)
 
     def test_first_hop_rejection_never_sorts(self, monkeypatch):
-        sorts = Counter()
-        argsort = np.argsort
+        # the pump's checks on disconnected(0, 10): before step 400 the top
+        # state's bounds give it an arc out of the pumped set, and those
+        # checks, the landed step 0 and the probes alike, build no graph and
+        # sort nothing; from step 400 on the first hop passes, and a graph
+        # and its sweep decide the check
+        g = disconnected(0.0, 10.0)
+        entry = local_solve(g, np.zeros(2))
+        events = []
 
-        def counted(*args, **kwargs):
-            sorts["argsort"] += 1
-            return argsort(*args, **kwargs)
+        def logged(name, original):
+            def wrapper(*args, **kwargs):
+                out = original(*args, **kwargs)
+                events.append((name, out))
+                return out
+            return wrapper
 
-        monkeypatch.setattr(np, "argsort", counted)
-        # top state 0 reaches the unpumped 2; bottom state 2 reaches the pumped 1
-        for thresholds in ([5.0, -1.0, -1.0], [-1.0, -1.0, 5.0]):
-            graph = _graph([0.0, 1.0, 2.0], thresholds, pumped={0, 1})
-            assert find_closed_sets(graph, top={0}, bottom={2}) is None
-        assert sorts["argsort"] == 0
-        # with neither arc the sweep runs and sorts once: 0 reaches 1, and
-        # only 1 reaches 2
-        graph = _graph([0.0, 1.0, 2.0], [1.5, 5.0, -1.0], pumped={0, 1})
-        assert find_closed_sets(graph, top={0}, bottom={2}) is None
-        assert sorts["argsort"] == 1
+        monkeypatch.setattr(np, "argsort", logged("sort", np.argsort))
+        monkeypatch.setattr(pump, "auxiliary_graph", logged("graph", pump.auxiliary_graph))
+        monkeypatch.setattr(pump, "_first_hop_leaks", logged("first hop", pump._first_hop_leaks))
+        out = modified_pump(g, entry, 0.0, 10.0, eps=0.1, cap=1000)
+        assert out.kind == "witness-sets" and out.stats.iterations == 400
+        checks = []  # (first hop rejected, what ran after it)
+        for name, result in events:
+            if name == "first hop":
+                checks.append((result, []))
+            else:
+                checks[-1][1].append(name)
+        rejected = [after for leaks, after in checks if leaks]
+        passed = [after for leaks, after in checks if not leaks]
+        assert len(rejected) > 1 and not any(rejected)
+        assert passed and all(after[0] == "graph" and set(after[1:]) == {"sort"}
+                              for after in passed)
+        assert len(checks) == out.stats.witness_checks
 
     @settings(max_examples=300, deadline=None)
     @given(_gap_instances())
@@ -374,6 +382,91 @@ class TestSweepAgainstDenseOracle:
             assert int(u) not in members
             flagged.add((label, int(v)))
         assert flagged == expected
+
+
+def _first_hop_thresholds(solve, mask, m_plus, eps):
+    """Every state's first-hop threshold at solve, as the pump asks for one."""
+    return np.array([pump._first_hop_threshold(solve, v, mask, m_plus, eps)
+                     for v in range(len(mask))], dtype=np.float64)
+
+
+class TestFirstHopBounds:
+    """The witness check's first hop, decided from the local solve's pure
+    bounds before any graph is built."""
+
+    def test_a_rejected_check_has_no_closed_sets(self):
+        # random games, potentials, bands, pumped masks and seed sets: every
+        # threshold sized from the local solve is at most the graph's, and
+        # when the first hop rejects with them, the exact graph's closed-set
+        # search finds nothing. Seeds on the wrong side of the pumped
+        # boundary are always rejected; with seeds on the right side some
+        # checks are rejected, and some pass and find closed sets
+        outcomes = Counter()
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.integers(0, 2**32 - 1), st.booleans())
+        def check(seed, sided):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 6))
+            g = random_dense_game(rng, n=n, max_actions=3, denominator=int(rng.integers(1, 5)))
+            x = rng.uniform(-1, 1, n) * 10.0 ** rng.uniform(-1, 4)
+            if rng.random() < 0.5:
+                x *= rng.integers(0, 2, n)  # ties at 0
+            eps = 10.0 ** rng.uniform(-2, 12)
+            m_plus = float(rng.uniform(-5, 20))
+            mask = rng.random(n) < 0.5
+            pumped = set(np.flatnonzero(mask).tolist())
+            if sided:  # seeds from their own side: its first state and others at random
+                top, bottom = ({v for v in side if rng.random() < 0.5} | set(side[:1])
+                               for side in (sorted(pumped), sorted(set(range(n)) - pumped)))
+            else:
+                top, bottom = ({v for v in range(n) if rng.random() < 0.5} for _ in range(2))
+            listed = np.flatnonzero(rng.random(n) < 0.7)  # the bounds cover every state
+            lower = _first_hop_thresholds(local_solve(g, x, listed), mask, m_plus, eps)
+            graph = auxiliary_graph(g, x, mask, m_plus, eps)
+            assert (lower <= graph.thresholds).all()
+            leaks = pump._first_hop_leaks(graph.x, mask, top, bottom, lower.item)
+            closed = find_closed_sets(graph, top, bottom)
+            if leaks:
+                assert closed is None
+            if not top <= pumped or bottom & pumped:
+                assert leaks
+            if top and bottom and sided:
+                outcomes[leaks, closed is not None] += 1
+
+        check()
+        assert {(True, False), (False, True)} <= set(outcomes)
+
+    def test_payoff_bound_runs_at_a_check_the_bounds_reject(self, monkeypatch):
+        # the first hop rejects step 0's check on disconnected(0, 10), so no
+        # graph is built there, and the landed step still reads r_bounds:
+        # bounds 100 below the local values break the payoff bound
+        g = disconnected(0.0, 10.0)
+        entry = local_solve(g, np.zeros(2))
+        mask = np.array([False, True])
+        lower = _first_hop_thresholds(entry, mask, 10.0, 0.1)
+        assert pump._first_hop_leaks(entry.x, mask, {1}, {0}, lower.item)
+        original = pump.r_bounds
+        monkeypatch.setattr(pump, "r_bounds", lambda *args: original(*args) - 100.0)
+        calls = count_calls(monkeypatch, ("auxiliary_graph", "r_bounds"))
+        with pytest.raises(pump.PumpInvariantError,
+                           match=r"iteration 0: payoff bound -90\.0 at pumped state 1 "):
+            modified_pump(g, entry, 0.0, 10.0, eps=0.1, cap=1000)
+        assert calls == {"r_bounds": 1}
+
+    @pytest.mark.parametrize("leak", ["1e-300", "1e-400"])
+    def test_thresholds_follow_the_graph_past_the_float_range(self, leak):
+        # leaky_pair's W is 1/leak. The first hop sizes thresholds by the
+        # graph's rule: the pumped top state's zero bound keeps a zero
+        # threshold, so it has no arc, and the bottom state's saturates as
+        # the graph's does, so it reaches the top state
+        g = leaky_pair(leak)
+        mask = np.array([True, False])
+        lower = _first_hop_thresholds(local_solve(g, np.zeros(2)), mask, 12.0, 0.05)
+        graph = auxiliary_graph(g, np.zeros(2), mask, 12.0, eps=0.05)
+        assert lower.tobytes() == graph.thresholds.tobytes()
+        assert not pump._first_hop_leaks(graph.x, mask, {0}, set(), lower.item)
+        assert pump._first_hop_leaks(graph.x, mask, {0}, {1}, lower.item)
 
 
 def test_witness_check_memory_is_linear():
@@ -614,14 +707,19 @@ def test_local_value_evaluations_grow_slower_than_steps(monkeypatch):
     assert evaluations[1] < 2 * evaluations[0]
 
 
-@pytest.mark.parametrize("seed, partitions, graphs", [
-    (32, 33, 30), (51, 28, 27), (151, 232, 203), (169, 29, 28)])
-def test_traced_functions_run_once_per_band_and_graph(monkeypatch, seed, partitions, graphs):
+@pytest.mark.parametrize("seed, partitions, checks, bounds, graphs", [
+    pytest.param(32, 33, 30, 19, 17, id="32-33-30"),
+    pytest.param(51, 28, 27, 8, 7, id="51-28-27"),
+    pytest.param(151, 232, 203, 117, 0, id="151-232-203"),
+    pytest.param(169, 29, 28, 16, 13, id="169-29-28")])
+def test_traced_functions_run_once_per_band_and_graph(monkeypatch, seed, partitions, checks,
+                                                      bounds, graphs):
     # the pump calls these by their module names, where the benchmark's
-    # per-layer trace wraps them: one partition per evaluated step, and per
-    # witness check one graph with its bounds and one closed-set search
-    calls = count_calls(monkeypatch, ("partition", "auxiliary_graph", "r_bounds",
-                                      "find_closed_sets"))
+    # per-layer trace wraps them: one partition per evaluated step, one
+    # first-hop test per witness check, payoff bounds at every landed check
+    # and in every graph, and per graph one closed-set search
+    calls = count_calls(monkeypatch, ("partition", "_first_hop_leaks", "auxiliary_graph",
+                                      "r_bounds", "find_closed_sets"))
     decide_ergodicity(_corpus_game(seed), 0.05)
-    assert calls == {"partition": partitions, "auxiliary_graph": graphs, "r_bounds": graphs,
-                     "find_closed_sets": graphs}
+    assert calls == Counter(partition=partitions, _first_hop_leaks=checks,
+                            auxiliary_graph=graphs, r_bounds=bounds, find_closed_sets=graphs)

@@ -213,3 +213,10 @@ def test_reward_shift_has_one_owner_per_side():
     # A reward scale beside the shift then has these two places to change
     assert _callers("normalize_rewards") == {"driver.decide_ergodicity",
                                              "witness.verify_witness"}
+
+
+def test_gap_thresholds_have_one_owner_per_side():
+    # the gap graph sizes its thresholds, and the witness check's first hop
+    # sizes lower ones from the local solve's bounds, through one rule: the
+    # first hop is sound only while its thresholds stay below the graph's
+    assert _callers("gap_thresholds") == {"pump.auxiliary_graph", "pump._first_hop_threshold"}
