@@ -1,10 +1,14 @@
-"""Evaluation of fixed stationary strategy profiles and best responses.
+"""Evaluation of fixed stationary strategies and best responses.
 
-A stationary profile induces a finite Markov chain; its limiting (Cesaro)
-matrix is computed structurally — recurrent classes from the strongly
-connected components of the positive-transition digraph, one stationary
-distribution per class (GTH elimination, no subtractions), and absorption
-probabilities for transient states — so periodic chains are handled exactly.
+A stationary strategy is one float array per player over that player's
+global actions, state v's from FlatView.first_row[v] (first_col[v] for the
+column player), as a Verdict holds it; check_strategy requires each state's
+slice to be a distribution. A pair of them induces a finite Markov chain;
+its limiting (Cesaro) matrix is computed structurally — recurrent classes
+from the strongly connected components of the positive-transition digraph,
+one stationary distribution per class (GTH elimination, no subtractions),
+and absorption probabilities for transient states — so periodic chains are
+handled exactly.
 
 Best responses against a fixed opponent strategy reduce to a mean-payoff
 MDP, solved by multichain policy iteration with the gain-then-bias
@@ -13,13 +17,12 @@ lexicographic improvement rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 _ARC_EPS = 1e-14  # entries below this are no arcs when classifying states
+_DISTRIBUTION_TOL = 1e-12  # of a strategy's entries and of each state's sum
 _RESIDUAL_TOL = 1e-8
 _PI_TOL = 1e-9
 _PI_MAX_ITERS = 500
@@ -38,65 +41,68 @@ class PolicyIterationError(RuntimeError):
         self.gains = gains
 
 
-@dataclass(frozen=True)
-class StationaryProfile:
-    """One mixed action distribution per state for each player."""
-
-    alpha: tuple  # tuple of arrays, alpha[v] over row actions at v
-    beta: tuple
-
-
-@dataclass(frozen=True)
-class MarkovEvaluation:
-    transition: np.ndarray  # n x n chain of the profile
-    limiting: np.ndarray  # Cesaro limit matrix q
-    gain: np.ndarray  # mean payoff per start state
+def _first(game, player: str) -> np.ndarray:
+    """Where each state's actions start among player's global actions."""
+    if player == "row":
+        return game.flat.first_row
+    if player == "col":
+        return game.flat.first_col
+    raise ValueError("player must be 'row' or 'col'")
 
 
-def make_profile(game, alpha, beta) -> StationaryProfile:
-    """Validate and freeze a stationary profile given as per-state vectors."""
-    a_out, b_out = [], []
-    for v in range(game.n):
-        a = np.asarray(alpha[v], dtype=np.float64)
-        b = np.asarray(beta[v], dtype=np.float64)
-        if a.shape != (game.num_row_actions(v),) or b.shape != (game.num_col_actions(v),):
-            raise ValueError(f"profile dimensions do not match action sets at state {v}")
-        for vec, who in ((a, "alpha"), (b, "beta")):
-            if np.any(vec < -1e-12) or abs(vec.sum() - 1.0) > 1e-12:
-                raise ValueError(f"{who}[{v}] is not a probability distribution")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        a_out.append(a)
-        b_out.append(b)
-    return StationaryProfile(alpha=tuple(a_out), beta=tuple(b_out))
+def check_strategy(game, mix, player: str) -> np.ndarray:
+    """mix as a float array over player's ("row" or "col") global actions,
+    once each state's slice is a distribution: no entry below -1e-12 and a
+    sum within 1e-12 of 1. Raises ValueError naming the first state where
+    it is not, or, for an array of the wrong shape, the first state whose
+    slice it does not hold."""
+    first = _first(game, player)
+    mix = np.asarray(mix, dtype=np.float64)
+    total = int(first[-1])
+    if mix.shape != (total,):
+        size = mix.size if mix.ndim == 1 else 0
+        v = min(int(np.searchsorted(first, size, side="right")) - 1, game.n - 1)
+        raise ValueError(f"{player} strategy of shape {mix.shape} does not match the "
+                         f"{total} {player} actions: state {v} has entries "
+                         f"{first[v]} to {first[v + 1] - 1}")
+    starts = first[:-1]
+    with np.errstate(invalid="ignore"):  # inf - inf in a sum is NaN, and fails
+        good = ((np.minimum.reduceat(mix, starts) >= -_DISTRIBUTION_TOL)
+                & (np.abs(np.add.reduceat(mix, starts) - 1.0) <= _DISTRIBUTION_TOL))
+    if not good.all():  # also where a slice holds a NaN
+        raise ValueError(f"{player} strategy at state {int(good.argmin())} is not a "
+                         "probability distribution")
+    return mix
 
 
-def uniform_profile(game) -> StationaryProfile:
-    return make_profile(
-        game,
-        [np.full(game.num_row_actions(v), 1.0 / game.num_row_actions(v)) for v in range(game.n)],
-        [np.full(game.num_col_actions(v), 1.0 / game.num_col_actions(v)) for v in range(game.n)],
-    )
+def uniform_strategy(game, player: str) -> np.ndarray:
+    """player's strategy that mixes each state's actions uniformly."""
+    counts = np.diff(_first(game, player))
+    return np.repeat(1.0 / counts, counts)
 
 
-def pure_profile(game, rows, cols) -> StationaryProfile:
-    alpha = []
-    beta = []
-    for v in range(game.n):
-        a = np.zeros(game.num_row_actions(v))
-        a[rows[v]] = 1.0
-        b = np.zeros(game.num_col_actions(v))
-        b[cols[v]] = 1.0
-        alpha.append(a)
-        beta.append(b)
-    return make_profile(game, alpha, beta)
+def pure_strategy(game, player: str, actions) -> np.ndarray:
+    """player's strategy that plays action actions[v] of state v, a unit
+    array per state."""
+    first = _first(game, player)
+    mix = np.zeros(int(first[-1]))
+    mix[first[:-1] + np.asarray(actions, dtype=np.int64)] = 1.0
+    return mix
 
 
-def induced_chain(game, profile: StationaryProfile) -> np.ndarray:
-    """Transition matrix of the Markov chain the profile plays: the column
-    player's MDP against alpha, averaged over beta."""
-    trans, _rew, first = _mdp_tables(game, profile.alpha, "row")
-    return np.add.reduceat(np.concatenate(profile.beta)[:, None] * trans, first[:-1])
+def _slot_weights(game, alpha, beta) -> np.ndarray:
+    """Each slot's probability under alpha and beta, once both are checked."""
+    flat = game.flat
+    return (check_strategy(game, alpha, "row")[flat.slot_row]
+            * check_strategy(game, beta, "col")[flat.slot_col])
+
+
+def induced_chain(game, alpha, beta) -> np.ndarray:
+    """Transition matrix of the Markov chain that alpha and beta play."""
+    flat, n = game.flat, game.n
+    weight = _slot_weights(game, alpha, beta)[flat.rec_slot] * flat.rec_p
+    return np.bincount(flat.rec_state * n + flat.rec_to, weights=weight,
+                       minlength=n * n).reshape(n, n)
 
 
 def _gth_stationary(T: np.ndarray) -> np.ndarray:
@@ -157,39 +163,30 @@ def limiting_matrix(P: np.ndarray) -> np.ndarray:
     return q
 
 
-def profile_step_reward(game, profile: StationaryProfile) -> np.ndarray:
-    """Expected one-step payoff at each state under the profile."""
+def profile_step_reward(game, alpha, beta) -> np.ndarray:
+    """Expected one-step payoff at each state under alpha and beta."""
     flat = game.flat
-    weight = (np.concatenate(profile.alpha)[flat.slot_row]
-              * np.concatenate(profile.beta)[flat.slot_col])
-    return np.bincount(flat.slot_state, weights=weight * flat.slot_reward, minlength=game.n)
+    return np.bincount(flat.slot_state, weights=_slot_weights(game, alpha, beta)
+                       * flat.slot_reward, minlength=game.n)
 
 
-def evaluate_stationary_pair(game, profile: StationaryProfile) -> MarkovEvaluation:
+def evaluate_stationary_pair(game, alpha, beta) -> np.ndarray:
     """Mean payoff per start state: limiting matrix times local payoffs."""
-    P = induced_chain(game, profile)
-    q = limiting_matrix(P)
-    g = q @ profile_step_reward(game, profile)
-    return MarkovEvaluation(transition=P, limiting=q, gain=g)
+    chain = induced_chain(game, alpha, beta)
+    return limiting_matrix(chain) @ profile_step_reward(game, alpha, beta)
 
 
-def _mdp_tables(game, fixed_strategy, fixed_player: str):
-    """The free player's MDP (trans, rew, first): its actions are numbered
-    across all states, from first[v] at state v, and action a moves to u
-    with probability trans[a, u] and pays rew[a] in expectation."""
+def _mdp_tables(game, fixed, fixed_player: str):
+    """The free player's MDP (trans, rew, first) against fixed, the fixed
+    player's strategy: its actions are numbered across all states, from
+    first[v] at state v, and action a moves to u with probability trans[a, u]
+    and pays rew[a] in expectation."""
     flat, n = game.flat, game.n
+    weight = check_strategy(game, fixed, fixed_player)
     if fixed_player == "row":
-        fixed, free = flat.slot_row, flat.slot_col
-        fixed_first, first = flat.first_row, flat.first_col
-    elif fixed_player == "col":
-        fixed, free = flat.slot_col, flat.slot_row
-        fixed_first, first = flat.first_col, flat.first_row
+        weight, free, first = weight[flat.slot_row], flat.slot_col, flat.first_col
     else:
-        raise ValueError("fixed_player must be 'row' or 'col'")
-    vectors = [np.asarray(f, dtype=np.float64) for f in fixed_strategy]
-    if [f.shape for f in vectors] != [(k,) for k in np.diff(fixed_first).tolist()]:
-        raise ValueError("fixed strategy does not match the fixed player's action sets")
-    weight = np.concatenate(vectors)[fixed]
+        weight, free, first = weight[flat.slot_col], flat.slot_row, flat.first_row
     actions = int(first[-1])
     trans = np.bincount(free[flat.rec_slot] * n + flat.rec_to,
                         weights=weight[flat.rec_slot] * flat.rec_p, minlength=actions * n)
@@ -197,13 +194,14 @@ def _mdp_tables(game, fixed_strategy, fixed_player: str):
     return trans.reshape(actions, n), rew, first
 
 
-def best_response_value(game, fixed_strategy, fixed_player: str):
-    """Optimal mean-payoff response against one player's fixed strategy.
+def best_response_value(game, fixed, fixed_player: str):
+    """Optimal mean-payoff response against fixed, one player's strategy.
 
     If the row player's strategy is fixed the column player minimizes, and
-    vice versa. Returns (gain vector, pure stationary policy).
+    vice versa. Returns (gain vector, pure stationary policy: the free
+    player's local action at each state).
     """
-    trans, rew, first = _mdp_tables(game, fixed_strategy, fixed_player)
+    trans, rew, first = _mdp_tables(game, fixed, fixed_player)
     maximize = fixed_player == "col"
     sign = 1.0 if maximize else -1.0
     n = game.n

@@ -18,9 +18,11 @@ Settles the local games of a stochastic game in three stages.
    (_batch_kernels): all nine 2x2 candidates and the full adjugate at once,
    in the scalar kernel's float operations and order, each game keeping its
    own saddle check and its first candidate that passes, so values and
-   strategies keep the scalar kernel's bits. Smaller calls, larger games and
-   games no candidate settles take the scalar kernel, one game at a time,
-   which does not retry the 2x2 candidates the batch rejected.
+   strategies keep the scalar kernel's bits. Smaller calls solve every
+   mixed game with the scalar kernel, one at a time. A batched call then
+   solves its games larger than 3x3 and those the batch left the same way;
+   the scalar kernel rejects the latter's candidates again, as it computes
+   them in the same float operations, and hands them to stage 3.
 3. The classic value LP, for larger games and any small one no kernel
    settles: shift the matrix positive, maximize the column player's scaled
    mixed strategy against unit bounds, and read the row player's strategy
@@ -153,15 +155,14 @@ def _saddle_bounds(rows, row_strategy, col):
     return worst_col, best_row
 
 
-def _kernel_solve(a, screened=False, paired=False):
+def _kernel_solve(a, screened=False):
     """Closed-form solve of a float row-list matrix, or None if none settles it.
 
     A game whose maximin equals its minimax exactly is a pure saddle: unit
     strategies at the first row and column attaining them, gap 0. A single
     row or column always is one: its row minima and column maxima are that
     row or column. A game the screen found mixed (screened) is not, so that
-    test is skipped, and the 2x2 candidates of a game the batch has
-    rejected (paired) are not tried again. Otherwise, up to 3x3, each square
+    test is skipped. Otherwise, up to 3x3, each square
     submatrix B is a Shapley-Snow kernel candidate, the 2x2 ones in
     lexicographic (row pair, column pair) order, then the full 3x3. With C
     the cofactor matrix of B and s the sum of its entries (1' adj B 1), the
@@ -183,7 +184,7 @@ def _kernel_solve(a, screened=False, paired=False):
                     _unit(n, col_maxs.index(upper)), 0.0)
     if m > 3 or n > 3:
         return None
-    for k1, k2 in () if paired else combinations(range(m), 2):
+    for k1, k2 in combinations(range(m), 2):
         top, bottom = a[k1], a[k2]
         for l1, l2 in combinations(range(n), 2):
             corner = top[l1]
@@ -232,19 +233,18 @@ def _unit(size, index):
     return out
 
 
-def _solve(rows, screened=False, paired=False):
+def _solve(rows, screened=False):
     """Solve a matrix game, given as lists of Python floats, and
     saddle-check the result.
 
     Returns (value, row strategy, col strategy, duality gap). Games that
     _kernel_solve settles need no pivot; the rest run the value LP.
-    screened says the screen found the game mixed, paired that the batch
-    rejected its 2x2 candidates (see _kernel_solve). Raises
+    screened says the screen found the game mixed (see _kernel_solve). Raises
     MatrixGameError when the simplex stalls, bounded by the pure maximin
     and minimax, or when the gap exceeds _SADDLE_TOL, bounded by the worst
     column payoff and the best row payoff of the strategies found.
     """
-    settled = _kernel_solve(rows, screened, paired)
+    settled = _kernel_solve(rows, screened)
     if settled is not None:
         return settled
     m = len(rows)
@@ -329,36 +329,6 @@ def solve_matrix_game(matrix) -> MatrixGameSolution:
 def local_value(game, v: int, x) -> MatrixGameSolution:
     """Value and optimal strategies of the potential-adjusted game at v."""
     return solve_matrix_game(local_reward_matrix(game, v, x))
-
-
-def _screen(game, x, states):
-    """The pure-saddle screen over every state's local game at x at once.
-
-    Segmented reductions give each global row's minimum, each global
-    column's maximum (over the flat view's column order), then each state's
-    pure maximin and minimax. Returns (payoffs, values, mixed, row_min,
-    col_max, maximin, minimax): every slot's payoff; per state, the value of
-    each listed pure saddle, whose two values are exactly equal, NaN
-    elsewhere; the listed states that are not pure saddles, ascending; each
-    global row's minimum and column's maximum; and every state's pure
-    maximin and minimax, listed or not. A value is bit for bit the entry
-    _kernel_solve returns: the reductions return entries, and equal entries
-    are equal bits, as local_payoffs never returns -0.0 (its first term, a
-    bincount total, is not -0.0, and a float sum or difference is -0.0 only
-    if its first term is).
-    """
-    flat = game.flat
-    payoffs = local_payoffs(game, x)
-    row_min = np.minimum.reduceat(payoffs, flat.row_start)
-    col_max = np.maximum.reduceat(payoffs[flat.col_order], flat.col_start)
-    maximin = np.maximum.reduceat(row_min, flat.first_row[:-1])
-    minimax = np.minimum.reduceat(col_max, flat.first_col[:-1])
-    listed = np.ones(game.n, dtype=bool) if states is None else state_mask(game.n, states)
-    saddle = listed & (maximin == minimax)
-    values = np.where(saddle, maximin, np.nan)
-    # saddle is a subset of listed, so listed ^ saddle is listed & ~saddle
-    return (payoffs, values, (listed ^ saddle).nonzero()[0], row_min, col_max, maximin,
-            minimax)
 
 
 class MixedGames(NamedTuple):
@@ -460,8 +430,9 @@ def _batch_kernels(payoffs, flat, games, values):
     rows or minimum over columns, so each saddle check reads the game's own
     rows and columns; candidates that use a padding row or column are
     masked. Writes the value of every settled game into values and returns
-    (rows, cols, unsettled): each game's strategies, (3, G) with zeros in
-    the padding, and the positions in games of those no kernel settled.
+    (settled, rows, cols): per game whether a kernel settled it, and the
+    settled games' row and column strategies, one game after another in
+    order, each over its own actions.
 
     A weight is NaN only where a quantity overflows. _kernel_solve's sign
     test, Python's min, lets a NaN through, but then every saddle sum of
@@ -528,63 +499,75 @@ def _batch_kernels(payoffs, flat, games, values):
             settled[square] = True
             values[games[square]] = value[fit]
             rows[:, square], cols[:, square] = row[:, fit], col[:, fit]
-    return rows, cols, (~settled).nonzero()[0]
+    keep = settled[:, None]
+    return settled, rows.T[keep & (_AR3 < m[:, None])], cols.T[keep & (_AR3 < n[:, None])]
 
 
-def _solve_each(flat, payoffs, values, games, paired=False):
+def _solve_each(flat, payoffs, values, games):
     """Solve the games of `games` one at a time, writing their values;
-    returns their row and column strategies, each as one list in order.
-    Only the games' own slots are converted to Python floats."""
-    first, width = flat.first_slot.tolist(), flat.col_count.tolist()
+    returns their row and column strategies, each as one array in order.
+    Only the games' own slots and sizes are converted to Python objects."""
+    first, width = flat.first_slot, flat.col_count
     rows, cols = [], []
     for v in games.tolist():
-        slots, step = payoffs[first[v]:first[v + 1]].tolist(), width[v]
+        slots, step = payoffs[first[v]:first[v + 1]].tolist(), int(width[v])
         matrix = [slots[s:s + step] for s in range(0, len(slots), step)]
-        values[v], row, col, _ = _solve(matrix, screened=True, paired=paired)
+        values[v], row, col, _ = _solve(matrix, screened=True)
         rows += row
         cols += col
-    return rows, cols
+    return np.array(rows), np.array(cols)
 
 
 def _settle_mixed(flat, payoffs, values, mixed) -> MixedGames:
-    """Settle the games the screen found mixed, writing their values. From
-    _BATCH_MIN_GAMES games of at most 3x3 on, _batch_kernels settles those
-    and the rest, with any it leaves, are solved one at a time; with fewer,
-    every game is."""
-    if mixed.size >= _BATCH_MIN_GAMES:
-        m, n = flat.row_count[mixed], flat.col_count[mixed]
-        small = (m <= 3) & (n <= 3)
-        if np.count_nonzero(small) >= _BATCH_MIN_GAMES:
-            games, m, n = mixed[small], m[small], n[small]
-            rows, cols, unsettled = _batch_kernels(payoffs, flat, games, values)
-            rows, cols = rows.T[_AR3 < m[:, None]], cols.T[_AR3 < n[:, None]]
-            if unsettled.size:
-                redo = np.zeros(games.size, dtype=bool)
-                redo[unsettled] = True
-                rows[np.repeat(redo, m)], cols[np.repeat(redo, n)] = _solve_each(
-                    flat, payoffs, values, games[redo], paired=True)
-            if small.all():
-                return MixedGames(games, rows, cols)
-            rest = mixed[~small]
-            more_rows, more_cols = _solve_each(flat, payoffs, values, rest)
-            return MixedGames(np.concatenate([games, rest]), np.concatenate([rows, more_rows]),
-                              np.concatenate([cols, more_cols]))
-    if not mixed.size:
-        return _NO_MIXED
-    rows, cols = _solve_each(flat, payoffs, values, mixed)
-    return MixedGames(mixed, np.array(rows), np.array(cols))
+    """Settle the games the screen found mixed, writing their values. With
+    fewer than _BATCH_MIN_GAMES games of at most 3x3, every game is solved
+    one at a time. With more, _batch_kernels settles those, and the games
+    it leaves and the larger ones are solved one at a time after them."""
+    if (mixed.size < _BATCH_MIN_GAMES  # too few for a batch: no mask is built
+            or np.count_nonzero(small := (flat.row_count[mixed] <= 3)
+                                & (flat.col_count[mixed] <= 3)) < _BATCH_MIN_GAMES):
+        if not mixed.size:
+            return _NO_MIXED
+        return MixedGames(mixed, *_solve_each(flat, payoffs, values, mixed))
+    settled, rows, cols = _batch_kernels(payoffs, flat, mixed[small], values)
+    batched = small.copy()
+    batched[small] = settled
+    rest = mixed[~batched]
+    more_rows, more_cols = _solve_each(flat, payoffs, values, rest)
+    return MixedGames(np.concatenate([mixed[batched], rest]), np.concatenate([rows, more_rows]),
+                      np.concatenate([cols, more_cols]))
 
 
 def local_solve(game, x, states=None) -> LocalSolve:
     """Settle the local games of `states` at x: all states when None, else
     the state indices it lists or, as the pump passes them, a bool mask per
-    state. The screen settles the pure saddles, and the mixed games are
-    settled by _settle_mixed."""
+    state.
+
+    First the pure-saddle screen over every state's local game at once:
+    segmented reductions give each global row's minimum, each global
+    column's maximum (over the flat view's column order), then each state's
+    pure maximin and minimax, listed or not. Each listed state whose two
+    values are exactly equal is a pure saddle, and its value is bit for bit
+    the entry _kernel_solve returns: the reductions return entries, and
+    equal entries are equal bits, as local_payoffs never returns -0.0 (its
+    first term, a bincount total, is not -0.0, and a float sum or difference
+    is -0.0 only if its first term is). The listed states that are not pure
+    saddles, ascending, are mixed, settled by _settle_mixed.
+    """
     x = np.asarray(x, dtype=np.float64)
-    payoffs, values, mixed, row_min, col_max, maximin, minimax = _screen(game, x, states)
+    flat = game.flat
+    payoffs = local_payoffs(game, x)
+    row_min = np.minimum.reduceat(payoffs, flat.row_start)
+    col_max = np.maximum.reduceat(payoffs[flat.col_order], flat.col_start)
+    maximin = np.maximum.reduceat(row_min, flat.first_row[:-1])
+    minimax = np.minimum.reduceat(col_max, flat.first_col[:-1])
+    listed = np.ones(game.n, dtype=bool) if states is None else state_mask(game.n, states)
+    saddle = listed & (maximin == minimax)
+    values = np.where(saddle, maximin, np.nan)
+    # saddle is a subset of listed, so listed ^ saddle is listed & ~saddle
+    mixed = _settle_mixed(flat, payoffs, values, (listed ^ saddle).nonzero()[0])
     return LocalSolve(game=game, x=x, values=values, row_min=row_min, col_max=col_max,
-                      maximin=maximin, minimax=minimax,
-                      mixed=_settle_mixed(game.flat, payoffs, values, mixed))
+                      maximin=maximin, minimax=minimax, mixed=mixed)
 
 
 def local_values(game, x, states=None) -> np.ndarray:

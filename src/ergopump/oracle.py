@@ -1,5 +1,7 @@
 """Small-instance ground truth: enumeration bounds and trajectory simulation.
 
+Strategies are markov's: one flat array per player over its global actions.
+
 The enumeration bounds cover PURE stationary strategies only. For zero-sum
 stochastic games that yields valid per-state value intervals, not exact
 values: the game value from v always lies in [lo[v], hi[v]], but either end
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameSpec
-from .markov import StationaryProfile, best_response_value, induced_chain, profile_step_reward
+from .markov import best_response_value, induced_chain, profile_step_reward, pure_strategy
 
 DEFAULT_BUDGET = 10_000
 
@@ -28,19 +30,20 @@ class OracleBudgetError(RuntimeError):
 class OracleReport:
     lo: np.ndarray
     hi: np.ndarray
-    lo_profiles: tuple  # per state, the row profile attaining lo
-    hi_profiles: tuple
+    lo_strategies: tuple  # per state, the row player's pure strategy attaining lo
+    hi_strategies: tuple  # per state, the column player's attaining hi
     enumerated: int
 
 
-def simulate_mean_payoff(game: GameSpec, profile: StationaryProfile, start: int,
-                         steps: int, seed: int) -> float:
-    """Empirical mean of the expected one-step payoffs along one trajectory."""
+def simulate_mean_payoff(game: GameSpec, alpha, beta, start: int, steps: int,
+                         seed: int) -> float:
+    """Empirical mean of the expected one-step payoffs along one trajectory
+    that alpha and beta play from start."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
     rng = np.random.default_rng(seed)
-    step_reward = profile_step_reward(game, profile).tolist()
-    chain = induced_chain(game, profile)
+    step_reward = profile_step_reward(game, alpha, beta).tolist()
+    chain = induced_chain(game, alpha, beta)
     cumulative = np.cumsum(chain / chain.sum(axis=1, keepdims=True), axis=1).tolist()
     total = 0.0
     v = int(start)
@@ -67,23 +70,14 @@ def enumerate_pure_bounds(game: GameSpec, budget: int = DEFAULT_BUDGET) -> Oracl
             f"instance too large for oracle: {total} pure profiles exceeds budget {budget}"
         )
 
-    lo = np.full(game.n, -np.inf)
-    lo_arg = [None] * game.n
-    for choice in itertools.product(*[range(c) for c in row_counts]):
-        fixed = tuple(np.eye(c)[k] for c, k in zip(row_counts, choice))
-        gain, _ = best_response_value(game, fixed, "row")
-        for v in range(game.n):
-            if gain[v] > lo[v]:
-                lo[v] = gain[v]
-                lo_arg[v] = choice
-    hi = np.full(game.n, np.inf)
-    hi_arg = [None] * game.n
-    for choice in itertools.product(*[range(c) for c in col_counts]):
-        fixed = tuple(np.eye(c)[k] for c, k in zip(col_counts, choice))
-        gain, _ = best_response_value(game, fixed, "col")
-        for v in range(game.n):
-            if gain[v] < hi[v]:
-                hi[v] = gain[v]
-                hi_arg[v] = choice
-    return OracleReport(lo=lo, hi=hi, lo_profiles=tuple(lo_arg), hi_profiles=tuple(hi_arg),
+    lo, hi = np.full(game.n, -np.inf), np.full(game.n, np.inf)
+    lo_at, hi_at = [None] * game.n, [None] * game.n
+    for bound, attained, player, counts, better in (
+            (lo, lo_at, "row", row_counts, np.greater), (hi, hi_at, "col", col_counts, np.less)):
+        for choice in itertools.product(*[range(c) for c in counts]):
+            fixed = pure_strategy(game, player, choice)
+            gain, _ = best_response_value(game, fixed, player)
+            for v in better(gain, bound).nonzero()[0].tolist():
+                bound[v], attained[v] = gain[v], fixed
+    return OracleReport(lo=lo, hi=hi, lo_strategies=tuple(lo_at), hi_strategies=tuple(hi_at),
                         enumerated=total)

@@ -34,6 +34,7 @@ every one-shot bound in one vectorised pass.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -173,9 +174,11 @@ def verify_witness(game: GameSpec, verdict: Verdict) -> VerificationReport:
     """Check a verdict's certificate against the game alone, as given.
 
     First, the shift to [0, R] that decide_ergodicity makes must equal
-    value_offset exactly (it round-trips bit-exactly), and alpha and beta
-    hold one entry per global row and column, the states they cover those
-    with no NaN entry. Then, on the shifted game:
+    value_offset exactly (it round-trips bit-exactly); alpha and beta hold
+    one entry per global row and column, the states they cover those with
+    no NaN entry; the potential holds one finite entry per state; floor and
+    ceiling are numbers (float or int, not NaN) and eps a positive finite
+    one. Then, on the shifted game:
     (a) closure, exact on the transition records: no action in the support
         of alpha (beta) moves any mass out of the alpha (beta) states;
     (b) one-shot bounds, one pass over the flat view: alpha's payoff against
@@ -190,7 +193,7 @@ def verify_witness(game: GameSpec, verdict: Verdict) -> VerificationReport:
 
     No LP, policy iteration or per-state loop runs. certified_gap is the
     proven one-shot floor minus the proven one-shot ceiling (-inf when the
-    verdict is inconclusive or an array has the wrong shape).
+    verdict is inconclusive or malformed: a field fails its first check).
     """
     game, offset = normalize_rewards(game)
     failures = []
@@ -203,11 +206,20 @@ def verify_witness(game: GameSpec, verdict: Verdict) -> VerificationReport:
     flat = game.flat
     sides = (("alpha", verdict.alpha, flat.first_row, "row"),
              ("beta", verdict.beta, flat.first_col, "column"))
-    shapes = [f"{name}: expected an array of {first[-1]} entries, one per {player} action, "
-              f"got {getattr(mix, 'shape', type(mix).__name__)}"
-              for name, mix, first, player in sides if np.shape(mix) != (first[-1],)]
-    if shapes:
-        return VerificationReport(failures=tuple(failures + shapes), certified_gap=-np.inf)
+    malformed = [f"{name}: expected an array of {first[-1]} entries, one per {player} action, "
+                 f"got {getattr(mix, 'shape', type(mix).__name__)}"
+                 for name, mix, first, player in sides if np.shape(mix) != (first[-1],)]
+    try:
+        x = as_potential(verdict.potential, game.n)
+    except (TypeError, ValueError) as exc:
+        malformed.append(str(exc))
+    for name, value in (("floor", verdict.floor), ("ceiling", verdict.ceiling)):
+        if not isinstance(value, (float, int)) or value != value:
+            malformed.append(f"{name}: expected a number, got {value!r}")
+    if not (isinstance(verdict.eps, (float, int)) and 0.0 < verdict.eps < math.inf):
+        malformed.append(f"eps: expected a positive finite number, got {verdict.eps!r}")
+    if malformed:
+        return VerificationReport(failures=tuple(failures + malformed), certified_gap=-np.inf)
     tol = min(verdict.eps / 10.0, _MAX_VERIFY_SLACK)
     alpha, beta = (np.asarray(mix, dtype=np.float64) for _, mix, _, _ in sides)
     alpha_in, beta_in = covered_states(alpha, flat.first_row), covered_states(beta, flat.first_col)
@@ -224,7 +236,7 @@ def verify_witness(game: GameSpec, verdict: Verdict) -> VerificationReport:
                 f"closure: {player} action {action} at state {game.states[v]!r} leaks to "
                 f"{game.states[u]!r} with probability {flat.rec_p[r]}")
 
-    payoffs = local_payoffs(game, as_potential(verdict.potential, game.n))
+    payoffs = local_payoffs(game, x)
     # alpha's payoff against each column action, each row action's against beta
     vs_col = np.bincount(flat.slot_col, alpha[flat.slot_row] * payoffs, int(flat.first_col[-1]))
     vs_row = np.bincount(flat.slot_row, beta[flat.slot_col] * payoffs, int(flat.first_row[-1]))

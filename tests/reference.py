@@ -49,7 +49,7 @@ from scipy.optimize import linprog
 
 from ergopump.documents import GAME_FORMAT, _load
 from ergopump.game import MAX_REPORTED_ERRORS, DocumentError, GameParams, _finite, to_fraction
-from ergopump.markov import best_response_value
+from ergopump.markov import best_response_value, uniform_strategy
 from ergopump.matrix_game import local_values
 from ergopump.pump import partition, r_bounds
 
@@ -605,16 +605,14 @@ def one_shot_bounds(game, alpha, beta, x):
 def global_bounds(game, cert):
     """(worst gain over the alpha states, best gain over the beta states) when
     the opponent best-responds over mean payoffs to the certificate's
-    strategies, extended uniformly to the states they do not cover."""
-    def extend(strategies, size):
-        return tuple(np.asarray(strategies[v], dtype=np.float64) if v in strategies
-                     else np.full(size(v), 1.0 / size(v)) for v in range(game.n))
-
-    alpha, beta = per_state(game, cert.alpha, "row"), per_state(game, cert.beta, "col")
-    gain_alpha, _ = best_response_value(game, extend(alpha, game.num_row_actions), "row")
-    gain_beta, _ = best_response_value(game, extend(beta, game.num_col_actions), "col")
-    return (float(min(gain_alpha[v] for v in alpha)),
-            float(max(gain_beta[v] for v in beta)))
+    strategies, uniform at the states they do not cover (their NaN entries)."""
+    gains = []
+    for mix, player in ((cert.alpha, "row"), (cert.beta, "col")):
+        uncovered = np.isnan(mix)
+        gain, _ = best_response_value(
+            game, np.where(uncovered, uniform_strategy(game, player), mix), player)
+        gains.append(gain[~np.logical_or.reduceat(uncovered, _first(game, player)[:-1])])
+    return float(gains[0].min()), float(gains[1].max())
 
 
 def _first(game, player):

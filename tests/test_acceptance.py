@@ -23,11 +23,7 @@ from ergopump.documents import (
 from ergopump.driver import decide_ergodicity, default_outer_cap
 from ergopump.game import game_params, normalize_rewards
 from ergopump.generators import big_match, cycle, disconnected, generate, random_game
-from ergopump.markov import (
-    evaluate_stationary_pair,
-    pure_profile,
-    uniform_profile,
-)
+from ergopump.markov import evaluate_stationary_pair, pure_strategy, uniform_strategy
 from ergopump.matrix_game import local_values, solve_matrix_game
 from ergopump.oracle import enumerate_pure_bounds, simulate_mean_payoff
 from ergopump.witness import verify_witness
@@ -303,13 +299,13 @@ def test_criterion_7_markov_evaluation():
                 for v in range(game.n)]
         cols = [int(rng_case.integers(0, game.num_col_actions(v)))
                 for v in range(game.n)]
-        profile = pure_profile(game, rows, cols)
+        profile = pure_strategy(game, "row", rows), pure_strategy(game, "col", cols)
         start = int(rng_case.integers(0, game.n))
-        exact = evaluate_stationary_pair(game, profile).gain[start]
+        exact = evaluate_stationary_pair(game, *profile)[start]
         # the truncation bias of a finite trajectory is O(1/steps), so give
         # the 3-sigma band a small absolute allowance on top
         steps = 20_000
-        draws = np.array([simulate_mean_payoff(game, profile, start, steps, seed=s)
+        draws = np.array([simulate_mean_payoff(game, *profile, start, steps, seed=s)
                           for s in range(8)])
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - exact) <= 3 * se + 1e-3, (
@@ -322,9 +318,9 @@ def test_criterion_7_markov_evaluation():
                            seed=500 + trial)
         from ergopump.game import apply_potential
         x = rng_t.uniform(-1e3, 1e3, size=4)
-        profile = uniform_profile(game)
-        before = evaluate_stationary_pair(game, profile).gain
-        after = evaluate_stationary_pair(apply_potential(game, x), profile).gain
+        profile = uniform_strategy(game, "row"), uniform_strategy(game, "col")
+        before = evaluate_stationary_pair(game, *profile)
+        after = evaluate_stationary_pair(apply_potential(game, x), *profile)
         assert np.abs(before - after).max() <= 1e-8
     _report(7, f"500 limiting matrices (worst residual {worst:.2e}), "
                "50 simulation cross-checks, 20 large-potential invariance runs")

@@ -34,9 +34,8 @@ from ergopump.markov import (
     evaluate_stationary_pair,
     induced_chain,
     limiting_matrix,
-    make_profile,
     profile_step_reward,
-    uniform_profile,
+    uniform_strategy,
 )
 from ergopump.matrix_game import local_values
 from ergopump.pump import r_bounds
@@ -667,23 +666,23 @@ class TestFlatView:
                 bound = (m_plus - e - p @ np.minimum(x[v] - x, 0.0)).max()
             close(bounds[v], bound)
 
-        profile = make_profile(
-            game,
-            [rng.dirichlet(np.ones(game.num_row_actions(v))) for v in range(n)],
-            [rng.dirichlet(np.ones(game.num_col_actions(v))) for v in range(n)])
-        close(induced_chain(game, profile),
-              [np.einsum("k,klu,l->u", a, p, b)
-               for a, b, (p, _e) in zip(profile.alpha, profile.beta, dense)])
-        close(profile_step_reward(game, profile),
-              [a @ e @ b for a, b, (_p, e) in zip(profile.alpha, profile.beta, dense)])
+        # a random distribution per state and player, one flat array each
+        alpha, beta = (np.concatenate([rng.dirichlet(np.ones(c)) for c in np.diff(first)])
+                       for first in (flat.first_row, flat.first_col))
+        per_state = [(alpha[flat.first_row[v]:flat.first_row[v + 1]],
+                      beta[flat.first_col[v]:flat.first_col[v + 1]]) for v in range(n)]
+        close(induced_chain(game, alpha, beta),
+              [np.einsum("k,klu,l->u", a, p, b) for (a, b), (p, _e) in zip(per_state, dense)])
+        close(profile_step_reward(game, alpha, beta),
+              [a @ e @ b for (a, b), (_p, e) in zip(per_state, dense)])
 
-        for player, fixed in (("row", profile.alpha), ("col", profile.beta)):
+        for player, fixed in (("row", alpha), ("col", beta)):
             if player == "row":
-                tables = [(np.einsum("k,klu->lu", f, p), f @ e)
-                          for f, (p, e) in zip(fixed, dense)]
+                tables = [(np.einsum("k,klu->lu", a, p), a @ e)
+                          for (a, _b), (p, e) in zip(per_state, dense)]
             else:
-                tables = [(np.einsum("klu,l->ku", p, f), e @ f)
-                          for f, (p, e) in zip(fixed, dense)]
+                tables = [(np.einsum("klu,l->ku", p, b), e @ b)
+                          for (_a, b), (p, e) in zip(per_state, dense)]
             gain, policy = best_response_value(game, fixed, player)
             # the returned policy earns the returned gain ...
             P_d = np.array([trans[a] for (trans, _r), a in zip(tables, policy)])
@@ -727,7 +726,8 @@ class TestApplyPotential:
         transformed = apply_potential(g, np.array([1.0, 0.0]))
         assert transformed.transitions[0][0][4] == pytest.approx(1.0)
         assert transformed.transitions[1][0][4] == pytest.approx(-1.0)
-        gain = evaluate_stationary_pair(transformed, uniform_profile(transformed)).gain
+        gain = evaluate_stationary_pair(transformed, uniform_strategy(transformed, "row"),
+                                        uniform_strategy(transformed, "col"))
         assert np.allclose(gain, 0.0, atol=1e-12)
 
     def test_mean_payoff_invariance(self):
@@ -735,7 +735,7 @@ class TestApplyPotential:
         for trial in range(5):
             g = random_dense_game(rng, n=3)
             x = rng.uniform(-1e3, 1e3, size=3)
-            profile = uniform_profile(g)
-            before = evaluate_stationary_pair(g, profile).gain
-            after = evaluate_stationary_pair(apply_potential(g, x), profile).gain
+            profile = uniform_strategy(g, "row"), uniform_strategy(g, "col")
+            before = evaluate_stationary_pair(g, *profile)
+            after = evaluate_stationary_pair(apply_potential(g, x), *profile)
             assert np.allclose(before, after, atol=1e-9)

@@ -241,6 +241,36 @@ class TestVerifyWitness:
             f"{side}: expected an array of 2 entries, one per {player} action, got {got}",)
         assert report.certified_gap == -np.inf
 
+    @pytest.mark.parametrize("field, value, failure", [
+        ("potential", np.zeros(3), "potential must have shape (4,), got (3,)"),
+        ("potential", None, "potential must have shape (4,), got ()"),
+        ("potential", np.array([0.0, np.nan, 0.0, 0.0]), "potential entries must be finite"),
+        ("potential", np.array([0.0, 0.0, np.inf, 0.0]), "potential entries must be finite"),
+        ("floor", None, "floor: expected a number, got None"),
+        ("ceiling", None, "ceiling: expected a number, got None"),
+        ("ceiling", np.nan, "ceiling: expected a number, got nan"),
+        ("eps", np.nan, "eps: expected a positive finite number, got nan"),
+        ("eps", 0.0, "eps: expected a positive finite number, got 0.0"),
+    ], ids=["potential-short", "potential-none", "potential-nan", "potential-inf", "floor-none",
+            "ceiling-none", "ceiling-nan", "eps-nan", "eps-zero"])
+    def test_malformed_field_is_a_named_failure(self, field, value, failure):
+        # reported, not raised, and with eps NaN no one-shot comparison can
+        # pass silently under a NaN slack
+        g = random_game(4, 2, seed=3)
+        verdict, _ = decide_ergodicity(g, 0.05)
+        assert verify_witness(g, verdict).ok
+        report = verify_witness(g, verdict._replace(**{field: value}))
+        assert report.failures == (failure,)
+        assert report.certified_gap == -np.inf
+
+    def test_every_malformed_field_is_reported(self):
+        g = random_game(4, 2, seed=3)
+        verdict, _ = decide_ergodicity(g, 0.05)
+        report = verify_witness(g, verdict._replace(alpha=np.ones(1), potential=np.zeros(3),
+                                                    floor=None, eps=np.nan))
+        assert [f.split(":")[0].split(" ")[0] for f in report.failures] == [
+            "alpha", "potential", "floor", "eps"]
+
     def test_inconclusive_verdict_certifies_nothing(self):
         verdict = Verdict(kind=INCONCLUSIVE, eps=0.1, value_offset=0.0, reason="cap")
         assert verify_witness(disconnected(0.0, 10.0), verdict).failures == (
