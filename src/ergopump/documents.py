@@ -12,22 +12,21 @@ documents.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import sys
-from itertools import chain
 from operator import itemgetter
 
 import numpy as np
 
-from .game import DocumentError, GameSpec, Strategy, _finite, make_game
+from .game import DocumentError, GameSpec, Strategy, make_game
 from .witness import ERGODIC, INCONCLUSIVE, NON_ERGODIC, Verdict, verify_witness
 
 GAME_FORMAT = "ergopump-game/1"
 CERTIFICATE_FORMAT = "ergopump-certificate/4"
 _FIELD_NAMES = ("from", "row", "col", "to", "p", "r")
 _RECORD_FIELDS = itemgetter(*_FIELD_NAMES)  # a record object's (v, k, l, u, p, r)
+_NUMBERS = frozenset((int, float))  # the types of a JSON number as json reads it
 
 
 def serialize_game(game: GameSpec) -> str:
@@ -158,91 +157,74 @@ def serialize_certificate(game: GameSpec, verdict: Verdict, stats) -> str:
 
 
 def parse_certificate(text: str, game: GameSpec) -> Verdict:
-    """Parse a certificate for `game` back into the Verdict it was written
-    from; raises DocumentError when the verdict kind is unknown or a field the
-    recheck reads is missing, malformed or does not fit the game. Each table
-    row, normalized, goes straight to its state's slice of a Strategy.
-
-    It checks form only: what the certificate claims (which states alpha and
-    beta cover, and the bounds) is for recheck_certificate to judge.
-    """
+    """Decode a certificate for `game` into the Verdict it was written from,
+    each table row to its state's slice of a Strategy as written. Raises
+    DocumentError only for what a Verdict cannot hold: another format,
+    states list, verdict kind or type of reason; a table that does not map
+    states of the game to one list each, one entry per action; a value
+    that is not a JSON number, or an array entry past the float range; a
+    NaN in a row, where it marks an uncovered action. verify_witness judges
+    every value."""
     doc = _load(text, CERTIFICATE_FORMAT)
     if doc.get("states") != list(game.states):
         raise DocumentError(["certificate states do not match the game"])
     problems = []
 
-    def number(key, positive=False):
-        value = doc.get(key)
-        if _finite([value]) and (value > 0 or not positive):
-            return float(value)
-        problems.append(f"{key!r} must be a {'positive ' if positive else ''}finite "
-                        f"number, got {value!r}")
-        return 0.0
+    def number(key):
+        if type(doc.get(key)) not in _NUMBERS:
+            problems.append(f"{key!r} must be a number, got {doc.get(key)!r}")
+        return doc.get(key)
 
-    def strategies():
-        # any non-negative vector with a positive sum names the distribution
-        # it is proportional to; the recheck reads that. Each check runs once
-        # over both players' tables, and each row goes to its slice of one
-        # list holding alpha's global rows, then beta's global columns
+    def arrays():
+        # one list, decoded at once: alpha's global rows, then beta's global
+        # columns, NaN at the states a table does not list, then the potential
         index = {s: v for v, s in enumerate(game.states)}
         first_row, first_col = game.flat.first_row, game.flat.first_col
-        rows_total = int(first_row[-1])
-        starts, rows = [], []
+        rows_total, total = int(first_row[-1]), int(first_row[-1] + first_col[-1])
+        mix, entries = [math.nan] * total, 0
         for key, first, offset in (("alpha", first_row.tolist(), 0),
                                    ("beta", first_col.tolist(), rows_total)):
             table = doc.get(key)
-            if not isinstance(table, dict):
-                problems.append(f"{key!r} must map state names to strategy vectors")
-                table = {}
-            names = [s for s in table if s in index]
-            if len(names) < len(table):
-                problems.append(f"{key}: {sorted(set(table) - set(names))} are not "
-                                "states of the game")
-            owners = [index[s] for s in names]
-            got = [table[s] for s in names]
-            if ([len(row) if isinstance(row, list) else None for row in got]
+            unknown = sorted(table.keys() - index.keys()) if isinstance(table, dict) else None
+            if unknown != []:  # no table, or one naming a state the game lacks
+                problems.append(f"{key}: {unknown} are not states of the game" if unknown
+                                else f"{key!r} must map state names to strategy vectors")
+                continue
+            owners, rows = [index[s] for s in table], list(table.values())
+            if ([len(row) if isinstance(row, list) else None for row in rows]
                     != [first[v + 1] - first[v] for v in owners]):
-                problems.append(f"{key}: expected one list per state, with one number "
-                                "per action")
-            starts += [offset + first[v] for v in owners]
-            rows += got
+                problems.append(f"{key}: expected one list per state, one number per action")
+                continue
+            for v, row in zip(owners, rows):
+                mix[offset + first[v]:offset + first[v + 1]] = row
+                entries += len(row)
+        if not isinstance(doc.get("potential"), list):
+            problems.append("'potential' must be a list of numbers")
         if problems:
-            return None, None
-        flat = list(chain.from_iterable(rows))
-        totals = [0.0]
-        with contextlib.suppress(OverflowError):  # finite entries may overflow a sum
-            # both tables may be empty: covering no state is the recheck's to judge
-            if _finite(flat) and min(flat, default=0.0) >= 0:
-                totals = list(map(math.fsum, rows))
-        if not min(totals, default=1.0) > 0:
-            problems.append("every strategy vector needs finite, non-negative entries "
-                            "with a positive sum")
-            return None, None
-        mix = [math.nan] * (rows_total + int(first_col[-1]))
-        for start, row, total in zip(starts, rows, totals):
-            # x / total rounds as numpy's division does; most rows sum to 1
-            mix[start:start + len(row)] = row if total == 1.0 else [x / total for x in row]
-        mix = np.array(mix, dtype=np.float64)
-        return Strategy(mix[:rows_total], first_row), Strategy(mix[rows_total:], first_col)
+            return {}
+        mix += doc["potential"]
+        try:  # JSON numbers only: a conversion would take true as 1, "0.5" as 0.5
+            mix = np.array(mix, dtype=np.float64) if _NUMBERS.issuperset(map(type, mix)) else None
+        except OverflowError:  # an int past the float range
+            mix = None
+        # every NaN among the strategies' entries is an uncovered state's placeholder
+        if mix is None or np.count_nonzero(np.isnan(mix[:total])) != total - entries:
+            problems.append("'potential', 'alpha' and 'beta' must hold numbers, strategies no NaN")
+            return {}
+        return {"potential": mix[total:], "alpha": Strategy(mix[:rows_total], first_row),
+                "beta": Strategy(mix[rows_total:total], first_col)}
 
     kind = doc.get("verdict")
     if kind not in (ERGODIC, NON_ERGODIC, INCONCLUSIVE):
         problems.append(f"'verdict' must be {ERGODIC!r}, {NON_ERGODIC!r} or "
                         f"{INCONCLUSIVE!r}, got {kind!r}")
-    eps = number("epsilon", positive=True)
-    value_offset = number("value_offset")
+    eps, value_offset = number("epsilon"), number("value_offset")
     reason = doc.get("reason")
     if not (reason is None or isinstance(reason, str)):
         problems.append(f"'reason' must be a string or null, got {reason!r}")
     certified = {}
     if kind in (ERGODIC, NON_ERGODIC):
-        potential = doc.get("potential")
-        if isinstance(potential, list) and len(potential) == game.n and _finite(potential):
-            certified["potential"] = np.array(potential, dtype=np.float64)
-        else:
-            problems.append(f"'potential': expected a list of {game.n} finite numbers")
-        certified.update(floor=number("floor"), ceiling=number("ceiling"))
-        certified["alpha"], certified["beta"] = strategies()
+        certified = dict(arrays(), floor=number("floor"), ceiling=number("ceiling"))
     if problems:
         raise DocumentError(problems)
     return Verdict(kind=kind, eps=eps, value_offset=value_offset, reason=reason, **certified)

@@ -25,9 +25,10 @@ Settles the local games of a stochastic game in three stages.
    them in the same float operations, and hands them to stage 3.
 3. The classic value LP, for larger games and any small one no kernel
    settles: shift the matrix positive, maximize the column player's scaled
-   mixed strategy against unit bounds, and read the row player's strategy
-   off the duals. The simplex is self-contained (Dantzig entering rule,
-   switching to Bland's rule after a pivot budget to rule out cycling).
+   mixed strategy against unit bounds, and solve the negated transpose the
+   same way for the row player's, never reading it off the duals. The
+   simplex is self-contained (Dantzig entering rule, switching to Bland's
+   rule after a pivot budget to rule out cycling).
 
 A LocalSolve is the one record of a potential and its local games: the
 potential x, and what settling the games took, namely the screen's row
@@ -233,28 +234,14 @@ def _unit(size, index):
     return out
 
 
-def _solve(rows, screened=False):
-    """Solve a matrix game, given as lists of Python floats, and
-    saddle-check the result.
-
-    Returns (value, row strategy, col strategy, duality gap). Games that
-    _kernel_solve settles need no pivot; the rest run the value LP.
-    screened says the screen found the game mixed (see _kernel_solve). Raises
-    MatrixGameError when the simplex stalls, bounded by the pure maximin
-    and minimax, or when the gap exceeds _SADDLE_TOL, bounded by the worst
-    column payoff and the best row payoff of the strategies found.
-    """
-    settled = _kernel_solve(rows, screened)
-    if settled is not None:
-        return settled
-    m = len(rows)
-    n = len(rows[0])
-
+def _lp_column(rows):
+    """(column strategy, value) of a matrix game by the value LP, or None
+    when the simplex stalls: shift the matrix positive, maximize sum(w)
+    s.t. shifted @ w <= 1, w >= 0, and scale w to a distribution."""
+    m, n = len(rows), len(rows[0])
     lowest = min(min(row) for row in rows)
     shift = 1.0 - lowest if lowest < 1.0 else 0.0
-
-    # maximize sum(w) s.t. shifted @ w <= 1, w >= 0; slacks start basic
-    n_vars = n + m
+    n_vars = n + m  # slacks start basic
     tableau = []
     for i in range(m):
         row = [x + shift for x in rows[i]] + [0.0] * m + [1.0]
@@ -262,25 +249,43 @@ def _solve(rows, screened=False):
         tableau.append(row)
     tableau.append([-1.0] * n + [0.0] * m + [0.0])
     basis = list(range(n, n + m))
-
     optimal = _simplex_max(tableau, basis, n_vars)
-
     w = [0.0] * n
     for i, b in enumerate(basis):
         if b < n:
             w[b] = tableau[i][n_vars]
     total = left_sum(w)
-    # duals live in the objective row under the slack columns
-    y = [x if x > 0.0 else 0.0 for x in tableau[m][n:n_vars]]
-    y_total = left_sum(y)
-    if not optimal or total <= 0.0 or y_total <= 0.0:
+    if not optimal or total <= 0.0:
+        return None
+    return [x / total for x in w], 1.0 / total - shift
+
+
+def _solve(rows, screened=False):
+    """Solve a matrix game, given as lists of Python floats, and
+    saddle-check the result.
+
+    Returns (value, row strategy, col strategy, duality gap). Games that
+    _kernel_solve settles need no pivot; the rest run the value LP twice,
+    for the column strategy and value of rows and for the row strategy as
+    the column strategy of -rows', each a primal solution: the duals read
+    off the first LP's objective row can carry a pivot's rounding that the
+    primal does not. screened says the screen found the game mixed (see
+    _kernel_solve). Raises MatrixGameError when the simplex stalls,
+    bounded by the pure maximin and minimax, or when the gap exceeds
+    _SADDLE_TOL, bounded by the worst column payoff and the best row
+    payoff of the strategies found.
+    """
+    settled = _kernel_solve(rows, screened)
+    if settled is not None:
+        return settled
+    primal = _lp_column(rows)
+    dual = _lp_column([[-x for x in column] for column in zip(*rows)])
+    if primal is None or dual is None:
         raise MatrixGameError(
             "simplex did not reach an optimum",
             max(min(row) for row in rows), min(max(col) for col in zip(*rows)),
         )
-    col = [x / total for x in w]
-    row_strategy = [x / y_total for x in y]
-    value = 1.0 / total - shift
+    (col, value), (row_strategy, _) = primal, dual
 
     worst_col, best_row = _saddle_bounds(rows, row_strategy, col)
     gap = best_row - worst_col

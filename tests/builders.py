@@ -193,12 +193,14 @@ def count_local_games(monkeypatch):
 
 # ways to break a certificate: per case, the game, the eps to solve it at,
 # the edit, and None where parse_certificate rejects the document, else a
-# failure recheck_certificate must report. The parser checks form only, so
-# what a certificate claims (which states alpha and beta cover, and the
-# bounds) fails the recheck. disconnected(0, 10) gives a non-ergodicity
-# witness at eps 0.1 and an ergodic certificate at 1.0; _SPLIT a witness
-# whose high set is the 2-cycle of u and v; the matrix game [[3, 1], [0, 2]]
-# an ergodic certificate with alpha (1/2, 1/2)
+# failure recheck_certificate must report. The parser only decodes, so a
+# value a Verdict can hold (a bound, epsilon, the potential's length, a
+# strategy's entries and sums) and what a certificate claims (which states
+# alpha and beta cover) fail the recheck, which names the field.
+# disconnected(0, 10) gives a non-ergodicity witness at eps 0.1 and an
+# ergodic certificate at 1.0; _SPLIT a witness whose high set is the
+# 2-cycle of u and v; the matrix game [[3, 1], [0, 2]] an ergodic
+# certificate with alpha (1/2, 1/2)
 _DISCONNECTED = disconnected(0.0, 10.0)
 _SPLIT = make_game(
     ["low", "u", "v"], [["a"]] * 3, [["x"]] * 3,
@@ -212,20 +214,23 @@ MALFORMED_CERTIFICATES = {
     "unknown verdict": (_DISCONNECTED, 0.1, lambda doc: doc.update(verdict="maybe"), None),
     "missing epsilon": (_DISCONNECTED, 0.1, lambda doc: doc.pop("epsilon"), None),
     # NaN would disable every tolerance
-    "NaN epsilon": (_DISCONNECTED, 0.1, lambda doc: doc.update(epsilon=float("nan")), None),
+    "NaN epsilon": (_DISCONNECTED, 0.1, lambda doc: doc.update(epsilon=float("nan")),
+                    "eps: expected a positive finite number, got nan"),
     # a slack of min(eps/10, 1e-6) that is 0 or negative breaks every bound
-    "zero epsilon": (_DISCONNECTED, 0.1, lambda doc: doc.update(epsilon=0.0), None),
-    "negative epsilon": (_DISCONNECTED, 1.0, lambda doc: doc.update(epsilon=-1.0), None),
+    "zero epsilon": (_DISCONNECTED, 0.1, lambda doc: doc.update(epsilon=0.0),
+                     "eps: expected a positive finite number, got 0.0"),
+    "negative epsilon": (_DISCONNECTED, 1.0, lambda doc: doc.update(epsilon=-1.0),
+                         "eps: expected a positive finite number, got -1.0"),
     "missing value_offset": (_DISCONNECTED, 0.1, lambda doc: doc.pop("value_offset"), None),
     "short potential": (_DISCONNECTED, 0.1, lambda doc: doc.update(
-        potential=doc["potential"][:1]), None),
+        potential=doc["potential"][:1]), "potential: expected 2 finite numbers"),
     # v's only action moves to u, which alpha no longer covers
     "alpha misses a high state": (_SPLIT, 0.1, lambda doc: doc["alpha"].pop("u"),
                                   "leaks to 'u'"),
     "beta of the wrong length": (_DISCONNECTED, 0.1, lambda doc: doc["beta"].update(
         low=[0.5, 0.5]), None),
     "negative strategy entry": (_DISCONNECTED, 0.1, lambda doc: doc["alpha"].update(
-        high=[-1.0]), None),
+        high=[-1.0]), "alpha: expected non-negative entries"),
     "empty high set": (_DISCONNECTED, 0.1, lambda doc: doc.update(alpha={}),
                        "must not be empty"),
     "state in both sets": (_DISCONNECTED, 0.1, lambda doc: doc["beta"].update(high=[1.0]),
@@ -235,18 +240,29 @@ MALFORMED_CERTIFICATES = {
     "ergodic beta of the wrong length": (_DISCONNECTED, 1.0, lambda doc: doc["beta"].update(
         low=[0.5, 0.5]), None),
     "ergodic negative strategy entry": (_DISCONNECTED, 1.0, lambda doc: doc["alpha"].update(
-        high=[-1.0]), None),
+        high=[-1.0]), "alpha: expected non-negative entries"),
     "ergodic band missing": (_DISCONNECTED, 1.0, lambda doc: doc.update(
         floor=None, ceiling=None), None),
     # finite entries whose sum leaves the float range
     "strategy sum overflows": (_MIXED, 0.05, lambda doc: doc["alpha"].update(
-        s=[1e308, 1e308]), None),
+        s=[1e308, 1e308]), "alpha: expected non-negative entries with a finite sum"),
     # entries that a float conversion would take: JSON true as 1, "0.5" as 0.5
     "boolean strategy entry": (_DISCONNECTED, 0.1, lambda doc: doc["alpha"].update(
         high=[True]), None),
     "string strategy entry": (_MIXED, 0.05, lambda doc: doc["alpha"].update(
         s=[0.5, "0.5"]), None),
-    "all-zero strategy": (_MIXED, 0.05, lambda doc: doc["beta"].update(s=[0.0, 0.0]), None),
+    # NaN marks an uncovered action, so a row cannot hold one
+    "NaN strategy entry": (_MIXED, 0.05, lambda doc: doc["alpha"].update(
+        s=[0.5, float("nan")]), None),
+    # a float array cannot hold an int past the float range
+    "strategy entry past the float range": (_MIXED, 0.05, lambda doc: doc["alpha"].update(
+        s=[10 ** 400, 1]), None),
+    "text in the potential": (_DISCONNECTED, 0.1, lambda doc: doc.update(
+        potential=["a", "b"]), None),
+    "infinite strategy entry": (_MIXED, 0.05, lambda doc: doc["beta"].update(
+        s=[float("inf"), 0.0]), "beta: expected non-negative entries with a finite sum"),
+    "all-zero strategy": (_MIXED, 0.05, lambda doc: doc["beta"].update(s=[0.0, 0.0]),
+                          "beta: expected non-negative entries"),
     "negative entry, positive sum": (_MIXED, 0.05, lambda doc: doc["alpha"].update(
-        s=[-0.5, 1.5]), None),
+        s=[-0.5, 1.5]), "alpha: expected non-negative entries"),
 }

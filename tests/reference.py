@@ -641,10 +641,10 @@ def per_state(game, mix, player):
 
 def document_strategies(game, text):
     """(alpha, beta) as a certificate document's tables give them: each row
-    over its math.fsum, laid out by layout."""
+    as written, laid out by layout."""
     doc = json.loads(text)
     index = {s: v for v, s in enumerate(game.states)}
-    return tuple(layout(game, {index[s]: np.array(row, dtype=np.float64) / math.fsum(row)
+    return tuple(layout(game, {index[s]: np.array(row, dtype=np.float64)
                                for s, row in doc[key].items()}, player)
                  for key, player in (("alpha", "row"), ("beta", "col")))
 

@@ -25,6 +25,7 @@ from ergopump.documents import (
 from ergopump.driver import DriverConfig, decide_ergodicity
 from ergopump.game import GameSpec, normalize_rewards
 from ergopump.generators import KINDS, generate, random_game
+from ergopump.witness import verify_witness
 
 MINIMAL = """
 {
@@ -283,18 +284,23 @@ class TestCertificates:
         assert any("floor" in p for p in problems)
 
     def test_rescaled_strategy_is_renormalised(self):
-        # an unnormalised alpha must not scale the one-shot payoff: read as
-        # a distribution, [20.0] is [1.0] and cannot carry the 0.5 state
-        # above the floor taken from the 10 state
+        # an unnormalised alpha must not scale the one-shot payoff: parsed
+        # as written, [20.0] reads as the distribution [1.0], so the
+        # rescaled certificate gets the report of the one as solved, bit for
+        # bit, on its own game and on one where it cannot carry the 0.5
+        # state above the floor taken from the 10 state
         game, verdict, stats = self._solve()
         doc = json.loads(serialize_certificate(game, verdict, stats))
-        doc["alpha"]["high"] = [20.0]
-        weaker = disconnected(0.0, 0.5)
-        parsed = parse_certificate(json.dumps(doc), weaker)
-        assert reference.per_state(weaker, parsed.alpha, "row")[1].tolist() == [1.0]
-        ok, problems = recheck_certificate(weaker, parsed)
-        assert not ok
-        assert any("below floor" in p for p in problems)
+        rescaled = json.loads(json.dumps(doc))
+        rescaled["alpha"]["high"] = [20.0]
+        for checked in (game, disconnected(0.0, 0.5)):
+            solved, scaled = (parse_certificate(json.dumps(d), checked) for d in (doc, rescaled))
+            assert reference.per_state(checked, scaled.alpha, "row")[1].tolist() == [20.0]
+            solved, scaled = verify_witness(checked, solved), verify_witness(checked, scaled)
+            assert scaled.failures == solved.failures
+            assert np.float64(scaled.certified_gap).tobytes() == np.float64(
+                solved.certified_gap).tobytes()
+        assert any("below floor" in p for p in scaled.failures)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
     def test_malformed_certificate_rejected(self, case):
@@ -425,7 +431,7 @@ class TestCertificates:
             parsed = reference.per_state(game, getattr(read, side), player)
             assert sorted(parsed) == list(range(game.n))
             for v, vec in solved.items():
-                assert parsed[v].tolist() == (vec / vec.sum()).tolist()
+                assert parsed[v].tobytes() == vec.tobytes()
 
     @pytest.mark.parametrize("game", [
         random_game(6, max_actions=3, seed=4),  # ergodic: every state covered

@@ -78,6 +78,25 @@ class TestRandomMatrices:
             if A.shape == (2, 2):
                 assert sol.value == pytest.approx(reference.value_2x2(A), abs=1e-10)
 
+    @pytest.mark.parametrize("matrix", [
+        # after a pivot on 6.8e-8 the objective row's duals were 4.6e-9 off
+        # a row strategy, while the column strategy was within 6e-16
+        [[1.0, 2.2408659172643248e-21, 1.0, 0.0], [0.9999999403953552, 0.0, -1.0, 0.0],
+         [0.0, 0.0, 0.0, 0.0], [2.0, -6.996803497233518, -8.875, 3.0]],
+        # a largest-pivot tie-break in the ratio test, which settles the
+        # game above, fails this one
+        [[1.0, 2.2408659172643248e-21, 1.0, 0.0], [0.9999999403953552, 0.0, 0.0, 1.0],
+         [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, -8.75, 0.0]],
+    ])
+    def test_value_lp_settles_games_with_tiny_pivots(self, matrix, monkeypatch):
+        # both games have value 0 and reach the simplex; each strategy is
+        # read as an LP primal, so the saddle check holds at _SADDLE_TOL
+        calls = count_calls(monkeypatch, ("_simplex_max",))
+        sol = solve_matrix_game(matrix)
+        assert calls["_simplex_max"] > 0
+        _assert_saddle(matrix, sol)
+        assert sol.value == pytest.approx(0.0, abs=1e-12)
+
     def test_determinism(self):
         rng = np.random.default_rng(99)
         A = rng.uniform(-5, 5, size=(4, 5))

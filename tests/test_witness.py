@@ -137,6 +137,31 @@ def _solved_witness(game, eps):
     return verdict
 
 
+def _flat(game, player, values):
+    first = game.flat.first_row if player == "row" else game.flat.first_col
+    return Strategy(np.array(values, dtype=np.float64), first)
+
+
+# ways to break a solved verdict's strategies in memory: per case, the game,
+# the eps to solve it at, the fields to replace and the failure
+# verify_witness reports (an unknown kind and a boolean eps are among the
+# malformed fields below). disconnected(0, 10) gives a witness at eps 0.05
+# (alpha covers 'high', beta 'low'); [[3, 1], [0, 2]] an ergodic verdict
+# with alpha (1/2, 1/2)
+_BUILT_IN_CODE = {
+    "all-zero ergodic": (disconnected(0.0, 10.0), 0.05, lambda g, v: dict(
+        kind=ERGODIC, floor=0.0, ceiling=0.0, alpha=_flat(g, "row", [0.0, 0.0]),
+        beta=_flat(g, "col", [0.0, 0.0])), "alpha: expected non-negative entries"),
+    # read over its mass of 3, alpha guarantees 10, not the 30 tripled
+    "tripled alpha": (disconnected(0.0, 10.0), 0.05, lambda g, v: dict(
+        alpha=_flat(g, "row", 3 * np.asarray(v.alpha)), floor=29.0),
+        "one-shot: alpha guarantees 10.0 at state 'high', below floor 29.0"),
+    "negative entry, positive sum": (matrix_as_game([[3.0, 1.0], [0.0, 2.0]]), 0.05,
+                                     lambda g, v: dict(alpha=_flat(g, "row", [-0.5, 1.5])),
+                                     "alpha: expected non-negative entries"),
+}
+
+
 class TestVerifyWitness:
     def test_disconnected_certificate_passes(self):
         g = disconnected(0.0, 10.0)
@@ -242,17 +267,28 @@ class TestVerifyWitness:
         assert report.certified_gap == -np.inf
 
     @pytest.mark.parametrize("field, value, failure", [
-        ("potential", np.zeros(3), "potential must have shape (4,), got (3,)"),
-        ("potential", None, "potential must have shape (4,), got ()"),
-        ("potential", np.array([0.0, np.nan, 0.0, 0.0]), "potential entries must be finite"),
-        ("potential", np.array([0.0, 0.0, np.inf, 0.0]), "potential entries must be finite"),
-        ("floor", None, "floor: expected a number, got None"),
-        ("ceiling", None, "ceiling: expected a number, got None"),
-        ("ceiling", np.nan, "ceiling: expected a number, got nan"),
+        ("potential", np.zeros(3),
+         "potential: expected 4 finite numbers (potential must have shape (4,), got (3,))"),
+        ("potential", None,
+         "potential: expected 4 finite numbers (potential must have shape (4,), got ())"),
+        ("potential", np.array([0.0, np.nan, 0.0, 0.0]),
+         "potential: expected 4 finite numbers (potential entries must be finite)"),
+        ("potential", np.array([0.0, 0.0, np.inf, 0.0]),
+         "potential: expected 4 finite numbers (potential entries must be finite)"),
+        ("potential", ["a"] * 4,
+         "potential: expected 4 finite numbers (could not convert string to float: 'a')"),
+        ("floor", None, "floor: expected a finite number, got None"),
+        ("ceiling", None, "ceiling: expected a finite number, got None"),
+        ("ceiling", np.nan, "ceiling: expected a finite number, got nan"),
+        ("floor", np.inf, "floor: expected a finite number, got inf"),
         ("eps", np.nan, "eps: expected a positive finite number, got nan"),
         ("eps", 0.0, "eps: expected a positive finite number, got 0.0"),
-    ], ids=["potential-short", "potential-none", "potential-nan", "potential-inf", "floor-none",
-            "ceiling-none", "ceiling-nan", "eps-nan", "eps-zero"])
+        ("eps", True, "eps: expected a positive finite number, got True"),
+        ("kind", "bogus",
+         "kind: expected 'ergodic-24eps', 'non-ergodic' or 'inconclusive', got 'bogus'"),
+    ], ids=["potential-short", "potential-none", "potential-nan", "potential-inf",
+            "potential-text", "floor-none", "ceiling-none", "ceiling-nan", "floor-inf",
+            "eps-nan", "eps-zero", "eps-bool", "kind-unknown"])
     def test_malformed_field_is_a_named_failure(self, field, value, failure):
         # reported, not raised, and with eps NaN no one-shot comparison can
         # pass silently under a NaN slack
@@ -270,6 +306,16 @@ class TestVerifyWitness:
                                                     floor=None, eps=np.nan))
         assert [f.split(":")[0].split(" ")[0] for f in report.failures] == [
             "alpha", "potential", "floor", "eps"]
+
+    @pytest.mark.parametrize("case", sorted(_BUILT_IN_CODE))
+    def test_values_built_in_code_are_judged(self, case):
+        # verdicts that never pass through a document, each accepted while
+        # only the parser judged strategy entries and bound values
+        game, eps, edit, failure = _BUILT_IN_CODE[case]
+        verdict, _ = decide_ergodicity(game, eps)
+        assert verify_witness(game, verdict).ok
+        report = verify_witness(game, verdict._replace(**edit(game, verdict)))
+        assert any(p.startswith(failure) for p in report.failures), report.failures
 
     def test_inconclusive_verdict_certifies_nothing(self):
         verdict = Verdict(kind=INCONCLUSIVE, eps=0.1, value_offset=0.0, reason="cap")
@@ -367,6 +413,34 @@ def test_perturbed_certificates_accepted_only_within_global_bounds(case, weight,
     got, expected = verify_witness(g, parsed), verify_witness(g, built)
     assert got.failures == expected.failures
     assert np.float64(got.certified_gap).tobytes() == np.float64(expected.certified_gap).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.builds(lambda n, seed: (random_game(n, max_actions=3, seed=seed), 0.05),
+              st.integers(2, 5), st.integers(0, 10_000)),
+    st.sampled_from([  # witnesses whose sets hold states with several actions
+        (random_game(2, max_actions=3, granularity=1, reward_bound=8.0, seed=32), 0.05),
+        (random_game(3, max_actions=2, granularity=2, reward_bound=8.0, seed=169), 0.05),
+        (big_match(), 0.01)])), st.floats(0.0, 2.0), st.data())
+def test_power_of_two_slices_check_the_same(case, shift, data):
+    # a covered slice reads as the distribution it is proportional to, so
+    # scaling each by a power of two from 2**-4 to 2**4 leaves the failures
+    # and the proven gap bit for bit as they were, on the verdict as solved
+    # and with its floor raised: scaling by a power of two is exact, and so
+    # is the division of a state's least payoff by its mass
+    g, eps = case
+    verdict, _ = decide_ergodicity(g, eps)
+    scaled = {}
+    for side, first in (("alpha", g.flat.first_row), ("beta", g.flat.first_col)):
+        powers = data.draw(st.lists(st.integers(-4, 4), min_size=g.n, max_size=g.n))
+        scale = np.repeat(2.0 ** np.array(powers), np.diff(first))
+        scaled[side] = Strategy(np.asarray(getattr(verdict, side)) * scale, first)
+    for claimed in (verdict, verdict._replace(floor=verdict.floor + shift)):
+        got, expected = verify_witness(g, claimed._replace(**scaled)), verify_witness(g, claimed)
+        assert got.failures == expected.failures
+        assert np.float64(got.certified_gap).tobytes() == np.float64(
+            expected.certified_gap).tobytes()
 
 
 class TestCertificateChains:
