@@ -490,9 +490,11 @@ def state_mask(n: int, states) -> np.ndarray:
 
 
 def covered_states(mix, first) -> np.ndarray:
-    """Per state, whether mix, laid out from first[v], has no NaN at its actions."""
-    sums = np.add.reduceat(np.asarray(mix), first[:-1])
-    return sums == sums  # False at NaN
+    """Per state, whether mix, laid out from first[v], has no NaN at its actions.
+
+    Each entry is tested for NaN, so a slice holding both inf and -inf, whose
+    sum would be NaN, counts as covered."""
+    return ~np.logical_or.reduceat(np.isnan(np.asarray(mix)), first[:-1])
 
 
 class Strategy(np.ndarray):

@@ -38,10 +38,15 @@ and the payoff bounds that size its gap thresholds, and runs its closures
 (find_closed_sets). Both size thresholds by one rule (gap_thresholds).
 
 Band monotonicity, the drift bound (at most k*delta over a jump of k steps,
-in the direction the pumped set dictates), the payoff bound and the boundary
-gaps of witness sets are asserted at every landed step, and every evaluated
-potential must be finite; a violation raises PumpInvariantError since it
-would invalidate any certificate built downstream.
+in the direction the pumped set dictates), the payoff bound (R_v >= m_v at
+each pumped state) and the boundary gaps of witness sets are asserted at
+every landed step, and every evaluated potential must be finite; a
+violation raises PumpInvariantError since it would invalidate any
+certificate built downstream. A step with a gap graph checks the payoff
+bound on the graph's bounds; a step without one checks it first on the
+screen's pure minimax, which bounds R_v from below
+(_payoff_bound_failures), and runs r_bounds only as a fallback, when the
+minimax leaves some pumped state below its local value.
 
 What a step costs. On small games (the acceptance corpus has 2 to 5
 states) an evaluated step's arrays hold a few dozen entries, so its cost is
@@ -49,16 +54,15 @@ the fixed cost of each numpy call and Python call it makes, not arithmetic.
 An evaluated step is one local solve and one band partition; a witness
 check adds its first-hop test, Python comparisons that size a threshold
 only for the seeds they reach, and only if that passes one gap graph,
-with its payoff bounds, and a closed-set search. A landed step with both
-bands non-empty also computes its payoff bounds (r_bounds) for the
-payoff-bound check, once, taking them from its graph when it has one.
-Each is cut to few calls: partition sorts the values into all three bands
-in one Python pass; the phase's states go to local_solve as a bool mask
-built once per pump; a potential is checked finite once per evaluation
-and once per r_bounds; and the pumped mask is built once per landed step,
-which keeps it (_Step.pumped): the first-hop test, r_bounds, the
-payoff-bound check, the jump vector, the drift check and the checks of the
-jump's probes, whose partition is the landed step's, all read it. The
+with its payoff bounds (r_bounds), and a closed-set search. A landed step
+with both bands non-empty also runs the payoff-bound check, on its graph's
+bounds or its screen's minimax, and calls r_bounds for it only as the
+fallback. Each is cut to few calls: partition sorts the values into all
+three bands in one Python pass; the phase's states go to local_solve as a
+bool mask built once per pump; and the pumped mask is built once per
+landed step, which keeps it (_Step.pumped): the first-hop test, r_bounds,
+the payoff-bound check, the jump vector, the drift check and the checks of
+the jump's probes, whose partition is the landed step's, all read it. The
 pump still calls partition, r_bounds, auxiliary_graph, find_closed_sets
 and local_solve by their module names, so a tracer that wraps those names
 sees every band, every payoff bound and every graph.
@@ -162,6 +166,11 @@ def r_bounds(game: GameSpec, x: Potential, pumped: np.ndarray, m_plus: float) ->
     pumped is a bool per state. A pumped state's bound is its largest
     sum_u p*(r + max(x[v] - x[u], 0)); any other state's is its largest
     m_plus - sum_u p*(r + min(x[v] - x[u], 0)).
+
+    auxiliary_graph calls it once per gap graph. The pump's payoff-bound
+    check reads the graph's bounds, and without a graph calls it only when
+    the screen's pure minimax leaves a pumped state below its local value
+    (_payoff_bound_failures).
     """
     x = as_potential(x, game.n)
     flat = game.flat
@@ -372,6 +381,22 @@ def _check_step_invariants(tau, prev_m, m, pumped, delta, steps):
     )
 
 
+def _payoff_bound_failures(bounds, pumped, m) -> np.ndarray:
+    """The pumped states, ascending, whose bound lies below their local value
+    m by more than BAND_SLACK.
+
+    The pump passes a step's graph's payoff bounds or, without a graph,
+    first its screen's pure minimax: r_bounds charges each record of a
+    pumped state min(x[u], x[v]) in place of x[u], and float rounding is
+    monotone, so each slot payoff it takes the largest of is at least the
+    screen's, and the bound is at least the largest entry of the state's
+    local game, hence at least its minimax. A state the minimax passes
+    passes under r_bounds, so when the minimax leaves no failure, r_bounds
+    would leave none either.
+    """
+    return (pumped & (bounds < m - BAND_SLACK)).nonzero()[0]
+
+
 def _check_band_monotonicity(tau, prev_part, part):
     if not part.top <= prev_part.top:
         raise PumpInvariantError(f"iteration {tau}: top band gained states")
@@ -494,9 +519,12 @@ def modified_pump(
             closed = witness(here, pumped)
             graph = here.graph
             if check_payoff_bound:
-                bounds = (graph.bounds if graph is not None
-                          else r_bounds(game, here.solve.x, pumped, m_plus))
-                below = (pumped & (bounds < m - BAND_SLACK)).nonzero()[0]
+                # without a graph, r_bounds only where the minimax leaves a state open
+                bounds = graph.bounds if graph is not None else here.solve.minimax
+                below = _payoff_bound_failures(bounds, pumped, m)
+                if below.size and graph is None:
+                    bounds = r_bounds(game, here.solve.x, pumped, m_plus)
+                    below = _payoff_bound_failures(bounds, pumped, m)
                 if below.size:
                     v = below[0]
                     raise PumpInvariantError(

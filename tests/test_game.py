@@ -20,6 +20,7 @@ from ergopump.game import (
     DocumentError,
     GameParams,
     GameSpec,
+    Strategy,
     apply_potential,
     game_params,
     local_reward_matrix,
@@ -710,6 +711,14 @@ class TestFlatView:
         assert set(fields) == set(arrays) | set(constants)
         assert constants == {name: getattr(built.flat, name) for name in constants}
         assert game_params(game) == game_params(built) == reference.game_params(built)
+
+
+class TestStrategy:
+    def test_coverage_tests_each_entry_for_nan(self):
+        # state 0's slice holds inf and -inf, whose sum is NaN, but no entry
+        # is NaN, so it is covered; state 2's slice holds a NaN, so it is not
+        mix = Strategy(np.array([np.inf, -np.inf, 0.5, np.nan, 1.0]), np.array([0, 2, 3, 5]))
+        assert mix.states == {0, 1}
 
 
 class TestApplyPotential:

@@ -437,10 +437,47 @@ class TestFirstHopBounds:
         check()
         assert {(True, False), (False, True)} <= set(outcomes)
 
+    def test_payoff_bounds_are_at_least_the_pure_minimax(self):
+        # random games, potentials, pumped masks and listed sets: bit for bit,
+        # every pumped state's r_bounds bound is at least the screen's pure
+        # minimax, so a payoff-bound check the minimax passes passes under
+        # r_bounds too, and the pump decides it without r_bounds. Local values
+        # sit a few BAND_SLACK either side of both, so checks of each outcome
+        # are drawn
+        outcomes = Counter()
+        offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * pump.BAND_SLACK
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.integers(0, 2**32 - 1))
+        def check(seed):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 6))
+            g = random_dense_game(rng, n=n, max_actions=3, denominator=int(rng.integers(1, 5)))
+            x = rng.uniform(-1, 1, n) * 10.0 ** rng.uniform(-1, 4)
+            if rng.random() < 0.5:
+                x *= rng.integers(0, 2, n)  # ties at 0
+            m_plus = float(rng.uniform(-5, 20))
+            mask = rng.random(n) < 0.5
+            listed = np.flatnonzero(rng.random(n) < 0.7)  # the minimax covers every state
+            minimax = local_solve(g, x, listed).minimax
+            bounds = r_bounds(g, x, mask, m_plus)
+            assert (bounds[mask] >= minimax[mask]).all()
+            near = np.where(rng.random(n) < 0.5, minimax, bounds)
+            m = near + rng.choice(offsets, n)
+            screened = pump._payoff_bound_failures(minimax, mask, m)
+            failing = pump._payoff_bound_failures(bounds, mask, m)
+            assert set(failing) <= set(screened)
+            outcomes[bool(screened.size), bool(failing.size)] += 1
+
+        check()
+        assert set(outcomes) == {(False, False), (True, False), (True, True)}
+
     def test_payoff_bound_runs_at_a_check_the_bounds_reject(self, monkeypatch):
-        # the first hop rejects step 0's check on disconnected(0, 10), so no
-        # graph is built there, and the landed step still reads r_bounds:
-        # bounds 100 below the local values break the payoff bound
+        # the first hop rejects the checks of steps 0 and 1 on
+        # disconnected(0, 10), so no graph is built there, and each landed
+        # step still decides its payoff bound. With r_bounds 100 below the
+        # local values, the screen's minimax, at the local values, decides
+        # both without calling it
         g = disconnected(0.0, 10.0)
         entry = local_solve(g, np.zeros(2))
         mask = np.array([False, True])
@@ -449,9 +486,17 @@ class TestFirstHopBounds:
         original = pump.r_bounds
         monkeypatch.setattr(pump, "r_bounds", lambda *args: original(*args) - 100.0)
         calls = count_calls(monkeypatch, ("auxiliary_graph", "r_bounds"))
+        outcome = modified_pump(g, entry, 0.0, 10.0, eps=0.1, cap=1)
+        assert (outcome.kind, outcome.stats.iterations, outcome.stats.witness_checks) == (
+            "cap-exceeded", 1, 2)
+        assert calls == {}
+        # step 0 is the caller's solve: with state 1's minimax below its local
+        # value by more than BAND_SLACK the screen leaves the check open, and
+        # the step falls back to one r_bounds call, which breaks the bound
+        open_screen = entry._replace(minimax=entry.minimax - [0.0, 2 * pump.BAND_SLACK])
         with pytest.raises(pump.PumpInvariantError,
                            match=r"iteration 0: payoff bound -90\.0 at pumped state 1 "):
-            modified_pump(g, entry, 0.0, 10.0, eps=0.1, cap=1000)
+            modified_pump(g, open_screen, 0.0, 10.0, eps=0.1, cap=1000)
         assert calls == {"r_bounds": 1}
 
     @pytest.mark.parametrize("leak", ["1e-300", "1e-400"])
@@ -707,19 +752,20 @@ def test_local_value_evaluations_grow_slower_than_steps(monkeypatch):
     assert evaluations[1] < 2 * evaluations[0]
 
 
-@pytest.mark.parametrize("seed, partitions, checks, bounds, graphs", [
-    pytest.param(32, 33, 30, 19, 17, id="32-33-30"),
-    pytest.param(51, 28, 27, 8, 7, id="51-28-27"),
-    pytest.param(151, 232, 203, 117, 0, id="151-232-203"),
-    pytest.param(169, 29, 28, 16, 13, id="169-29-28")])
+@pytest.mark.parametrize("seed, partitions, checks, graphs", [
+    pytest.param(32, 33, 30, 17, id="32-33-30"),
+    pytest.param(51, 28, 27, 7, id="51-28-27"),
+    pytest.param(151, 232, 203, 0, id="151-232-203"),
+    pytest.param(169, 29, 28, 13, id="169-29-28")])
 def test_traced_functions_run_once_per_band_and_graph(monkeypatch, seed, partitions, checks,
-                                                      bounds, graphs):
+                                                      graphs):
     # the pump calls these by their module names, where the benchmark's
     # per-layer trace wraps them: one partition per evaluated step, one
-    # first-hop test per witness check, payoff bounds at every landed check
-    # and in every graph, and per graph one closed-set search
+    # first-hop test per witness check, and per graph one payoff-bound
+    # computation and one closed-set search; the screen's minimax decides
+    # every payoff-bound check without a graph, so r_bounds runs for none
     calls = count_calls(monkeypatch, ("partition", "_first_hop_leaks", "auxiliary_graph",
                                       "r_bounds", "find_closed_sets"))
     decide_ergodicity(_corpus_game(seed), 0.05)
     assert calls == Counter(partition=partitions, _first_hop_leaks=checks,
-                            auxiliary_graph=graphs, r_bounds=bounds, find_closed_sets=graphs)
+                            auxiliary_graph=graphs, r_bounds=graphs, find_closed_sets=graphs)

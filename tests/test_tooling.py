@@ -220,3 +220,11 @@ def test_gap_thresholds_have_one_owner_per_side():
     # sizes lower ones from the local solve's bounds, through one rule: the
     # first hop is sound only while its thresholds stay below the graph's
     assert _callers("gap_thresholds") == {"pump.auxiliary_graph", "pump._first_hop_threshold"}
+
+
+def test_payoff_bounds_have_two_readers():
+    # payoff bounds size the gap graph's thresholds, and the pump's
+    # payoff-bound check reads them only where the screen's minimax leaves a
+    # state open: a new reader outside the graph and the check would pay for
+    # bounds the minimax already settles
+    assert _callers("r_bounds") == {"pump.auxiliary_graph", "pump.modified_pump"}
