@@ -1,9 +1,11 @@
 """Command-line interface: solve, verify and gen.
 
-Exit codes: solve returns 0 when the game is certified ergodic, 2 when a
-non-ergodicity witness is certified, 3 when inconclusive; verify returns 0
-on pass and 1 on fail; gen returns 0. Usage errors, an unknown subcommand
-among them, exit 64 and I/O errors 66.
+Exit codes: solve on one game returns 0 when the game is certified
+ergodic, 2 when a non-ergodicity witness is certified, 3 when
+inconclusive; solve on several games returns 3 when any of them is
+inconclusive and 0 otherwise, witnesses included. verify returns 0 on pass
+and 1 on fail; gen returns 0. Usage errors, an unknown subcommand among
+them, exit 64 and I/O errors 66.
 """
 
 from __future__ import annotations

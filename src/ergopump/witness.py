@@ -14,12 +14,13 @@ every state with both players' optimal local strategies, from the solve
 that measured its band, and claims ceiling - floor <= 24*eps. A
 non-ergodicity witness covers two disjoint closed sets, the high one with
 alpha from the pump's last solve and the low one with beta from one
-local_solve, each truncated to the actions that cannot leak out of its set,
+local_solve, each truncated to the actions that keep all mass in its set,
 and claims floor > ceiling. An INCONCLUSIVE verdict holds only its reason.
 
 decide_ergodicity stamps its reward shift on the record as value_offset.
 verify_witness is the one judge of every value a verdict holds: it takes
-the game as given and is independent of construction.
+the game as given and is independent of construction but for bar_actions,
+the one leak rule, which answers for a whole set in one pass over records.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .game import (GameSpec, Potential, Strategy, _finite, as_potential, local_payoffs,
                    normalize_rewards, state_mask)
-from .matrix_game import LocalSolve, left_sum, local_solve
+from .matrix_game import LocalSolve, local_solve
 
 ERGODIC = "ergodic-24eps"
 NON_ERGODIC = "non-ergodic"
@@ -85,40 +86,41 @@ class VerificationReport(NamedTuple):
         return not self.failures
 
 
-def bar_actions(game: GameSpec, v: int, inside, player: str) -> frozenset:
-    """Actions at v that keep all transition mass inside `inside`.
-
-    For the row player an action k qualifies when no column can move any
-    probability out of the set; symmetric for the column player. Only
-    transitions with nonzero exact probability are recorded, so a record
-    leaving the set is a leak.
-    """
+def bar_actions(game: GameSpec, inside, player: str) -> np.ndarray:
+    """Per global action of player ('row' or 'col'), whether it keeps all
+    transition mass inside `inside` (state indices or a bool mask), from one
+    pass over the records: the one leak rule of witness build and check. As
+    only nonzero probabilities are recorded, an action leaks when some record
+    of it moves from a state inside the set to one outside; actions at states
+    outside the set keep."""
     if player not in ("row", "col"):
         raise ValueError("player must be 'row' or 'col'")
-    flat = game.flat
-    lo, hi = np.searchsorted(flat.rec_state, (v, v + 1))  # v's records
-    pair = np.divmod(flat.rec_slot[lo:hi] - flat.first_slot[v], flat.col_count[v])
-    leaking = set(pair[player == "col"][~state_mask(game.n, inside)[flat.rec_to[lo:hi]]].tolist())
-    size = game.num_row_actions(v) if player == "row" else game.num_col_actions(v)
-    return frozenset(range(size)) - leaking
+    flat, inside = game.flat, state_mask(game.n, inside)
+    action_of, first = ((flat.slot_row, flat.first_row) if player == "row"
+                        else (flat.slot_col, flat.first_col))
+    keeps = np.ones(int(first[-1]), dtype=bool)
+    keeps[action_of[flat.rec_slot[inside[flat.rec_state] & ~inside[flat.rec_to]]]] = False
+    return keeps
 
 
 def _truncate(game: GameSpec, strategy: Strategy, states: frozenset, player: str) -> Strategy:
     """A new Strategy: strategy at states, each state's vector truncated to
-    its bar_actions and renormalised."""
-    first, mix = strategy.first, np.asarray(strategy)
-    out = np.full(len(mix), np.nan)
-    for v in sorted(states):
-        keep = bar_actions(game, v, states, player)
-        mass = float(left_sum(mix[first[v] + k] for k in keep))
-        if mass <= 0.0:
-            raise WitnessBuildError(
-                f"witness preconditions violated at state {v}: optimal strategy "
-                f"has no mass on its {len(keep)} set-preserving actions")
-        out[first[v]:first[v + 1]] = 0.0
-        for k in keep:
-            out[first[v] + k] = mix[first[v] + k] / mass
-    return Strategy(out, first)
+    the actions bar_actions keeps and renormalised by their mass, which adds
+    them left to right from +0.0 in ascending action order."""
+    first, inside = strategy.first, state_mask(game.n, states)
+    keeps, counts = bar_actions(game, inside, player), np.diff(first)
+    kept, mass = np.where(keeps, np.asarray(strategy), 0.0), np.zeros(game.n)
+    for k in range(int(counts.max(initial=0))):  # adding a dropped action's +0.0 is exact
+        at = (counts > k).nonzero()[0]
+        mass[at] += kept[first[at] + k]
+    empty = (inside & (mass <= 0.0)).nonzero()[0]
+    if empty.size:
+        v = int(empty[0])
+        raise WitnessBuildError(
+            f"witness preconditions violated at state {v}: optimal strategy has no mass on "
+            f"its {np.count_nonzero(keeps[first[v]:first[v + 1]])} set-preserving actions")
+    return Strategy(np.divide(kept, np.repeat(mass, counts), out=np.full(len(kept), np.nan),
+                              where=np.repeat(inside, counts)), first)
 
 
 def build_witness(game: GameSpec, solve: LocalSolve, high_states, low_states,
@@ -129,10 +131,10 @@ def build_witness(game: GameSpec, solve: LocalSolve, high_states, low_states,
     of the top/bottom bands with saturated potential gaps). solve must list
     every high state, as the pump's last solve does: alpha comes from its
     row strategy, and one local solve of the low states at x gives beta
-    from its column strategy. Each state's vector is then truncated to its
-    bar_actions and renormalised into new arrays, never the solve's. The
-    certified bounds keep a margin of eps: floor = floor_raw - eps, ceiling
-    = ceiling_raw + eps. A strategy with no mass on set-preserving actions
+    from its column strategy. Each state's vector is then truncated to the
+    actions bar_actions keeps and renormalised, into new arrays, never the
+    solve's. The certified bounds keep a margin of eps: floor = floor_raw -
+    eps, ceiling = ceiling_raw + eps. A strategy with no mass on kept actions
     signals a violated precondition and raises. game is the normalized game
     the solve ran on; the verdict's value_offset is left for decide_ergodicity.
     """
@@ -142,13 +144,11 @@ def build_witness(game: GameSpec, solve: LocalSolve, high_states, low_states,
     if not high_states or not low_states or (high_states & low_states):
         raise WitnessBuildError("witness sets must be non-empty and disjoint")
     if floor_raw - ceiling_raw < 3 * eps:
-        raise WitnessBuildError(
-            f"threshold separation {floor_raw - ceiling_raw} is below the "
-            f"required 3*eps = {3 * eps}"
-        )
-    unsettled = sorted(v for v in high_states if np.isnan(solve.values[v]))
-    if unsettled:
-        raise WitnessBuildError(f"the solve does not list high states {unsettled}")
+        raise WitnessBuildError(f"threshold separation {floor_raw - ceiling_raw} is below "
+                                f"the required 3*eps = {3 * eps}")
+    unsettled = np.flatnonzero(state_mask(game.n, high_states) & np.isnan(solve.values))
+    if unsettled.size:
+        raise WitnessBuildError(f"the solve does not list high states {unsettled.tolist()}")
     rows, _ = solve.strategies()
     _, cols = local_solve(game, x, sorted(low_states)).strategies()
     return Verdict(
@@ -176,8 +176,8 @@ def verify_witness(game: GameSpec, verdict: Verdict) -> VerificationReport:
     covered slice is non-negative with a finite sum, its mass, of at least
     _MIN_MASS, and reads as the distribution it is proportional to. Then,
     on the shifted game:
-    (a) closure, exact on the transition records: no action in the support
-        of alpha (beta) moves any mass out of the alpha (beta) states;
+    (a) closure, by bar_actions' exact rule: no action in the support of alpha
+        (beta) moves any mass out of the alpha (beta) states;
     (b) one-shot bounds, one pass over the flat view: alpha's payoff against
         every pure column reaches floor, and every pure row's payoff against
         beta stays within ceiling, each up to one slack. A state's least
@@ -241,8 +241,8 @@ def verify_witness(game: GameSpec, verdict: Verdict) -> VerificationReport:
             ("col", beta, beta_in, flat.slot_col, flat.first_col)):
         if np.count_nonzero(covered) == game.n:
             continue  # no record leaves the whole state space
-        leaving = (covered[flat.rec_state] > covered[flat.rec_to]).nonzero()[0]
-        for r in leaving[mix[action_of[flat.rec_slot[leaving]]] > 0.0]:
+        leaks = ~bar_actions(game, covered, player) & (mix > 0.0)
+        for r in (leaks[action_of[flat.rec_slot]] & ~covered[flat.rec_to]).nonzero()[0]:
             v, u = flat.rec_state[r], flat.rec_to[r]
             action = action_of[flat.rec_slot[r]] - first[v]
             failures.append(f"closure: {player} action {action} at state {game.states[v]!r} "

@@ -17,9 +17,14 @@ bounds of a strategy certificate come from policy iteration over mean
 payoffs, and its one-shot bounds from the dense tables, so neither shares
 the verifier's vectorised pass. layout is the per-state loop that laid a
 player's strategies out over its global actions before every stage kept
-one flat array per player, and per_state its inverse; strategies_per_state
-is LocalSolve.strategies as it built one vector per state and player, the
-bitwise oracle of the flat arrays, and document_strategies reads a
+one flat array per player, and per_state its inverse. bar_actions_per_state
+reads one state's leaking actions off its transition records, truncate
+renormalises a strategy over them one state at a time, and closure_failures
+words the leaks of a verdict one record at a time: the oracles of the
+witness module's one-pass leak rule, truncation and closure check.
+strategies_per_state is LocalSolve.strategies as it built one vector per
+state and player, the bitwise oracle of the flat arrays, and
+document_strategies reads a
 certificate's tables through layout, the oracle of parse_certificate's.
 The paper's pump-step bound is evaluated as written, to check the driver's
 constant step cap against it. The game constants W and R come from a
@@ -637,6 +642,54 @@ def per_state(game, mix, player):
     vectors = {v: np.array(mix[first[v]:first[v + 1]], dtype=np.float64)
                for v in range(game.n)}
     return {v: vec for v, vec in vectors.items() if not np.isnan(vec).any()}
+
+
+def bar_actions_per_state(game, v, inside, player):
+    """The actions at a state v of the set inside that keep all transition
+    mass in it, from v's (k, l, u, p, r) records: an action leaks when, with
+    any opponent action, it reaches a state outside the set."""
+    inside = set(inside)
+    size = game.num_row_actions(v) if player == "row" else game.num_col_actions(v)
+    return frozenset(range(size)) - {k if player == "row" else l
+                                     for k, l, u, _p, _r in game.transitions[v]
+                                     if u not in inside}
+
+
+def truncate(game, strategy, states, player):
+    """witness._truncate one state at a time: at each state of states, the
+    actions bar_actions_per_state keeps, divided by their mass, summed by
+    left_sum in ascending action order; 0.0 at the other actions there, NaN
+    outside states. Raises ValueError(v) at the first state v whose kept
+    mass is not positive."""
+    first, mix = _first(game, player), np.asarray(strategy, dtype=np.float64)
+    out = np.full(len(mix), np.nan)
+    for v in sorted(states):
+        keep = sorted(bar_actions_per_state(game, v, states, player))
+        mass = left_sum(mix[first[v] + k] for k in keep)
+        if mass <= 0.0:
+            raise ValueError(v)
+        out[first[v]:first[v + 1]] = 0.0
+        for k in keep:
+            out[first[v] + k] = mix[first[v] + k] / mass
+    return out
+
+
+def closure_failures(game, verdict):
+    """verify_witness's closure failures, worded one record at a time from
+    game.transitions: every record of an action with positive mass that
+    leaves the states its strategy covers, alpha's then beta's, in record
+    order."""
+    failures = []
+    for player, mix in (("row", verdict.alpha), ("col", verdict.beta)):
+        tables = per_state(game, mix, player)
+        for v in sorted(tables):
+            for k, l, u, p, _r in game.transitions[v]:
+                action = k if player == "row" else l
+                if u not in tables and tables[v][action] > 0.0:
+                    failures.append(f"closure: {player} action {action} at state "
+                                    f"{game.states[v]!r} leaks to {game.states[u]!r} "
+                                    f"with probability {float(p)}")
+    return failures
 
 
 def document_strategies(game, text):

@@ -222,6 +222,13 @@ def test_gap_thresholds_have_one_owner_per_side():
     assert _callers("gap_thresholds") == {"pump.auxiliary_graph", "pump._first_hop_threshold"}
 
 
+def test_set_preserving_actions_have_one_rule():
+    # witness truncation and the check's closure test read which actions
+    # keep a set closed from one leak rule, one call per set and player: a
+    # call per state would bring back the quadratic witness build
+    assert _callers("bar_actions") == {"witness._truncate", "witness.verify_witness"}
+
+
 def test_payoff_bounds_have_two_readers():
     # payoff bounds size the gap graph's thresholds, and the pump's
     # payoff-bound check reads them only where the screen's minimax leaves a

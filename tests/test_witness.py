@@ -20,6 +20,7 @@ from ergopump.witness import (
     NON_ERGODIC,
     Verdict,
     WitnessBuildError,
+    _truncate,
     bar_actions,
     build_witness,
     verify_witness,
@@ -43,21 +44,27 @@ def leaky_row_game():
     )
 
 
+def _kept_at(game, v, inside, player):
+    """The actions at v that bar_actions keeps for the set inside."""
+    first = game.flat.first_row if player == "row" else game.flat.first_col
+    return set(np.flatnonzero(bar_actions(game, inside, player)[first[v]:first[v + 1]]).tolist())
+
+
 class TestBarActions:
     def test_all_self_loops_full_set(self):
         g = disconnected()
-        assert bar_actions(g, 1, {1}, "row") == {0}
-        assert bar_actions(g, 1, {1}, "col") == {0}
+        assert _kept_at(g, 1, {1}, "row") == {0}
+        assert _kept_at(g, 1, {1}, "col") == {0}
 
     def test_leaking_action_excluded(self):
         g = leaky_row_game()
-        assert bar_actions(g, 0, {0}, "row") == {0}
+        assert bar_actions(g, {0}, "row").tolist() == [True, False, True]
+        assert bar_actions(g, {0}, "col").tolist() == [False, False, True]
 
     def test_whole_state_space_keeps_everything(self):
         g = big_match()
-        for v in range(g.n):
-            assert bar_actions(g, v, set(range(g.n)), "row") == set(
-                range(g.num_row_actions(v)))
+        for player in ("row", "col"):
+            assert bar_actions(g, set(range(g.n)), player).all()
 
     def test_partial_leak_probability(self):
         g = make_game(
@@ -65,7 +72,17 @@ class TestBarActions:
             [("a", "k", "l", "a", "2/3", 1.0), ("a", "k", "l", "b", "1/3", 1.0),
              ("b", "k", "l", "b", 1, 0.0)],
         )
-        assert bar_actions(g, 0, {0}, "row") == set()
+        assert _kept_at(g, 0, {0}, "row") == set()
+
+    def test_a_mask_reads_as_its_states(self):
+        g = leaky_row_game()
+        for player in ("row", "col"):
+            assert (bar_actions(g, np.array([True, False]), player).tolist()
+                    == bar_actions(g, [0], player).tolist())
+
+    def test_unknown_player_raises(self):
+        with pytest.raises(ValueError, match="player must be"):
+            bar_actions(leaky_row_game(), {0}, "column")
 
 
 class TestBuildWitness:
@@ -82,8 +99,7 @@ class TestBuildWitness:
         # the whole state space is closed, so truncation is the identity
         g = matrix_as_game([[3.0, 1.0], [0.0, 2.0]])
         sol = local_value(g, 0, np.zeros(1))
-        assert bar_actions(g, 0, {0}, "row") == {0, 1}
-        from ergopump.witness import _truncate
+        assert bar_actions(g, {0}, "row").all()
         kept = _truncate(g, Strategy(sol.row_strategy, g.flat.first_row), frozenset({0}), "row")
         assert np.allclose(kept, sol.row_strategy)
 
@@ -392,11 +408,10 @@ def test_perturbed_certificates_accepted_only_within_global_bounds(case, weight,
     def perturb(strategy, player, size):
         tables = reference.per_state(g, strategy, player)
         noise = _distributions(data.draw, [size(v) for v in range(g.n)])
+        keeps, first = bar_actions(g, tables, player), strategy.first
         out = {}
         for v, vec in tables.items():
-            keep = np.zeros(size(v))
-            keep[sorted(bar_actions(g, v, tables, player))] = 1.0
-            mix = noise[v] * keep
+            mix = noise[v] * keeps[first[v]:first[v + 1]]
             out[v] = (1 - weight) * vec + weight * mix / mix.sum()
         return builders.strategy(g, out, player)
 
@@ -443,6 +458,110 @@ def test_power_of_two_slices_check_the_same(case, shift, data):
             expected.certified_gap).tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 10), st.integers(1, 2), st.integers(0, 10_000),
+       st.sampled_from(["row", "col"]), st.data())
+def test_truncation_matches_the_per_state_oracle_bit_for_bit(n, max_actions, granularity,
+                                                             seed, player, data):
+    # on random games and random sets, the one-pass leak rule keeps at each
+    # state of the set what that state's records keep, and truncation's
+    # masses, summed in ascending action order, and divisions keep the
+    # per-state loop's bits, at states of up to 10 actions too; a state
+    # with no kept mass raises at the same first state
+    g = random_game(n, max_actions=max_actions, granularity=granularity, seed=seed)
+    states = frozenset(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    first = g.flat.first_row if player == "row" else g.flat.first_col
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mix = rng.random(int(first[-1])) * (rng.random(int(first[-1])) < 0.8)
+    if data.draw(st.booleans()):  # NaN outside the set, as a solve of the set lays it out
+        mix[~np.repeat(np.isin(np.arange(n), list(states)), np.diff(first))] = np.nan
+    for v in states:
+        assert _kept_at(g, v, states, player) == reference.bar_actions_per_state(
+            g, v, states, player)
+    strategy = Strategy(mix, first)
+    try:
+        expected = reference.truncate(g, strategy, states, player)
+    except ValueError as exc:
+        with pytest.raises(WitnessBuildError, match=f"at state {exc.args[0]}:"):
+            _truncate(g, strategy, states, player)
+        return
+    assert _truncate(g, strategy, states, player).tobytes() == expected.tobytes()
+
+
+def test_truncation_adds_kept_masses_in_ascending_order():
+    # at a state of 10 row actions keeping 1, 2, 8 and 9, the mass is
+    # ((2**-53 + 2**-53) + 1) + 0 = 1 + 2**-52; set iteration order would
+    # visit 8 first, and 1 + 2**-53 rounds back to 1
+    kept = {1, 2, 8, 9}
+    g = make_game(["a", "b"], [[f"k{k}" for k in range(10)], ["k"]], [["l"], ["l"]],
+                  [("a", f"k{k}", "l", "a" if k in kept else "b", 1, 1.0) for k in range(10)]
+                  + [("b", "k", "l", "b", 1, 0.0)])
+    mix = np.full(11, 0.5)
+    mix[[1, 2, 8, 9]] = 2.0**-53, 2.0**-53, 1.0, 0.0
+    strategy = Strategy(mix, g.flat.first_row)
+    out = _truncate(g, strategy, frozenset({0}), "row")
+    assert out.tobytes() == reference.truncate(g, strategy, {0}, "row").tobytes()
+    assert out[8] == 1.0 / (1.0 + 2.0**-52) < 1.0
+
+
+def leaky_wide_game():
+    """A witness game whose high state's row player has 5 actions, a1 to a4
+    leaking to the low state under some columns, and whose low state's
+    column player has 4, y1 to y3 leaking to the high state."""
+    rows, cols = [f"a{i}" for i in range(5)], [f"x{j}" for j in range(4)]
+    records = [("hi", "a0", c, "hi", 1, 10.0) for c in cols]
+    for i in range(1, 5):
+        for j, c in enumerate(cols):
+            records += ([("hi", rows[i], c, "hi", "1/2", 1.0), ("hi", rows[i], c, "lo", "1/2", 1.0)]
+                        if j < i else [("hi", rows[i], c, "hi", 1, 2.0)])
+    records.append(("lo", "r", "y0", "lo", 1, 0.0))
+    for j in range(1, 4):
+        records += [("lo", "r", f"y{j}", "hi", f"{j}/4", 9.0),
+                    ("lo", "r", f"y{j}", "lo", f"{4 - j}/4", 9.0)]
+    return make_game(["hi", "lo"], [rows, ["r"]], [cols, [f"y{j}" for j in range(4)]], records)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([
+    (leaky_wide_game(), 0.05),
+    (random_game(2, max_actions=3, granularity=1, reward_bound=8.0, seed=32), 0.05),
+    (random_game(3, max_actions=2, granularity=2, reward_bound=8.0, seed=169), 0.05),
+    (big_match(), 0.01)]), st.data())
+def test_closure_failures_match_the_per_record_reference(case, data):
+    # positive mass on leaking actions of a solved witness: the closure
+    # failures are those worded one record at a time from the game's
+    # transitions, the same messages in the same order
+    g, eps = case
+    verdict = _solved_witness(g, eps)
+    assert verify_witness(g, verdict).ok
+    leaked = {}
+    for side, player in (("alpha", "row"), ("beta", "col")):
+        tables = reference.per_state(g, getattr(verdict, side), player)
+        for v, vec in tables.items():
+            leaking = set(range(len(vec))) - reference.bar_actions_per_state(g, v, tables, player)
+            for action in sorted(leaking):
+                vec[action] += data.draw(st.sampled_from([0.0, 1e-300, 0.25, 1.0]))
+        leaked[side] = builders.strategy(g, tables, player)
+    perturbed = verdict._replace(**leaked)
+    closure = [f for f in verify_witness(g, perturbed).failures if f.startswith("closure:")]
+    assert closure == reference.closure_failures(g, perturbed)
+
+
+def test_closure_failures_name_each_leaving_record():
+    # every leaking action of the wide witness holds mass: the row player's
+    # a1 to a4 leak under 1 to 4 columns, the column player's y1 to y3 once
+    g = leaky_wide_game()
+    verdict = _solved_witness(g, 0.05)
+    alpha, beta = np.asarray(verdict.alpha) + 0.0, np.asarray(verdict.beta) + 0.0
+    alpha[1:5], beta[5:8] = 0.25, 0.5
+    failures = verify_witness(g, verdict._replace(alpha=_flat(g, "row", alpha),
+                                                  beta=_flat(g, "col", beta))).failures
+    closure = [f for f in failures if f.startswith("closure:")]
+    assert len(closure) == 1 + 2 + 3 + 4 + 3
+    assert closure[0] == "closure: row action 1 at state 'hi' leaks to 'lo' with probability 0.5"
+    assert closure[-1] == "closure: col action 3 at state 'lo' leaks to 'hi' with probability 0.75"
+
+
 class TestCertificateChains:
     def test_truncation_mass_bound(self):
         # mass dropped by truncation stays under eps / R^v
@@ -451,11 +570,11 @@ class TestCertificateChains:
         x = verdict.potential
         graph = auxiliary_graph(g, x, verdict.high_states, float(np.nanmax(local_values(g, x))),
                                 verdict.eps)
+        keeps = bar_actions(g, verdict.high_states, "row")
         for v in verdict.high_states:
             sol = local_value(g, v, x)
-            keep = bar_actions(g, v, verdict.high_states, "row")
-            dropped = sum(sol.row_strategy[k]
-                          for k in range(g.num_row_actions(v)) if k not in keep)
+            kept = keeps[g.flat.first_row[v]:g.flat.first_row[v + 1]]
+            dropped = sum(sol.row_strategy[~kept])
             assert dropped < verdict.eps / graph.bounds[v] + 1e-12
 
     def test_one_shot_chain_on_built_certificates(self):
