@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game import GameSpec, Potential, as_potential, game_params, normalize_rewards
+from .game import GameSpec, Potential, _finite, as_potential, game_params, normalize_rewards
 from .matrix_game import MatrixGameError, local_solve
 from .pump import PumpInvariantError, modified_pump
 from .witness import (
@@ -120,9 +120,12 @@ def decide_ergodicity(game: GameSpec, eps: float,
     thresholds are in normalized units. The shift is stamped here, and only
     here, as value_offset on the verdict returned, certified or inconclusive.
     The game needs no validation here: a GameSpec is valid by construction.
+    eps is read as verify_witness reads a verdict's: a finite int or float,
+    numpy's included, a bool not, above 0; the verdict holds it as a float.
     """
-    if not (eps > 0 and math.isfinite(eps)):
+    if not (_finite([eps]) and eps > 0):
         raise ValueError("eps must be positive and finite")
+    eps = float(eps)
     config = config or DriverConfig()
     normalized, offset = normalize_rewards(game)
 
@@ -170,9 +173,8 @@ def _drive(game, eps, config, stats):
         m_minus = float(m.min())
         m_plus = float(m.max())
         if m_plus - m_minus <= 24 * eps:
-            alpha, beta = solve.strategies()
             return stop(ERGODIC, potential=solve.x, floor=m_minus, ceiling=m_plus,
-                        alpha=alpha, beta=beta)
+                        alpha=solve.strategy("row"), beta=solve.strategy("col"))
         if h >= outer_cap:
             return stop(INCONCLUSIVE,
                         reason=f"outer iteration cap {outer_cap} reached with band width "

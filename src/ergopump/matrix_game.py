@@ -33,16 +33,16 @@ Settles the local games of a stochastic game in three stages.
 A LocalSolve is the one record of a potential and its local games: the
 potential x, and what settling the games took, namely the screen's row
 minima and column maxima, its per-state pure maximin and minimax, and its
-mixed games' strategies, one MixedGames record of flat arrays, as the
-batch or the scalar kernels left them. Its values serve the pump and the
-band check, and its pure bounds the pump's witness check; the strategies
-are laid out, one array per player, only when a certificate asks for
-them, so no game is solved twice for them. The screen returns bit for bit
-what the kernels return for the games it settles. Every stage is
-deterministic, and every float sum in the scalar kernels adds left to
-right from +0.0 (left_sum), as the batch does, so results are
-bit-reproducible on every Python version. Every solve saddle-checks the
-strategies it returns; a solve that stalls or fails that check raises
+mixed games' strategies, which the batch and the scalar kernels write in
+place, one array over the global actions per player, as a Strategy holds
+them. Its values serve the pump and the band check, and its pure bounds
+the pump's witness check; a player's strategy is laid out only when a
+certificate asks for it, so no game is solved twice for it. The screen
+returns bit for bit what the kernels return for the games it settles.
+Every stage is deterministic, and every float sum in the scalar kernels
+adds left to right from +0.0 (left_sum), as the batch does, so results
+are bit-reproducible on every Python version. Every solve saddle-checks
+the strategies it returns; a solve that stalls or fails that check raises
 MatrixGameError.
 """
 
@@ -336,30 +336,18 @@ def local_value(game, v: int, x) -> MatrixGameSolution:
     return solve_matrix_game(local_reward_matrix(game, v, x))
 
 
-class MixedGames(NamedTuple):
-    """The strategies of a solve's mixed games: states lists each once, and
-    rows and cols hold their row and column strategies, one game after
-    another in that order, each over its own actions."""
-
-    states: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-
-
-# the record of every solve without a mixed game; nothing writes into it
-_NO_MIXED = MixedGames(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
-
-
 class LocalSolve(NamedTuple):
     """The listed states' local games at one potential x, each settled once.
 
     values holds each listed state's local value and NaN elsewhere. The
     solve keeps what settling took: each global row's minimum and column's
-    maximum from the screen, and its mixed games' strategies as solved, so
-    strategies() reads them and solves nothing. maximin and minimax are
-    every state's pure maximin and minimax from the screen, listed or not:
-    entries of its local game, which the pump's witness check reads as
-    bounds on the payoffs of that game (pump._first_hop_threshold).
+    maximum from the screen, and its mixed games' strategies as solved, in
+    row_mix and col_mix, arrays over the global rows and columns, NaN
+    outside the mixed games (None when no game was mixed), so strategy()
+    reads them and solves nothing. maximin and minimax are every state's
+    pure maximin and minimax from the screen, listed or not: entries of its
+    local game, which the pump's witness check reads as bounds on the
+    payoffs of that game (pump._first_hop_threshold).
     """
 
     game: object
@@ -369,37 +357,33 @@ class LocalSolve(NamedTuple):
     col_max: np.ndarray
     maximin: np.ndarray
     minimax: np.ndarray
-    mixed: MixedGames
+    row_mix: np.ndarray | None
+    col_mix: np.ndarray | None
 
-    def strategies(self) -> tuple:
-        """(row strategy, column strategy), each a Strategy covering the
-        listed states, clipped at 0, built as one list. A pure saddle's are
-        unit vectors at the first row and column attaining its value, as
-        _kernel_solve picks them; a mixed game's are its solve's, read from
-        the MixedGames record in the record's order."""
+    def strategy(self, player: str) -> Strategy:
+        """The row ("row") or column ("col") player's strategy, covering
+        exactly the states values lists, clipped at 0. A pure saddle, a
+        listed state whose maximin equals its minimax, plays the unit vector
+        at its first row (column) whose minimum (maximum) is its value, as
+        _kernel_solve picks it; any other listed state's game is mixed and
+        plays its slice of row_mix (col_mix)."""
+        if player not in ("row", "col"):
+            raise ValueError("player must be 'row' or 'col'")
         flat = self.game.flat
-        values = self.values.tolist()
-        mixed = self.mixed.states.tolist()
-        pure = [value == value for value in values]  # NaN: v is not listed
-        for v in mixed:
-            pure[v] = False
-        out = []
-        for first, extreme, played in ((flat.first_row, self.row_min, self.mixed.rows),
-                                       (flat.first_col, self.col_max, self.mixed.cols)):
-            starts, extreme, played = first.tolist(), extreme.tolist(), played.tolist()
-            mix = [0.0] * starts[-1]
-            for v, (value, start, stop) in enumerate(zip(values, starts, starts[1:])):
-                if pure[v]:
-                    mix[extreme.index(value, start, stop)] = 1.0
-                elif value != value:
-                    mix[start:stop] = [np.nan] * (stop - start)
-            offset = 0
-            for v in mixed:
-                start, stop = starts[v], starts[v + 1]
-                mix[start:stop] = played[offset:offset + stop - start]
-                offset += stop - start
-            out.append(Strategy(np.maximum(mix, 0.0), first))
-        return tuple(out)
+        first, extreme, mix = ((flat.first_row, self.row_min, self.row_mix) if player == "row"
+                               else (flat.first_col, self.col_max, self.col_mix))
+        starts, extreme, values = first.tolist(), extreme.tolist(), self.values.tolist()
+        mix = [] if mix is None else mix.tolist()  # None: no game was mixed
+        pure = (self.maximin == self.minimax).tolist()
+        out = [0.0] * starts[-1]
+        for v, (value, start, stop) in enumerate(zip(values, starts, starts[1:])):
+            if value != value:  # NaN: v is not listed
+                out[start:stop] = [np.nan] * (stop - start)
+            elif pure[v]:
+                out[extreme.index(value, start, stop)] = 1.0
+            else:
+                out[start:stop] = mix[start:stop]
+        return Strategy(np.maximum(out, 0.0), first)
 
 
 # Calls with fewer mixed games of at most 3x3 than this settle them one at a
@@ -423,7 +407,7 @@ _COF_ROWS = np.stack([_NEXT, _AFTER, _NEXT, _AFTER])[:, :, None]
 _COF_COLS = np.stack([_NEXT, _AFTER, _AFTER, _NEXT])[:, None, :]
 
 
-def _batch_kernels(payoffs, flat, games, values):
+def _batch_kernels(payoffs, flat, games, values, row_mix, col_mix):
     """Settle the mixed games of `games`, each at most 3x3, by their kernels
     together: the nine 2x2 candidates, then for a 3x3 that none settles its
     full adjugate, each in the float operations and order _kernel_solve
@@ -434,10 +418,9 @@ def _batch_kernels(payoffs, flat, games, values):
     column are repeated into its padding, which changes no maximum over
     rows or minimum over columns, so each saddle check reads the game's own
     rows and columns; candidates that use a padding row or column are
-    masked. Writes the value of every settled game into values and returns
-    (settled, rows, cols): per game whether a kernel settled it, and the
-    settled games' row and column strategies, one game after another in
-    order, each over its own actions.
+    masked. Writes the value of every settled game into values and its
+    strategies into row_mix and col_mix at its global rows and columns, and
+    returns per game whether a kernel settled it.
 
     A weight is NaN only where a quantity overflows. _kernel_solve's sign
     test, Python's min, lets a NaN through, but then every saddle sum of
@@ -504,43 +487,46 @@ def _batch_kernels(payoffs, flat, games, values):
             settled[square] = True
             values[games[square]] = value[fit]
             rows[:, square], cols[:, square] = row[:, fit], col[:, fit]
-    keep = settled[:, None]
-    return settled, rows.T[keep & (_AR3 < m[:, None])], cols.T[keep & (_AR3 < n[:, None])]
+    for mix, first, size, played in ((row_mix, flat.first_row, m, rows),
+                                     (col_mix, flat.first_col, n, cols)):
+        own = settled & (_AR3[:, None] < size)  # (action, game), as played
+        mix[(first[games] + _AR3[:, None])[own]] = played[own]
+    return settled
 
 
-def _solve_each(flat, payoffs, values, games):
-    """Solve the games of `games` one at a time, writing their values;
-    returns their row and column strategies, each as one array in order.
-    Only the games' own slots and sizes are converted to Python objects."""
+def _solve_each(flat, payoffs, values, games, row_mix, col_mix):
+    """Solve the games of `games` one at a time, writing their values into
+    values and their strategies into row_mix and col_mix. Only the games'
+    own slots and sizes are converted to Python objects."""
     first, width = flat.first_slot, flat.col_count
-    rows, cols = [], []
+    first_row, first_col = flat.first_row, flat.first_col
     for v in games.tolist():
         slots, step = payoffs[first[v]:first[v + 1]].tolist(), int(width[v])
         matrix = [slots[s:s + step] for s in range(0, len(slots), step)]
-        values[v], row, col, _ = _solve(matrix, screened=True)
-        rows += row
-        cols += col
-    return np.array(rows), np.array(cols)
+        (values[v], row_mix[first_row[v]:first_row[v + 1]],
+         col_mix[first_col[v]:first_col[v + 1]], _) = _solve(matrix, screened=True)
 
 
-def _settle_mixed(flat, payoffs, values, mixed) -> MixedGames:
-    """Settle the games the screen found mixed, writing their values. With
-    fewer than _BATCH_MIN_GAMES games of at most 3x3, every game is solved
-    one at a time. With more, _batch_kernels settles those, and the games
-    it leaves and the larger ones are solved one at a time after them."""
-    if (mixed.size < _BATCH_MIN_GAMES  # too few for a batch: no mask is built
-            or np.count_nonzero(small := (flat.row_count[mixed] <= 3)
-                                & (flat.col_count[mixed] <= 3)) < _BATCH_MIN_GAMES):
-        if not mixed.size:
-            return _NO_MIXED
-        return MixedGames(mixed, *_solve_each(flat, payoffs, values, mixed))
-    settled, rows, cols = _batch_kernels(payoffs, flat, mixed[small], values)
-    batched = small.copy()
-    batched[small] = settled
-    rest = mixed[~batched]
-    more_rows, more_cols = _solve_each(flat, payoffs, values, rest)
-    return MixedGames(np.concatenate([mixed[batched], rest]), np.concatenate([rows, more_rows]),
-                      np.concatenate([cols, more_cols]))
+def _settle_mixed(flat, payoffs, values, mixed):
+    """Settle the games the screen found mixed, writing their values, and
+    return (row_mix, col_mix), their strategies over the global rows and
+    columns, NaN elsewhere; (None, None) when no game is mixed. With fewer
+    than _BATCH_MIN_GAMES games of at most 3x3, every game is solved one at
+    a time. With more, _batch_kernels settles those, and the games it
+    leaves and the larger ones are solved one at a time after them."""
+    if not mixed.size:
+        return None, None
+    mix = np.empty(flat.first_row[-1]), np.empty(flat.first_col[-1])
+    for played in mix:  # empty and fill: np.full runs in Python and is 2.5x as slow
+        played.fill(np.nan)
+    if (mixed.size >= _BATCH_MIN_GAMES  # else too few for a batch: no mask is built
+            and np.count_nonzero(small := (flat.row_count[mixed] <= 3)
+                                 & (flat.col_count[mixed] <= 3)) >= _BATCH_MIN_GAMES):
+        batched = small.copy()
+        batched[small] = _batch_kernels(payoffs, flat, mixed[small], values, *mix)
+        mixed = mixed[~batched]
+    _solve_each(flat, payoffs, values, mixed, *mix)
+    return mix
 
 
 def local_solve(game, x, states=None) -> LocalSolve:
@@ -570,9 +556,9 @@ def local_solve(game, x, states=None) -> LocalSolve:
     saddle = listed & (maximin == minimax)
     values = np.where(saddle, maximin, np.nan)
     # saddle is a subset of listed, so listed ^ saddle is listed & ~saddle
-    mixed = _settle_mixed(flat, payoffs, values, (listed ^ saddle).nonzero()[0])
+    row_mix, col_mix = _settle_mixed(flat, payoffs, values, (listed ^ saddle).nonzero()[0])
     return LocalSolve(game=game, x=x, values=values, row_min=row_min, col_max=col_max,
-                      maximin=maximin, minimax=minimax, mixed=mixed)
+                      maximin=maximin, minimax=minimax, row_mix=row_mix, col_mix=col_mix)
 
 
 def local_values(game, x, states=None) -> np.ndarray:

@@ -149,8 +149,8 @@ def build_witness(game: GameSpec, solve: LocalSolve, high_states, low_states,
     unsettled = np.flatnonzero(state_mask(game.n, high_states) & np.isnan(solve.values))
     if unsettled.size:
         raise WitnessBuildError(f"the solve does not list high states {unsettled.tolist()}")
-    rows, _ = solve.strategies()
-    _, cols = local_solve(game, x, sorted(low_states)).strategies()
+    rows = solve.strategy("row")
+    cols = local_solve(game, x, sorted(low_states)).strategy("col")
     return Verdict(
         kind=NON_ERGODIC, eps=eps, potential=x,
         floor=floor_raw - eps, ceiling=ceiling_raw + eps,

@@ -22,7 +22,7 @@ reads one state's leaking actions off its transition records, truncate
 renormalises a strategy over them one state at a time, and closure_failures
 words the leaks of a verdict one record at a time: the oracles of the
 witness module's one-pass leak rule, truncation and closure check.
-strategies_per_state is LocalSolve.strategies as it built one vector per
+strategies_per_state is LocalSolve.strategy as it built one vector per
 state and player, the bitwise oracle of the flat arrays, and
 document_strategies reads a
 certificate's tables through layout, the oracle of parse_certificate's.
@@ -704,28 +704,23 @@ def document_strategies(game, text):
 
 def strategies_per_state(solve):
     """(row strategies, column strategies) of a LocalSolve, one vector per
-    listed state, clipped at 0: a pure saddle's are unit vectors at the
-    first row and column attaining its value, a mixed game's cut from its
-    solve's MixedGames record, whose games follow one another in the
-    record's state order."""
+    listed state, clipped at 0: a mixed game's are its slices of the
+    solve's row_mix and col_mix, where its settler wrote them, and a pure
+    saddle's unit vectors at the first row and column attaining its value."""
     flat = solve.game.flat
     first_row, first_col = flat.first_row.tolist(), flat.first_col.tolist()
     row_min, col_max = solve.row_min.tolist(), solve.col_max.tolist()
     values = solve.values.tolist()
     rows, cols = {}, {}
-    mixed = solve.mixed
-    row_at = col_at = 0
-    for v in mixed.states.tolist():  # each game's strategies follow the one before
-        size_row, size_col = first_row[v + 1] - first_row[v], first_col[v + 1] - first_col[v]
-        rows[v] = np.maximum(mixed.rows[row_at:row_at + size_row], 0.0)
-        cols[v] = np.maximum(mixed.cols[col_at:col_at + size_col], 0.0)
-        row_at, col_at = row_at + size_row, col_at + size_col
     for v in (~np.isnan(solve.values)).nonzero()[0].tolist():
-        if v in rows:
-            continue
-        for out, first, extreme in ((rows, first_row, row_min), (cols, first_col, col_max)):
+        for out, first, extreme, mix in ((rows, first_row, row_min, solve.row_mix),
+                                         (cols, first_col, col_max, solve.col_mix)):
             start, stop = first[v], first[v + 1]
-            out[v] = np.array(_unit(stop - start, extreme.index(values[v], start, stop) - start))
+            if mix is not None and not np.isnan(mix[start:stop]).all():
+                out[v] = np.maximum(mix[start:stop], 0.0)
+            else:
+                out[v] = np.array(_unit(stop - start,
+                                        extreme.index(values[v], start, stop) - start))
     return rows, cols
 
 

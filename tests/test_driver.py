@@ -19,7 +19,13 @@ from builders import (
     two_cycle,
 )
 from ergopump import driver, matrix_game, witness
-from ergopump.documents import parse_game, serialize_certificate, serialize_game
+from ergopump.documents import (
+    parse_certificate,
+    parse_game,
+    recheck_certificate,
+    serialize_certificate,
+    serialize_game,
+)
 from ergopump.driver import (
     HARD_CAP,
     DriverConfig,
@@ -300,6 +306,21 @@ class TestDecideErgodicity:
     def test_rejects_non_finite_eps(self, eps):
         with pytest.raises(ValueError, match="eps must be positive and finite"):
             decide_ergodicity(one_state(), eps=eps)
+
+    def test_rejects_bool_eps(self):
+        # True is no number to the verifier, so its certificate would not parse
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            decide_ergodicity(one_state(), eps=True)
+
+    @pytest.mark.parametrize("eps", [np.float32(0.05), np.float16(0.05), np.int64(1)])
+    def test_numpy_scalar_eps_certifies_as_a_float(self, eps):
+        game = random_game(4, max_actions=2, seed=1)
+        verdict, stats = decide_ergodicity(game, eps)
+        assert verdict.kind != "inconclusive" and type(verdict.eps) is float
+        assert verdict.eps == float(eps)
+        parsed = parse_certificate(serialize_certificate(game, verdict, stats), game)
+        assert parsed.eps == float(eps)
+        assert recheck_certificate(game, parsed) == (True, ())
 
     def test_stalled_local_solve_is_inconclusive(self, monkeypatch):
         # state s0 of this game has a mixed 4x2 local game, beyond the closed

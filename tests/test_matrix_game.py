@@ -281,7 +281,7 @@ def _expected_solves(game, x, states):
 
 def _assert_solve_matches(game, x, states, expected):
     """local_values and local_solve give each listed state's expected value,
-    and strategies() one array per player: each listed state's vector from
+    and strategy() one array per player: each listed state's vector from
     its own solve, clipped at 0, and NaN at the states not listed, as the
     per-state build lays them out, signs of zeros included."""
     values = np.full(game.n, np.nan)
@@ -290,8 +290,8 @@ def _assert_solve_matches(game, x, states, expected):
     solve = local_solve(game, x, states)
     assert _bits(solve.values) == _bits(values)
     per_state = reference.strategies_per_state(solve)
-    for mix, side, vectors, player in zip(solve.strategies(), (1, 2), per_state,
-                                          ("row", "col")):
+    for side, vectors, player in zip((1, 2), per_state, ("row", "col")):
+        mix = solve.strategy(player)
         solved = {v: np.maximum(out[side], 0.0) for v, out in expected.items()}
         assert _bits(mix) == _bits(reference.layout(game, solved, player))
         assert _bits(mix) == _bits(reference.layout(game, vectors, player))
@@ -501,6 +501,22 @@ class TestLocalValue:
         vec = local_values(g, x)
         for v in range(4):
             assert vec[v] == pytest.approx(local_value(g, v, x).value, abs=1e-12)
+
+    @pytest.mark.parametrize("unlisted", [[0], [0, 3], [1, 2, 4, 5]])
+    def test_strategy_covers_exactly_the_listed_states(self, unlisted):
+        # the driver's phase-2 entry NaNs states of a solve's values; a
+        # state so unlisted, mixed state 0 among them, is covered by neither
+        # player's strategy
+        g = random_game(6, max_actions=3, seed=3)
+        solve = local_solve(g, np.zeros(6))
+        assert solve.maximin[0] != solve.minimax[0]  # state 0's game is mixed
+        values = solve.values.copy()
+        values[unlisted] = np.nan
+        narrowed = solve._replace(values=values)
+        for player in ("row", "col"):
+            assert narrowed.strategy(player).states == set(range(6)) - set(unlisted)
+        with pytest.raises(ValueError, match="player must be 'row' or 'col'"):
+            narrowed.strategy("column")
 
 
 class TestErrors:

@@ -229,6 +229,13 @@ def test_set_preserving_actions_have_one_rule():
     assert _callers("bar_actions") == {"witness._truncate", "witness.verify_witness"}
 
 
+def test_strategies_are_laid_out_one_player_at_a_time():
+    # a certificate reads one player's strategy from each solve it lays out:
+    # the witness build the row player's of the pump's solve and the column
+    # player's of the low set's, the ergodic exit both players' of its solve
+    assert _callers("strategy") == {"driver._drive", "witness.build_witness"}
+
+
 def test_payoff_bounds_have_two_readers():
     # payoff bounds size the gap graph's thresholds, and the pump's
     # payoff-bound check reads them only where the screen's minimax leaves a

@@ -1,5 +1,7 @@
 """Witness construction and the one certificate check of both verdicts."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from ergopump.documents import parse_certificate, serialize_certificate
 from ergopump.driver import decide_ergodicity
 from ergopump.game import Strategy, make_game
 from ergopump.generators import cycle, random_game
-from ergopump.matrix_game import local_solve, local_value, local_values
+from ergopump.matrix_game import LocalSolve, local_solve, local_value, local_values
 from ergopump.pump import auxiliary_graph, boundary_gap_violations, modified_pump
 from ergopump.witness import (
     ERGODIC,
@@ -116,13 +118,26 @@ class TestBuildWitness:
         # a write through one that aliases a solve's raises
         g = leaky_row_game()
         solve = local_solve(g, np.zeros(2))
-        before = solve.strategies()
+        before = [solve.strategy(player).tobytes() for player in ("row", "col")]
         cert = build_witness(g, solve, {0}, {1}, ceiling_raw=0.2, floor_raw=0.9, eps=0.1)
-        assert [a.tobytes() for a in solve.strategies()] == [a.tobytes() for a in before]
+        assert [solve.strategy(player).tobytes() for player in ("row", "col")] == before
         ergodic, _ = decide_ergodicity(cycle(n=3, seed=0), 0.05)
         for mix in (cert.alpha, cert.beta, ergodic.alpha, ergodic.beta):
             with pytest.raises(ValueError, match="read-only"):
                 mix[0] = 0.5
+
+    def test_build_lays_out_one_player_per_solve(self):
+        # alpha is the row player's of the caller's solve, beta the column
+        # player's of the low set's; neither solve lays out the other player
+        g = leaky_row_game()
+        solve = local_solve(g, np.zeros(2))
+        with mock.patch.object(LocalSolve, "strategy", autospec=True,
+                               side_effect=LocalSolve.strategy) as laid:
+            build_witness(g, solve, {0}, {1}, ceiling_raw=0.2, floor_raw=0.9, eps=0.1)
+        (pumped, first), (low, second) = (call.args for call in laid.call_args_list)
+        assert (first, second) == ("row", "col")
+        assert pumped is solve
+        assert np.isnan(low.values).tolist() == [True, False]  # lists the low set only
 
     def test_high_states_come_from_the_callers_solve(self):
         # alpha is read off the caller's solve, so it must list the high set
