@@ -152,8 +152,10 @@ def serialize_certificate(game: GameSpec, verdict: Verdict, stats) -> str:
         },
     }
     # one line: json's indenting encoder runs in Python, its compact one in C;
-    # the potential goes out as a list of shortest-repr floats
-    return json.dumps(doc, sort_keys=True, default=np.ndarray.tolist) + "\n"
+    # the potential goes out as a list of shortest-repr floats. doc is built
+    # here and holds no cycle, so the encoder need not check for one
+    return json.dumps(doc, sort_keys=True, default=np.ndarray.tolist,
+                      check_circular=False) + "\n"
 
 
 def parse_certificate(text: str, game: GameSpec) -> Verdict:

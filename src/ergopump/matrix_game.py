@@ -366,12 +366,28 @@ class LocalSolve(NamedTuple):
         listed state whose maximin equals its minimax, plays the unit vector
         at its first row (column) whose minimum (maximum) is its value, as
         _kernel_solve picks it; any other listed state's game is mixed and
-        plays its slice of row_mix (col_mix)."""
+        plays its slice of row_mix (col_mix).
+
+        Below _NUMPY_MIN_STATES states a Python loop lays out one state at a
+        time; from there on numpy lays out all of them at once, each pure
+        saddle's unit entry at the least action of its state whose extreme
+        is its value (a segmented minimum), bit for bit the loop's array."""
         if player not in ("row", "col"):
             raise ValueError("player must be 'row' or 'col'")
         flat = self.game.flat
-        first, extreme, mix = ((flat.first_row, self.row_min, self.row_mix) if player == "row"
-                               else (flat.first_col, self.col_max, self.col_mix))
+        first, count, extreme, mix = (
+            (flat.first_row, flat.row_count, self.row_min, self.row_mix) if player == "row"
+            else (flat.first_col, flat.col_count, self.col_max, self.col_mix))
+        if self.game.n >= _NUMPY_MIN_STATES:
+            values = self.values
+            listed = values == values  # NaN: not listed
+            pure = listed & (self.maximin == self.minimax)
+            out = np.repeat(np.where(listed, 0.0, np.nan), count)
+            if mix is not None:  # pure is a subset of listed: listed ^ pure is mixed
+                np.copyto(out, mix, where=np.repeat(listed ^ pure, count))
+            hits = np.where(extreme == np.repeat(values, count), np.arange(out.size), out.size)
+            out[np.minimum.reduceat(hits, first[:-1])[pure]] = 1.0
+            return Strategy(np.maximum(out, 0.0), first)
         starts, extreme, values = first.tolist(), extreme.tolist(), self.values.tolist()
         mix = [] if mix is None else mix.tolist()  # None: no game was mixed
         pure = (self.maximin == self.minimax).tolist()
@@ -386,6 +402,12 @@ class LocalSolve(NamedTuple):
         return Strategy(np.maximum(out, 0.0), first)
 
 
+# Below this many states, LocalSolve.strategy, pump.partition and the
+# extremes of pump._first_hop_leaks walk the states in Python; from this many
+# on they run in numpy, which costs more per call on the corpus's 2 to 5
+# states and less at the ladder's 128 and 256 (timeit table in CHANGES.md)
+_NUMPY_MIN_STATES = 64
+
 # Calls with fewer mixed games of at most 3x3 than this settle them one at a
 # time; from this many on, the batch is the faster (timeit table in CHANGES.md)
 _BATCH_MIN_GAMES = 16
@@ -393,7 +415,6 @@ _BATCH_MIN_GAMES = 16
 _AR3 = np.arange(3)
 _PAIRS = np.array(list(combinations(range(3), 2)))  # (0, 1), (0, 2), (1, 2)
 _FIRST, _SECOND = _PAIRS[:, 0], _PAIRS[:, 1]
-_LAST = _SECOND[:, None]  # a pair (i, j), i < j, is a game's iff j < its size
 # per candidate c = 3 * row pair + column pair: its (first, second) row and column
 _CAND_ROW, _CAND_COL = _PAIRS[_AR3.repeat(3)].T, _PAIRS[np.tile(_AR3, 3)].T
 # a[_SUB_ROWS, _SUB_COLS] is (2, 2, row pair, column pair, G): the entries of
@@ -405,6 +426,18 @@ _SUB_COLS = _PAIRS.T[None, :, None, :]
 _NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
 _COF_ROWS = np.stack([_NEXT, _AFTER, _NEXT, _AFTER])[:, :, None]
 _COF_COLS = np.stack([_NEXT, _AFTER, _AFTER, _NEXT])[:, None, :]
+# Each table below holds one column per game shape: an m x n game, m and n at
+# most 3, has shape 3m + n - 4. take picks a call's columns, and its result is
+# contiguous where indexing the last axis would not be
+_SHAPES = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
+_SQUARE = _SHAPES.index((3, 3))
+# the slot of entry (i, j) of the padded game, its last row and column repeated
+_GATHER = np.array([[[min(i, m - 1) * n + min(j, n - 1) for m, n in _SHAPES]
+                     for j in range(3)] for i in range(3)])
+# per candidate, whether its pairs are the game's: a pair (i, j), i < j, is iff j < its size
+_FITS = np.array([[[i < m and j < n for m, n in _SHAPES] for j in _SECOND] for i in _SECOND])
+# per player and action, whether the game has that action
+_OWNS = np.array([[[k < size[player] for size in _SHAPES] for k in range(3)] for player in (0, 1)])
 
 
 def _batch_kernels(payoffs, flat, games, values, row_mix, col_mix):
@@ -418,9 +451,13 @@ def _batch_kernels(payoffs, flat, games, values, row_mix, col_mix):
     column are repeated into its padding, which changes no maximum over
     rows or minimum over columns, so each saddle check reads the game's own
     rows and columns; candidates that use a padding row or column are
-    masked. Writes the value of every settled game into values and its
-    strategies into row_mix and col_mix at its global rows and columns, and
-    returns per game whether a kernel settled it.
+    masked. The padded gather's slot offsets, the candidates a game's size
+    admits and the actions it owns are constant per shape: each is one
+    table with a column per shape (3m + n - 4 for an m x n game), taken
+    once per call, and no index is computed from the game sizes. Writes
+    the value of every settled game into values and its strategies into
+    row_mix and col_mix at its global rows and columns, and returns per
+    game whether a kernel settled it.
 
     A weight is NaN only where a quantity overflows. _kernel_solve's sign
     test, Python's min, lets a NaN through, but then every saddle sum of
@@ -429,9 +466,8 @@ def _batch_kernels(payoffs, flat, games, values, row_mix, col_mix):
     saddle sum is NaN and numpy's max and min agree with Python's.
     """
     count = len(games)
-    m, n = flat.row_count[games], flat.col_count[games]
-    row_slot = flat.first_slot[games] + np.minimum(_AR3[:, None], m - 1) * n
-    a = payoffs[row_slot[:, None] + np.minimum(_AR3[:, None], n - 1)]
+    shape = 3 * flat.row_count[games] + flat.col_count[games] - 4
+    a = payoffs[flat.first_slot[games] + _GATHER.take(shape, 2)]
     each = np.arange(count)
     with np.errstate(all="ignore"):
         sub = a[_SUB_ROWS, _SUB_COLS]
@@ -448,10 +484,12 @@ def _batch_kernels(payoffs, flat, games, values, row_mix, col_mix):
         np.divide(-b10, s, out=q2)
         np.subtract(corner, b01 * b10 / s, out=value)
         ok = (solved[:4] >= 0.0).all(0) & (s != 0.0)
-        ok &= (_LAST < m)[:, None] & (_LAST < n)
-        best_row = (a[:, None, _FIRST] * q1 + a[:, None, _SECOND] * q2).max(0)
+        ok &= _FITS.take(shape, 2)
+        # take, not fancy indexing, gathers each pair's first and second actions
+        best_row = (a.take(_FIRST, 1)[:, None] * q1 + a.take(_SECOND, 1)[:, None] * q2).max(0)
         columns = a.transpose(1, 0, 2)
-        worst_col = (p1 * columns[:, _FIRST, None] + p2 * columns[:, _SECOND, None]).min(0)
+        worst_col = (p1 * columns.take(_FIRST, 1)[:, :, None]
+                     + p2 * columns.take(_SECOND, 1)[:, :, None]).min(0)
         ok &= best_row - worst_col <= _SADDLE_TOL
         ok = ok.reshape(9, count)
         first = ok.argmax(0)  # each game's first candidate that settles it
@@ -463,7 +501,7 @@ def _batch_kernels(payoffs, flat, games, values, row_mix, col_mix):
         rows[pair_row[0], each], rows[pair_row[1], each] = p1, p2
         cols[pair_col[0], each], cols[pair_col[1], each] = q1, q2
 
-        square = (~settled & (m == 3) & (n == 3)).nonzero()[0]
+        square = (~settled & (shape == _SQUARE)).nonzero()[0]
         if square.size:
             a = a[:, :, square]
             corner = a[0, 0]
@@ -487,9 +525,9 @@ def _batch_kernels(payoffs, flat, games, values, row_mix, col_mix):
             settled[square] = True
             values[games[square]] = value[fit]
             rows[:, square], cols[:, square] = row[:, fit], col[:, fit]
-    for mix, first, size, played in ((row_mix, flat.first_row, m, rows),
-                                     (col_mix, flat.first_col, n, cols)):
-        own = settled & (_AR3[:, None] < size)  # (action, game), as played
+    for mix, first, owns, played in ((row_mix, flat.first_row, _OWNS[0], rows),
+                                     (col_mix, flat.first_col, _OWNS[1], cols)):
+        own = settled & owns.take(shape, 1)  # (action, game), as played
         mix[(first[games] + _AR3[:, None])[own]] = played[own]
     return settled
 
@@ -510,15 +548,17 @@ def _solve_each(flat, payoffs, values, games, row_mix, col_mix):
 def _settle_mixed(flat, payoffs, values, mixed):
     """Settle the games the screen found mixed, writing their values, and
     return (row_mix, col_mix), their strategies over the global rows and
-    columns, NaN elsewhere; (None, None) when no game is mixed. With fewer
-    than _BATCH_MIN_GAMES games of at most 3x3, every game is solved one at
-    a time. With more, _batch_kernels settles those, and the games it
-    leaves and the larger ones are solved one at a time after them."""
+    columns, NaN elsewhere, two views of one buffer; (None, None) when no
+    game is mixed. With fewer than _BATCH_MIN_GAMES games of at most 3x3,
+    every game is solved one at a time. With more, _batch_kernels settles
+    those, and the games it leaves and the larger ones are solved one at a
+    time after them."""
     if not mixed.size:
         return None, None
-    mix = np.empty(flat.first_row[-1]), np.empty(flat.first_col[-1])
-    for played in mix:  # empty and fill: np.full runs in Python and is 2.5x as slow
-        played.fill(np.nan)
+    rows = len(flat.row_start)
+    both = np.empty(rows + len(flat.col_start))
+    both.fill(np.nan)  # empty and fill: np.full runs in Python and is 2.5x as slow
+    mix = both[:rows], both[rows:]
     if (mixed.size >= _BATCH_MIN_GAMES  # else too few for a batch: no mask is built
             and np.count_nonzero(small := (flat.row_count[mixed] <= 3)
                                  & (flat.col_count[mixed] <= 3)) >= _BATCH_MIN_GAMES):

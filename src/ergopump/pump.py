@@ -57,12 +57,16 @@ only for the seeds they reach, and only if that passes one gap graph,
 with its payoff bounds (r_bounds), and a closed-set search. A landed step
 with both bands non-empty also runs the payoff-bound check, on its graph's
 bounds or its screen's minimax, and calls r_bounds for it only as the
-fallback. Each is cut to few calls: partition sorts the values into all
-three bands in one Python pass; the phase's states go to local_solve as a
-bool mask built once per pump; and the pumped mask is built once per
-landed step, which keeps it (_Step.pumped): the first-hop test, r_bounds,
-the payoff-bound check, the jump vector, the drift check and the checks of
-the jump's probes, whose partition is the landed step's, all read it. The
+fallback. Each is cut to few calls. Below matrix_game._NUMPY_MIN_STATES
+states, partition sorts the values into all three bands in one Python pass
+and the first-hop test finds its two extremes in Python lists, which cost
+less than numpy's per-call overhead there; from that many states on, where
+a Python pass over every state costs more, both run in numpy, with the
+same results. The phase's states go to local_solve as a bool mask built
+once per pump; and the pumped mask is built once per landed step, which
+keeps it (_Step.pumped): the first-hop test, r_bounds, the payoff-bound
+check, the jump vector, the drift check and the checks of the jump's
+probes, whose partition is the landed step's, all read it. The
 pump still calls partition, r_bounds, auxiliary_graph, find_closed_sets
 and local_solve by their module names, so a tracer that wraps those names
 sees every band, every payoff bound and every graph.
@@ -75,6 +79,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import matrix_game
 from .game import GameSpec, Potential, as_potential, local_payoffs, state_mask
 from .matrix_game import LocalSolve, local_solve
 
@@ -139,23 +144,31 @@ def partition(m_values, m_minus: float, m_plus: float) -> BandPartition:
     """Threshold the local values into bands, with a fixed slack; NaN and infinite
     entries join none.
 
-    One pass over the values: each band is tested on its own, so when
-    m_plus < m_minus a value can sit in both the bottom band and the pumped
-    half.
+    Each band is tested on its own, so when m_plus < m_minus a value can sit
+    in both the bottom band and the pumped half. Below
+    matrix_game._NUMPY_MIN_STATES values that is one Python pass over them;
+    from there on, one numpy comparison per band, each masked by isfinite,
+    which gives the same sets.
     """
     delta = (m_plus - m_minus) / 4.0
     t1 = m_minus + delta - BAND_SLACK
     t2 = m_minus + 2 * delta - BAND_SLACK
     t3 = m_minus + 3 * delta - BAND_SLACK
-    top, bottom, pumped = [], [], []
-    for v, m in enumerate(np.asarray(m_values, dtype=np.float64).tolist()):
-        if -math.inf < m < math.inf:
-            if m >= t3:
-                top.append(v)
-            if m < t1:
-                bottom.append(v)
-            if m >= t2:
-                pumped.append(v)
+    values = np.asarray(m_values, dtype=np.float64)
+    if values.size >= matrix_game._NUMPY_MIN_STATES:
+        finite = np.isfinite(values)
+        top, bottom, pumped = ((finite & band).nonzero()[0].tolist()
+                               for band in (values >= t3, values < t1, values >= t2))
+    else:
+        top, bottom, pumped = [], [], []
+        for v, m in enumerate(values.tolist()):
+            if -math.inf < m < math.inf:
+                if m >= t3:
+                    top.append(v)
+                if m < t1:
+                    bottom.append(v)
+                if m >= t2:
+                    pumped.append(v)
     return BandPartition(m_minus=m_minus, m_plus=m_plus, delta=delta, top=frozenset(top),
                          bottom=frozenset(bottom), pumped=frozenset(pumped))
 
@@ -306,21 +319,31 @@ def _first_hop_leaks(x: np.ndarray, pumped: np.ndarray, top, bottom, threshold) 
     bottom state inside it only when some state does, so each side is
     tested only when the other side has a state. Seeds are tested in turn
     until one leaks, each threshold asked for only when its seed's
-    comparison needs it. Plain Python lists: the witness checks of small
-    games would spend longer in numpy's per-call overhead than in the
-    comparisons.
+    comparison needs it, on Python floats.
+
+    The two extremes, the least x outside the pumped set and the greatest
+    inside it, come from Python lists below matrix_game._NUMPY_MIN_STATES
+    states, where the witness checks of small games would spend longer in
+    numpy's per-call overhead than in the comparisons, and from numpy
+    reductions from there on. x is finite in the pump and holds no NaN, so
+    both give the same extreme, up to the sign of a zero extreme, which
+    changes no comparison: the same decision.
     """
-    x, up = x.tolist(), pumped.tolist()
-    outside = [xu for xu, flag in zip(x, up) if not flag]
-    inside = [xu for xu, flag in zip(x, up) if flag]
-    if outside:
-        lowest = min(outside)
-        if any(not up[v] or lowest - x[v] < threshold(v) for v in top):
-            return True
-    if inside:
-        highest = max(inside)
-        if any(up[v] or x[v] - highest < threshold(v) for v in bottom):
-            return True
+    if len(x) >= matrix_game._NUMPY_MIN_STATES:
+        inside = np.count_nonzero(pumped)
+        lowest = x[~pumped].min().item() if inside < len(x) else None
+        highest = x[pumped].max().item() if inside else None
+        x, up = x.tolist(), pumped.tolist()
+    else:
+        x, up = x.tolist(), pumped.tolist()
+        outside = [xu for xu, flag in zip(x, up) if not flag]
+        inside = [xu for xu, flag in zip(x, up) if flag]
+        lowest = min(outside) if outside else None
+        highest = max(inside) if inside else None
+    if lowest is not None and any(not up[v] or lowest - x[v] < threshold(v) for v in top):
+        return True
+    if highest is not None and any(up[v] or x[v] - highest < threshold(v) for v in bottom):
+        return True
     return False
 
 

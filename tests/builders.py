@@ -3,10 +3,12 @@
 import sys
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
 import reference
+from ergopump import matrix_game
 from ergopump.game import Strategy, make_game, state_mask
 from ergopump.witness import NON_ERGODIC, Verdict
 
@@ -156,6 +158,17 @@ def max_mass_into(game, targets):
             mass[k, l] = mass.get((k, l), 0) + (p if u in targets else 0)
         masses.append(float(max(mass.values())))
     return masses
+
+
+def on_both_forms(call, size):
+    """[call() in numpy form, call() in Python form]: with
+    matrix_game._NUMPY_MIN_STATES set to 1, then to one above size, the
+    count of states the call reads, so the threshold sends it to each form."""
+    results = []
+    for threshold in (1, size + 1):
+        with mock.patch.object(matrix_game, "_NUMPY_MIN_STATES", threshold):
+            results.append(call())
+    return results
 
 
 def count_calls(monkeypatch, names, weight=None):

@@ -13,6 +13,7 @@ from builders import (
     count_calls,
     count_local_games,
     matrix_as_game,
+    on_both_forms,
     one_state,
     random_dense_game,
 )
@@ -281,9 +282,10 @@ def _expected_solves(game, x, states):
 
 def _assert_solve_matches(game, x, states, expected):
     """local_values and local_solve give each listed state's expected value,
-    and strategy() one array per player: each listed state's vector from
-    its own solve, clipped at 0, and NaN at the states not listed, as the
-    per-state build lays them out, signs of zeros included."""
+    and strategy() one array per player, in numpy form and in the Python
+    loop: each listed state's vector from its own solve, clipped at 0, and
+    NaN at the states not listed, as the per-state build lays them out,
+    signs of zeros included."""
     values = np.full(game.n, np.nan)
     values[list(expected)] = [solved[0] for solved in expected.values()]
     assert _bits(local_values(game, x, states)) == _bits(values)
@@ -291,10 +293,10 @@ def _assert_solve_matches(game, x, states, expected):
     assert _bits(solve.values) == _bits(values)
     per_state = reference.strategies_per_state(solve)
     for side, vectors, player in zip((1, 2), per_state, ("row", "col")):
-        mix = solve.strategy(player)
         solved = {v: np.maximum(out[side], 0.0) for v, out in expected.items()}
-        assert _bits(mix) == _bits(reference.layout(game, solved, player))
-        assert _bits(mix) == _bits(reference.layout(game, vectors, player))
+        for mix in on_both_forms(lambda: solve.strategy(player), game.n):
+            assert _bits(mix) == _bits(reference.layout(game, solved, player))
+            assert _bits(mix) == _bits(reference.layout(game, vectors, player))
 
 
 def _assert_matches_on_its_path(drawn, batch_min):
@@ -514,9 +516,24 @@ class TestLocalValue:
         values[unlisted] = np.nan
         narrowed = solve._replace(values=values)
         for player in ("row", "col"):
-            assert narrowed.strategy(player).states == set(range(6)) - set(unlisted)
+            numpy_form, loop = on_both_forms(lambda: narrowed.strategy(player), 6)
+            assert numpy_form.tobytes() == loop.tobytes()
+            assert numpy_form.states == loop.states == set(range(6)) - set(unlisted)
         with pytest.raises(ValueError, match="player must be 'row' or 'col'"):
             narrowed.strategy("column")
+
+    def test_numpy_layout_takes_the_first_tied_action(self):
+        # state 0's value is the minimum of both its rows, state 1's the
+        # maximum of both its columns, and each plays its first; state 2 is
+        # mixed and state 3 not listed
+        game = _repeated([[1.0, 2.0], [1.0, 3.0]], [[2.0, 2.0], [1.0, 0.0]],
+                         [[3.0, 1.0], [0.0, 2.0]], [[0.0]])
+        solve = local_solve(game, np.zeros(4), [0, 1, 2])
+        expected = {"row": [1.0, 0.0, 1.0, 0.0, 0.5, 0.5, np.nan],
+                    "col": [1.0, 0.0, 1.0, 0.0, 0.25, 0.75, np.nan]}
+        for player, laid_out in expected.items():
+            for mix in on_both_forms(lambda: solve.strategy(player), game.n):
+                assert mix.tobytes() == np.array(laid_out).tobytes()
 
 
 class TestErrors:

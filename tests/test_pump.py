@@ -15,13 +15,14 @@ from builders import (
     disconnected,
     leaky_pair,
     max_mass_into,
+    on_both_forms,
     one_state,
     random_dense_game,
     two_cycle,
 )
 from ergopump import driver, pump
 from ergopump.driver import decide_ergodicity
-from ergopump.game import game_params
+from ergopump.game import game_params, state_mask
 from ergopump.generators import random_game
 from ergopump.matrix_game import local_solve, local_values
 from ergopump.pump import (
@@ -87,12 +88,17 @@ class TestPartition:
     @settings(max_examples=300, deadline=None)
     @given(_band_inputs())
     def test_matches_per_state_comprehensions(self, inputs):
+        # in numpy form and in the Python loop, NaN and infinities join no
+        # band, and values at each threshold fall on the same side of it
         m_values, m_minus, m_plus = inputs
-        part = partition(m_values, m_minus, m_plus)
         expected = reference.partition_sets(m_values, m_minus, m_plus, pump.BAND_SLACK)
-        assert (part.top, part.bottom, part.pumped) == expected
-        for band in expected:
-            assert all(type(v) is int for v in band)
+        numpy_form, loop = on_both_forms(lambda: partition(m_values, m_minus, m_plus),
+                                         len(m_values))
+        assert numpy_form == loop
+        for part in numpy_form, loop:
+            bands = part.top, part.bottom, part.pumped
+            assert bands == expected
+            assert all(type(v) is int for band in bands for v in band)
 
 
 class TestStepInvariants:
@@ -326,6 +332,29 @@ class TestSweepAgainstDenseOracle:
 
         check()
         assert {("first hop", False), ("sweep", False), ("sweep", True)} <= set(outcomes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_gap_instances(), st.sampled_from(["drawn", "empty", "full"]),
+           st.sets(st.integers(0, 39)))
+    def test_first_hop_numpy_extremes_match_the_lists(self, instance, side, negated):
+        # the same decision, and the same thresholds asked for in the same
+        # order, from numpy's extremes and the lists'; zeros are signed
+        # now and then, and the pumped set is sometimes empty or everything
+        x, thresholds, pumped, top, bottom = instance
+        n = len(x)
+        x = np.array([-u if v in negated and u == 0 else u for v, u in enumerate(x)])
+        mask = state_mask(n, {"drawn": pumped, "empty": (), "full": range(n)}[side])
+
+        def leaks():
+            asked = []
+
+            def threshold(v):
+                asked.append(v)
+                return thresholds[v]
+            return pump._first_hop_leaks(x, mask, top, bottom, threshold), asked
+
+        numpy_form, loop = on_both_forms(leaks, n)
+        assert numpy_form == loop
 
     def test_first_hop_rejection_never_sorts(self, monkeypatch):
         # the pump's checks on disconnected(0, 10): before step 400 the top

@@ -14,6 +14,7 @@ import pytest
 
 import reference
 from builders import count_calls
+from ergopump import matrix_game, pump
 from ergopump.documents import CERTIFICATE_FORMAT, parse_certificate, parse_game, serialize_game
 from ergopump.generators import cycle, disconnected
 
@@ -118,6 +119,40 @@ def test_each_dispatch_side_has_a_workload(workload, batched, monkeypatch):
     run.solve_pass(instances, games)
     assert calls["local_solve"] > 0
     assert calls["_batch_kernels"] == (calls["local_solve"] if batched else 0)
+
+
+@pytest.mark.parametrize("workload, numpy_form", [("corpus", False), ("ladder", True)])
+def test_each_state_loop_form_has_a_workload(workload, numpy_form, monkeypatch):
+    """pump.partition, the extremes of pump._first_hop_leaks and
+    LocalSolve.strategy walk the states in Python below
+    matrix_game._NUMPY_MIN_STATES states and run in numpy from there on. At
+    seed 0 every ladder call of the three takes the numpy form and no corpus
+    call does, so the benchmark times each side; a workload or threshold
+    change that moves a side out of it fails here."""
+    run = _load("run", monkeypatch)
+    instances = run.workloads.build(workload, 0)
+    games = [parse_game(inst.text) for inst in instances]
+    sizes = {"partition": [], "_first_hop_leaks": [], "strategy": []}
+
+    def sized(name, original, size):
+        def wrapper(*args, **kwargs):
+            sizes[name].append(size(*args))
+            return original(*args, **kwargs)
+        return wrapper
+
+    def state_count(values, *_):
+        return len(values)
+
+    monkeypatch.setattr(pump, "partition", sized("partition", pump.partition, state_count))
+    monkeypatch.setattr(pump, "_first_hop_leaks",
+                        sized("_first_hop_leaks", pump._first_hop_leaks, state_count))
+    monkeypatch.setattr(matrix_game.LocalSolve, "strategy",
+                        sized("strategy", matrix_game.LocalSolve.strategy,
+                              lambda solve, _: solve.game.n))
+    run.solve_pass(instances, games)
+    for name, seen in sizes.items():
+        assert seen, name
+        assert {n >= matrix_game._NUMPY_MIN_STATES for n in seen} == {numpy_form}, name
 
 
 GOLDEN_DOCUMENTS = {
