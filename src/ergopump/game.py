@@ -485,7 +485,7 @@ def state_mask(n: int, states) -> np.ndarray:
     if isinstance(states, np.ndarray) and states.dtype == bool and states.shape == (n,):
         return states
     mask = np.zeros(n, dtype=bool)
-    mask[list(states)] = True
+    mask[np.fromiter(states, np.intp, len(states))] = True
     return mask
 
 

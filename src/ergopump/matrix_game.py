@@ -15,14 +15,16 @@ Settles the local games of a stochastic game in three stages.
    already failed; a game with one row or one column is always a pure
    saddle, so the screen never forwards one. A call whose mixed games of at
    most 3x3 number _BATCH_MIN_GAMES or more settles those together in numpy
-   (_batch_kernels): all nine 2x2 candidates and the full adjugate at once,
-   in the scalar kernel's float operations and order, each game keeping its
-   own saddle check and its first candidate that passes, so values and
-   strategies keep the scalar kernel's bits. Smaller calls solve every
-   mixed game with the scalar kernel, one at a time. A batched call then
-   solves its games larger than 3x3 and those the batch left the same way;
-   the scalar kernel rejects the latter's candidates again, as it computes
-   them in the same float operations, and hands them to stage 3.
+   (_batch_kernels): each game gathered once as a flat block of 9 entries,
+   (i, j) at 3i + j, which constant index tables read, all nine 2x2
+   candidates at once, then the full adjugate of the 3x3 games none of them
+   settles, in the scalar kernel's float operations and order, each game
+   keeping its own saddle check and its first candidate that passes, so
+   values and strategies keep the scalar kernel's bits. Smaller calls
+   solve every mixed game with the scalar kernel, one at a time. A batched
+   call then solves its games larger than 3x3 and those the batch left the
+   same way; the scalar kernel rejects the latter's candidates again, as it
+   computes them in the same float operations, and hands them to stage 3.
 3. The classic value LP, for larger games and any small one no kernel
    settles: shift the matrix positive, maximize the column player's scaled
    mixed strategy against unit bounds, and solve the negated transpose the
@@ -412,123 +414,141 @@ _NUMPY_MIN_STATES = 64
 # time; from this many on, the batch is the faster (timeit table in CHANGES.md)
 _BATCH_MIN_GAMES = 16
 
-_AR3 = np.arange(3)
+# The batch reads each game as a flat (9, G) block, entry (i, j) of its padded
+# 3x3 matrix at 3i + j. Candidate c = 3 * row pair + column pair, the pairs in
+# lexicographic order, plays rows _R1[c] < _R2[c] and columns _C1[c] < _C2[c].
 _PAIRS = np.array(list(combinations(range(3), 2)))  # (0, 1), (0, 2), (1, 2)
-_FIRST, _SECOND = _PAIRS[:, 0], _PAIRS[:, 1]
-# per candidate c = 3 * row pair + column pair: its (first, second) row and column
-_CAND_ROW, _CAND_COL = _PAIRS[_AR3.repeat(3)].T, _PAIRS[np.tile(_AR3, 3)].T
-# a[_SUB_ROWS, _SUB_COLS] is (2, 2, row pair, column pair, G): the entries of
-# the nine 2x2 candidates, in lexicographic (row pair, column pair) order
-_SUB_ROWS = _PAIRS.T[:, None, :, None]
-_SUB_COLS = _PAIRS.T[None, :, None, :]
-# b[_COF_ROWS, _COF_COLS] stacks the four factor matrices of the cofactors
+(_R1, _R2), (_C1, _C2) = _PAIRS.repeat(3, 0).T, np.tile(_PAIRS, (3, 1)).T
+_K = np.arange(3)[:, None]  # an action index k, down a table's first axis
+# per candidate: its corner (r1, c1), then the entries its b10, b01 and b11 shift
+_ENTRIES = np.stack([3 * _R1 + _C1, 3 * _R2 + _C1, 3 * _R1 + _C2, 3 * _R2 + _C2])
+# per weight p1, q1, p2, q2, k and candidate: the entry the weight multiplies
+# in the saddle check, column k of row r1, row k of column c1, column k of row
+# r2, row k of column c2
+_SADDLE = np.stack([3 * _R1 + _K, 3 * _K + _C1, 3 * _R2 + _K, 3 * _K + _C2])
+# per candidate: the row of the solved block (p1, q1, p2, q2, value, 0) that
+# holds the value, then each row action's weight, then each column action's,
+# times 9, the block's candidates per row
+_PICK = 9 * np.concatenate([np.full((1, 9), 4),
+                            np.where(_K == _R1, 0, np.where(_K == _R2, 2, 5)),
+                            np.where(_K == _C1, 1, np.where(_K == _C2, 3, 5))])
+# b.take(_COF) stacks the four factor matrices of the cofactors
 # C[i][j] = b[i+1][j+1] * b[i+2][j+2] - b[i+1][j+2] * b[i+2][j+1], indices mod 3
-_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
-_COF_ROWS = np.stack([_NEXT, _AFTER, _NEXT, _AFTER])[:, :, None]
-_COF_COLS = np.stack([_NEXT, _AFTER, _AFTER, _NEXT])[:, None, :]
+_COF = np.stack([3 * ((_K + di) % 3) + (_K.T + dj) % 3
+                 for di, dj in ((1, 1), (2, 2), (1, 2), (2, 1))])
+# a.take(_LINES) stacks the rows of a 3x3 game and its columns
+_LINES = np.stack([3 * _K + _K.T, _K + 3 * _K.T])
 # Each table below holds one column per game shape: an m x n game, m and n at
 # most 3, has shape 3m + n - 4. take picks a call's columns, and its result is
 # contiguous where indexing the last axis would not be
 _SHAPES = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
 _SQUARE = _SHAPES.index((3, 3))
-# the slot of entry (i, j) of the padded game, its last row and column repeated
-_GATHER = np.array([[[min(i, m - 1) * n + min(j, n - 1) for m, n in _SHAPES]
-                     for j in range(3)] for i in range(3)])
-# per candidate, whether its pairs are the game's: a pair (i, j), i < j, is iff j < its size
-_FITS = np.array([[[i < m and j < n for m, n in _SHAPES] for j in _SECOND] for i in _SECOND])
-# per player and action, whether the game has that action
-_OWNS = np.array([[[k < size[player] for size in _SHAPES] for k in range(3)] for player in (0, 1)])
+# the slot of flat entry 3i + j of the padded game, its last row and column repeated
+_GATHER = np.array([[min(i, m - 1) * n + min(j, n - 1) for m, n in _SHAPES]
+                    for i in range(3) for j in range(3)])
+# per row action, then per column action, whether the game has it
+_OWNS = np.array([[k < size[player] for size in _SHAPES] for player in (0, 1) for k in range(3)])
 
 
-def _batch_kernels(payoffs, flat, games, values, row_mix, col_mix):
+def _batch_kernels(payoffs, flat, games, values, mix):
     """Settle the mixed games of `games`, each at most 3x3, by their kernels
     together: the nine 2x2 candidates, then for a 3x3 that none settles its
     full adjugate, each in the float operations and order _kernel_solve
     uses, so values and strategies keep its bits, zero signs included.
 
-    The games are gathered into a (3, 3, G) array, games last, so that each
-    operation's inner loop runs over the games. Each game's last row and
-    column are repeated into its padding, which changes no maximum over
-    rows or minimum over columns, so each saddle check reads the game's own
-    rows and columns; candidates that use a padding row or column are
-    masked. The padded gather's slot offsets, the candidates a game's size
-    admits and the actions it owns are constant per shape: each is one
-    table with a column per shape (3m + n - 4 for an m x n game), taken
-    once per call, and no index is computed from the game sizes. Writes
-    the value of every settled game into values and its strategies into
-    row_mix and col_mix at its global rows and columns, and returns per
-    game whether a kernel settled it.
+    Each game is gathered once as a flat (9, G) block, games last, entry
+    (i, j) at 3i + j, so that each operation's inner loop runs over the
+    games. A game's last row and column are repeated into its padding,
+    which changes no maximum over rows or minimum over columns, so each
+    saddle check reads the game's own rows and columns. A candidate that
+    uses a padding row (column) needs no mask: with the game's last row
+    (column) it repeats, bit for bit, a candidate that comes earlier, and
+    with two equal rows (columns) its s is 0.0. Constant tables index the
+    block: the candidates' corners and the entries their b10, b01 and b11
+    shift (_ENTRIES), the entries each weight multiplies in the saddle check
+    (_SADDLE), where each game's value and strategies lie once its first
+    settling candidate is known (_PICK), and a 3x3's cofactor factors and
+    lines (_COF, _LINES). The padded gather's slot offsets and the actions a
+    game owns are constant per shape: each is one table with a column per
+    shape (3m + n - 4 for an m x n game), taken once per call, and no index
+    is computed from the game sizes. The four weights of all nine
+    candidates are one (4, 9, G) array, made by one subtraction, one
+    negation and one division, and one gather picks each game's first
+    settling candidate. The 3x3 adjugate runs only on the games no 2x2
+    candidate settles.
+
+    Writes a value into values for every game and its strategies into mix,
+    the global rows' strategies followed by the global columns', at the
+    game's own actions, and returns per game whether a kernel settled it;
+    a game it leaves gets its first candidate's numbers, which its solve
+    one at a time then overwrites.
 
     A weight is NaN only where a quantity overflows. _kernel_solve's sign
     test, Python's min, lets a NaN through, but then every saddle sum of
     that candidate is NaN and its check fails, so it rejects the candidate
     as the batch's sign test does. Weights that pass are finite, so no
-    saddle sum is NaN and numpy's max and min agree with Python's.
+    saddle sum is NaN and numpy's max and min agree with Python's. A
+    candidate whose s is 0.0, which _kernel_solve skips, fails the sign
+    test: a 2x2's b11 - b10 is then exactly b01, so p1 and p2 are b01 / s
+    and -b01 / s, of opposite signs or NaN; a 3x3's s, a left sum from
+    +0.0, is then +0.0, and its row sums are all zero (NaN weights) or
+    some row sum is negative (a weight of -inf).
     """
     count = len(games)
     shape = 3 * flat.row_count[games] + flat.col_count[games] - 4
-    a = payoffs[flat.first_slot[games] + _GATHER.take(shape, 2)]
-    each = np.arange(count)
+    a = payoffs.take(flat.first_slot[games] + _GATHER.take(shape, 1))
     with np.errstate(all="ignore"):
-        sub = a[_SUB_ROWS, _SUB_COLS]
-        corner = sub[0, 0]
-        b = sub - corner
-        b01, b10, b11 = b[0, 1], b[1, 0], b[1, 1]
-        s = b11 - b10 - b01
-        # per candidate: p1, p2, q1, q2 and its value
-        solved = np.empty((5, 3, 3, count))
-        p1, p2, q1, q2, value = solved
-        np.divide(b11 - b10, s, out=p1)
-        np.divide(-b01, s, out=p2)
-        np.divide(b11 - b01, s, out=q1)
-        np.divide(-b10, s, out=q2)
-        np.subtract(corner, b01 * b10 / s, out=value)
-        ok = (solved[:4] >= 0.0).all(0) & (s != 0.0)
-        ok &= _FITS.take(shape, 2)
-        # take, not fancy indexing, gathers each pair's first and second actions
-        best_row = (a.take(_FIRST, 1)[:, None] * q1 + a.take(_SECOND, 1)[:, None] * q2).max(0)
-        columns = a.transpose(1, 0, 2)
-        worst_col = (p1 * columns.take(_FIRST, 1)[:, :, None]
-                     + p2 * columns.take(_SECOND, 1)[:, :, None]).min(0)
-        ok &= best_row - worst_col <= _SADDLE_TOL
-        ok = ok.reshape(9, count)
+        entries = a.take(_ENTRIES, 0)
+        corner = entries[0]
+        b = entries[1:] - corner  # b10, b01, b11
+        b10, b01, b11 = b
+        solved = np.empty((6, 9, count))  # per candidate: p1, q1, p2, q2, value, 0
+        weights = solved[:4]
+        np.subtract(b11, b[:2], out=weights[:2])
+        np.negative(b[1::-1], out=weights[2:])
+        s = weights[0] - b01
+        np.subtract(corner, b01 * b10 / s, out=solved[4])
+        weights /= s
+        solved[5] = 0.0
+        ok = (weights >= 0.0).all(0)
+        # p1 and p2 times rows r1 and r2, q1 and q2 times columns c1 and c2
+        products = a.take(_SADDLE, 0)
+        products *= weights[:, None]
+        # (2, 3, 9, G): each column's payoff against p, each row's against q
+        payoff = products[:2] + products[2:]
+        ok &= payoff[1].max(0) - payoff[0].min(0) <= _SADDLE_TOL
         first = ok.argmax(0)  # each game's first candidate that settles it
-        settled = ok[first, each]
-        p1, p2, q1, q2, value = solved.reshape(5, 9, count)[:, first, each]
-        values[games[settled]] = value[settled]
-        rows, cols = np.zeros((3, count)), np.zeros((3, count))
-        pair_row, pair_col = _CAND_ROW[:, first], _CAND_COL[:, first]
-        rows[pair_row[0], each], rows[pair_row[1], each] = p1, p2
-        cols[pair_col[0], each], cols[pair_col[1], each] = q1, q2
+        settled = ok.any(0)
+        # value, row weights, column weights of each game's first candidate
+        picked = solved.take((_PICK.take(first, 1) + first) * count + np.arange(count))
 
         square = (~settled & (shape == _SQUARE)).nonzero()[0]
         if square.size:
-            a = a[:, :, square]
-            corner = a[0, 0]
+            a = a.take(square, 1)
+            corner = a[0]
             b = a - corner
-            f = b[_COF_ROWS, _COF_COLS]
+            f = b.take(_COF, 0)
             cof = f[0] * f[1] - f[2] * f[3]
             # every sum left to right from +0.0, as left_sum adds floats
             sums = np.concatenate([cof, cof.transpose(1, 0, 2)])
             weights = 0.0 + sums[:, 0] + sums[:, 1] + sums[:, 2]  # row sums, column sums
             s = 0.0 + weights[0] + weights[1] + weights[2]
-            det = b[0] * cof[0]
+            det = b[:3] * cof[0]
             value = corner + (0.0 + det[0] + det[1] + det[2]) / s
             weights /= s
-            row, col = weights[:3], weights[3:]
-            against = a * col
-            mixed_by = row[:, None] * a
-            gap = ((0.0 + against[:, 0] + against[:, 1] + against[:, 2]).max(0)
-                   - (0.0 + mixed_by[0] + mixed_by[1] + mixed_by[2]).min(0))
-            fit = (s != 0.0) & (weights >= 0.0).all(0) & (gap <= _SADDLE_TOL)
+            # each row times the column weights, each column times the row weights
+            products = a.take(_LINES, 0) * weights.reshape(2, 3, -1)[::-1, None]
+            payoff = 0.0 + products[:, :, 0] + products[:, :, 1] + products[:, :, 2]
+            gap = payoff[0].max(0) - payoff[1].min(0)
+            fit = (weights >= 0.0).all(0) & (gap <= _SADDLE_TOL)
             square = square[fit]
             settled[square] = True
-            values[games[square]] = value[fit]
-            rows[:, square], cols[:, square] = row[:, fit], col[:, fit]
-    for mix, first, owns, played in ((row_mix, flat.first_row, _OWNS[0], rows),
-                                     (col_mix, flat.first_col, _OWNS[1], cols)):
-        own = settled & owns.take(shape, 1)  # (action, game), as played
-        mix[(first[games] + _AR3[:, None])[own]] = played[own]
+            picked[0, square] = value[fit]
+            picked[1:, square] = weights[:, fit]
+    values[games] = picked[0]
+    start = np.concatenate((flat.first_row[games], flat.first_col[games] + len(flat.row_start)))
+    own = _OWNS.take(shape, 1)  # (action, game), row actions then column actions
+    mix[(start.reshape(2, 1, count) + _K).reshape(6, count)[own]] = picked[1:][own]
     return settled
 
 
@@ -551,20 +571,26 @@ def _settle_mixed(flat, payoffs, values, mixed):
     columns, NaN elsewhere, two views of one buffer; (None, None) when no
     game is mixed. With fewer than _BATCH_MIN_GAMES games of at most 3x3,
     every game is solved one at a time. With more, _batch_kernels settles
-    those, and the games it leaves and the larger ones are solved one at a
-    time after them."""
+    those, writing into the one buffer, and the games it leaves and the
+    larger ones are solved one at a time after them. When every mixed game
+    is at most 3x3, as in every call on a game of at most 3 actions per
+    player, the batch takes the mixed indices as they are, with no mask of
+    the small ones to build and copy."""
     if not mixed.size:
         return None, None
     rows = len(flat.row_start)
     both = np.empty(rows + len(flat.col_start))
     both.fill(np.nan)  # empty and fill: np.full runs in Python and is 2.5x as slow
+    if mixed.size >= _BATCH_MIN_GAMES:  # else too few for a batch: no mask is built
+        small = (flat.row_count[mixed] <= 3) & (flat.col_count[mixed] <= 3)
+        fits = np.count_nonzero(small)
+        if fits == mixed.size:
+            mixed = mixed[~_batch_kernels(payoffs, flat, mixed, values, both)]
+        elif fits >= _BATCH_MIN_GAMES:
+            batched = small.copy()
+            batched[small] = _batch_kernels(payoffs, flat, mixed[small], values, both)
+            mixed = mixed[~batched]
     mix = both[:rows], both[rows:]
-    if (mixed.size >= _BATCH_MIN_GAMES  # else too few for a batch: no mask is built
-            and np.count_nonzero(small := (flat.row_count[mixed] <= 3)
-                                 & (flat.col_count[mixed] <= 3)) >= _BATCH_MIN_GAMES):
-        batched = small.copy()
-        batched[small] = _batch_kernels(payoffs, flat, mixed[small], values, *mix)
-        mixed = mixed[~batched]
     _solve_each(flat, payoffs, values, mixed, *mix)
     return mix
 

@@ -59,10 +59,15 @@ with both bands non-empty also runs the payoff-bound check, on its graph's
 bounds or its screen's minimax, and calls r_bounds for it only as the
 fallback. Each is cut to few calls. Below matrix_game._NUMPY_MIN_STATES
 states, partition sorts the values into all three bands in one Python pass
-and the first-hop test finds its two extremes in Python lists, which cost
-less than numpy's per-call overhead there; from that many states on, where
-a Python pass over every state costs more, both run in numpy, with the
-same results. The phase's states go to local_solve as a bool mask built
+and the first-hop test finds its two extremes in Python lists and tests
+its seeds in turn, which cost less than numpy's per-call overhead there;
+from that many states on, where a Python pass over every state costs more,
+both run in numpy, with the same results. There the first-hop test reads
+only the states it tests: each side's first seed by .item reads and one
+threshold, which on the benchmark ladder rejects most checks, and only if
+that seed passes the side's seeds together, with one threshold call on
+their index array and one comparison, as on a union of two games whose
+seeds all pass. The phase's states go to local_solve as a bool mask built
 once per pump; and the pumped mask is built once per landed step, which
 keeps it (_Step.pumped): the first-hop test, r_bounds, the payoff-bound
 check, the jump vector, the drift check and the checks of the jump's
@@ -234,16 +239,23 @@ def auxiliary_graph(game: GameSpec, x: Potential, pumped, m_plus: float, eps: fl
 def gap_thresholds(width, granularity: int, bounds, eps: float):
     """|L^v| (pumped v) or |K^v| (width) times W * bound^2 / eps, W the
     game's granularity: per state for arrays, as auxiliary_graph sizes its
-    thresholds, or for one state's Python floats, as the witness check's
-    first hop does (_first_hop_threshold), bit for bit the same.
+    thresholds and the witness check's first hop sizes those of a side's
+    seeds, or for one state's Python floats, as the first hop sizes one
+    seed's (_first_hop_threshold), bit for bit the same.
 
     Every operation is a correctly rounded float operation with positive
     factors, so a threshold never decreases as a non-negative bound grows.
+    A threshold beyond the float range is inf, silently on arrays as in
+    Python floats.
     """
     try:
-        return width * float(granularity) * (bounds * bounds) / eps
+        factor = float(granularity)
     except OverflowError:  # W beyond the float range: a threshold is 0 or saturates to inf
         return np.where(bounds == 0, 0.0, math.inf)
+    if isinstance(bounds, np.ndarray):
+        with np.errstate(over="ignore"):
+            return width * factor * (bounds * bounds) / eps
+    return width * factor * (bounds * bounds) / eps
 
 
 def forward_closure(graph: GapGraph, seeds) -> frozenset:
@@ -281,10 +293,12 @@ def forward_closure(graph: GapGraph, seeds) -> frozenset:
     return frozenset(seen)
 
 
-def _first_hop_threshold(solve: LocalSolve, v: int, pumped: np.ndarray, m_plus: float,
-                         eps: float) -> float:
+def _first_hop_threshold(solve: LocalSolve, v, pumped: np.ndarray, m_plus: float,
+                         eps: float):
     """State v's gap threshold at solve.x for the pumped mask `pumped`, from
-    the local solve alone, no larger than auxiliary_graph's.
+    the local solve alone, no larger than auxiliary_graph's: a Python float
+    for one state v, an array for an index array v, in one gap_thresholds
+    call, bit for bit the floats each state would get on its own.
 
     It is sized by a lower bound on v's r_bounds bound: its pure maximin if
     pumped, else m_plus minus its pure minimax, at least 0. r_bounds
@@ -297,6 +311,11 @@ def _first_hop_threshold(solve: LocalSolve, v: int, pumped: np.ndarray, m_plus: 
     threshold is an arc of the graph.
     """
     flat = solve.game.flat
+    if isinstance(v, np.ndarray):
+        up = pumped[v]
+        width = np.where(up, flat.col_count[v], flat.row_count[v])
+        bound = np.where(up, solve.maximin[v], m_plus - solve.minimax[v])
+        return gap_thresholds(width, flat.granularity, np.maximum(bound, 0.0), eps)
     if pumped.item(v):
         width, bound = flat.col_count.item(v), solve.maximin.item(v)
     else:
@@ -307,7 +326,8 @@ def _first_hop_threshold(solve: LocalSolve, v: int, pumped: np.ndarray, m_plus: 
 def _first_hop_leaks(x: np.ndarray, pumped: np.ndarray, top, bottom, threshold) -> bool:
     """Whether a top state lies outside the pumped set or has an arc out of
     it, or a bottom state lies inside it or has an arc into it, in the gap
-    graph at x whose state v has the threshold threshold(v).
+    graph at x whose state v has the threshold threshold(v), and whose
+    states in an index array vs have the thresholds threshold(vs).
 
     Either rules the closed sets out, in this graph and in any graph with
     larger thresholds: the pump passes _first_hop_threshold, so a check
@@ -317,29 +337,47 @@ def _first_hop_leaks(x: np.ndarray, pumped: np.ndarray, top, bottom, threshold) 
     or of greatest x (suffix): one comparison per seed, and no sort. A top
     state can lie outside the pumped set only when some state does, and a
     bottom state inside it only when some state does, so each side is
-    tested only when the other side has a state. Seeds are tested in turn
-    until one leaks, each threshold asked for only when its seed's
-    comparison needs it, on Python floats.
+    tested only when the other side has a state.
 
-    The two extremes, the least x outside the pumped set and the greatest
-    inside it, come from Python lists below matrix_game._NUMPY_MIN_STATES
-    states, where the witness checks of small games would spend longer in
-    numpy's per-call overhead than in the comparisons, and from numpy
-    reductions from there on. x is finite in the pump and holds no NaN, so
-    both give the same extreme, up to the sign of a zero extreme, which
-    changes no comparison: the same decision.
+    Below matrix_game._NUMPY_MIN_STATES states, where the witness checks of
+    small games would spend longer in numpy's per-call overhead than in the
+    comparisons, x and the mask become Python lists, and seeds are tested in
+    turn until one leaks, each threshold asked for only when its seed's
+    comparison needs it. From there on, the two extremes, the least x
+    outside the pumped set and the greatest inside it, are numpy
+    reductions, and each side tests its first seed alone, by .item reads
+    and one threshold; only if that seed passes are the side's seeds tested
+    together, by one threshold call on their index array and one
+    comparison. x is finite in the pump and holds no NaN, so both forms find
+    the same extremes, up to the sign of a zero extreme, which changes no
+    comparison, and compare the same floats: the same decision.
     """
     if len(x) >= matrix_game._NUMPY_MIN_STATES:
         inside = np.count_nonzero(pumped)
-        lowest = x[~pumped].min().item() if inside < len(x) else None
-        highest = x[pumped].max().item() if inside else None
-        x, up = x.tolist(), pumped.tolist()
-    else:
-        x, up = x.tolist(), pumped.tolist()
-        outside = [xu for xu, flag in zip(x, up) if not flag]
-        inside = [xu for xu, flag in zip(x, up) if flag]
-        lowest = min(outside) if outside else None
-        highest = max(inside) if inside else None
+        if inside < len(x) and top:
+            lowest = x[~pumped].min().item()
+            v = next(iter(top))
+            if not pumped.item(v) or lowest - x.item(v) < threshold(v):
+                return True
+            if len(top) > 1:
+                seeds = np.fromiter(top, np.intp, len(top))
+                if not pumped[seeds].all() or (lowest - x[seeds] < threshold(seeds)).any():
+                    return True
+        if inside and bottom:
+            highest = x[pumped].max().item()
+            v = next(iter(bottom))
+            if pumped.item(v) or x.item(v) - highest < threshold(v):
+                return True
+            if len(bottom) > 1:
+                seeds = np.fromiter(bottom, np.intp, len(bottom))
+                if pumped[seeds].any() or (x[seeds] - highest < threshold(seeds)).any():
+                    return True
+        return False
+    x, up = x.tolist(), pumped.tolist()
+    outside = [xu for xu, flag in zip(x, up) if not flag]
+    inside = [xu for xu, flag in zip(x, up) if flag]
+    lowest = min(outside) if outside else None
+    highest = max(inside) if inside else None
     if lowest is not None and any(not up[v] or lowest - x[v] < threshold(v) for v in top):
         return True
     if highest is not None and any(up[v] or x[v] - highest < threshold(v) for v in bottom):

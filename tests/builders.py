@@ -10,6 +10,7 @@ import numpy as np
 import reference
 from ergopump import matrix_game
 from ergopump.game import Strategy, make_game, state_mask
+from ergopump.generators import random_game
 from ergopump.witness import NON_ERGODIC, Verdict
 
 
@@ -33,6 +34,21 @@ def leaky_pair(leak="1e-300", low=0.0, high=10.0):
         [("low", "a", "x", "low", stay, low), ("low", "a", "x", "high", leak, low),
          ("high", "a", "x", "high", stay, high), ("high", "a", "x", "low", leak, high)],
     )
+
+
+def shifted_union(n, shift=20.0):
+    """The disjoint union of random_game(n, max_actions=3, seed=1), states
+    a0, a1, ..., and seed=2, states b0, b1, ..., its rewards shifted by
+    shift: no play crosses between the two, so for a large shift the b
+    states are a high set and the a states a low one."""
+    first, second = (random_game(n, max_actions=3, seed=seed) for seed in (1, 2))
+    records = [(v, k, l, u, p, r) for v, out in enumerate(first.transitions)
+               for k, l, u, p, r in out]
+    records += [(v + n, k, l, u + n, p, r + shift) for v, out in enumerate(second.transitions)
+                for k, l, u, p, r in out]
+    return make_game([f"a{v}" for v in range(n)] + [f"b{v}" for v in range(n)],
+                     first.row_actions + second.row_actions,
+                     first.col_actions + second.col_actions, records)
 
 
 def two_cycle(r_forward=0.0, r_back=4.0):

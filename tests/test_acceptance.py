@@ -5,6 +5,7 @@ The corpus (200 seeded random instances plus the named generators, all
 solved at eps = 0.05) is built once per session.
 """
 
+import hashlib
 import math
 import time
 from dataclasses import dataclass
@@ -13,7 +14,14 @@ import numpy as np
 import pytest
 
 import reference
-from builders import duplicate_action, matrix_as_game, max_mass_into, permute_actions
+from builders import (
+    duplicate_action,
+    matrix_as_game,
+    max_mass_into,
+    permute_actions,
+    shifted_union,
+)
+from ergopump import matrix_game, pump
 from ergopump.documents import (
     parse_certificate,
     parse_game,
@@ -349,6 +357,41 @@ def test_criterion_8_known_instances():
         assert verdict.ceiling - verdict.floor <= 1e-9
     _report(8, "big match gap 1 certified, disconnected gap 10 certified, "
                "10 one-state games certified with zero-width bands")
+
+
+# sha256 of the 512+512 union's certificate at eps 0.05
+UNION_CERTIFICATE = "80e5ccda6fc79529c6089c010df804debf2c2a6e7d7afe097eb5a31f112b6ff9"
+
+
+def test_union_at_scale_is_a_witness(monkeypatch):
+    # ROADMAP item 4's union of two n = 512 games, the second's rewards 20
+    # higher, ends non-ergodic with each game as one set, and its
+    # certificate rechecks and keeps its bits. On the way its local solves
+    # batch more than 100 mixed games in a call and its witness checks reach
+    # the first hop's bulk comparison, as no benchmark workload does
+    game = shifted_union(512)
+    batch_sizes, bulk = [], []
+    kernels, threshold = matrix_game._batch_kernels, pump._first_hop_threshold
+
+    def batched(payoffs, flat, games, *rest):
+        batch_sizes.append(len(games))
+        return kernels(payoffs, flat, games, *rest)
+
+    def sized(solve, v, *rest):
+        bulk.append(isinstance(v, np.ndarray))
+        return threshold(solve, v, *rest)
+
+    monkeypatch.setattr(matrix_game, "_batch_kernels", batched)
+    monkeypatch.setattr(pump, "_first_hop_threshold", sized)
+    verdict, stats = decide_ergodicity(game, EPS)
+    assert verdict.kind == "non-ergodic"
+    assert verdict.high_states == frozenset(range(512, 1024))
+    assert verdict.low_states == frozenset(range(512))
+    assert max(batch_sizes) > 100 and any(bulk)
+    text = serialize_certificate(game, verdict, stats)
+    ok, problems = recheck_certificate(game, parse_certificate(text, game))
+    assert ok, problems
+    assert hashlib.sha256(text.encode()).hexdigest() == UNION_CERTIFICATE
 
 
 def test_action_relabelling_keeps_the_verdict(corpus):

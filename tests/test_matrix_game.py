@@ -344,6 +344,19 @@ def _first_candidate(rows):
     return s, ((b11 - b10) / s, -b01 / s, (b11 - b01) / s, -b10 / s) if s else None
 
 
+def _adjugate(rows):
+    """(row strategy, column strategy) of a 3x3 game's full adjugate, as
+    _kernel_solve computes them."""
+    corner = rows[0][0]
+    b = [[x - corner for x in row] for row in rows]
+    cof = [[b[(i + 1) % 3][(j + 1) % 3] * b[(i + 2) % 3][(j + 2) % 3]
+            - b[(i + 1) % 3][(j + 2) % 3] * b[(i + 2) % 3][(j + 1) % 3]
+            for j in range(3)] for i in range(3)]
+    s = reference.left_sum(map(reference.left_sum, cof))
+    return ([reference.left_sum(row) / s for row in cof],
+            [reference.left_sum(column) / s for column in zip(*cof)])
+
+
 _TOL = matrix_game._SADDLE_TOL
 _ABOVE = float(np.nextafter(2 * _TOL, 1.0))
 # mixed games, each meeting the branch of the kernels its name gives, as
@@ -360,8 +373,15 @@ _DEGENERATE = {
     # the first candidate's entries overflow, so its s and weights are NaN:
     # _kernel_solve's sign test passes them and its saddle check fails them
     "overflow": [[1.7e308, -1.7e308, -1e308], [-1e308, -1e308, -1.7e308]],
+    # the first candidate settles it with a zero weight
+    "zero weight": [[1.0, 1.0], [2.0, 0.0], [0.0, 2.0]],
     # no 2x2 candidate settles it, its 3x3 adjugate does
     "adjugate only": [[-2.0, -2.0, 2.0], [1.0, 2.0, 0.0], [2.0, -1.0, 0.0]],
+    # no 2x2 candidate settles it, and its adjugate's weights are non-negative
+    # but miss the saddle check by a few ulps; the value LP settles it
+    "adjugate above tolerance": [[-39999999.0, -30000004.0, -89999995.0],
+                                 [40000005.0, -79999995.0, -30000000.0],
+                                 [-79999998.0, -30000002.0, 29999999.0]],
     # at this scale no kernel passes the saddle check; the value LP does
     "needs the simplex": [[8814194.0, 5394566.0, -4976244.0],
                           [9704495.0, 8453080.0, -3132186.0],
@@ -398,7 +418,8 @@ class TestScreenAgainstScalarKernel:
             x = np.zeros(copies)
             _assert_solve_matches(game, x, None, _expected_solves(game, x, None))
         assert kernels["_batch_kernels"] == 2  # local_values and local_solve, stacked
-        assert (kernels["_simplex_max"] > 0) == (case == "needs the simplex")
+        assert (kernels["_simplex_max"] > 0) == (
+            case in ("needs the simplex", "adjugate above tolerance"))
 
     def test_larger_games_beside_the_batch(self, monkeypatch):
         # a call that batches its mixed 2x2 games solves its mixed 4x4 ones
@@ -422,8 +443,16 @@ class TestScreenAgainstScalarKernel:
         assert reference.kernel_solve(cases["gap above tolerance"])[2] != [0.5, 0.5, 0.0]
         s, weights = _first_candidate(cases["overflow"])
         assert s != s and reference.kernel_solve(cases["overflow"]) is not None
+        s, weights = _first_candidate(cases["zero weight"])
+        assert min(weights) == 0.0
+        assert reference.kernel_solve(cases["zero weight"])[1] == [1.0, 0.0, 0.0]
         row, col = reference.kernel_solve(cases["adjugate only"])[1:3]
         assert min(row) > 0.0 and min(col) > 0.0
+        case = cases["adjugate above tolerance"]
+        row, col = _adjugate(case)
+        worst_col, best_row = reference._saddle_bounds(case, row, col)
+        assert min(row) >= 0.0 and min(col) >= 0.0 and best_row - worst_col > _TOL
+        assert reference.kernel_solve(case) is None
         assert reference.kernel_solve(cases["needs the simplex"]) is None
         for matrix in cases.values():
             A = np.array(matrix)

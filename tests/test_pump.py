@@ -2,11 +2,12 @@
 
 import re
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -22,7 +23,7 @@ from builders import (
 )
 from ergopump import driver, pump
 from ergopump.driver import decide_ergodicity
-from ergopump.game import game_params, state_mask
+from ergopump.game import game_params, make_game, state_mask
 from ergopump.generators import random_game
 from ergopump.matrix_game import local_solve, local_values
 from ergopump.pump import (
@@ -172,6 +173,13 @@ def _graph(x, thresholds, pumped):
                     pumped=_upper(len(x), pumped))
 
 
+def _lookup(thresholds):
+    """A threshold callable for _first_hop_leaks: one state's threshold as a
+    Python float, an index array's as an array."""
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    return lambda v: thresholds[v] if isinstance(v, np.ndarray) else thresholds.item(v)
+
+
 class TestAuxiliaryGraph:
     def test_equal_potentials_complete(self):
         g = disconnected()
@@ -290,6 +298,44 @@ def _gap_instances(draw):
     return x, thresholds, pumped, top, bottom
 
 
+@st.composite
+def _bulk_instances(draw):
+    """Potentials, a pumped set and two seed sets of at least two states each
+    on n = 4-40 states: top seeds pumped, bottom seeds not, but for one stray
+    seed on the wrong side now and then, with no arcs. Each side's first
+    seed, in the seed set's own order, is never the stray and has as
+    threshold its gap to the nearest state across the pumped boundary, so it
+    has no arc across; each other seed's is drawn, that gap or one float
+    above it among them, and every state that is no seed has no arcs.
+    Returns the stray's side too, "top", "bottom" or None."""
+    n = draw(st.integers(4, 40))
+    x = draw(st.lists(_potential, min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    cut = draw(st.integers(2, n - 2))
+    pumped, outside = order[:cut], order[cut:]
+    top = draw(st.sets(st.sampled_from(pumped), min_size=2))
+    bottom = draw(st.sets(st.sampled_from(outside), min_size=2))
+    stray = draw(st.sampled_from([None, "top", "bottom"]))
+    if stray == "top":
+        top.add(draw(st.sampled_from(outside)))
+    elif stray == "bottom":
+        bottom.add(draw(st.sampled_from(pumped)))
+    top, bottom = frozenset(top), frozenset(bottom)
+    assume(next(iter(top)) in pumped and next(iter(bottom)) in outside)
+    lowest, highest = min(x[u] for u in outside), max(x[u] for u in pumped)
+    thresholds = [-np.inf] * n
+    for seeds, side, gap in ((top, pumped, lambda v: lowest - x[v]),
+                             (bottom, outside, lambda v: x[v] - highest)):
+        first = next(iter(seeds))
+        thresholds[first] = gap(first)
+        for v in seeds - {first}:
+            if v in side:  # no arc across at the cut's gap, an arc one float above it
+                cut_gap = gap(v)
+                thresholds[v] = draw(st.one_of(_threshold, st.just(cut_gap),
+                                               st.just(float(np.nextafter(cut_gap, np.inf)))))
+    return x, thresholds, set(pumped), top, bottom, stray
+
+
 class TestSweepAgainstDenseOracle:
     @settings(max_examples=300, deadline=None)
     @given(_gap_instances())
@@ -313,7 +359,7 @@ class TestSweepAgainstDenseOracle:
             graph = _graph(x, thresholds, pumped)
             expected = reference.closed_sets_bfs(x, thresholds, pumped, top, bottom)
             leaks = pump._first_hop_leaks(graph.x, graph.pumped, top, bottom,
-                                          graph.thresholds.item)
+                                          _lookup(graph.thresholds))
             # seeds on the wrong side of the pumped boundary fail at the first
             # hop, as they fail in the oracle
             if not top <= pumped or bottom & pumped:
@@ -324,7 +370,7 @@ class TestSweepAgainstDenseOracle:
             top, bottom = top & pumped, bottom - pumped
             expected = reference.closed_sets_bfs(x, thresholds, pumped, top, bottom)
             leaks = pump._first_hop_leaks(graph.x, graph.pumped, top, bottom,
-                                          graph.thresholds.item)
+                                          _lookup(graph.thresholds))
             assert not (leaks and expected)
             assert find_closed_sets(graph, top, bottom) == expected
             if top and bottom:
@@ -337,24 +383,73 @@ class TestSweepAgainstDenseOracle:
     @given(_gap_instances(), st.sampled_from(["drawn", "empty", "full"]),
            st.sets(st.integers(0, 39)))
     def test_first_hop_numpy_extremes_match_the_lists(self, instance, side, negated):
-        # the same decision, and the same thresholds asked for in the same
-        # order, from numpy's extremes and the lists'; zeros are signed
-        # now and then, and the pumped set is sometimes empty or everything
+        # the same decision from numpy's extremes and the lists'; zeros are
+        # signed now and then, and the pumped set is sometimes empty or
+        # everything. The numpy form asks for at most one scalar threshold
+        # per side, a seed of that side, before it asks for the side's
+        # seeds' thresholds in one call on their index array
         x, thresholds, pumped, top, bottom = instance
         n = len(x)
         x = np.array([-u if v in negated and u == 0 else u for v, u in enumerate(x)])
         mask = state_mask(n, {"drawn": pumped, "empty": (), "full": range(n)}[side])
+        lookup = _lookup(thresholds)
 
         def leaks():
             asked = []
 
             def threshold(v):
-                asked.append(v)
-                return thresholds[v]
+                asked.append(v.tolist() if isinstance(v, np.ndarray) else v)
+                return lookup(v)
             return pump._first_hop_leaks(x, mask, top, bottom, threshold), asked
 
-        numpy_form, loop = on_both_forms(leaks, n)
-        assert numpy_form == loop
+        (numpy_leaks, asked), (loop_leaks, _) = on_both_forms(leaks, n)
+        assert numpy_leaks == loop_leaks
+        # each side tested: top if some state is outside the pumped set,
+        # bottom if some state is inside it, in that order
+        sides = [seeds for seeds, tested in ((top, not mask.all()), (bottom, mask.any()))
+                 if seeds and tested]
+        for seeds in sides:
+            if not asked:
+                break
+            first = asked.pop(0)
+            assert isinstance(first, int) and first in seeds
+            if asked and isinstance(asked[0], list):
+                assert sorted(asked.pop(0)) == sorted(seeds)
+        assert not asked
+
+    def test_first_hop_bulk_comparison_decides(self):
+        # each side's first seed passes, so in numpy form the side's seeds
+        # are tested together, on which side of the pumped boundary each
+        # lies, then by one comparison; the decision is the list form's and,
+        # as only seeds have arcs, whether the oracle's closures leave their
+        # side. Both decisions occur, and a stray seed on either side
+        outcomes = Counter()
+
+        @settings(max_examples=300, deadline=None)
+        @given(_bulk_instances())
+        def check(instance):
+            x, thresholds, pumped, top, bottom, stray = instance
+            mask = state_mask(len(x), pumped)
+            lookup = _lookup(thresholds)
+
+            def leaks():
+                bulk = []  # per threshold asked: whether for an index array
+
+                def threshold(v):
+                    bulk.append(isinstance(v, np.ndarray))
+                    return lookup(v)
+                return pump._first_hop_leaks(np.array(x), mask, top, bottom, threshold), bulk
+
+            (numpy_leaks, bulk), (loop_leaks, _) = on_both_forms(leaks, len(x))
+            expected = reference.closed_sets_bfs(x, thresholds, pumped, top, bottom)
+            assert numpy_leaks == loop_leaks == (expected is None)
+            # the top side's first seed alone, then, unless a stray decides
+            # first, its bulk call
+            assert bulk[:2] == ([False] if stray == "top" else [False, True])
+            outcomes[numpy_leaks, stray] += 1
+
+        check()
+        assert {(False, None), (True, None), (True, "top"), (True, "bottom")} <= set(outcomes)
 
     def test_first_hop_rejection_never_sorts(self, monkeypatch):
         # the pump's checks on disconnected(0, 10): before step 400 the top
@@ -451,7 +546,11 @@ class TestFirstHopBounds:
             else:
                 top, bottom = ({v for v in range(n) if rng.random() < 0.5} for _ in range(2))
             listed = np.flatnonzero(rng.random(n) < 0.7)  # the bounds cover every state
-            lower = _first_hop_thresholds(local_solve(g, x, listed), mask, m_plus, eps)
+            solve = local_solve(g, x, listed)
+            lower = _first_hop_thresholds(solve, mask, m_plus, eps)
+            # an index array's thresholds in one call are the states' own
+            assert pump._first_hop_threshold(solve, np.arange(n), mask, m_plus,
+                                             eps).tobytes() == lower.tobytes()
             graph = auxiliary_graph(g, x, mask, m_plus, eps)
             assert (lower <= graph.thresholds).all()
             leaks = pump._first_hop_leaks(graph.x, mask, top, bottom, lower.item)
@@ -536,11 +635,41 @@ class TestFirstHopBounds:
         # the graph's does, so it reaches the top state
         g = leaky_pair(leak)
         mask = np.array([True, False])
-        lower = _first_hop_thresholds(local_solve(g, np.zeros(2)), mask, 12.0, 0.05)
+        solve = local_solve(g, np.zeros(2))
+        lower = _first_hop_thresholds(solve, mask, 12.0, 0.05)
         graph = auxiliary_graph(g, np.zeros(2), mask, 12.0, eps=0.05)
         assert lower.tobytes() == graph.thresholds.tobytes()
+        bulk = pump._first_hop_threshold(solve, np.arange(2), mask, 12.0, 0.05)
+        assert bulk.tobytes() == lower.tobytes()
         assert not pump._first_hop_leaks(graph.x, mask, {0}, set(), lower.item)
         assert pump._first_hop_leaks(graph.x, mask, {0}, {1}, lower.item)
+
+
+    def test_thresholds_past_the_float_range_saturate_silently(self):
+        # absorbing states whose payoff bounds are 0 or 1e200, whose square
+        # passes the float range: every such threshold is inf, without an
+        # overflow warning, in the graph, in a seed's own threshold and in a
+        # side's bulk call, and both first-hop forms decide as the graph's
+        # closures do. The first seed of each side has a zero bound, so the
+        # numpy form reaches its bulk call
+        g = make_game([f"s{v}" for v in range(4)], [["a"]] * 4, [["b"]] * 4,
+                      [(v, 0, 0, v, 1, r) for v, r in enumerate([0.0, -1e200, 0.0, 1e200])])
+        x, mask, m_plus, eps = np.zeros(4), np.array([False, False, True, True]), 0.0, 0.05
+        solve = local_solve(g, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph = auxiliary_graph(g, x, mask, m_plus, eps)
+            lower = pump._first_hop_threshold(solve, np.arange(4), mask, m_plus, eps)
+            assert graph.thresholds.tolist() == lower.tolist() == [0.0, np.inf, 0.0, np.inf]
+            for top, bottom in (({2, 3}, {0}), ({2}, {0, 1}), ({2}, {0})):
+                top, bottom = frozenset(top), frozenset(bottom)
+                assert (next(iter(top)), next(iter(bottom))) == (2, 0)
+                forms = on_both_forms(lambda: pump._first_hop_leaks(
+                    x, mask, top, bottom,
+                    lambda v: pump._first_hop_threshold(solve, v, mask, m_plus, eps)), 4)
+                closed = find_closed_sets(graph, top, bottom)
+                assert forms == [closed is None] * 2
+                assert (closed is None) == (len(top | bottom) == 3)
 
 
 def test_witness_check_memory_is_linear():
