@@ -101,7 +101,8 @@ class FlatView(NamedTuple):
     and column actions are numbered from first_row[v] and first_col[v]
     (global rows and columns). row_start and col_order with col_start are
     the segment indices of per-row and per-column reductions over a per-slot
-    array, as matrix_game's pure-saddle screen runs them. granularity is the
+    array, as matrix_game's pure-saddle screen runs them on a game it does
+    not read as a padded block (GameSpec.padded_view). granularity is the
     largest ceil(1/p) over the nonzero probabilities, exact on the rational
     p, and reward_low and reward_high are the least and greatest reward.
     """
@@ -140,6 +141,50 @@ def _read_only(fields) -> FlatView:
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
     return FlatView._make(fields)
+
+
+class PaddedView(NamedTuple):
+    """Each state's local game padded to 3x3, for a game whose every state
+    has at most 3 actions per player (_padded_games): a per-slot array taken
+    at slots is a (9, n) block, entry (i, j) of state v's game at [3i + j, v],
+    its last row and column repeated into the padding. A minimum over each
+    padded row, a (3, n) array, lists the global rows' minima at row_at, and
+    a maximum over each padded column the global columns' maxima at col_at."""
+
+    slots: np.ndarray  # (9, n)
+    owns: np.ndarray  # (6, n): whether state v has row k, at [k, v], and column l, at [3 + l, v]
+    row_at: np.ndarray  # per global row, row k of state v: k*n + v
+    col_at: np.ndarray  # per global column, column l of state v: l*n + v
+
+
+def _padded_games(flat: FlatView, states) -> tuple:
+    """(slots, owns) of `states`, an index array or a slice, each state of at
+    most 3 actions per player: slots (9, S), at [3i + j, s] the slot of entry
+    (i, j) of the s-th state's game padded to 3x3, its last row and column
+    repeated, and owns (6, S), whether that state has row k, at [k, s], and
+    column l, at [3 + l, s]."""
+    rows, cols, k = flat.row_count[states], flat.col_count[states], np.arange(3)[:, None]
+    slots = ((flat.first_slot[:-1][states] + np.minimum(k, rows - 1) * cols)[:, None]
+             + np.minimum(k, cols - 1)).reshape(9, -1)
+    return slots, np.concatenate([k < rows, k < cols])
+
+
+def _padded_view(flat: FlatView) -> PaddedView | None:
+    """The PaddedView of a flat view, or None when some state has more than
+    3 actions for a player."""
+    rows, cols = flat.row_count, flat.col_count
+    if rows.max() > 3 or cols.max() > 3:
+        return None
+    n = len(rows)
+    row_state, col_state = np.repeat(np.arange(n), rows), np.repeat(np.arange(n), cols)
+    padded = PaddedView(*_padded_games(flat, slice(None)),
+                        row_at=(np.arange(flat.first_row[-1]) - flat.first_row[row_state]) * n
+                        + row_state,
+                        col_at=(np.arange(flat.first_col[-1]) - flat.first_col[col_state]) * n
+                        + col_state)
+    for array in padded:
+        array.setflags(write=False)
+    return padded
 
 
 def _reward_fields(rec_slot, rec_p, reward, slots) -> dict:
@@ -191,7 +236,7 @@ class GameSpec:
     flat view alone stores the records; make_game builds it to fit the names.
     Games with equal names and transitions are equal."""
 
-    __slots__ = ("states", "row_actions", "col_actions", "flat")
+    __slots__ = ("states", "row_actions", "col_actions", "flat", "_padded")
 
     def __init__(self, states: tuple[str, ...], row_actions: tuple[tuple[str, ...], ...],
                  col_actions: tuple[tuple[str, ...], ...], flat: FlatView):
@@ -242,6 +287,16 @@ class GameSpec:
 
     def num_col_actions(self, v: int) -> int:
         return len(self.col_actions[v])
+
+    def padded_view(self) -> PaddedView | None:
+        """The flat view's PaddedView, or None when some state has more than 3
+        actions for a player; built on the first call and kept, so a game
+        never asked for it, as parsing never asks, never builds it."""
+        try:
+            return self._padded
+        except AttributeError:  # the slot is unset until the first call
+            object.__setattr__(self, "_padded", _padded_view(self.flat))
+            return self._padded
 
     def state_matrix(self, per_slot: np.ndarray, v: int) -> np.ndarray:
         """State v's entries of a per-slot array, shape (|K|, |L|)."""

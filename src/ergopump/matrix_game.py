@@ -2,11 +2,14 @@
 
 Settles the local games of a stochastic game in three stages.
 
-1. A screen over all states at once (local_solve): each state's pure
-   maximin and minimax come from segmented numpy reductions over the flat
-   view's slots, and every listed state whose two values are exactly equal
-   is a pure saddle, settled by unit strategies at the first row and column
-   attaining them.
+1. A screen over all states at once (local_solve) takes each state's pure
+   maximin and minimax; every listed state whose two values are exactly
+   equal is a pure saddle, settled by unit strategies at the first row and
+   column attaining them. A game of _NUMPY_MIN_STATES states
+   or more whose every state has at most 3 actions per player is read once
+   as a (9, n) block of its local games padded to 3x3, and the screen is
+   four axis reductions of it; any other game's screen is segmented
+   reductions over the flat view's slots. Both return the same bits.
 2. Closed-form kernels: a pure saddle or, up to 3x3, the first Shapley-Snow
    kernel, a square submatrix whose adjugate gives the value and both
    strategies (Shapley and Snow, Basic solutions of discrete games, 1950),
@@ -15,16 +18,17 @@ Settles the local games of a stochastic game in three stages.
    already failed; a game with one row or one column is always a pure
    saddle, so the screen never forwards one. A call whose mixed games of at
    most 3x3 number _BATCH_MIN_GAMES or more settles those together in numpy
-   (_batch_kernels): each game gathered once as a flat block of 9 entries,
-   (i, j) at 3i + j, which constant index tables read, all nine 2x2
-   candidates at once, then the full adjugate of the 3x3 games none of them
-   settles, in the scalar kernel's float operations and order, each game
-   keeping its own saddle check and its first candidate that passes, so
-   values and strategies keep the scalar kernel's bits. Smaller calls
-   solve every mixed game with the scalar kernel, one at a time. A batched
-   call then solves its games larger than 3x3 and those the batch left the
-   same way; the scalar kernel rejects the latter's candidates again, as it
-   computes them in the same float operations, and hands them to stage 3.
+   (_batch_kernels): each game a column of 9 entries, (i, j) at 3i + j,
+   taken from the screen's block where it read one and gathered from the
+   payoffs otherwise, which constant index tables read; ten candidates at
+   once, the nine 2x2s and then the full 3x3 adjugate, in one table, in the
+   scalar kernel's float operations and order, each game keeping its own
+   saddle check and its first candidate that passes, so values and
+   strategies keep the scalar kernel's bits. Smaller calls solve every
+   mixed game with the scalar kernel, one at a time. A batched call then
+   solves its games larger than 3x3 and those the batch left the same way;
+   the scalar kernel rejects the latter's candidates again, as it computes
+   them in the same float operations, and hands them to stage 3.
 3. The classic value LP, for larger games and any small one no kernel
    settles: shift the matrix positive, maximize the column player's scaled
    mixed strategy against unit bounds, and solve the negated transpose the
@@ -57,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game import Strategy, local_payoffs, local_reward_matrix, state_mask
+from .game import Strategy, _padded_games, local_payoffs, local_reward_matrix, state_mask
 
 _PIVOT_EPS = 1e-11
 _SADDLE_TOL = 1e-9  # largest duality gap a solve may return
@@ -405,9 +409,11 @@ class LocalSolve(NamedTuple):
 
 
 # Below this many states, LocalSolve.strategy, pump.partition and the
-# extremes of pump._first_hop_leaks walk the states in Python; from this many
-# on they run in numpy, which costs more per call on the corpus's 2 to 5
-# states and less at the ladder's 128 and 256 (timeit table in CHANGES.md)
+# extremes of pump._first_hop_leaks walk the states in Python, and
+# local_solve screens by segmented reductions; from this many on they run in
+# numpy and local_solve reads a game of at most 3 actions per player as one
+# padded block, which costs more per call on the corpus's 2 to 5 states and
+# less at the ladder's 128 and 256 (timeit tables in CHANGES.md)
 _NUMPY_MIN_STATES = 64
 
 # Calls with fewer mixed games of at most 3x3 than this settle them one at a
@@ -415,67 +421,68 @@ _NUMPY_MIN_STATES = 64
 _BATCH_MIN_GAMES = 16
 
 # The batch reads each game as a flat (9, G) block, entry (i, j) of its padded
-# 3x3 matrix at 3i + j. Candidate c = 3 * row pair + column pair, the pairs in
-# lexicographic order, plays rows _R1[c] < _R2[c] and columns _C1[c] < _C2[c].
+# 3x3 matrix at 3i + j. Candidate c < 9, c = 3 * row pair + column pair, the
+# pairs in lexicographic order, is the 2x2 on rows _R1[c] < _R2[c] and columns
+# _C1[c] < _C2[c]; candidate 9 is the full 3x3, on rows and columns 0 and 1 and
+# then 2.
 _PAIRS = np.array(list(combinations(range(3), 2)))  # (0, 1), (0, 2), (1, 2)
-(_R1, _R2), (_C1, _C2) = _PAIRS.repeat(3, 0).T, np.tile(_PAIRS, (3, 1)).T
+(_R1, _R2), (_C1, _C2) = (np.append(pairs, [[0], [1]], 1) for pairs in
+                          (_PAIRS.repeat(3, 0).T, np.tile(_PAIRS, (3, 1)).T))
 _K = np.arange(3)[:, None]  # an action index k, down a table's first axis
-# per candidate: its corner (r1, c1), then the entries its b10, b01 and b11 shift
-_ENTRIES = np.stack([3 * _R1 + _C1, 3 * _R2 + _C1, 3 * _R1 + _C2, 3 * _R2 + _C2])
+# per 2x2 candidate: its corner (r1, c1), then the entries its b10, b01 and b11 shift
+_ENTRIES = np.stack([3 * _R1 + _C1, 3 * _R2 + _C1, 3 * _R1 + _C2, 3 * _R2 + _C2])[:, :9]
 # per weight p1, q1, p2, q2, k and candidate: the entry the weight multiplies
 # in the saddle check, column k of row r1, row k of column c1, column k of row
-# r2, row k of column c2
+# r2, row k of column c2; the full 3x3's third weights, p3 and q3, multiply
+# column k of row 2 and row k of column 2 (_THIRD)
 _SADDLE = np.stack([3 * _R1 + _K, 3 * _K + _C1, 3 * _R2 + _K, 3 * _K + _C2])
-# per candidate: the row of the solved block (p1, q1, p2, q2, value, 0) that
-# holds the value, then each row action's weight, then each column action's,
-# times 9, the block's candidates per row
-_PICK = 9 * np.concatenate([np.full((1, 9), 4),
-                            np.where(_K == _R1, 0, np.where(_K == _R2, 2, 5)),
-                            np.where(_K == _C1, 1, np.where(_K == _C2, 3, 5))])
+_THIRD = np.stack([6 + _K[:, 0], 3 * _K[:, 0] + 2])
+# per candidate c: its value, then each row action's weight, then each column
+# action's, as the index 10 * row + c of the solved table's (row, candidate)
+# pair, its rows p1, q1, p2, q2, p3, q3, value; a 2x2's p3 and q3 are 0.0
+_PICK = 10 * np.concatenate([np.full((1, 10), 6),
+                             np.where(_K == _R1, 0, np.where(_K == _R2, 2, 4)),
+                             np.where(_K == _C1, 1, np.where(_K == _C2, 3, 5))]) + np.arange(10)
 # b.take(_COF) stacks the four factor matrices of the cofactors
 # C[i][j] = b[i+1][j+1] * b[i+2][j+2] - b[i+1][j+2] * b[i+2][j+1], indices mod 3
 _COF = np.stack([3 * ((_K + di) % 3) + (_K.T + dj) % 3
                  for di, dj in ((1, 1), (2, 2), (1, 2), (2, 1))])
-# a.take(_LINES) stacks the rows of a 3x3 game and its columns
-_LINES = np.stack([3 * _K + _K.T, _K + 3 * _K.T])
-# Each table below holds one column per game shape: an m x n game, m and n at
-# most 3, has shape 3m + n - 4. take picks a call's columns, and its result is
-# contiguous where indexing the last axis would not be
-_SHAPES = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
-_SQUARE = _SHAPES.index((3, 3))
-# the slot of flat entry 3i + j of the padded game, its last row and column repeated
-_GATHER = np.array([[min(i, m - 1) * n + min(j, n - 1) for m, n in _SHAPES]
-                    for i in range(3) for j in range(3)])
-# per row action, then per column action, whether the game has it
-_OWNS = np.array([[k < size[player] for size in _SHAPES] for player in (0, 1) for k in range(3)])
+# cof.take(_SUMS) stacks, per term t, the cofactors each of the 3x3's weights
+# p1, q1, p2, q2, p3, q3 sums: C[i][t] for p at row i, C[t][j] for q at column j
+_SUMS = np.stack([3 * _K.T + _K, 3 * _K + _K.T], -1).reshape(3, 6)
 
 
-def _batch_kernels(payoffs, flat, games, values, mix):
+def _batch_kernels(a, flat, games, own, values, mix):
     """Settle the mixed games of `games`, each at most 3x3, by their kernels
-    together: the nine 2x2 candidates, then for a 3x3 that none settles its
-    full adjugate, each in the float operations and order _kernel_solve
-    uses, so values and strategies keep its bits, zero signs included.
+    together: ten candidates, the nine 2x2s and then the full 3x3 adjugate,
+    each in the float operations and order _kernel_solve uses, so values and
+    strategies keep its bits, zero signs included.
 
-    Each game is gathered once as a flat (9, G) block, games last, entry
-    (i, j) at 3i + j, so that each operation's inner loop runs over the
-    games. A game's last row and column are repeated into its padding,
-    which changes no maximum over rows or minimum over columns, so each
-    saddle check reads the game's own rows and columns. A candidate that
-    uses a padding row (column) needs no mask: with the game's last row
-    (column) it repeats, bit for bit, a candidate that comes earlier, and
-    with two equal rows (columns) its s is 0.0. Constant tables index the
-    block: the candidates' corners and the entries their b10, b01 and b11
-    shift (_ENTRIES), the entries each weight multiplies in the saddle check
-    (_SADDLE), where each game's value and strategies lie once its first
-    settling candidate is known (_PICK), and a 3x3's cofactor factors and
-    lines (_COF, _LINES). The padded gather's slot offsets and the actions a
-    game owns are constant per shape: each is one table with a column per
-    shape (3m + n - 4 for an m x n game), taken once per call, and no index
-    is computed from the game sizes. The four weights of all nine
-    candidates are one (4, 9, G) array, made by one subtraction, one
-    negation and one division, and one gather picks each game's first
-    settling candidate. The 3x3 adjugate runs only on the games no 2x2
-    candidate settles.
+    a is the games' (9, G) block, games last, entry (i, j) at 3i + j, so
+    that each operation's inner loop runs over the games, and own (6, G)
+    whether each game has row k, at [k], and column l, at [3 + l]
+    (game._padded_games gives both). A game's last row and column
+    are repeated into its padding, which changes no maximum over rows or
+    minimum over columns, so each saddle check reads the game's own rows and
+    columns. A candidate that uses a padding row (column) needs no mask:
+    with the game's last row (column) a 2x2 repeats, bit for bit, a
+    candidate that comes earlier, and with two equal rows (columns) its s is
+    0.0; the 3x3 of a game with two equal rows (columns), whose cofactors
+    then cancel in pairs bit for bit, has an s of 0.0 or NaN and a first row
+    weight (every row weight) of NaN, so it fails the sign test.
+
+    Constant tables index the block: the 2x2s' corners and the entries
+    their b10, b01 and b11 shift (_ENTRIES), the 3x3's cofactor factors and
+    the cofactors each of its weights sums (_COF, _SUMS), the entries each
+    weight multiplies in the saddle check (_SADDLE, _THIRD), and where each
+    game's value and strategies lie once its first settling candidate is
+    known (_PICK). All ten candidates' weights are one (6, 10, G) table,
+    p1, q1, p2, q2, p3, q3, where a 2x2's p3 and q3 are 0.0, with one
+    division and one sign test; one saddle check adds each line's two
+    products, then the 3x3's third, which gives the values of _kernel_solve's
+    left sums from +0.0, up to the signs of zeros, which no comparison reads. One gather picks each
+    game's first settling candidate and one scatter writes its strategies
+    at the actions the game owns.
 
     Writes a value into values for every game and its strategies into mix,
     the global rows' strategies followed by the global columns', at the
@@ -495,61 +502,44 @@ def _batch_kernels(payoffs, flat, games, values, mix):
     some row sum is negative (a weight of -inf).
     """
     count = len(games)
-    shape = 3 * flat.row_count[games] + flat.col_count[games] - 4
-    a = payoffs.take(flat.first_slot[games] + _GATHER.take(shape, 1))
     with np.errstate(all="ignore"):
+        solved = np.empty((7, 10, count))  # per candidate: p1, q1, p2, q2, p3, q3, value
+        weights, s = solved[:6], np.empty((10, count))
         entries = a.take(_ENTRIES, 0)
         corner = entries[0]
         b = entries[1:] - corner  # b10, b01, b11
         b10, b01, b11 = b
-        solved = np.empty((6, 9, count))  # per candidate: p1, q1, p2, q2, value, 0
-        weights = solved[:4]
-        np.subtract(b11, b[:2], out=weights[:2])
-        np.negative(b[1::-1], out=weights[2:])
-        s = weights[0] - b01
-        np.subtract(corner, b01 * b10 / s, out=solved[4])
+        np.subtract(b11, b[:2], out=weights[:2, :9])
+        np.negative(b[1::-1], out=weights[2:4, :9])
+        np.subtract(weights[0, :9], b01, out=s[:9])
+        np.subtract(corner, b01 * b10 / s[:9], out=solved[6, :9])
+        # the 3x3's cofactors of a shifted by its corner; every sum left to
+        # right from +0.0, as left_sum adds floats
+        b = a - a[0]
+        f = b.take(_COF, 0)
+        cof = (f[0] * f[1] - f[2] * f[3]).reshape(9, count)
+        terms = cof.take(_SUMS, 0)
+        np.add(0.0 + terms[0] + terms[1], terms[2], out=weights[:, 9])
+        np.add(0.0 + weights[0, 9] + weights[2, 9], weights[4, 9], out=s[9])
+        det = b[:3] * cof[:3]
+        solved[6, 9] = a[0] + (0.0 + det[0] + det[1] + det[2]) / s[9]
         weights /= s
-        solved[5] = 0.0
+        weights[4:, :9] = 0.0
         ok = (weights >= 0.0).all(0)
         # p1 and p2 times rows r1 and r2, q1 and q2 times columns c1 and c2
         products = a.take(_SADDLE, 0)
-        products *= weights[:, None]
-        # (2, 3, 9, G): each column's payoff against p, each row's against q
+        products *= weights[:4, None]
+        # (2, 3, 10, G): each column's payoff against p, each row's against q
         payoff = products[:2] + products[2:]
+        payoff[:, :, 9] += a.take(_THIRD, 0) * weights[4:, None, 9]
         ok &= payoff[1].max(0) - payoff[0].min(0) <= _SADDLE_TOL
         first = ok.argmax(0)  # each game's first candidate that settles it
-        settled = ok.any(0)
         # value, row weights, column weights of each game's first candidate
-        picked = solved.take((_PICK.take(first, 1) + first) * count + np.arange(count))
-
-        square = (~settled & (shape == _SQUARE)).nonzero()[0]
-        if square.size:
-            a = a.take(square, 1)
-            corner = a[0]
-            b = a - corner
-            f = b.take(_COF, 0)
-            cof = f[0] * f[1] - f[2] * f[3]
-            # every sum left to right from +0.0, as left_sum adds floats
-            sums = np.concatenate([cof, cof.transpose(1, 0, 2)])
-            weights = 0.0 + sums[:, 0] + sums[:, 1] + sums[:, 2]  # row sums, column sums
-            s = 0.0 + weights[0] + weights[1] + weights[2]
-            det = b[:3] * cof[0]
-            value = corner + (0.0 + det[0] + det[1] + det[2]) / s
-            weights /= s
-            # each row times the column weights, each column times the row weights
-            products = a.take(_LINES, 0) * weights.reshape(2, 3, -1)[::-1, None]
-            payoff = 0.0 + products[:, :, 0] + products[:, :, 1] + products[:, :, 2]
-            gap = payoff[0].max(0) - payoff[1].min(0)
-            fit = (weights >= 0.0).all(0) & (gap <= _SADDLE_TOL)
-            square = square[fit]
-            settled[square] = True
-            picked[0, square] = value[fit]
-            picked[1:, square] = weights[:, fit]
+        picked = solved.take(_PICK.take(first, 1) * count + np.arange(count))
     values[games] = picked[0]
     start = np.concatenate((flat.first_row[games], flat.first_col[games] + len(flat.row_start)))
-    own = _OWNS.take(shape, 1)  # (action, game), row actions then column actions
     mix[(start.reshape(2, 1, count) + _K).reshape(6, count)[own]] = picked[1:][own]
-    return settled
+    return ok.any(0)
 
 
 def _solve_each(flat, payoffs, values, games, row_mix, col_mix):
@@ -565,31 +555,41 @@ def _solve_each(flat, payoffs, values, games, row_mix, col_mix):
          col_mix[first_col[v]:first_col[v + 1]], _) = _solve(matrix, screened=True)
 
 
-def _settle_mixed(flat, payoffs, values, mixed):
+def _settle_mixed(flat, payoffs, values, mixed, padded, block):
     """Settle the games the screen found mixed, writing their values, and
     return (row_mix, col_mix), their strategies over the global rows and
     columns, NaN elsewhere, two views of one buffer; (None, None) when no
     game is mixed. With fewer than _BATCH_MIN_GAMES games of at most 3x3,
     every game is solved one at a time. With more, _batch_kernels settles
     those, writing into the one buffer, and the games it leaves and the
-    larger ones are solved one at a time after them. When every mixed game
-    is at most 3x3, as in every call on a game of at most 3 actions per
-    player, the batch takes the mixed indices as they are, with no mask of
-    the small ones to build and copy."""
+    larger ones are solved one at a time after them. Where the screen read
+    the game's padded view and (9, n) block (else both are None), every game
+    is at most 3x3: the batch takes the mixed indices as they are, their
+    columns of the block and the actions they own from the view. Otherwise,
+    when every mixed game is at most 3x3, the batch still takes the mixed
+    indices as they are, with no mask of the small ones to build and copy,
+    and gathers their blocks from payoffs by the same padding
+    (game._padded_games)."""
     if not mixed.size:
         return None, None
     rows = len(flat.row_start)
     both = np.empty(rows + len(flat.col_start))
     both.fill(np.nan)  # empty and fill: np.full runs in Python and is 2.5x as slow
     if mixed.size >= _BATCH_MIN_GAMES:  # else too few for a batch: no mask is built
-        small = (flat.row_count[mixed] <= 3) & (flat.col_count[mixed] <= 3)
-        fits = np.count_nonzero(small)
-        if fits == mixed.size:
-            mixed = mixed[~_batch_kernels(payoffs, flat, mixed, values, both)]
-        elif fits >= _BATCH_MIN_GAMES:
-            batched = small.copy()
-            batched[small] = _batch_kernels(payoffs, flat, mixed[small], values, both)
-            mixed = mixed[~batched]
+        if block is not None:  # the screen's block: every game is at most 3x3
+            mixed = mixed[~_batch_kernels(block.take(mixed, 1), flat, mixed,
+                                          padded.owns.take(mixed, 1), values, both)]
+        else:
+            small = (flat.row_count[mixed] <= 3) & (flat.col_count[mixed] <= 3)
+            fits = np.count_nonzero(small)
+            if fits == mixed.size:
+                slots, own = _padded_games(flat, mixed)
+                mixed = mixed[~_batch_kernels(payoffs.take(slots), flat, mixed, own, values, both)]
+            elif fits >= _BATCH_MIN_GAMES:
+                batched, games = small.copy(), mixed[small]
+                slots, own = _padded_games(flat, games)
+                batched[small] = _batch_kernels(payoffs.take(slots), flat, games, own, values, both)
+                mixed = mixed[~batched]
     mix = both[:rows], both[rows:]
     _solve_each(flat, payoffs, values, mixed, *mix)
     return mix
@@ -601,28 +601,46 @@ def local_solve(game, x, states=None) -> LocalSolve:
     state.
 
     First the pure-saddle screen over every state's local game at once:
-    segmented reductions give each global row's minimum, each global
-    column's maximum (over the flat view's column order), then each state's
-    pure maximin and minimax, listed or not. Each listed state whose two
+    each global row's minimum, each global column's maximum, then each
+    state's pure maximin and minimax, listed or not. A game of at least
+    _NUMPY_MIN_STATES states whose every state has at most 3 actions per
+    player is read as one (9, n) block of its games padded to 3x3 (its
+    GameSpec's padded_view, built once per game), and the screen is four
+    axis reductions of that block: padding repeats a game's last row and
+    column, which changes no row minimum, column maximum, maximin or
+    minimax, and min and max are exact, so they return the segmented
+    reductions' bits. Any other game runs segmented reductions over the
+    flat view's slots (and its column order). Each listed state whose two
     values are exactly equal is a pure saddle, and its value is bit for bit
     the entry _kernel_solve returns: the reductions return entries, and
     equal entries are equal bits, as local_payoffs never returns -0.0 (its
     first term, a bincount total, is not -0.0, and a float sum or difference
     is -0.0 only if its first term is). The listed states that are not pure
-    saddles, ascending, are mixed, settled by _settle_mixed.
+    saddles, ascending, are mixed, settled by _settle_mixed, which takes the
+    block's columns for its batch where the block was read.
     """
     x = np.asarray(x, dtype=np.float64)
     flat = game.flat
     payoffs = local_payoffs(game, x)
-    row_min = np.minimum.reduceat(payoffs, flat.row_start)
-    col_max = np.maximum.reduceat(payoffs[flat.col_order], flat.col_start)
-    maximin = np.maximum.reduceat(row_min, flat.first_row[:-1])
-    minimax = np.minimum.reduceat(col_max, flat.first_col[:-1])
+    padded = game.padded_view() if game.n >= _NUMPY_MIN_STATES else None
+    if padded is None:
+        block = None
+        row_min = np.minimum.reduceat(payoffs, flat.row_start)
+        col_max = np.maximum.reduceat(payoffs[flat.col_order], flat.col_start)
+        maximin = np.maximum.reduceat(row_min, flat.first_row[:-1])
+        minimax = np.minimum.reduceat(col_max, flat.first_col[:-1])
+    else:
+        block = payoffs.take(padded.slots)
+        grid = block.reshape(3, 3, -1)  # [i, j, v]: entry (i, j) of v's padded game
+        lows, highs = grid.min(1), grid.max(0)  # each padded row's minimum, column's maximum
+        row_min, col_max = lows.take(padded.row_at), highs.take(padded.col_at)
+        maximin, minimax = lows.max(0), highs.min(0)
     listed = np.ones(game.n, dtype=bool) if states is None else state_mask(game.n, states)
     saddle = listed & (maximin == minimax)
     values = np.where(saddle, maximin, np.nan)
     # saddle is a subset of listed, so listed ^ saddle is listed & ~saddle
-    row_mix, col_mix = _settle_mixed(flat, payoffs, values, (listed ^ saddle).nonzero()[0])
+    row_mix, col_mix = _settle_mixed(flat, payoffs, values, (listed ^ saddle).nonzero()[0],
+                                     padded, block)
     return LocalSolve(game=game, x=x, values=values, row_min=row_min, col_max=col_max,
                       maximin=maximin, minimax=minimax, row_mix=row_mix, col_mix=col_mix)
 

@@ -48,33 +48,37 @@ screen's pure minimax, which bounds R_v from below
 (_payoff_bound_failures), and runs r_bounds only as a fallback, when the
 minimax leaves some pumped state below its local value.
 
-What a step costs. On small games (the acceptance corpus has 2 to 5
-states) an evaluated step's arrays hold a few dozen entries, so its cost is
-the fixed cost of each numpy call and Python call it makes, not arithmetic.
-An evaluated step is one local solve and one band partition; a witness
-check adds its first-hop test, Python comparisons that size a threshold
-only for the seeds they reach, and only if that passes one gap graph,
-with its payoff bounds (r_bounds), and a closed-set search. A landed step
-with both bands non-empty also runs the payoff-bound check, on its graph's
-bounds or its screen's minimax, and calls r_bounds for it only as the
-fallback. Each is cut to few calls. Below matrix_game._NUMPY_MIN_STATES
-states, partition sorts the values into all three bands in one Python pass
-and the first-hop test finds its two extremes in Python lists and tests
-its seeds in turn, which cost less than numpy's per-call overhead there;
-from that many states on, where a Python pass over every state costs more,
-both run in numpy, with the same results. There the first-hop test reads
-only the states it tests: each side's first seed by .item reads and one
-threshold, which on the benchmark ladder rejects most checks, and only if
-that seed passes the side's seeds together, with one threshold call on
-their index array and one comparison, as on a union of two games whose
-seeds all pass. The phase's states go to local_solve as a bool mask built
-once per pump; and the pumped mask is built once per landed step, which
-keeps it (_Step.pumped): the first-hop test, r_bounds, the payoff-bound
-check, the jump vector, the drift check and the checks of the jump's
-probes, whose partition is the landed step's, all read it. The
-pump still calls partition, r_bounds, auxiliary_graph, find_closed_sets
-and local_solve by their module names, so a tracer that wraps those names
-sees every band, every payoff bound and every graph.
+What a step costs. On small games (the acceptance corpus has 2 to 5 states)
+an evaluated step's arrays hold a few dozen entries, so its cost is the
+fixed cost of each numpy call and Python call it makes, not arithmetic. An
+evaluated step is one local solve and one band partition; a witness check
+adds its first-hop test, Python comparisons that size a threshold only for
+the seeds they reach, and only if that passes one gap graph, with its
+payoff bounds (r_bounds), and a closed-set search, whose two closures share
+one sort of the graph's states. A landed step with both bands non-empty
+also runs the payoff-bound check, on its graph's bounds or its screen's
+minimax, and calls r_bounds for it only as the fallback. Each is cut to few
+calls. Below matrix_game._NUMPY_MIN_STATES states, partition sorts the
+values into all three bands in one Python pass and the first-hop test finds
+its two extremes in Python lists and tests its seeds in turn, which cost
+less than numpy's per-call overhead there; from that many states on, where
+a Python pass over every state costs more, both run in numpy, with the same
+results. There the first-hop test reads only the states it tests: each
+side's first seed by .item reads and one threshold, which on the benchmark
+ladder rejects most checks, and only if that seed passes the side's seeds
+together, with one threshold call on their index array and one comparison,
+as on a union of two games whose seeds all pass. From that many states on
+too, a game of at most 3 actions per player is screened as one padded block
+of its local games, which the batch of its mixed games reads again, so on
+the benchmark ladder a local solve is mostly the batch's fixed numpy calls.
+The phase's states go to local_solve as a bool mask built once per pump;
+and the pumped mask is built once per landed step, which keeps it
+(_Step.pumped): the first-hop test, r_bounds, the payoff-bound check, the
+jump vector, the drift check and the checks of the jump's probes, whose
+partition is the landed step's, all read it. The pump still calls
+partition, r_bounds, auxiliary_graph, find_closed_sets and local_solve by
+their module names, so a tracer that wraps those names sees every band,
+every payoff bound and every graph.
 """
 
 from __future__ import annotations
@@ -258,6 +262,15 @@ def gap_thresholds(width, granularity: int, bounds, eps: float):
     return width * factor * (bounds * bounds) / eps
 
 
+def _sorted_graph(graph: GapGraph) -> tuple:
+    """(x, thresholds, pumped, order, xs): the graph's arrays as lists, its
+    states sorted by ascending x, ties by index, and their x in that order;
+    what _closure reads, made once per graph."""
+    order = np.argsort(graph.x, kind="stable")
+    return (graph.x.tolist(), graph.thresholds.tolist(), graph.pumped.tolist(),
+            order.tolist(), graph.x[order].tolist())
+
+
 def forward_closure(graph: GapGraph, seeds) -> frozenset:
     """Every state reachable from `seeds` in the gap graph, seeds included.
 
@@ -268,9 +281,12 @@ def forward_closure(graph: GapGraph, seeds) -> frozenset:
     that define the arcs. Each sorted position is passed at most twice and
     each state joins once, so after the sort a closure costs O(n).
     """
-    x, t, up = graph.x.tolist(), graph.thresholds.tolist(), graph.pumped.tolist()
-    order = np.argsort(graph.x, kind="stable").tolist()
-    xs = [x[u] for u in order]
+    return _closure(_sorted_graph(graph), seeds)
+
+
+def _closure(sorted_graph: tuple, seeds) -> frozenset:
+    """forward_closure on a graph's _sorted_graph."""
+    x, t, up, order, xs = sorted_graph
     seen = set(seeds)
     queue = list(seen)
     head, tail = 0, len(xs)  # order[:head] and order[tail:] are in the closure
@@ -392,14 +408,16 @@ def find_closed_sets(graph: GapGraph, top, bottom):
     stays inside the graph's pumped set and the closure of the bottom band
     (low) stays outside it; otherwise None. The pump calls it only on a
     check whose first hop (_first_hop_leaks) passed, so it runs the
-    closures, and their sort, without a first-hop test of its own.
+    closures without a first-hop test of its own; both read one sort of the
+    graph's states and one list form of its arrays (_sorted_graph).
     """
     if not top or not bottom:
         return None
-    high = forward_closure(graph, top)
+    lists = _sorted_graph(graph)
+    high = _closure(lists, top)
     if not graph.pumped[list(high)].all():
         return None
-    low = forward_closure(graph, bottom)
+    low = _closure(lists, bottom)
     if graph.pumped[list(low)].any():
         return None
     return high, low

@@ -398,13 +398,18 @@ def value_lp(matrix):
     b_eq = np.array([1.0])
     bounds = [(0, None)] * m + [(None, None)]
     # HiGHS's default feasibility tolerance, 1e-7, would let v stand up to
-    # 1e-7 off the value: a pure saddle at -2.6e-8 came back as 0
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
-    assert res.success
-    return -res.fun
+    # 1e-7 off the value: a pure saddle at -2.6e-8 came back as 0. At these
+    # tolerances its default solver can end with model status Unknown on a
+    # nearly degenerate game (entries 1.4e-9 beside 8.25); its interior
+    # point method, at the same tolerances, then solves it
+    for method in ("highs", "highs-ipm"):
+        res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                      bounds=bounds, method=method,
+                      options={"primal_feasibility_tolerance": 1e-10,
+                               "dual_feasibility_tolerance": 1e-10})
+        if res.success:
+            return -res.fun
+    raise AssertionError(f"no HiGHS method solved the value LP: {res.message}")
 
 
 def value_support_enum(matrix, tol=1e-10):

@@ -16,6 +16,7 @@ import reference
 from builders import count_calls
 from ergopump import matrix_game, pump
 from ergopump.documents import CERTIFICATE_FORMAT, parse_certificate, parse_game, serialize_game
+from ergopump.game import GameSpec
 from ergopump.generators import cycle, disconnected
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -153,6 +154,31 @@ def test_each_state_loop_form_has_a_workload(workload, numpy_form, monkeypatch):
     for name, seen in sizes.items():
         assert seen, name
         assert {n >= matrix_game._NUMPY_MIN_STATES for n in seen} == {numpy_form}, name
+
+
+@pytest.mark.parametrize("workload, block", [("corpus", False), ("ladder", True)])
+def test_each_screen_form_has_a_workload(workload, block, monkeypatch):
+    """local_solve screens a game of at least matrix_game._NUMPY_MIN_STATES
+    states, each of at most 3 actions per player, as one padded 3x3 block
+    (GameSpec.padded_view), and any other game by segmented reductions. At
+    seed 0 every ladder local_solve call takes the block and no corpus call
+    does, so the benchmark times each side; a workload or threshold change
+    that moves a side out of it fails here."""
+    run = _load("run", monkeypatch)
+    instances = run.workloads.build(workload, 0)
+    games = [parse_game(inst.text) for inst in instances]
+    views, padded_view = [], GameSpec.padded_view
+
+    def recorded(game):
+        view = padded_view(game)
+        views.append(view is not None)
+        return view
+
+    monkeypatch.setattr(GameSpec, "padded_view", recorded)
+    calls = count_calls(monkeypatch, ("local_solve",))
+    run.solve_pass(instances, games)
+    assert calls["local_solve"] > 0
+    assert views == [True] * calls["local_solve"] if block else views == []
 
 
 GOLDEN_DOCUMENTS = {
